@@ -132,6 +132,8 @@ def cmd_gadget(args) -> int:
         _write_json(args.output, model_mod.model_to_dict(instance))
         print(f"wrote {args.kind} instance to {args.output}")
         return EXIT_OK
+    if args.x3c is None:
+        raise _InputError(f"gadget {args.kind} needs --x3c")
     x3c = _load_x3c(args.x3c)
     build = gadgets.build_kfss_gadget if args.kind == "kfss" else gadgets.build_kfsa_gadget
     gadget = build(x3c, args.k)

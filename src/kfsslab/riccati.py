@@ -1,20 +1,25 @@
-"""Steady-state error covariance by fixed-point iteration of the
-measurement-form Riccati recursion, plus the PBH detectability test and a
-symmetric-PSD pseudo-inverse.
+"""Steady-state error covariance of the filter Riccati equation, plus the
+PBH detectability test and a symmetric-PSD pseudo-inverse.
 
-The a priori covariance is the limit of
+The a priori covariance is the stabilizing solution of
 
-    S <- A S A' + W - A S C' (C S C' + V)^+ C S A'
+    S = A S A' + W - A S C' (C S C' + V)^+ C S A'.
 
-started from the identity.  The pseudo-inverse keeps the recursion well
-defined when C S C' + V is singular (noiseless sensors).  Iteration is
-preferred over Schur-type solvers here: it handles singular V, the problem
-sizes are tiny, and the limit it computes is the quantity of interest.
+Two kernels compute it, chosen from the data:
+
+* Nonsingular V (including the empty selection's 0 x 0 V): the equation is
+  S = A S (I + G S)^-1 A' + W with G = C' V^-1 C, solved by the
+  structure-preserving doubling algorithm (Chu, Fan & Lin; Anderson & Moore,
+  Optimal Filtering, 1979), which converges quadratically.
+* Singular V (noiseless sensors): fixed-point iteration of the recursion
+  above from the identity.  The pseudo-inverse keeps the recursion well
+  defined when C S C' + V is singular; convergence is linear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,7 +44,8 @@ class ShapeError(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Iteration hit the cap or an iterate lost positive semidefiniteness."""
+    """Iteration hit the cap, or an iterate lost positive semidefiniteness
+    (fixed point) or became non-finite (doubling)."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(f"{message} (residual {residual:.3e} after {iterations} iterations)")
@@ -55,9 +61,11 @@ class StabilizabilityViolation(ValueError):
 class SolverOptions:
     """Numerical knobs shared by every solve.
 
-    tol        convergence threshold on the Frobenius norm of successive iterates
-    max_iter   iteration cap
-    pinv_rtol  eigenvalue cutoff for the PSD pseudo-inverse
+    tol        convergence threshold on the Frobenius norm of successive
+               iterates (relative to the iterate's norm for doubling)
+    max_iter   cap on fixed-point iterations or on doublings
+    pinv_rtol  eigenvalue cutoff for the PSD pseudo-inverse; V with a
+               Cholesky pivot at or below it counts as singular
     pbh_tol    rank tolerance of the detectability test
     """
 
@@ -86,6 +94,7 @@ NEG_EIG_FLOOR = -1e-10
 _CONVERGED = 0
 _MAX_ITER = 1
 _INDEFINITE = 2
+_NONFINITE = 3
 
 
 @_njit(cache=True)
@@ -129,6 +138,61 @@ def _iterate_dare(A, C, W, V, tol, max_iter, pinv_rtol, neg_floor):
             if stalled >= 64 and last <= 1e-6 * max(1.0, np.linalg.norm(S)):
                 return S, k + 1, _CONVERGED, last
     return S, max_iter, _MAX_ITER, last
+
+
+def _noise_cholesky(V: np.ndarray, pinv_rtol: float) -> np.ndarray | None:
+    """Lower Cholesky factor of V, or None when V is singular.
+
+    V is PSD, so a diagonal entry at or below the pseudo-inverse cutoff
+    already makes it singular without a factorization; otherwise a failed
+    factorization or a pivot at or below the cutoff does.
+    """
+    if V.shape[0] == 0:
+        return V
+    if np.min(np.diag(V)) <= pinv_rtol:
+        return None
+    try:
+        L = np.linalg.cholesky(V)
+    except np.linalg.LinAlgError:
+        return None
+    return L if np.min(np.diag(L)) ** 2 > pinv_rtol else None
+
+
+def _doubling_dare(A, C, W, L, tol, max_iter):
+    """Structure-preserving doubling for S = A S (I + G S)^-1 A' + W with
+    G = C' V^-1 C and V = L L'.
+
+    With A_0 = A', G_0 = G and H_0 = W, each doubling maps
+    A <- A (I+GH)^-1 A, G <- G + A (I+GH)^-1 G A', H <- H + A' H (I+GH)^-1 A;
+    H_k is the fixed-point iterate 2^k steps from zero, so H converges
+    quadratically to the a priori covariance.  G and H stay PSD, so I + GH
+    is nonsingular.  Returns (H, doublings, status, last step norm).
+    """
+    n = A.shape[0]
+    F = np.linalg.solve(L, C) if C.shape[0] else np.zeros((0, n))
+    Ak = A.T.copy()
+    G = F.T @ F
+    H = W.copy()
+    eye = np.eye(n)
+    step = np.inf
+    for k in range(1, max_iter + 1):
+        try:
+            X = np.linalg.solve(eye + G @ H, np.concatenate((Ak, G), axis=1))
+        except np.linalg.LinAlgError:
+            return H, k, _NONFINITE, step
+        XA, XG = X[:, :n], X[:, n:]
+        H2 = H + Ak.T @ H @ XA
+        G = G + Ak @ XG @ Ak.T
+        Ak = Ak @ XA
+        H2 = 0.5 * (H2 + H2.T)
+        G = 0.5 * (G + G.T)
+        step = float(np.linalg.norm(H2 - H))
+        H = H2
+        if not np.isfinite(step):
+            return H, k, _NONFINITE, step
+        if step <= tol * max(1.0, float(np.linalg.norm(H))):
+            return H, k, _CONVERGED, step
+    return H, max_iter, _MAX_ITER, step
 
 
 def pseudo_inverse_psd(M: np.ndarray, pinv_rtol: float = 1e-12) -> np.ndarray:
@@ -249,14 +313,41 @@ def is_stabilizable_noise(A, W, pbh_tol: float = 1e-9) -> bool:
     return is_detectable(np.asarray(A, dtype=float).T, _sqrt_psd(np.asarray(W, dtype=float)), pbh_tol)
 
 
+@lru_cache(maxsize=1)
+def _stabilizable(shape: tuple, a_bytes: bytes, w_bytes: bytes, pbh_tol: float) -> bool:
+    A = np.frombuffer(a_bytes).reshape(shape)
+    W = np.frombuffer(w_bytes).reshape(shape)
+    return is_stabilizable_noise(A, W, pbh_tol)
+
+
+def check_stabilizable(A, W, pbh_tol: float = 1e-9) -> None:
+    """Raise StabilizabilityViolation unless (A, W^{1/2}) is stabilizable.
+
+    The verdict depends on A and W only, not on the sensors, and a solver
+    run asks it for every subset it scores; the last verdict is remembered
+    (keyed on the matrix contents), so one run tests its pair once.
+    """
+    A = np.ascontiguousarray(A, dtype=float)
+    W = np.ascontiguousarray(W, dtype=float)
+    if not _stabilizable(A.shape, A.tobytes(), W.tobytes(), pbh_tol):
+        raise StabilizabilityViolation("(A, W^(1/2)) is not stabilizable")
+
+
 def solve_dare(A, C, W, V, opts: SolverOptions | None = None) -> SteadyStateResult:
-    """Iterate the recursion from the identity until successive iterates are
-    closer than opts.tol in Frobenius norm (or until the iteration reaches
-    its floating-point floor, accepted as converged).
+    """Stabilizing solution of the filter Riccati equation (the a priori
+    steady-state covariance).
+
+    Nonsingular V (a 0 x 0 V included) is solved by doubling until the
+    step falls to opts.tol relative to the iterate's norm; the result's
+    ``iterations`` counts doublings.  Singular V is solved by iterating the
+    recursion from the identity until successive iterates are closer than
+    opts.tol in Frobenius norm (or until the iteration reaches its
+    floating-point floor, accepted as converged).
 
     Returns the infinite result when (A, C) is undetectable.  Raises
     StabilizabilityViolation when (A, W^{1/2}) is not stabilizable and
-    NoConvergence when the cap is hit or an iterate turns indefinite.
+    NoConvergence when opts.max_iter is reached above tolerance, or an
+    iterate turns indefinite (fixed point) or non-finite (doubling).
     """
     opts = opts or SolverOptions()
     A = np.ascontiguousarray(A, dtype=float)
@@ -268,15 +359,20 @@ def solve_dare(A, C, W, V, opts: SolverOptions | None = None) -> SteadyStateResu
         raise ShapeError("A and W must be n x n")
     if C.ndim != 2 or C.shape[1] != n or V.shape != (C.shape[0], C.shape[0]):
         raise ShapeError("C must be p x n with V p x p")
-    if not is_stabilizable_noise(A, W, opts.pbh_tol):
-        raise StabilizabilityViolation("(A, W^(1/2)) is not stabilizable")
+    check_stabilizable(A, W, opts.pbh_tol)
     if not is_detectable(A, C, opts.pbh_tol):
         return SteadyStateResult.infinite()
-    S, iters, status, residual = _iterate_dare(
-        A, C, W, V, opts.tol, opts.max_iter, opts.pinv_rtol, NEG_EIG_FLOOR
-    )
+    L = _noise_cholesky(V, opts.pinv_rtol)
+    if L is None:
+        S, iters, status, residual = _iterate_dare(
+            A, C, W, V, opts.tol, opts.max_iter, opts.pinv_rtol, NEG_EIG_FLOOR
+        )
+    else:
+        S, iters, status, residual = _doubling_dare(A, C, W, L, opts.tol, opts.max_iter)
     if status == _INDEFINITE:
         raise NoConvergence("iterate lost positive semidefiniteness", residual, iters)
+    if status == _NONFINITE:
+        raise NoConvergence("doubling iterate became non-finite", residual, iters)
     if status == _MAX_ITER:
         raise NoConvergence("iteration cap reached above tolerance", residual, iters)
     return SteadyStateResult.finite(S, iters)

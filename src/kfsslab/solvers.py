@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .model import AttackVector, SelectionVector, SteadyStateResult, SystemModel, complement, restrict
-from .riccati import SolverOptions, dare_steady_state, posteriori_from_priori
+from .riccati import SolverOptions, check_stabilizable, dare_steady_state, posteriori_from_priori
 
 METRICS = ("priori", "posteriori")
 
@@ -113,6 +113,12 @@ def _tied(score: float, best: float) -> bool:
     return abs(score - best) <= TIE_REL * max(1.0, abs(best))
 
 
+def _check_stabilizable(model: SystemModel, opts: SolverOptions | None) -> None:
+    # once per driver run: check_stabilizable remembers the verdict, so the
+    # per-subset solves that follow skip the test
+    check_stabilizable(model.A, model.W, (opts or SolverOptions()).pbh_tol)
+
+
 def _require_unit_costs(costs: np.ndarray, what: str) -> None:
     if not np.all(costs == 1.0):
         raise NonUnitCosts(f"greedy requires unit {what} costs")
@@ -135,6 +141,7 @@ def greedy_select(
     _check_metric(metric)
     _require_unit_costs(model.b, "selection")
     budget = _check_cardinality_budget(cardinality_budget, model.q)
+    _check_stabilizable(model, opts)
     picked: list[int] = []
     steps: list[GreedyStep] = []
     evaluations = 0
@@ -172,6 +179,7 @@ def greedy_attack(
     _check_metric(metric)
     _require_unit_costs(model.omega, "attack")
     budget = _check_cardinality_budget(cardinality_budget, model.q)
+    _check_stabilizable(model, opts)
     picked: list[int] = []
     steps: list[GreedyStep] = []
     evaluations = 0
@@ -202,9 +210,22 @@ def greedy_attack(
 
 
 def _enumerate_feasible(q: int, costs: np.ndarray, budget: float):
+    """Index tuples whose cost sum is within budget, by size, then in
+    lexicographic order.
+
+    Sums are compared with a 1e-9 relative allowance, so that 0.1 + 0.2
+    fits a budget of 0.3.  Enumeration stops at the first size whose
+    cheapest subsets, at that size or any larger one, exceed the budget.
+    """
+    limit = budget + 1e-9 * max(1.0, abs(budget))
+    cheapest = np.cumsum(np.sort(costs))
+    # cheapest subset of size r or larger (costs may be negative)
+    floor = np.minimum.accumulate(cheapest[::-1])[::-1]
     for r in range(q + 1):
+        if r and floor[r - 1] > limit:
+            return
         for combo in combinations(range(q), r):
-            if sum(costs[i] for i in combo) <= budget:
+            if sum(costs[i] for i in combo) <= limit:
                 yield combo
 
 
@@ -226,6 +247,7 @@ def exhaustive_select(
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (model.q,):
         raise SolverInputError(f"costs must have length {model.q}")
+    _check_stabilizable(model, opts)
     scored = []
     for combo in _enumerate_feasible(model.q, costs, budget):
         sel = SelectionVector.from_support(model.q, combo)
@@ -262,6 +284,7 @@ def exhaustive_attack(
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (model.q,):
         raise SolverInputError(f"costs must have length {model.q}")
+    _check_stabilizable(model, opts)
     scored = []
     for combo in _enumerate_feasible(model.q, costs, budget):
         att = AttackVector.from_support(model.q, combo)

@@ -200,3 +200,10 @@ def test_outputs_are_byte_identical_between_runs(example1_file, tmp_path, monkey
         assert run_cli("sweep", "--family", "example1", "--lambda1", "0.9",
                        "--h-grid", "10,100", "--output", str(path)) == 0
     assert s1.read_bytes() == s2.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["kfss", "kfsa"])
+def test_gadget_reduction_without_x3c_is_input_error(kind, tmp_path, capsys):
+    assert run_cli("gadget", kind, "--output", str(tmp_path / "x.json")) == 1
+    assert "--x3c" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()

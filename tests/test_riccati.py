@@ -1,11 +1,19 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from kfsslab import riccati
 from kfsslab.closed_forms import msee_limit, scalar_sensor_msee
-from kfsslab.gadgets import build_example1
-from kfsslab.model import SelectionVector, SystemModel, validate_model
+from kfsslab.gadgets import (
+    GADGET_SOLVER_OPTIONS,
+    X3CInstance,
+    build_example1,
+    build_kfsa_gadget,
+    build_kfss_gadget,
+)
+from kfsslab.model import SelectionVector, SystemModel, restrict, validate_model
 from kfsslab.riccati import (
     NoConvergence,
     ShapeError,
@@ -19,6 +27,7 @@ from kfsslab.riccati import (
     riccati_step,
     solve_dare,
 )
+from kfsslab.solvers import exhaustive_select, greedy_select
 
 EMPTY_C1 = np.zeros((0, 1))
 EMPTY_V = np.zeros((0, 0))
@@ -240,3 +249,119 @@ def test_solver_options_validation():
         SolverOptions(tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iter=-1)
+
+
+# --- kernel choice: doubling for nonsingular V, fixed point for singular V ---
+
+def _scipy_priori(A, C, W, V):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    return scipy_linalg.solve_discrete_are(A.T, C.T, W, V)
+
+
+def _random_nonsingular_instance(rng):
+    n = int(rng.integers(1, 7))
+    p = int(rng.integers(1, 7))
+    A = rng.standard_normal((n, n))
+    A *= rng.uniform(0.2, 1.4) / max(abs(np.linalg.eigvals(A)))
+    C = rng.standard_normal((p, n))
+    B = rng.standard_normal((n, n))
+    W = B @ B.T / n + 0.1 * np.eye(n)
+    B = rng.standard_normal((p, p))
+    V = B @ B.T / p + 0.1 * np.eye(p)
+    return A, C, W, V
+
+
+def test_doubling_matches_scipy_on_random_instances():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for _ in range(60):
+        A, C, W, V = _random_nonsingular_instance(rng)
+        res = solve_dare(A, C, W, V)
+        if not res.is_finite:
+            continue
+        P = _scipy_priori(A, C, W, V)
+        assert abs(res.trace - np.trace(P)) <= 1e-9 * np.trace(P)
+        PC = P @ C.T
+        P_post = P - PC @ np.linalg.solve(C @ PC + V, PC.T)
+        post = posteriori_from_priori(res.cov, C, V)
+        assert abs(np.trace(post) - np.trace(P_post)) <= 1e-9 * np.trace(P_post)
+        checked += 1
+    assert checked >= 40
+
+
+@pytest.mark.parametrize("build", [build_kfss_gadget, build_kfsa_gadget])
+def test_gadget_subsets_match_scipy(build):
+    inst = X3CInstance(2, ((1, 2, 3), (4, 5, 6), (1, 2, 4), (3, 5, 6)))
+    m = build(inst, 1.0).model
+    for r in range(1, m.q + 1):
+        for support in combinations(range(m.q), r):
+            sel = SelectionVector.from_support(m.q, support)
+            res = dare_steady_state(m, sel, GADGET_SOLVER_OPTIONS)
+            if not res.is_finite:
+                continue
+            C_sel, V_sel = restrict(m, sel)
+            ref = np.trace(_scipy_priori(m.A, C_sel, m.W, V_sel))
+            assert abs(res.trace - ref) <= 1e-9 * ref, support
+
+
+def test_doubling_cap_raises_no_convergence():
+    A, C, W, V = np.array([[0.99]]), np.array([[1.0]]), np.eye(1), np.eye(1)
+    assert solve_dare(A, C, W, V).is_finite
+    with pytest.raises(NoConvergence) as exc:
+        solve_dare(A, C, W, V, SolverOptions(tol=1e-300, max_iter=2))
+    assert exc.value.iterations == 2
+    assert exc.value.residual > 0
+
+
+def _kernel_spy(monkeypatch):
+    used = []
+    for name in ("_iterate_dare", "_doubling_dare"):
+        kernel = getattr(riccati, name)
+
+        def spy(*args, _kernel=kernel, _name=name):
+            used.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(riccati, name, spy)
+    return used
+
+
+@pytest.mark.parametrize("V, kernel", [
+    (np.diag([1.0, 0.5]), "_doubling_dare"),
+    (np.zeros((0, 0)), "_doubling_dare"),
+    (np.diag([1.0, 0.0]), "_iterate_dare"),  # a zero diagonal entry
+    (np.ones((2, 2)), "_iterate_dare"),  # singular without a zero diagonal entry
+])
+def test_kernel_follows_noise_singularity(monkeypatch, V, kernel):
+    used = _kernel_spy(monkeypatch)
+    p = V.shape[0]
+    A = np.diag([0.9, 0.5])
+    C = np.array([[1.0, 0.0], [1.0, 1.0]])[:p]
+    res = solve_dare(A, C, np.eye(2), V)
+    assert used == [kernel]
+    assert res.is_finite
+    S = res.cov
+    assert np.linalg.norm(riccati_step(S, A, C, np.eye(2), V) - S) < 1e-9
+
+
+def test_stabilizability_checked_once_per_driver_run(monkeypatch):
+    calls = []
+    check = riccati.is_stabilizable_noise
+
+    def counting(*args):
+        calls.append(1)
+        return check(*args)
+
+    monkeypatch.setattr(riccati, "is_stabilizable_noise", counting)
+    riccati._stabilizable.cache_clear()
+    m = _diag_model([0.9, 0.5], C=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), V=np.eye(3))
+    exhaustive_select(m, m.b, 2.0, "priori")
+    greedy_select(m, 2, "posteriori")
+    assert len(calls) == 1
+    # the public entry points still refuse an unstabilizable pair, every time
+    bad = _diag_model([1.5], W=np.zeros((1, 1)), V=np.eye(1))
+    for _ in range(2):
+        with pytest.raises(StabilizabilityViolation):
+            dare_steady_state(bad, SelectionVector((1,)))
+    with pytest.raises(StabilizabilityViolation):
+        exhaustive_select(bad, bad.b, 1.0, "priori")

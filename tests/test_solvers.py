@@ -20,6 +20,7 @@ from kfsslab.solvers import (
     greedy_ratio,
     greedy_select,
     report_to_dict,
+    _enumerate_feasible,
 )
 
 LAM = 0.9
@@ -295,3 +296,25 @@ def test_report_dict_encodes_infinity():
     assert data["trace"] is None
     assert data["diag"] is None
     assert data["support"] == [1]
+
+
+def test_exhaustive_budget_sum_within_rounding_is_feasible():
+    # 0.1 + 0.2 > 0.3 in floating point; the pair must still fit the budget
+    m = validate_model(SystemModel(
+        n=2, q=2, A=np.diag([0.9, 0.5]), C=np.eye(2), W=np.eye(2), V=np.eye(2)))
+    report = exhaustive_select(m, [0.1, 0.2], 0.3, "priori")
+    assert report.chosen.support == (0, 1)
+
+
+def test_pruned_enumerator_matches_full_scan():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        q = int(rng.integers(1, 9))
+        costs = rng.choice([0.0, 0.1, 0.2, 0.3, 1.0, 2.5], size=q)
+        if rng.random() < 0.25:
+            costs = costs - 0.5  # negative costs: sums are not monotone in size
+        budget = float(rng.choice([0.0, 0.3, 1.0, 2.0, 10.0, -0.5]))
+        limit = budget + 1e-9 * max(1.0, abs(budget))
+        full = [combo for r in range(q + 1) for combo in combinations(range(q), r)
+                if sum(costs[i] for i in combo) <= limit]
+        assert list(_enumerate_feasible(q, costs, budget)) == full
