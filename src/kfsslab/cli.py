@@ -179,14 +179,8 @@ def _sweep_point(family: str, lambda1: float, h: float, metric: str, v_scale: fl
         optimal = solvers.exhaustive_attack(instance, instance.omega, 2.0, metric)
         num, den = optimal.trace, greedy.trace
         predicted = closed_forms.limit_ratio_attack(lambda1)
-    if math.isinf(num) and math.isinf(den):
-        ratio = 1.0
-    elif math.isinf(num) or math.isinf(den) or den == 0.0:
-        ratio = math.inf
-    else:
-        ratio = num / den
     limit = predicted[0] if metric == "priori" else predicted[1]
-    return (h, greedy.trace, optimal.trace, ratio, limit)
+    return (h, greedy.trace, optimal.trace, solvers.trace_ratio(num, den), limit)
 
 
 def _sweep_grid(args) -> list[float]:

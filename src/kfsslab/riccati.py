@@ -14,6 +14,14 @@ Two kernels compute it, chosen from the data:
 * Singular V (noiseless sensors): fixed-point iteration of the recursion
   above from the identity.  The pseudo-inverse keeps the recursion well
   defined when C S C' + V is singular; convergence is linear.
+
+The private helpers work on stacks: arrays of k same-shape members, one
+per sensor subset (C is k x p x n, V is k x p x p).  The PBH test, the
+noise factorization, the doubling and the measurement update each run as
+one batched numpy call per step over the stack; a doubling member stops at
+its own stopping rule, and singular members go to the fixed point one at a
+time.  The public functions are the stack of one, so a subset solved alone
+and the same subset solved inside a stack take the same arithmetic.
 """
 
 from __future__ import annotations
@@ -94,7 +102,6 @@ NEG_EIG_FLOOR = -1e-10
 _CONVERGED = 0
 _MAX_ITER = 1
 _INDEFINITE = 2
-_NONFINITE = 3
 
 
 @_njit(cache=True)
@@ -140,59 +147,101 @@ def _iterate_dare(A, C, W, V, tol, max_iter, pinv_rtol, neg_floor):
     return S, max_iter, _MAX_ITER, last
 
 
-def _noise_cholesky(V: np.ndarray, pinv_rtol: float) -> np.ndarray | None:
-    """Lower Cholesky factor of V, or None when V is singular.
+def _noise_cholesky(V: np.ndarray, pinv_rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which members of the stack V (k x p x p) are nonsingular, and their
+    lower Cholesky factors, in stack order.
 
     V is PSD, so a diagonal entry at or below the pseudo-inverse cutoff
-    already makes it singular without a factorization; otherwise a failed
-    factorization or a pivot at or below the cutoff does.
+    already makes a member singular without a factorization; otherwise a
+    failed factorization or a pivot squared at or below the cutoff does.  A
+    batched factorization fails as a whole when one member is not positive
+    definite; the members are then factored one by one.
     """
-    if V.shape[0] == 0:
-        return V
-    if np.min(np.diag(V)) <= pinv_rtol:
-        return None
+    k, p = V.shape[:2]
+    if p == 0:
+        return np.ones(k, dtype=bool), V
+    ok = V.diagonal(axis1=1, axis2=2).min(axis=1) > pinv_rtol
+    tried = np.flatnonzero(ok)
     try:
-        L = np.linalg.cholesky(V)
+        L = np.linalg.cholesky(V[tried])
     except np.linalg.LinAlgError:
-        return None
-    return L if np.min(np.diag(L)) ** 2 > pinv_rtol else None
+        L = np.zeros((tried.size, p, p))  # a failed member keeps a zero pivot
+        for j, m in enumerate(tried):
+            try:
+                L[j] = np.linalg.cholesky(V[m])
+            except np.linalg.LinAlgError:
+                pass
+    pivots_ok = L.diagonal(axis1=1, axis2=2).min(axis=1) ** 2 > pinv_rtol
+    ok[tried] = pivots_ok
+    return ok, L[pivots_ok]
 
 
-def _doubling_dare(A, C, W, L, tol, max_iter):
-    """Structure-preserving doubling for S = A S (I + G S)^-1 A' + W with
-    G = C' V^-1 C and V = L L'.
+def _doubling_dare(A, G, W, tol, max_iter):
+    """Structure-preserving doubling for S = A S (I + G S)^-1 A' + W, for
+    every member G of the stack G (k x n x n), G = C' V^-1 C.
 
     With A_0 = A', G_0 = G and H_0 = W, each doubling maps
     A <- A (I+GH)^-1 A, G <- G + A (I+GH)^-1 G A', H <- H + A' H (I+GH)^-1 A;
     H_k is the fixed-point iterate 2^k steps from zero, so H converges
     quadratically to the a priori covariance.  G and H stay PSD, so I + GH
-    is nonsingular.  Returns (H, doublings, status, last step norm).
+    is nonsingular.  A member stops once its step ||H+ - H||_F is at most
+    tol * max(1, ||H+||_F) and is frozen from then on.  Returns the stack of
+    covariances and each member's doubling count; raises NoConvergence when
+    a member reaches max_iter or any step turns non-finite.
     """
-    n = A.shape[0]
-    F = np.linalg.solve(L, C) if C.shape[0] else np.zeros((0, n))
-    Ak = A.T.copy()
-    G = F.T @ F
-    H = W.copy()
+    k, n = G.shape[0], A.shape[0]
+    out = np.empty((k, n, n))
+    doublings = np.zeros(k, dtype=int)
+    live = np.arange(k)
+    Ak = np.repeat(A.T[None], k, axis=0)
+    H = np.repeat(W[None], k, axis=0)
     eye = np.eye(n)
-    step = np.inf
-    for k in range(1, max_iter + 1):
+    step = np.full(k, np.inf)
+    for it in range(1, max_iter + 1):
         try:
-            X = np.linalg.solve(eye + G @ H, np.concatenate((Ak, G), axis=1))
+            X = np.linalg.solve(eye + G @ H, np.concatenate((Ak, G), axis=2))
         except np.linalg.LinAlgError:
-            return H, k, _NONFINITE, step
-        XA, XG = X[:, :n], X[:, n:]
-        H2 = H + Ak.T @ H @ XA
-        G = G + Ak @ XG @ Ak.T
+            raise NoConvergence("doubling iterate became non-finite", float(step[0]), it) from None
+        XA, XG = X[:, :, :n], X[:, :, n:]
+        AkT = Ak.transpose(0, 2, 1)
+        H2 = H + AkT @ H @ XA
+        G = G + Ak @ XG @ AkT
         Ak = Ak @ XA
-        H2 = 0.5 * (H2 + H2.T)
-        G = 0.5 * (G + G.T)
-        step = float(np.linalg.norm(H2 - H))
+        H2 = 0.5 * (H2 + H2.transpose(0, 2, 1))
+        G = 0.5 * (G + G.transpose(0, 2, 1))
+        step = np.linalg.norm(H2 - H, axis=(1, 2))
         H = H2
-        if not np.isfinite(step):
-            return H, k, _NONFINITE, step
-        if step <= tol * max(1.0, float(np.linalg.norm(H))):
-            return H, k, _CONVERGED, step
-    return H, max_iter, _MAX_ITER, step
+        bad = ~np.isfinite(step)
+        if bad.any():
+            raise NoConvergence("doubling iterate became non-finite", float(step[bad][0]), it)
+        done = step <= tol * np.maximum(1.0, np.linalg.norm(H, axis=(1, 2)))
+        if done.any():
+            out[live[done]] = H[done]
+            doublings[live[done]] = it
+            keep = ~done
+            live, Ak, G, H, step = live[keep], Ak[keep], G[keep], H[keep], step[keep]
+            if not live.size:
+                return out, doublings
+    raise NoConvergence("iteration cap reached above tolerance", float(step[0]), max_iter)
+
+
+def _pinv_psd(M: np.ndarray, pinv_rtol: float) -> np.ndarray:
+    """pseudo_inverse_psd of every member of the stack M (k x p x p), p >= 1."""
+    w, U = np.linalg.eigh(0.5 * (M + M.transpose(0, 2, 1)))
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=w > pinv_rtol * np.maximum(w, 1.0))
+    out = (U * inv[:, None, :]) @ U.transpose(0, 2, 1)
+    return 0.5 * (out + out.transpose(0, 2, 1))
+
+
+def _posteriori(S, C, V, pinv_rtol: float) -> np.ndarray:
+    """posteriori_from_priori for every member of the stacks S (k x n x n),
+    C (k x p x n) and V (k x p x p)."""
+    if C.shape[1] == 0:
+        return S.copy()
+    CS = C @ S
+    Minv = _pinv_psd(CS @ C.transpose(0, 2, 1) + V, pinv_rtol)
+    out = S - CS.transpose(0, 2, 1) @ Minv @ CS
+    return 0.5 * (out + out.transpose(0, 2, 1))
 
 
 def pseudo_inverse_psd(M: np.ndarray, pinv_rtol: float = 1e-12) -> np.ndarray:
@@ -208,42 +257,36 @@ def pseudo_inverse_psd(M: np.ndarray, pinv_rtol: float = 1e-12) -> np.ndarray:
         raise ShapeError(f"expected a square matrix, got {M.shape}")
     if M.shape[0] == 0:
         return np.zeros((0, 0))
-    sym = 0.5 * (M + M.T)
-    w, U = np.linalg.eigh(sym)
-    inv = np.zeros_like(w)
-    for i in range(w.shape[0]):
-        if w[i] > pinv_rtol * max(w[i], 1.0):
-            inv[i] = 1.0 / w[i]
-    out = (U * inv) @ U.T
-    return 0.5 * (out + out.T)
+    return _pinv_psd(M[None], pinv_rtol)[0]
+
+
+def _measurement(n: int, C_sel, V_sel) -> tuple[np.ndarray, np.ndarray]:
+    """C_sel (p x n) and V_sel (p x p) as float arrays, shapes checked."""
+    C_sel = np.asarray(C_sel, dtype=float)
+    V_sel = np.asarray(V_sel, dtype=float)
+    if C_sel.ndim != 2 or C_sel.shape[1] != n:
+        raise ShapeError(f"C must be p x {n}, got {C_sel.shape}")
+    p = C_sel.shape[0]
+    if V_sel.shape != (p, p):
+        raise ShapeError(f"V must be {p} x {p}, got {V_sel.shape}")
+    return C_sel, V_sel
 
 
 def riccati_step(S, A, C_sel, W, V_sel, pinv_rtol: float = 1e-12) -> np.ndarray:
-    """One application of the a priori covariance recursion, symmetrized.
+    """One application of the a priori covariance recursion, symmetrized:
+    the measurement update of S, propagated through A, plus W.
 
     With an empty measurement matrix the gain term vanishes and the step is
     the Lyapunov update A S A' + W.
     """
     S = np.asarray(S, dtype=float)
     A = np.asarray(A, dtype=float)
-    C_sel = np.asarray(C_sel, dtype=float)
     W = np.asarray(W, dtype=float)
-    V_sel = np.asarray(V_sel, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n) or S.shape != (n, n) or W.shape != (n, n):
         raise ShapeError("A, S, W must all be n x n")
-    if C_sel.ndim != 2 or C_sel.shape[1] != n:
-        raise ShapeError(f"C must be p x {n}, got {C_sel.shape}")
-    p = C_sel.shape[0]
-    if V_sel.shape != (p, p):
-        raise ShapeError(f"V must be {p} x {p}, got {V_sel.shape}")
-    if p == 0:
-        out = A @ S @ A.T + W
-        return 0.5 * (out + out.T)
-    CS = C_sel @ S
-    Minv = pseudo_inverse_psd(CS @ C_sel.T + V_sel, pinv_rtol)
-    ASC = A @ CS.T
-    out = A @ S @ A.T + W - ASC @ Minv @ ASC.T
+    C_sel, V_sel = _measurement(n, C_sel, V_sel)
+    out = A @ _posteriori(S[None], C_sel[None], V_sel[None], pinv_rtol)[0] @ A.T + W
     return 0.5 * (out + out.T)
 
 
@@ -251,22 +294,11 @@ def posteriori_from_priori(Sigma, C_sel, V_sel, opts: SolverOptions | None = Non
     """Measurement-update covariance S - S C' (C S C' + V)^+ C S, symmetrized."""
     opts = opts or SolverOptions()
     Sigma = np.asarray(Sigma, dtype=float)
-    C_sel = np.asarray(C_sel, dtype=float)
-    V_sel = np.asarray(V_sel, dtype=float)
     n = Sigma.shape[0]
     if Sigma.shape != (n, n):
         raise ShapeError(f"covariance must be square, got {Sigma.shape}")
-    if C_sel.ndim != 2 or C_sel.shape[1] != n:
-        raise ShapeError(f"C must be p x {n}, got {C_sel.shape}")
-    p = C_sel.shape[0]
-    if V_sel.shape != (p, p):
-        raise ShapeError(f"V must be {p} x {p}, got {V_sel.shape}")
-    if p == 0:
-        return Sigma.copy()
-    CS = C_sel @ Sigma
-    Minv = pseudo_inverse_psd(CS @ C_sel.T + V_sel, opts.pinv_rtol)
-    out = Sigma - CS.T @ Minv @ CS
-    return 0.5 * (out + out.T)
+    C_sel, V_sel = _measurement(n, C_sel, V_sel)
+    return _posteriori(Sigma[None], C_sel[None], V_sel[None], opts.pinv_rtol)[0]
 
 
 def coupling_check(Sigma_priori, Sigma_post, A, W) -> float:
@@ -281,6 +313,25 @@ def coupling_check(Sigma_priori, Sigma_post, A, W) -> float:
     return float(np.linalg.norm(Sigma_priori - (A @ Sigma_post @ A.T + W)))
 
 
+def _unstable_modes(A: np.ndarray, pbh_tol: float) -> list:
+    """Eigenvalues of A with modulus >= 1 - pbh_tol, the modes PBH tests."""
+    return [lam for lam in np.linalg.eigvals(A) if abs(lam) >= 1.0 - pbh_tol]
+
+
+def _detectable(A: np.ndarray, C: np.ndarray, pbh_tol: float, modes: list) -> np.ndarray:
+    """is_detectable for every member of the stack C (k x p x n), given the
+    unstable modes of A: one batched SVD per mode."""
+    k, n = C.shape[0], A.shape[0]
+    ok = np.ones(k, dtype=bool)
+    for lam in modes:
+        blocks = np.concatenate(
+            (np.broadcast_to(A - lam * np.eye(n), (k, n, n)), C.astype(complex)), axis=1
+        )
+        sv = np.linalg.svd(blocks, compute_uv=False)
+        ok &= ~((sv[:, 0] == 0.0) | (sv[:, -1] <= pbh_tol * sv[:, 0]))
+    return ok
+
+
 def is_detectable(A, C_sel, pbh_tol: float = 1e-9) -> bool:
     """PBH test: every eigenvalue of A with modulus >= 1 - pbh_tol must keep
     the stacked matrix [A - lam I; C] at full column rank (smallest singular
@@ -290,17 +341,7 @@ def is_detectable(A, C_sel, pbh_tol: float = 1e-9) -> bool:
     """
     A = np.asarray(A, dtype=float)
     C_sel = np.asarray(C_sel, dtype=float)
-    n = A.shape[0]
-    eigvals = np.linalg.eigvals(A)
-    unstable = [lam for lam in eigvals if abs(lam) >= 1.0 - pbh_tol]
-    if not unstable:
-        return True
-    for lam in unstable:
-        stacked = np.vstack([A - lam * np.eye(n), C_sel.astype(complex)])
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= pbh_tol * sv[0]:
-            return False
-    return True
+    return bool(_detectable(A, C_sel[None], pbh_tol, _unstable_modes(A, pbh_tol))[0])
 
 
 def _sqrt_psd(W: np.ndarray) -> np.ndarray:
@@ -333,6 +374,35 @@ def check_stabilizable(A, W, pbh_tol: float = 1e-9) -> None:
         raise StabilizabilityViolation("(A, W^(1/2)) is not stabilizable")
 
 
+def _solve_detectable(A, C, W, V, opts: SolverOptions) -> tuple[np.ndarray, np.ndarray]:
+    """A priori covariances and iteration counts for the stacks C (k x p x n)
+    and V (k x p x p), every member detectable.
+
+    Nonsingular members share one doubling run; singular ones are iterated
+    one at a time.  Raises NoConvergence as solve_dare does.
+    """
+    k, n = C.shape[0], A.shape[0]
+    S = np.empty((k, n, n))
+    iters = np.zeros(k, dtype=int)
+    nonsingular, L = _noise_cholesky(V, opts.pinv_rtol)
+    if nonsingular.any():
+        F = C[nonsingular]
+        if F.shape[1]:
+            F = np.linalg.solve(L, F)
+        S[nonsingular], iters[nonsingular] = _doubling_dare(
+            A, F.transpose(0, 2, 1) @ F, W, opts.tol, opts.max_iter
+        )
+    for j in np.flatnonzero(~nonsingular):
+        S[j], iters[j], status, residual = _iterate_dare(
+            A, C[j], W, V[j], opts.tol, opts.max_iter, opts.pinv_rtol, NEG_EIG_FLOOR
+        )
+        if status == _INDEFINITE:
+            raise NoConvergence("iterate lost positive semidefiniteness", residual, int(iters[j]))
+        if status == _MAX_ITER:
+            raise NoConvergence("iteration cap reached above tolerance", residual, int(iters[j]))
+    return S, iters
+
+
 def solve_dare(A, C, W, V, opts: SolverOptions | None = None) -> SteadyStateResult:
     """Stabilizing solution of the filter Riccati equation (the a priori
     steady-state covariance).
@@ -362,20 +432,8 @@ def solve_dare(A, C, W, V, opts: SolverOptions | None = None) -> SteadyStateResu
     check_stabilizable(A, W, opts.pbh_tol)
     if not is_detectable(A, C, opts.pbh_tol):
         return SteadyStateResult.infinite()
-    L = _noise_cholesky(V, opts.pinv_rtol)
-    if L is None:
-        S, iters, status, residual = _iterate_dare(
-            A, C, W, V, opts.tol, opts.max_iter, opts.pinv_rtol, NEG_EIG_FLOOR
-        )
-    else:
-        S, iters, status, residual = _doubling_dare(A, C, W, L, opts.tol, opts.max_iter)
-    if status == _INDEFINITE:
-        raise NoConvergence("iterate lost positive semidefiniteness", residual, iters)
-    if status == _NONFINITE:
-        raise NoConvergence("doubling iterate became non-finite", residual, iters)
-    if status == _MAX_ITER:
-        raise NoConvergence("iteration cap reached above tolerance", residual, iters)
-    return SteadyStateResult.finite(S, iters)
+    S, iters = _solve_detectable(A, C[None], W, V[None], opts)
+    return SteadyStateResult.finite(S[0], int(iters[0]))
 
 
 def dare_steady_state(

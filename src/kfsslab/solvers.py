@@ -9,24 +9,37 @@ bit pattern (exhaustive).  Two candidates count as tied when their traces
 agree within 1e-9 relative: mathematically equal selections can differ by
 the solver's stopping error, so exact float comparison would make tie
 handling depend on round-off.
+
+Each driver scores its candidates in stacks: all candidates of one greedy
+step, or all feasible subsets of one size, go to the riccati module's
+batched kernels in chunks of at most STACK_CHUNK members.  An attack is
+scored through its survivor set.  Only the chosen indicator is re-solved
+through evaluate_selection, for its covariance.  Select and attack share
+one greedy and one exhaustive driver, which differ only in direction:
+minimize over selections, or maximize over survivor sets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
+from . import riccati
 from .model import AttackVector, SelectionVector, SteadyStateResult, SystemModel, complement, restrict
-from .riccati import SolverOptions, check_stabilizable, dare_steady_state, posteriori_from_priori
+from .riccati import SolverOptions, posteriori_from_priori
 
 METRICS = ("priori", "posteriori")
 
 TIE_REL = 1e-9
 
 EXHAUSTIVE_SENSOR_CAP = 24
+
+# Candidates are solved in stacks of at most this many members, which bounds
+# the memory a greedy step or an exhaustive layer holds at once.
+STACK_CHUNK = 64
 
 
 class SolverInputError(ValueError):
@@ -92,10 +105,10 @@ def evaluate_selection(
     """
     _check_metric(metric)
     opts = opts or SolverOptions()
-    result = dare_steady_state(model, sel, opts)
+    C_sel, V_sel = restrict(model, sel)
+    result = riccati.solve_dare(model.A, C_sel, model.W, V_sel, opts)
     if metric == "priori" or not result.is_finite:
         return result
-    C_sel, V_sel = restrict(model, sel)
     post = posteriori_from_priori(result.cov, C_sel, V_sel, opts)
     return SteadyStateResult.finite(post, result.iterations)
 
@@ -107,21 +120,47 @@ def evaluate_attack(
     return evaluate_selection(model, complement(att), metric, opts)
 
 
+def _score(model: SystemModel, supports, metric: str, opts: SolverOptions) -> list[float]:
+    """Traces of evaluate_selection for same-size sorted supports, solved as
+    stacks of at most STACK_CHUNK members.
+
+    Undetectable members score math.inf without a solve.  Every member gets
+    the per-subset solve's tests and kernel, so the traces agree with
+    evaluate_selection to round-off.
+    """
+    idx = np.array(supports, dtype=np.intp).reshape(len(supports), -1)
+    modes = riccati._unstable_modes(model.A, opts.pbh_tol)
+    traces = np.full(len(idx), math.inf)
+    for lo in range(0, len(idx), STACK_CHUNK):
+        chunk = idx[lo:lo + STACK_CHUNK]
+        C = model.C[chunk]
+        V = model.V[chunk[:, :, None], chunk[:, None, :]]
+        finite = riccati._detectable(model.A, C, opts.pbh_tol, modes)
+        if not finite.any():
+            continue
+        C, V = C[finite], V[finite]
+        S, _ = riccati._solve_detectable(model.A, C, model.W, V, opts)
+        if metric == "posteriori":
+            S = riccati._posteriori(S, C, V, opts.pinv_rtol)
+        traces[lo + np.flatnonzero(finite)] = np.trace(S, axis1=1, axis2=2)
+    return traces.tolist()
+
+
+def _kept(q: int, combo, attack: bool) -> list[int]:
+    """Sensors the filter runs on: the selection, or the attack's survivors."""
+    return [i for i in range(q) if i not in combo] if attack else sorted(combo)
+
+
 def _tied(score: float, best: float) -> bool:
     if math.isinf(best):
         return math.isinf(score)
     return abs(score - best) <= TIE_REL * max(1.0, abs(best))
 
 
-def _check_stabilizable(model: SystemModel, opts: SolverOptions | None) -> None:
+def _check_stabilizable(model: SystemModel, opts: SolverOptions) -> None:
     # once per driver run: check_stabilizable remembers the verdict, so the
-    # per-subset solves that follow skip the test
-    check_stabilizable(model.A, model.W, (opts or SolverOptions()).pbh_tol)
-
-
-def _require_unit_costs(costs: np.ndarray, what: str) -> None:
-    if not np.all(costs == 1.0):
-        raise NonUnitCosts(f"greedy requires unit {what} costs")
+    # re-solve of the chosen set skips the test
+    riccati.check_stabilizable(model.A, model.W, opts.pbh_tol)
 
 
 def _check_cardinality_budget(budget: int, q: int) -> int:
@@ -133,35 +172,16 @@ def _check_cardinality_budget(budget: int, q: int) -> int:
     return budget
 
 
-def greedy_select(
-    model: SystemModel, cardinality_budget: int, metric: str, opts: SolverOptions | None = None
-) -> SolveReport:
-    """Add, one at a time, the sensor whose inclusion yields the smallest
-    trace, until exactly ``cardinality_budget`` sensors are selected."""
-    _check_metric(metric)
-    _require_unit_costs(model.b, "selection")
-    budget = _check_cardinality_budget(cardinality_budget, model.q)
-    _check_stabilizable(model, opts)
-    picked: list[int] = []
-    steps: list[GreedyStep] = []
-    evaluations = 0
-    for _ in range(budget):
-        scores: dict[int, float] = {}
-        for i in range(model.q):
-            if i in picked:
-                continue
-            sel = SelectionVector.from_support(model.q, picked + [i])
-            scores[i] = evaluate_selection(model, sel, metric, opts).trace
-            evaluations += 1
-        best = min(scores.values())
-        j = min(i for i, s in scores.items() if _tied(s, best))
-        steps.append(GreedyStep(scores=scores, chosen=j))
-        picked.append(j)
-    chosen = SelectionVector.from_support(model.q, picked)
-    final = evaluate_selection(model, chosen, metric, opts)
-    evaluations += 1
+def _report(model, attack: bool, combo, metric, opts, evaluations, steps) -> SolveReport:
+    """Re-solve the chosen indicator for its covariance and wrap the run up."""
+    if attack:
+        chosen = AttackVector.from_support(model.q, combo)
+        final = evaluate_attack(model, chosen, metric, opts)
+    else:
+        chosen = SelectionVector.from_support(model.q, combo)
+        final = evaluate_selection(model, chosen, metric, opts)
     return SolveReport(
-        mode="select",
+        mode="attack" if attack else "select",
         metric=metric,
         chosen=chosen,
         trace=final.trace,
@@ -171,42 +191,30 @@ def greedy_select(
     )
 
 
-def greedy_attack(
-    model: SystemModel, cardinality_budget: int, metric: str, opts: SolverOptions | None = None
-) -> SolveReport:
-    """Remove, one at a time, the sensor whose removal yields the largest
-    trace for the surviving set.  An infinite trace is maximal."""
+def _greedy(model, cardinality_budget, metric, opts, attack: bool) -> SolveReport:
+    """Grow the selection (or the attack) one sensor at a time, taking the
+    candidate with the smallest (largest) trace; ties go to the lowest index."""
     _check_metric(metric)
-    _require_unit_costs(model.omega, "attack")
+    costs, what = (model.omega, "attack") if attack else (model.b, "selection")
+    if not np.all(costs == 1.0):
+        raise NonUnitCosts(f"greedy requires unit {what} costs")
     budget = _check_cardinality_budget(cardinality_budget, model.q)
+    opts = opts or SolverOptions()
     _check_stabilizable(model, opts)
+    better = max if attack else min
     picked: list[int] = []
     steps: list[GreedyStep] = []
     evaluations = 0
     for _ in range(budget):
-        scores = {}
-        for i in range(model.q):
-            if i in picked:
-                continue
-            att = AttackVector.from_support(model.q, picked + [i])
-            scores[i] = evaluate_attack(model, att, metric, opts).trace
-            evaluations += 1
-        best = max(scores.values())
+        candidates = [i for i in range(model.q) if i not in picked]
+        traces = _score(model, [_kept(model.q, picked + [i], attack) for i in candidates], metric, opts)
+        scores = dict(zip(candidates, traces))
+        evaluations += len(candidates)
+        best = better(traces)
         j = min(i for i, s in scores.items() if _tied(s, best))
         steps.append(GreedyStep(scores=scores, chosen=j))
         picked.append(j)
-    chosen = AttackVector.from_support(model.q, picked)
-    final = evaluate_attack(model, chosen, metric, opts)
-    evaluations += 1
-    return SolveReport(
-        mode="attack",
-        metric=metric,
-        chosen=chosen,
-        trace=final.trace,
-        diag=final.diag,
-        evaluations=evaluations,
-        steps=steps,
-    )
+    return _report(model, attack, picked, metric, opts, evaluations + 1, steps)
 
 
 def _enumerate_feasible(q: int, costs: np.ndarray, budget: float):
@@ -229,6 +237,51 @@ def _enumerate_feasible(q: int, costs: np.ndarray, budget: float):
                 yield combo
 
 
+def _exhaustive(model, costs, budget, metric, opts, attack: bool) -> SolveReport:
+    """Score every feasible selection (attack), one size layer at a time, and
+    keep the smallest (largest) trace; ties go to the smallest support, then
+    the lexicographically smallest bit pattern."""
+    _check_metric(metric)
+    if model.q > EXHAUSTIVE_SENSOR_CAP:
+        raise TooManySensors(f"refusing 2^{model.q} subsets (cap {EXHAUSTIVE_SENSOR_CAP})")
+    costs = np.asarray(costs, dtype=float)
+    if costs.shape != (model.q,):
+        raise SolverInputError(f"costs must have length {model.q}")
+    opts = opts or SolverOptions()
+    _check_stabilizable(model, opts)
+    combos: list[tuple[int, ...]] = []
+    traces: list[float] = []
+    for _, layer in groupby(_enumerate_feasible(model.q, costs, budget), key=len):
+        layer = list(layer)
+        combos += layer
+        traces += _score(model, [_kept(model.q, c, attack) for c in layer], metric, opts)
+    if not combos:
+        raise SolverInputError(f"no feasible {'attack' if attack else 'selection'} within budget")
+    best = (max if attack else min)(traces)
+    indicator = AttackVector if attack else SelectionVector
+    chosen = min(
+        (indicator.from_support(model.q, c) for c, t in zip(combos, traces) if _tied(t, best)),
+        key=lambda v: (v.count, v.bits),
+    )
+    return _report(model, attack, chosen.support, metric, opts, len(combos) + 1, [])
+
+
+def greedy_select(
+    model: SystemModel, cardinality_budget: int, metric: str, opts: SolverOptions | None = None
+) -> SolveReport:
+    """Add, one at a time, the sensor whose inclusion yields the smallest
+    trace, until exactly ``cardinality_budget`` sensors are selected."""
+    return _greedy(model, cardinality_budget, metric, opts, attack=False)
+
+
+def greedy_attack(
+    model: SystemModel, cardinality_budget: int, metric: str, opts: SolverOptions | None = None
+) -> SolveReport:
+    """Remove, one at a time, the sensor whose removal yields the largest
+    trace for the surviving set.  An infinite trace is maximal."""
+    return _greedy(model, cardinality_budget, metric, opts, attack=True)
+
+
 def exhaustive_select(
     model: SystemModel,
     costs,
@@ -241,33 +294,7 @@ def exhaustive_select(
     Supports arbitrary nonnegative costs and real budgets.  Ties resolve to
     the smallest support, then the lexicographically smallest bit pattern.
     """
-    _check_metric(metric)
-    if model.q > EXHAUSTIVE_SENSOR_CAP:
-        raise TooManySensors(f"refusing 2^{model.q} subsets (cap {EXHAUSTIVE_SENSOR_CAP})")
-    costs = np.asarray(costs, dtype=float)
-    if costs.shape != (model.q,):
-        raise SolverInputError(f"costs must have length {model.q}")
-    _check_stabilizable(model, opts)
-    scored = []
-    for combo in _enumerate_feasible(model.q, costs, budget):
-        sel = SelectionVector.from_support(model.q, combo)
-        scored.append((evaluate_selection(model, sel, metric, opts).trace, sel))
-    if not scored:
-        raise SolverInputError("no feasible selection within budget")
-    best = min(t for t, _ in scored)
-    chosen = min(
-        (sel for t, sel in scored if _tied(t, best)),
-        key=lambda s: (s.count, s.bits),
-    )
-    final = evaluate_selection(model, chosen, metric, opts)
-    return SolveReport(
-        mode="select",
-        metric=metric,
-        chosen=chosen,
-        trace=final.trace,
-        diag=final.diag,
-        evaluations=len(scored) + 1,
-    )
+    return _exhaustive(model, costs, budget, metric, opts, attack=False)
 
 
 def exhaustive_attack(
@@ -278,33 +305,20 @@ def exhaustive_attack(
     opts: SolverOptions | None = None,
 ) -> SolveReport:
     """Exact worst-case attack by enumerating every removal set within budget."""
-    _check_metric(metric)
-    if model.q > EXHAUSTIVE_SENSOR_CAP:
-        raise TooManySensors(f"refusing 2^{model.q} subsets (cap {EXHAUSTIVE_SENSOR_CAP})")
-    costs = np.asarray(costs, dtype=float)
-    if costs.shape != (model.q,):
-        raise SolverInputError(f"costs must have length {model.q}")
-    _check_stabilizable(model, opts)
-    scored = []
-    for combo in _enumerate_feasible(model.q, costs, budget):
-        att = AttackVector.from_support(model.q, combo)
-        scored.append((evaluate_attack(model, att, metric, opts).trace, att))
-    if not scored:
-        raise SolverInputError("no feasible attack within budget")
-    best = max(t for t, _ in scored)
-    chosen = min(
-        (att for t, att in scored if _tied(t, best)),
-        key=lambda a: (a.count, a.bits),
-    )
-    final = evaluate_attack(model, chosen, metric, opts)
-    return SolveReport(
-        mode="attack",
-        metric=metric,
-        chosen=chosen,
-        trace=final.trace,
-        diag=final.diag,
-        evaluations=len(scored) + 1,
-    )
+    return _exhaustive(model, costs, budget, metric, opts, attack=True)
+
+
+def trace_ratio(num: float, den: float) -> float:
+    """num / den for traces that may be infinite or zero: 1 when both are
+    infinite (or both zero), +inf when exactly one side is infinite or only
+    the denominator is zero."""
+    if math.isinf(num) and math.isinf(den):
+        return 1.0
+    if math.isinf(num) or math.isinf(den):
+        return math.inf
+    if den == 0.0:
+        return 1.0 if num == 0.0 else math.inf
+    return num / den
 
 
 def greedy_ratio(
@@ -329,13 +343,7 @@ def greedy_ratio(
         den = greedy_attack(model, budget, metric, opts).trace
     else:
         raise SolverInputError(f"mode must be 'select' or 'attack', got {mode!r}")
-    if math.isinf(num) and math.isinf(den):
-        return 1.0
-    if math.isinf(num) or math.isinf(den):
-        return math.inf
-    if den == 0.0:
-        return 1.0 if num == 0.0 else math.inf
-    return num / den
+    return trace_ratio(num, den)
 
 
 def report_to_dict(report: SolveReport) -> dict:
