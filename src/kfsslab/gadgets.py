@@ -292,6 +292,30 @@ class ReductionDecision:
     report: SolveReport
 
 
+def _decide(
+    inst: X3CInstance, K: float, solver: str, opts: SolverOptions | None, attack: bool
+) -> ReductionDecision:
+    """Solve the selection (attack) embedding of inst with budget m + 1 (m)
+    and read the answer off its trace: yes iff the trace is at most
+    (strictly exceeds) the threshold."""
+    gadget = (build_kfsa_gadget if attack else build_kfss_gadget)(inst, K)
+    model = gadget.model
+    opts = opts or GADGET_SOLVER_OPTIONS
+    budget = inst.m if attack else inst.m + 1
+    if solver == "exhaustive":
+        costs = model.omega if attack else model.b
+        exhaustive = exhaustive_attack if attack else exhaustive_select
+        report = exhaustive(model, costs, float(budget), "priori", opts)
+    elif solver == "greedy":
+        report = (greedy_attack if attack else greedy_select)(model, budget, "priori", opts)
+    else:
+        raise DomainError(f"solver must be 'greedy' or 'exhaustive', got {solver!r}")
+    answer = report.trace > gadget.threshold if attack else report.trace <= gadget.threshold
+    return ReductionDecision(
+        answer=bool(answer), trace=report.trace, threshold=gadget.threshold, report=report
+    )
+
+
 def x3c_decide_via_kfss(
     inst: X3CInstance,
     K: float = 1.0,
@@ -304,21 +328,7 @@ def x3c_decide_via_kfss(
     Exhaustive solving makes the decision exact; greedy is heuristic and may
     answer either way.
     """
-    gadget = build_kfss_gadget(inst, K)
-    opts = opts or GADGET_SOLVER_OPTIONS
-    budget = inst.m + 1
-    if solver == "exhaustive":
-        report = exhaustive_select(gadget.model, gadget.model.b, float(budget), "priori", opts)
-    elif solver == "greedy":
-        report = greedy_select(gadget.model, budget, "priori", opts)
-    else:
-        raise DomainError(f"solver must be 'greedy' or 'exhaustive', got {solver!r}")
-    return ReductionDecision(
-        answer=bool(report.trace <= gadget.threshold),
-        trace=report.trace,
-        threshold=gadget.threshold,
-        report=report,
-    )
+    return _decide(inst, K, solver, opts, attack=False)
 
 
 def x3c_decide_via_kfsa(
@@ -330,21 +340,7 @@ def x3c_decide_via_kfsa(
     """Decide X3C through the attack embedding: answer yes iff the chosen
     solver's trace strictly exceeds the threshold (orientation reversed from
     the selection embedding)."""
-    gadget = build_kfsa_gadget(inst, K)
-    opts = opts or GADGET_SOLVER_OPTIONS
-    budget = inst.m
-    if solver == "exhaustive":
-        report = exhaustive_attack(gadget.model, gadget.model.omega, float(budget), "priori", opts)
-    elif solver == "greedy":
-        report = greedy_attack(gadget.model, budget, "priori", opts)
-    else:
-        raise DomainError(f"solver must be 'greedy' or 'exhaustive', got {solver!r}")
-    return ReductionDecision(
-        answer=bool(report.trace > gadget.threshold),
-        trace=report.trace,
-        threshold=gadget.threshold,
-        report=report,
-    )
+    return _decide(inst, K, solver, opts, attack=True)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,9 @@ def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SelectionVector:
-    """0-1 indicator over the q sensors; bit i = 1 iff sensor i is selected."""
+    """0-1 indicator over the q sensors.  As a selection, bit i = 1 iff
+    sensor i is selected; as an attack (the alias AttackVector), bit i = 1
+    iff sensor i is removed.  A solver report's ``mode`` says which."""
 
     bits: tuple[int, ...]
 
@@ -72,47 +74,18 @@ class SelectionVector:
         return sum(self.bits)
 
 
-@dataclass(frozen=True)
-class AttackVector:
-    """0-1 indicator over the q sensors; bit i = 1 iff sensor i is removed."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"indicator bits must be 0 or 1, got {self.bits}")
-
-    @classmethod
-    def from_support(cls, q: int, support: Sequence[int]) -> "AttackVector":
-        bits = [0] * q
-        for i in support:
-            bits[i] = 1
-        return cls(tuple(bits))
-
-    @property
-    def q(self) -> int:
-        return len(self.bits)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.bits) if b)
-
-    @property
-    def count(self) -> int:
-        return sum(self.bits)
+AttackVector = SelectionVector
 
 
-def complement(indicator: AttackVector | SelectionVector):
-    """Bitwise complement, swapping the indicator kind.
+def complement(indicator: SelectionVector) -> SelectionVector:
+    """Bitwise complement.
 
     For an attack this is the survivor selection (bit i = 1 iff sensor i is
     not attacked); applying it twice returns the original indicator.
     """
-    if isinstance(indicator, AttackVector):
-        return SelectionVector(tuple(1 - b for b in indicator.bits))
-    if isinstance(indicator, SelectionVector):
-        return AttackVector(tuple(1 - b for b in indicator.bits))
-    raise TypeError(f"expected an indicator vector, got {type(indicator).__name__}")
+    if not isinstance(indicator, SelectionVector):
+        raise TypeError(f"expected an indicator vector, got {type(indicator).__name__}")
+    return SelectionVector(tuple(1 - b for b in indicator.bits))
 
 
 @dataclass(frozen=True)

@@ -17,35 +17,25 @@ Two kernels compute it, chosen from the data:
 
 The private helpers work on stacks: arrays of k same-shape members, one
 per sensor subset (C is k x p x n, V is k x p x p).  The PBH test, the
-noise factorization, the doubling and the measurement update each run as
-one batched numpy call per step over the stack; a doubling member stops at
-its own stopping rule, and singular members go to the fixed point one at a
-time.  The public functions are the stack of one, so a subset solved alone
-and the same subset solved inside a stack take the same arithmetic.
+noise factorization, the doubling, the fixed-point step and the
+measurement update each run as one batched numpy call per step over the
+stack, and each member of a doubling or fixed-point run stops at its own
+stopping rule.  The fixed point and riccati_step share one step (_step),
+and the step, the measurement update and pseudo_inverse_psd share one
+pseudo-inverse (_pinv_psd).  The public functions are the stack of one, so a subset
+solved alone and the same subset solved inside a stack take the same
+arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .model import SelectionVector, SteadyStateResult, SystemModel, restrict
-
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def _njit(**kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
 
 class ShapeError(ValueError):
     pass
@@ -67,7 +57,8 @@ class StabilizabilityViolation(ValueError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Numerical knobs shared by every solve.
+    """Numerical knobs shared by every solve; each must be finite and
+    strictly positive.
 
     tol        convergence threshold on the Frobenius norm of successive
                iterates (relative to the iterate's norm for doubling)
@@ -84,68 +75,13 @@ class SolverOptions:
 
     def __post_init__(self):
         for name in ("tol", "max_iter", "pinv_rtol", "pbh_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
 
 
 # Iterate eigenvalues below this are a solver failure; in [floor, 0) they are
 # round-off and get clamped.
 NEG_EIG_FLOOR = -1e-10
-
-# Plateau acceptance inside the kernel: once the per-step change stops
-# improving (by less than 1e-6 relative for 64 consecutive steps) and is
-# already tiny (<= 1e-6 * the iterate norm), the iteration has reached its
-# floating-point floor.  Large coupling gains put that floor slightly above
-# very tight tolerances, where insisting on diff < tol would spin forever in
-# a two-cycle of rounding noise.
-
-_CONVERGED = 0
-_MAX_ITER = 1
-_INDEFINITE = 2
-
-
-@_njit(cache=True)
-def _iterate_dare(A, C, W, V, tol, max_iter, pinv_rtol, neg_floor):
-    n = A.shape[0]
-    S = np.eye(n)
-    best = np.inf
-    stalled = 0
-    last = np.inf
-    for k in range(max_iter):
-        CS = C @ S
-        M = CS @ C.T + V
-        w, U = np.linalg.eigh(M)
-        inv = np.zeros_like(w)
-        for i in range(w.shape[0]):
-            if w[i] > pinv_rtol * max(w[i], 1.0):
-                inv[i] = 1.0 / w[i]
-        Minv = (U * inv) @ U.T
-        ASC = A @ CS.T
-        S2 = A @ S @ A.T + W - ASC @ Minv @ ASC.T
-        S2 = 0.5 * (S2 + S2.T)
-        ws = np.linalg.eigvalsh(S2)
-        if ws[0] < neg_floor:
-            return S2, k + 1, _INDEFINITE, last
-        if ws[0] < 0.0:
-            wv, Uv = np.linalg.eigh(S2)
-            for i in range(n):
-                if wv[i] < 0.0:
-                    wv[i] = 0.0
-            S2 = (Uv * wv) @ Uv.T
-            S2 = 0.5 * (S2 + S2.T)
-        last = np.linalg.norm(S2 - S)
-        S = S2
-        if last < tol:
-            return S, k + 1, _CONVERGED, last
-        if last < best * (1.0 - 1e-6):
-            best = last
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= 64 and last <= 1e-6 * max(1.0, np.linalg.norm(S)):
-                return S, k + 1, _CONVERGED, last
-    return S, max_iter, _MAX_ITER, last
-
 
 def _noise_cholesky(V: np.ndarray, pinv_rtol: float) -> tuple[np.ndarray, np.ndarray]:
     """Which members of the stack V (k x p x p) are nonsingular, and their
@@ -204,11 +140,9 @@ def _doubling_dare(A, G, W, tol, max_iter):
             raise NoConvergence("doubling iterate became non-finite", float(step[0]), it) from None
         XA, XG = X[:, :, :n], X[:, :, n:]
         AkT = Ak.transpose(0, 2, 1)
-        H2 = H + AkT @ H @ XA
-        G = G + Ak @ XG @ AkT
+        H2 = _sym(H + AkT @ H @ XA)
+        G = _sym(G + Ak @ XG @ AkT)
         Ak = Ak @ XA
-        H2 = 0.5 * (H2 + H2.transpose(0, 2, 1))
-        G = 0.5 * (G + G.transpose(0, 2, 1))
         step = np.linalg.norm(H2 - H, axis=(1, 2))
         H = H2
         bad = ~np.isfinite(step)
@@ -225,12 +159,83 @@ def _doubling_dare(A, G, W, tol, max_iter):
     raise NoConvergence("iteration cap reached above tolerance", float(step[0]), max_iter)
 
 
+def _sym(X: np.ndarray) -> np.ndarray:
+    """Symmetric part of every member of the stack X (k x n x n)."""
+    return 0.5 * (X + X.transpose(0, 2, 1))
+
+
 def _pinv_psd(M: np.ndarray, pinv_rtol: float) -> np.ndarray:
-    """pseudo_inverse_psd of every member of the stack M (k x p x p), p >= 1."""
-    w, U = np.linalg.eigh(0.5 * (M + M.transpose(0, 2, 1)))
-    inv = np.divide(1.0, w, out=np.zeros_like(w), where=w > pinv_rtol * np.maximum(w, 1.0))
-    out = (U * inv[:, None, :]) @ U.transpose(0, 2, 1)
-    return 0.5 * (out + out.transpose(0, 2, 1))
+    """pseudo_inverse_psd of every member of the stack M (k x p x p), read
+    from its lower triangle.  Neither M nor the result is symmetrized here:
+    the fixed point's stopping iteration can turn on the last bits of M^+,
+    so callers that want symmetry symmetrize around the call."""
+    w, U = np.linalg.eigh(M)
+    inv = 1.0 / np.where(w > pinv_rtol * np.maximum(w, 1.0), w, np.inf)  # cut-off ones give 0
+    return (U * inv[:, None, :]) @ U.transpose(0, 2, 1)
+
+
+def _step(A, S, C, W, V, pinv_rtol: float) -> np.ndarray:
+    """One application of the a priori recursion to every member of the
+    stacks S (k x n x n), C (k x p x n) and V (k x p x p), symmetrized:
+    A S A' + W - (A S C') M^+ (A S C')' with M = C S C' + V."""
+    CS = C @ S
+    ASC = A @ CS.transpose(0, 2, 1)
+    Minv = _pinv_psd(CS @ C.transpose(0, 2, 1) + V, pinv_rtol)
+    return _sym(A @ S @ A.T + W - ASC @ Minv @ ASC.transpose(0, 2, 1))
+
+
+def _iterate_dare(A, C, W, V, opts: SolverOptions) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-point iteration of _step from the identity, for every member of
+    the stacks C (k x p x n) and V (k x p x p).
+
+    Iterates with eigenvalues in [NEG_EIG_FLOOR, 0) are clamped to PSD.  A
+    member stops once its step ||S+ - S||_F is below opts.tol, or once the
+    step has not improved by 1e-6 relative for 64 iterations and is at most
+    1e-6 * max(1, ||S+||_F): large coupling gains put the floating-point
+    floor slightly above very tight tolerances, where insisting on the
+    tolerance would spin in a two-cycle of rounding noise.  A stopped member
+    is frozen.  Returns the stack of covariances and each member's iteration
+    count; raises NoConvergence when an iterate has an eigenvalue below
+    NEG_EIG_FLOOR or the members still running reach opts.max_iter.
+    """
+    k, n = C.shape[0], A.shape[0]
+    out = np.empty((k, n, n))
+    iters = np.zeros(k, dtype=int)
+    live = np.arange(k)
+    S = np.repeat(np.eye(n)[None], k, axis=0)
+    last = np.full(k, np.inf)
+    best = np.full(k, np.inf)
+    stalled = np.zeros(k, dtype=int)
+    for it in range(1, opts.max_iter + 1):
+        S2 = _step(A, S, C, W, V, opts.pinv_rtol)
+        low = np.linalg.eigvalsh(S2)[:, 0]
+        if low.min() < 0.0:
+            if low.min() < NEG_EIG_FLOOR:
+                residual = float(last[low < NEG_EIG_FLOOR][0])
+                raise NoConvergence("iterate lost positive semidefiniteness", residual, it)
+            neg = low < 0.0
+            w, U = np.linalg.eigh(S2[neg])
+            S2[neg] = _sym((U * np.clip(w, 0.0, None)[:, None, :]) @ U.transpose(0, 2, 1))
+        last = np.linalg.norm(S2 - S, axis=(1, 2))
+        S = S2
+        better = last < best * (1.0 - 1e-6)
+        np.copyto(best, last, where=better)
+        stalled += 1
+        stalled[better] = 0
+        done = last < opts.tol
+        if stalled.max() >= 64:
+            stuck = stalled >= 64
+            floor = 1e-6 * np.maximum(1.0, np.linalg.norm(S[stuck], axis=(1, 2)))
+            done[stuck] |= last[stuck] <= floor
+        if np.count_nonzero(done):
+            out[live[done]] = S[done]
+            iters[live[done]] = it
+            keep = ~done
+            live, C, V, S = live[keep], C[keep], V[keep], S[keep]
+            last, best, stalled = last[keep], best[keep], stalled[keep]
+            if not live.size:
+                return out, iters
+    raise NoConvergence("iteration cap reached above tolerance", float(last[0]), opts.max_iter)
 
 
 def _posteriori(S, C, V, pinv_rtol: float) -> np.ndarray:
@@ -239,9 +244,8 @@ def _posteriori(S, C, V, pinv_rtol: float) -> np.ndarray:
     if C.shape[1] == 0:
         return S.copy()
     CS = C @ S
-    Minv = _pinv_psd(CS @ C.transpose(0, 2, 1) + V, pinv_rtol)
-    out = S - CS.transpose(0, 2, 1) @ Minv @ CS
-    return 0.5 * (out + out.transpose(0, 2, 1))
+    Minv = _sym(_pinv_psd(_sym(CS @ C.transpose(0, 2, 1) + V), pinv_rtol))
+    return _sym(S - CS.transpose(0, 2, 1) @ Minv @ CS)
 
 
 def pseudo_inverse_psd(M: np.ndarray, pinv_rtol: float = 1e-12) -> np.ndarray:
@@ -257,7 +261,7 @@ def pseudo_inverse_psd(M: np.ndarray, pinv_rtol: float = 1e-12) -> np.ndarray:
         raise ShapeError(f"expected a square matrix, got {M.shape}")
     if M.shape[0] == 0:
         return np.zeros((0, 0))
-    return _pinv_psd(M[None], pinv_rtol)[0]
+    return _sym(_pinv_psd(_sym(M[None]), pinv_rtol))[0]
 
 
 def _measurement(n: int, C_sel, V_sel) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +278,7 @@ def _measurement(n: int, C_sel, V_sel) -> tuple[np.ndarray, np.ndarray]:
 
 def riccati_step(S, A, C_sel, W, V_sel, pinv_rtol: float = 1e-12) -> np.ndarray:
     """One application of the a priori covariance recursion, symmetrized:
-    the measurement update of S, propagated through A, plus W.
+    A S A' + W - (A S C') (C S C' + V)^+ (A S C')', the fixed point's step.
 
     With an empty measurement matrix the gain term vanishes and the step is
     the Lyapunov update A S A' + W.
@@ -286,8 +290,7 @@ def riccati_step(S, A, C_sel, W, V_sel, pinv_rtol: float = 1e-12) -> np.ndarray:
     if A.shape != (n, n) or S.shape != (n, n) or W.shape != (n, n):
         raise ShapeError("A, S, W must all be n x n")
     C_sel, V_sel = _measurement(n, C_sel, V_sel)
-    out = A @ _posteriori(S[None], C_sel[None], V_sel[None], pinv_rtol)[0] @ A.T + W
-    return 0.5 * (out + out.T)
+    return _step(A, S[None], C_sel[None], W, V_sel[None], pinv_rtol)[0]
 
 
 def posteriori_from_priori(Sigma, C_sel, V_sel, opts: SolverOptions | None = None) -> np.ndarray:
@@ -378,8 +381,8 @@ def _solve_detectable(A, C, W, V, opts: SolverOptions) -> tuple[np.ndarray, np.n
     """A priori covariances and iteration counts for the stacks C (k x p x n)
     and V (k x p x p), every member detectable.
 
-    Nonsingular members share one doubling run; singular ones are iterated
-    one at a time.  Raises NoConvergence as solve_dare does.
+    Nonsingular members share one doubling run and singular ones one
+    fixed-point run.  Raises NoConvergence as solve_dare does.
     """
     k, n = C.shape[0], A.shape[0]
     S = np.empty((k, n, n))
@@ -392,14 +395,9 @@ def _solve_detectable(A, C, W, V, opts: SolverOptions) -> tuple[np.ndarray, np.n
         S[nonsingular], iters[nonsingular] = _doubling_dare(
             A, F.transpose(0, 2, 1) @ F, W, opts.tol, opts.max_iter
         )
-    for j in np.flatnonzero(~nonsingular):
-        S[j], iters[j], status, residual = _iterate_dare(
-            A, C[j], W, V[j], opts.tol, opts.max_iter, opts.pinv_rtol, NEG_EIG_FLOOR
-        )
-        if status == _INDEFINITE:
-            raise NoConvergence("iterate lost positive semidefiniteness", residual, int(iters[j]))
-        if status == _MAX_ITER:
-            raise NoConvergence("iteration cap reached above tolerance", residual, int(iters[j]))
+    singular = ~nonsingular
+    if singular.any():
+        S[singular], iters[singular] = _iterate_dare(A, C[singular], W, V[singular], opts)
     return S, iters
 
 
@@ -445,7 +443,7 @@ def dare_steady_state(
 
 
 def warmup() -> None:
-    """Force compilation of the iteration kernel (one tiny solve)."""
-    A = np.array([[0.5]])
-    C = np.array([[1.0]])
-    _iterate_dare(A, C, np.eye(1), np.eye(1), 1e-11, 1000, 1e-12, NEG_EIG_FLOOR)
+    """Run one tiny singular-V solve, so that the first timed solve does not
+    pay numpy's one-time set-up costs."""
+    one = np.ones((1, 1, 1))
+    _iterate_dare(np.array([[0.5]]), one, np.eye(1), 0.0 * one, SolverOptions())

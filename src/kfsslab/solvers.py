@@ -16,7 +16,9 @@ batched kernels in chunks of at most STACK_CHUNK members.  An attack is
 scored through its survivor set.  Only the chosen indicator is re-solved
 through evaluate_selection, for its covariance.  Select and attack share
 one greedy and one exhaustive driver, which differ only in direction:
-minimize over selections, or maximize over survivor sets.
+minimize over selections, or maximize over survivor sets.  They also share
+one indicator type (AttackVector is SelectionVector); a report's mode says
+whether its bits mark selected or removed sensors.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ class GreedyStep:
 class SolveReport:
     """Outcome of one solver run.
 
-    ``chosen`` is the final indicator, ``trace`` its objective value
+    ``chosen`` is the final indicator (the removed sensors when ``mode`` is
+    "attack"), ``trace`` its objective value
     (math.inf when the survivor pair is undetectable), ``diag`` the
     per-state errors, ``steps`` the greedy iteration log (empty for
     exhaustive runs) and ``evaluations`` the number of steady-state solves
@@ -79,7 +82,7 @@ class SolveReport:
 
     mode: str
     metric: str
-    chosen: SelectionVector | AttackVector
+    chosen: SelectionVector
     trace: float
     diag: tuple[float, ...] | None
     evaluations: int
@@ -174,12 +177,8 @@ def _check_cardinality_budget(budget: int, q: int) -> int:
 
 def _report(model, attack: bool, combo, metric, opts, evaluations, steps) -> SolveReport:
     """Re-solve the chosen indicator for its covariance and wrap the run up."""
-    if attack:
-        chosen = AttackVector.from_support(model.q, combo)
-        final = evaluate_attack(model, chosen, metric, opts)
-    else:
-        chosen = SelectionVector.from_support(model.q, combo)
-        final = evaluate_selection(model, chosen, metric, opts)
+    chosen = SelectionVector.from_support(model.q, combo)
+    final = evaluate_selection(model, complement(chosen) if attack else chosen, metric, opts)
     return SolveReport(
         mode="attack" if attack else "select",
         metric=metric,
@@ -258,9 +257,8 @@ def _exhaustive(model, costs, budget, metric, opts, attack: bool) -> SolveReport
     if not combos:
         raise SolverInputError(f"no feasible {'attack' if attack else 'selection'} within budget")
     best = (max if attack else min)(traces)
-    indicator = AttackVector if attack else SelectionVector
     chosen = min(
-        (indicator.from_support(model.q, c) for c, t in zip(combos, traces) if _tied(t, best)),
+        (SelectionVector.from_support(model.q, c) for c, t in zip(combos, traces) if _tied(t, best)),
         key=lambda v: (v.count, v.bits),
     )
     return _report(model, attack, chosen.support, metric, opts, len(combos) + 1, [])

@@ -5,6 +5,5 @@ from kfsslab import riccati
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernel():
-    # compile the iteration kernel once so timed sections measure solving,
-    # not JIT startup
+    # pay numpy's first-call costs once, so timed sections measure solving
     riccati.warmup()

@@ -83,6 +83,15 @@ def test_solver_error_exit_code(tmp_path, example1_file):
                    "--algorithm", "greedy") == 2
 
 
+@pytest.mark.parametrize("flag", ["--tol", "--pinv-rtol", "--pbh-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_solver_flag_is_input_error(example1_file, capsys, flag, value):
+    code = run_cli("solve", "--instance", str(example1_file), "--mode", "select",
+                   "--algorithm", "greedy", flag, value)
+    assert code == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_gadget_kfss_writes_threshold_sidecar(yes_x3c_file, tmp_path, capsys):
     out = tmp_path / "kfss.json"
     code = run_cli("gadget", "kfss", "--x3c", str(yes_x3c_file), "--k", "1", "--output", str(out))

@@ -127,6 +127,15 @@ def test_greedy_reduction_is_heuristic_but_runs():
     assert d.report.greedy_order  # per-step log present
 
 
+def test_reduction_solver_dispatch():
+    d = x3c_decide_via_kfsa(YES_INSTANCE, solver="greedy")
+    assert d.report.mode == "attack"
+    assert len(d.report.steps) == YES_INSTANCE.m
+    for decide in (x3c_decide_via_kfss, x3c_decide_via_kfsa):
+        with pytest.raises(DomainError):
+            decide(YES_INSTANCE, solver="annealing")
+
+
 def test_transform_single_row():
     rows = np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0]])
     basis = no_instance_transform(rows)

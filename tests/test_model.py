@@ -123,6 +123,11 @@ def test_complement_is_involution():
         assert twice.bits == bits
 
 
+def test_complement_rejects_non_indicator():
+    with pytest.raises(TypeError):
+        complement((1, 0, 1))
+
+
 def test_indicator_rejects_non_binary():
     with pytest.raises(ValueError):
         SelectionVector((0, 2, 1))

@@ -251,6 +251,14 @@ def test_solver_options_validation():
         SolverOptions(max_iter=-1)
 
 
+@pytest.mark.parametrize("field", ["tol", "max_iter", "pinv_rtol", "pbh_tol"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_solver_options_reject_non_finite(field, value):
+    # tol=inf used to accept the first iterate and tol=nan never converged
+    with pytest.raises(ValueError, match="finite"):
+        SolverOptions(**{field: value})
+
+
 # --- kernel choice: doubling for nonsingular V, fixed point for singular V ---
 
 def _scipy_priori(A, C, W, V):

@@ -5,6 +5,7 @@ score must agree with ``evaluate_selection`` on the same support, whatever
 mix of members a stack holds.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfsslab import riccati
+from kfsslab.gadgets import build_example1, build_example2
 from kfsslab.model import AttackVector, SelectionVector, SystemModel, complement, validate_model
 from kfsslab.riccati import NoConvergence, SolverOptions
 from kfsslab.solvers import (
@@ -135,13 +137,15 @@ def test_stack_mixing_singular_and_nonsingular_noise(monkeypatch):
 
     for metric in ("priori", "posteriori"):
         _assert_matches_scalar(m, supports, metric)
-    # singular members go straight to the fixed point, with no second PBH test
+    # the singular members of the one chunk go to the fixed point as one
+    # stack, with no second PBH test
     calls = []
     for name in ("is_detectable", "_iterate_dare"):
         original = getattr(riccati, name)
         monkeypatch.setattr(riccati, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
     _score(m, supports, "posteriori", OPTS)
-    assert calls == ["_iterate_dare"] * sum(singular)
+    assert len(supports) <= STACK_CHUNK
+    assert calls == ["_iterate_dare"]
 
 
 def test_stacked_solve_raises_no_convergence():
@@ -155,6 +159,85 @@ def test_stacked_solve_raises_no_convergence():
         greedy_select(m, 2, "posteriori", tight)
     with pytest.raises(NoConvergence):
         exhaustive_attack(m, m.omega, 2.0, "priori", tight)
+
+
+def _singular_stack(case):
+    """A, W and the stacks C, V of sensor pairs whose every member has
+    singular V."""
+    rng = np.random.default_rng(12)
+    if case == "rank-one W":  # iterates pick up round-off negative eigenvalues
+        u = rng.standard_normal(3)
+        m = SystemModel(n=3, q=4, A=np.diag([0.5, -0.3, 0.8]), C=rng.standard_normal((4, 3)),
+                        W=np.outer(u, u), V=np.zeros((4, 4)))
+    elif case == "zero-diagonal":
+        V = _spd(rng, 6)
+        V[1, :] = V[:, 1] = 0.0  # noiseless sensor 1, in every pair below
+        m = _random_model(rng, 6, n=3, V=V)
+    else:  # the noiseless example families at extreme gains
+        m = build_example1(0.9, 1e4) if case == "example1" else build_example2(0.9, 1e-4)
+    pairs = np.array([c for c in combinations(range(m.q), 2) if case != "zero-diagonal" or 1 in c])
+    return m.A, m.W, m.C[pairs], m.V[pairs[:, :, None], pairs[:, None, :]]
+
+
+def _fixed_point_reference(A, C, W, V, opts):
+    """The per-member fixed-point loop that the stacked kernel replaced:
+    the same arithmetic on one 2-D member.  Returns (S, iterations, clamps)."""
+    S, best, stalled, clamps = np.eye(A.shape[0]), math.inf, 0, 0
+    for it in range(1, opts.max_iter + 1):
+        CS = C @ S
+        w, U = np.linalg.eigh(CS @ C.T + V)
+        inv = np.array([1.0 / x if x > opts.pinv_rtol * max(x, 1.0) else 0.0 for x in w])
+        ASC = A @ CS.T
+        S2 = A @ S @ A.T + W - ASC @ ((U * inv) @ U.T) @ ASC.T
+        S2 = 0.5 * (S2 + S2.T)
+        low = np.linalg.eigvalsh(S2)[0]
+        assert low >= riccati.NEG_EIG_FLOOR
+        if low < 0.0:
+            clamps += 1
+            wv, Uv = np.linalg.eigh(S2)
+            S2 = (Uv * np.clip(wv, 0.0, None)) @ Uv.T
+            S2 = 0.5 * (S2 + S2.T)
+        last = np.linalg.norm(S2 - S)
+        S = S2
+        if last < opts.tol:
+            return S, it, clamps
+        if last < best * (1.0 - 1e-6):
+            best, stalled = last, 0
+        else:
+            stalled += 1
+            if stalled >= 64 and last <= 1e-6 * max(1.0, np.linalg.norm(S)):
+                return S, it, clamps
+    raise AssertionError("the reference reached the iteration cap")
+
+
+@pytest.mark.parametrize("case", ["example1", "example2", "zero-diagonal", "rank-one W"])
+def test_fixed_point_stack_equals_members_alone(case):
+    A, W, C, V = _singular_stack(case)
+    assert not riccati._noise_cholesky(V, OPTS.pinv_rtol)[0].any()
+    S, iters = riccati._iterate_dare(A, C, W, V, OPTS)
+    clamps = 0
+    for cov, count, c, v in zip(S, iters.tolist(), C, V):
+        alone = riccati.solve_dare(A, c, W, v)
+        assert count == alone.iterations and np.array_equal(cov, alone.cov)
+        ref_cov, ref_count, ref_clamps = _fixed_point_reference(A, c, W, v, OPTS)
+        assert count == ref_count and np.array_equal(cov, ref_cov)
+        clamps += ref_clamps
+    if case == "rank-one W":
+        assert clamps > 0
+    else:
+        assert len(set(iters.tolist())) > 1  # members freeze at different iterations
+
+
+def test_fixed_point_raises_no_convergence():
+    m = build_example1(0.9, 1e4)
+    tight = SolverOptions(tol=1e-300, max_iter=2)
+    with pytest.raises(NoConvergence) as alone:
+        riccati.solve_dare(m.A, m.C[:2], m.W, m.V[:2, :2], tight)
+    with pytest.raises(NoConvergence) as stacked:
+        _score(m, [list(c) for c in combinations(range(3), 2)], "posteriori", tight)
+    for exc in (alone, stacked):
+        assert exc.value.iterations == 2
+        assert exc.value.residual > 0
 
 
 @st.composite
