@@ -48,16 +48,8 @@ def _fail(message: str, code: int) -> int:
 
 
 def _solver_options(args) -> riccati.SolverOptions:
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    if args.max_iter is not None:
-        kwargs["max_iter"] = args.max_iter
-    if args.pinv_rtol is not None:
-        kwargs["pinv_rtol"] = args.pinv_rtol
-    if args.pbh_tol is not None:
-        kwargs["pbh_tol"] = args.pbh_tol
-    return riccati.SolverOptions(**kwargs)
+    names = ("tol", "max_iter", "pinv_rtol", "pbh_tol")
+    return riccati.SolverOptions(**{k: getattr(args, k) for k in names if getattr(args, k) is not None})
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -105,18 +97,15 @@ def _integral_budget(value: float, what: str) -> int:
 def cmd_solve(args) -> int:
     model = _load_model(args.instance)
     opts = _solver_options(args)
-    if args.mode == "select":
-        if args.algorithm == "greedy":
-            budget = _integral_budget(model.budget_select, "selection")
-            report = solvers.greedy_select(model, budget, args.metric, opts)
-        else:
-            report = solvers.exhaustive_select(model, model.b, model.budget_select, args.metric, opts)
+    attack = args.mode == "attack"
+    budget = model.budget_attack if attack else model.budget_select
+    if args.algorithm == "greedy":
+        greedy = solvers.greedy_attack if attack else solvers.greedy_select
+        budget = _integral_budget(budget, "attack" if attack else "selection")
+        report = greedy(model, budget, args.metric, opts)
     else:
-        if args.algorithm == "greedy":
-            budget = _integral_budget(model.budget_attack, "attack")
-            report = solvers.greedy_attack(model, budget, args.metric, opts)
-        else:
-            report = solvers.exhaustive_attack(model, model.omega, model.budget_attack, args.metric, opts)
+        exhaustive = solvers.exhaustive_attack if attack else solvers.exhaustive_select
+        report = exhaustive(model, model.omega if attack else model.b, budget, args.metric, opts)
     support = [i + 1 for i in report.chosen.support]
     trace_text = "inf" if math.isinf(report.trace) else repr(report.trace)
     print(f"trace={trace_text} chosen={support}")
@@ -164,23 +153,16 @@ def cmd_x3c(args) -> int:
 def _sweep_point(family: str, lambda1: float, h: float, metric: str, v_scale: float | None):
     if family == "example1":
         instance = gadgets.build_example1(lambda1, h)
+        mode, predicted = "select", closed_forms.limit_ratio_select(lambda1)
     else:
         instance = gadgets.build_example2(lambda1, h)
+        mode, predicted = "attack", closed_forms.limit_ratio_attack(lambda1)
     if v_scale is not None:
         instance.V = v_scale * np.eye(instance.q)
         instance = model_mod.validate_model(instance)
-    if family == "example1":
-        greedy = solvers.greedy_select(instance, 2, metric)
-        optimal = solvers.exhaustive_select(instance, instance.b, 2.0, metric)
-        num, den = greedy.trace, optimal.trace
-        predicted = closed_forms.limit_ratio_select(lambda1)
-    else:
-        greedy = solvers.greedy_attack(instance, 2, metric)
-        optimal = solvers.exhaustive_attack(instance, instance.omega, 2.0, metric)
-        num, den = optimal.trace, greedy.trace
-        predicted = closed_forms.limit_ratio_attack(lambda1)
+    greedy, optimal, ratio = solvers.greedy_and_optimal(instance, 2, mode, metric)
     limit = predicted[0] if metric == "priori" else predicted[1]
-    return (h, greedy.trace, optimal.trace, solvers.trace_ratio(num, den), limit)
+    return (h, greedy.trace, optimal.trace, ratio, limit)
 
 
 def _sweep_grid(args) -> list[float]:
@@ -218,13 +200,14 @@ def _worker_count(n_points: int) -> int:
 
 def cmd_sweep(args) -> int:
     grid = _sweep_grid(args)
-    jobs = [(args.family, args.lambda1, h, args.metric, args.v_scale) for h in grid]
-    workers = _worker_count(len(jobs))
+    n = len(grid)
+    columns = ([args.family] * n, [args.lambda1] * n, grid, [args.metric] * n, [args.v_scale] * n)
+    workers = _worker_count(n)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point_star, jobs))
+            rows = list(pool.map(_sweep_point, *columns))
     else:
-        rows = [_sweep_point_star(job) for job in jobs]
+        rows = list(map(_sweep_point, *columns))
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["h", "trace_greedy", "trace_optimal", "ratio", "predicted_limit"])
@@ -232,10 +215,6 @@ def cmd_sweep(args) -> int:
             writer.writerow([repr(x) for x in row])
     print(f"wrote {len(rows)} sweep rows to {args.output}")
     return EXIT_OK
-
-
-def _sweep_point_star(job):
-    return _sweep_point(*job)
 
 
 def build_parser() -> argparse.ArgumentParser:

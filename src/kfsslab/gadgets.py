@@ -158,6 +158,23 @@ def _check_family_params(lambda1: float, h: float) -> tuple[float, float]:
     return lam, h
 
 
+def _reduction_constants(K: float, scale: int, spread: int) -> tuple[int, float, float]:
+    """Z = ceil(K) * scale, the pole (Z - 1/2) / Z and the coupling gain
+    2 Z ceil(sqrt(spread (Z - 1))) + 1 of a reduction instance.
+
+    Raises DomainError unless K is finite and at least 1, and the gain is
+    below 2^511, so that its square, which divides a noise variance, is a
+    finite float.
+    """
+    if not 1.0 <= K < math.inf:
+        raise DomainError(f"K must be finite and >= 1, got {K}")
+    Z = math.ceil(K) * scale
+    gain = 2 * Z * _ceil_sqrt(spread * (Z - 1)) + 1
+    if gain.bit_length() > 511:
+        raise DomainError(f"K = {K} makes the coupling gain overflow a float")
+    return Z, (Z - 0.5) / Z, float(gain)
+
+
 def build_kfss_gadget(inst: X3CInstance, K: float = 1.0) -> GadgetOutput:
     """Selection decision instance for an X3C input.
 
@@ -166,13 +183,9 @@ def build_kfss_gadget(inst: X3CInstance, K: float = 1.0) -> GadgetOutput:
     optimal trace reaches the threshold exactly when some m subset rows
     cancel the anchor's coupling, i.e. when an exact cover exists.
     """
-    if K < 1.0:
-        raise DomainError(f"K must be >= 1, got {K}")
     m, tau = inst.m, inst.tau
     sigma_v = 1.0
-    Z = math.ceil(K) * (m + 1) * int(sigma_v**2 + 3)
-    lam = (Z - 0.5) / Z
-    eps = float(2 * Z * _ceil_sqrt(Z - 1) + 1)
+    Z, lam, eps = _reduction_constants(K, (m + 1) * int(sigma_v**2 + 3), 1)
     n = 3 * m + 1
     G = encode_x3c(inst)
     C = np.zeros((tau + 1, n))
@@ -209,13 +222,9 @@ def build_kfsa_gadget(inst: X3CInstance, K: float = 1.0) -> GadgetOutput:
     sensors leaves every element sensor shouting through unpinned states,
     i.e. when an exact cover exists.
     """
-    if K < 1.0:
-        raise DomainError(f"K must be >= 1, got {K}")
     m, tau = inst.m, inst.tau
     delta_v = 1.0
-    Z = math.ceil(K) * (tau + 2) * int(delta_v**2 + 1)
-    lam = (Z - 0.5) / Z
-    rho = float(2 * Z * _ceil_sqrt(m * (Z - 1)) + 1)
+    Z, lam, rho = _reduction_constants(K, (tau + 2) * int(delta_v**2 + 1), m)
     n = tau + 1
     F = encode_x3c(inst).T  # 3m x tau
     q = 3 * m + tau

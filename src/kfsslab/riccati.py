@@ -367,9 +367,9 @@ def _stabilizable(shape: tuple, a_bytes: bytes, w_bytes: bytes, pbh_tol: float) 
 def check_stabilizable(A, W, pbh_tol: float = 1e-9) -> None:
     """Raise StabilizabilityViolation unless (A, W^{1/2}) is stabilizable.
 
-    The verdict depends on A and W only, not on the sensors, and a solver
-    run asks it for every subset it scores; the last verdict is remembered
-    (keyed on the matrix contents), so one run tests its pair once.
+    The verdict depends on A and W only, not on the sensors; the last
+    verdict is remembered (keyed on the matrix contents), so the solver
+    runs and solves on one pair test it once.
     """
     A = np.ascontiguousarray(A, dtype=float)
     W = np.ascontiguousarray(W, dtype=float)

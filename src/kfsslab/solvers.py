@@ -13,8 +13,11 @@ handling depend on round-off.
 Each driver scores its candidates in stacks: all candidates of one greedy
 step, or all feasible subsets of one size, go to the riccati module's
 batched kernels in chunks of at most STACK_CHUNK members.  An attack is
-scored through its survivor set.  Only the chosen indicator is re-solved
-through evaluate_selection, for its covariance.  Select and attack share
+scored through its survivor set.  A report's trace and covariance diagonal
+are those of the stack member that scored the chosen indicator; a greedy
+run with budget 0 scores its one indicator as a stack of one, and nothing
+is solved twice.  evaluate_selection is the per-subset reference that the
+scorer agrees with, not a path the drivers take.  Select and attack share
 one greedy and one exhaustive driver, which differ only in direction:
 minimize over selections, or maximize over survivor sets.  They also share
 one indicator type (AttackVector is SelectionVector); a report's mode says
@@ -76,8 +79,9 @@ class SolveReport:
     "attack"), ``trace`` its objective value
     (math.inf when the survivor pair is undetectable), ``diag`` the
     per-state errors, ``steps`` the greedy iteration log (empty for
-    exhaustive runs) and ``evaluations`` the number of steady-state solves
-    spent.
+    exhaustive runs) and ``evaluations`` the number of candidate indicators
+    scored plus one, for the chosen indicator (a greedy run with budget 0
+    scores only that one).
     """
 
     mode: str
@@ -123,17 +127,18 @@ def evaluate_attack(
     return evaluate_selection(model, complement(att), metric, opts)
 
 
-def _score(model: SystemModel, supports, metric: str, opts: SolverOptions) -> list[float]:
-    """Traces of evaluate_selection for same-size sorted supports, solved as
-    stacks of at most STACK_CHUNK members.
+def _score(model: SystemModel, supports, metric: str, opts: SolverOptions) -> tuple[list[float], np.ndarray]:
+    """Traces and covariance diagonals of evaluate_selection for same-size
+    sorted supports, solved as stacks of at most STACK_CHUNK members.
 
-    Undetectable members score math.inf without a solve.  Every member gets
-    the per-subset solve's tests and kernel, so the traces agree with
-    evaluate_selection to round-off.
+    Undetectable members score math.inf, with a NaN diagonal, without a
+    solve.  Every member gets the per-subset solve's tests and kernel, so
+    the results agree with evaluate_selection to round-off.
     """
     idx = np.array(supports, dtype=np.intp).reshape(len(supports), -1)
     modes = riccati._unstable_modes(model.A, opts.pbh_tol)
     traces = np.full(len(idx), math.inf)
+    diags = np.full((len(idx), model.n), math.nan)
     for lo in range(0, len(idx), STACK_CHUNK):
         chunk = idx[lo:lo + STACK_CHUNK]
         C = model.C[chunk]
@@ -145,8 +150,10 @@ def _score(model: SystemModel, supports, metric: str, opts: SolverOptions) -> li
         S, _ = riccati._solve_detectable(model.A, C, model.W, V, opts)
         if metric == "posteriori":
             S = riccati._posteriori(S, C, V, opts.pinv_rtol)
-        traces[lo + np.flatnonzero(finite)] = np.trace(S, axis1=1, axis2=2)
-    return traces.tolist()
+        at = lo + np.flatnonzero(finite)
+        traces[at] = np.trace(S, axis1=1, axis2=2)
+        diags[at] = S.diagonal(axis1=1, axis2=2)
+    return traces.tolist(), diags
 
 
 def _kept(q: int, combo, attack: bool) -> list[int]:
@@ -160,13 +167,9 @@ def _tied(score: float, best: float) -> bool:
     return abs(score - best) <= TIE_REL * max(1.0, abs(best))
 
 
-def _check_stabilizable(model: SystemModel, opts: SolverOptions) -> None:
-    # once per driver run: check_stabilizable remembers the verdict, so the
-    # re-solve of the chosen set skips the test
-    riccati.check_stabilizable(model.A, model.W, opts.pbh_tol)
-
-
 def _check_cardinality_budget(budget: int, q: int) -> int:
+    if not float(budget).is_integer():
+        raise SolverInputError(f"cardinality budget must be an integer, got {budget}")
     budget = int(budget)
     if budget < 0:
         raise SolverInputError(f"budget must be nonnegative, got {budget}")
@@ -175,16 +178,15 @@ def _check_cardinality_budget(budget: int, q: int) -> int:
     return budget
 
 
-def _report(model, attack: bool, combo, metric, opts, evaluations, steps) -> SolveReport:
-    """Re-solve the chosen indicator for its covariance and wrap the run up."""
-    chosen = SelectionVector.from_support(model.q, combo)
-    final = evaluate_selection(model, complement(chosen) if attack else chosen, metric, opts)
+def _report(model, attack: bool, combo, metric, trace, diag, evaluations, steps) -> SolveReport:
+    """Wrap a run up around the chosen indicator and the trace and diagonal
+    it scored."""
     return SolveReport(
         mode="attack" if attack else "select",
         metric=metric,
-        chosen=chosen,
-        trace=final.trace,
-        diag=final.diag,
+        chosen=SelectionVector.from_support(model.q, combo),
+        trace=trace,
+        diag=None if math.isinf(trace) else tuple(diag.tolist()),
         evaluations=evaluations,
         steps=steps,
     )
@@ -199,21 +201,23 @@ def _greedy(model, cardinality_budget, metric, opts, attack: bool) -> SolveRepor
         raise NonUnitCosts(f"greedy requires unit {what} costs")
     budget = _check_cardinality_budget(cardinality_budget, model.q)
     opts = opts or SolverOptions()
-    _check_stabilizable(model, opts)
+    riccati.check_stabilizable(model.A, model.W, opts.pbh_tol)
+    if not budget:
+        (trace,), diags = _score(model, [_kept(model.q, [], attack)], metric, opts)
+        return _report(model, attack, [], metric, trace, diags[0], 1, [])
     better = max if attack else min
     picked: list[int] = []
     steps: list[GreedyStep] = []
-    evaluations = 0
     for _ in range(budget):
         candidates = [i for i in range(model.q) if i not in picked]
-        traces = _score(model, [_kept(model.q, picked + [i], attack) for i in candidates], metric, opts)
-        scores = dict(zip(candidates, traces))
-        evaluations += len(candidates)
+        kept = [_kept(model.q, picked + [i], attack) for i in candidates]
+        traces, diags = _score(model, kept, metric, opts)
         best = better(traces)
-        j = min(i for i, s in scores.items() if _tied(s, best))
-        steps.append(GreedyStep(scores=scores, chosen=j))
-        picked.append(j)
-    return _report(model, attack, picked, metric, opts, evaluations + 1, steps)
+        k = min(c for c, t in enumerate(traces) if _tied(t, best))  # candidates ascend
+        steps.append(GreedyStep(scores=dict(zip(candidates, traces)), chosen=candidates[k]))
+        picked.append(candidates[k])
+    evaluations = sum(len(step.scores) for step in steps) + 1
+    return _report(model, attack, picked, metric, traces[k], diags[k], evaluations, steps)
 
 
 def _enumerate_feasible(q: int, costs: np.ndarray, budget: float):
@@ -247,21 +251,23 @@ def _exhaustive(model, costs, budget, metric, opts, attack: bool) -> SolveReport
     if costs.shape != (model.q,):
         raise SolverInputError(f"costs must have length {model.q}")
     opts = opts or SolverOptions()
-    _check_stabilizable(model, opts)
+    riccati.check_stabilizable(model.A, model.W, opts.pbh_tol)
     combos: list[tuple[int, ...]] = []
     traces: list[float] = []
+    diags: list[np.ndarray] = []
     for _, layer in groupby(_enumerate_feasible(model.q, costs, budget), key=len):
         layer = list(layer)
         combos += layer
-        traces += _score(model, [_kept(model.q, c, attack) for c in layer], metric, opts)
+        layer_traces, layer_diags = _score(model, [_kept(model.q, c, attack) for c in layer], metric, opts)
+        traces += layer_traces
+        diags.append(layer_diags)
     if not combos:
         raise SolverInputError(f"no feasible {'attack' if attack else 'selection'} within budget")
     best = (max if attack else min)(traces)
-    chosen = min(
-        (SelectionVector.from_support(model.q, c) for c, t in zip(combos, traces) if _tied(t, best)),
-        key=lambda v: (v.count, v.bits),
-    )
-    return _report(model, attack, chosen.support, metric, opts, len(combos) + 1, [])
+    tied = [k for k, t in enumerate(traces) if _tied(t, best)]
+    k = min(tied, key=lambda k: (len(combos[k]), SelectionVector.from_support(model.q, combos[k]).bits))
+    diag = np.concatenate(diags)[k]
+    return _report(model, attack, combos[k], metric, traces[k], diag, len(combos) + 1, [])
 
 
 def greedy_select(
@@ -319,29 +325,33 @@ def trace_ratio(num: float, den: float) -> float:
     return num / den
 
 
-def greedy_ratio(
-    model: SystemModel,
-    budget: int,
-    mode: str,
-    metric: str,
-    opts: SolverOptions | None = None,
-) -> float:
-    """Suboptimality ratio of greedy against the exhaustive optimum.
+def greedy_and_optimal(
+    model: SystemModel, budget: int, mode: str, metric: str, opts: SolverOptions | None = None
+) -> tuple[SolveReport, SolveReport, float]:
+    """Greedy and exhaustive reports for one cardinality budget, and the
+    suboptimality ratio of greedy against the exhaustive optimum.
 
     Selection mode returns trace(greedy) / trace(optimum); attack mode
     returns trace(optimum) / trace(greedy), so the ratio is >= 1 either way.
     With exactly one side infinite the ratio is +inf; with both infinite it
     is 1.
     """
-    if mode == "select":
-        num = greedy_select(model, budget, metric, opts).trace
-        den = exhaustive_select(model, model.b, float(budget), metric, opts).trace
-    elif mode == "attack":
-        num = exhaustive_attack(model, model.omega, float(budget), metric, opts).trace
-        den = greedy_attack(model, budget, metric, opts).trace
-    else:
+    if mode not in ("select", "attack"):
         raise SolverInputError(f"mode must be 'select' or 'attack', got {mode!r}")
-    return trace_ratio(num, den)
+    if mode == "select":
+        greedy = greedy_select(model, budget, metric, opts)
+        optimal = exhaustive_select(model, model.b, float(budget), metric, opts)
+        return greedy, optimal, trace_ratio(greedy.trace, optimal.trace)
+    greedy = greedy_attack(model, budget, metric, opts)
+    optimal = exhaustive_attack(model, model.omega, float(budget), metric, opts)
+    return greedy, optimal, trace_ratio(optimal.trace, greedy.trace)
+
+
+def greedy_ratio(
+    model: SystemModel, budget: int, mode: str, metric: str, opts: SolverOptions | None = None
+) -> float:
+    """The ratio of greedy_and_optimal, which is >= 1 in both modes."""
+    return greedy_and_optimal(model, budget, mode, metric, opts)[2]
 
 
 def report_to_dict(report: SolveReport) -> dict:

@@ -117,6 +117,15 @@ def test_gadget_bad_lambda_is_input_error(tmp_path):
                    "--output", str(tmp_path / "x.json")) == 1
 
 
+@pytest.mark.parametrize("k", ["inf", "nan", "1e300"])
+@pytest.mark.parametrize("command", ["gadget kfsa --output OUT", "x3c decide --via kfss"], ids=["gadget", "x3c"])
+def test_reduction_bad_k_is_input_error(yes_x3c_file, tmp_path, capsys, command, k):
+    argv = command.replace("OUT", str(tmp_path / "g.json")).split()
+    assert run_cli(*argv, "--x3c", str(yes_x3c_file), "--k", k) == 1
+    assert not (tmp_path / "g.json").exists()
+    assert capsys.readouterr().err.startswith("error: K")
+
+
 def test_x3c_decide_bruteforce(yes_x3c_file, capsys):
     assert run_cli("x3c", "decide", "--via", "bruteforce", "--x3c", str(yes_x3c_file)) == 0
     assert capsys.readouterr().out.startswith("yes witness=[1, 2]")

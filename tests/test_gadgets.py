@@ -86,6 +86,11 @@ def test_gadget_requires_k_at_least_one():
         build_kfss_gadget(YES_INSTANCE, K=0.5)
     with pytest.raises(DomainError):
         build_kfsa_gadget(YES_INSTANCE, K=0.0)
+    # not finite, or so large that the coupling gain overflows a float
+    for K in (float("inf"), float("nan"), 1e300):
+        for build in (build_kfss_gadget, build_kfsa_gadget):
+            with pytest.raises(DomainError, match="K"):
+                build(YES_INSTANCE, K=K)
 
 
 def test_bruteforce_examples():

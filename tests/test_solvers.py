@@ -11,6 +11,7 @@ from kfsslab.riccati import SolverOptions, dare_steady_state
 from kfsslab.solvers import (
     BudgetExceedsSensors,
     NonUnitCosts,
+    SolverInputError,
     TooManySensors,
     evaluate_attack,
     evaluate_selection,
@@ -282,6 +283,13 @@ def test_error_paths():
         exhaustive_select(wide, wide.b, 2.0, "priori")
     with pytest.raises(ValueError):
         greedy_select(m, 2, "bogus")
+
+
+@pytest.mark.parametrize("greedy", [greedy_select, greedy_attack])
+@pytest.mark.parametrize("budget", [2.5, -0.5, 1.9, math.inf, math.nan])
+def test_non_integral_cardinality_budget_is_rejected(greedy, budget):
+    with pytest.raises(SolverInputError, match="must be an integer"):
+        greedy(build_example1(LAM, 10.0), budget, "priori")
 
 
 def test_report_dict_encodes_infinity():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfsslab import riccati
+from kfsslab import riccati, solvers
 from kfsslab.gadgets import build_example1, build_example2
 from kfsslab.model import AttackVector, SelectionVector, SystemModel, complement, validate_model
 from kfsslab.riccati import NoConvergence, SolverOptions
@@ -53,7 +53,7 @@ def _scalar(m, support, metric):
 
 
 def _assert_matches_scalar(m, supports, metric):
-    stacked = _score(m, supports, metric, OPTS)
+    stacked, _ = _score(m, supports, metric, OPTS)
     assert len(stacked) == len(supports)
     for support, got in zip(supports, stacked):
         want = _scalar(m, support, metric)
@@ -146,6 +146,45 @@ def test_stack_mixing_singular_and_nonsingular_noise(monkeypatch):
     _score(m, supports, "posteriori", OPTS)
     assert len(supports) <= STACK_CHUNK
     assert calls == ["_iterate_dare"]
+
+
+def _blind_model():
+    """Nonsingular V; the unstable mode 1.2 is seen by sensors 0 and 2 only,
+    so the empty selection and attacks on both are undetectable."""
+    return validate_model(SystemModel(
+        n=3, q=4, A=np.diag([1.2, 0.5, -0.3]),
+        C=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.0, 1.0], [0.0, 1.0, 1.0]]),
+        W=np.eye(3), V=_spd(np.random.default_rng(4), 4)))
+
+
+@pytest.mark.parametrize("case", ["example1", "example2", "undetectable", "nonsingular"])
+def test_reports_come_from_the_scoring_stack(case, monkeypatch):
+    m = {"example1": lambda: build_example1(0.9, 100.0),  # singular V
+         "example2": lambda: build_example2(0.9, 0.01),
+         "undetectable": _blind_model,
+         "nonsingular": lambda: _random_model(np.random.default_rng(9), 6)}[case]()
+    calls = []
+    for owner, name in ((riccati, "solve_dare"), (riccati, "posteriori_from_priori"),
+                        (solvers, "posteriori_from_priori"), (solvers, "evaluate_selection")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    reports = []
+    for metric in ("priori", "posteriori"):
+        for budget in (0, 1, 2):
+            reports += [greedy_select(m, budget, metric), greedy_attack(m, budget, metric),
+                        exhaustive_select(m, m.b, float(budget), metric),
+                        exhaustive_attack(m, m.omega, float(budget), metric)]
+    assert calls == []
+    solvers.evaluate_selection(m, SelectionVector.from_support(m.q, range(m.q)), "posteriori")
+    assert calls == ["evaluate_selection", "solve_dare", "posteriori_from_priori"]  # the spies see calls
+    monkeypatch.undo()
+    infinite = 0
+    for report in reports:
+        kept = report.chosen if report.mode == "select" else complement(report.chosen)
+        want = evaluate_selection(m, kept, report.metric)
+        assert (report.trace, report.diag) == (want.trace, want.diag), report
+        infinite += math.isinf(report.trace)
+    assert (infinite > 0) == (case in ("undetectable", "nonsingular"))  # A unstable
 
 
 def test_stacked_solve_raises_no_convergence():
@@ -257,9 +296,9 @@ def _instances(draw):
 @given(instance=_instances(), metric=st.sampled_from(["priori", "posteriori"]))
 def test_stacked_scores_are_monotone_and_attack_is_complement(instance, metric):
     m, base = instance
-    (before,) = _score(m, [base], metric, OPTS)
+    (before,), _ = _score(m, [base], metric, OPTS)
     extra = [i for i in range(m.q) if i not in base]
-    after = _score(m, [sorted(base + [j]) for j in extra], metric, OPTS)
+    after, _ = _score(m, [sorted(base + [j]) for j in extra], metric, OPTS)
     for t in after:
         assert t <= before * (1 + 1e-9) + 1e-12  # inf <= inf holds too
     # an attack scores what selecting its survivors scores alone
