@@ -53,8 +53,8 @@ def _solver_options(args) -> riccati.SolverOptions:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None, help="convergence tolerance")
-    p.add_argument("--max-iter", type=int, default=None, help="iteration cap")
+    p.add_argument("--tol", type=float, default=None, help="step tolerance, relative to max(1, ||S||)")
+    p.add_argument("--max-iter", type=int, default=None, help="cap on doublings per run and on Newton steps")
     p.add_argument("--pinv-rtol", type=float, default=None, help="pseudo-inverse cutoff")
     p.add_argument("--pbh-tol", type=float, default=None, help="detectability tolerance")
 

@@ -162,16 +162,16 @@ def _reduction_constants(K: float, scale: int, spread: int) -> tuple[int, float,
     """Z = ceil(K) * scale, the pole (Z - 1/2) / Z and the coupling gain
     2 Z ceil(sqrt(spread (Z - 1))) + 1 of a reduction instance.
 
-    Raises DomainError unless K is finite and at least 1, and the gain is
-    below 2^511, so that its square, which divides a noise variance, is a
-    finite float.
+    Raises DomainError unless K is finite and at least 1, and the coupled
+    sensors' noise variance 1 / gain^2 stays above the default pinv_rtol:
+    at or below it their V counts as singular and the decisions go wrong.
     """
     if not 1.0 <= K < math.inf:
         raise DomainError(f"K must be finite and >= 1, got {K}")
     Z = math.ceil(K) * scale
     gain = 2 * Z * _ceil_sqrt(spread * (Z - 1)) + 1
-    if gain.bit_length() > 511:
-        raise DomainError(f"K = {K} makes the coupling gain overflow a float")
+    if gain * gain >= 1.0 / SolverOptions().pinv_rtol:  # int against float: exact, no overflow
+        raise DomainError(f"K = {K} puts the coupled noise variance at the pseudo-inverse cutoff")
     return Z, (Z - 0.5) / Z, float(gain)
 
 
@@ -289,8 +289,8 @@ def x3c_bruteforce(inst: X3CInstance, cap: int = BRUTEFORCE_CAP) -> tuple[bool, 
 
 
 # lambda1 sits close to 1 in the reduction instances, so their solves get a
-# tighter tolerance and a higher cap than the defaults
-GADGET_SOLVER_OPTIONS = SolverOptions(tol=1e-12, max_iter=2_000_000)
+# tighter tolerance than the default
+GADGET_SOLVER_OPTIONS = SolverOptions(tol=1e-12)
 
 
 @dataclass(frozen=True)

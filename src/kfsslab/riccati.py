@@ -5,26 +5,28 @@ The a priori covariance is the stabilizing solution of
 
     S = A S A' + W - A S C' (C S C' + V)^+ C S A'.
 
-Two kernels compute it, chosen from the data:
+One doubling loop computes it, in one of two ways chosen from the data:
 
 * Nonsingular V (including the empty selection's 0 x 0 V): the equation is
   S = A S (I + G S)^-1 A' + W with G = C' V^-1 C, solved by the
   structure-preserving doubling algorithm (Chu, Fan & Lin; Anderson & Moore,
   Optimal Filtering, 1979), which converges quadratically.
-* Singular V (noiseless sensors): fixed-point iteration of the recursion
-  above from the identity.  The pseudo-inverse keeps the recursion well
-  defined when C S C' + V is singular; convergence is linear.
+* Singular V (noiseless sensors): Newton's method on the equation
+  (Kleinman 1968; Hewer 1971).  Each step fixes the gain
+  K = A S C' (C S C' + V)^+ and solves the closed-loop Stein equation
+  S = F S F' + W + K V K', F = A - K C, by the same doubling with G = 0
+  (Smith's squared iteration).  It starts from the doubling solution for
+  V + delta I, whose gain is stabilizing, and converges quadratically.
 
 The private helpers work on stacks: arrays of k same-shape members, one
 per sensor subset (C is k x p x n, V is k x p x p).  The PBH test, the
-noise factorization, the doubling, the fixed-point step and the
-measurement update each run as one batched numpy call per step over the
-stack, and each member of a doubling or fixed-point run stops at its own
-stopping rule.  The fixed point and riccati_step share one step (_step),
-and the step, the measurement update and pseudo_inverse_psd share one
-pseudo-inverse (_pinv_psd).  The public functions are the stack of one, so a subset
-solved alone and the same subset solved inside a stack take the same
-arithmetic.
+noise factorization, the doubling, the Newton gain and the measurement
+update each run as one batched numpy call per step over the stack, and
+each member of a doubling or Newton run stops at its own stopping rule.
+riccati_step, the Newton gain, the measurement update and
+pseudo_inverse_psd share one pseudo-inverse (_pinv_psd).  The public
+functions are the stack of one, so a subset solved alone and the same
+subset solved inside a stack take the same arithmetic.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ class ShapeError(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Iteration hit the cap, or an iterate lost positive semidefiniteness
-    (fixed point) or became non-finite (doubling)."""
+    """A doubling run or the Newton iteration hit the cap, or a doubling
+    iterate became non-finite."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(f"{message} (residual {residual:.3e} after {iterations} iterations)")
@@ -60,9 +62,9 @@ class SolverOptions:
     """Numerical knobs shared by every solve; each must be finite and
     strictly positive.
 
-    tol        convergence threshold on the Frobenius norm of successive
-               iterates (relative to the iterate's norm for doubling)
-    max_iter   cap on fixed-point iterations or on doublings
+    tol        stopping threshold on the Frobenius norm of a doubling or
+               Newton step, relative to max(1, ||S||_F)
+    max_iter   cap on the doublings of each doubling run and on Newton steps
     pinv_rtol  eigenvalue cutoff for the PSD pseudo-inverse; V with a
                Cholesky pivot at or below it counts as singular
     pbh_tol    rank tolerance of the detectability test
@@ -79,9 +81,9 @@ class SolverOptions:
                 raise ValueError(f"{name} must be finite and strictly positive")
 
 
-# Iterate eigenvalues below this are a solver failure; in [floor, 0) they are
-# round-off and get clamped.
-NEG_EIG_FLOOR = -1e-10
+# Noise added to a singular V for the Newton start.  Any value above zero
+# gives a stabilizing first gain; the value only moves the number of steps.
+NEWTON_START_DELTA = 1.0
 
 def _noise_cholesky(V: np.ndarray, pinv_rtol: float) -> tuple[np.ndarray, np.ndarray]:
     """Which members of the stack V (k x p x p) are nonsingular, and their
@@ -114,7 +116,9 @@ def _noise_cholesky(V: np.ndarray, pinv_rtol: float) -> tuple[np.ndarray, np.nda
 
 def _doubling_dare(A, G, W, tol, max_iter):
     """Structure-preserving doubling for S = A S (I + G S)^-1 A' + W, for
-    every member G of the stack G (k x n x n), G = C' V^-1 C.
+    every member G of the stack G (k x n x n), G = C' V^-1 C.  A and W are
+    n x n or stacks broadcast against G; with G = 0 the equation is the
+    Stein equation S = A S A' + W.
 
     With A_0 = A', G_0 = G and H_0 = W, each doubling maps
     A <- A (I+GH)^-1 A, G <- G + A (I+GH)^-1 G A', H <- H + A' H (I+GH)^-1 A;
@@ -125,12 +129,12 @@ def _doubling_dare(A, G, W, tol, max_iter):
     covariances and each member's doubling count; raises NoConvergence when
     a member reaches max_iter or any step turns non-finite.
     """
-    k, n = G.shape[0], A.shape[0]
+    k, n = G.shape[0], A.shape[-1]
     out = np.empty((k, n, n))
     doublings = np.zeros(k, dtype=int)
     live = np.arange(k)
-    Ak = np.repeat(A.T[None], k, axis=0)
-    H = np.repeat(W[None], k, axis=0)
+    Ak = np.broadcast_to(A.swapaxes(-1, -2), (k, n, n)).copy()
+    H = np.broadcast_to(W, (k, n, n)).copy()
     eye = np.eye(n)
     step = np.full(k, np.inf)
     for it in range(1, max_iter + 1):
@@ -166,75 +170,69 @@ def _sym(X: np.ndarray) -> np.ndarray:
 
 def _pinv_psd(M: np.ndarray, pinv_rtol: float) -> np.ndarray:
     """pseudo_inverse_psd of every member of the stack M (k x p x p), read
-    from its lower triangle.  Neither M nor the result is symmetrized here:
-    the fixed point's stopping iteration can turn on the last bits of M^+,
-    so callers that want symmetry symmetrize around the call."""
+    from its lower triangle.  Neither M nor the result is symmetrized here;
+    callers that want symmetry symmetrize around the call."""
     w, U = np.linalg.eigh(M)
     inv = 1.0 / np.where(w > pinv_rtol * np.maximum(w, 1.0), w, np.inf)  # cut-off ones give 0
     return (U * inv[:, None, :]) @ U.transpose(0, 2, 1)
+
+
+def _gain(A, S, C, V, pinv_rtol: float) -> np.ndarray:
+    """Filter gain A S C' (C S C' + V)^+ of every member of the stacks
+    S (k x n x n), C (k x p x n) and V (k x p x p)."""
+    CS = C @ S
+    return A @ CS.transpose(0, 2, 1) @ _pinv_psd(CS @ C.transpose(0, 2, 1) + V, pinv_rtol)
 
 
 def _step(A, S, C, W, V, pinv_rtol: float) -> np.ndarray:
     """One application of the a priori recursion to every member of the
     stacks S (k x n x n), C (k x p x n) and V (k x p x p), symmetrized:
     A S A' + W - (A S C') M^+ (A S C')' with M = C S C' + V."""
-    CS = C @ S
-    ASC = A @ CS.transpose(0, 2, 1)
-    Minv = _pinv_psd(CS @ C.transpose(0, 2, 1) + V, pinv_rtol)
-    return _sym(A @ S @ A.T + W - ASC @ Minv @ ASC.transpose(0, 2, 1))
+    return _sym(A @ S @ A.T + W - _gain(A, S, C, V, pinv_rtol) @ (C @ S @ A.T))
 
 
-def _iterate_dare(A, C, W, V, opts: SolverOptions) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-point iteration of _step from the identity, for every member of
-    the stacks C (k x p x n) and V (k x p x p).
+def _newton_dare(A, C, W, V, opts: SolverOptions) -> tuple[np.ndarray, np.ndarray]:
+    """Newton-Hewer iteration for every member of the stacks C (k x p x n)
+    and V (k x p x p), V singular.
 
-    Iterates with eigenvalues in [NEG_EIG_FLOOR, 0) are clamped to PSD.  A
-    member stops once its step ||S+ - S||_F is below opts.tol, or once the
-    step has not improved by 1e-6 relative for 64 iterations and is at most
-    1e-6 * max(1, ||S+||_F): large coupling gains put the floating-point
-    floor slightly above very tight tolerances, where insisting on the
-    tolerance would spin in a two-cycle of rounding noise.  A stopped member
-    is frozen.  Returns the stack of covariances and each member's iteration
-    count; raises NoConvergence when an iterate has an eigenvalue below
-    NEG_EIG_FLOOR or the members still running reach opts.max_iter.
+    Step 1 takes the gain of the doubling solution S_0 for
+    V + NEWTON_START_DELTA I, which stabilizes A - K C.  Step j solves
+    S_j = F S_j F' + W + K V K', F = A - K C, as _doubling_dare(F, 0, .)
+    and takes the gain K = A S_j C' (C S_j C' + V)^+ for step j + 1.  Step 1
+    is measured from S_0, not from a Newton iterate, so it is never tested.
+    From step 2 on a member stops once its step ||S_j - S_j-1||_F is at most
+    opts.tol * max(1, ||S_j||_F), or once a step neither shrinks nor lowers
+    the trace (the iterates decrease, so that step is round-off), and is
+    frozen.  Returns the stack of covariances and each member's step count;
+    raises NoConvergence when a member reaches opts.max_iter steps, or as
+    _doubling_dare does.
     """
-    k, n = C.shape[0], A.shape[0]
+    k, p, n = C.shape
+    start = V + NEWTON_START_DELTA * np.eye(p)
+    F = np.linalg.solve(np.linalg.cholesky(start), C)
+    S, _ = _doubling_dare(A, F.transpose(0, 2, 1) @ F, W, opts.tol, opts.max_iter)
+    K = _gain(A, S, C, start, opts.pinv_rtol)
     out = np.empty((k, n, n))
-    iters = np.zeros(k, dtype=int)
+    steps = np.zeros(k, dtype=int)
     live = np.arange(k)
-    S = np.repeat(np.eye(n)[None], k, axis=0)
-    last = np.full(k, np.inf)
-    best = np.full(k, np.inf)
-    stalled = np.zeros(k, dtype=int)
     for it in range(1, opts.max_iter + 1):
-        S2 = _step(A, S, C, W, V, opts.pinv_rtol)
-        low = np.linalg.eigvalsh(S2)[:, 0]
-        if low.min() < 0.0:
-            if low.min() < NEG_EIG_FLOOR:
-                residual = float(last[low < NEG_EIG_FLOOR][0])
-                raise NoConvergence("iterate lost positive semidefiniteness", residual, it)
-            neg = low < 0.0
-            w, U = np.linalg.eigh(S2[neg])
-            S2[neg] = _sym((U * np.clip(w, 0.0, None)[:, None, :]) @ U.transpose(0, 2, 1))
-        last = np.linalg.norm(S2 - S, axis=(1, 2))
+        Q = _sym(W + K @ V @ K.transpose(0, 2, 1))
+        S2, _ = _doubling_dare(A - K @ C, np.zeros_like(S), Q, opts.tol, opts.max_iter)
+        step = np.linalg.norm(S2 - S, axis=(1, 2))
+        trace2 = np.trace(S2, axis1=1, axis2=2)
         S = S2
-        better = last < best * (1.0 - 1e-6)
-        np.copyto(best, last, where=better)
-        stalled += 1
-        stalled[better] = 0
-        done = last < opts.tol
-        if stalled.max() >= 64:
-            stuck = stalled >= 64
-            floor = 1e-6 * np.maximum(1.0, np.linalg.norm(S[stuck], axis=(1, 2)))
-            done[stuck] |= last[stuck] <= floor
-        if np.count_nonzero(done):
-            out[live[done]] = S[done]
-            iters[live[done]] = it
-            keep = ~done
-            live, C, V, S = live[keep], C[keep], V[keep], S[keep]
-            last, best, stalled = last[keep], best[keep], stalled[keep]
-            if not live.size:
-                return out, iters
+        if it > 1:
+            done = step <= opts.tol * np.maximum(1.0, np.linalg.norm(S, axis=(1, 2)))
+            done |= (step >= last) & (trace2 >= trace)
+            if done.any():
+                out[live[done]] = S[done]
+                steps[live[done]] = it
+                keep = ~done
+                live, C, V, S, step, trace2 = live[keep], C[keep], V[keep], S[keep], step[keep], trace2[keep]
+                if not live.size:
+                    return out, steps
+        last, trace = step, trace2
+        K = _gain(A, S, C, V, opts.pinv_rtol)
     raise NoConvergence("iteration cap reached above tolerance", float(last[0]), opts.max_iter)
 
 
@@ -278,7 +276,7 @@ def _measurement(n: int, C_sel, V_sel) -> tuple[np.ndarray, np.ndarray]:
 
 def riccati_step(S, A, C_sel, W, V_sel, pinv_rtol: float = 1e-12) -> np.ndarray:
     """One application of the a priori covariance recursion, symmetrized:
-    A S A' + W - (A S C') (C S C' + V)^+ (A S C')', the fixed point's step.
+    A S A' + W - (A S C') (C S C' + V)^+ (A S C')'.
 
     With an empty measurement matrix the gain term vanishes and the step is
     the Lyapunov update A S A' + W.
@@ -382,7 +380,7 @@ def _solve_detectable(A, C, W, V, opts: SolverOptions) -> tuple[np.ndarray, np.n
     and V (k x p x p), every member detectable.
 
     Nonsingular members share one doubling run and singular ones one
-    fixed-point run.  Raises NoConvergence as solve_dare does.
+    Newton run.  Raises NoConvergence as solve_dare does.
     """
     k, n = C.shape[0], A.shape[0]
     S = np.empty((k, n, n))
@@ -397,7 +395,7 @@ def _solve_detectable(A, C, W, V, opts: SolverOptions) -> tuple[np.ndarray, np.n
         )
     singular = ~nonsingular
     if singular.any():
-        S[singular], iters[singular] = _iterate_dare(A, C[singular], W, V[singular], opts)
+        S[singular], iters[singular] = _newton_dare(A, C[singular], W, V[singular], opts)
     return S, iters
 
 
@@ -406,16 +404,16 @@ def solve_dare(A, C, W, V, opts: SolverOptions | None = None) -> SteadyStateResu
     steady-state covariance).
 
     Nonsingular V (a 0 x 0 V included) is solved by doubling until the
-    step falls to opts.tol relative to the iterate's norm; the result's
-    ``iterations`` counts doublings.  Singular V is solved by iterating the
-    recursion from the identity until successive iterates are closer than
-    opts.tol in Frobenius norm (or until the iteration reaches its
-    floating-point floor, accepted as converged).
+    step falls to opts.tol relative to max(1, ||S||_F); the result's
+    ``iterations`` counts doublings.  Singular V is solved by Newton steps
+    whose Stein equations go through the same doubling, until a step falls
+    to opts.tol by the same measure or to its round-off floor (see
+    _newton_dare); ``iterations`` counts Newton steps.
 
     Returns the infinite result when (A, C) is undetectable.  Raises
     StabilizabilityViolation when (A, W^{1/2}) is not stabilizable and
-    NoConvergence when opts.max_iter is reached above tolerance, or an
-    iterate turns indefinite (fixed point) or non-finite (doubling).
+    NoConvergence when a doubling run or the Newton iteration reaches
+    opts.max_iter above tolerance, or a doubling iterate turns non-finite.
     """
     opts = opts or SolverOptions()
     A = np.ascontiguousarray(A, dtype=float)
@@ -443,7 +441,8 @@ def dare_steady_state(
 
 
 def warmup() -> None:
-    """Run one tiny singular-V solve, so that the first timed solve does not
-    pay numpy's one-time set-up costs."""
+    """Run one tiny singular-V solve, which runs both the doubling and the
+    Newton loop, so that the first timed solve does not pay numpy's one-time
+    set-up costs."""
     one = np.ones((1, 1, 1))
-    _iterate_dare(np.array([[0.5]]), one, np.eye(1), 0.0 * one, SolverOptions())
+    _solve_detectable(np.array([[0.5]]), one, np.eye(1), 0.0 * one, SolverOptions())

@@ -117,8 +117,9 @@ def test_gadget_bad_lambda_is_input_error(tmp_path):
                    "--output", str(tmp_path / "x.json")) == 1
 
 
-@pytest.mark.parametrize("k", ["inf", "nan", "1e300"])
-@pytest.mark.parametrize("command", ["gadget kfsa --output OUT", "x3c decide --via kfss"], ids=["gadget", "x3c"])
+@pytest.mark.parametrize("k", ["inf", "nan", "1e300", "1000"])
+@pytest.mark.parametrize("command", ["gadget kfsa --output OUT", "x3c decide --via kfss",
+                                     "x3c decide --via kfsa"], ids=["gadget", "x3c", "x3c-kfsa"])
 def test_reduction_bad_k_is_input_error(yes_x3c_file, tmp_path, capsys, command, k):
     argv = command.replace("OUT", str(tmp_path / "g.json")).split()
     assert run_cli(*argv, "--x3c", str(yes_x3c_file), "--k", k) == 1

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from kfsslab.closed_forms import (
     repeated_sensor_msee,
     scalar_sensor_msee,
 )
-from kfsslab.riccati import solve_dare
+from kfsslab.gadgets import build_example1, build_example2
+from kfsslab.riccati import SolverOptions, solve_dare
+from kfsslab.solvers import _score
 
 
 def _scalar_via_dare(lam, alpha_sq):
@@ -154,3 +157,50 @@ def test_oracle_equivalence_spot_grid():
     for n in (2, 3):
         for rho_sq in (0.5, 10.0):
             assert abs(repeated_sensor_msee(0.85, rho_sq, n) - _repeated_via_dare(0.85, rho_sq, n)) < 1e-8
+
+
+OPTS = SolverOptions()
+
+# Sensor sets (0-based; an attack's survivors for example2) whose a priori
+# state-1 variance ("s11"), priori trace or posteriori trace a prediction
+# field gives.  example1's trace_optimal_posteriori = 1 on {0, 2} is left
+# out: the measurement update there loses about eps * h^2 (7.5e-8 at
+# h = 1e4), whatever the kernel.
+EXAMPLE_FORMS = {
+    "example1": (build_example1, example1_predictions, {
+        (): {"s11": "msee_3"},
+        (0,): {"s11": "msee_1"},
+        (1,): {"s11": "msee_2"},
+        (2,): {"s11": "msee_3"},
+        (0, 1): {"s11": "msee_12"},
+        (1, 2): {"s11": "msee_23", "priori": "trace_greedy_priori", "posteriori": "trace_greedy_posteriori"},
+        (0, 2): {"priori": "trace_optimal_priori"},
+        (0, 1, 2): {"priori": "trace_optimal_priori"},
+    }),
+    "example2": (build_example2, example2_predictions, {
+        (0, 1, 2): {"s11": "msee_drop4", "priori": "trace_greedy_priori"},
+        (1, 2): {"priori": "trace_greedy_priori", "posteriori": "trace_greedy_posteriori"},
+        (0, 3): {"priori": "trace_greedy_priori", "posteriori": "trace_greedy_posteriori"},
+        (2, 3): {"priori": "trace_optimal_priori", "posteriori": "trace_optimal_posteriori"},
+        (): {"priori": "trace_optimal_priori"},
+    }),
+}
+
+
+@pytest.mark.parametrize("lam", [0.6, 0.7, 0.9, 0.95, 0.99])
+@pytest.mark.parametrize("family", ["example1", "example2"])
+def test_every_family_subset_obeys_floor_and_closed_forms(family, lam):
+    build, predict, forms = EXAMPLE_FORMS[family]
+    for h in [10.0**e for e in range(-4, 5)]:
+        m, p = build(lam, h), predict(lam, h)
+        for r in range(m.q + 1):
+            supports = list(combinations(range(m.q), r))
+            priori, diags = _score(m, supports, "priori", OPTS)
+            posteriori, _ = _score(m, supports, "posteriori", OPTS)
+            for support, diag, t_pri, t_post in zip(supports, diags, priori, posteriori):
+                # S = A S* A' + W, so no a priori variance falls below W's
+                assert np.all(diag >= np.diag(m.W) - 1e-12), (h, support, diag)
+                got = {"s11": diag[0], "priori": t_pri, "posteriori": t_post}
+                for what, field in forms.get(support, {}).items():
+                    want = getattr(p, field)
+                    assert abs(got[what] - want) <= 1e-12 * want, (h, support, field, got[what], want)

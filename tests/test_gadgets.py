@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -86,11 +88,18 @@ def test_gadget_requires_k_at_least_one():
         build_kfss_gadget(YES_INSTANCE, K=0.5)
     with pytest.raises(DomainError):
         build_kfsa_gadget(YES_INSTANCE, K=0.0)
-    # not finite, or so large that the coupling gain overflows a float
-    for K in (float("inf"), float("nan"), 1e300):
+    # not finite, or so large that the coupled noise variance 1/gain^2 falls
+    # to the pseudo-inverse cutoff (the first K there is 500 for kfsa with
+    # m = 2, tau = 3, and between 500 and 1000 for kfss)
+    for K in (float("inf"), float("nan"), 1e300, 1000.0):
         for build in (build_kfss_gadget, build_kfsa_gadget):
             with pytest.raises(DomainError, match="K"):
                 build(YES_INSTANCE, K=K)
+    with pytest.raises(DomainError, match="K"):
+        build_kfsa_gadget(YES_INSTANCE, K=500.0)
+    build_kfss_gadget(YES_INSTANCE, K=500.0)
+    for build in (build_kfss_gadget, build_kfsa_gadget):
+        build(YES_INSTANCE, K=450.0)
 
 
 def test_bruteforce_examples():
@@ -106,9 +115,9 @@ def test_bruteforce_cap():
 
 
 def test_reductions_agree_with_bruteforce_on_named_instances():
-    for inst, expected in ((YES_INSTANCE, True), (NO_INSTANCE, False)):
-        d_sel = x3c_decide_via_kfss(inst, K=1.0, solver="exhaustive")
-        d_att = x3c_decide_via_kfsa(inst, K=1.0, solver="exhaustive")
+    for K, (inst, expected) in product((1.0, 300.0), ((YES_INSTANCE, True), (NO_INSTANCE, False))):
+        d_sel = x3c_decide_via_kfss(inst, K=K, solver="exhaustive")
+        d_att = x3c_decide_via_kfsa(inst, K=K, solver="exhaustive")
         assert d_sel.answer is expected
         assert d_att.answer is expected
         if expected:

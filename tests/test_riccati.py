@@ -259,7 +259,7 @@ def test_solver_options_reject_non_finite(field, value):
         SolverOptions(**{field: value})
 
 
-# --- kernel choice: doubling for nonsingular V, fixed point for singular V ---
+# --- kernel choice: doubling for nonsingular V, Newton steps for singular V ---
 
 def _scipy_priori(A, C, W, V):
     scipy_linalg = pytest.importorskip("scipy.linalg")
@@ -323,7 +323,7 @@ def test_doubling_cap_raises_no_convergence():
 
 def _kernel_spy(monkeypatch):
     used = []
-    for name in ("_iterate_dare", "_doubling_dare"):
+    for name in ("_newton_dare", "_doubling_dare"):
         kernel = getattr(riccati, name)
 
         def spy(*args, _kernel=kernel, _name=name):
@@ -337,8 +337,8 @@ def _kernel_spy(monkeypatch):
 @pytest.mark.parametrize("V, kernel", [
     (np.diag([1.0, 0.5]), "_doubling_dare"),
     (np.zeros((0, 0)), "_doubling_dare"),
-    (np.diag([1.0, 0.0]), "_iterate_dare"),  # a zero diagonal entry
-    (np.ones((2, 2)), "_iterate_dare"),  # singular without a zero diagonal entry
+    (np.diag([1.0, 0.0]), "_newton_dare"),  # a zero diagonal entry
+    (np.ones((2, 2)), "_newton_dare"),  # singular without a zero diagonal entry
 ])
 def test_kernel_follows_noise_singularity(monkeypatch, V, kernel):
     used = _kernel_spy(monkeypatch)
@@ -346,7 +346,13 @@ def test_kernel_follows_noise_singularity(monkeypatch, V, kernel):
     A = np.diag([0.9, 0.5])
     C = np.array([[1.0, 0.0], [1.0, 1.0]])[:p]
     res = solve_dare(A, C, np.eye(2), V)
-    assert used == [kernel]
+    if kernel == "_doubling_dare":
+        assert used == [kernel]
+    else:
+        # the start, then one Stein equation per Newton step, all through the
+        # doubling; step 1 is never tested, so there are at least two steps
+        assert used[0] == kernel and set(used[1:]) == {"_doubling_dare"}
+        assert res.iterations == len(used) - 2 >= 2
     assert res.is_finite
     S = res.cov
     assert np.linalg.norm(riccati_step(S, A, C, np.eye(2), V) - S) < 1e-9
