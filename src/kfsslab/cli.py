@@ -8,7 +8,8 @@ Commands:
 
 Exit codes: 0 success, 1 input error, 2 solver error, 3 enumeration too
 large.  Report payloads carry no timestamps, so identical invocations write
-byte-identical files.  KFSSLAB_THREADS caps sweep parallelism.
+byte-identical files.  A sweep solves its points one after another, in
+grid order, in this process.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -48,13 +47,12 @@ def _fail(message: str, code: int) -> int:
 
 
 def _solver_options(args) -> riccati.SolverOptions:
-    names = ("tol", "max_iter", "pinv_rtol", "pbh_tol")
+    names = ("tol", "pinv_rtol", "pbh_tol")
     return riccati.SolverOptions(**{k: getattr(args, k) for k in names if getattr(args, k) is not None})
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None, help="step tolerance, relative to max(1, ||S||)")
-    p.add_argument("--max-iter", type=int, default=None, help="cap on doublings per run and on Newton steps")
     p.add_argument("--pinv-rtol", type=float, default=None, help="pseudo-inverse cutoff")
     p.add_argument("--pbh-tol", type=float, default=None, help="detectability tolerance")
 
@@ -186,28 +184,8 @@ def _sweep_grid(args) -> list[float]:
     return grid
 
 
-def _worker_count(n_points: int) -> int:
-    cap = os.environ.get("KFSSLAB_THREADS")
-    if cap:
-        try:
-            workers = max(1, int(cap))
-        except ValueError:
-            raise _InputError(f"KFSSLAB_THREADS must be an integer, got {cap!r}")
-    else:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, n_points))
-
-
 def cmd_sweep(args) -> int:
-    grid = _sweep_grid(args)
-    n = len(grid)
-    columns = ([args.family] * n, [args.lambda1] * n, grid, [args.metric] * n, [args.v_scale] * n)
-    workers = _worker_count(n)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, *columns))
-    else:
-        rows = list(map(_sweep_point, *columns))
+    rows = [_sweep_point(args.family, args.lambda1, h, args.metric, args.v_scale) for h in _sweep_grid(args)]
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["h", "trace_greedy", "trace_optimal", "ratio", "predicted_limit"])

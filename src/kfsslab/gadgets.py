@@ -72,10 +72,6 @@ def x3c_from_dict(data: dict) -> X3CInstance:
     return X3CInstance(m=int(data["m"]), subsets=tuple(tuple(s) for s in data["subsets"]))
 
 
-def x3c_to_dict(inst: X3CInstance) -> dict:
-    return {"m": inst.m, "subsets": [list(s) for s in inst.subsets]}
-
-
 def encode_x3c(inst: X3CInstance) -> np.ndarray:
     """Membership matrix: row i is the 0-1 indicator of subset i over the
     universe, so every row sums to 3."""
@@ -288,11 +284,6 @@ def x3c_bruteforce(inst: X3CInstance, cap: int = BRUTEFORCE_CAP) -> tuple[bool, 
     return False, None
 
 
-# lambda1 sits close to 1 in the reduction instances, so their solves get a
-# tighter tolerance than the default
-GADGET_SOLVER_OPTIONS = SolverOptions(tol=1e-12)
-
-
 @dataclass(frozen=True)
 class ReductionDecision:
     answer: bool
@@ -309,7 +300,6 @@ def _decide(
     (strictly exceeds) the threshold."""
     gadget = (build_kfsa_gadget if attack else build_kfss_gadget)(inst, K)
     model = gadget.model
-    opts = opts or GADGET_SOLVER_OPTIONS
     budget = inst.m if attack else inst.m + 1
     if solver == "exhaustive":
         costs = model.omega if attack else model.b

@@ -23,10 +23,11 @@ per sensor subset (C is k x p x n, V is k x p x p).  The PBH test, the
 noise factorization, the doubling, the Newton gain and the measurement
 update each run as one batched numpy call per step over the stack, and
 each member of a doubling or Newton run stops at its own stopping rule.
-riccati_step, the Newton gain, the measurement update and
-pseudo_inverse_psd share one pseudo-inverse (_pinv_psd).  The public
-functions are the stack of one, so a subset solved alone and the same
-subset solved inside a stack take the same arithmetic.
+riccati_step and the Newton step share one gain (_gain); they, the
+measurement update and pseudo_inverse_psd share one pseudo-inverse
+(_pinv_psd).  The public functions are the stack of one, so a subset
+solved alone and the same subset solved inside a stack take the same
+arithmetic.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class ShapeError(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """A doubling run or the Newton iteration hit the cap, or a doubling
-    iterate became non-finite."""
+    """A doubling run or the Newton iteration reached MAX_STEPS above
+    tolerance, or a doubling iterate became non-finite."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(f"{message} (residual {residual:.3e} after {iterations} iterations)")
@@ -64,19 +65,17 @@ class SolverOptions:
 
     tol        stopping threshold on the Frobenius norm of a doubling or
                Newton step, relative to max(1, ||S||_F)
-    max_iter   cap on the doublings of each doubling run and on Newton steps
     pinv_rtol  eigenvalue cutoff for the PSD pseudo-inverse; V with a
                Cholesky pivot at or below it counts as singular
     pbh_tol    rank tolerance of the detectability test
     """
 
     tol: float = 1e-11
-    max_iter: int = 500_000
     pinv_rtol: float = 1e-12
     pbh_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("tol", "max_iter", "pinv_rtol", "pbh_tol"):
+        for name in ("tol", "pinv_rtol", "pbh_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and strictly positive")
 
@@ -84,6 +83,11 @@ class SolverOptions:
 # Noise added to a singular V for the Newton start.  Any value above zero
 # gives a stabilizing first gain; the value only moves the number of steps.
 NEWTON_START_DELTA = 1.0
+
+# Cap on the doublings of each doubling run and on Newton steps.  Both
+# converge quadratically, and 100 doublings are 2^100 fixed-point steps.
+MAX_STEPS = 100
+
 
 def _noise_cholesky(V: np.ndarray, pinv_rtol: float) -> tuple[np.ndarray, np.ndarray]:
     """Which members of the stack V (k x p x p) are nonsingular, and their
@@ -114,7 +118,7 @@ def _noise_cholesky(V: np.ndarray, pinv_rtol: float) -> tuple[np.ndarray, np.nda
     return ok, L[pivots_ok]
 
 
-def _doubling_dare(A, G, W, tol, max_iter):
+def _doubling_dare(A, G, W, tol):
     """Structure-preserving doubling for S = A S (I + G S)^-1 A' + W, for
     every member G of the stack G (k x n x n), G = C' V^-1 C.  A and W are
     n x n or stacks broadcast against G; with G = 0 the equation is the
@@ -127,7 +131,7 @@ def _doubling_dare(A, G, W, tol, max_iter):
     is nonsingular.  A member stops once its step ||H+ - H||_F is at most
     tol * max(1, ||H+||_F) and is frozen from then on.  Returns the stack of
     covariances and each member's doubling count; raises NoConvergence when
-    a member reaches max_iter or any step turns non-finite.
+    a member reaches MAX_STEPS doublings or any step turns non-finite.
     """
     k, n = G.shape[0], A.shape[-1]
     out = np.empty((k, n, n))
@@ -137,7 +141,7 @@ def _doubling_dare(A, G, W, tol, max_iter):
     H = np.broadcast_to(W, (k, n, n)).copy()
     eye = np.eye(n)
     step = np.full(k, np.inf)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_STEPS + 1):
         try:
             X = np.linalg.solve(eye + G @ H, np.concatenate((Ak, G), axis=2))
         except np.linalg.LinAlgError:
@@ -160,7 +164,7 @@ def _doubling_dare(A, G, W, tol, max_iter):
             live, Ak, G, H, step = live[keep], Ak[keep], G[keep], H[keep], step[keep]
             if not live.size:
                 return out, doublings
-    raise NoConvergence("iteration cap reached above tolerance", float(step[0]), max_iter)
+    raise NoConvergence("iteration cap reached above tolerance", float(step[0]), MAX_STEPS)
 
 
 def _sym(X: np.ndarray) -> np.ndarray:
@@ -204,20 +208,20 @@ def _newton_dare(A, C, W, V, opts: SolverOptions) -> tuple[np.ndarray, np.ndarra
     opts.tol * max(1, ||S_j||_F), or once a step neither shrinks nor lowers
     the trace (the iterates decrease, so that step is round-off), and is
     frozen.  Returns the stack of covariances and each member's step count;
-    raises NoConvergence when a member reaches opts.max_iter steps, or as
+    raises NoConvergence when a member reaches MAX_STEPS steps, or as
     _doubling_dare does.
     """
     k, p, n = C.shape
     start = V + NEWTON_START_DELTA * np.eye(p)
     F = np.linalg.solve(np.linalg.cholesky(start), C)
-    S, _ = _doubling_dare(A, F.transpose(0, 2, 1) @ F, W, opts.tol, opts.max_iter)
+    S, _ = _doubling_dare(A, F.transpose(0, 2, 1) @ F, W, opts.tol)
     K = _gain(A, S, C, start, opts.pinv_rtol)
     out = np.empty((k, n, n))
     steps = np.zeros(k, dtype=int)
     live = np.arange(k)
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, MAX_STEPS + 1):
         Q = _sym(W + K @ V @ K.transpose(0, 2, 1))
-        S2, _ = _doubling_dare(A - K @ C, np.zeros_like(S), Q, opts.tol, opts.max_iter)
+        S2, _ = _doubling_dare(A - K @ C, np.zeros_like(S), Q, opts.tol)
         step = np.linalg.norm(S2 - S, axis=(1, 2))
         trace2 = np.trace(S2, axis1=1, axis2=2)
         S = S2
@@ -233,7 +237,7 @@ def _newton_dare(A, C, W, V, opts: SolverOptions) -> tuple[np.ndarray, np.ndarra
                     return out, steps
         last, trace = step, trace2
         K = _gain(A, S, C, V, opts.pinv_rtol)
-    raise NoConvergence("iteration cap reached above tolerance", float(last[0]), opts.max_iter)
+    raise NoConvergence("iteration cap reached above tolerance", float(last[0]), MAX_STEPS)
 
 
 def _posteriori(S, C, V, pinv_rtol: float) -> np.ndarray:
@@ -242,8 +246,9 @@ def _posteriori(S, C, V, pinv_rtol: float) -> np.ndarray:
     if C.shape[1] == 0:
         return S.copy()
     CS = C @ S
-    Minv = _sym(_pinv_psd(_sym(CS @ C.transpose(0, 2, 1) + V), pinv_rtol))
-    return _sym(S - CS.transpose(0, 2, 1) @ Minv @ CS)
+    K = CS.transpose(0, 2, 1) @ _pinv_psd(CS @ C.transpose(0, 2, 1) + V, pinv_rtol)
+    F = np.eye(S.shape[-1]) - K @ C
+    return _sym(F @ S @ F.transpose(0, 2, 1) + K @ V @ K.transpose(0, 2, 1))
 
 
 def pseudo_inverse_psd(M: np.ndarray, pinv_rtol: float = 1e-12) -> np.ndarray:
@@ -292,7 +297,11 @@ def riccati_step(S, A, C_sel, W, V_sel, pinv_rtol: float = 1e-12) -> np.ndarray:
 
 
 def posteriori_from_priori(Sigma, C_sel, V_sel, opts: SolverOptions | None = None) -> np.ndarray:
-    """Measurement-update covariance S - S C' (C S C' + V)^+ C S, symmetrized."""
+    """Measurement-update covariance S - S C' M^+ C S, M = C S C' + V,
+    computed in Joseph form (I - K C) S (I - K C)' + K V K' with the gain
+    K = S C' M^+ and symmetrized.  The two forms agree in exact arithmetic;
+    the Joseph form adds two PSD terms instead of subtracting a term close
+    to S, so it keeps its accuracy when the gain is extreme."""
     opts = opts or SolverOptions()
     Sigma = np.asarray(Sigma, dtype=float)
     n = Sigma.shape[0]
@@ -390,9 +399,7 @@ def _solve_detectable(A, C, W, V, opts: SolverOptions) -> tuple[np.ndarray, np.n
         F = C[nonsingular]
         if F.shape[1]:
             F = np.linalg.solve(L, F)
-        S[nonsingular], iters[nonsingular] = _doubling_dare(
-            A, F.transpose(0, 2, 1) @ F, W, opts.tol, opts.max_iter
-        )
+        S[nonsingular], iters[nonsingular] = _doubling_dare(A, F.transpose(0, 2, 1) @ F, W, opts.tol)
     singular = ~nonsingular
     if singular.any():
         S[singular], iters[singular] = _newton_dare(A, C[singular], W, V[singular], opts)
@@ -413,7 +420,7 @@ def solve_dare(A, C, W, V, opts: SolverOptions | None = None) -> SteadyStateResu
     Returns the infinite result when (A, C) is undetectable.  Raises
     StabilizabilityViolation when (A, W^{1/2}) is not stabilizable and
     NoConvergence when a doubling run or the Newton iteration reaches
-    opts.max_iter above tolerance, or a doubling iterate turns non-finite.
+    MAX_STEPS above tolerance, or a doubling iterate turns non-finite.
     """
     opts = opts or SolverOptions()
     A = np.ascontiguousarray(A, dtype=float)

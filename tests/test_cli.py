@@ -1,8 +1,13 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from kfsslab.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -160,8 +165,7 @@ def test_x3c_too_large_exit_code(tmp_path):
     assert run_cli("x3c", "decide", "--via", "bruteforce", "--x3c", str(path)) == 3
 
 
-def test_sweep_single_point(tmp_path, monkeypatch):
-    monkeypatch.setenv("KFSSLAB_THREADS", "1")
+def test_sweep_single_point(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_cli("sweep", "--family", "example1", "--lambda1", "0.9",
                    "--metric", "priori", "--h-grid", "100", "--output", str(out))
@@ -171,8 +175,7 @@ def test_sweep_single_point(tmp_path, monkeypatch):
     assert len(lines) == 2
 
 
-def test_sweep_ratio_approaches_limit(tmp_path, monkeypatch):
-    monkeypatch.setenv("KFSSLAB_THREADS", "1")
+def test_sweep_ratio_approaches_limit(tmp_path):
     out = tmp_path / "sweep2.csv"
     code = run_cli("sweep", "--family", "example2", "--lambda1", "0.9",
                    "--metric", "posteriori", "--h-grid", "1,0.01,0.0001",
@@ -186,8 +189,7 @@ def test_sweep_ratio_approaches_limit(tmp_path, monkeypatch):
     assert abs(ratios[-1] - limits[-1]) / limits[-1] < 0.02
 
 
-def test_sweep_v_scale_flag(tmp_path, monkeypatch):
-    monkeypatch.setenv("KFSSLAB_THREADS", "1")
+def test_sweep_v_scale_flag(tmp_path):
     out = tmp_path / "sweep3.csv"
     code = run_cli("sweep", "--family", "example1", "--lambda1", "0.9",
                    "--h-grid", "100", "--v-scale", "0.5", "--output", str(out))
@@ -196,19 +198,7 @@ def test_sweep_v_scale_flag(tmp_path, monkeypatch):
     assert float(row.split(",")[2]) > 3.0  # extra sensor noise lifts the optimum
 
 
-def test_sweep_parallel_workers_match_serial(tmp_path, monkeypatch):
-    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    monkeypatch.setenv("KFSSLAB_THREADS", "1")
-    assert run_cli("sweep", "--family", "example1", "--lambda1", "0.9",
-                   "--h-grid", "10,100,1000", "--output", str(serial)) == 0
-    monkeypatch.setenv("KFSSLAB_THREADS", "2")
-    assert run_cli("sweep", "--family", "example1", "--lambda1", "0.9",
-                   "--h-grid", "10,100,1000", "--output", str(parallel)) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
-def test_outputs_are_byte_identical_between_runs(example1_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("KFSSLAB_THREADS", "1")
+def test_outputs_are_byte_identical_between_runs(example1_file, tmp_path):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for path in (r1, r2):
         assert run_cli("solve", "--instance", str(example1_file), "--mode", "select",
@@ -226,3 +216,18 @@ def test_gadget_reduction_without_x3c_is_input_error(kind, tmp_path, capsys):
     assert run_cli("gadget", kind, "--output", str(tmp_path / "x.json")) == 1
     assert "--x3c" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+def _readme_blocks(lang):
+    return re.findall(rf"```{lang}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    (cover,) = [block for block in _readme_blocks("json") if '"subsets"' in block]
+    (tmp_path / "cover.json").write_text(cover, encoding="utf-8")
+    commands = [shlex.split(line, comments=True)[1:] for block in _readme_blocks("sh")
+                for line in block.splitlines() if line.startswith("kfsslab ")]
+    assert {argv[0] for argv in commands} == {"gadget", "solve", "x3c", "sweep"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv

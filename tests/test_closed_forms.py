@@ -163,9 +163,7 @@ OPTS = SolverOptions()
 
 # Sensor sets (0-based; an attack's survivors for example2) whose a priori
 # state-1 variance ("s11"), priori trace or posteriori trace a prediction
-# field gives.  example1's trace_optimal_posteriori = 1 on {0, 2} is left
-# out: the measurement update there loses about eps * h^2 (7.5e-8 at
-# h = 1e4), whatever the kernel.
+# field gives.
 EXAMPLE_FORMS = {
     "example1": (build_example1, example1_predictions, {
         (): {"s11": "msee_3"},
@@ -174,7 +172,7 @@ EXAMPLE_FORMS = {
         (2,): {"s11": "msee_3"},
         (0, 1): {"s11": "msee_12"},
         (1, 2): {"s11": "msee_23", "priori": "trace_greedy_priori", "posteriori": "trace_greedy_posteriori"},
-        (0, 2): {"priori": "trace_optimal_priori"},
+        (0, 2): {"priori": "trace_optimal_priori", "posteriori": "trace_optimal_posteriori"},
         (0, 1, 2): {"priori": "trace_optimal_priori"},
     }),
     "example2": (build_example2, example2_predictions, {

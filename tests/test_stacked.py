@@ -187,9 +187,10 @@ def test_reports_come_from_the_scoring_stack(case, monkeypatch):
     assert (infinite > 0) == (case in ("undetectable", "nonsingular"))  # A unstable
 
 
-def test_stacked_solve_raises_no_convergence():
+def test_stacked_solve_raises_no_convergence(monkeypatch):
     m = _random_model(np.random.default_rng(5), 10)
-    tight = SolverOptions(tol=1e-300, max_iter=2)
+    monkeypatch.setattr(riccati, "MAX_STEPS", 2)
+    tight = SolverOptions(tol=1e-300)
     with pytest.raises(NoConvergence) as exc:
         _score(m, [list(c) for c in combinations(range(10), 2)], "priori", tight)
     assert exc.value.iterations == 2
@@ -234,9 +235,10 @@ def test_fixed_point_stack_equals_members_alone(case):
         assert len(set(steps.tolist())) > 1  # members freeze at different steps
 
 
-def test_fixed_point_raises_no_convergence():
+def test_fixed_point_raises_no_convergence(monkeypatch):
     m = build_example1(0.9, 1e4)
-    tight = SolverOptions(tol=1e-300, max_iter=2)
+    monkeypatch.setattr(riccati, "MAX_STEPS", 2)
+    tight = SolverOptions(tol=1e-300)
     with pytest.raises(NoConvergence) as alone:
         riccati.solve_dare(m.A, m.C[:2], m.W, m.V[:2, :2], tight)
     with pytest.raises(NoConvergence) as stacked:
