@@ -171,9 +171,10 @@ def _sweep_grid(args) -> list[float]:
             raise _InputError(f"bad --h-grid: {exc}") from exc
     else:
         lo, hi, count = args.h_range
+        if lo <= 0 or hi <= 0 or not (count >= 1 and count.is_integer()):
+            raise _InputError(f"--h-range needs positive MIN and MAX and an integer COUNT >= 1, "
+                              f"got {lo:g} {hi:g} {count:g}")
         count = int(count)
-        if count < 1 or lo <= 0 or hi <= 0:
-            raise _InputError("--h-range needs positive MIN MAX and COUNT >= 1")
         if count == 1:
             grid = [lo]
         else:

@@ -145,12 +145,18 @@ def build_example2(lambda1: float, h: float) -> SystemModel:
 
 
 def _check_family_params(lambda1: float, h: float) -> tuple[float, float]:
+    """lambda1 and h as floats.  Raises DomainError unless 0 < |lambda1| < 1
+    and 0 < h with h^2 below the default 1 / pinv_rtol: beyond it the
+    pseudo-inverse cutoff drops the informative eigenvalue of C S C' + V and
+    the solves go wrong (the rule _reduction_constants applies to K)."""
     lam = float(lambda1)
     h = float(h)
     if not 0.0 < abs(lam) < 1.0:
         raise DomainError(f"need 0 < |lambda1| < 1, got {lam}")
-    if h <= 0.0:
-        raise DomainError(f"h must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"h must be positive and finite, got {h}")
+    if h * h >= 1.0 / SolverOptions().pinv_rtol:  # an overflowing h * h is inf and fails too
+        raise DomainError(f"h = {h} puts h^2 at or beyond the pseudo-inverse cutoff")
     return lam, h
 
 

@@ -11,9 +11,14 @@ the solver's stopping error, so exact float comparison would make tie
 handling depend on round-off.
 
 Each driver scores its candidates in stacks: all candidates of one greedy
-step, or all feasible subsets of one size, go to the riccati module's
-batched kernels in chunks of at most STACK_CHUNK members.  An attack is
-scored through its survivor set.  A report's trace and covariance diagonal
+step, or all candidates of one size in an exhaustive search, go to the
+riccati module's batched kernels in chunks of at most STACK_CHUNK members.
+An attack is scored through its survivor set.  Scores are kept in a table
+for one (model, metric, options), so a run solves each survivor set at most
+once; greedy_and_optimal passes one table to both drivers.  Adding a sensor
+never raises the trace, so the exhaustive search solves only the
+inclusion-maximal feasible sets, and then the subsets of tied sets that the
+smallest-support tie rule needs.  A report's trace and covariance diagonal
 are those of the stack member that scored the chosen indicator; a greedy
 run with budget 0 scores its one indicator as a stack of one, and nothing
 is solved twice.  evaluate_selection is the per-subset reference that the
@@ -79,9 +84,9 @@ class SolveReport:
     "attack"), ``trace`` its objective value
     (math.inf when the survivor pair is undetectable), ``diag`` the
     per-state errors, ``steps`` the greedy iteration log (empty for
-    exhaustive runs) and ``evaluations`` the number of candidate indicators
-    scored plus one, for the chosen indicator (a greedy run with budget 0
-    scores only that one).
+    exhaustive runs) and ``evaluations`` the number of candidates, those of
+    every greedy step or every feasible indicator, plus one for the chosen
+    indicator.  It counts candidates, not solves.
     """
 
     mode: str
@@ -156,6 +161,26 @@ def _score(model: SystemModel, supports, metric: str, opts: SolverOptions) -> tu
     return traces.tolist(), diags
 
 
+class _ScoreTable:
+    """Trace and covariance diagonal of each kept support, for one (model,
+    metric, opts).  A request solves only the supports the table lacks,
+    grouped by size, through _score; stack members are solved independently,
+    so a stored score is the one a fresh stack would give."""
+
+    def __init__(self, model: SystemModel, metric: str, opts: SolverOptions):
+        self.model, self.metric, self.opts = model, metric, opts
+        self.scores: dict[tuple[int, ...], tuple[float, np.ndarray]] = {}
+
+    def __call__(self, supports) -> list[tuple[float, np.ndarray]]:
+        supports = [tuple(s) for s in supports]
+        missing = sorted(set(supports) - self.scores.keys(), key=lambda s: (len(s), s))
+        for _, group in groupby(missing, key=len):
+            group = list(group)
+            traces, diags = _score(self.model, group, self.metric, self.opts)
+            self.scores.update(zip(group, zip(traces, diags)))
+        return [self.scores[s] for s in supports]
+
+
 def _kept(q: int, combo, attack: bool) -> list[int]:
     """Sensors the filter runs on: the selection, or the attack's survivors."""
     return [i for i in range(q) if i not in combo] if attack else sorted(combo)
@@ -192,9 +217,12 @@ def _report(model, attack: bool, combo, metric, trace, diag, evaluations, steps)
     )
 
 
-def _greedy(model, cardinality_budget, metric, opts, attack: bool) -> SolveReport:
+def _greedy(
+    model, cardinality_budget, metric, opts, attack: bool, table: _ScoreTable | None = None
+) -> SolveReport:
     """Grow the selection (or the attack) one sensor at a time, taking the
-    candidate with the smallest (largest) trace; ties go to the lowest index."""
+    candidate with the smallest (largest) trace; ties go to the lowest index.
+    Scores come from ``table``, a fresh one by default."""
     _check_metric(metric)
     costs, what = (model.omega, "attack") if attack else (model.b, "selection")
     if not np.all(costs == 1.0):
@@ -202,22 +230,23 @@ def _greedy(model, cardinality_budget, metric, opts, attack: bool) -> SolveRepor
     budget = _check_cardinality_budget(cardinality_budget, model.q)
     opts = opts or SolverOptions()
     riccati.check_stabilizable(model.A, model.W, opts.pbh_tol)
+    table = table or _ScoreTable(model, metric, opts)
     if not budget:
-        (trace,), diags = _score(model, [_kept(model.q, [], attack)], metric, opts)
-        return _report(model, attack, [], metric, trace, diags[0], 1, [])
+        ((trace, diag),) = table([_kept(model.q, [], attack)])
+        return _report(model, attack, [], metric, trace, diag, 1, [])
     better = max if attack else min
     picked: list[int] = []
     steps: list[GreedyStep] = []
     for _ in range(budget):
         candidates = [i for i in range(model.q) if i not in picked]
-        kept = [_kept(model.q, picked + [i], attack) for i in candidates]
-        traces, diags = _score(model, kept, metric, opts)
+        scored = table([_kept(model.q, picked + [i], attack) for i in candidates])
+        traces = [trace for trace, _ in scored]
         best = better(traces)
         k = min(c for c, t in enumerate(traces) if _tied(t, best))  # candidates ascend
         steps.append(GreedyStep(scores=dict(zip(candidates, traces)), chosen=candidates[k]))
         picked.append(candidates[k])
     evaluations = sum(len(step.scores) for step in steps) + 1
-    return _report(model, attack, picked, metric, traces[k], diags[k], evaluations, steps)
+    return _report(model, attack, picked, metric, *scored[k], evaluations, steps)
 
 
 def _enumerate_feasible(q: int, costs: np.ndarray, budget: float):
@@ -240,34 +269,59 @@ def _enumerate_feasible(q: int, costs: np.ndarray, budget: float):
                 yield combo
 
 
-def _exhaustive(model, costs, budget, metric, opts, attack: bool) -> SolveReport:
-    """Score every feasible selection (attack), one size layer at a time, and
-    keep the smallest (largest) trace; ties go to the smallest support, then
-    the lexicographically smallest bit pattern."""
+def _exhaustive(
+    model, costs, budget, metric, opts, attack: bool, table: _ScoreTable | None = None
+) -> SolveReport:
+    """Keep the feasible selection (attack) with the smallest (largest)
+    trace; ties go to the smallest support, then the lexicographically
+    smallest bit pattern.  Scores come from ``table``, a fresh one by default.
+
+    Adding a sensor never raises a selection's trace (never lowers an
+    attack's), so the optimum lies at an inclusion-maximal feasible set, one
+    no further sensor fits into, and only those are scored for it.  A tied
+    set lies in a tied maximal set and every set between them is tied, so a
+    walk down from the tied maximal sets through subsets of tied sets, one
+    size at a time, meets every tied set.  Nonnegative costs keep subsets of
+    feasible sets feasible.
+    """
     _check_metric(metric)
     if model.q > EXHAUSTIVE_SENSOR_CAP:
         raise TooManySensors(f"refusing 2^{model.q} subsets (cap {EXHAUSTIVE_SENSOR_CAP})")
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (model.q,):
         raise SolverInputError(f"costs must have length {model.q}")
+    if np.any(costs < 0.0):
+        raise SolverInputError("costs must be nonnegative")
     opts = opts or SolverOptions()
     riccati.check_stabilizable(model.A, model.W, opts.pbh_tol)
-    combos: list[tuple[int, ...]] = []
-    traces: list[float] = []
-    diags: list[np.ndarray] = []
-    for _, layer in groupby(_enumerate_feasible(model.q, costs, budget), key=len):
-        layer = list(layer)
-        combos += layer
-        layer_traces, layer_diags = _score(model, [_kept(model.q, c, attack) for c in layer], metric, opts)
-        traces += layer_traces
-        diags.append(layer_diags)
-    if not combos:
+    table = table or _ScoreTable(model, metric, opts)
+    feasible = list(_enumerate_feasible(model.q, costs, budget))
+    if not feasible:
         raise SolverInputError(f"no feasible {'attack' if attack else 'selection'} within budget")
-    best = (max if attack else min)(traces)
-    tied = [k for k, t in enumerate(traces) if _tied(t, best)]
-    k = min(tied, key=lambda k: (len(combos[k]), SelectionVector.from_support(model.q, combos[k]).bits))
-    diag = np.concatenate(diags)[k]
-    return _report(model, attack, combos[k], metric, traces[k], diag, len(combos) + 1, [])
+    fits = {sum(1 << i for i in c): c for c in feasible}  # keyed by bit mask
+    maximal = [
+        c for mask, c in fits.items() if all(mask | 1 << i not in fits for i in range(model.q) if i not in c)
+    ]
+
+    def traces(combos):
+        return [trace for trace, _ in table([_kept(model.q, c, attack) for c in combos])]
+
+    scores = traces(maximal)
+    best = (max if attack else min)(scores)
+    tied = [c for c, t in zip(maximal, scores) if _tied(t, best)]
+    lowest = min(map(len, tied))
+    level: list[tuple[int, ...]] = []
+    for size in range(max(map(len, tied)), -1, -1):
+        below = sorted({c[:j] + c[j + 1:] for c in level for j in range(len(c))})
+        level = [c for c, t in zip(below, traces(below)) if _tied(t, best)]
+        level += [c for c in tied if len(c) == size]
+        if level:
+            smallest = level
+        elif size < lowest:
+            break
+    combo = min(smallest, key=lambda c: SelectionVector.from_support(model.q, c).bits)
+    ((trace, diag),) = table([_kept(model.q, combo, attack)])
+    return _report(model, attack, combo, metric, trace, diag, len(feasible) + 1, [])
 
 
 def greedy_select(
@@ -293,10 +347,11 @@ def exhaustive_select(
     metric: str,
     opts: SolverOptions | None = None,
 ) -> SolveReport:
-    """Exact optimum by enumerating every selection within budget.
+    """Exact optimum over every selection within budget.
 
-    Supports arbitrary nonnegative costs and real budgets.  Ties resolve to
-    the smallest support, then the lexicographically smallest bit pattern.
+    Supports arbitrary nonnegative costs (a negative one raises
+    SolverInputError) and real budgets.  Ties resolve to the smallest
+    support, then the lexicographically smallest bit pattern.
     """
     return _exhaustive(model, costs, budget, metric, opts, attack=False)
 
@@ -308,7 +363,8 @@ def exhaustive_attack(
     metric: str,
     opts: SolverOptions | None = None,
 ) -> SolveReport:
-    """Exact worst-case attack by enumerating every removal set within budget."""
+    """Exact worst-case attack over every removal set within budget, for
+    nonnegative costs; ties resolve as in exhaustive_select."""
     return _exhaustive(model, costs, budget, metric, opts, attack=True)
 
 
@@ -338,13 +394,15 @@ def greedy_and_optimal(
     """
     if mode not in ("select", "attack"):
         raise SolverInputError(f"mode must be 'select' or 'attack', got {mode!r}")
-    if mode == "select":
-        greedy = greedy_select(model, budget, metric, opts)
-        optimal = exhaustive_select(model, model.b, float(budget), metric, opts)
-        return greedy, optimal, trace_ratio(greedy.trace, optimal.trace)
-    greedy = greedy_attack(model, budget, metric, opts)
-    optimal = exhaustive_attack(model, model.omega, float(budget), metric, opts)
-    return greedy, optimal, trace_ratio(optimal.trace, greedy.trace)
+    attack = mode == "attack"
+    opts = opts or SolverOptions()
+    table = _ScoreTable(model, metric, opts)
+    greedy = _greedy(model, budget, metric, opts, attack, table)
+    costs = model.omega if attack else model.b
+    optimal = _exhaustive(model, costs, float(budget), metric, opts, attack, table)
+    if attack:
+        return greedy, optimal, trace_ratio(optimal.trace, greedy.trace)
+    return greedy, optimal, trace_ratio(greedy.trace, optimal.trace)
 
 
 def greedy_ratio(

@@ -198,6 +198,17 @@ def test_sweep_v_scale_flag(tmp_path):
     assert float(row.split(",")[2]) > 3.0  # extra sensor noise lifts the optimum
 
 
+@pytest.mark.parametrize("grid", ["--h-range 10 1000 2.7", "--h-range 10 1000 inf", "--h-range 10 1000 nan",
+                                  "--h-range 10 1000 0", "--h-grid 1e6", "--h-grid 1e8", "--h-grid 1e200",
+                                  "--h-grid nan"])
+def test_bad_sweep_grid_is_input_error(tmp_path, capsys, grid):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--family", "example1", "--lambda1", "0.9", *grid.split(), "--output", str(out)]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_outputs_are_byte_identical_between_runs(example1_file, tmp_path):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for path in (r1, r2):

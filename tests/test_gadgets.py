@@ -8,6 +8,8 @@ from kfsslab.gadgets import (
     NoZeroColumn,
     TooLarge,
     X3CInstance,
+    build_example1,
+    build_example2,
     build_kfsa_gadget,
     build_kfss_gadget,
     encode_x3c,
@@ -100,6 +102,16 @@ def test_gadget_requires_k_at_least_one():
     build_kfss_gadget(YES_INSTANCE, K=500.0)
     for build in (build_kfss_gadget, build_kfsa_gadget):
         build(YES_INSTANCE, K=450.0)
+
+
+@pytest.mark.parametrize("build", [build_example1, build_example2])
+def test_family_builders_reject_extreme_h(build):
+    # h^2 at or beyond 1 / pinv_rtol (h >= 1e6 at the defaults) drops the
+    # gain-h rows' informative eigenvalue at the pseudo-inverse cutoff
+    for h in (float("inf"), float("nan"), 0.0, -1.0, 1e6, 1e8, 1e200):
+        with pytest.raises(DomainError, match="h"):
+            build(0.9, h)
+    build(0.9, 999999.0)
 
 
 def test_bruteforce_examples():

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 import pytest
@@ -8,7 +8,9 @@ from kfsslab.closed_forms import example1_predictions, example2_predictions, mse
 from kfsslab.gadgets import build_example1, build_example2
 from kfsslab.model import AttackVector, SelectionVector, SystemModel, validate_model
 from kfsslab.riccati import SolverOptions, dare_steady_state
+from kfsslab import solvers
 from kfsslab.solvers import (
+    METRICS,
     BudgetExceedsSensors,
     NonUnitCosts,
     SolverInputError,
@@ -17,11 +19,15 @@ from kfsslab.solvers import (
     evaluate_selection,
     exhaustive_attack,
     exhaustive_select,
+    greedy_and_optimal,
     greedy_attack,
     greedy_ratio,
     greedy_select,
     report_to_dict,
     _enumerate_feasible,
+    _kept,
+    _score,
+    _tied,
 )
 
 LAM = 0.9
@@ -326,3 +332,113 @@ def test_pruned_enumerator_matches_full_scan():
         full = [combo for r in range(q + 1) for combo in combinations(range(q), r)
                 if sum(costs[i] for i in combo) <= limit]
         assert list(_enumerate_feasible(q, costs, budget)) == full
+
+
+def _full_enumeration(m, costs, budget, metric, attack):
+    """Every feasible indicator scored, one size layer per stack, and the
+    smallest (largest) trace kept: ties to the smallest support, then the
+    lexicographically smallest bits.  Returns (bits, trace, diag,
+    evaluations) as an exhaustive report should give them."""
+    combos, traces, diags = [], [], []
+    for _, layer in groupby(_enumerate_feasible(m.q, np.asarray(costs, dtype=float), budget), key=len):
+        layer = list(layer)
+        layer_traces, layer_diags = _score(m, [_kept(m.q, c, attack) for c in layer], metric, SolverOptions())
+        combos += layer
+        traces += layer_traces
+        diags += list(layer_diags)
+    best = (max if attack else min)(traces)
+    k = min((k for k, t in enumerate(traces) if _tied(t, best)),
+            key=lambda k: (len(combos[k]), SelectionVector.from_support(m.q, combos[k]).bits))
+    diag = None if math.isinf(traces[k]) else tuple(diags[k].tolist())
+    return SelectionVector.from_support(m.q, combos[k]).bits, traces[k], diag, len(combos) + 1
+
+
+def _tie_model(rng):
+    """Random instance with exact ties: a zero-row sensor, which changes no
+    trace, and a duplicated sensor with equal noise.  The first state is
+    unstable and seen by some sensors only, so some selections and survivor
+    sets are undetectable; V is singular on some draws."""
+    n = int(rng.integers(2, 4))
+    q = int(rng.integers(4, 7))
+    C = rng.standard_normal((q, n))
+    C[rng.random(q) < 0.5, 0] = 0.0
+    C[0, 0] = 1.0  # the empty selection is the only undetectable one for sure
+    C[1] = 0.0
+    C[2] = C[3]
+    noise = rng.uniform(0.2, 1.0, q)
+    noise[2] = noise[3]
+    if rng.random() < 0.3:
+        noise[rng.integers(q)] = 0.0
+    return validate_model(SystemModel(
+        n=n, q=q, A=np.diag(np.concatenate([[1.05], rng.uniform(-0.8, 0.8, n - 1)])), C=C,
+        W=np.diag(rng.uniform(0.2, 2.0, n)), V=np.diag(noise),
+        b=rng.choice([0.0, 0.5, 1.0, 1.5], q), omega=np.ones(q),
+    ))
+
+
+def test_exhaustive_equals_full_enumeration():
+    rng = np.random.default_rng(41)
+    undetectable = ties = 0
+    for _ in range(6):
+        m = _tie_model(rng)
+        for metric in METRICS:
+            for budget in range(m.q + 1):
+                for attack, costs in ((False, m.b), (False, np.ones(m.q)), (True, m.omega)):
+                    run = exhaustive_attack if attack else exhaustive_select
+                    report = run(m, costs, float(budget), metric)
+                    want = _full_enumeration(m, costs, float(budget), metric, attack)
+                    assert (report.chosen.bits, report.trace, report.diag, report.evaluations) == want
+                    undetectable += math.isinf(report.trace)
+                    # with unit costs every maximal set has `budget` sensors
+                    ties += costs is not m.b and report.chosen.count < budget
+    assert undetectable and ties  # both the infinite and the tie-walk paths ran
+
+
+def test_tie_walk_continues_past_a_size_with_no_tied_set():
+    # one noiseless sensor of cost 3, and three sensors of cost 1 whose
+    # noises sum to zero: {0} and {1, 2, 3} are the maximal sets within
+    # budget 3 and both see the state exactly, while no pair of 1, 2, 3 does
+    V = np.zeros((4, 4))
+    V[1:, 1:] = [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]]
+    m = validate_model(SystemModel(n=1, q=4, A=np.array([[0.5]]), C=np.ones((4, 1)), W=np.eye(1), V=V,
+                                   b=np.array([3.0, 1.0, 1.0, 1.0]), omega=np.ones(4)))
+    for metric in METRICS:
+        report = exhaustive_select(m, m.b, 3.0, metric)
+        assert report.chosen.support == (0,)
+        assert (report.chosen.bits, report.trace, report.diag, report.evaluations) == _full_enumeration(
+            m, m.b, 3.0, metric, False)
+
+
+def test_exhaustive_rejects_negative_costs():
+    m = build_example1(LAM, 10.0)
+    with pytest.raises(SolverInputError, match="nonnegative"):
+        exhaustive_select(m, [1.0, -0.5, 1.0], 2.0, "priori")
+    with pytest.raises(SolverInputError, match="nonnegative"):
+        exhaustive_attack(m, [0.0, 0.0, -1e-300], 0.0, "priori")
+
+
+@pytest.mark.parametrize("mode", ["select", "attack"])
+def test_greedy_and_optimal_scores_each_support_once(mode, monkeypatch):
+    rng = np.random.default_rng(43)
+    tie = _tie_model(rng)
+    tie.b = np.ones(tie.q)  # greedy needs unit costs
+    for m in (build_example1(LAM, 100.0), build_example2(LAM, 0.01), tie, _random_model(rng)):
+        for metric in METRICS:
+            for budget in range(m.q + 1):
+                scored = []
+
+                def spy(mdl, supports, *args):
+                    scored.extend(map(tuple, supports))
+                    return _score(mdl, supports, *args)
+
+                monkeypatch.setattr(solvers, "_score", spy)
+                greedy, optimal, ratio = greedy_and_optimal(m, budget, mode, metric)
+                monkeypatch.undo()
+                assert len(scored) == len(set(scored)), (m.q, metric, budget)
+                attack = mode == "attack"
+                alone_greedy = (greedy_attack if attack else greedy_select)(m, budget, metric)
+                alone_optimal = (exhaustive_attack if attack else exhaustive_select)(
+                    m, m.omega if attack else m.b, float(budget), metric)
+                assert report_to_dict(greedy) == report_to_dict(alone_greedy)
+                assert report_to_dict(optimal) == report_to_dict(alone_optimal)
+                assert ratio == greedy_ratio(m, budget, mode, metric)
