@@ -38,7 +38,6 @@ from .model import (
 )
 from .riccati import (
     NoConvergence,
-    SolverOptions,
     coupling_check,
     dare_steady_state,
     is_detectable,

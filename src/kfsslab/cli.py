@@ -9,7 +9,8 @@ Commands:
 Exit codes: 0 success, 1 input error, 2 solver error, 3 enumeration too
 large.  Report payloads carry no timestamps, so identical invocations write
 byte-identical files.  A sweep solves its points one after another, in
-grid order, in this process.
+grid order, in this process.  No flag sets a solver tolerance: the solvers
+use the constants of the riccati module.
 """
 
 from __future__ import annotations
@@ -44,17 +45,6 @@ class _InputError(Exception):
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _solver_options(args) -> riccati.SolverOptions:
-    names = ("tol", "pinv_rtol", "pbh_tol")
-    return riccati.SolverOptions(**{k: getattr(args, k) for k in names if getattr(args, k) is not None})
-
-
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None, help="step tolerance, relative to max(1, ||S||)")
-    p.add_argument("--pinv-rtol", type=float, default=None, help="pseudo-inverse cutoff")
-    p.add_argument("--pbh-tol", type=float, default=None, help="detectability tolerance")
 
 
 def _load_model(path: str) -> model_mod.SystemModel:
@@ -94,16 +84,15 @@ def _integral_budget(value: float, what: str) -> int:
 
 def cmd_solve(args) -> int:
     model = _load_model(args.instance)
-    opts = _solver_options(args)
     attack = args.mode == "attack"
     budget = model.budget_attack if attack else model.budget_select
     if args.algorithm == "greedy":
         greedy = solvers.greedy_attack if attack else solvers.greedy_select
         budget = _integral_budget(budget, "attack" if attack else "selection")
-        report = greedy(model, budget, args.metric, opts)
+        report = greedy(model, budget, args.metric)
     else:
         exhaustive = solvers.exhaustive_attack if attack else solvers.exhaustive_select
-        report = exhaustive(model, model.omega if attack else model.b, budget, args.metric, opts)
+        report = exhaustive(model, model.omega if attack else model.b, budget, args.metric)
     support = [i + 1 for i in report.chosen.support]
     trace_text = "inf" if math.isinf(report.trace) else repr(report.trace)
     print(f"trace={trace_text} chosen={support}")
@@ -171,15 +160,19 @@ def _sweep_grid(args) -> list[float]:
             raise _InputError(f"bad --h-grid: {exc}") from exc
     else:
         lo, hi, count = args.h_range
-        if lo <= 0 or hi <= 0 or not (count >= 1 and count.is_integer()):
-            raise _InputError(f"--h-range needs positive MIN and MAX and an integer COUNT >= 1, "
+        if not (0 < lo < math.inf and 0 < hi < math.inf and count >= 1 and count.is_integer()):
+            raise _InputError(f"--h-range needs positive finite MIN and MAX and an integer COUNT >= 1, "
                               f"got {lo:g} {hi:g} {count:g}")
         count = int(count)
         if count == 1:
             grid = [lo]
         else:
             step = (math.log10(hi) - math.log10(lo)) / (count - 1)
-            grid = [10 ** (math.log10(lo) + i * step) for i in range(count)]
+            try:
+                grid = [10 ** (math.log10(lo) + i * step) for i in range(count)]
+            except OverflowError:
+                raise _InputError(f"--h-range {lo:g} {hi:g} {count} has a grid point beyond the "
+                                  f"float range") from None
     if not grid:
         raise _InputError("sweep grid is empty")
     return grid
@@ -206,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algorithm", choices=("greedy", "exhaustive"), required=True)
     p_solve.add_argument("--metric", choices=solvers.METRICS, default="priori")
     p_solve.add_argument("--output", default=None, help="report JSON path")
-    _add_solver_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_gadget = sub.add_parser("gadget", help="generate instance files")

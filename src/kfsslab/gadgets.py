@@ -17,9 +17,9 @@ from itertools import combinations
 
 import numpy as np
 
+from . import riccati
 from .closed_forms import DomainError
-from .model import SystemModel, validate_model
-from .riccati import SolverOptions
+from .model import SystemModel, as_integer, validate_model
 from .solvers import SolveReport, exhaustive_attack, exhaustive_select, greedy_attack, greedy_select
 
 BRUTEFORCE_CAP = 1_000_000
@@ -69,7 +69,8 @@ class X3CInstance:
 
 
 def x3c_from_dict(data: dict) -> X3CInstance:
-    return X3CInstance(m=int(data["m"]), subsets=tuple(tuple(s) for s in data["subsets"]))
+    subsets = tuple(tuple(as_integer(x, "subset element") for x in s) for s in data["subsets"])
+    return X3CInstance(m=as_integer(data["m"], "m"), subsets=subsets)
 
 
 def encode_x3c(inst: X3CInstance) -> np.ndarray:
@@ -146,7 +147,7 @@ def build_example2(lambda1: float, h: float) -> SystemModel:
 
 def _check_family_params(lambda1: float, h: float) -> tuple[float, float]:
     """lambda1 and h as floats.  Raises DomainError unless 0 < |lambda1| < 1
-    and 0 < h with h^2 below the default 1 / pinv_rtol: beyond it the
+    and 0 < h with h^2 below 1 / riccati.PINV_RTOL: beyond it the
     pseudo-inverse cutoff drops the informative eigenvalue of C S C' + V and
     the solves go wrong (the rule _reduction_constants applies to K)."""
     lam = float(lambda1)
@@ -155,7 +156,7 @@ def _check_family_params(lambda1: float, h: float) -> tuple[float, float]:
         raise DomainError(f"need 0 < |lambda1| < 1, got {lam}")
     if not 0.0 < h < math.inf:
         raise DomainError(f"h must be positive and finite, got {h}")
-    if h * h >= 1.0 / SolverOptions().pinv_rtol:  # an overflowing h * h is inf and fails too
+    if h * h >= 1.0 / riccati.PINV_RTOL:  # an overflowing h * h is inf and fails too
         raise DomainError(f"h = {h} puts h^2 at or beyond the pseudo-inverse cutoff")
     return lam, h
 
@@ -165,14 +166,14 @@ def _reduction_constants(K: float, scale: int, spread: int) -> tuple[int, float,
     2 Z ceil(sqrt(spread (Z - 1))) + 1 of a reduction instance.
 
     Raises DomainError unless K is finite and at least 1, and the coupled
-    sensors' noise variance 1 / gain^2 stays above the default pinv_rtol:
+    sensors' noise variance 1 / gain^2 stays above riccati.PINV_RTOL:
     at or below it their V counts as singular and the decisions go wrong.
     """
     if not 1.0 <= K < math.inf:
         raise DomainError(f"K must be finite and >= 1, got {K}")
     Z = math.ceil(K) * scale
     gain = 2 * Z * _ceil_sqrt(spread * (Z - 1)) + 1
-    if gain * gain >= 1.0 / SolverOptions().pinv_rtol:  # int against float: exact, no overflow
+    if gain * gain >= 1.0 / riccati.PINV_RTOL:  # int against float: exact, no overflow
         raise DomainError(f"K = {K} puts the coupled noise variance at the pseudo-inverse cutoff")
     return Z, (Z - 0.5) / Z, float(gain)
 
@@ -298,9 +299,7 @@ class ReductionDecision:
     report: SolveReport
 
 
-def _decide(
-    inst: X3CInstance, K: float, solver: str, opts: SolverOptions | None, attack: bool
-) -> ReductionDecision:
+def _decide(inst: X3CInstance, K: float, solver: str, attack: bool) -> ReductionDecision:
     """Solve the selection (attack) embedding of inst with budget m + 1 (m)
     and read the answer off its trace: yes iff the trace is at most
     (strictly exceeds) the threshold."""
@@ -310,9 +309,9 @@ def _decide(
     if solver == "exhaustive":
         costs = model.omega if attack else model.b
         exhaustive = exhaustive_attack if attack else exhaustive_select
-        report = exhaustive(model, costs, float(budget), "priori", opts)
+        report = exhaustive(model, costs, float(budget), "priori")
     elif solver == "greedy":
-        report = (greedy_attack if attack else greedy_select)(model, budget, "priori", opts)
+        report = (greedy_attack if attack else greedy_select)(model, budget, "priori")
     else:
         raise DomainError(f"solver must be 'greedy' or 'exhaustive', got {solver!r}")
     answer = report.trace > gadget.threshold if attack else report.trace <= gadget.threshold
@@ -321,31 +320,21 @@ def _decide(
     )
 
 
-def x3c_decide_via_kfss(
-    inst: X3CInstance,
-    K: float = 1.0,
-    solver: str = "exhaustive",
-    opts: SolverOptions | None = None,
-) -> ReductionDecision:
+def x3c_decide_via_kfss(inst: X3CInstance, K: float = 1.0, solver: str = "exhaustive") -> ReductionDecision:
     """Decide X3C through the selection embedding: answer yes iff the chosen
     solver's trace is at most the threshold.
 
     Exhaustive solving makes the decision exact; greedy is heuristic and may
     answer either way.
     """
-    return _decide(inst, K, solver, opts, attack=False)
+    return _decide(inst, K, solver, attack=False)
 
 
-def x3c_decide_via_kfsa(
-    inst: X3CInstance,
-    K: float = 1.0,
-    solver: str = "exhaustive",
-    opts: SolverOptions | None = None,
-) -> ReductionDecision:
+def x3c_decide_via_kfsa(inst: X3CInstance, K: float = 1.0, solver: str = "exhaustive") -> ReductionDecision:
     """Decide X3C through the attack embedding: answer yes iff the chosen
     solver's trace strictly exceeds the threshold (orientation reversed from
     the selection embedding)."""
-    return _decide(inst, K, solver, opts, attack=True)
+    return _decide(inst, K, solver, attack=True)
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,15 @@ class NegativeCost(ModelError):
     pass
 
 
-def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (rows, cols):
-        raise DimensionMismatch(f"{name} must be {rows}x{cols}, got {arr.shape}")
-    return arr
+def as_integer(value, name: str) -> int:
+    """A JSON count or index as an int.  Raises ModelError unless it is an
+    integral number, so that 3.6 is refused instead of truncated to 3."""
+    try:
+        if float(value).is_integer():
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise ModelError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -253,8 +257,8 @@ def model_from_dict(data: dict) -> SystemModel:
     if missing:
         raise ModelError(f"instance JSON missing keys: {missing}")
     return SystemModel(
-        n=int(data["n"]),
-        q=int(data["q"]),
+        n=as_integer(data["n"], "n"),
+        q=as_integer(data["q"], "q"),
         A=np.asarray(data["A"], dtype=float),
         C=np.asarray(data["C"], dtype=float),
         W=np.asarray(data["W"], dtype=float),

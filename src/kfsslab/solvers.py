@@ -14,7 +14,7 @@ Each driver scores its candidates in stacks: all candidates of one greedy
 step, or all candidates of one size in an exhaustive search, go to the
 riccati module's batched kernels in chunks of at most STACK_CHUNK members.
 An attack is scored through its survivor set.  Scores are kept in a table
-for one (model, metric, options), so a run solves each survivor set at most
+for one (model, metric), so a run solves each survivor set at most
 once; greedy_and_optimal passes one table to both drivers.  Adding a sensor
 never raises the trace, so the exhaustive search solves only the
 inclusion-maximal feasible sets, and then the subsets of tied sets that the
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import riccati
 from .model import AttackVector, SelectionVector, SteadyStateResult, SystemModel, complement, restrict
-from .riccati import SolverOptions, posteriori_from_priori
+from .riccati import posteriori_from_priori
 
 METRICS = ("priori", "posteriori")
 
@@ -107,32 +107,27 @@ def _check_metric(metric: str) -> None:
         raise SolverInputError(f"metric must be one of {METRICS}, got {metric!r}")
 
 
-def evaluate_selection(
-    model: SystemModel, sel: SelectionVector, metric: str, opts: SolverOptions | None = None
-) -> SteadyStateResult:
+def evaluate_selection(model: SystemModel, sel: SelectionVector, metric: str) -> SteadyStateResult:
     """Steady-state covariance for a selection, under the requested metric.
 
     The posteriori metric applies the measurement update to the a priori
     fixed point; an infinite a priori result stays infinite.
     """
     _check_metric(metric)
-    opts = opts or SolverOptions()
     C_sel, V_sel = restrict(model, sel)
-    result = riccati.solve_dare(model.A, C_sel, model.W, V_sel, opts)
+    result = riccati.solve_dare(model.A, C_sel, model.W, V_sel)
     if metric == "priori" or not result.is_finite:
         return result
-    post = posteriori_from_priori(result.cov, C_sel, V_sel, opts)
+    post = posteriori_from_priori(result.cov, C_sel, V_sel)
     return SteadyStateResult.finite(post, result.iterations)
 
 
-def evaluate_attack(
-    model: SystemModel, att: AttackVector, metric: str, opts: SolverOptions | None = None
-) -> SteadyStateResult:
+def evaluate_attack(model: SystemModel, att: AttackVector, metric: str) -> SteadyStateResult:
     """Steady-state covariance of the filter running on the surviving sensors."""
-    return evaluate_selection(model, complement(att), metric, opts)
+    return evaluate_selection(model, complement(att), metric)
 
 
-def _score(model: SystemModel, supports, metric: str, opts: SolverOptions) -> tuple[list[float], np.ndarray]:
+def _score(model: SystemModel, supports, metric: str) -> tuple[list[float], np.ndarray]:
     """Traces and covariance diagonals of evaluate_selection for same-size
     sorted supports, solved as stacks of at most STACK_CHUNK members.
 
@@ -141,20 +136,20 @@ def _score(model: SystemModel, supports, metric: str, opts: SolverOptions) -> tu
     the results agree with evaluate_selection to round-off.
     """
     idx = np.array(supports, dtype=np.intp).reshape(len(supports), -1)
-    modes = riccati._unstable_modes(model.A, opts.pbh_tol)
+    modes = riccati._unstable_modes(model.A)
     traces = np.full(len(idx), math.inf)
     diags = np.full((len(idx), model.n), math.nan)
     for lo in range(0, len(idx), STACK_CHUNK):
         chunk = idx[lo:lo + STACK_CHUNK]
         C = model.C[chunk]
         V = model.V[chunk[:, :, None], chunk[:, None, :]]
-        finite = riccati._detectable(model.A, C, opts.pbh_tol, modes)
+        finite = riccati._detectable(model.A, C, modes)
         if not finite.any():
             continue
         C, V = C[finite], V[finite]
-        S, _ = riccati._solve_detectable(model.A, C, model.W, V, opts)
+        S, _ = riccati._solve_detectable(model.A, C, model.W, V)
         if metric == "posteriori":
-            S = riccati._posteriori(S, C, V, opts.pinv_rtol)
+            S = riccati._posteriori(S, C, V)
         at = lo + np.flatnonzero(finite)
         traces[at] = np.trace(S, axis1=1, axis2=2)
         diags[at] = S.diagonal(axis1=1, axis2=2)
@@ -163,12 +158,12 @@ def _score(model: SystemModel, supports, metric: str, opts: SolverOptions) -> tu
 
 class _ScoreTable:
     """Trace and covariance diagonal of each kept support, for one (model,
-    metric, opts).  A request solves only the supports the table lacks,
+    metric).  A request solves only the supports the table lacks,
     grouped by size, through _score; stack members are solved independently,
     so a stored score is the one a fresh stack would give."""
 
-    def __init__(self, model: SystemModel, metric: str, opts: SolverOptions):
-        self.model, self.metric, self.opts = model, metric, opts
+    def __init__(self, model: SystemModel, metric: str):
+        self.model, self.metric = model, metric
         self.scores: dict[tuple[int, ...], tuple[float, np.ndarray]] = {}
 
     def __call__(self, supports) -> list[tuple[float, np.ndarray]]:
@@ -176,7 +171,7 @@ class _ScoreTable:
         missing = sorted(set(supports) - self.scores.keys(), key=lambda s: (len(s), s))
         for _, group in groupby(missing, key=len):
             group = list(group)
-            traces, diags = _score(self.model, group, self.metric, self.opts)
+            traces, diags = _score(self.model, group, self.metric)
             self.scores.update(zip(group, zip(traces, diags)))
         return [self.scores[s] for s in supports]
 
@@ -217,9 +212,7 @@ def _report(model, attack: bool, combo, metric, trace, diag, evaluations, steps)
     )
 
 
-def _greedy(
-    model, cardinality_budget, metric, opts, attack: bool, table: _ScoreTable | None = None
-) -> SolveReport:
+def _greedy(model, cardinality_budget, metric, attack: bool, table: _ScoreTable | None = None) -> SolveReport:
     """Grow the selection (or the attack) one sensor at a time, taking the
     candidate with the smallest (largest) trace; ties go to the lowest index.
     Scores come from ``table``, a fresh one by default."""
@@ -228,9 +221,8 @@ def _greedy(
     if not np.all(costs == 1.0):
         raise NonUnitCosts(f"greedy requires unit {what} costs")
     budget = _check_cardinality_budget(cardinality_budget, model.q)
-    opts = opts or SolverOptions()
-    riccati.check_stabilizable(model.A, model.W, opts.pbh_tol)
-    table = table or _ScoreTable(model, metric, opts)
+    riccati.check_stabilizable(model.A, model.W)
+    table = table or _ScoreTable(model, metric)
     if not budget:
         ((trace, diag),) = table([_kept(model.q, [], attack)])
         return _report(model, attack, [], metric, trace, diag, 1, [])
@@ -254,24 +246,20 @@ def _enumerate_feasible(q: int, costs: np.ndarray, budget: float):
     lexicographic order.
 
     Sums are compared with a 1e-9 relative allowance, so that 0.1 + 0.2
-    fits a budget of 0.3.  Enumeration stops at the first size whose
-    cheapest subsets, at that size or any larger one, exceed the budget.
+    fits a budget of 0.3.  Costs are nonnegative, so enumeration stops at
+    the first size whose cheapest subset exceeds the budget.
     """
     limit = budget + 1e-9 * max(1.0, abs(budget))
     cheapest = np.cumsum(np.sort(costs))
-    # cheapest subset of size r or larger (costs may be negative)
-    floor = np.minimum.accumulate(cheapest[::-1])[::-1]
     for r in range(q + 1):
-        if r and floor[r - 1] > limit:
+        if r and cheapest[r - 1] > limit:
             return
         for combo in combinations(range(q), r):
             if sum(costs[i] for i in combo) <= limit:
                 yield combo
 
 
-def _exhaustive(
-    model, costs, budget, metric, opts, attack: bool, table: _ScoreTable | None = None
-) -> SolveReport:
+def _exhaustive(model, costs, budget, metric, attack: bool, table: _ScoreTable | None = None) -> SolveReport:
     """Keep the feasible selection (attack) with the smallest (largest)
     trace; ties go to the smallest support, then the lexicographically
     smallest bit pattern.  Scores come from ``table``, a fresh one by default.
@@ -292,9 +280,8 @@ def _exhaustive(
         raise SolverInputError(f"costs must have length {model.q}")
     if np.any(costs < 0.0):
         raise SolverInputError("costs must be nonnegative")
-    opts = opts or SolverOptions()
-    riccati.check_stabilizable(model.A, model.W, opts.pbh_tol)
-    table = table or _ScoreTable(model, metric, opts)
+    riccati.check_stabilizable(model.A, model.W)
+    table = table or _ScoreTable(model, metric)
     feasible = list(_enumerate_feasible(model.q, costs, budget))
     if not feasible:
         raise SolverInputError(f"no feasible {'attack' if attack else 'selection'} within budget")
@@ -324,48 +311,32 @@ def _exhaustive(
     return _report(model, attack, combo, metric, trace, diag, len(feasible) + 1, [])
 
 
-def greedy_select(
-    model: SystemModel, cardinality_budget: int, metric: str, opts: SolverOptions | None = None
-) -> SolveReport:
+def greedy_select(model: SystemModel, cardinality_budget: int, metric: str) -> SolveReport:
     """Add, one at a time, the sensor whose inclusion yields the smallest
     trace, until exactly ``cardinality_budget`` sensors are selected."""
-    return _greedy(model, cardinality_budget, metric, opts, attack=False)
+    return _greedy(model, cardinality_budget, metric, attack=False)
 
 
-def greedy_attack(
-    model: SystemModel, cardinality_budget: int, metric: str, opts: SolverOptions | None = None
-) -> SolveReport:
+def greedy_attack(model: SystemModel, cardinality_budget: int, metric: str) -> SolveReport:
     """Remove, one at a time, the sensor whose removal yields the largest
     trace for the surviving set.  An infinite trace is maximal."""
-    return _greedy(model, cardinality_budget, metric, opts, attack=True)
+    return _greedy(model, cardinality_budget, metric, attack=True)
 
 
-def exhaustive_select(
-    model: SystemModel,
-    costs,
-    budget: float,
-    metric: str,
-    opts: SolverOptions | None = None,
-) -> SolveReport:
+def exhaustive_select(model: SystemModel, costs, budget: float, metric: str) -> SolveReport:
     """Exact optimum over every selection within budget.
 
     Supports arbitrary nonnegative costs (a negative one raises
     SolverInputError) and real budgets.  Ties resolve to the smallest
     support, then the lexicographically smallest bit pattern.
     """
-    return _exhaustive(model, costs, budget, metric, opts, attack=False)
+    return _exhaustive(model, costs, budget, metric, attack=False)
 
 
-def exhaustive_attack(
-    model: SystemModel,
-    costs,
-    budget: float,
-    metric: str,
-    opts: SolverOptions | None = None,
-) -> SolveReport:
+def exhaustive_attack(model: SystemModel, costs, budget: float, metric: str) -> SolveReport:
     """Exact worst-case attack over every removal set within budget, for
     nonnegative costs; ties resolve as in exhaustive_select."""
-    return _exhaustive(model, costs, budget, metric, opts, attack=True)
+    return _exhaustive(model, costs, budget, metric, attack=True)
 
 
 def trace_ratio(num: float, den: float) -> float:
@@ -382,7 +353,7 @@ def trace_ratio(num: float, den: float) -> float:
 
 
 def greedy_and_optimal(
-    model: SystemModel, budget: int, mode: str, metric: str, opts: SolverOptions | None = None
+    model: SystemModel, budget: int, mode: str, metric: str
 ) -> tuple[SolveReport, SolveReport, float]:
     """Greedy and exhaustive reports for one cardinality budget, and the
     suboptimality ratio of greedy against the exhaustive optimum.
@@ -395,21 +366,18 @@ def greedy_and_optimal(
     if mode not in ("select", "attack"):
         raise SolverInputError(f"mode must be 'select' or 'attack', got {mode!r}")
     attack = mode == "attack"
-    opts = opts or SolverOptions()
-    table = _ScoreTable(model, metric, opts)
-    greedy = _greedy(model, budget, metric, opts, attack, table)
+    table = _ScoreTable(model, metric)
+    greedy = _greedy(model, budget, metric, attack, table)
     costs = model.omega if attack else model.b
-    optimal = _exhaustive(model, costs, float(budget), metric, opts, attack, table)
+    optimal = _exhaustive(model, costs, float(budget), metric, attack, table)
     if attack:
         return greedy, optimal, trace_ratio(optimal.trace, greedy.trace)
     return greedy, optimal, trace_ratio(greedy.trace, optimal.trace)
 
 
-def greedy_ratio(
-    model: SystemModel, budget: int, mode: str, metric: str, opts: SolverOptions | None = None
-) -> float:
+def greedy_ratio(model: SystemModel, budget: int, mode: str, metric: str) -> float:
     """The ratio of greedy_and_optimal, which is >= 1 in both modes."""
-    return greedy_and_optimal(model, budget, mode, metric, opts)[2]
+    return greedy_and_optimal(model, budget, mode, metric)[2]
 
 
 def report_to_dict(report: SolveReport) -> dict:

@@ -59,12 +59,19 @@ def test_solve_exhaustive_attack_on_example2(example2_file, capsys):
     assert "chosen=[1, 2]" in capsys.readouterr().out
 
 
-def test_solve_rejects_malformed_json(tmp_path, capsys):
+def test_solve_rejects_malformed_json(example1_file, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     code = run_cli("solve", "--instance", str(bad), "--mode", "select", "--algorithm", "greedy")
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    # non-integral counts are refused, not truncated
+    data = json.loads(example1_file.read_text())
+    data["n"], data["q"] = 3.6, 3.2
+    bad.write_text(json.dumps(data))
+    code = run_cli("solve", "--instance", str(bad), "--mode", "select", "--algorithm", "greedy")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: n must be an integer")
 
 
 def test_solve_missing_file_is_input_error(tmp_path):
@@ -91,10 +98,13 @@ def test_solver_error_exit_code(tmp_path, example1_file):
 @pytest.mark.parametrize("flag", ["--tol", "--pinv-rtol", "--pbh-tol"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_solver_flag_is_input_error(example1_file, capsys, flag, value):
+    # the solver tolerances are fixed constants; no flag sets them
     code = run_cli("solve", "--instance", str(example1_file), "--mode", "select",
                    "--algorithm", "greedy", flag, value)
     assert code == 1
-    assert "must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"unrecognized arguments: {flag}" in err
 
 
 def test_gadget_kfss_writes_threshold_sidecar(yes_x3c_file, tmp_path, capsys):
@@ -200,12 +210,16 @@ def test_sweep_v_scale_flag(tmp_path):
 
 @pytest.mark.parametrize("grid", ["--h-range 10 1000 2.7", "--h-range 10 1000 inf", "--h-range 10 1000 nan",
                                   "--h-range 10 1000 0", "--h-grid 1e6", "--h-grid 1e8", "--h-grid 1e200",
-                                  "--h-grid nan"])
+                                  "--h-grid nan", "--h-range 1 inf 2", "--h-range nan 10 2",
+                                  "--h-range 1 1.7976931348623157e308 2"])
 def test_bad_sweep_grid_is_input_error(tmp_path, capsys, grid):
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--family", "example1", "--lambda1", "0.9", *grid.split(), "--output", str(out)]
     assert run_cli(*argv) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if grid.startswith("--h-range"):
+        assert "--h-range" in err
     assert not out.exists()
 
 

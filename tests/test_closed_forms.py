@@ -16,7 +16,7 @@ from kfsslab.closed_forms import (
     scalar_sensor_msee,
 )
 from kfsslab.gadgets import build_example1, build_example2
-from kfsslab.riccati import SolverOptions, solve_dare
+from kfsslab.riccati import solve_dare
 from kfsslab.solvers import _score
 
 
@@ -159,8 +159,6 @@ def test_oracle_equivalence_spot_grid():
             assert abs(repeated_sensor_msee(0.85, rho_sq, n) - _repeated_via_dare(0.85, rho_sq, n)) < 1e-8
 
 
-OPTS = SolverOptions()
-
 # Sensor sets (0-based; an attack's survivors for example2) whose a priori
 # state-1 variance ("s11"), priori trace or posteriori trace a prediction
 # field gives.
@@ -193,8 +191,8 @@ def test_every_family_subset_obeys_floor_and_closed_forms(family, lam):
         m, p = build(lam, h), predict(lam, h)
         for r in range(m.q + 1):
             supports = list(combinations(range(m.q), r))
-            priori, diags = _score(m, supports, "priori", OPTS)
-            posteriori, _ = _score(m, supports, "posteriori", OPTS)
+            priori, diags = _score(m, supports, "priori")
+            posteriori, _ = _score(m, supports, "posteriori")
             for support, diag, t_pri, t_post in zip(supports, diags, priori, posteriori):
                 # S = A S* A' + W, so no a priori variance falls below W's
                 assert np.all(diag >= np.diag(m.W) - 1e-12), (h, support, diag)

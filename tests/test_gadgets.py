@@ -3,11 +3,13 @@ from itertools import product
 import numpy as np
 import pytest
 
+from kfsslab import riccati
 from kfsslab.closed_forms import DomainError
 from kfsslab.gadgets import (
     NoZeroColumn,
     TooLarge,
     X3CInstance,
+    _reduction_constants,
     build_example1,
     build_example2,
     build_kfsa_gadget,
@@ -17,8 +19,9 @@ from kfsslab.gadgets import (
     x3c_bruteforce,
     x3c_decide_via_kfsa,
     x3c_decide_via_kfss,
+    x3c_from_dict,
 )
-from kfsslab.model import validate_model
+from kfsslab.model import ModelError, validate_model
 
 YES_INSTANCE = X3CInstance(2, ((1, 2, 3), (4, 5, 6), (1, 4, 5)))
 NO_INSTANCE = X3CInstance(2, ((1, 2, 3), (1, 4, 5), (2, 5, 6)))
@@ -35,6 +38,12 @@ def test_x3c_validation():
         X3CInstance(2, ((1, 2, 3),))  # fewer subsets than m
     inst = X3CInstance(1, ((3, 1, 2),))
     assert inst.subsets == ((1, 2, 3),)
+    # JSON input: non-integral values are refused, not truncated
+    with pytest.raises(ModelError, match="m must be an integer"):
+        x3c_from_dict({"m": 2.7, "subsets": [[1, 2, 3], [4, 5, 6]]})
+    with pytest.raises(ModelError, match="subset element must be an integer"):
+        x3c_from_dict({"m": 1, "subsets": [[1, 2, 3.9]]})
+    assert x3c_from_dict({"m": 1.0, "subsets": [[3.0, 1, 2]]}) == inst
 
 
 def test_encode_x3c():
@@ -104,9 +113,23 @@ def test_gadget_requires_k_at_least_one():
         build(YES_INSTANCE, K=450.0)
 
 
+def test_builder_bounds_follow_the_pinv_cutoff(monkeypatch):
+    # the K and h bounds read riccati.PINV_RTOL, the cutoff the kernel uses
+    M = np.diag([1.0, 1e-7])
+    assert riccati.pseudo_inverse_psd(M)[1, 1] == pytest.approx(1e7)
+    _reduction_constants(100.0, 12, 1)
+    build_example1(0.9, 1e3)
+    monkeypatch.setattr(riccati, "PINV_RTOL", 1e-6)
+    assert riccati.pseudo_inverse_psd(M)[1, 1] == 0.0
+    with pytest.raises(DomainError, match="K"):
+        _reduction_constants(100.0, 12, 1)
+    with pytest.raises(DomainError, match="h"):
+        build_example1(0.9, 1e3)
+
+
 @pytest.mark.parametrize("build", [build_example1, build_example2])
 def test_family_builders_reject_extreme_h(build):
-    # h^2 at or beyond 1 / pinv_rtol (h >= 1e6 at the defaults) drops the
+    # h^2 at or beyond 1 / PINV_RTOL (h >= 1e6) drops the
     # gain-h rows' informative eigenvalue at the pseudo-inverse cutoff
     for h in (float("inf"), float("nan"), 0.0, -1.0, 1e6, 1e8, 1e200):
         with pytest.raises(DomainError, match="h"):

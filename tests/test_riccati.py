@@ -16,7 +16,6 @@ from kfsslab.model import SelectionVector, SystemModel, restrict, validate_model
 from kfsslab.riccati import (
     NoConvergence,
     ShapeError,
-    SolverOptions,
     StabilizabilityViolation,
     coupling_check,
     dare_steady_state,
@@ -188,16 +187,15 @@ def test_iterates_stay_inside_diagonal_envelope():
 
 
 def test_fixed_point_property():
-    opts = SolverOptions()
     m = build_example1(0.9, 50.0)
     from kfsslab.model import restrict
 
     for bits in [(1, 1, 0), (0, 1, 1), (1, 0, 1)]:
         sel = SelectionVector(bits)
-        res = dare_steady_state(m, sel, opts)
+        res = dare_steady_state(m, sel)
         C_sel, V_sel = restrict(m, sel)
         stepped = riccati_step(res.cov, m.A, C_sel, m.W, V_sel)
-        assert np.linalg.norm(stepped - res.cov) < 10 * opts.tol
+        assert np.linalg.norm(stepped - res.cov) < 10 * riccati.TOL
 
 
 def test_adding_sensors_never_hurts():
@@ -231,9 +229,9 @@ def test_determinism_bit_identical():
 def test_no_convergence_reports_residual(monkeypatch):
     m = _diag_model([0.9])
     monkeypatch.setattr(riccati, "MAX_STEPS", 5)
-    opts = SolverOptions(tol=1e-300)
+    monkeypatch.setattr(riccati, "TOL", 1e-300)
     with pytest.raises(NoConvergence) as exc:
-        dare_steady_state(m, SelectionVector((0,)), opts)
+        dare_steady_state(m, SelectionVector((0,)))
     assert exc.value.residual > 0
     assert exc.value.iterations == 5
 
@@ -242,19 +240,6 @@ def test_unstabilizable_noise_pair_rejected():
     # unstable mode never excited by process noise
     with pytest.raises(StabilizabilityViolation):
         solve_dare(np.array([[1.5]]), np.array([[1.0]]), np.array([[0.0]]), np.array([[1.0]]))
-
-
-def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(tol=0.0)
-
-
-@pytest.mark.parametrize("field", ["tol", "pinv_rtol", "pbh_tol"])
-@pytest.mark.parametrize("value", [math.inf, math.nan])
-def test_solver_options_reject_non_finite(field, value):
-    # tol=inf used to accept the first iterate and tol=nan never converged
-    with pytest.raises(ValueError, match="finite"):
-        SolverOptions(**{field: value})
 
 
 # --- kernel choice: doubling for nonsingular V, Newton steps for singular V ---
@@ -314,8 +299,9 @@ def test_doubling_cap_raises_no_convergence(monkeypatch):
     A, C, W, V = np.array([[0.99]]), np.array([[1.0]]), np.eye(1), np.eye(1)
     assert solve_dare(A, C, W, V).is_finite
     monkeypatch.setattr(riccati, "MAX_STEPS", 2)
+    monkeypatch.setattr(riccati, "TOL", 1e-300)
     with pytest.raises(NoConvergence) as exc:
-        solve_dare(A, C, W, V, SolverOptions(tol=1e-300))
+        solve_dare(A, C, W, V)
     assert exc.value.iterations == 2
     assert exc.value.residual > 0
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from kfsslab import riccati, solvers
 from kfsslab.gadgets import build_example1, build_example2
 from kfsslab.model import AttackVector, SelectionVector, SystemModel, complement, validate_model
-from kfsslab.riccati import NoConvergence, SolverOptions
+from kfsslab.riccati import NoConvergence
 from kfsslab.solvers import (
     STACK_CHUNK,
     _score,
@@ -28,7 +28,6 @@ from kfsslab.solvers import (
 )
 
 REL = 1e-12
-OPTS = SolverOptions()
 
 
 def _spd(rng, size):
@@ -53,7 +52,7 @@ def _scalar(m, support, metric):
 
 
 def _assert_matches_scalar(m, supports, metric):
-    stacked, _ = _score(m, supports, metric, OPTS)
+    stacked, _ = _score(m, supports, metric)
     assert len(stacked) == len(supports)
     for support, got in zip(supports, stacked):
         want = _scalar(m, support, metric)
@@ -81,7 +80,7 @@ def test_stack_members_stop_at_their_own_rule():
     m = _random_model(np.random.default_rng(8), 11)
     supports = np.array(list(combinations(range(11), 3)))
     C, V = m.C[supports], m.V[supports[:, :, None], supports[:, None, :]]
-    S, iters = riccati._solve_detectable(m.A, C, m.W, V, OPTS)
+    S, iters = riccati._solve_detectable(m.A, C, m.W, V)
     alone = [riccati.solve_dare(m.A, c, m.W, v) for c, v in zip(C, V)]
     assert iters.tolist() == [res.iterations for res in alone]
     assert len(set(iters.tolist())) > 1  # members freeze at different doublings
@@ -143,7 +142,7 @@ def test_stack_mixing_singular_and_nonsingular_noise(monkeypatch):
     for name in ("is_detectable", "_newton_dare"):
         original = getattr(riccati, name)
         monkeypatch.setattr(riccati, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
-    _score(m, supports, "posteriori", OPTS)
+    _score(m, supports, "posteriori")
     assert len(supports) <= STACK_CHUNK
     assert calls == ["_newton_dare"]
 
@@ -190,15 +189,15 @@ def test_reports_come_from_the_scoring_stack(case, monkeypatch):
 def test_stacked_solve_raises_no_convergence(monkeypatch):
     m = _random_model(np.random.default_rng(5), 10)
     monkeypatch.setattr(riccati, "MAX_STEPS", 2)
-    tight = SolverOptions(tol=1e-300)
+    monkeypatch.setattr(riccati, "TOL", 1e-300)
     with pytest.raises(NoConvergence) as exc:
-        _score(m, [list(c) for c in combinations(range(10), 2)], "priori", tight)
+        _score(m, [list(c) for c in combinations(range(10), 2)], "priori")
     assert exc.value.iterations == 2
     assert exc.value.residual > 0
     with pytest.raises(NoConvergence):
-        greedy_select(m, 2, "posteriori", tight)
+        greedy_select(m, 2, "posteriori")
     with pytest.raises(NoConvergence):
-        exhaustive_attack(m, m.omega, 2.0, "priori", tight)
+        exhaustive_attack(m, m.omega, 2.0, "priori")
 
 
 def _singular_stack(case):
@@ -222,8 +221,8 @@ def _singular_stack(case):
 @pytest.mark.parametrize("case", ["example1", "example2", "zero-diagonal", "rank-one W"])
 def test_fixed_point_stack_equals_members_alone(case):
     A, W, C, V = _singular_stack(case)
-    assert not riccati._noise_cholesky(V, OPTS.pinv_rtol)[0].any()
-    S, steps = riccati._newton_dare(A, C, W, V, OPTS)
+    assert not riccati._noise_cholesky(V)[0].any()
+    S, steps = riccati._newton_dare(A, C, W, V)
     for cov, count, c, v in zip(S, steps.tolist(), C, V):
         alone = riccati.solve_dare(A, c, W, v)
         assert count == alone.iterations and np.array_equal(cov, alone.cov)
@@ -238,11 +237,11 @@ def test_fixed_point_stack_equals_members_alone(case):
 def test_fixed_point_raises_no_convergence(monkeypatch):
     m = build_example1(0.9, 1e4)
     monkeypatch.setattr(riccati, "MAX_STEPS", 2)
-    tight = SolverOptions(tol=1e-300)
+    monkeypatch.setattr(riccati, "TOL", 1e-300)
     with pytest.raises(NoConvergence) as alone:
-        riccati.solve_dare(m.A, m.C[:2], m.W, m.V[:2, :2], tight)
+        riccati.solve_dare(m.A, m.C[:2], m.W, m.V[:2, :2])
     with pytest.raises(NoConvergence) as stacked:
-        _score(m, [list(c) for c in combinations(range(3), 2)], "posteriori", tight)
+        _score(m, [list(c) for c in combinations(range(3), 2)], "posteriori")
     for exc in (alone, stacked):
         assert exc.value.iterations == 2
         assert exc.value.residual > 0
@@ -265,9 +264,9 @@ def _instances(draw):
 @given(instance=_instances(), metric=st.sampled_from(["priori", "posteriori"]))
 def test_stacked_scores_are_monotone_and_attack_is_complement(instance, metric):
     m, base = instance
-    (before,), _ = _score(m, [base], metric, OPTS)
+    (before,), _ = _score(m, [base], metric)
     extra = [i for i in range(m.q) if i not in base]
-    after, _ = _score(m, [sorted(base + [j]) for j in extra], metric, OPTS)
+    after, _ = _score(m, [sorted(base + [j]) for j in extra], metric)
     for t in after:
         assert t <= before * (1 + 1e-9) + 1e-12  # inf <= inf holds too
     # an attack scores what selecting its survivors scores alone
@@ -287,8 +286,8 @@ def test_stacked_priori_dominates_posteriori_and_couples(instance, quiet):
     a_sq, w = np.diag(m.A) ** 2, np.diag(m.W)
     for r in range(m.q + 1):
         supports = list(combinations(range(m.q), r))
-        t_pri, priori = _score(m, supports, "priori", OPTS)
-        t_post, posteriori = _score(m, supports, "posteriori", OPTS)
+        t_pri, priori = _score(m, supports, "priori")
+        t_post, posteriori = _score(m, supports, "posteriori")
         for support, tp, tq, pri, post in zip(supports, t_pri, t_post, priori, posteriori):
             if math.isinf(tp):
                 assert math.isinf(tq)
