@@ -42,12 +42,13 @@ class X3CInstance:
     subsets: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "m", as_integer(self.m, "m", DomainError))
         if self.m < 1:
             raise DomainError(f"m must be >= 1, got {self.m}")
         size = 3 * self.m
         normalized = []
         for s in self.subsets:
-            t = tuple(sorted(int(x) for x in s))
+            t = tuple(sorted(as_integer(x, "subset element", DomainError) for x in s))
             if len(t) != 3 or len(set(t)) != 3:
                 raise DomainError(f"subset {s} must contain exactly 3 distinct elements")
             if t[0] < 1 or t[-1] > size:

@@ -35,15 +35,15 @@ class NegativeCost(ModelError):
     pass
 
 
-def as_integer(value, name: str) -> int:
-    """A JSON count or index as an int.  Raises ModelError unless it is an
-    integral number, so that 3.6 is refused instead of truncated to 3."""
+def as_integer(value, name: str, error: type[ValueError] = ModelError) -> int:
+    """A count or index as an int.  Raises error unless it is an integral
+    number, so that 3.6 is refused instead of truncated to 3."""
     try:
         if float(value).is_integer():
             return int(value)
     except (TypeError, ValueError):
         pass
-    raise ModelError(f"{name} must be an integer, got {value!r}")
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -256,6 +256,11 @@ def model_from_dict(data: dict) -> SystemModel:
     missing = [k for k in MODEL_JSON_KEYS if k not in data]
     if missing:
         raise ModelError(f"instance JSON missing keys: {missing}")
+    budgets = [data["budget_select"], data["budget_attack"]]
+    try:
+        budgets = [float(x) for x in budgets]
+    except (TypeError, ValueError):
+        raise ModelError(f"budget_select and budget_attack must be numbers, got {budgets}") from None
     return SystemModel(
         n=as_integer(data["n"], "n"),
         q=as_integer(data["q"], "q"),
@@ -265,8 +270,7 @@ def model_from_dict(data: dict) -> SystemModel:
         V=np.asarray(data["V"], dtype=float),
         b=np.asarray(data["b"], dtype=float),
         omega=np.asarray(data["omega"], dtype=float),
-        budget_select=float(data["budget_select"]),
-        budget_attack=float(data["budget_attack"]),
+        budget_select=budgets[0], budget_attack=budgets[1],
     )
 
 

@@ -14,9 +14,10 @@ One doubling loop computes it, in one of two ways chosen from the data:
 * Singular V (noiseless sensors): Newton's method on the equation
   (Kleinman 1968; Hewer 1971).  Each step fixes the gain
   K = A S C' (C S C' + V)^+ and solves the closed-loop Stein equation
-  S = F S F' + W + K V K', F = A - K C, by the same doubling with G = 0
-  (Smith's squared iteration).  It starts from the doubling solution for
-  V + delta I, whose gain is stabilizing, and converges quadratically.
+  S = F S F' + W + K V K', F = A - K C, by the same doubling with G = None:
+  Smith's squared iteration, with no solve.  It starts from the doubling
+  solution for V + delta I, whose gain is stabilizing, and converges
+  quadratically.
 
 The private helpers work on stacks: arrays of k same-shape members, one
 per sensor subset (C is k x p x n, V is k x p x p).  The PBH test, the
@@ -113,8 +114,9 @@ def _noise_cholesky(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _doubling_dare(A, G, W):
     """Structure-preserving doubling for S = A S (I + G S)^-1 A' + W, for
     every member G of the stack G (k x n x n), G = C' V^-1 C.  A and W are
-    n x n or stacks broadcast against G; with G = 0 the equation is the
-    Stein equation S = A S A' + W.
+    n x n or stacks broadcast against G.  G = None stands for G = 0 with A a
+    stack (k x n x n), the Stein equation S = A S A' + W: its doublings skip
+    the solve and the G update, and give the bits of the G = 0 run.
 
     With A_0 = A', G_0 = G and H_0 = W, each doubling maps
     A <- A (I+GH)^-1 A, G <- G + A (I+GH)^-1 G A', H <- H + A' H (I+GH)^-1 A;
@@ -125,7 +127,7 @@ def _doubling_dare(A, G, W):
     covariances and each member's doubling count; raises NoConvergence when
     a member reaches MAX_STEPS doublings or any step turns non-finite.
     """
-    k, n = G.shape[0], A.shape[-1]
+    k, n = (A if G is None else G).shape[0], A.shape[-1]
     out = np.empty((k, n, n))
     doublings = np.zeros(k, dtype=int)
     live = np.arange(k)
@@ -134,26 +136,29 @@ def _doubling_dare(A, G, W):
     eye = np.eye(n)
     step = np.full(k, np.inf)
     for it in range(1, MAX_STEPS + 1):
-        try:
-            X = np.linalg.solve(eye + G @ H, np.concatenate((Ak, G), axis=2))
-        except np.linalg.LinAlgError:
-            raise NoConvergence("doubling iterate became non-finite", float(step[0]), it) from None
-        XA, XG = X[:, :, :n], X[:, :, n:]
         AkT = Ak.transpose(0, 2, 1)
+        XA = Ak  # the Stein case: (I + 0 H)^-1 A is A
+        if G is not None:
+            try:
+                X = np.linalg.solve(eye + G @ H, np.concatenate((Ak, G), axis=2))
+            except np.linalg.LinAlgError:
+                raise NoConvergence("doubling iterate became non-finite", float(step[0]), it) from None
+            XA = X[:, :, :n]
+            G = _sym(G + Ak @ X[:, :, n:] @ AkT)
         H2 = _sym(H + AkT @ H @ XA)
-        G = _sym(G + Ak @ XG @ AkT)
         Ak = Ak @ XA
-        step = np.linalg.norm(H2 - H, axis=(1, 2))
+        step = _fro(H2 - H)
         H = H2
         bad = ~np.isfinite(step)
         if bad.any():
             raise NoConvergence("doubling iterate became non-finite", float(step[bad][0]), it)
-        done = step <= TOL * np.maximum(1.0, np.linalg.norm(H, axis=(1, 2)))
+        done = step <= TOL * np.maximum(1.0, _fro(H))
         if done.any():
             out[live[done]] = H[done]
             doublings[live[done]] = it
             keep = ~done
-            live, Ak, G, H, step = live[keep], Ak[keep], G[keep], H[keep], step[keep]
+            live, Ak, H, step = live[keep], Ak[keep], H[keep], step[keep]
+            G = None if G is None else G[keep]
             if not live.size:
                 return out, doublings
     raise NoConvergence("iteration cap reached above tolerance", float(step[0]), MAX_STEPS)
@@ -162,6 +167,11 @@ def _doubling_dare(A, G, W):
 def _sym(X: np.ndarray) -> np.ndarray:
     """Symmetric part of every member of the stack X (k x n x n)."""
     return 0.5 * (X + X.transpose(0, 2, 1))
+
+
+def _fro(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(X, axis=(1, 2)) of a real stack X, without the dispatch."""
+    return np.sqrt(np.add.reduce(X * X, axis=(1, 2)))
 
 
 def _pinv_psd(M: np.ndarray) -> np.ndarray:
@@ -193,7 +203,7 @@ def _newton_dare(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
 
     Step 1 takes the gain of the doubling solution S_0 for
     V + NEWTON_START_DELTA I, which stabilizes A - K C.  Step j solves
-    S_j = F S_j F' + W + K V K', F = A - K C, as _doubling_dare(F, 0, .)
+    S_j = F S_j F' + W + K V K', F = A - K C, as _doubling_dare(F, None, .)
     and takes the gain K = A S_j C' (C S_j C' + V)^+ for step j + 1.  Step 1
     is measured from S_0, not from a Newton iterate, so it is never tested.
     From step 2 on a member stops once its step ||S_j - S_j-1||_F is at most
@@ -213,12 +223,12 @@ def _newton_dare(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
     live = np.arange(k)
     for it in range(1, MAX_STEPS + 1):
         Q = _sym(W + K @ V @ K.transpose(0, 2, 1))
-        S2, _ = _doubling_dare(A - K @ C, np.zeros_like(S), Q)
-        step = np.linalg.norm(S2 - S, axis=(1, 2))
+        S2, _ = _doubling_dare(A - K @ C, None, Q)
+        step = _fro(S2 - S)
         trace2 = np.trace(S2, axis1=1, axis2=2)
         S = S2
         if it > 1:
-            done = step <= TOL * np.maximum(1.0, np.linalg.norm(S, axis=(1, 2)))
+            done = step <= TOL * np.maximum(1.0, _fro(S))
             done |= (step >= last) & (trace2 >= trace)
             if done.any():
                 out[live[done]] = S[done]

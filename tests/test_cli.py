@@ -72,6 +72,14 @@ def test_solve_rejects_malformed_json(example1_file, tmp_path, capsys):
     code = run_cli("solve", "--instance", str(bad), "--mode", "select", "--algorithm", "greedy")
     assert code == 1
     assert capsys.readouterr().err.startswith("error: n must be an integer")
+    # a null or non-numeric budget is an input error, not a traceback
+    for budget in (None, [1.0], "two"):
+        data = json.loads(example1_file.read_text())
+        data["budget_select"] = budget
+        bad.write_text(json.dumps(data))
+        code = run_cli("solve", "--instance", str(bad), "--mode", "select", "--algorithm", "greedy")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: budget_select and budget_attack must be numbers")
 
 
 def test_solve_missing_file_is_input_error(tmp_path):

@@ -38,6 +38,16 @@ def test_x3c_validation():
         X3CInstance(2, ((1, 2, 3),))  # fewer subsets than m
     inst = X3CInstance(1, ((3, 1, 2),))
     assert inst.subsets == ((1, 2, 3),)
+    # direct construction: non-integral values are refused, not truncated
+    with pytest.raises(DomainError, match="subset element must be an integer"):
+        X3CInstance(2, ((1, 2, 3.9), (4, 5, 6)))
+    with pytest.raises(DomainError, match="m must be an integer"):
+        X3CInstance(2.5, ((1, 2, 3), (4, 5, 6)))
+    with pytest.raises(DomainError, match="m must be an integer"):
+        X3CInstance(None, ((1, 2, 3), (4, 5, 6)))
+    integral = X3CInstance(2.0, ((1.0, 2, 3), (4, 5, 6)))
+    assert integral.m == 2 and type(integral.m) is int and integral.subsets == ((1, 2, 3), (4, 5, 6))
+    assert x3c_bruteforce(integral) == (True, [0, 1])
     # JSON input: non-integral values are refused, not truncated
     with pytest.raises(ModelError, match="m must be an integer"):
         x3c_from_dict({"m": 2.7, "subsets": [[1, 2, 3], [4, 5, 6]]})

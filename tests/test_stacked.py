@@ -247,6 +247,74 @@ def test_fixed_point_raises_no_convergence(monkeypatch):
         assert exc.value.residual > 0
 
 
+def _stein_stack(rng, k, n, radii):
+    """Stacks F (k x n x n) with the given spectral radii and Q (k x n x n)
+    PSD, for the Stein equation S = F S F' + Q."""
+    F = rng.standard_normal((k, n, n))
+    F *= (np.asarray(radii) / np.abs(np.linalg.eigvals(F)).max(axis=1))[:, None, None]
+    B = rng.standard_normal((k, n, n))
+    return F, B @ B.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_stein_doubling_equals_the_zero_g_run_bit_for_bit(seed):
+    rng = np.random.default_rng(300 + seed)
+    k, n = 12, int(rng.integers(1, 5))
+    F, Q = _stein_stack(rng, k, n, rng.uniform(0.05, 0.99, k))
+    S, counts = riccati._doubling_dare(F, None, Q)
+    S0, counts0 = riccati._doubling_dare(F, np.zeros((k, n, n)), Q)
+    assert np.array_equal(S, S0) and np.array_equal(counts, counts0)
+    assert len(set(counts.tolist())) > 1  # members freeze at different doublings
+    for cov, f, q in zip(S, F, Q):  # each member solves its Stein equation
+        assert np.linalg.norm(f @ cov @ f.T + q - cov) <= 1e-9 * np.linalg.norm(cov)
+
+
+def test_fro_equals_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for shape in [(1, 1, 1), (5, 2, 2), (7, 3, 3), (4, 6, 6), (3, 2, 5), (0, 3, 3)]:
+        X = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150, 150, shape)
+        assert riccati._fro(X).tobytes() == np.linalg.norm(X, axis=(1, 2)).tobytes()
+
+
+def test_stein_doubling_without_a_stable_f_raises_no_convergence():
+    rng = np.random.default_rng(32)
+    k, n = 4, 3
+    for radii, message in [([0.5, 1.0, 0.9, 0.3], "iteration cap"),  # H doubles
+                           ([0.5, 1.2, 0.9, 0.3], "non-finite")]:  # H overflows
+        F, Q = _stein_stack(rng, k, n, radii)
+        if radii[1] == 1.0:  # a cyclic shift, whose powers stay exact
+            F[1] = np.roll(np.eye(n), 1, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NoConvergence, match=message) as stein:
+                riccati._doubling_dare(F, None, Q)
+            with pytest.raises(NoConvergence) as zero_g:
+                riccati._doubling_dare(F, np.zeros((k, n, n)), Q)
+        assert str(stein.value) == str(zero_g.value)
+
+
+def test_stein_runs_of_a_newton_solve_call_no_linear_solve(monkeypatch):
+    runs = []  # [Stein?, np.linalg.solve calls] of each doubling run, in order
+    doubling, solve = riccati._doubling_dare, np.linalg.solve
+
+    def spy_doubling(A, G, W):
+        runs.append([G is None, 0])
+        return doubling(A, G, W)
+
+    def spy_solve(*args):
+        if runs:
+            runs[-1][1] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(riccati, "_doubling_dare", spy_doubling)
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    m = build_example1(0.9, 1e4)
+    res = riccati.solve_dare(m.A, m.C[:2], m.W, m.V[:2, :2])
+    assert res.is_finite and res.iterations >= 2
+    start, *stein = runs
+    assert start[0] is False and start[1] > 0  # the V + delta I start solves
+    assert len(stein) == res.iterations and all(run == [True, 0] for run in stein)
+
+
 @st.composite
 def _instances(draw):
     seed = draw(st.integers(0, 2**32 - 1))
