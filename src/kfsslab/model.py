@@ -261,15 +261,16 @@ def model_from_dict(data: dict) -> SystemModel:
         budgets = [float(x) for x in budgets]
     except (TypeError, ValueError):
         raise ModelError(f"budget_select and budget_attack must be numbers, got {budgets}") from None
+    arrays = {}
+    for key in ("A", "C", "W", "V", "b", "omega"):
+        try:
+            arrays[key] = np.asarray(data[key], dtype=float)
+        except (TypeError, ValueError):
+            raise ModelError(f"{key} must be an array of numbers, got {data[key]!r}") from None
     return SystemModel(
         n=as_integer(data["n"], "n"),
         q=as_integer(data["q"], "q"),
-        A=np.asarray(data["A"], dtype=float),
-        C=np.asarray(data["C"], dtype=float),
-        W=np.asarray(data["W"], dtype=float),
-        V=np.asarray(data["V"], dtype=float),
-        b=np.asarray(data["b"], dtype=float),
-        omega=np.asarray(data["omega"], dtype=float),
+        **arrays,
         budget_select=budgets[0], budget_attack=budgets[1],
     )
 

@@ -20,15 +20,17 @@ One doubling loop computes it, in one of two ways chosen from the data:
   quadratically.
 
 The private helpers work on stacks: arrays of k same-shape members, one
-per sensor subset (C is k x p x n, V is k x p x p).  The PBH test, the
-noise factorization, the doubling, the Newton gain and the measurement
-update each run as one batched numpy call per step over the stack, and
-each member of a doubling or Newton run stops at its own stopping rule.
-riccati_step and the Newton step share one gain (_gain); they, the
-measurement update and pseudo_inverse_psd share one pseudo-inverse
-(_pinv_psd).  The public functions are the stack of one, so a subset
-solved alone and the same subset solved inside a stack take the same
-arithmetic.
+per sensor subset (C is k x p x n, V is k x p x p).  The noise
+factorization, the doubling, the Newton gain and the measurement update
+each run as one batched numpy call per step over the stack, and each
+member of a doubling or Newton run stops at its own stopping rule.  PBH
+takes one kernel basis of A - lam I per unstable mode and model.  The
+update of a nonsingular member solves with the G = C' V^-1 C its doubling
+used; a singular one takes the Joseph form.  riccati_step and the Newton
+step share one gain (_gain); they, the Joseph form and pseudo_inverse_psd
+share one pseudo-inverse (_pinv_psd).  The public functions are the stack
+of one, so a subset solved alone and the same subset solved inside a
+stack take the same arithmetic.
 
 Three module constants hold the tolerances: TOL (the stopping rule),
 PINV_RTOL (the pseudo-inverse cutoff, which also decides whether V is
@@ -82,19 +84,19 @@ PINV_RTOL = 1e-12
 PBH_TOL = 1e-9
 
 
-def _noise_cholesky(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which members of the stack V (k x p x p) are nonsingular, and their
-    lower Cholesky factors, in stack order.
+def _noise_gain(C: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which members of the stacks C (k x p x n) and V (k x p x p) have a
+    nonsingular V, and G = C' V^-1 C of each of those, in stack order.
 
     V is PSD, so a diagonal entry at or below the pseudo-inverse cutoff
     already makes a member singular without a factorization; otherwise a
-    failed factorization or a pivot squared at or below the cutoff does.  A
-    batched factorization fails as a whole when one member is not positive
-    definite; the members are then factored one by one.
+    failed Cholesky factorization or a pivot squared at or below the cutoff
+    does.  A batched factorization fails as a whole when one member is not
+    positive definite; the members are then factored one by one.
     """
-    k, p = V.shape[:2]
+    (k, p), n = V.shape[:2], C.shape[2]
     if p == 0:
-        return np.ones(k, dtype=bool), V
+        return np.ones(k, dtype=bool), np.zeros((k, n, n))
     ok = V.diagonal(axis1=1, axis2=2).min(axis=1) > PINV_RTOL
     tried = np.flatnonzero(ok)
     try:
@@ -108,7 +110,8 @@ def _noise_cholesky(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 pass
     pivots_ok = L.diagonal(axis1=1, axis2=2).min(axis=1) ** 2 > PINV_RTOL
     ok[tried] = pivots_ok
-    return ok, L[pivots_ok]
+    F = np.linalg.solve(L[pivots_ok], C[ok])
+    return ok, F.transpose(0, 2, 1) @ F
 
 
 def _doubling_dare(A, G, W):
@@ -242,15 +245,24 @@ def _newton_dare(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
     raise NoConvergence("iteration cap reached above tolerance", float(last[0]), MAX_STEPS)
 
 
-def _posteriori(S, C, V) -> np.ndarray:
+def _posteriori(S, C, V, noise) -> np.ndarray:
     """posteriori_from_priori for every member of the stacks S (k x n x n),
-    C (k x p x n) and V (k x p x p)."""
+    C (k x p x n) and V (k x p x p), given noise = _noise_gain(C, V)."""
     if C.shape[1] == 0:
         return S.copy()
-    CS = C @ S
-    K = CS.transpose(0, 2, 1) @ _pinv_psd(CS @ C.transpose(0, 2, 1) + V)
-    F = np.eye(S.shape[-1]) - K @ C
-    return _sym(F @ S @ F.transpose(0, 2, 1) + K @ V @ K.transpose(0, 2, 1))
+    nonsingular, G = noise
+    out = np.empty_like(S)
+    if nonsingular.any():
+        Sn = S[nonsingular]
+        out[nonsingular] = _sym(np.linalg.solve(np.eye(S.shape[-1]) + Sn @ G, Sn))
+    singular = ~nonsingular
+    if singular.any():
+        S, C, V = S[singular], C[singular], V[singular]
+        CS = C @ S
+        K = CS.transpose(0, 2, 1) @ _pinv_psd(CS @ C.transpose(0, 2, 1) + V)
+        F = np.eye(S.shape[-1]) - K @ C
+        out[singular] = _sym(F @ S @ F.transpose(0, 2, 1) + K @ V @ K.transpose(0, 2, 1))
+    return out
 
 
 def pseudo_inverse_psd(M: np.ndarray) -> np.ndarray:
@@ -300,16 +312,16 @@ def riccati_step(S, A, C_sel, W, V_sel) -> np.ndarray:
 
 def posteriori_from_priori(Sigma, C_sel, V_sel) -> np.ndarray:
     """Measurement-update covariance S - S C' M^+ C S, M = C S C' + V,
-    computed in Joseph form (I - K C) S (I - K C)' + K V K' with the gain
-    K = S C' M^+ and symmetrized.  The two forms agree in exact arithmetic;
-    the Joseph form adds two PSD terms instead of subtracting a term close
-    to S, so it keeps its accuracy when the gain is extreme."""
+    symmetrized.  A V nonsingular by solve_dare's test gives the equal
+    (I + S G)^-1 S, G = C' V^-1 C, an n x n solve; a singular V gives the
+    Joseph form (I - K C) S (I - K C)' + K V K', K = S C' M^+, on which the
+    family closed forms rely.  Neither form subtracts a term close to S."""
     Sigma = np.asarray(Sigma, dtype=float)
     n = Sigma.shape[0]
     if Sigma.shape != (n, n):
         raise ShapeError(f"covariance must be square, got {Sigma.shape}")
-    C_sel, V_sel = _measurement(n, C_sel, V_sel)
-    return _posteriori(Sigma[None], C_sel[None], V_sel[None])[0]
+    C, V = (M[None] for M in _measurement(n, C_sel, V_sel))
+    return _posteriori(Sigma[None], C, V, _noise_gain(C, V))[0]
 
 
 def coupling_check(Sigma_priori, Sigma_post, A, W) -> float:
@@ -324,35 +336,44 @@ def coupling_check(Sigma_priori, Sigma_post, A, W) -> float:
     return float(np.linalg.norm(Sigma_priori - (A @ Sigma_post @ A.T + W)))
 
 
-def _unstable_modes(A: np.ndarray) -> list:
-    """Eigenvalues of A with modulus >= 1 - PBH_TOL, the modes PBH tests."""
-    return [lam for lam in np.linalg.eigvals(A) if abs(lam) >= 1.0 - PBH_TOL]
+def _mode_images(A: np.ndarray, C: np.ndarray) -> list:
+    """C N / ||A||_2 for every eigenvalue lam of A with modulus >= 1 - PBH_TOL
+    (C is q x n).  N, computed once for any number of subsets, is a basis of
+    the numerical kernel of A - lam I: its right singular vectors whose
+    singular value is at most PBH_TOL ||A||_2."""
+    images = []
+    for lam in np.linalg.eigvals(A):
+        if abs(lam) >= 1.0 - PBH_TOL:
+            scale = np.linalg.norm(A, 2)
+            _, sv, Vh = np.linalg.svd(A - lam * np.eye(A.shape[0]))
+            images.append(C @ Vh[sv <= PBH_TOL * scale].conj().T / scale)
+    return images
 
 
-def _detectable(A: np.ndarray, C: np.ndarray, modes: list) -> np.ndarray:
-    """is_detectable for every member of the stack C (k x p x n), given the
-    unstable modes of A: one batched SVD per mode."""
-    k, n = C.shape[0], A.shape[0]
-    ok = np.ones(k, dtype=bool)
-    for lam in modes:
-        blocks = np.concatenate(
-            (np.broadcast_to(A - lam * np.eye(n), (k, n, n)), C.astype(complex)), axis=1
-        )
-        sv = np.linalg.svd(blocks, compute_uv=False)
-        ok &= ~((sv[:, 0] == 0.0) | (sv[:, -1] <= PBH_TOL * sv[:, 0]))
+def _detectable(images: list, idx: np.ndarray) -> np.ndarray:
+    """is_detectable for the members idx (k x p rows of C), images =
+    _mode_images(A, C).  [A - lam I; C_S] x = 0 iff x is in ker(A - lam I)
+    and in ker C_S, so S sees lam iff C_S N has full column rank: every
+    singular value above PBH_TOL.  A simple mode sums the q-vector |C v|^2."""
+    ok = np.ones(len(idx), dtype=bool)
+    for image in images:
+        r = image.shape[1]
+        if r == 1:
+            ok &= np.sqrt((np.abs(image[:, 0]) ** 2)[idx].sum(axis=1)) > PBH_TOL
+        elif r:  # fewer sensors than kernel directions never have full rank
+            ok &= r <= idx.shape[1] and np.linalg.svd(image[idx], compute_uv=False)[:, -1] > PBH_TOL
     return ok
 
 
 def is_detectable(A, C_sel) -> bool:
-    """PBH test: every eigenvalue of A with modulus >= 1 - PBH_TOL must keep
-    the stacked matrix [A - lam I; C] at full column rank (smallest singular
-    value above PBH_TOL times the largest).
-
-    A spectral radius below 1 - PBH_TOL short-circuits to True.
+    """PBH test: [A - lam I; C] has full column rank for every eigenvalue
+    lam of A with modulus >= 1 - PBH_TOL, PBH_TOL being the relative rank
+    tolerance on the scale ||A||_2 (see _mode_images and _detectable).  A
+    spectral radius below 1 - PBH_TOL short-circuits to True.
     """
     A = np.asarray(A, dtype=float)
     C_sel = np.asarray(C_sel, dtype=float)
-    return bool(_detectable(A, C_sel[None], _unstable_modes(A))[0])
+    return bool(_detectable(_mode_images(A, C_sel), np.arange(C_sel.shape[0])[None])[0])
 
 
 def _sqrt_psd(W: np.ndarray) -> np.ndarray:
@@ -366,7 +387,7 @@ def is_stabilizable_noise(A, W) -> bool:
 
 
 @lru_cache(maxsize=1)
-def _stabilizable(shape: tuple, a_bytes: bytes, w_bytes: bytes) -> bool:
+def _stabilizable(shape: tuple, a_bytes: bytes, w_bytes: bytes, pbh_tol: float) -> bool:
     A = np.frombuffer(a_bytes).reshape(shape)
     W = np.frombuffer(w_bytes).reshape(shape)
     return is_stabilizable_noise(A, W)
@@ -375,19 +396,19 @@ def _stabilizable(shape: tuple, a_bytes: bytes, w_bytes: bytes) -> bool:
 def check_stabilizable(A, W) -> None:
     """Raise StabilizabilityViolation unless (A, W^{1/2}) is stabilizable.
 
-    The verdict depends on A and W only, not on the sensors; the last
-    verdict is remembered (keyed on the matrix contents, not on PBH_TOL),
-    so the solver runs and solves on one pair test it once.
+    The verdict depends on A, W and PBH_TOL only, not on the sensors; the
+    last verdict is remembered, keyed on all three, so the solver runs and
+    solves on one pair test it once.
     """
     A = np.ascontiguousarray(A, dtype=float)
     W = np.ascontiguousarray(W, dtype=float)
-    if not _stabilizable(A.shape, A.tobytes(), W.tobytes()):
+    if not _stabilizable(A.shape, A.tobytes(), W.tobytes(), PBH_TOL):
         raise StabilizabilityViolation("(A, W^(1/2)) is not stabilizable")
 
 
-def _solve_detectable(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
-    """A priori covariances and iteration counts for the stacks C (k x p x n)
-    and V (k x p x p), every member detectable.
+def _solve_detectable(A, C, W, V) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """A priori covariances, iteration counts and _noise_gain(C, V) for the
+    stacks C (k x p x n) and V (k x p x p), every member detectable.
 
     Nonsingular members share one doubling run and singular ones one
     Newton run.  Raises NoConvergence as solve_dare does.
@@ -395,16 +416,13 @@ def _solve_detectable(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
     k, n = C.shape[0], A.shape[0]
     S = np.empty((k, n, n))
     iters = np.zeros(k, dtype=int)
-    nonsingular, L = _noise_cholesky(V)
+    nonsingular, G = noise = _noise_gain(C, V)
     if nonsingular.any():
-        F = C[nonsingular]
-        if F.shape[1]:
-            F = np.linalg.solve(L, F)
-        S[nonsingular], iters[nonsingular] = _doubling_dare(A, F.transpose(0, 2, 1) @ F, W)
+        S[nonsingular], iters[nonsingular] = _doubling_dare(A, G, W)
     singular = ~nonsingular
     if singular.any():
         S[singular], iters[singular] = _newton_dare(A, C[singular], W, V[singular])
-    return S, iters
+    return S, iters, noise
 
 
 def solve_dare(A, C, W, V) -> SteadyStateResult:
@@ -435,7 +453,7 @@ def solve_dare(A, C, W, V) -> SteadyStateResult:
     check_stabilizable(A, W)
     if not is_detectable(A, C):
         return SteadyStateResult.infinite()
-    S, iters = _solve_detectable(A, C[None], W, V[None])
+    S, iters, _ = _solve_detectable(A, C[None], W, V[None])
     return SteadyStateResult.finite(S[0], int(iters[0]))
 
 

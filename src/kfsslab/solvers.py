@@ -136,20 +136,20 @@ def _score(model: SystemModel, supports, metric: str) -> tuple[list[float], np.n
     the results agree with evaluate_selection to round-off.
     """
     idx = np.array(supports, dtype=np.intp).reshape(len(supports), -1)
-    modes = riccati._unstable_modes(model.A)
+    images = riccati._mode_images(model.A, model.C)
     traces = np.full(len(idx), math.inf)
     diags = np.full((len(idx), model.n), math.nan)
     for lo in range(0, len(idx), STACK_CHUNK):
         chunk = idx[lo:lo + STACK_CHUNK]
-        C = model.C[chunk]
-        V = model.V[chunk[:, :, None], chunk[:, None, :]]
-        finite = riccati._detectable(model.A, C, modes)
+        finite = riccati._detectable(images, chunk)
         if not finite.any():
             continue
-        C, V = C[finite], V[finite]
-        S, _ = riccati._solve_detectable(model.A, C, model.W, V)
+        chunk = chunk[finite]
+        C = model.C[chunk]
+        V = model.V[chunk[:, :, None], chunk[:, None, :]]
+        S, _, noise = riccati._solve_detectable(model.A, C, model.W, V)
         if metric == "posteriori":
-            S = riccati._posteriori(S, C, V)
+            S = riccati._posteriori(S, C, V, noise)
         at = lo + np.flatnonzero(finite)
         traces[at] = np.trace(S, axis1=1, axis2=2)
         diags[at] = S.diagonal(axis1=1, axis2=2)

@@ -80,6 +80,15 @@ def test_solve_rejects_malformed_json(example1_file, tmp_path, capsys):
         code = run_cli("solve", "--instance", str(bad), "--mode", "select", "--algorithm", "greedy")
         assert code == 1
         assert capsys.readouterr().err.startswith("error: budget_select and budget_attack must be numbers")
+    # a JSON object, a string or a ragged list in a matrix or cost field
+    for key, value in (("A", {"x": 1}), ("C", "rows"), ("W", [[1.0, 0.0], [1.0]]),
+                       ("V", {"x": 1}), ("b", "ones"), ("omega", [[1.0], 1.0, 1.0])):
+        data = json.loads(example1_file.read_text())
+        data[key] = value
+        bad.write_text(json.dumps(data))
+        code = run_cli("solve", "--instance", str(bad), "--mode", "select", "--algorithm", "greedy")
+        assert code == 1, key
+        assert capsys.readouterr().err.startswith(f"error: {key} must be an array of numbers"), key
 
 
 def test_solve_missing_file_is_input_error(tmp_path):

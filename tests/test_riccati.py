@@ -343,6 +343,18 @@ def test_kernel_follows_noise_singularity(monkeypatch, V, kernel):
     assert np.linalg.norm(riccati_step(S, A, C, np.eye(2), V) - S) < 1e-9
 
 
+def test_stabilizability_verdict_follows_pbh_tol(monkeypatch):
+    # W^(1/2) keeps 1e-8 of the unstable mode: seen at PBH_TOL = 1e-9 only
+    A, W = np.diag([1.2, 0.5]), np.diag([1e-16, 1.0])
+    riccati.check_stabilizable(A, W)
+    monkeypatch.setattr(riccati, "PBH_TOL", 1e-7)
+    assert not riccati.is_stabilizable_noise(A, W)
+    with pytest.raises(StabilizabilityViolation):
+        riccati.check_stabilizable(A, W)
+    monkeypatch.undo()
+    riccati.check_stabilizable(A, W)
+
+
 def test_stabilizability_checked_once_per_driver_run(monkeypatch):
     calls = []
     check = riccati.is_stabilizable_noise

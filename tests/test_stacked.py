@@ -80,7 +80,7 @@ def test_stack_members_stop_at_their_own_rule():
     m = _random_model(np.random.default_rng(8), 11)
     supports = np.array(list(combinations(range(11), 3)))
     C, V = m.C[supports], m.V[supports[:, :, None], supports[:, None, :]]
-    S, iters = riccati._solve_detectable(m.A, C, m.W, V)
+    S, iters, _ = riccati._solve_detectable(m.A, C, m.W, V)
     alone = [riccati.solve_dare(m.A, c, m.W, v) for c, v in zip(C, V)]
     assert iters.tolist() == [res.iterations for res in alone]
     assert len(set(iters.tolist())) > 1  # members freeze at different doublings
@@ -221,7 +221,7 @@ def _singular_stack(case):
 @pytest.mark.parametrize("case", ["example1", "example2", "zero-diagonal", "rank-one W"])
 def test_fixed_point_stack_equals_members_alone(case):
     A, W, C, V = _singular_stack(case)
-    assert not riccati._noise_cholesky(V)[0].any()
+    assert not riccati._noise_gain(C, V)[0].any()
     S, steps = riccati._newton_dare(A, C, W, V)
     for cov, count, c, v in zip(S, steps.tolist(), C, V):
         alone = riccati.solve_dare(A, c, W, v)
@@ -364,3 +364,164 @@ def test_stacked_priori_dominates_posteriori_and_couples(instance, quiet):
             assert np.all(post <= pri + 1e-12 * scale), support
             # A is diagonal, so the diagonal of S = A S* A' + W is a^2 S*_ii + W_ii
             assert np.all(np.abs(pri - (a_sq * post + w)) <= 1e-9 * scale), support
+
+
+def _old_pbh(A, C):
+    """The batched-SVD PBH rule that the kernel-basis test replaced, kept as
+    its reference: for every member of the stack C (k x p x n) and every
+    unstable mode lam, one SVD of [A - lam I; C_S], at full rank when its
+    smallest singular value is above PBH_TOL times its largest."""
+    k, n = C.shape[0], A.shape[0]
+    ok = np.ones(k, dtype=bool)
+    for lam in np.linalg.eigvals(A):
+        if abs(lam) >= 1.0 - riccati.PBH_TOL:
+            blocks = np.concatenate(
+                (np.broadcast_to(A - lam * np.eye(n), (k, n, n)), C.astype(complex)), axis=1)
+            sv = np.linalg.svd(blocks, compute_uv=False)
+            ok &= ~((sv[:, 0] == 0.0) | (sv[:, -1] <= riccati.PBH_TOL * sv[:, 0]))
+    return ok
+
+
+def _pbh_verdicts(A, C, sizes=None):
+    """Old and new PBH verdicts on every subset of C's rows with a size in
+    ``sizes`` (every size by default), by size, then lexicographically."""
+    q = C.shape[0]
+    images = riccati._mode_images(A, C)
+    old, new = [], []
+    for r in range(q + 1) if sizes is None else sizes:
+        combos = list(combinations(range(q), r))
+        idx = np.array(combos, dtype=np.intp).reshape(len(combos), r)
+        old += _old_pbh(A, C[idx]).tolist()
+        new += riccati._detectable(images, idx).tolist()
+    return old, new
+
+
+def _modal_model(rng, J, stable, q, jordan):
+    """A = Q diag(J, stable) Q' with Q random orthogonal, and q sensors C = R Q'
+    whose modal rows R are random, with each coordinate of the unstable block
+    J zeroed at random (a Jordan block's two coordinates together, so no
+    sensor sees its generalized eigenvector alone)."""
+    u, n = len(J), len(J) + len(stable)
+    M = np.zeros((n, n))
+    M[:u, :u], M[u:, u:] = J, np.diag(stable)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    R = rng.standard_normal((q, n))
+    R[:, :u] *= rng.random((q, 1 if jordan else u)) < 0.5
+    return Q @ M @ Q.T, R @ Q.T
+
+
+UNSTABLE_BLOCKS = {
+    "simple real": [[1.1]],
+    "complex pair": [[1.0, -0.6], [0.6, 1.0]],
+    "repeated, geometric multiplicity 2": [[1.2, 0.0], [0.0, 1.2]],
+    "Jordan block": [[1.1, 1.0], [0.0, 1.1]],
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("block", list(UNSTABLE_BLOCKS))
+def test_pbh_verdicts_match_the_batched_svd_rule(block, seed):
+    rng = np.random.default_rng(500 + seed)
+    A, C = _modal_model(rng, np.array(UNSTABLE_BLOCKS[block]), [0.5, -0.3], 7, block == "Jordan block")
+    old, new = _pbh_verdicts(A, C)
+    assert new == old
+    assert any(new) and not all(new)
+    # is_detectable is the stack of one
+    for r in (0, 1, 2, 7):
+        for support in list(combinations(range(7), r))[:5]:
+            assert riccati.is_detectable(A, C[list(support)]) == _old_pbh(A, C[None, list(support)])[0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pbh_verdicts_match_on_random_solve_instances(seed):
+    # the benchmark's random-solve recipe: every subset for q = 6, 10, 14,
+    # and for q = 18 the sizes its budget-3 select and attack runs score
+    for q in (6, 10, 14, 18):
+        m = _random_model(np.random.default_rng(600 + seed), q)
+        old, new = _pbh_verdicts(m.A, m.C, (0, 1, 2, 3, 15, 16, 17, 18) if q == 18 else None)
+        assert new == old
+        assert not new[0] and all(new[1:])  # only the empty set is blind
+
+
+@pytest.mark.parametrize("lam", [0.9, 1.1])
+def test_pbh_verdicts_match_on_the_example_families(lam):
+    # the families' A is stable; at lam = 1.1 state 1 is an unstable mode
+    for m in (build_example1(0.9, 10.0), build_example1(0.9, 1e3), build_example2(0.9, 0.1),
+              build_example2(0.9, 1e-4)):
+        A = m.A.copy()
+        A[0, 0] = lam
+        old, new = _pbh_verdicts(A, m.C)
+        assert new == old
+        assert all(new) == (lam < 1.0)
+
+
+def test_pbh_near_threshold_verdict_is_pinned():
+    # C v = 1.6e-9 on the unstable eigenvector e1, with ||A||_2 = 1.2: above
+    # PBH_TOL relative to ||A||_2, so the mode counts as seen; the old rule's
+    # ratio sigma_min / sigma_max of [A - 1.2 I; C] is 7.5e-10 and said blind
+    A, C = np.diag([1.2, 0.5]), np.array([[1.6e-9, 1.0]])
+    assert riccati.is_detectable(A, C)
+    assert not _old_pbh(A, C[None])[0]
+    assert not riccati.is_detectable(A, np.array([[1.2e-9, 1.0]]))  # at PBH_TOL ||A||_2
+    # modes 1e-7 apart are one double mode at PBH_TOL ||A||_2 = 5e-7, so one
+    # sensor cannot see both, and two independent ones can
+    A = np.diag([1.2, 1.2 + 1e-7, 500.0])
+    C = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    old, new = _pbh_verdicts(A, C)
+    assert new == old == [False] * 4 + [True] * 4
+
+
+def test_pbh_verdicts_where_the_batched_svd_rule_was_wrong():
+    # A = 1.2 I up to round-off: the mode's kernel is the whole plane, so
+    # only two independent sensors see it; the old rule's scale was the
+    # round-off in A - lam I, and it called the empty set detectable
+    rng = np.random.default_rng(7)
+    Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    A, C = Q @ (1.2 * np.eye(2)) @ Q.T, rng.standard_normal((3, 2))
+    old, new = _pbh_verdicts(A, C)
+    assert new == [False] * 4 + [True] * 4  # every pair and the triple
+    assert old[0]
+    # a sensor gain of 1e5 next to ||A||_2 = 1.1: sensors 0 and 1 see state 1
+    # with gain 1, but the old rule's scale was the gain
+    m = build_example1(0.9, 1e5)
+    A = m.A.copy()
+    A[0, 0] = 1.1
+    old, new = _pbh_verdicts(A, m.C)
+    assert new == [False, True, True, False, True, True, True, True]
+    assert old == [False, False, False, False, False, False, False, False]
+
+
+def _posteriori_stack(rng, k, n, p):
+    B = rng.standard_normal((k, n, n))
+    S = B @ B.transpose(0, 2, 1) + 0.1 * np.eye(n)
+    return S, rng.standard_normal((k, p, n)), np.stack([_spd(rng, p) for _ in range(k)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_posteriori_g_form_matches_joseph_and_subtraction(seed):
+    rng = np.random.default_rng(700 + seed)
+    n, p = int(rng.integers(1, 8)), int(rng.integers(1, 16))
+    S, C, V = _posteriori_stack(rng, 24, n, p)
+    noise = riccati._noise_gain(C, V)
+    assert noise[0].all()
+    got = riccati._posteriori(S, C, V, noise)
+    CS = C @ S
+    M = CS @ C.transpose(0, 2, 1) + V
+    K = np.linalg.solve(M, CS).transpose(0, 2, 1)
+    F = np.eye(n) - K @ C
+    joseph = F @ S @ F.transpose(0, 2, 1) + K @ V @ K.transpose(0, 2, 1)
+    subtraction = S - CS.transpose(0, 2, 1) @ np.linalg.solve(M, CS)
+    for ref in (joseph, subtraction):
+        err = np.abs(got - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+        assert err.max() <= 1e-10
+
+
+def test_posteriori_stack_mixing_singular_and_nonsingular_equals_members_alone():
+    rng = np.random.default_rng(710)
+    S, C, V = _posteriori_stack(rng, 12, 4, 3)
+    V[::3, 1, :] = V[::3, :, 1] = 0.0  # a noiseless sensor: the Joseph form
+    nonsingular, _ = noise = riccati._noise_gain(C, V)
+    assert any(nonsingular) and not all(nonsingular)
+    stacked = riccati._posteriori(S, C, V, noise)
+    for got, s, c, v in zip(stacked, S, C, V):
+        assert np.array_equal(got, riccati.posteriori_from_priori(s, c, v))
