@@ -8,9 +8,11 @@ Commands:
 
 Exit codes: 0 success, 1 input error, 2 solver error, 3 enumeration too
 large.  Report payloads carry no timestamps, so identical invocations write
-byte-identical files.  A sweep solves its points one after another, in
-grid order, in this process.  No flag sets a solver tolerance: the solvers
-use the constants of the riccati module.
+byte-identical files.  A sweep builds every point's model first, scores
+the sets budget-2 greedy and exhaustive search read for all points as one
+stack per subset size, in this process, and writes its rows in grid order.
+No flag sets a solver tolerance: the solvers use the constants of the
+riccati module.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import csv
 import json
 import math
 import sys
+from itertools import combinations
 
 import numpy as np
 
@@ -137,19 +140,13 @@ def cmd_x3c(args) -> int:
     return EXIT_OK
 
 
-def _sweep_point(family: str, lambda1: float, h: float, metric: str, v_scale: float | None):
-    if family == "example1":
-        instance = gadgets.build_example1(lambda1, h)
-        mode, predicted = "select", closed_forms.limit_ratio_select(lambda1)
-    else:
-        instance = gadgets.build_example2(lambda1, h)
-        mode, predicted = "attack", closed_forms.limit_ratio_attack(lambda1)
+def _sweep_model(family: str, lambda1: float, h: float, v_scale: float | None):
+    build = gadgets.build_example1 if family == "example1" else gadgets.build_example2
+    instance = build(lambda1, h)
     if v_scale is not None:
         instance.V = v_scale * np.eye(instance.q)
         instance = model_mod.validate_model(instance)
-    greedy, optimal, ratio = solvers.greedy_and_optimal(instance, 2, mode, metric)
-    limit = predicted[0] if metric == "priori" else predicted[1]
-    return (h, greedy.trace, optimal.trace, ratio, limit)
+    return instance
 
 
 def _sweep_grid(args) -> list[float]:
@@ -179,7 +176,21 @@ def _sweep_grid(args) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    rows = [_sweep_point(args.family, args.lambda1, h, args.metric, args.v_scale) for h in _sweep_grid(args)]
+    grid = _sweep_grid(args)
+    models = [_sweep_model(args.family, args.lambda1, h, args.v_scale) for h in grid]
+    attack = args.family == "example2"
+    predicted = (closed_forms.limit_ratio_attack if attack else closed_forms.limit_ratio_select)(args.lambda1)
+    limit = predicted[0] if args.metric == "priori" else predicted[1]
+    # the points share A and W; budget-2 greedy and exhaustive search read
+    # every selection of 1 and 2 sensors, or every survivor set of q - 1 and
+    # q - 2 of them; a tie walk's other sets are solved when it asks
+    riccati.check_stabilizable(models[0].A, models[0].W)
+    tables = [solvers._ScoreTable(m, args.metric) for m in models]
+    q = models[0].q
+    sizes = (q - 1, q - 2) if attack else (1, 2)
+    solvers._fill(tables, [c for r in sizes for c in combinations(range(q), r)])
+    reports = [solvers._greedy_and_optimal(table, 2, attack) for table in tables]
+    rows = [(h, g.trace, o.trace, ratio, limit) for h, (g, o, ratio) in zip(grid, reports)]
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["h", "trace_greedy", "trace_optimal", "ratio", "predicted_limit"])

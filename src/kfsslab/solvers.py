@@ -15,7 +15,9 @@ step, or all candidates of one size in an exhaustive search, go to the
 riccati module's batched kernels in chunks of at most STACK_CHUNK members.
 An attack is scored through its survivor set.  Scores are kept in a table
 for one (model, metric), so a run solves each survivor set at most
-once; greedy_and_optimal passes one table to both drivers.  Adding a sensor
+once; greedy_and_optimal passes one table to both drivers.  Tables whose
+models share A and W can be filled together, one stack per size across
+all of them, as a sweep's grid points are.  Adding a sensor
 never raises the trace, so the exhaustive search solves only the
 inclusion-maximal feasible sets, and then the subsets of tied sets that the
 smallest-support tie rule needs.  A report's trace and covariance diagonal
@@ -127,26 +129,38 @@ def evaluate_attack(model: SystemModel, att: AttackVector, metric: str) -> Stead
     return evaluate_selection(model, complement(att), metric)
 
 
-def _score(model: SystemModel, supports, metric: str) -> tuple[list[float], np.ndarray]:
-    """Traces and covariance diagonals of evaluate_selection for same-size
-    sorted supports, solved as stacks of at most STACK_CHUNK members.
+def _score(members) -> tuple[list[float], np.ndarray]:
+    """Traces and covariance diagonals of evaluate_selection for members
+    (table, sorted support) of one size, solved as stacks of at most
+    STACK_CHUNK members.  The tables may differ if their models share A, W
+    and the sensor count, and the tables the metric.
 
     Undetectable members score math.inf, with a NaN diagonal, without a
     solve.  Every member gets the per-subset solve's tests and kernel, so
     the results agree with evaluate_selection to round-off.
     """
-    idx = np.array(supports, dtype=np.intp).reshape(len(supports), -1)
-    images = riccati._mode_images(model.A, model.C)
+    tables = list(dict.fromkeys(table for table, _ in members))
+    model, metric = tables[0].model, tables[0].metric
+    if any(t.metric != metric or t.model.q != model.q or not np.array_equal(t.model.A, model.A)
+           or not np.array_equal(t.model.W, model.W) for t in tables[1:]):
+        raise ValueError("tables scored together must share A, W, the sensor count and the metric")
+    # member rows in the tables' C, V and mode images stacked one on the other
+    offset = {table: i * model.q for i, table in enumerate(tables)}
+    idx = np.array([s for _, s in members], dtype=np.intp).reshape(len(members), -1)
+    rows = idx + np.array([offset[table] for table, _ in members], dtype=np.intp)[:, None]
+    C_all = np.concatenate([t.model.C for t in tables])
+    V_all = np.concatenate([t.model.V for t in tables])
+    images = [np.concatenate(parts) for parts in zip(*(t.images for t in tables))]
     traces = np.full(len(idx), math.inf)
     diags = np.full((len(idx), model.n), math.nan)
     for lo in range(0, len(idx), STACK_CHUNK):
-        chunk = idx[lo:lo + STACK_CHUNK]
-        finite = riccati._detectable(images, chunk)
+        chunk = slice(lo, lo + STACK_CHUNK)
+        finite = riccati._detectable(images, rows[chunk])
         if not finite.any():
             continue
-        chunk = chunk[finite]
-        C = model.C[chunk]
-        V = model.V[chunk[:, :, None], chunk[:, None, :]]
+        row, col = rows[chunk][finite], idx[chunk][finite]
+        C = C_all[row]
+        V = V_all[row[:, :, None], col[:, None, :]]
         S, _, noise = riccati._solve_detectable(model.A, C, model.W, V)
         if metric == "posteriori":
             S = riccati._posteriori(S, C, V, noise)
@@ -158,22 +172,30 @@ def _score(model: SystemModel, supports, metric: str) -> tuple[list[float], np.n
 
 class _ScoreTable:
     """Trace and covariance diagonal of each kept support, for one (model,
-    metric).  A request solves only the supports the table lacks,
-    grouped by size, through _score; stack members are solved independently,
-    so a stored score is the one a fresh stack would give."""
+    metric), and the model's PBH mode images.  A request solves only the
+    supports the table lacks, through _fill; stack members are solved
+    independently, so a stored score is the one a fresh stack would give."""
 
     def __init__(self, model: SystemModel, metric: str):
         self.model, self.metric = model, metric
+        self.images = riccati._mode_images(model.A, model.C)
         self.scores: dict[tuple[int, ...], tuple[float, np.ndarray]] = {}
 
     def __call__(self, supports) -> list[tuple[float, np.ndarray]]:
         supports = [tuple(s) for s in supports]
-        missing = sorted(set(supports) - self.scores.keys(), key=lambda s: (len(s), s))
-        for _, group in groupby(missing, key=len):
-            group = list(group)
-            traces, diags = _score(self.model, group, self.metric)
-            self.scores.update(zip(group, zip(traces, diags)))
+        _fill([self], supports)
         return [self.scores[s] for s in supports]
+
+
+def _fill(tables, supports) -> None:
+    """Score the sorted support tuples that any of ``tables`` lacks, with
+    one _score call per size whose stacks mix the tables' members."""
+    missing = sorted({(len(s), s, t) for t, table in enumerate(tables)
+                      for s in supports if s not in table.scores})
+    for _, group in groupby(missing, key=lambda m: m[0]):
+        members = [(tables[t], s) for _, s, t in group]
+        for (table, s), trace, diag in zip(members, *_score(members)):
+            table.scores[s] = trace, diag
 
 
 def _kept(q: int, combo, attack: bool) -> list[int]:
@@ -212,17 +234,17 @@ def _report(model, attack: bool, combo, metric, trace, diag, evaluations, steps)
     )
 
 
-def _greedy(model, cardinality_budget, metric, attack: bool, table: _ScoreTable | None = None) -> SolveReport:
+def _greedy(table: _ScoreTable, cardinality_budget, attack: bool) -> SolveReport:
     """Grow the selection (or the attack) one sensor at a time, taking the
     candidate with the smallest (largest) trace; ties go to the lowest index.
-    Scores come from ``table``, a fresh one by default."""
+    Scores come from ``table``."""
+    model, metric = table.model, table.metric
     _check_metric(metric)
     costs, what = (model.omega, "attack") if attack else (model.b, "selection")
     if not np.all(costs == 1.0):
         raise NonUnitCosts(f"greedy requires unit {what} costs")
     budget = _check_cardinality_budget(cardinality_budget, model.q)
     riccati.check_stabilizable(model.A, model.W)
-    table = table or _ScoreTable(model, metric)
     if not budget:
         ((trace, diag),) = table([_kept(model.q, [], attack)])
         return _report(model, attack, [], metric, trace, diag, 1, [])
@@ -259,10 +281,10 @@ def _enumerate_feasible(q: int, costs: np.ndarray, budget: float):
                 yield combo
 
 
-def _exhaustive(model, costs, budget, metric, attack: bool, table: _ScoreTable | None = None) -> SolveReport:
+def _exhaustive(table: _ScoreTable, costs, budget, attack: bool) -> SolveReport:
     """Keep the feasible selection (attack) with the smallest (largest)
     trace; ties go to the smallest support, then the lexicographically
-    smallest bit pattern.  Scores come from ``table``, a fresh one by default.
+    smallest bit pattern.  Scores come from ``table``.
 
     Adding a sensor never raises a selection's trace (never lowers an
     attack's), so the optimum lies at an inclusion-maximal feasible set, one
@@ -272,6 +294,7 @@ def _exhaustive(model, costs, budget, metric, attack: bool, table: _ScoreTable |
     size at a time, meets every tied set.  Nonnegative costs keep subsets of
     feasible sets feasible.
     """
+    model, metric = table.model, table.metric
     _check_metric(metric)
     if model.q > EXHAUSTIVE_SENSOR_CAP:
         raise TooManySensors(f"refusing 2^{model.q} subsets (cap {EXHAUSTIVE_SENSOR_CAP})")
@@ -281,7 +304,6 @@ def _exhaustive(model, costs, budget, metric, attack: bool, table: _ScoreTable |
     if np.any(costs < 0.0):
         raise SolverInputError("costs must be nonnegative")
     riccati.check_stabilizable(model.A, model.W)
-    table = table or _ScoreTable(model, metric)
     feasible = list(_enumerate_feasible(model.q, costs, budget))
     if not feasible:
         raise SolverInputError(f"no feasible {'attack' if attack else 'selection'} within budget")
@@ -314,13 +336,13 @@ def _exhaustive(model, costs, budget, metric, attack: bool, table: _ScoreTable |
 def greedy_select(model: SystemModel, cardinality_budget: int, metric: str) -> SolveReport:
     """Add, one at a time, the sensor whose inclusion yields the smallest
     trace, until exactly ``cardinality_budget`` sensors are selected."""
-    return _greedy(model, cardinality_budget, metric, attack=False)
+    return _greedy(_ScoreTable(model, metric), cardinality_budget, attack=False)
 
 
 def greedy_attack(model: SystemModel, cardinality_budget: int, metric: str) -> SolveReport:
     """Remove, one at a time, the sensor whose removal yields the largest
     trace for the surviving set.  An infinite trace is maximal."""
-    return _greedy(model, cardinality_budget, metric, attack=True)
+    return _greedy(_ScoreTable(model, metric), cardinality_budget, attack=True)
 
 
 def exhaustive_select(model: SystemModel, costs, budget: float, metric: str) -> SolveReport:
@@ -330,13 +352,13 @@ def exhaustive_select(model: SystemModel, costs, budget: float, metric: str) -> 
     SolverInputError) and real budgets.  Ties resolve to the smallest
     support, then the lexicographically smallest bit pattern.
     """
-    return _exhaustive(model, costs, budget, metric, attack=False)
+    return _exhaustive(_ScoreTable(model, metric), costs, budget, attack=False)
 
 
 def exhaustive_attack(model: SystemModel, costs, budget: float, metric: str) -> SolveReport:
     """Exact worst-case attack over every removal set within budget, for
     nonnegative costs; ties resolve as in exhaustive_select."""
-    return _exhaustive(model, costs, budget, metric, attack=True)
+    return _exhaustive(_ScoreTable(model, metric), costs, budget, attack=True)
 
 
 def trace_ratio(num: float, den: float) -> float:
@@ -365,11 +387,15 @@ def greedy_and_optimal(
     """
     if mode not in ("select", "attack"):
         raise SolverInputError(f"mode must be 'select' or 'attack', got {mode!r}")
-    attack = mode == "attack"
-    table = _ScoreTable(model, metric)
-    greedy = _greedy(model, budget, metric, attack, table)
-    costs = model.omega if attack else model.b
-    optimal = _exhaustive(model, costs, float(budget), metric, attack, table)
+    return _greedy_and_optimal(_ScoreTable(model, metric), budget, mode == "attack")
+
+
+def _greedy_and_optimal(table: _ScoreTable, budget: int, attack: bool):
+    """greedy_and_optimal on ``table``'s model and metric, both drivers
+    reading their scores from ``table``."""
+    greedy = _greedy(table, budget, attack)
+    costs = table.model.omega if attack else table.model.b
+    optimal = _exhaustive(table, costs, float(budget), attack)
     if attack:
         return greedy, optimal, trace_ratio(optimal.trace, greedy.trace)
     return greedy, optimal, trace_ratio(greedy.trace, optimal.trace)

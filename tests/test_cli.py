@@ -3,9 +3,13 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from kfsslab import closed_forms, gadgets, riccati
 from kfsslab.cli import main
+from kfsslab.model import validate_model
+from kfsslab.solvers import greedy_and_optimal
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -223,6 +227,79 @@ def test_sweep_v_scale_flag(tmp_path):
     assert code == 0
     row = out.read_text().strip().splitlines()[1]
     assert float(row.split(",")[2]) > 3.0  # extra sensor noise lifts the optimum
+
+
+def _kernel_spy(monkeypatch):
+    """Record the stack size of every riccati._solve_detectable call."""
+    runs = []
+    original = riccati._solve_detectable
+
+    def spy(A, C, W, V):
+        runs.append(C.shape[0])
+        return original(A, C, W, V)
+
+    monkeypatch.setattr(riccati, "_solve_detectable", spy)
+    return runs
+
+
+@pytest.mark.parametrize("family", ["example1", "example2"])
+@pytest.mark.parametrize("metric", ["priori", "posteriori"])
+@pytest.mark.parametrize("v_scale", [None, 0.3])
+@pytest.mark.parametrize("lam", [0.6, 0.9, 0.99])
+def test_sweep_rows_equal_points_solved_alone(tmp_path, family, metric, v_scale, lam):
+    # the sweep scores its whole grid jointly; each row must carry the bits
+    # of greedy_and_optimal run on that point's model alone
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--family", family, "--lambda1", repr(lam), "--metric", metric,
+            "--h-range", "1e-4", "1e4", "9", "--output", str(out)]
+    assert run_cli(*argv, *(["--v-scale", repr(v_scale)] if v_scale else [])) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 9
+    attack = family == "example2"
+    build = gadgets.build_example2 if attack else gadgets.build_example1
+    predicted = (closed_forms.limit_ratio_attack if attack else closed_forms.limit_ratio_select)(lam)
+    limit = predicted[0] if metric == "priori" else predicted[1]
+    for row in rows:
+        h = float(row[0])
+        m = build(lam, h)
+        if v_scale:
+            m.V = v_scale * np.eye(m.q)
+            m = validate_model(m)
+        greedy, optimal, ratio = greedy_and_optimal(m, 2, "attack" if attack else "select", metric)
+        assert row == [repr(x) for x in (h, greedy.trace, optimal.trace, ratio, limit)]
+
+
+@pytest.mark.parametrize("family, members", [("example1", 54), ("example2", 90)])
+def test_sweep_makes_one_kernel_run_per_subset_size(tmp_path, monkeypatch, family, members):
+    out = tmp_path / "sweep.csv"
+    for count, want in (("1", members // 9), ("9", members)):
+        runs = _kernel_spy(monkeypatch)
+        assert run_cli("sweep", "--family", family, "--lambda1", "0.9",
+                       "--h-range", "10", "1e4", count, "--output", str(out)) == 0
+        monkeypatch.undo()
+        assert len(runs) == 2  # one stack of each size that budget 2 reads
+        assert sum(runs) == want
+
+
+def test_sweep_refuses_a_bad_point_before_any_solve(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "sweep.csv"
+    runs = _kernel_spy(monkeypatch)
+    assert run_cli("sweep", "--family", "example1", "--lambda1", "0.9",
+                   "--h-grid", "1,1e6", "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: h = 1000000.0")
+    assert runs == []
+    assert not out.exists()
+
+
+def test_sweep_no_convergence_is_solver_error(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "sweep.csv"
+    monkeypatch.setattr(riccati, "MAX_STEPS", 2)
+    monkeypatch.setattr(riccati, "TOL", 1e-300)
+    assert run_cli("sweep", "--family", "example1", "--lambda1", "0.9",
+                   "--h-range", "10", "1e4", "3", "--output", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: iteration cap reached")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["--h-range 10 1000 2.7", "--h-range 10 1000 inf", "--h-range 10 1000 nan",

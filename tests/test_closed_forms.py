@@ -17,7 +17,14 @@ from kfsslab.closed_forms import (
 )
 from kfsslab.gadgets import build_example1, build_example2
 from kfsslab.riccati import solve_dare
-from kfsslab.solvers import _score
+from kfsslab.solvers import _ScoreTable, _score
+
+
+def _stack(m, supports, metric):
+    """Traces and diagonals of same-size ``supports``, scored as one request
+    on a fresh table."""
+    table = _ScoreTable(m, metric)
+    return _score([(table, tuple(s)) for s in supports])
 
 
 def _scalar_via_dare(lam, alpha_sq):
@@ -191,8 +198,8 @@ def test_every_family_subset_obeys_floor_and_closed_forms(family, lam):
         m, p = build(lam, h), predict(lam, h)
         for r in range(m.q + 1):
             supports = list(combinations(range(m.q), r))
-            priori, diags = _score(m, supports, "priori")
-            posteriori, _ = _score(m, supports, "posteriori")
+            priori, diags = _stack(m, supports, "priori")
+            posteriori, _ = _stack(m, supports, "posteriori")
             for support, diag, t_pri, t_post in zip(supports, diags, priori, posteriori):
                 # S = A S* A' + W, so no a priori variance falls below W's
                 assert np.all(diag >= np.diag(m.W) - 1e-12), (h, support, diag)

@@ -8,7 +8,7 @@ from kfsslab.closed_forms import example1_predictions, example2_predictions, mse
 from kfsslab.gadgets import build_example1, build_example2
 from kfsslab.model import AttackVector, SelectionVector, SystemModel, validate_model
 from kfsslab.riccati import dare_steady_state
-from kfsslab import solvers
+from kfsslab import riccati, solvers
 from kfsslab.solvers import (
     METRICS,
     BudgetExceedsSensors,
@@ -26,11 +26,19 @@ from kfsslab.solvers import (
     report_to_dict,
     _enumerate_feasible,
     _kept,
+    _ScoreTable,
     _score,
     _tied,
 )
 
 LAM = 0.9
+
+
+def _stack(m, supports, metric):
+    """Traces and diagonals of same-size ``supports``, scored as one request
+    on a fresh table."""
+    table = _ScoreTable(m, metric)
+    return _score([(table, tuple(s)) for s in supports])
 
 
 def _random_model(rng, n_max=4, q_max=6, unit_costs=True, psd_v=True):
@@ -340,7 +348,7 @@ def _full_enumeration(m, costs, budget, metric, attack):
     combos, traces, diags = [], [], []
     for _, layer in groupby(_enumerate_feasible(m.q, np.asarray(costs, dtype=float), budget), key=len):
         layer = list(layer)
-        layer_traces, layer_diags = _score(m, [_kept(m.q, c, attack) for c in layer], metric)
+        layer_traces, layer_diags = _stack(m, [_kept(m.q, c, attack) for c in layer], metric)
         combos += layer
         traces += layer_traces
         diags += list(layer_diags)
@@ -425,14 +433,15 @@ def test_greedy_and_optimal_scores_each_support_once(mode, monkeypatch):
             for budget in range(m.q + 1):
                 scored = []
 
-                def spy(mdl, supports, *args):
-                    scored.extend(map(tuple, supports))
-                    return _score(mdl, supports, *args)
+                def spy(members):
+                    scored.extend(members)
+                    return _score(members)
 
                 monkeypatch.setattr(solvers, "_score", spy)
                 greedy, optimal, ratio = greedy_and_optimal(m, budget, mode, metric)
                 monkeypatch.undo()
                 assert len(scored) == len(set(scored)), (m.q, metric, budget)
+                assert len({table for table, _ in scored}) == 1
                 attack = mode == "attack"
                 alone_greedy = (greedy_attack if attack else greedy_select)(m, budget, metric)
                 alone_optimal = (exhaustive_attack if attack else exhaustive_select)(
@@ -440,3 +449,19 @@ def test_greedy_and_optimal_scores_each_support_once(mode, monkeypatch):
                 assert report_to_dict(greedy) == report_to_dict(alone_greedy)
                 assert report_to_dict(optimal) == report_to_dict(alone_optimal)
                 assert ratio == greedy_ratio(m, budget, mode, metric)
+
+
+@pytest.mark.parametrize("mode", ["select", "attack"])
+def test_mode_images_are_computed_once_per_table(mode, monkeypatch):
+    tie = _tie_model(np.random.default_rng(47))  # one unstable mode, so the images are not empty
+    tie.b = np.ones(tie.q)
+    for m in (tie, build_example1(LAM, 100.0)):
+        riccati.check_stabilizable(m.A, m.W)  # its PBH test of (A', W^1/2) goes through _mode_images too
+        calls = []
+        original = riccati._mode_images
+        monkeypatch.setattr(riccati, "_mode_images", lambda A, C: calls.append((A, C)) or original(A, C))
+        for metric in METRICS:
+            greedy_and_optimal(m, 2, mode, metric)
+        monkeypatch.undo()
+        assert len(calls) == len(METRICS)
+        assert all(A is m.A and C is m.C for A, C in calls)

@@ -19,6 +19,7 @@ from kfsslab.model import AttackVector, SelectionVector, SystemModel, complement
 from kfsslab.riccati import NoConvergence
 from kfsslab.solvers import (
     STACK_CHUNK,
+    _ScoreTable,
     _score,
     evaluate_selection,
     exhaustive_attack,
@@ -28,6 +29,13 @@ from kfsslab.solvers import (
 )
 
 REL = 1e-12
+
+
+def _stack(m, supports, metric):
+    """Traces and diagonals of same-size ``supports``, scored as one request
+    on a fresh table."""
+    table = _ScoreTable(m, metric)
+    return _score([(table, tuple(s)) for s in supports])
 
 
 def _spd(rng, size):
@@ -52,7 +60,7 @@ def _scalar(m, support, metric):
 
 
 def _assert_matches_scalar(m, supports, metric):
-    stacked, _ = _score(m, supports, metric)
+    stacked, _ = _stack(m, supports, metric)
     assert len(stacked) == len(supports)
     for support, got in zip(supports, stacked):
         want = _scalar(m, support, metric)
@@ -142,7 +150,7 @@ def test_stack_mixing_singular_and_nonsingular_noise(monkeypatch):
     for name in ("is_detectable", "_newton_dare"):
         original = getattr(riccati, name)
         monkeypatch.setattr(riccati, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
-    _score(m, supports, "posteriori")
+    _stack(m, supports, "posteriori")
     assert len(supports) <= STACK_CHUNK
     assert calls == ["_newton_dare"]
 
@@ -186,12 +194,33 @@ def test_reports_come_from_the_scoring_stack(case, monkeypatch):
     assert (infinite > 0) == (case in ("undetectable", "nonsingular"))  # A unstable
 
 
+def test_stack_of_several_tables_equals_each_member_alone():
+    # example1 at several gains, noiseless (the Newton path) and with
+    # V = 0.3 I (the doubling path), shares A and W, so one stack holds them
+    models = [build_example1(0.9, h) for h in (1e-3, 1.0, 1e3)]
+    for h in (1e-3, 1e3):
+        m = build_example1(0.9, h)
+        m.V = 0.3 * np.eye(m.q)
+        models.append(validate_model(m))
+    for metric in ("priori", "posteriori"):
+        tables = [_ScoreTable(m, metric) for m in models]
+        for r in range(4):
+            members = [(table, s) for s in combinations(range(3), r) for table in tables]
+            traces, diags = _score(members)
+            for (table, s), trace, diag in zip(members, traces, diags):
+                (alone,), alone_diag = _stack(table.model, [s], metric)
+                assert repr(trace) == repr(alone) and np.array_equal(diag, alone_diag[0], equal_nan=True)
+    other = _ScoreTable(build_example1(0.6, 1.0), "priori")
+    with pytest.raises(ValueError, match="share A, W"):
+        _score([(_ScoreTable(models[0], "priori"), (0,)), (other, (0,))])
+
+
 def test_stacked_solve_raises_no_convergence(monkeypatch):
     m = _random_model(np.random.default_rng(5), 10)
     monkeypatch.setattr(riccati, "MAX_STEPS", 2)
     monkeypatch.setattr(riccati, "TOL", 1e-300)
     with pytest.raises(NoConvergence) as exc:
-        _score(m, [list(c) for c in combinations(range(10), 2)], "priori")
+        _stack(m, [list(c) for c in combinations(range(10), 2)], "priori")
     assert exc.value.iterations == 2
     assert exc.value.residual > 0
     with pytest.raises(NoConvergence):
@@ -241,7 +270,7 @@ def test_fixed_point_raises_no_convergence(monkeypatch):
     with pytest.raises(NoConvergence) as alone:
         riccati.solve_dare(m.A, m.C[:2], m.W, m.V[:2, :2])
     with pytest.raises(NoConvergence) as stacked:
-        _score(m, [list(c) for c in combinations(range(3), 2)], "posteriori")
+        _stack(m, [list(c) for c in combinations(range(3), 2)], "posteriori")
     for exc in (alone, stacked):
         assert exc.value.iterations == 2
         assert exc.value.residual > 0
@@ -332,9 +361,9 @@ def _instances(draw):
 @given(instance=_instances(), metric=st.sampled_from(["priori", "posteriori"]))
 def test_stacked_scores_are_monotone_and_attack_is_complement(instance, metric):
     m, base = instance
-    (before,), _ = _score(m, [base], metric)
+    (before,), _ = _stack(m, [base], metric)
     extra = [i for i in range(m.q) if i not in base]
-    after, _ = _score(m, [sorted(base + [j]) for j in extra], metric)
+    after, _ = _stack(m, [sorted(base + [j]) for j in extra], metric)
     for t in after:
         assert t <= before * (1 + 1e-9) + 1e-12  # inf <= inf holds too
     # an attack scores what selecting its survivors scores alone
@@ -354,8 +383,8 @@ def test_stacked_priori_dominates_posteriori_and_couples(instance, quiet):
     a_sq, w = np.diag(m.A) ** 2, np.diag(m.W)
     for r in range(m.q + 1):
         supports = list(combinations(range(m.q), r))
-        t_pri, priori = _score(m, supports, "priori")
-        t_post, posteriori = _score(m, supports, "posteriori")
+        t_pri, priori = _stack(m, supports, "priori")
+        t_post, posteriori = _stack(m, supports, "posteriori")
         for support, tp, tq, pri, post in zip(supports, t_pri, t_post, priori, posteriori):
             if math.isinf(tp):
                 assert math.isinf(tq)
