@@ -38,22 +38,17 @@ from .model import (
 )
 from .riccati import (
     NoConvergence,
-    coupling_check,
-    dare_steady_state,
     is_detectable,
     posteriori_from_priori,
     pseudo_inverse_psd,
-    riccati_step,
     solve_dare,
 )
 from .solvers import (
     SolveReport,
-    evaluate_attack,
     evaluate_selection,
     exhaustive_attack,
     exhaustive_select,
     greedy_attack,
-    greedy_ratio,
     greedy_select,
 )
 

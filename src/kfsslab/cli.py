@@ -8,11 +8,11 @@ Commands:
 
 Exit codes: 0 success, 1 input error, 2 solver error, 3 enumeration too
 large.  Report payloads carry no timestamps, so identical invocations write
-byte-identical files.  A sweep builds every point's model first, scores
-the sets budget-2 greedy and exhaustive search read for all points as one
-stack per subset size, in this process, and writes its rows in grid order.
-No flag sets a solver tolerance: the solvers use the constants of the
-riccati module.
+byte-identical files.  A file that cannot be read or written is an input
+error.  A sweep builds every point's model first, then runs one
+solvers.greedy_and_optimal over all of them, in this process, and writes
+its rows in grid order.  No flag sets a solver tolerance: the solvers use
+the constants of the riccati module.  The parser is built once, at import.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import csv
 import json
 import math
 import sys
-from itertools import combinations
 
 import numpy as np
 
@@ -51,20 +50,14 @@ def _fail(message: str, code: int) -> int:
 
 
 def _load_model(path: str) -> model_mod.SystemModel:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
-    return model_mod.validate_model(model_mod.loads_model(text))
+    with open(path, encoding="utf-8") as fh:
+        return model_mod.validate_model(model_mod.loads_model(fh.read()))
 
 
 def _load_x3c(path: str) -> gadgets.X3CInstance:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _InputError(f"invalid X3C JSON in {path}: {exc}") from exc
     try:
@@ -181,15 +174,7 @@ def cmd_sweep(args) -> int:
     attack = args.family == "example2"
     predicted = (closed_forms.limit_ratio_attack if attack else closed_forms.limit_ratio_select)(args.lambda1)
     limit = predicted[0] if args.metric == "priori" else predicted[1]
-    # the points share A and W; budget-2 greedy and exhaustive search read
-    # every selection of 1 and 2 sensors, or every survivor set of q - 1 and
-    # q - 2 of them; a tie walk's other sets are solved when it asks
-    riccati.check_stabilizable(models[0].A, models[0].W)
-    tables = [solvers._ScoreTable(m, args.metric) for m in models]
-    q = models[0].q
-    sizes = (q - 1, q - 2) if attack else (1, 2)
-    solvers._fill(tables, [c for r in sizes for c in combinations(range(q), r)])
-    reports = [solvers._greedy_and_optimal(table, 2, attack) for table in tables]
+    reports = solvers.greedy_and_optimal(models, 2, "attack" if attack else "select", args.metric)
     rows = [(h, g.trace, o.trace, ratio, limit) for h, (g, o, ratio) in zip(grid, reports)]
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -246,12 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, OSError) as exc:  # OSError: a file that cannot be read or written
         return _fail(str(exc), EXIT_INPUT)
     except (model_mod.ModelError, closed_forms.DomainError, ValueError) as exc:
         if isinstance(exc, gadgets.TooLarge):

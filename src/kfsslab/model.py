@@ -275,11 +275,6 @@ def model_from_dict(data: dict) -> SystemModel:
     )
 
 
-def dumps_model(model: SystemModel) -> str:
-    # repr-based float serialization round-trips float64 exactly
-    return json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
-
-
 def loads_model(text: str) -> SystemModel:
     try:
         data = json.loads(text)

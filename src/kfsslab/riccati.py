@@ -26,11 +26,12 @@ each run as one batched numpy call per step over the stack, and each
 member of a doubling or Newton run stops at its own stopping rule.  PBH
 takes one kernel basis of A - lam I per unstable mode and model.  The
 update of a nonsingular member solves with the G = C' V^-1 C its doubling
-used; a singular one takes the Joseph form.  riccati_step and the Newton
-step share one gain (_gain); they, the Joseph form and pseudo_inverse_psd
-share one pseudo-inverse (_pinv_psd).  The public functions are the stack
-of one, so a subset solved alone and the same subset solved inside a
-stack take the same arithmetic.
+used; a singular one takes the Joseph form.  The Newton gain (_gain), the
+Joseph form and pseudo_inverse_psd share one pseudo-inverse (_pinv_psd).
+The public functions are the stack of one, so a subset solved alone and
+the same subset solved inside a stack take the same arithmetic.
+solve_dare, and every public solver call in the solvers module, tests
+stabilizability once and uncached (check_stabilizable).
 
 Three module constants hold the tolerances: TOL (the stopping rule),
 PINV_RTOL (the pseudo-inverse cutoff, which also decides whether V is
@@ -40,11 +41,9 @@ from the module when it runs; no function takes a tolerance argument.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .model import SelectionVector, SteadyStateResult, SystemModel, restrict
+from .model import SteadyStateResult, restrict  # restrict: unused here, perfbench's tracer patches it
 
 class ShapeError(ValueError):
     pass
@@ -193,13 +192,6 @@ def _gain(A, S, C, V) -> np.ndarray:
     return A @ CS.transpose(0, 2, 1) @ _pinv_psd(CS @ C.transpose(0, 2, 1) + V)
 
 
-def _step(A, S, C, W, V) -> np.ndarray:
-    """One application of the a priori recursion to every member of the
-    stacks S (k x n x n), C (k x p x n) and V (k x p x p), symmetrized:
-    A S A' + W - (A S C') M^+ (A S C')' with M = C S C' + V."""
-    return _sym(A @ S @ A.T + W - _gain(A, S, C, V) @ (C @ S @ A.T))
-
-
 def _newton_dare(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
     """Newton-Hewer iteration for every member of the stacks C (k x p x n)
     and V (k x p x p), V singular.
@@ -281,59 +273,17 @@ def pseudo_inverse_psd(M: np.ndarray) -> np.ndarray:
     return _sym(_pinv_psd(_sym(M[None])))[0]
 
 
-def _measurement(n: int, C_sel, V_sel) -> tuple[np.ndarray, np.ndarray]:
-    """C_sel (p x n) and V_sel (p x p) as float arrays, shapes checked."""
-    C_sel = np.asarray(C_sel, dtype=float)
-    V_sel = np.asarray(V_sel, dtype=float)
-    if C_sel.ndim != 2 or C_sel.shape[1] != n:
-        raise ShapeError(f"C must be p x {n}, got {C_sel.shape}")
-    p = C_sel.shape[0]
-    if V_sel.shape != (p, p):
-        raise ShapeError(f"V must be {p} x {p}, got {V_sel.shape}")
-    return C_sel, V_sel
-
-
-def riccati_step(S, A, C_sel, W, V_sel) -> np.ndarray:
-    """One application of the a priori covariance recursion, symmetrized:
-    A S A' + W - (A S C') (C S C' + V)^+ (A S C')'.
-
-    With an empty measurement matrix the gain term vanishes and the step is
-    the Lyapunov update A S A' + W.
-    """
-    S = np.asarray(S, dtype=float)
-    A = np.asarray(A, dtype=float)
-    W = np.asarray(W, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n) or S.shape != (n, n) or W.shape != (n, n):
-        raise ShapeError("A, S, W must all be n x n")
-    C_sel, V_sel = _measurement(n, C_sel, V_sel)
-    return _step(A, S[None], C_sel[None], W, V_sel[None])[0]
-
-
 def posteriori_from_priori(Sigma, C_sel, V_sel) -> np.ndarray:
     """Measurement-update covariance S - S C' M^+ C S, M = C S C' + V,
     symmetrized.  A V nonsingular by solve_dare's test gives the equal
     (I + S G)^-1 S, G = C' V^-1 C, an n x n solve; a singular V gives the
     Joseph form (I - K C) S (I - K C)' + K V K', K = S C' M^+, on which the
     family closed forms rely.  Neither form subtracts a term close to S."""
-    Sigma = np.asarray(Sigma, dtype=float)
-    n = Sigma.shape[0]
-    if Sigma.shape != (n, n):
-        raise ShapeError(f"covariance must be square, got {Sigma.shape}")
-    C, V = (M[None] for M in _measurement(n, C_sel, V_sel))
+    Sigma, C, V = (np.asarray(M, dtype=float) for M in (Sigma, C_sel, V_sel))
+    if C.ndim != 2 or Sigma.shape != (C.shape[1],) * 2 or V.shape != (C.shape[0],) * 2:
+        raise ShapeError(f"need C p x n, an n x n covariance and V p x p, got {C.shape}, {Sigma.shape}, {V.shape}")
+    C, V = C[None], V[None]
     return _posteriori(Sigma[None], C, V, _noise_gain(C, V))[0]
-
-
-def coupling_check(Sigma_priori, Sigma_post, A, W) -> float:
-    """Frobenius residual of the prediction identity Sigma = A Sigma* A' + W.
-
-    Diagnostic only; solvers never call it.
-    """
-    Sigma_priori = np.asarray(Sigma_priori, dtype=float)
-    Sigma_post = np.asarray(Sigma_post, dtype=float)
-    A = np.asarray(A, dtype=float)
-    W = np.asarray(W, dtype=float)
-    return float(np.linalg.norm(Sigma_priori - (A @ Sigma_post @ A.T + W)))
 
 
 def _mode_images(A: np.ndarray, C: np.ndarray) -> list:
@@ -386,23 +336,13 @@ def is_stabilizable_noise(A, W) -> bool:
     return is_detectable(np.asarray(A, dtype=float).T, _sqrt_psd(np.asarray(W, dtype=float)))
 
 
-@lru_cache(maxsize=1)
-def _stabilizable(shape: tuple, a_bytes: bytes, w_bytes: bytes, pbh_tol: float) -> bool:
-    A = np.frombuffer(a_bytes).reshape(shape)
-    W = np.frombuffer(w_bytes).reshape(shape)
-    return is_stabilizable_noise(A, W)
-
-
 def check_stabilizable(A, W) -> None:
     """Raise StabilizabilityViolation unless (A, W^{1/2}) is stabilizable.
 
-    The verdict depends on A, W and PBH_TOL only, not on the sensors; the
-    last verdict is remembered, keyed on all three, so the solver runs and
-    solves on one pair test it once.
+    The verdict depends on A, W and PBH_TOL only, not on the sensors, so
+    each public solver call tests it once, uncached.
     """
-    A = np.ascontiguousarray(A, dtype=float)
-    W = np.ascontiguousarray(W, dtype=float)
-    if not _stabilizable(A.shape, A.tobytes(), W.tobytes(), PBH_TOL):
+    if not is_stabilizable_noise(A, W):
         raise StabilizabilityViolation("(A, W^(1/2)) is not stabilizable")
 
 
@@ -455,12 +395,6 @@ def solve_dare(A, C, W, V) -> SteadyStateResult:
         return SteadyStateResult.infinite()
     S, iters, _ = _solve_detectable(A, C[None], W, V[None])
     return SteadyStateResult.finite(S[0], int(iters[0]))
-
-
-def dare_steady_state(model: SystemModel, sel: SelectionVector) -> SteadyStateResult:
-    """Steady-state a priori covariance for the sensors indicated by ``sel``."""
-    C_sel, V_sel = restrict(model, sel)
-    return solve_dare(model.A, C_sel, model.W, V_sel)
 
 
 def warmup() -> None:

@@ -14,10 +14,13 @@ Each driver scores its candidates in stacks: all candidates of one greedy
 step, or all candidates of one size in an exhaustive search, go to the
 riccati module's batched kernels in chunks of at most STACK_CHUNK members.
 An attack is scored through its survivor set.  Scores are kept in a table
-for one (model, metric), so a run solves each survivor set at most
-once; greedy_and_optimal passes one table to both drivers.  Tables whose
-models share A and W can be filled together, one stack per size across
-all of them, as a sweep's grid points are.  Adding a sensor
+for one (model, metric), so a run solves each survivor set at most once.
+greedy_and_optimal takes a sequence of models that share A and W, such as
+a sweep's grid points: each model's greedy and exhaustive runs share one
+table, and the sets both runs are known to read are scored for all models
+at once, one stack per size.  Every public solver checks its input and
+tests stabilizability once, uncached, before it solves anything; the
+private drivers do neither.  Adding a sensor
 never raises the trace, so the exhaustive search solves only the
 inclusion-maximal feasible sets, and then the subsets of tied sets that the
 smallest-support tie rule needs.  A report's trace and covariance diagonal
@@ -40,7 +43,8 @@ from itertools import combinations, groupby
 import numpy as np
 
 from . import riccati
-from .model import AttackVector, SelectionVector, SteadyStateResult, SystemModel, complement, restrict
+from .model import SelectionVector, SteadyStateResult, SystemModel, as_integer, restrict
+from .model import complement  # unused here; perfbench's tracer patches solvers.complement
 from .riccati import posteriori_from_priori
 
 METRICS = ("priori", "posteriori")
@@ -124,11 +128,6 @@ def evaluate_selection(model: SystemModel, sel: SelectionVector, metric: str) ->
     return SteadyStateResult.finite(post, result.iterations)
 
 
-def evaluate_attack(model: SystemModel, att: AttackVector, metric: str) -> SteadyStateResult:
-    """Steady-state covariance of the filter running on the surviving sensors."""
-    return evaluate_selection(model, complement(att), metric)
-
-
 def _score(members) -> tuple[list[float], np.ndarray]:
     """Traces and covariance diagonals of evaluate_selection for members
     (table, sorted support) of one size, solved as stacks of at most
@@ -183,15 +182,16 @@ class _ScoreTable:
 
     def __call__(self, supports) -> list[tuple[float, np.ndarray]]:
         supports = [tuple(s) for s in supports]
-        _fill([self], supports)
+        _fill([(self, s) for s in supports])
         return [self.scores[s] for s in supports]
 
 
-def _fill(tables, supports) -> None:
-    """Score the sorted support tuples that any of ``tables`` lacks, with
-    one _score call per size whose stacks mix the tables' members."""
-    missing = sorted({(len(s), s, t) for t, table in enumerate(tables)
-                      for s in supports if s not in table.scores})
+def _fill(members) -> None:
+    """Score the (table, sorted support tuple) members that their table
+    lacks, with one _score call per size whose stacks mix the tables."""
+    tables = list(dict.fromkeys(table for table, _ in members))
+    order = {table: t for t, table in enumerate(tables)}
+    missing = sorted({(len(s), s, order[table]) for table, s in members if s not in table.scores})
     for _, group in groupby(missing, key=lambda m: m[0]):
         members = [(tables[t], s) for _, s, t in group]
         for (table, s), trace, diag in zip(members, *_score(members)):
@@ -209,14 +209,16 @@ def _tied(score: float, best: float) -> bool:
     return abs(score - best) <= TIE_REL * max(1.0, abs(best))
 
 
-def _check_cardinality_budget(budget: int, q: int) -> int:
-    if not float(budget).is_integer():
-        raise SolverInputError(f"cardinality budget must be an integer, got {budget}")
-    budget = int(budget)
+def _check_cardinality_budget(model: SystemModel, budget, attack: bool) -> int:
+    """The checked budget of a greedy run, whose costs must be unit ones."""
+    costs, what = (model.omega, "attack") if attack else (model.b, "selection")
+    if not np.all(costs == 1.0):
+        raise NonUnitCosts(f"greedy requires unit {what} costs")
+    budget = as_integer(budget, "cardinality budget", SolverInputError)
     if budget < 0:
         raise SolverInputError(f"budget must be nonnegative, got {budget}")
-    if budget > q:
-        raise BudgetExceedsSensors(f"budget {budget} exceeds sensor count {q}")
+    if budget > model.q:
+        raise BudgetExceedsSensors(f"budget {budget} exceeds sensor count {model.q}")
     return budget
 
 
@@ -234,17 +236,11 @@ def _report(model, attack: bool, combo, metric, trace, diag, evaluations, steps)
     )
 
 
-def _greedy(table: _ScoreTable, cardinality_budget, attack: bool) -> SolveReport:
+def _greedy(table: _ScoreTable, budget: int, attack: bool) -> SolveReport:
     """Grow the selection (or the attack) one sensor at a time, taking the
     candidate with the smallest (largest) trace; ties go to the lowest index.
-    Scores come from ``table``."""
+    Scores come from ``table``, the budget from _check_cardinality_budget."""
     model, metric = table.model, table.metric
-    _check_metric(metric)
-    costs, what = (model.omega, "attack") if attack else (model.b, "selection")
-    if not np.all(costs == 1.0):
-        raise NonUnitCosts(f"greedy requires unit {what} costs")
-    budget = _check_cardinality_budget(cardinality_budget, model.q)
-    riccati.check_stabilizable(model.A, model.W)
     if not budget:
         ((trace, diag),) = table([_kept(model.q, [], attack)])
         return _report(model, attack, [], metric, trace, diag, 1, [])
@@ -281,21 +277,10 @@ def _enumerate_feasible(q: int, costs: np.ndarray, budget: float):
                 yield combo
 
 
-def _exhaustive(table: _ScoreTable, costs, budget, attack: bool) -> SolveReport:
-    """Keep the feasible selection (attack) with the smallest (largest)
-    trace; ties go to the smallest support, then the lexicographically
-    smallest bit pattern.  Scores come from ``table``.
-
-    Adding a sensor never raises a selection's trace (never lowers an
-    attack's), so the optimum lies at an inclusion-maximal feasible set, one
-    no further sensor fits into, and only those are scored for it.  A tied
-    set lies in a tied maximal set and every set between them is tied, so a
-    walk down from the tied maximal sets through subsets of tied sets, one
-    size at a time, meets every tied set.  Nonnegative costs keep subsets of
-    feasible sets feasible.
-    """
-    model, metric = table.model, table.metric
-    _check_metric(metric)
+def _maximal_feasible(model: SystemModel, costs, budget: float, attack: bool) -> tuple[int, list]:
+    """The number of feasible indicators of an exhaustive run, and the
+    inclusion-maximal ones, those no further sensor fits into, after
+    checking the run's input."""
     if model.q > EXHAUSTIVE_SENSOR_CAP:
         raise TooManySensors(f"refusing 2^{model.q} subsets (cap {EXHAUSTIVE_SENSOR_CAP})")
     costs = np.asarray(costs, dtype=float)
@@ -303,7 +288,6 @@ def _exhaustive(table: _ScoreTable, costs, budget, attack: bool) -> SolveReport:
         raise SolverInputError(f"costs must have length {model.q}")
     if np.any(costs < 0.0):
         raise SolverInputError("costs must be nonnegative")
-    riccati.check_stabilizable(model.A, model.W)
     feasible = list(_enumerate_feasible(model.q, costs, budget))
     if not feasible:
         raise SolverInputError(f"no feasible {'attack' if attack else 'selection'} within budget")
@@ -311,6 +295,23 @@ def _exhaustive(table: _ScoreTable, costs, budget, attack: bool) -> SolveReport:
     maximal = [
         c for mask, c in fits.items() if all(mask | 1 << i not in fits for i in range(model.q) if i not in c)
     ]
+    return len(feasible), maximal
+
+
+def _exhaustive(table: _ScoreTable, n_feasible: int, maximal, attack: bool) -> SolveReport:
+    """Keep the feasible selection (attack) with the smallest (largest)
+    trace; ties go to the smallest support, then the lexicographically
+    smallest bit pattern.  Scores come from ``table``, the count of feasible
+    indicators and the maximal ones from _maximal_feasible.
+
+    Adding a sensor never raises a selection's trace (never lowers an
+    attack's), so the optimum lies at an inclusion-maximal feasible set, and
+    only those are scored for it.  A tied set lies in a tied maximal set and
+    every set between them is tied, so a walk down from the tied maximal
+    sets through subsets of tied sets, one size at a time, meets every tied
+    set.  Nonnegative costs keep subsets of feasible sets feasible.
+    """
+    model = table.model
 
     def traces(combos):
         return [trace for trace, _ in table([_kept(model.q, c, attack) for c in combos])]
@@ -330,19 +331,29 @@ def _exhaustive(table: _ScoreTable, costs, budget, attack: bool) -> SolveReport:
             break
     combo = min(smallest, key=lambda c: SelectionVector.from_support(model.q, c).bits)
     ((trace, diag),) = table([_kept(model.q, combo, attack)])
-    return _report(model, attack, combo, metric, trace, diag, len(feasible) + 1, [])
+    return _report(model, attack, combo, table.metric, trace, diag, n_feasible + 1, [])
+
+
+def _tables(models, metric: str) -> list[_ScoreTable]:
+    """A fresh score table for each of ``models``, which share A and W, after
+    checking the metric and testing once that (A, W^1/2) is stabilizable."""
+    _check_metric(metric)
+    riccati.check_stabilizable(models[0].A, models[0].W)
+    return [_ScoreTable(m, metric) for m in models]
 
 
 def greedy_select(model: SystemModel, cardinality_budget: int, metric: str) -> SolveReport:
     """Add, one at a time, the sensor whose inclusion yields the smallest
     trace, until exactly ``cardinality_budget`` sensors are selected."""
-    return _greedy(_ScoreTable(model, metric), cardinality_budget, attack=False)
+    budget = _check_cardinality_budget(model, cardinality_budget, attack=False)
+    return _greedy(_tables([model], metric)[0], budget, attack=False)
 
 
 def greedy_attack(model: SystemModel, cardinality_budget: int, metric: str) -> SolveReport:
     """Remove, one at a time, the sensor whose removal yields the largest
     trace for the surviving set.  An infinite trace is maximal."""
-    return _greedy(_ScoreTable(model, metric), cardinality_budget, attack=True)
+    budget = _check_cardinality_budget(model, cardinality_budget, attack=True)
+    return _greedy(_tables([model], metric)[0], budget, attack=True)
 
 
 def exhaustive_select(model: SystemModel, costs, budget: float, metric: str) -> SolveReport:
@@ -352,13 +363,15 @@ def exhaustive_select(model: SystemModel, costs, budget: float, metric: str) -> 
     SolverInputError) and real budgets.  Ties resolve to the smallest
     support, then the lexicographically smallest bit pattern.
     """
-    return _exhaustive(_ScoreTable(model, metric), costs, budget, attack=False)
+    search = _maximal_feasible(model, costs, budget, attack=False)
+    return _exhaustive(_tables([model], metric)[0], *search, attack=False)
 
 
 def exhaustive_attack(model: SystemModel, costs, budget: float, metric: str) -> SolveReport:
     """Exact worst-case attack over every removal set within budget, for
     nonnegative costs; ties resolve as in exhaustive_select."""
-    return _exhaustive(_ScoreTable(model, metric), costs, budget, attack=True)
+    search = _maximal_feasible(model, costs, budget, attack=True)
+    return _exhaustive(_tables([model], metric)[0], *search, attack=True)
 
 
 def trace_ratio(num: float, den: float) -> float:
@@ -375,35 +388,45 @@ def trace_ratio(num: float, den: float) -> float:
 
 
 def greedy_and_optimal(
-    model: SystemModel, budget: int, mode: str, metric: str
-) -> tuple[SolveReport, SolveReport, float]:
+    models, budget: int, mode: str, metric: str
+) -> list[tuple[SolveReport, SolveReport, float]]:
     """Greedy and exhaustive reports for one cardinality budget, and the
-    suboptimality ratio of greedy against the exhaustive optimum.
+    suboptimality ratio of greedy against the exhaustive optimum, for each
+    of the sequence ``models`` (one model is a list of one).  The models
+    must share A, W and the sensor count, else _score raises ValueError
+    before any solve.
 
     Selection mode returns trace(greedy) / trace(optimum); attack mode
     returns trace(optimum) / trace(greedy), so the ratio is >= 1 either way.
     With exactly one side infinite the ratio is +inf; with both infinite it
     is 1.
+
+    Every input is checked, and stabilizability tested once, before any
+    solve.  Each model's two drivers share one score table, so no set is
+    solved twice for a model.  The sets greedy's first step reads and the
+    maximal sets exhaustive search reads are scored first, for all models
+    as one stack per size; greedy's later steps and the tie walk score what
+    their table still lacks.
     """
     if mode not in ("select", "attack"):
         raise SolverInputError(f"mode must be 'select' or 'attack', got {mode!r}")
-    return _greedy_and_optimal(_ScoreTable(model, metric), budget, mode == "attack")
-
-
-def _greedy_and_optimal(table: _ScoreTable, budget: int, attack: bool):
-    """greedy_and_optimal on ``table``'s model and metric, both drivers
-    reading their scores from ``table``."""
-    greedy = _greedy(table, budget, attack)
-    costs = table.model.omega if attack else table.model.b
-    optimal = _exhaustive(table, costs, float(budget), attack)
-    if attack:
-        return greedy, optimal, trace_ratio(optimal.trace, greedy.trace)
-    return greedy, optimal, trace_ratio(greedy.trace, optimal.trace)
-
-
-def greedy_ratio(model: SystemModel, budget: int, mode: str, metric: str) -> float:
-    """The ratio of greedy_and_optimal, which is >= 1 in both modes."""
-    return greedy_and_optimal(model, budget, mode, metric)[2]
+    attack = mode == "attack"
+    if not models:
+        return []
+    for m in models:
+        k = _check_cardinality_budget(m, budget, attack)
+    q = models[0].q
+    # greedy's unit costs make every model's feasible sets the same
+    n_feasible, maximal = _maximal_feasible(models[0], np.ones(q), float(k), attack)
+    tables = _tables(models, metric)
+    first = [(i,) for i in range(q)] if k else [()]
+    _fill([(table, tuple(_kept(q, c, attack))) for table in tables for c in first + maximal])
+    out = []
+    for table in tables:
+        greedy, optimal = _greedy(table, k, attack), _exhaustive(table, n_feasible, maximal, attack)
+        ratio = trace_ratio(optimal.trace, greedy.trace) if attack else trace_ratio(greedy.trace, optimal.trace)
+        out.append((greedy, optimal, ratio))
+    return out
 
 
 def report_to_dict(report: SolveReport) -> dict:

@@ -26,16 +26,15 @@ from kfsslab.gadgets import (
     x3c_decide_via_kfsa,
     x3c_decide_via_kfss,
 )
-from kfsslab.model import AttackVector, SelectionVector, SystemModel, validate_model
-from kfsslab.riccati import coupling_check, posteriori_from_priori, solve_dare
+from kfsslab.model import AttackVector, SelectionVector, SystemModel, complement, validate_model
+from kfsslab.riccati import posteriori_from_priori, solve_dare
 from kfsslab.solvers import (
-    evaluate_attack,
     evaluate_selection,
     exhaustive_attack,
     exhaustive_select,
+    greedy_and_optimal,
     greedy_attack,
     greedy_select,
-    greedy_ratio,
 )
 
 LAMBDA_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
@@ -52,7 +51,7 @@ def _report(num, ok, detail):
 
 def _track_coupling(A, W, priori_cov, C_sel, V_sel):
     post = posteriori_from_priori(priori_cov, C_sel, V_sel)
-    residual = coupling_check(priori_cov, post, A, W)
+    residual = float(np.linalg.norm(priori_cov - (A @ post @ A.T + W)))  # Sigma = A Sigma* A' + W
     COUPLING["max_residual"] = max(COUPLING["max_residual"], residual)
     COUPLING["solves"] += 1
     return post
@@ -162,7 +161,7 @@ def test_criterion_4_selection_counterexample():
                 problems.append(f"greedy {metric} at h={h} missed sensors (2, 3)")
             if exhaustive_select(m, m.b, 2.0, metric).chosen.support != (0, 2):
                 problems.append(f"exhaustive {metric} at h={h} missed sensors (1, 3)")
-            ratios[metric].append(greedy_ratio(m, 2, "select", metric))
+            ratios[metric].append(greedy_and_optimal([m], 2, "select", metric)[0][2])
     pri_limit, post_limit = limit_ratio_select(lam)
     if abs(ratios["priori"][-1] - pri_limit) / pri_limit > 0.02:
         problems.append(f"priori ratio {ratios['priori'][-1]:.6f} not within 2% of {pri_limit:.6f}")
@@ -191,8 +190,7 @@ def test_criterion_5_attack_counterexample():
         if exhaustive_attack(m, m.omega, 2.0, metric).chosen.support != (0, 1):
             problems.append(f"exhaustive {metric} attack missed sensors (1, 2)")
     pri_limit, post_limit = limit_ratio_attack(lam)
-    r_pri = greedy_ratio(m, 2, "attack", "priori")
-    r_post = greedy_ratio(m, 2, "attack", "posteriori")
+    r_pri, r_post = (greedy_and_optimal([m], 2, "attack", metric)[0][2] for metric in ("priori", "posteriori"))
     if abs(r_pri - pri_limit) / pri_limit > 0.02:
         problems.append(f"priori ratio {r_pri:.6f} not within 2% of {pri_limit:.6f}")
     if abs(r_post - post_limit) / post_limit > 0.02:
@@ -305,7 +303,7 @@ def _independent_best(model, mode, metric, budget):
         if mode == "select":
             trace = evaluate_selection(model, SelectionVector(bits), metric).trace
         else:
-            trace = evaluate_attack(model, AttackVector(bits), metric).trace
+            trace = evaluate_selection(model, complement(AttackVector(bits)), metric).trace
         entries.append((trace, sum(bits), bits))
     traces = [t for t, _, _ in entries]
     best = min(traces) if mode == "select" else max(traces)

@@ -95,9 +95,49 @@ def test_solve_rejects_malformed_json(example1_file, tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {key} must be an array of numbers"), key
 
 
-def test_solve_missing_file_is_input_error(tmp_path):
-    assert run_cli("solve", "--instance", str(tmp_path / "nope.json"),
-                   "--mode", "select", "--algorithm", "greedy") == 1
+def test_solve_missing_file_is_input_error(tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    assert run_cli("solve", "--instance", missing, "--mode", "select", "--algorithm", "greedy") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and missing in err
+
+
+def _assert_unwritable(capsys, code, path):
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and path in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_solve_unwritable_output_is_input_error(example1_file, tmp_path, capsys):
+    path = str(tmp_path / "missing-dir" / "r.json")
+    _assert_unwritable(capsys, run_cli("solve", "--instance", str(example1_file), "--mode", "select",
+                                       "--algorithm", "greedy", "--output", path), path)
+
+
+def test_gadget_unwritable_output_is_input_error(tmp_path, capsys):
+    path = str(tmp_path / "missing-dir" / "g.json")
+    _assert_unwritable(capsys, run_cli("gadget", "example1", "--output", path), path)
+
+
+def test_sweep_unwritable_output_is_input_error(tmp_path, capsys):
+    path = str(tmp_path / "missing-dir" / "s.csv")
+    _assert_unwritable(capsys, run_cli("sweep", "--family", "example1", "--lambda1", "0.9",
+                                       "--h-grid", "10,100", "--output", path), path)
+
+
+def test_usage_error_then_valid_call_in_one_process(example1_file, capsys):
+    # the parser is built once per process, so a usage error must leave it
+    # fit for the next call
+    valid = ["solve", "--instance", str(example1_file), "--mode", "select", "--algorithm", "greedy"]
+    assert run_cli(*valid) == 0
+    before = capsys.readouterr().out
+    assert "chosen=[2, 3]" in before
+    for _ in range(2):
+        assert run_cli(*valid[:4], "bogus", *valid[5:]) == 1
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert run_cli(*valid) == 0
+        assert capsys.readouterr().out == before
 
 
 def test_bad_flag_is_input_error(example1_file, capsys):
@@ -265,7 +305,7 @@ def test_sweep_rows_equal_points_solved_alone(tmp_path, family, metric, v_scale,
         if v_scale:
             m.V = v_scale * np.eye(m.q)
             m = validate_model(m)
-        greedy, optimal, ratio = greedy_and_optimal(m, 2, "attack" if attack else "select", metric)
+        ((greedy, optimal, ratio),) = greedy_and_optimal([m], 2, "attack" if attack else "select", metric)
         assert row == [repr(x) for x in (h, greedy.trace, optimal.trace, ratio, limit)]
 
 

@@ -17,18 +17,27 @@ from kfsslab.riccati import (
     NoConvergence,
     ShapeError,
     StabilizabilityViolation,
-    coupling_check,
-    dare_steady_state,
     is_detectable,
     posteriori_from_priori,
     pseudo_inverse_psd,
-    riccati_step,
     solve_dare,
 )
-from kfsslab.solvers import exhaustive_select, greedy_select
+from kfsslab.solvers import evaluate_selection, exhaustive_select, greedy_and_optimal, greedy_select
 
-EMPTY_C1 = np.zeros((0, 1))
 EMPTY_V = np.zeros((0, 0))
+
+
+def _riccati_step(S, A, C, W, V):
+    """One application of the a priori recursion,
+    A S A' + W - (A S C') M^+ (A S C')', M = C S C' + V, symmetrized; M^+
+    drops the eigenvalues at or below the kernel's cutoff PINV_RTOL.  A
+    reference that shares no code with the kernel."""
+    w, U = np.linalg.eigh(C @ S @ C.T + V)
+    inv = np.zeros_like(w)
+    inv[w > riccati.PINV_RTOL] = 1.0 / w[w > riccati.PINV_RTOL]
+    ASC = A @ S @ C.T
+    step = A @ S @ A.T + W - ASC @ (U * inv) @ U.T @ ASC.T
+    return 0.5 * (step + step.T)
 
 
 def _diag_model(lams, W=None, C=None, V=None, **kw):
@@ -42,39 +51,10 @@ def _diag_model(lams, W=None, C=None, V=None, **kw):
         b=np.ones(q), omega=np.ones(q), **kw))
 
 
-def test_step_with_empty_measurement_is_lyapunov():
-    out = riccati_step(np.array([[5.0]]), np.array([[0.0]]), EMPTY_C1, np.array([[1.0]]), EMPTY_V)
-    assert out == pytest.approx(np.array([[1.0]]))
-
-
-def test_step_fixes_scalar_closed_form():
-    lam, alpha_sq = 0.8, 2.5
-    s = scalar_sensor_msee(lam, alpha_sq)
-    S = np.array([[s]])
-    out = riccati_step(S, np.array([[lam]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[alpha_sq]]))
-    assert abs(out[0, 0] - s) < 1e-12
-
-
-def test_step_two_state_hand_expansion():
-    # A = diag(1/2, 0), C = [1 0], V = 0, W = I, S = I:
-    # A S A' = diag(1/4, 0); gain term = (A S c')(c S c')^{-1}(c S A') = diag(1/4, 0)
-    # so the step lands exactly on the identity.
-    A = np.diag([0.5, 0.0])
-    out = riccati_step(np.eye(2), A, np.array([[1.0, 0.0]]), np.eye(2), np.zeros((1, 1)))
-    assert out == pytest.approx(np.eye(2), abs=1e-14)
-
-
-def test_step_shape_errors():
-    with pytest.raises(ShapeError):
-        riccati_step(np.eye(2), np.eye(2), np.ones((1, 3)), np.eye(2), np.zeros((1, 1)))
-    with pytest.raises(ShapeError):
-        riccati_step(np.eye(2), np.eye(2), np.ones((1, 2)), np.eye(2), np.zeros((2, 2)))
-
-
 def test_empty_selection_reaches_open_loop_variances():
     lams = [0.3, -0.7, 0.0]
     m = _diag_model(lams)
-    res = dare_steady_state(m, SelectionVector((0,) * 3))
+    res = evaluate_selection(m, SelectionVector((0,) * 3), "priori")
     assert res.is_finite
     expected = [1.0 / (1.0 - l * l) for l in lams]
     assert np.allclose(np.diag(res.cov), expected, atol=1e-9)
@@ -82,14 +62,14 @@ def test_empty_selection_reaches_open_loop_variances():
 
 def test_unobserved_unstable_mode_is_infinite():
     m = _diag_model([1.1, 0.0], C=np.array([[0.0, 1.0]]))
-    res = dare_steady_state(m, SelectionVector((1,)))
+    res = evaluate_selection(m, SelectionVector((1,)), "priori")
     assert not res.is_finite
     assert math.isinf(res.trace)
 
 
 def test_example1_optimal_pair_recovers_process_noise_floor():
     m = build_example1(0.9, 100.0)
-    res = dare_steady_state(m, SelectionVector((1, 0, 1)))
+    res = evaluate_selection(m, SelectionVector((1, 0, 1)), "priori")
     assert res.is_finite
     assert abs(res.trace - 3.0) < 1e-8
 
@@ -107,11 +87,20 @@ def test_posteriori_empty_selection_is_identity_update():
     assert np.array_equal(post, Sigma)
 
 
+def test_posteriori_shape_errors():
+    with pytest.raises(ShapeError):
+        posteriori_from_priori(np.eye(2), np.ones((1, 3)), np.zeros((1, 1)))
+    with pytest.raises(ShapeError):
+        posteriori_from_priori(np.eye(2), np.ones((1, 2)), np.zeros((2, 2)))
+    with pytest.raises(ShapeError):
+        posteriori_from_priori(np.eye(2), np.ones(2), np.zeros((1, 1)))
+
+
 def test_posteriori_single_sensor_matches_family_formula():
     lam, h = 0.9, 3.0
     m = build_example1(lam, h)
     sel = SelectionVector((0, 1, 0))
-    pri = dare_steady_state(m, sel)
+    pri = evaluate_selection(m, sel, "priori")
     from kfsslab.model import restrict
 
     C_sel, V_sel = restrict(m, sel)
@@ -127,20 +116,10 @@ def test_coupling_residual_of_converged_pair():
 
     for bits in [(1, 0, 1), (0, 1, 1), (1, 1, 1), (0, 1, 0)]:
         sel = SelectionVector(bits)
-        pri = dare_steady_state(m, sel)
+        pri = evaluate_selection(m, sel, "priori")
         C_sel, V_sel = restrict(m, sel)
         post = posteriori_from_priori(pri.cov, C_sel, V_sel)
-        assert coupling_check(pri.cov, post, m.A, m.W) < 1e-8
-
-
-def test_coupling_trivial_and_perturbed():
-    A = np.diag([0.4, 0.2, 0.1])
-    W = np.diag([1.0, 2.0, 3.0])
-    assert coupling_check(W, np.zeros((3, 3)), A, W) == 0.0
-    Sigma = W.copy()
-    assert coupling_check(Sigma + 0.1 * np.eye(3), np.zeros((3, 3)), A, W) == pytest.approx(
-        0.1 * math.sqrt(3)
-    )
+        assert np.linalg.norm(pri.cov - (m.A @ post @ m.A.T + m.W)) < 1e-8  # Sigma = A Sigma* A' + W
 
 
 def test_detectability_cases():
@@ -180,7 +159,7 @@ def test_iterates_stay_inside_diagonal_envelope():
     hi = np.diag(W) / (1.0 - lams**2) + 1.0
     S = np.eye(4)
     for _ in range(200):
-        S = riccati_step(S, A, C, W, np.zeros((3, 3)))
+        S = _riccati_step(S, A, C, W, np.zeros((3, 3)))
         d = np.diag(S)
         assert np.all(d >= -1e-12)
         assert np.all(d <= hi + 1e-9)
@@ -192,9 +171,9 @@ def test_fixed_point_property():
 
     for bits in [(1, 1, 0), (0, 1, 1), (1, 0, 1)]:
         sel = SelectionVector(bits)
-        res = dare_steady_state(m, sel)
+        res = evaluate_selection(m, sel, "priori")
         C_sel, V_sel = restrict(m, sel)
-        stepped = riccati_step(res.cov, m.A, C_sel, m.W, V_sel)
+        stepped = _riccati_step(res.cov, m.A, C_sel, m.W, V_sel)
         assert np.linalg.norm(stepped - res.cov) < 10 * riccati.TOL
 
 
@@ -211,16 +190,16 @@ def test_adding_sensors_never_hurts():
         grow = bits.copy()
         grow[int(rng.integers(0, q))] = 1
         large = SelectionVector(tuple(int(b) for b in grow))
-        t_small = dare_steady_state(m, small).trace
-        t_large = dare_steady_state(m, large).trace
+        t_small = evaluate_selection(m, small, "priori").trace
+        t_large = evaluate_selection(m, large, "priori").trace
         assert t_large <= t_small + 1e-8
 
 
 def test_determinism_bit_identical():
     m = build_example1(0.93, 250.0)
     sel = SelectionVector((0, 1, 1))
-    r1 = dare_steady_state(m, sel)
-    r2 = dare_steady_state(m, sel)
+    r1 = evaluate_selection(m, sel, "priori")
+    r2 = evaluate_selection(m, sel, "priori")
     assert r1.iterations == r2.iterations
     assert np.array_equal(r1.cov, r2.cov)
     assert r1.trace == r2.trace
@@ -231,7 +210,7 @@ def test_no_convergence_reports_residual(monkeypatch):
     monkeypatch.setattr(riccati, "MAX_STEPS", 5)
     monkeypatch.setattr(riccati, "TOL", 1e-300)
     with pytest.raises(NoConvergence) as exc:
-        dare_steady_state(m, SelectionVector((0,)))
+        evaluate_selection(m, SelectionVector((0,)), "priori")
     assert exc.value.residual > 0
     assert exc.value.iterations == 5
 
@@ -287,7 +266,7 @@ def test_gadget_subsets_match_scipy(build):
     for r in range(1, m.q + 1):
         for support in combinations(range(m.q), r):
             sel = SelectionVector.from_support(m.q, support)
-            res = dare_steady_state(m, sel)
+            res = evaluate_selection(m, sel, "priori")
             if not res.is_finite:
                 continue
             C_sel, V_sel = restrict(m, sel)
@@ -340,7 +319,7 @@ def test_kernel_follows_noise_singularity(monkeypatch, V, kernel):
         assert res.iterations == len(used) - 2 >= 2
     assert res.is_finite
     S = res.cov
-    assert np.linalg.norm(riccati_step(S, A, C, np.eye(2), V) - S) < 1e-9
+    assert np.linalg.norm(_riccati_step(S, A, C, np.eye(2), V) - S) < 1e-9
 
 
 def test_stabilizability_verdict_follows_pbh_tol(monkeypatch):
@@ -364,15 +343,17 @@ def test_stabilizability_checked_once_per_driver_run(monkeypatch):
         return check(*args)
 
     monkeypatch.setattr(riccati, "is_stabilizable_noise", counting)
-    riccati._stabilizable.cache_clear()
     m = _diag_model([0.9, 0.5], C=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), V=np.eye(3))
     exhaustive_select(m, m.b, 2.0, "priori")
     greedy_select(m, 2, "posteriori")
-    assert len(calls) == 1
-    # the public entry points still refuse an unstabilizable pair, every time
+    greedy_and_optimal([m, m, m], 2, "attack", "priori")
+    assert len(calls) == 3
+    # every public entry point refuses an unstabilizable pair, on every call
     bad = _diag_model([1.5], W=np.zeros((1, 1)), V=np.eye(1))
-    for _ in range(2):
+    for run in [lambda: evaluate_selection(bad, SelectionVector((1,)), "priori"),
+                lambda: solve_dare(bad.A, bad.C, bad.W, bad.V),
+                lambda: exhaustive_select(bad, bad.b, 1.0, "priori"),
+                lambda: greedy_select(bad, 1, "priori"),
+                lambda: greedy_and_optimal([bad, bad], 1, "select", "priori")] * 2:
         with pytest.raises(StabilizabilityViolation):
-            dare_steady_state(bad, SelectionVector((1,)))
-    with pytest.raises(StabilizabilityViolation):
-        exhaustive_select(bad, bad.b, 1.0, "priori")
+            run()

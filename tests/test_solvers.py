@@ -6,8 +6,7 @@ import pytest
 
 from kfsslab.closed_forms import example1_predictions, example2_predictions, msee_limit
 from kfsslab.gadgets import build_example1, build_example2
-from kfsslab.model import AttackVector, SelectionVector, SystemModel, validate_model
-from kfsslab.riccati import dare_steady_state
+from kfsslab.model import AttackVector, SelectionVector, SystemModel, complement, validate_model
 from kfsslab import riccati, solvers
 from kfsslab.solvers import (
     METRICS,
@@ -15,15 +14,14 @@ from kfsslab.solvers import (
     NonUnitCosts,
     SolverInputError,
     TooManySensors,
-    evaluate_attack,
     evaluate_selection,
     exhaustive_attack,
     exhaustive_select,
     greedy_and_optimal,
     greedy_attack,
-    greedy_ratio,
     greedy_select,
     report_to_dict,
+    trace_ratio,
     _enumerate_feasible,
     _kept,
     _ScoreTable,
@@ -39,6 +37,10 @@ def _stack(m, supports, metric):
     on a fresh table."""
     table = _ScoreTable(m, metric)
     return _score([(table, tuple(s)) for s in supports])
+
+
+def _ratio(m, budget, mode, metric):
+    return greedy_and_optimal([m], budget, mode, metric)[0][2]
 
 
 def _random_model(rng, n_max=4, q_max=6, unit_costs=True, psd_v=True):
@@ -71,13 +73,13 @@ def test_evaluate_attack_example2():
     m = build_example2(LAM, 0.5)
     limit = msee_limit(LAM)
     att = AttackVector((1, 1, 0, 0))
-    assert abs(evaluate_attack(m, att, "priori").trace - (limit + 2.0)) < 1e-8
+    assert abs(evaluate_selection(m, complement(att), "priori").trace - (limit + 2.0)) < 1e-8
     empty = AttackVector((0, 0, 0, 0))
-    full = dare_steady_state(m, SelectionVector((1, 1, 1, 1)))
-    assert evaluate_attack(m, empty, "priori").trace == pytest.approx(full.trace)
+    full = evaluate_selection(m, SelectionVector((1, 1, 1, 1)), "priori")
+    assert evaluate_selection(m, complement(empty), "priori").trace == pytest.approx(full.trace)
     drop4 = AttackVector((0, 0, 0, 1))
     pred = example2_predictions(LAM, 0.5)
-    assert abs(evaluate_attack(m, drop4, "priori").trace - pred.trace_greedy_priori) < 1e-8
+    assert abs(evaluate_selection(m, complement(drop4), "priori").trace - pred.trace_greedy_priori) < 1e-8
 
 
 def test_greedy_select_example1_order():
@@ -185,14 +187,14 @@ def test_family_predictions_match_solvers():
 
 def test_greedy_ratio_examples():
     m1 = build_example1(LAM, 1e4)
-    pri = greedy_ratio(m1, 2, "select", "priori")
+    pri = _ratio(m1, 2, "select", "priori")
     assert abs(pri - (2.0 / 3.0 + 1.0 / (3 * 0.19))) / pri < 0.02
-    post = greedy_ratio(m1, 2, "select", "posteriori")
+    post = _ratio(m1, 2, "select", "posteriori")
     assert abs(post - 1.0 / 0.19) / post < 0.02
-    assert greedy_ratio(m1, 3, "select", "priori") == pytest.approx(1.0, abs=1e-9)
+    assert _ratio(m1, 3, "select", "priori") == pytest.approx(1.0, abs=1e-9)
 
     m2 = build_example2(LAM, 1e-4)
-    att_post = greedy_ratio(m2, 2, "attack", "posteriori")
+    att_post = _ratio(m2, 2, "attack", "posteriori")
     assert abs(att_post - 1.0 / 0.19) / att_post < 0.02
 
 
@@ -205,7 +207,7 @@ def test_ratio_with_infinite_sides():
         b=np.ones(2), omega=np.ones(2),
         budget_select=1.0, budget_attack=1.0,
     ))
-    ratio = greedy_ratio(m, 1, "attack", "priori")
+    ratio = _ratio(m, 1, "attack", "priori")
     assert ratio == 1.0  # both greedy and optimum blind the filter
     rep = exhaustive_attack(m, m.omega, 1.0, "priori")
     assert math.isinf(rep.trace)
@@ -236,8 +238,8 @@ def test_exhaustive_dominates_greedy_on_random_instances():
             g_att = greedy_attack(m, budget, metric).trace
             o_att = exhaustive_attack(m, m.omega, float(budget), metric).trace
             assert o_att >= g_att - 1e-9
-            assert greedy_ratio(m, budget, "select", metric) >= 1.0 - 1e-6
-            assert greedy_ratio(m, budget, "attack", metric) >= 1.0 - 1e-6
+            assert _ratio(m, budget, "select", metric) >= 1.0 - 1e-6
+            assert _ratio(m, budget, "attack", metric) >= 1.0 - 1e-6
 
 
 def test_reports_are_reproducible():
@@ -300,7 +302,7 @@ def test_error_paths():
 
 
 @pytest.mark.parametrize("greedy", [greedy_select, greedy_attack])
-@pytest.mark.parametrize("budget", [2.5, -0.5, 1.9, math.inf, math.nan])
+@pytest.mark.parametrize("budget", [2.5, -0.5, 1.9, math.inf, math.nan, None, "x"])
 def test_non_integral_cardinality_budget_is_rejected(greedy, budget):
     with pytest.raises(SolverInputError, match="must be an integer"):
         greedy(build_example1(LAM, 10.0), budget, "priori")
@@ -438,7 +440,7 @@ def test_greedy_and_optimal_scores_each_support_once(mode, monkeypatch):
                     return _score(members)
 
                 monkeypatch.setattr(solvers, "_score", spy)
-                greedy, optimal, ratio = greedy_and_optimal(m, budget, mode, metric)
+                ((greedy, optimal, ratio),) = greedy_and_optimal([m], budget, mode, metric)
                 monkeypatch.undo()
                 assert len(scored) == len(set(scored)), (m.q, metric, budget)
                 assert len({table for table, _ in scored}) == 1
@@ -448,7 +450,8 @@ def test_greedy_and_optimal_scores_each_support_once(mode, monkeypatch):
                     m, m.omega if attack else m.b, float(budget), metric)
                 assert report_to_dict(greedy) == report_to_dict(alone_greedy)
                 assert report_to_dict(optimal) == report_to_dict(alone_optimal)
-                assert ratio == greedy_ratio(m, budget, mode, metric)
+                assert ratio == (trace_ratio(optimal.trace, greedy.trace) if attack
+                                 else trace_ratio(greedy.trace, optimal.trace))
 
 
 @pytest.mark.parametrize("mode", ["select", "attack"])
@@ -456,12 +459,37 @@ def test_mode_images_are_computed_once_per_table(mode, monkeypatch):
     tie = _tie_model(np.random.default_rng(47))  # one unstable mode, so the images are not empty
     tie.b = np.ones(tie.q)
     for m in (tie, build_example1(LAM, 100.0)):
-        riccati.check_stabilizable(m.A, m.W)  # its PBH test of (A', W^1/2) goes through _mode_images too
         calls = []
         original = riccati._mode_images
         monkeypatch.setattr(riccati, "_mode_images", lambda A, C: calls.append((A, C)) or original(A, C))
         for metric in METRICS:
-            greedy_and_optimal(m, 2, mode, metric)
+            greedy_and_optimal([m], 2, mode, metric)
         monkeypatch.undo()
-        assert len(calls) == len(METRICS)
-        assert all(A is m.A and C is m.C for A, C in calls)
+        # one per table, and one per call for its stabilizability test,
+        # whose PBH test of (A', W^1/2) goes through _mode_images too
+        tables = [A for A, C in calls if C is m.C]
+        assert len(tables) == len(METRICS) and all(A is m.A for A in tables)
+        assert len(calls) == 2 * len(METRICS)
+
+
+def test_greedy_and_optimal_over_models_equals_each_model_alone(monkeypatch):
+    # example1 at several gains shares A and W; one call scores greedy's
+    # first step and the maximal sets of all of them as one stack per size
+    models = [build_example1(LAM, h) for h in (0.1, 10.0, 1e3)]
+    for mode in ("select", "attack"):
+        for metric in METRICS:
+            runs = []
+            original = riccati._solve_detectable
+            monkeypatch.setattr(riccati, "_solve_detectable", lambda *a: runs.append(1) or original(*a))
+            joint = greedy_and_optimal(models, 2, mode, metric)
+            monkeypatch.undo()
+            assert len(runs) == 2  # sizes 1 and 2, or q - 1 and q - 2
+            for m, (greedy, optimal, ratio) in zip(models, joint):
+                ((g, o, r),) = greedy_and_optimal([m], 2, mode, metric)
+                assert (report_to_dict(greedy), report_to_dict(optimal), ratio) == (
+                    report_to_dict(g), report_to_dict(o), r)
+    assert greedy_and_optimal([], 2, "select", "priori") == []
+    # models that do not share A are refused before any solve
+    monkeypatch.setattr(riccati, "_solve_detectable", lambda *a: pytest.fail("solved"))
+    with pytest.raises(ValueError, match="share A, W"):
+        greedy_and_optimal([models[0], build_example1(0.6, 1.0)], 2, "select", "priori")
