@@ -9,7 +9,8 @@ Commands:
 Exit codes: 0 success, 1 input error, 2 solver error, 3 enumeration too
 large.  Report payloads carry no timestamps, so identical invocations write
 byte-identical files.  A file that cannot be read or written is an input
-error.  A sweep builds every point's model first, then runs one
+error, and a run that fails so leaves none of the files it created.  A
+sweep builds every point's model first, then runs one
 solvers.greedy_and_optimal over all of them, in this process, and writes
 its rows in grid order.  No flag sets a solver tolerance: the solvers use
 the constants of the riccati module.  The parser is built once, at import.
@@ -18,9 +19,11 @@ the constants of the riccati module.  The parser is built once, at import.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -66,10 +69,27 @@ def _load_x3c(path: str) -> gadgets.X3CInstance:
         raise _InputError(f"malformed X3C instance in {path}: {exc}") from exc
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _write_json(*files: tuple[str, dict]) -> None:
+    """Write each (path, payload) as JSON, or none of them.  Every path is
+    opened, without truncating it, before any is written; when one cannot
+    be opened or written, the files this call created are removed again."""
+    created = []
+    try:
+        with contextlib.ExitStack() as stack:
+            handles = []
+            for path, _ in files:
+                existed = os.path.exists(path)
+                handles.append(stack.enter_context(open(path, "a", encoding="utf-8")))
+                if not existed:
+                    created.append(path)
+            for fh, (_, payload) in zip(handles, files):
+                fh.truncate(0)
+                json.dump(payload, fh, sort_keys=True, indent=2)
+                fh.write("\n")
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
 
 
 def _integral_budget(value: float, what: str) -> int:
@@ -93,7 +113,7 @@ def cmd_solve(args) -> int:
     trace_text = "inf" if math.isinf(report.trace) else repr(report.trace)
     print(f"trace={trace_text} chosen={support}")
     if args.output:
-        _write_json(args.output, solvers.report_to_dict(report))
+        _write_json((args.output, solvers.report_to_dict(report)))
     return EXIT_OK
 
 
@@ -101,7 +121,7 @@ def cmd_gadget(args) -> int:
     if args.kind in ("example1", "example2"):
         build = gadgets.build_example1 if args.kind == "example1" else gadgets.build_example2
         instance = build(args.lambda1, args.h)
-        _write_json(args.output, model_mod.model_to_dict(instance))
+        _write_json((args.output, model_mod.model_to_dict(instance)))
         print(f"wrote {args.kind} instance to {args.output}")
         return EXIT_OK
     if args.x3c is None:
@@ -109,9 +129,9 @@ def cmd_gadget(args) -> int:
     x3c = _load_x3c(args.x3c)
     build = gadgets.build_kfss_gadget if args.kind == "kfss" else gadgets.build_kfsa_gadget
     gadget = build(x3c, args.k)
-    _write_json(args.output, model_mod.model_to_dict(gadget.model))
     sidecar = args.threshold_output or args.output + ".threshold.json"
-    _write_json(sidecar, gadgets.gadget_to_dict(gadget))
+    _write_json((args.output, model_mod.model_to_dict(gadget.model)),
+                (sidecar, gadgets.gadget_to_dict(gadget)))
     print(f"wrote {gadget.kind} instance to {args.output} (threshold {gadget.threshold} in {sidecar})")
     return EXIT_OK
 

@@ -20,9 +20,12 @@ One doubling loop computes it, in one of two ways chosen from the data:
   quadratically.
 
 The private helpers work on stacks: arrays of k same-shape members, one
-per sensor subset (C is k x p x n, V is k x p x p).  The noise
-factorization, the doubling, the Newton gain and the measurement update
-each run as one batched numpy call per step over the stack, and each
+per sensor subset (C is k x p x n, V is k x p x p).  _solve_detectable
+takes a list of stacks that may differ in the sensor count p.  The steps
+whose shapes depend on p (the noise factorization, the Newton start
+factor and gain, K C and K V K', and the measurement update) run as one
+batched numpy call per stack; the doublings, the Stein solves and the
+stopping rules act on n x n stacks and run once over all members.  Each
 member of a doubling or Newton run stops at its own stopping rule.  PBH
 takes one kernel basis of A - lam I per unstable mode and model.  The
 update of a nonsingular member solves with the G = C' V^-1 C its doubling
@@ -51,7 +54,8 @@ class ShapeError(ValueError):
 
 class NoConvergence(RuntimeError):
     """A doubling run or the Newton iteration reached MAX_STEPS above
-    tolerance, or a doubling iterate became non-finite."""
+    tolerance, a doubling iterate became non-finite, or a solution fell
+    below W on the diagonal."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(f"{message} (residual {residual:.3e} after {iterations} iterations)")
@@ -192,9 +196,11 @@ def _gain(A, S, C, V) -> np.ndarray:
     return A @ CS.transpose(0, 2, 1) @ _pinv_psd(CS @ C.transpose(0, 2, 1) + V)
 
 
-def _newton_dare(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
-    """Newton-Hewer iteration for every member of the stacks C (k x p x n)
-    and V (k x p x p), V singular.
+def _newton_dare(A, W, stacks) -> tuple[np.ndarray, np.ndarray]:
+    """Newton-Hewer iteration for every member of the (C, V) stacks in
+    ``stacks`` (C k x p x n, V k x p x p, every V singular), whose sensor
+    counts p may differ.  Returns the covariances and step counts of all
+    members, stack after stack.
 
     Step 1 takes the gain of the doubling solution S_0 for
     V + NEWTON_START_DELTA I, which stabilizes A - K C.  Step j solves
@@ -204,21 +210,25 @@ def _newton_dare(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
     From step 2 on a member stops once its step ||S_j - S_j-1||_F is at most
     TOL * max(1, ||S_j||_F), or once a step neither shrinks nor lowers
     the trace (the iterates decrease, so that step is round-off), and is
-    frozen.  Returns the stack of covariances and each member's step count;
-    raises NoConvergence when a member reaches MAX_STEPS steps, or as
+    frozen.  Only the start factor, the gain, K C and K V K' depend on p and
+    run once per stack; one doubling run gives every S_0, and each step is
+    one Stein doubling run and one stopping test over all members.  Raises
+    NoConvergence when a member reaches MAX_STEPS steps, or as
     _doubling_dare does.
     """
-    k, p, n = C.shape
-    start = V + NEWTON_START_DELTA * np.eye(p)
-    F = np.linalg.solve(np.linalg.cholesky(start), C)
-    S, _ = _doubling_dare(A, F.transpose(0, 2, 1) @ F, W)
-    K = _gain(A, S, C, start)
-    out = np.empty((k, n, n))
-    steps = np.zeros(k, dtype=int)
-    live = np.arange(k)
+    Cs, Vs = [C for C, _ in stacks], [V for _, V in stacks]
+    starts = [V + NEWTON_START_DELTA * np.eye(V.shape[1]) for V in Vs]
+    F = [np.linalg.solve(np.linalg.cholesky(start), C) for C, start in zip(Cs, starts)]
+    S, _ = _doubling_dare(A, np.concatenate([f.transpose(0, 2, 1) @ f for f in F]), W)
+    cuts = np.cumsum([len(C) for C in Cs])[:-1]
+    K = [_gain(A, s, C, start) for s, C, start in zip(np.split(S, cuts), Cs, starts)]
+    out = np.empty_like(S)
+    steps = np.zeros(len(S), dtype=int)
+    live = np.arange(len(S))
     for it in range(1, MAX_STEPS + 1):
-        Q = _sym(W + K @ V @ K.transpose(0, 2, 1))
-        S2, _ = _doubling_dare(A - K @ C, None, Q)
+        F = np.concatenate([A - k @ C for k, C in zip(K, Cs)])
+        Q = _sym(W + np.concatenate([k @ V @ k.transpose(0, 2, 1) for k, V in zip(K, Vs)]))
+        S2, _ = _doubling_dare(F, None, Q)
         step = _fro(S2 - S)
         trace2 = np.trace(S2, axis1=1, axis2=2)
         S = S2
@@ -229,11 +239,15 @@ def _newton_dare(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
                 out[live[done]] = S[done]
                 steps[live[done]] = it
                 keep = ~done
-                live, C, V, S, step, trace2 = live[keep], C[keep], V[keep], S[keep], step[keep], trace2[keep]
+                live, S, step, trace2 = live[keep], S[keep], step[keep], trace2[keep]
                 if not live.size:
                     return out, steps
+                kept = np.split(keep, cuts)
+                Cs = [C[k] for C, k in zip(Cs, kept) if k.any()]
+                Vs = [V[k] for V, k in zip(Vs, kept) if k.any()]
+                cuts = np.cumsum([len(C) for C in Cs])[:-1]
         last, trace = step, trace2
-        K = _gain(A, S, C, V)
+        K = [_gain(A, s, C, V) for s, C, V in zip(np.split(S, cuts), Cs, Vs)]
     raise NoConvergence("iteration cap reached above tolerance", float(last[0]), MAX_STEPS)
 
 
@@ -346,23 +360,38 @@ def check_stabilizable(A, W) -> None:
         raise StabilizabilityViolation("(A, W^(1/2)) is not stabilizable")
 
 
-def _solve_detectable(A, C, W, V) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """A priori covariances, iteration counts and _noise_gain(C, V) for the
-    stacks C (k x p x n) and V (k x p x p), every member detectable.
+def _solve_detectable(A, W, stacks) -> tuple[np.ndarray, np.ndarray, list]:
+    """A priori covariances and iteration counts of every member of the
+    (C, V) stacks in ``stacks`` (C k x p x n, V k x p x p, every member
+    detectable), stack after stack, and _noise_gain(C, V) of each stack.
+    The stacks may differ in their sensor count p.
 
-    Nonsingular members share one doubling run and singular ones one
-    Newton run.  Raises NoConvergence as solve_dare does.
+    The nonsingular members of all stacks share one doubling run and the
+    singular ones one Newton run.  Raises NoConvergence as _doubling_dare
+    and _newton_dare do, and when a member's variance falls below W's by
+    more than sqrt(TOL) * max(1, ||S||_F): every a priori covariance is
+    A S* A' + W >= W, so such a member went astray, as on a pair (A, C)
+    that is undetectable within round-off but passed the PBH test, where
+    the shortfall is of the order of ||S||.  The bound is not TOL: with a
+    large gain K against a singular V, the round-off of K V K' alone puts
+    correct solutions up to 3e-9 relative below W (random noiseless
+    models, n <= 4).
     """
-    k, n = C.shape[0], A.shape[0]
-    S = np.empty((k, n, n))
-    iters = np.zeros(k, dtype=int)
-    nonsingular, G = noise = _noise_gain(C, V)
+    noises = [_noise_gain(C, V) for C, V in stacks]
+    nonsingular = np.concatenate([ok for ok, _ in noises])
+    S = np.empty((nonsingular.size,) + A.shape)
+    iters = np.zeros(nonsingular.size, dtype=int)
     if nonsingular.any():
-        S[nonsingular], iters[nonsingular] = _doubling_dare(A, G, W)
-    singular = ~nonsingular
-    if singular.any():
-        S[singular], iters[singular] = _newton_dare(A, C[singular], W, V[singular])
-    return S, iters, noise
+        S[nonsingular], iters[nonsingular] = _doubling_dare(A, np.concatenate([G for _, G in noises]), W)
+    if not nonsingular.all():
+        singular = [(C[~ok], V[~ok]) for (C, V), (ok, _) in zip(stacks, noises) if not ok.all()]
+        S[~nonsingular], iters[~nonsingular] = _newton_dare(A, W, singular)
+    shortfall = (W.diagonal() - S.diagonal(axis1=1, axis2=2)).max(axis=1)
+    below = np.flatnonzero(shortfall > np.sqrt(TOL) * np.maximum(1.0, _fro(S)))
+    if below.size:
+        j = below[0]
+        raise NoConvergence("a priori variance below W's", float(shortfall[j]), int(iters[j]))
+    return S, iters, noises
 
 
 def solve_dare(A, C, W, V) -> SteadyStateResult:
@@ -379,7 +408,8 @@ def solve_dare(A, C, W, V) -> SteadyStateResult:
     Returns the infinite result when (A, C) is undetectable.  Raises
     StabilizabilityViolation when (A, W^{1/2}) is not stabilizable and
     NoConvergence when a doubling run or the Newton iteration reaches
-    MAX_STEPS above tolerance, or a doubling iterate turns non-finite.
+    MAX_STEPS above tolerance, a doubling iterate turns non-finite, or the
+    solution's variance falls below W's (see _solve_detectable).
     """
     A = np.ascontiguousarray(A, dtype=float)
     C = np.ascontiguousarray(C, dtype=float)
@@ -393,7 +423,7 @@ def solve_dare(A, C, W, V) -> SteadyStateResult:
     check_stabilizable(A, W)
     if not is_detectable(A, C):
         return SteadyStateResult.infinite()
-    S, iters, _ = _solve_detectable(A, C[None], W, V[None])
+    S, iters, _ = _solve_detectable(A, W, [(C[None], V[None])])
     return SteadyStateResult.finite(S[0], int(iters[0]))
 
 
@@ -402,4 +432,4 @@ def warmup() -> None:
     Newton loop, so that the first timed solve does not pay numpy's one-time
     set-up costs."""
     one = np.ones((1, 1, 1))
-    _solve_detectable(np.array([[0.5]]), one, np.eye(1), 0.0 * one)
+    _solve_detectable(np.array([[0.5]]), np.eye(1), [(one, 0.0 * one)])

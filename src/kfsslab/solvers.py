@@ -18,9 +18,9 @@ for one (model, metric), so a run solves each survivor set at most once.
 greedy_and_optimal takes a sequence of models that share A and W, such as
 a sweep's grid points: each model's greedy and exhaustive runs share one
 table, and the sets both runs are known to read are scored for all models
-at once, one stack per size.  Every public solver checks its input and
-tests stabilizability once, uncached, before it solves anything; the
-private drivers do neither.  Adding a sensor
+at once, in one stack whose chunks mix the subset sizes.  Every public
+solver checks its input and tests stabilizability once, uncached, before
+it solves anything; the private drivers do neither.  Adding a sensor
 never raises the trace, so the exhaustive search solves only the
 inclusion-maximal feasible sets, and then the subsets of tied sets that the
 smallest-support tie rule needs.  A report's trace and covariance diagonal
@@ -130,9 +130,12 @@ def evaluate_selection(model: SystemModel, sel: SelectionVector, metric: str) ->
 
 def _score(members) -> tuple[list[float], np.ndarray]:
     """Traces and covariance diagonals of evaluate_selection for members
-    (table, sorted support) of one size, solved as stacks of at most
-    STACK_CHUNK members.  The tables may differ if their models share A, W
-    and the sensor count, and the tables the metric.
+    (table, sorted support), solved as stacks of at most STACK_CHUNK
+    members.  The tables may differ if their models share A, W and the
+    sensor count, and the tables the metric.  The supports may differ in
+    size: a chunk is one kernel run whatever sizes it holds, and the PBH
+    test and the measurement update run once per run of adjacent members
+    of one size (_fill passes them in order of size).
 
     Undetectable members score math.inf, with a NaN diagonal, without a
     solve.  Every member gets the per-subset solve's tests and kernel, so
@@ -145,27 +148,33 @@ def _score(members) -> tuple[list[float], np.ndarray]:
         raise ValueError("tables scored together must share A, W, the sensor count and the metric")
     # member rows in the tables' C, V and mode images stacked one on the other
     offset = {table: i * model.q for i, table in enumerate(tables)}
-    idx = np.array([s for _, s in members], dtype=np.intp).reshape(len(members), -1)
-    rows = idx + np.array([offset[table] for table, _ in members], dtype=np.intp)[:, None]
     C_all = np.concatenate([t.model.C for t in tables])
     V_all = np.concatenate([t.model.V for t in tables])
     images = [np.concatenate(parts) for parts in zip(*(t.images for t in tables))]
-    traces = np.full(len(idx), math.inf)
-    diags = np.full((len(idx), model.n), math.nan)
-    for lo in range(0, len(idx), STACK_CHUNK):
-        chunk = slice(lo, lo + STACK_CHUNK)
-        finite = riccati._detectable(images, rows[chunk])
-        if not finite.any():
+    traces = np.full(len(members), math.inf)
+    diags = np.full((len(members), model.n), math.nan)
+    for lo in range(0, len(members), STACK_CHUNK):
+        stacks, scored, first = [], [], lo
+        for _, run in groupby(members[lo:lo + STACK_CHUNK], key=lambda m: len(m[1])):
+            run = list(run)
+            idx = np.array([s for _, s in run], dtype=np.intp).reshape(len(run), -1)
+            rows = idx + np.array([offset[table] for table, _ in run], dtype=np.intp)[:, None]
+            finite = riccati._detectable(images, rows)
+            if finite.any():
+                row, col = rows[finite], idx[finite]
+                stacks.append((C_all[row], V_all[row[:, :, None], col[:, None, :]]))
+                scored.append(first + np.flatnonzero(finite))
+            first += len(run)
+        if not stacks:
             continue
-        row, col = rows[chunk][finite], idx[chunk][finite]
-        C = C_all[row]
-        V = V_all[row[:, :, None], col[:, None, :]]
-        S, _, noise = riccati._solve_detectable(model.A, C, model.W, V)
-        if metric == "posteriori":
-            S = riccati._posteriori(S, C, V, noise)
-        at = lo + np.flatnonzero(finite)
-        traces[at] = np.trace(S, axis1=1, axis2=2)
-        diags[at] = S.diagonal(axis1=1, axis2=2)
+        S, _, noises = riccati._solve_detectable(model.A, model.W, stacks)
+        end = 0
+        for (C, V), noise, at in zip(stacks, noises, scored):
+            part, end = S[end:end + len(at)], end + len(at)
+            if metric == "posteriori":
+                part = riccati._posteriori(part, C, V, noise)
+            traces[at] = np.trace(part, axis1=1, axis2=2)
+            diags[at] = part.diagonal(axis1=1, axis2=2)
     return traces.tolist(), diags
 
 
@@ -188,12 +197,12 @@ class _ScoreTable:
 
 def _fill(members) -> None:
     """Score the (table, sorted support tuple) members that their table
-    lacks, with one _score call per size whose stacks mix the tables."""
+    lacks, in one _score call whose stacks mix the tables and the sizes."""
     tables = list(dict.fromkeys(table for table, _ in members))
     order = {table: t for t, table in enumerate(tables)}
     missing = sorted({(len(s), s, order[table]) for table, s in members if s not in table.scores})
-    for _, group in groupby(missing, key=lambda m: m[0]):
-        members = [(tables[t], s) for _, s, t in group]
+    if missing:
+        members = [(tables[t], s) for _, s, t in missing]
         for (table, s), trace, diag in zip(members, *_score(members)):
             table.scores[s] = trace, diag
 
@@ -405,8 +414,8 @@ def greedy_and_optimal(
     solve.  Each model's two drivers share one score table, so no set is
     solved twice for a model.  The sets greedy's first step reads and the
     maximal sets exhaustive search reads are scored first, for all models
-    as one stack per size; greedy's later steps and the tie walk score what
-    their table still lacks.
+    and both sizes as one stack; greedy's later steps and the tie walk
+    score what their table still lacks.
     """
     if mode not in ("select", "attack"):
         raise SolverInputError(f"mode must be 'select' or 'attack', got {mode!r}")

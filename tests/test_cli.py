@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from kfsslab import closed_forms, gadgets, riccati
 from kfsslab.cli import main
 from kfsslab.model import validate_model
-from kfsslab.solvers import greedy_and_optimal
+from kfsslab.solvers import STACK_CHUNK, greedy_and_optimal
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -118,6 +119,22 @@ def test_solve_unwritable_output_is_input_error(example1_file, tmp_path, capsys)
 def test_gadget_unwritable_output_is_input_error(tmp_path, capsys):
     path = str(tmp_path / "missing-dir" / "g.json")
     _assert_unwritable(capsys, run_cli("gadget", "example1", "--output", path), path)
+
+
+@pytest.mark.parametrize("unwritable", ["model", "sidecar"])
+def test_gadget_with_an_unwritable_file_leaves_no_file_behind(yes_x3c_file, tmp_path, capsys, unwritable):
+    # a reduction writes its model and its threshold sidecar, both or
+    # neither; a file that was there before the run keeps its content
+    bad = str(tmp_path / "missing-dir" / "x.json")
+    kept = tmp_path / "kept.json"
+    kept.write_text("before\n")
+    for good in (tmp_path / "new.json", kept):
+        paths = {"model": str(good), "sidecar": str(good), unwritable: bad}
+        code = run_cli("gadget", "kfss", "--x3c", str(yes_x3c_file),
+                       "--output", paths["model"], "--threshold-output", paths["sidecar"])
+        _assert_unwritable(capsys, code, bad)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json", "yes.json"]
+        assert kept.read_text() == "before\n"
 
 
 def test_sweep_unwritable_output_is_input_error(tmp_path, capsys):
@@ -270,13 +287,13 @@ def test_sweep_v_scale_flag(tmp_path):
 
 
 def _kernel_spy(monkeypatch):
-    """Record the stack size of every riccati._solve_detectable call."""
+    """Record the member count of every riccati._solve_detectable call."""
     runs = []
     original = riccati._solve_detectable
 
-    def spy(A, C, W, V):
-        runs.append(C.shape[0])
-        return original(A, C, W, V)
+    def spy(A, W, stacks):
+        runs.append(sum(len(C) for C, _ in stacks))
+        return original(A, W, stacks)
 
     monkeypatch.setattr(riccati, "_solve_detectable", spy)
     return runs
@@ -310,14 +327,16 @@ def test_sweep_rows_equal_points_solved_alone(tmp_path, family, metric, v_scale,
 
 
 @pytest.mark.parametrize("family, members", [("example1", 54), ("example2", 90)])
-def test_sweep_makes_one_kernel_run_per_subset_size(tmp_path, monkeypatch, family, members):
+def test_sweep_makes_one_kernel_run_per_stack_chunk(tmp_path, monkeypatch, family, members):
+    # both sizes that budget 2 reads share each chunk of the joint stack:
+    # one run, except example2's 90 members at 9 points, which fill two chunks
     out = tmp_path / "sweep.csv"
-    for count, want in (("1", members // 9), ("9", members)):
+    for count, want, chunks in (("1", members // 9, 1), ("9", members, math.ceil(members / STACK_CHUNK))):
         runs = _kernel_spy(monkeypatch)
         assert run_cli("sweep", "--family", family, "--lambda1", "0.9",
                        "--h-range", "10", "1e4", count, "--output", str(out)) == 0
         monkeypatch.undo()
-        assert len(runs) == 2  # one stack of each size that budget 2 reads
+        assert len(runs) == chunks
         assert sum(runs) == want
 
 
@@ -330,6 +349,22 @@ def test_sweep_refuses_a_bad_point_before_any_solve(tmp_path, capsys, monkeypatc
     assert err.startswith("error: h = 1000000.0")
     assert runs == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm", ["greedy", "exhaustive"])
+def test_solve_on_a_defective_blind_mode_is_solver_error(tmp_path, capsys, algorithm):
+    # the sensor cannot see the defective mode 1.1 of A, but the PBH test
+    # passes within round-off; the solution falls below W and is refused
+    t = 0.1
+    Q = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    path = tmp_path / "defective.json"
+    path.write_text(json.dumps({
+        "n": 2, "q": 1, "A": (Q @ np.array([[1.1, 1.0], [0.0, 1.1]]) @ Q.T).tolist(),
+        "C": (np.array([[0.0, 1.0]]) @ Q.T).tolist(), "W": np.eye(2).tolist(), "V": [[1.0]],
+        "b": [1.0], "omega": [1.0], "budget_select": 1, "budget_attack": 0}))
+    assert run_cli("solve", "--instance", str(path), "--mode", "select", "--algorithm", algorithm) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: a priori variance below W's")
 
 
 def test_sweep_no_convergence_is_solver_error(tmp_path, capsys, monkeypatch):

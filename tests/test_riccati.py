@@ -215,6 +215,21 @@ def test_no_convergence_reports_residual(monkeypatch):
     assert exc.value.iterations == 5
 
 
+def test_solution_below_w_raises_no_convergence():
+    # A = Q [[1.1, 1], [0, 1.1]] Q' has the defective eigenvalue 1.1 with
+    # eigenvector Q e1, which the sensor c = [0, 1] Q' cannot see.  The
+    # eigenvalue is computed 4e-9 off 1.1, where A - lam I has no numerical
+    # kernel, so PBH passes and the doubling diverges (trace -1.2e17 before
+    # the check); S = A S* A' + W >= W catches it
+    t = 0.1
+    Q = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    A, c = Q @ np.array([[1.1, 1.0], [0.0, 1.1]]) @ Q.T, np.array([[0.0, 1.0]]) @ Q.T
+    assert is_detectable(A, c)
+    with pytest.raises(NoConvergence, match="below W") as exc:
+        solve_dare(A, c, np.eye(2), np.eye(1))
+    assert exc.value.residual > 1e16
+
+
 def test_unstabilizable_noise_pair_rejected():
     # unstable mode never excited by process noise
     with pytest.raises(StabilizabilityViolation):

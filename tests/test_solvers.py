@@ -474,7 +474,7 @@ def test_mode_images_are_computed_once_per_table(mode, monkeypatch):
 
 def test_greedy_and_optimal_over_models_equals_each_model_alone(monkeypatch):
     # example1 at several gains shares A and W; one call scores greedy's
-    # first step and the maximal sets of all of them as one stack per size
+    # first step and the maximal sets of all of them as one stack
     models = [build_example1(LAM, h) for h in (0.1, 10.0, 1e3)]
     for mode in ("select", "attack"):
         for metric in METRICS:
@@ -483,7 +483,7 @@ def test_greedy_and_optimal_over_models_equals_each_model_alone(monkeypatch):
             monkeypatch.setattr(riccati, "_solve_detectable", lambda *a: runs.append(1) or original(*a))
             joint = greedy_and_optimal(models, 2, mode, metric)
             monkeypatch.undo()
-            assert len(runs) == 2  # sizes 1 and 2, or q - 1 and q - 2
+            assert len(runs) == 1  # sizes 1 and 2, or q - 1 and q - 2, in one chunk
             for m, (greedy, optimal, ratio) in zip(models, joint):
                 ((g, o, r),) = greedy_and_optimal([m], 2, mode, metric)
                 assert (report_to_dict(greedy), report_to_dict(optimal), ratio) == (

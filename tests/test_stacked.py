@@ -1,8 +1,8 @@
 """The stacked candidate scorer against the per-subset solve.
 
-``solvers._score`` solves many same-size supports as batched stacks; every
-score must agree with ``evaluate_selection`` on the same support, whatever
-mix of members a stack holds.
+``solvers._score`` solves many supports, of one size or of several, as
+batched stacks; every score must agree with ``evaluate_selection`` on the
+same support, whatever mix of members a stack holds.
 """
 
 import math
@@ -88,7 +88,7 @@ def test_stack_members_stop_at_their_own_rule():
     m = _random_model(np.random.default_rng(8), 11)
     supports = np.array(list(combinations(range(11), 3)))
     C, V = m.C[supports], m.V[supports[:, :, None], supports[:, None, :]]
-    S, iters, _ = riccati._solve_detectable(m.A, C, m.W, V)
+    S, iters, _ = riccati._solve_detectable(m.A, m.W, [(C, V)])
     alone = [riccati.solve_dare(m.A, c, m.W, v) for c, v in zip(C, V)]
     assert iters.tolist() == [res.iterations for res in alone]
     assert len(set(iters.tolist())) > 1  # members freeze at different doublings
@@ -240,9 +240,8 @@ def _riccati_step(S, A, C, W, V):
     return 0.5 * (step + step.T)
 
 
-def _singular_stack(case):
-    """A, W and the stacks C, V of sensor pairs whose every member has
-    singular V."""
+def _singular_model(case):
+    """A model with singular V: noiseless, or with one noiseless sensor."""
     rng = np.random.default_rng(12)
     if case == "rank-one W":  # singular solutions, smallest eigenvalue at round-off
         u = rng.standard_normal(3)
@@ -254,6 +253,13 @@ def _singular_stack(case):
         m = _random_model(rng, 6, n=3, V=V)
     else:  # the noiseless example families at extreme gains
         m = build_example1(0.9, 1e4) if case == "example1" else build_example2(0.9, 1e-4)
+    return m
+
+
+def _singular_stack(case):
+    """A, W and the stacks C, V of sensor pairs whose every member has
+    singular V."""
+    m = _singular_model(case)
     pairs = np.array([c for c in combinations(range(m.q), 2) if case != "zero-diagonal" or 1 in c])
     return m.A, m.W, m.C[pairs], m.V[pairs[:, :, None], pairs[:, None, :]]
 
@@ -262,7 +268,7 @@ def _singular_stack(case):
 def test_fixed_point_stack_equals_members_alone(case):
     A, W, C, V = _singular_stack(case)
     assert not riccati._noise_gain(C, V)[0].any()
-    S, steps = riccati._newton_dare(A, C, W, V)
+    S, steps = riccati._newton_dare(A, W, [(C, V)])
     for cov, count, c, v in zip(S, steps.tolist(), C, V):
         alone = riccati.solve_dare(A, c, W, v)
         assert count == alone.iterations and np.array_equal(cov, alone.cov)
@@ -272,6 +278,33 @@ def test_fixed_point_stack_equals_members_alone(case):
             assert residual <= 1e-12 * max(1.0, np.linalg.norm(cov))
     if case != "rank-one W":
         assert len(set(steps.tolist())) > 1  # members freeze at different steps
+
+
+@pytest.mark.parametrize("case", ["example1", "example2", "zero-diagonal", "rank-one W"])
+def test_chunk_of_several_sensor_counts_equals_members_alone(case, monkeypatch):
+    # one kernel run over the detectable sets of 1, 2 and 3 sensors with the
+    # model's V (singular, or singular where sensor 1 is in) and the pairs
+    # with V + 0.3 I as well
+    m = _singular_model(case)
+    stacks = []
+    for r, shift in ((1, 0.0), (2, 0.0), (3, 0.0), (2, 0.3)):
+        sets = np.array(list(combinations(range(m.q), r)))
+        C, V = m.C[sets], m.V[sets[:, :, None], sets[:, None, :]] + shift * np.eye(r)
+        seen = np.array([riccati.is_detectable(m.A, c) for c in C])
+        stacks.append((C[seen], V[seen]))
+    runs = []
+    newton = riccati._newton_dare
+    monkeypatch.setattr(riccati, "_newton_dare", lambda *a: runs.append(a[2]) or newton(*a))
+    S, iters, noises = riccati._solve_detectable(m.A, m.W, stacks)
+    monkeypatch.undo()
+    assert len(runs) == 1 and {C.shape[1] for C, _ in runs[0]} == {1, 2, 3}
+    nonsingular = np.concatenate([ok for ok, _ in noises])
+    assert nonsingular.any() and not nonsingular.all()
+    members = [(c, v) for C, V in stacks for c, v in zip(C, V)]
+    assert len(members) == len(S) <= STACK_CHUNK
+    for cov, count, (c, v) in zip(S, iters.tolist(), members):
+        alone = riccati.solve_dare(m.A, c, m.W, v)
+        assert count == alone.iterations and np.array_equal(cov, alone.cov)
 
 
 def test_fixed_point_raises_no_convergence(monkeypatch):
