@@ -16,6 +16,7 @@ from kfsslab.closed_forms import (
     scalar_sensor_msee,
 )
 from kfsslab.gadgets import build_example1, build_example2
+from kfsslab import riccati
 from kfsslab.riccati import solve_dare
 from kfsslab.solvers import _ScoreTable, _score
 
@@ -207,3 +208,23 @@ def test_every_family_subset_obeys_floor_and_closed_forms(family, lam):
                 for what, field in forms.get(support, {}).items():
                     want = getattr(p, field)
                     assert abs(got[what] - want) <= 1e-12 * want, (h, support, field, got[what], want)
+
+
+@pytest.mark.parametrize("family", ["example1", "example2"])
+def test_no_family_subset_takes_more_than_three_newton_steps(family):
+    # the Newton start from V + NEWTON_START_DELTA I with delta = 1e-3 is
+    # close enough that every detectable subset of the grid above takes at
+    # most 3 steps (delta = 1 took up to 6); V = 0, so all go through Newton
+    build = EXAMPLE_FORMS[family][0]
+    steps = []
+    for lam in (0.6, 0.7, 0.9, 0.95, 0.99):
+        for h in [10.0**e for e in range(-4, 5)]:
+            m = build(lam, h)
+            for r in range(1, m.q + 1):
+                sets = np.array(list(combinations(range(m.q), r)))
+                C, V = m.C[sets], m.V[sets[:, :, None], sets[:, None, :]]
+                seen = np.array([riccati.is_detectable(m.A, c) for c in C])
+                _, iters, _ = riccati._solve_detectable(m.A, m.W, [(C[seen], V[seen])])
+                steps += iters.tolist()
+    assert len(steps) == {"example1": 315, "example2": 675}[family]
+    assert max(steps) <= 3

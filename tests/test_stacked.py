@@ -276,8 +276,10 @@ def test_fixed_point_stack_equals_members_alone(case):
             # the result is a fixed point of the recursion
             residual = np.linalg.norm(_riccati_step(cov, A, c, W, v) - cov)
             assert residual <= 1e-12 * max(1.0, np.linalg.norm(cov))
-    if case != "rank-one W":
-        assert len(set(steps.tolist())) > 1  # members freeze at different steps
+    if case in ("example1", "example2"):
+        # members freeze at different steps (from V + 1e-3 I, every member
+        # of the other two stacks takes 3)
+        assert len(set(steps.tolist())) > 1
 
 
 @pytest.mark.parametrize("case", ["example1", "example2", "zero-diagonal", "rank-one W"])
