@@ -132,8 +132,14 @@ def build_example2(lambda1: float, h: float) -> SystemModel:
     Removing sensors 1 and 2 blinds the filter to state 1, but removing
     sensor 4 looks best in isolation, so one-step greedy attacks start
     wrong; the damage they forgo grows as h shrinks.
+
+    At large h the sensors T = {1, 3, 4} give C_T C_T' the family's
+    smallest eigenvalue, just above 1 / (2 + 2 h^2); h must keep that above
+    riccati.PINV_RTOL (conservative: the a priori covariance is at least W).
     """
     lam, h = _check_family_params(lambda1, h)
+    if 2.0 + 2.0 * h * h >= 1.0 / riccati.PINV_RTOL:
+        raise DomainError(f"h = {h} puts 1 / (2 + 2 h^2) at or beyond the pseudo-inverse cutoff")
     A = np.diag([lam, 0.0, 0.0])
     C = np.array(
         [[1.0, h, h], [1.0, 0.0, h], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]

@@ -23,15 +23,17 @@ solver checks its input and tests stabilizability once, uncached, before
 it solves anything; the private drivers do neither.  Adding a sensor
 never raises the trace, so the exhaustive search solves only the
 inclusion-maximal feasible sets, and then the subsets of tied sets that the
-smallest-support tie rule needs.  A report's trace and covariance diagonal
-are those of the stack member that scored the chosen indicator; a greedy
-run with budget 0 scores its one indicator as a stack of one, and nothing
-is solved twice.  evaluate_selection is the per-subset reference that the
-scorer agrees with, not a path the drivers take.  Select and attack share
-one greedy and one exhaustive driver, which differ only in direction:
-minimize over selections, or maximize over survivor sets.  They also share
-one indicator type (AttackVector is SelectionVector); a report's mode says
-whether its bits mark selected or removed sensors.
+smallest-support tie rule needs, less those one sensor short of a scored
+set that is not tied, which cannot tie either.  A report's trace and
+covariance diagonal are those of the stack member that scored the chosen
+indicator; a greedy run with budget 0 scores its one indicator as a stack
+of one, and nothing is solved twice.  evaluate_selection is the per-subset
+reference that the scorer agrees with, not a path the drivers take.
+Select and attack share one greedy and one exhaustive driver, which differ
+only in direction: minimize over selections, or maximize over survivor
+sets.  They also share one indicator type (AttackVector is
+SelectionVector); a report's mode says whether its bits mark selected or
+removed sensors.
 """
 
 from __future__ import annotations
@@ -274,15 +276,21 @@ def _enumerate_feasible(q: int, costs: np.ndarray, budget: float):
 
     Sums are compared with a 1e-9 relative allowance, so that 0.1 + 0.2
     fits a budget of 0.3.  Costs are nonnegative, so enumeration stops at
-    the first size whose cheapest subset exceeds the budget.
+    the first size whose cheapest subset exceeds the budget.  Sums add
+    Python floats left to right, the bits of a sum of numpy scalars (the
+    builtin sum compensates float sums from Python 3.12 on).
     """
     limit = budget + 1e-9 * max(1.0, abs(budget))
     cheapest = np.cumsum(np.sort(costs))
+    costs = costs.tolist()
     for r in range(q + 1):
         if r and cheapest[r - 1] > limit:
             return
         for combo in combinations(range(q), r):
-            if sum(costs[i] for i in combo) <= limit:
+            total = 0.0
+            for i in combo:
+                total += costs[i]
+            if total <= limit:
                 yield combo
 
 
@@ -300,11 +308,9 @@ def _maximal_feasible(model: SystemModel, costs, budget: float, attack: bool) ->
     feasible = list(_enumerate_feasible(model.q, costs, budget))
     if not feasible:
         raise SolverInputError(f"no feasible {'attack' if attack else 'selection'} within budget")
-    fits = {sum(1 << i for i in c): c for c in feasible}  # keyed by bit mask
-    maximal = [
-        c for mask, c in fits.items() if all(mask | 1 << i not in fits for i in range(model.q) if i not in c)
-    ]
-    return len(feasible), maximal
+    # the sets one sensor short of a feasible set, which are not maximal
+    covered = {f[:j] + f[j + 1:] for f in feasible for j in range(len(f))}
+    return len(feasible), [c for c in feasible if c not in covered]
 
 
 def _exhaustive(table: _ScoreTable, n_feasible: int, maximal, attack: bool) -> SolveReport:
@@ -319,11 +325,21 @@ def _exhaustive(table: _ScoreTable, n_feasible: int, maximal, attack: bool) -> S
     every set between them is tied, so a walk down from the tied maximal
     sets through subsets of tied sets, one size at a time, meets every tied
     set.  Nonnegative costs keep subsets of feasible sets feasible.
+
+    The walk skips every candidate one sensor short of a scored set that
+    is not tied: the table holds feasible sets only (greedy_and_optimal's
+    greedy sets fit the same unit-cost budget), so that set's trace lies
+    beyond the best, and by monotonicity the candidate's does too.
     """
     model = table.model
 
     def traces(combos):
         return [trace for trace, _ in table([_kept(model.q, c, attack) for c in combos])]
+
+    def settled(combo) -> bool:
+        supersets = (table.scores.get(tuple(_kept(model.q, combo + (i,), attack)))
+                     for i in range(model.q) if i not in combo)
+        return any(s is not None and not _tied(s[0], best) for s in supersets)
 
     scores = traces(maximal)
     best = (max if attack else min)(scores)
@@ -332,6 +348,7 @@ def _exhaustive(table: _ScoreTable, n_feasible: int, maximal, attack: bool) -> S
     level: list[tuple[int, ...]] = []
     for size in range(max(map(len, tied)), -1, -1):
         below = sorted({c[:j] + c[j + 1:] for c in level for j in range(len(c))})
+        below = [c for c in below if not settled(c)]
         level = [c for c, t in zip(below, traces(below)) if _tied(t, best)]
         level += [c for c in tied if len(c) == size]
         if level:

@@ -351,6 +351,20 @@ def test_sweep_refuses_a_bad_point_before_any_solve(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+def test_sweep_refuses_example2_past_its_cutoff(tmp_path, capsys, monkeypatch):
+    # h = 9e5 passes example1's bound (h^2 < 1e12) but not example2's
+    # (2 + 2 h^2 < 1e12), where it wrote ratio 0.99999999998
+    out = tmp_path / "sweep.csv"
+    runs = _kernel_spy(monkeypatch)
+    assert run_cli("sweep", "--family", "example2", "--lambda1", "0.9",
+                   "--h-grid", "9e5", "--output", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: h = 900000.0")
+    assert runs == []
+    assert not out.exists()
+    assert run_cli("sweep", "--family", "example2", "--lambda1", "0.9",
+                   "--h-grid", "7e5", "--output", str(out)) == 0
+
+
 @pytest.mark.parametrize("algorithm", ["greedy", "exhaustive"])
 def test_solve_on_a_defective_blind_mode_is_solver_error(tmp_path, capsys, algorithm):
     # the sensor cannot see the defective mode 1.1 of A, but the PBH test

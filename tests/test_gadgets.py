@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -21,7 +21,8 @@ from kfsslab.gadgets import (
     x3c_decide_via_kfss,
     x3c_from_dict,
 )
-from kfsslab.model import ModelError, validate_model
+from kfsslab.model import ModelError, SelectionVector, validate_model
+from kfsslab.solvers import evaluate_selection
 
 YES_INSTANCE = X3CInstance(2, ((1, 2, 3), (4, 5, 6), (1, 4, 5)))
 NO_INSTANCE = X3CInstance(2, ((1, 2, 3), (1, 4, 5), (2, 5, 6)))
@@ -144,7 +145,22 @@ def test_family_builders_reject_extreme_h(build):
     for h in (float("inf"), float("nan"), 0.0, -1.0, 1e6, 1e8, 1e200):
         with pytest.raises(DomainError, match="h"):
             build(0.9, h)
-    build(0.9, 999999.0)
+    if build is build_example1:
+        build(0.9, 999999.0)
+
+
+def test_example2_h_bound_keeps_its_smallest_eigenvalue():
+    # T = {1, 3, 4} has the smallest eigenvalue of C_T C_T', about
+    # 1 / (2 + 2 h^2): at h = 9e5 the cutoff dropped it and these three
+    # noiseless sensors, which determine x, scored 7.263 instead of 3
+    for h in (9e5, 999999.0):
+        with pytest.raises(DomainError, match="h"):
+            build_example2(0.9, h)
+    m = build_example2(0.9, 7e5)
+    C = m.C[[0, 2, 3]]
+    assert np.linalg.eigvalsh(C @ C.T)[0] > riccati.PINV_RTOL
+    trace = evaluate_selection(m, SelectionVector((1, 0, 1, 1)), "priori").trace
+    assert trace == pytest.approx(3.0, rel=1e-7)
 
 
 def test_bruteforce_examples():
@@ -171,6 +187,34 @@ def test_reductions_agree_with_bruteforce_on_named_instances():
         else:
             assert d_sel.trace > d_sel.threshold
             assert d_att.trace <= d_att.threshold
+
+
+# the ten triples of acceptance criterion 6, five complementary pairs
+X3C_POOL = ((1, 2, 3), (4, 5, 6), (1, 2, 4), (3, 5, 6), (1, 3, 5),
+            (2, 4, 6), (1, 4, 5), (2, 3, 6), (1, 2, 5), (3, 4, 6))
+
+
+def test_reductions_at_tau_4_and_5_make_one_kernel_run(monkeypatch):
+    # the tie walk drops every candidate one sensor short of a scored set
+    # that is not tied, so the run that scores the maximal sets decides
+    # every kfsa reduction and every kfss yes; the kfss no-answers tie
+    # among up to 8 maximal sets, and some of their walks still need a run
+    runs = []
+    original = riccati._solve_detectable
+    monkeypatch.setattr(riccati, "_solve_detectable", lambda *a: runs.append(1) or original(*a))
+    walked = 0
+    for tau in (4, 5):
+        for combo in list(combinations(range(len(X3C_POOL)), tau))[::6]:
+            inst = X3CInstance(2, tuple(X3C_POOL[i] for i in combo))
+            for decide in (x3c_decide_via_kfss, x3c_decide_via_kfsa):
+                runs.clear()
+                answer = decide(inst, K=1.0, solver="exhaustive").answer
+                if decide is x3c_decide_via_kfsa or answer:
+                    assert len(runs) == 1, (inst.subsets, decide.__name__)
+                else:
+                    assert len(runs) <= 2
+                    walked += len(runs) == 2
+    assert walked  # a walk that needs a solve still gets one
 
 
 def test_reduction_margins_are_clear():

@@ -24,6 +24,7 @@ from kfsslab.solvers import (
     trace_ratio,
     _enumerate_feasible,
     _kept,
+    _maximal_feasible,
     _ScoreTable,
     _score,
     _tied,
@@ -340,6 +341,72 @@ def test_pruned_enumerator_matches_full_scan():
         full = [combo for r in range(q + 1) for combo in combinations(range(q), r)
                 if sum(costs[i] for i in combo) <= limit]
         assert list(_enumerate_feasible(q, costs, budget)) == full
+
+
+def _bit_mask_maximal(q, costs, budget):
+    """The feasible count and the maximal sets as a per-sensor bit-mask
+    probe finds them, over a full scan that sums numpy scalars: a set is
+    maximal when no sensor it lacks joins it within budget."""
+    limit = budget + 1e-9 * max(1.0, abs(budget))
+    feasible = [combo for r in range(q + 1) for combo in combinations(range(q), r)
+                if sum(costs[i] for i in combo) <= limit]
+    fits = {sum(1 << i for i in c): c for c in feasible}
+    return len(feasible), [c for mask, c in fits.items()
+                           if all(mask | 1 << i not in fits for i in range(q) if i not in c)]
+
+
+def test_maximal_feasible_equals_the_bit_mask_probe():
+    rng = np.random.default_rng(59)
+    for k in range(100):
+        q = int(rng.integers(1, 10))
+        m = validate_model(SystemModel(n=1, q=q, A=np.array([[0.5]]), C=np.ones((q, 1)), W=np.eye(1),
+                                       V=np.eye(q)))
+        if k % 2:
+            costs = rng.choice([0.0, 0.1, 0.2, 0.25, 0.5, 1.0, 1.5], size=q)
+        else:
+            costs = rng.uniform(0.0, 1.5, q)
+            costs[rng.random(q) < 0.3] = 0.0
+        if k % 3:
+            budget = float(rng.choice([-0.5, -1e-12, 0.0, 0.3, 0.75, 1.0, 2.5, 10.0]))
+        else:
+            budget = float(rng.uniform(-0.5, 3.0))
+        count, maximal = _bit_mask_maximal(q, costs, budget)
+        if not count:
+            with pytest.raises(SolverInputError, match="no feasible"):
+                _maximal_feasible(m, costs, budget, attack=bool(k % 2))
+            continue
+        assert _maximal_feasible(m, costs, budget, attack=bool(k % 2)) == (count, maximal)
+
+
+def _random_solve_model(rng, q):
+    """An instance like the benchmark's random-solve items: n = q / 2, one
+    unstable mode that every sensor sees, nonsingular V and unit costs."""
+    n = q // 2
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (Q * np.concatenate([[1.05], np.linspace(-0.5, 0.5, n - 1)])) @ Q.T
+    C = rng.standard_normal((q, n))
+    C += np.outer(np.sign(C @ Q[:, 0]), Q[:, 0])
+    B = rng.standard_normal((q, q))
+    return validate_model(SystemModel(n=n, q=q, A=A, C=C, W=np.eye(n), V=B @ B.T / q + 0.5 * np.eye(q),
+                                      b=np.ones(q), omega=np.ones(q)))
+
+
+def test_exhaustive_on_generic_instances_solves_only_the_maximal_sets(monkeypatch):
+    # a lone best maximal set: each of its one-sensor-smaller subsets lies
+    # under another maximal set, scored and not tied, so the walk solves
+    # nothing and the C(10, 3) = 120 maximal sets are the only members
+    rng = np.random.default_rng(53)
+    for _ in range(3):
+        m = _random_solve_model(rng, 10)
+        for run, metric in ((exhaustive_select, "priori"), (exhaustive_attack, "posteriori")):
+            members = []
+            original = riccati._solve_detectable
+            monkeypatch.setattr(riccati, "_solve_detectable", lambda A, W, stacks: members.append(
+                sum(len(C) for C, _ in stacks)) or original(A, W, stacks))
+            report = run(m, np.ones(m.q), 3.0, metric)
+            monkeypatch.undo()
+            assert members == [64, 56]
+            assert report.chosen.count == 3
 
 
 def _full_enumeration(m, costs, budget, metric, attack):
