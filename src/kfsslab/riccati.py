@@ -20,19 +20,19 @@ One doubling loop computes it, in one of two ways chosen from the data:
   quadratically.
 
 The private helpers work on stacks: arrays of k same-shape members, one
-per sensor subset (C is k x p x n, V is k x p x p).  _solve_detectable
-takes a list of stacks that may differ in the sensor count p.  The steps
-whose shapes depend on p (the noise factorization, the Newton start
-factor and gain, K C and K V K', and the measurement update) run as one
-batched numpy call per stack; the doublings, the Stein solves and the
-stopping rules act on n x n stacks and run once over all members.  Each
-member of a doubling or Newton run stops at its own stopping rule.  PBH
-takes one kernel basis of A - lam I per unstable mode and model.  The
+per sensor subset (C is k x p x n, V is k x p x p), and every batched
+numpy call works member by member.  The public functions are the stack of
+one, so a stack of one width keeps the bits of its members solved alone.
+Subsets of several sizes share a stack when the smaller ones are padded
+with null sensors, as the solvers module pads a chunk: a zero row of C
+with unit noise, uncorrelated with every sensor.  A null sensor adds
+exactly 0 to C' V^-1 C, K C, K V K' and every PBH image, so a padded
+member agrees with its lone solve up to the order of the sums over p.
+Each member of a doubling or Newton run stops at its own stopping rule.
+PBH takes one kernel basis of A - lam I per unstable mode and model.  The
 update of a nonsingular member solves with the G = C' V^-1 C its doubling
 used; a singular one takes the Joseph form.  The Newton gain (_gain), the
 Joseph form and pseudo_inverse_psd share one pseudo-inverse (_pinv_psd).
-The public functions are the stack of one, so a subset solved alone and
-the same subset solved inside a stack take the same arithmetic.
 solve_dare, and every public solver call in the solvers module, tests
 stabilizability once and uncached (check_stabilizable).
 
@@ -124,6 +124,7 @@ def _noise_gain(C: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ok, F.transpose(0, 2, 1) @ F
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises NoConvergence instead
 def _doubling_dare(A, G, W):
     """Structure-preserving doubling for S = A S (I + G S)^-1 A' + W, for
     every member G of the stack G (k x n x n), G = C' V^-1 C.  A and W are
@@ -203,11 +204,10 @@ def _gain(A, S, C, V) -> np.ndarray:
     return A @ CS.transpose(0, 2, 1) @ _pinv_psd(CS @ C.transpose(0, 2, 1) + V)
 
 
-def _newton_dare(A, W, stacks) -> tuple[np.ndarray, np.ndarray]:
-    """Newton-Hewer iteration for every member of the (C, V) stacks in
-    ``stacks`` (C k x p x n, V k x p x p, every V singular), whose sensor
-    counts p may differ.  Returns the covariances and step counts of all
-    members, stack after stack.
+@np.errstate(over="ignore", invalid="ignore")  # a diverging step raises NoConvergence instead
+def _newton_dare(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
+    """Newton-Hewer iteration for every member of the stacks C (k x p x n)
+    and V (k x p x p), V singular.
 
     Step 1 takes the gain of the doubling solution S_0 for
     V + NEWTON_START_DELTA I, which stabilizes A - K C.  Step j solves
@@ -217,25 +217,21 @@ def _newton_dare(A, W, stacks) -> tuple[np.ndarray, np.ndarray]:
     From step 2 on a member stops once its step ||S_j - S_j-1||_F is at most
     TOL * max(1, ||S_j||_F), or once a step neither shrinks nor lowers
     the trace (the iterates decrease, so that step is round-off), and is
-    frozen.  Only the start factor, the gain, K C and K V K' depend on p and
-    run once per stack; one doubling run gives every S_0, and each step is
-    one Stein doubling run and one stopping test over all members.  Raises
-    NoConvergence when a member reaches MAX_STEPS steps, or as
+    frozen.  Returns the stack of covariances and each member's step count;
+    raises NoConvergence when a member reaches MAX_STEPS steps, or as
     _doubling_dare does.
     """
-    Cs, Vs = [C for C, _ in stacks], [V for _, V in stacks]
-    starts = [V + NEWTON_START_DELTA * np.eye(V.shape[1]) for V in Vs]
-    F = [np.linalg.solve(np.linalg.cholesky(start), C) for C, start in zip(Cs, starts)]
-    S, _ = _doubling_dare(A, np.concatenate([f.transpose(0, 2, 1) @ f for f in F]), W)
-    cuts = np.cumsum([len(C) for C in Cs])[:-1]
-    K = [_gain(A, s, C, start) for s, C, start in zip(np.split(S, cuts), Cs, starts)]
-    out = np.empty_like(S)
-    steps = np.zeros(len(S), dtype=int)
-    live = np.arange(len(S))
+    k, p, n = C.shape
+    start = V + NEWTON_START_DELTA * np.eye(p)
+    F = np.linalg.solve(np.linalg.cholesky(start), C)
+    S, _ = _doubling_dare(A, F.transpose(0, 2, 1) @ F, W)
+    K = _gain(A, S, C, start)
+    out = np.empty((k, n, n))
+    steps = np.zeros(k, dtype=int)
+    live = np.arange(k)
     for it in range(1, MAX_STEPS + 1):
-        F = np.concatenate([A - k @ C for k, C in zip(K, Cs)])
-        Q = _sym(W + np.concatenate([k @ V @ k.transpose(0, 2, 1) for k, V in zip(K, Vs)]))
-        S2, _ = _doubling_dare(F, None, Q)
+        Q = _sym(W + K @ V @ K.transpose(0, 2, 1))
+        S2, _ = _doubling_dare(A - K @ C, None, Q)
         step = _fro(S2 - S)
         trace2 = np.trace(S2, axis1=1, axis2=2)
         S = S2
@@ -246,15 +242,11 @@ def _newton_dare(A, W, stacks) -> tuple[np.ndarray, np.ndarray]:
                 out[live[done]] = S[done]
                 steps[live[done]] = it
                 keep = ~done
-                live, S, step, trace2 = live[keep], S[keep], step[keep], trace2[keep]
+                live, C, V, S, step, trace2 = live[keep], C[keep], V[keep], S[keep], step[keep], trace2[keep]
                 if not live.size:
                     return out, steps
-                kept = np.split(keep, cuts)
-                Cs = [C[k] for C, k in zip(Cs, kept) if k.any()]
-                Vs = [V[k] for V, k in zip(Vs, kept) if k.any()]
-                cuts = np.cumsum([len(C) for C in Cs])[:-1]
         last, trace = step, trace2
-        K = [_gain(A, s, C, V) for s, C, V in zip(np.split(S, cuts), Cs, Vs)]
+        K = _gain(A, S, C, V)
     raise NoConvergence("iteration cap reached above tolerance", float(last[0]), MAX_STEPS)
 
 
@@ -325,14 +317,18 @@ def _detectable(images: list, idx: np.ndarray) -> np.ndarray:
     """is_detectable for the members idx (k x p rows of C), images =
     _mode_images(A, C).  [A - lam I; C_S] x = 0 iff x is in ker(A - lam I)
     and in ker C_S, so S sees lam iff C_S N has full column rank: every
-    singular value above PBH_TOL.  A simple mode sums the q-vector |C v|^2."""
+    singular value above PBH_TOL.  A simple mode sums the q-vector |C v|^2.
+    A negative index pads a member: it reads the zero last row of every
+    image and does not count as a sensor."""
     ok = np.ones(len(idx), dtype=bool)
     for image in images:
         r = image.shape[1]
         if r == 1:
             ok &= np.sqrt((np.abs(image[:, 0]) ** 2)[idx].sum(axis=1)) > PBH_TOL
         elif r:  # fewer sensors than kernel directions never have full rank
-            ok &= r <= idx.shape[1] and np.linalg.svd(image[idx], compute_uv=False)[:, -1] > PBH_TOL
+            ok &= (idx >= 0).sum(axis=1) >= r
+            if r <= idx.shape[1]:
+                ok &= np.linalg.svd(image[idx], compute_uv=False)[:, -1] > PBH_TOL
     return ok
 
 
@@ -367,16 +363,14 @@ def check_stabilizable(A, W) -> None:
         raise StabilizabilityViolation("(A, W^(1/2)) is not stabilizable")
 
 
-def _solve_detectable(A, W, stacks) -> tuple[np.ndarray, np.ndarray, list]:
-    """A priori covariances and iteration counts of every member of the
-    (C, V) stacks in ``stacks`` (C k x p x n, V k x p x p, every member
-    detectable), stack after stack, and _noise_gain(C, V) of each stack.
-    The stacks may differ in their sensor count p.
+def _solve_detectable(A, W, C, V) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """A priori covariances, iteration counts and _noise_gain(C, V) for the
+    stacks C (k x p x n) and V (k x p x p), every member detectable.
 
-    The nonsingular members of all stacks share one doubling run and the
-    singular ones one Newton run.  Raises NoConvergence as _doubling_dare
-    and _newton_dare do, and when a member's variance falls below W's by
-    more than sqrt(TOL) * max(1, ||S||_F): every a priori covariance is
+    Nonsingular members share one doubling run and singular ones one Newton
+    run.  Raises NoConvergence as _doubling_dare and _newton_dare do, and
+    when a member's variance falls below W's by more than
+    sqrt(TOL) * max(1, ||S||_F): every a priori covariance is
     A S* A' + W >= W, so such a member went astray, as on a pair (A, C)
     that is undetectable within round-off but passed the PBH test, where
     the shortfall is of the order of ||S||.  The bound is not TOL: with a
@@ -384,21 +378,19 @@ def _solve_detectable(A, W, stacks) -> tuple[np.ndarray, np.ndarray, list]:
     correct solutions up to 3e-9 relative below W (random noiseless
     models, n <= 4).
     """
-    noises = [_noise_gain(C, V) for C, V in stacks]
-    nonsingular = np.concatenate([ok for ok, _ in noises])
-    S = np.empty((nonsingular.size,) + A.shape)
-    iters = np.zeros(nonsingular.size, dtype=int)
+    S = np.empty((C.shape[0],) + A.shape)
+    iters = np.zeros(C.shape[0], dtype=int)
+    nonsingular, G = noise = _noise_gain(C, V)
     if nonsingular.any():
-        S[nonsingular], iters[nonsingular] = _doubling_dare(A, np.concatenate([G for _, G in noises]), W)
+        S[nonsingular], iters[nonsingular] = _doubling_dare(A, G, W)
     if not nonsingular.all():
-        singular = [(C[~ok], V[~ok]) for (C, V), (ok, _) in zip(stacks, noises) if not ok.all()]
-        S[~nonsingular], iters[~nonsingular] = _newton_dare(A, W, singular)
+        S[~nonsingular], iters[~nonsingular] = _newton_dare(A, C[~nonsingular], W, V[~nonsingular])
     shortfall = (W.diagonal() - S.diagonal(axis1=1, axis2=2)).max(axis=1)
     below = np.flatnonzero(shortfall > np.sqrt(TOL) * np.maximum(1.0, _fro(S)))
     if below.size:
         j = below[0]
         raise NoConvergence("a priori variance below W's", float(shortfall[j]), int(iters[j]))
-    return S, iters, noises
+    return S, iters, noise
 
 
 def solve_dare(A, C, W, V) -> SteadyStateResult:
@@ -430,7 +422,7 @@ def solve_dare(A, C, W, V) -> SteadyStateResult:
     check_stabilizable(A, W)
     if not is_detectable(A, C):
         return SteadyStateResult.infinite()
-    S, iters, _ = _solve_detectable(A, W, [(C[None], V[None])])
+    S, iters, _ = _solve_detectable(A, W, C[None], V[None])
     return SteadyStateResult.finite(S[0], int(iters[0]))
 
 
@@ -439,4 +431,4 @@ def warmup() -> None:
     Newton loop, so that the first timed solve does not pay numpy's one-time
     set-up costs."""
     one = np.ones((1, 1, 1))
-    _solve_detectable(np.array([[0.5]]), np.eye(1), [(one, 0.0 * one)])
+    _solve_detectable(np.array([[0.5]]), np.eye(1), one, 0.0 * one)

@@ -11,10 +11,13 @@ the solver's stopping error, so exact float comparison would make tie
 handling depend on round-off.
 
 Each driver scores its candidates in stacks: all candidates of one greedy
-step, or all candidates of one size in an exhaustive search, go to the
+step, or all the sets an exhaustive search reads at once, go to the
 riccati module's batched kernels in chunks of at most STACK_CHUNK members.
-An attack is scored through its survivor set.  Scores are kept in a table
-for one (model, metric), so a run solves each survivor set at most once.
+A chunk pads its smaller sets with a null sensor (see _score), so it is
+one (C, V) stack and one kernel run; a padded member agrees with its lone
+solve to round-off, and any other keeps its bits.  An attack is scored
+through its survivor set.  Scores are kept in a table for one (model,
+metric), so a run solves each survivor set at most once.
 greedy_and_optimal takes a sequence of models that share A and W, such as
 a sweep's grid points: each model's greedy and exhaustive runs share one
 table, and the sets both runs are known to read are scored for all models
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, groupby
+from itertools import combinations
 
 import numpy as np
 
@@ -135,9 +138,9 @@ def _score(members) -> tuple[list[float], np.ndarray]:
     (table, sorted support), solved as stacks of at most STACK_CHUNK
     members.  The tables may differ if their models share A, W and the
     sensor count, and the tables the metric.  The supports may differ in
-    size: a chunk is one kernel run whatever sizes it holds, and the PBH
-    test and the measurement update run once per run of adjacent members
-    of one size (_fill passes them in order of size).
+    size: a chunk pads each to its widest with null sensors (zero rows of C
+    with unit, uncorrelated noise; see the riccati module), so each chunk
+    is one PBH test, one kernel run and one measurement update.
 
     Undetectable members score math.inf, with a NaN diagonal, without a
     solve.  Every member gets the per-subset solve's tests and kernel, so
@@ -148,35 +151,31 @@ def _score(members) -> tuple[list[float], np.ndarray]:
     if any(t.metric != metric or t.model.q != model.q or not np.array_equal(t.model.A, model.A)
            or not np.array_equal(t.model.W, model.W) for t in tables[1:]):
         raise ValueError("tables scored together must share A, W, the sensor count and the metric")
-    # member rows in the tables' C, V and mode images stacked one on the other
+    # the tables' rows of C, V and the mode images, then the null sensor (-1)
     offset = {table: i * model.q for i, table in enumerate(tables)}
-    C_all = np.concatenate([t.model.C for t in tables])
-    V_all = np.concatenate([t.model.V for t in tables])
-    images = [np.concatenate(parts) for parts in zip(*(t.images for t in tables))]
+    C_all = np.concatenate([t.model.C for t in tables] + [np.zeros((1, model.n))])
+    V_all = np.zeros((len(C_all), model.q + 1))
+    V_all[:-1, :-1] = np.concatenate([t.model.V for t in tables])
+    V_all[-1, -1] = 1.0
+    images = [np.concatenate(parts + (np.zeros((1, parts[0].shape[1])),)) for parts in zip(*(t.images for t in tables))]
     traces = np.full(len(members), math.inf)
     diags = np.full((len(members), model.n), math.nan)
     for lo in range(0, len(members), STACK_CHUNK):
-        stacks, scored, first = [], [], lo
-        for _, run in groupby(members[lo:lo + STACK_CHUNK], key=lambda m: len(m[1])):
-            run = list(run)
-            idx = np.array([s for _, s in run], dtype=np.intp).reshape(len(run), -1)
-            rows = idx + np.array([offset[table] for table, _ in run], dtype=np.intp)[:, None]
-            finite = riccati._detectable(images, rows)
-            if finite.any():
-                row, col = rows[finite], idx[finite]
-                stacks.append((C_all[row], V_all[row[:, :, None], col[:, None, :]]))
-                scored.append(first + np.flatnonzero(finite))
-            first += len(run)
-        if not stacks:
+        chunk = members[lo:lo + STACK_CHUNK]
+        width = max(len(s) for _, s in chunk)
+        idx = np.array([s + (-1,) * (width - len(s)) for _, s in chunk], dtype=np.intp)
+        rows = np.where(idx < 0, -1, idx + [[offset[table]] for table, _ in chunk])
+        finite = riccati._detectable(images, rows)
+        if not finite.any():
             continue
-        S, _, noises = riccati._solve_detectable(model.A, model.W, stacks)
-        end = 0
-        for (C, V), noise, at in zip(stacks, noises, scored):
-            part, end = S[end:end + len(at)], end + len(at)
-            if metric == "posteriori":
-                part = riccati._posteriori(part, C, V, noise)
-            traces[at] = np.trace(part, axis1=1, axis2=2)
-            diags[at] = part.diagonal(axis1=1, axis2=2)
+        row, col = rows[finite], idx[finite]
+        C, V = C_all[row], V_all[row[:, :, None], col[:, None, :]]
+        S, _, noise = riccati._solve_detectable(model.A, model.W, C, V)
+        if metric == "posteriori":
+            S = riccati._posteriori(S, C, V, noise)
+        at = lo + np.flatnonzero(finite)
+        traces[at] = np.trace(S, axis1=1, axis2=2)
+        diags[at] = S.diagonal(axis1=1, axis2=2)
     return traces.tolist(), diags
 
 

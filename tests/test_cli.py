@@ -291,9 +291,9 @@ def _kernel_spy(monkeypatch):
     runs = []
     original = riccati._solve_detectable
 
-    def spy(A, W, stacks):
-        runs.append(sum(len(C) for C, _ in stacks))
-        return original(A, W, stacks)
+    def spy(A, W, C, V):
+        runs.append(len(C))
+        return original(A, W, C, V)
 
     monkeypatch.setattr(riccati, "_solve_detectable", spy)
     return runs

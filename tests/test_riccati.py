@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -228,6 +229,22 @@ def test_solution_below_w_raises_no_convergence():
     with pytest.raises(NoConvergence, match="below W") as exc:
         solve_dare(A, c, np.eye(2), np.eye(1))
     assert exc.value.residual > 1e16
+
+
+def test_diverging_noiseless_solve_ends_without_a_numpy_warning():
+    # C is invertible and V = 0, so the exact answer is S = W.  On this model
+    # the doubling's iterates overflow; the kernel's own finiteness checks
+    # report that as NoConvergence, with no RuntimeWarning from numpy first
+    A = np.array([[-0.5666503192218638, 0.2206024737077897], [0.963991113344353, 0.22672344782028991]])
+    C = np.array([[-815.9699995269528, -696.3136860222626], [-1633.1929752036992, 1750.785808232638]])
+    W = np.array([[5.068671535692923, 0.5306170441448594], [0.5306170441448594, 0.05554797653672328]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            res = solve_dare(A, C, W, np.zeros((2, 2)))
+        except NoConvergence:
+            return
+    assert abs(res.trace - np.trace(W)) <= 1e-8
 
 
 def test_unstabilizable_noise_pair_rejected():

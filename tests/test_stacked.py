@@ -88,7 +88,7 @@ def test_stack_members_stop_at_their_own_rule():
     m = _random_model(np.random.default_rng(8), 11)
     supports = np.array(list(combinations(range(11), 3)))
     C, V = m.C[supports], m.V[supports[:, :, None], supports[:, None, :]]
-    S, iters, _ = riccati._solve_detectable(m.A, m.W, [(C, V)])
+    S, iters, _ = riccati._solve_detectable(m.A, m.W, C, V)
     alone = [riccati.solve_dare(m.A, c, m.W, v) for c, v in zip(C, V)]
     assert iters.tolist() == [res.iterations for res in alone]
     assert len(set(iters.tolist())) > 1  # members freeze at different doublings
@@ -268,7 +268,7 @@ def _singular_stack(case):
 def test_fixed_point_stack_equals_members_alone(case):
     A, W, C, V = _singular_stack(case)
     assert not riccati._noise_gain(C, V)[0].any()
-    S, steps = riccati._newton_dare(A, W, [(C, V)])
+    S, steps = riccati._newton_dare(A, C, W, V)
     for cov, count, c, v in zip(S, steps.tolist(), C, V):
         alone = riccati.solve_dare(A, c, W, v)
         assert count == alone.iterations and np.array_equal(cov, alone.cov)
@@ -286,27 +286,62 @@ def test_fixed_point_stack_equals_members_alone(case):
 def test_chunk_of_several_sensor_counts_equals_members_alone(case, monkeypatch):
     # one kernel run over the detectable sets of 1, 2 and 3 sensors with the
     # model's V (singular, or singular where sensor 1 is in) and the pairs
-    # with V + 0.3 I as well
+    # with V + 0.3 I as well, each padded to 3 sensors as _score pads a
+    # chunk: null sensors with a zero row of C and unit, uncorrelated noise
     m = _singular_model(case)
-    stacks = []
+    members = []
     for r, shift in ((1, 0.0), (2, 0.0), (3, 0.0), (2, 0.3)):
-        sets = np.array(list(combinations(range(m.q), r)))
-        C, V = m.C[sets], m.V[sets[:, :, None], sets[:, None, :]] + shift * np.eye(r)
-        seen = np.array([riccati.is_detectable(m.A, c) for c in C])
-        stacks.append((C[seen], V[seen]))
+        for s in combinations(range(m.q), r):
+            c, v = m.C[list(s)], m.V[np.ix_(s, s)] + shift * np.eye(r)
+            if riccati.is_detectable(m.A, c):
+                members.append((c, v))
+    assert len(members) <= STACK_CHUNK
+    C = np.zeros((len(members), 3, m.n))
+    V = np.tile(np.eye(3), (len(members), 1, 1))
+    for j, (c, v) in enumerate(members):
+        C[j, :len(c)], V[j, :len(c), :len(c)] = c, v
     runs = []
     newton = riccati._newton_dare
-    monkeypatch.setattr(riccati, "_newton_dare", lambda *a: runs.append(a[2]) or newton(*a))
-    S, iters, noises = riccati._solve_detectable(m.A, m.W, stacks)
+    monkeypatch.setattr(riccati, "_newton_dare", lambda *a: runs.append(a[1]) or newton(*a))
+    S, iters, (nonsingular, _) = riccati._solve_detectable(m.A, m.W, C, V)
     monkeypatch.undo()
-    assert len(runs) == 1 and {C.shape[1] for C, _ in runs[0]} == {1, 2, 3}
-    nonsingular = np.concatenate([ok for ok, _ in noises])
-    assert nonsingular.any() and not nonsingular.all()
-    members = [(c, v) for C, V in stacks for c, v in zip(C, V)]
-    assert len(members) == len(S) <= STACK_CHUNK
+    assert len(runs) == 1 and nonsingular.any() and not nonsingular.all()
+    assert {len(c) for (c, _), ok in zip(members, nonsingular) if not ok} == {1, 2, 3}
     for cov, count, (c, v) in zip(S, iters.tolist(), members):
         alone = riccati.solve_dare(m.A, c, m.W, v)
-        assert count == alone.iterations and np.array_equal(cov, alone.cov)
+        if len(c) == 3:  # no padding: the bits of the lone solve
+            assert count == alone.iterations and np.array_equal(cov, alone.cov)
+        else:
+            assert np.abs(cov - alone.cov).max() <= REL * np.abs(alone.cov).max()
+
+
+def test_padding_does_not_fool_pbh():
+    # the unstable mode 1.2 has a two-dimensional kernel, so no single
+    # sensor sees it; in one chunk every support is padded to four sensors,
+    # and the null sensors must not count towards the kernel's rank
+    rng = np.random.default_rng(19)
+    m = validate_model(SystemModel(n=3, q=4, A=np.diag([1.2, 1.2, 0.5]), C=rng.standard_normal((4, 3)),
+                                   W=np.eye(3), V=np.eye(4)))
+    supports = [s for r in range(5) for s in combinations(range(4), r)]
+    assert len(supports) <= STACK_CHUNK
+    for metric in ("priori", "posteriori"):
+        traces, _ = _score([(_ScoreTable(m, metric), s) for s in supports])
+        for s, got in zip(supports, traces):
+            want = _scalar(m, s, metric)
+            assert np.isinf(got) == np.isinf(want) == (len(s) <= 1), (s, got, want)
+            assert np.isinf(got) or abs(got - want) <= REL * want, (s, got, want)
+
+
+@pytest.mark.parametrize("metric", ["priori", "posteriori"])
+def test_empty_support_in_a_chunk_of_survivor_sets_keeps_its_bits(metric):
+    # padded to three null sensors, the empty support has G = 0 exactly, so
+    # nothing rounds differently from its lone solve
+    m = build_example2(0.9, 0.01)
+    table = _ScoreTable(m, metric)
+    members = [(table, ())] + [(table, s) for s in combinations(range(m.q), 3)]
+    traces, diags = _score(members)
+    (alone,), alone_diag = _stack(m, [()], metric)
+    assert repr(traces[0]) == repr(alone) and np.array_equal(diags[0], alone_diag[0])
 
 
 def test_fixed_point_raises_no_convergence(monkeypatch):
