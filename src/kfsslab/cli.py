@@ -190,6 +190,8 @@ def _sweep_grid(args) -> list[float]:
 
 def cmd_sweep(args) -> int:
     grid = _sweep_grid(args)
+    if args.v_scale is not None and not 0.0 <= args.v_scale < math.inf:
+        raise _InputError(f"--v-scale must be finite and >= 0, got {args.v_scale:g}")
     models = [_sweep_model(args.family, args.lambda1, h, args.v_scale) for h in grid]
     attack = args.family == "example2"
     predicted = (closed_forms.limit_ratio_attack if attack else closed_forms.limit_ratio_select)(args.lambda1)

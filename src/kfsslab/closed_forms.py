@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .model import as_integer
+
 
 class DomainError(ValueError):
     pass
@@ -18,7 +20,7 @@ class DomainError(ValueError):
 
 def _check_lambda(lambda1: float) -> float:
     lam = float(lambda1)
-    if abs(lam) >= 1.0:
+    if not abs(lam) < 1.0:  # NaN fails too
         raise DomainError(f"|lambda1| must be < 1, got {lam}")
     return lam
 
@@ -41,9 +43,9 @@ def repeated_sensor_msee(lambda1: float, rho_sq: float, n_meas: int) -> float:
     """
     lam = _check_lambda(lambda1)
     noise = float(rho_sq)
-    if noise < 0:
-        raise DomainError(f"noise power must be nonnegative, got {noise}")
-    n = int(n_meas)
+    if not 0.0 <= noise < math.inf:
+        raise DomainError(f"noise power must be finite and nonnegative, got {noise}")
+    n = as_integer(n_meas, "n_meas", DomainError)
     if n < 1:
         raise DomainError(f"n_meas must be >= 1, got {n_meas}")
     lam_sq = lam * lam
@@ -68,8 +70,8 @@ def diag_bounds(lambda_i: float, w_ii: float) -> tuple[float, float, float, floa
     stable, valid for every sensor selection."""
     lam = _check_lambda(lambda_i)
     w = float(w_ii)
-    if w < 0:
-        raise DomainError(f"w_ii must be nonnegative, got {w}")
+    if not 0.0 <= w < math.inf:
+        raise DomainError(f"w_ii must be finite and nonnegative, got {w}")
     hi = w / (1.0 - lam * lam)
     return (w, hi, 0.0, hi)
 
@@ -101,8 +103,8 @@ def example1_predictions(lambda1: float, h: float) -> Example1Predictions:
     """
     lam = _check_lambda(lambda1)
     h = float(h)
-    if h <= 0:
-        raise DomainError(f"h must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"h must be positive and finite, got {h}")
     h_sq = h * h
     s2 = scalar_sensor_msee(lam, h_sq)
     s1 = scalar_sensor_msee(lam, 2.0 * h_sq)
@@ -144,8 +146,8 @@ def example2_predictions(lambda1: float, h: float) -> Example2Predictions:
     """
     lam = _check_lambda(lambda1)
     h = float(h)
-    if h <= 0:
-        raise DomainError(f"h must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"h must be positive and finite, got {h}")
     h_sq = h * h
     s4 = scalar_sensor_msee(lam, h_sq)
     limit = msee_limit(lam)

@@ -7,12 +7,16 @@ The embeddings make a combinatorial decision readable off a covariance
 trace: a selection instance whose optimal trace dips to the threshold
 exactly when an exact cover exists, and an attack instance whose optimal
 trace exceeds its threshold exactly when one does.
+
+All four generated systems share one shape, the one closed_forms assumes:
+A = diag(lambda1, 0, ..., 0), W = I and unit costs, with only C, V and the
+budgets their own.  _instance builds that shape and runs validate_model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -108,6 +112,16 @@ def _ceil_sqrt(x: int) -> int:
     return 0 if x <= 0 else math.isqrt(x - 1) + 1
 
 
+def _instance(lam: float, C: np.ndarray, V: np.ndarray, budget_select: float = 0.0,
+              budget_attack: float = 0.0) -> SystemModel:
+    """The validated model with A = diag(lam, 0, ..., 0), W = I, unit costs
+    and the given sensors and budgets."""
+    q, n = C.shape
+    A = np.diag([lam] + [0.0] * (n - 1))
+    return validate_model(SystemModel(n=n, q=q, A=A, C=C, W=np.eye(n), V=V,
+                                      budget_select=budget_select, budget_attack=budget_attack))
+
+
 def build_example1(lambda1: float, h: float) -> SystemModel:
     """Three-state, three-sensor selection family with budget 2.
 
@@ -116,14 +130,8 @@ def build_example1(lambda1: float, h: float) -> SystemModel:
     of order h^2 on the only persistent state.
     """
     lam, h = _check_family_params(lambda1, h)
-    A = np.diag([lam, 0.0, 0.0])
     C = np.array([[1.0, h, h], [1.0, 0.0, h], [0.0, 1.0, 1.0]])
-    return validate_model(
-        SystemModel(
-            n=3, q=3, A=A, C=C, W=np.eye(3), V=np.zeros((3, 3)),
-            b=np.ones(3), omega=np.ones(3), budget_select=2.0, budget_attack=0.0,
-        )
-    )
+    return _instance(lam, C, np.zeros((3, 3)), budget_select=2.0)
 
 
 def build_example2(lambda1: float, h: float) -> SystemModel:
@@ -140,16 +148,8 @@ def build_example2(lambda1: float, h: float) -> SystemModel:
     lam, h = _check_family_params(lambda1, h)
     if 2.0 + 2.0 * h * h >= 1.0 / riccati.PINV_RTOL:
         raise DomainError(f"h = {h} puts 1 / (2 + 2 h^2) at or beyond the pseudo-inverse cutoff")
-    A = np.diag([lam, 0.0, 0.0])
-    C = np.array(
-        [[1.0, h, h], [1.0, 0.0, h], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    )
-    return validate_model(
-        SystemModel(
-            n=3, q=4, A=A, C=C, W=np.eye(3), V=np.zeros((4, 4)),
-            b=np.ones(4), omega=np.ones(4), budget_select=0.0, budget_attack=2.0,
-        )
-    )
+    C = np.array([[1.0, h, h], [1.0, 0.0, h], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    return _instance(lam, C, np.zeros((4, 4)), budget_attack=2.0)
 
 
 def _check_family_params(lambda1: float, h: float) -> tuple[float, float]:
@@ -205,22 +205,9 @@ def build_kfss_gadget(inst: X3CInstance, K: float = 1.0) -> GadgetOutput:
     V = np.zeros((tau + 1, tau + 1))
     V[0, 0] = sigma_v**2
     V[1:, 1:] = (sigma_v**2 / eps**2) * np.eye(tau)
-    model = validate_model(
-        SystemModel(
-            n=n, q=tau + 1,
-            A=np.diag([lam] + [0.0] * (n - 1)),
-            C=C, W=np.eye(n), V=V,
-            b=np.ones(tau + 1), omega=np.ones(tau + 1),
-            budget_select=float(m + 1), budget_attack=0.0,
-        )
-    )
     threshold = K * (m + 1) * (sigma_v**2 + 3)
-    return GadgetOutput(
-        model=model,
-        threshold=threshold,
-        constants=GadgetConstants(K=K, Z=Z, lambda1=lam, coupling=eps, noise_std=sigma_v),
-        kind="kfss",
-    )
+    constants = GadgetConstants(K=K, Z=Z, lambda1=lam, coupling=eps, noise_std=sigma_v)
+    return GadgetOutput(_instance(lam, C, V, budget_select=float(m + 1)), threshold, constants, "kfss")
 
 
 def build_kfsa_gadget(inst: X3CInstance, K: float = 1.0) -> GadgetOutput:
@@ -245,36 +232,13 @@ def build_kfsa_gadget(inst: X3CInstance, K: float = 1.0) -> GadgetOutput:
     V = np.zeros((q, q))
     V[: 3 * m, : 3 * m] = delta_v**2 * np.eye(3 * m)
     V[3 * m :, 3 * m :] = (delta_v**2 / rho**2) * np.eye(tau)
-    model = validate_model(
-        SystemModel(
-            n=n, q=q,
-            A=np.diag([lam] + [0.0] * (n - 1)),
-            C=C, W=np.eye(n), V=V,
-            b=np.ones(q), omega=np.ones(q),
-            budget_select=0.0, budget_attack=float(m),
-        )
-    )
     threshold = K * (tau + 2) * (delta_v**2 + 1)
-    return GadgetOutput(
-        model=model,
-        threshold=threshold,
-        constants=GadgetConstants(K=K, Z=Z, lambda1=lam, coupling=rho, noise_std=delta_v),
-        kind="kfsa",
-    )
+    constants = GadgetConstants(K=K, Z=Z, lambda1=lam, coupling=rho, noise_std=delta_v)
+    return GadgetOutput(_instance(lam, C, V, budget_attack=float(m)), threshold, constants, "kfsa")
 
 
 def gadget_to_dict(g: GadgetOutput) -> dict:
-    return {
-        "threshold": g.threshold,
-        "kind": g.kind,
-        "constants": {
-            "K": g.constants.K,
-            "Z": g.constants.Z,
-            "lambda1": g.constants.lambda1,
-            "coupling": g.constants.coupling,
-            "noise_std": g.constants.noise_std,
-        },
-    }
+    return {"threshold": g.threshold, "kind": g.kind, "constants": asdict(g.constants)}
 
 
 def x3c_bruteforce(inst: X3CInstance, cap: int = BRUTEFORCE_CAP) -> tuple[bool, list[int] | None]:

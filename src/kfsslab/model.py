@@ -238,18 +238,8 @@ MODEL_JSON_KEYS = ("n", "q", "A", "C", "W", "V", "b", "omega", "budget_select", 
 
 
 def model_to_dict(model: SystemModel) -> dict:
-    return {
-        "n": model.n,
-        "q": model.q,
-        "A": model.A.tolist(),
-        "C": model.C.tolist(),
-        "W": model.W.tolist(),
-        "V": model.V.tolist(),
-        "b": model.b.tolist(),
-        "omega": model.omega.tolist(),
-        "budget_select": model.budget_select,
-        "budget_attack": model.budget_attack,
-    }
+    # tolist(): nested lists for the arrays, a plain int or float for n, q and the budgets
+    return {key: np.asarray(getattr(model, key)).tolist() for key in MODEL_JSON_KEYS}
 
 
 def model_from_dict(data: dict) -> SystemModel:

@@ -435,6 +435,7 @@ def greedy_and_optimal(
     """
     if mode not in ("select", "attack"):
         raise SolverInputError(f"mode must be 'select' or 'attack', got {mode!r}")
+    _check_metric(metric)
     attack = mode == "attack"
     if not models:
         return []

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +222,54 @@ def test_reduction_bad_k_is_input_error(yes_x3c_file, tmp_path, capsys, command,
     assert capsys.readouterr().err.startswith("error: K")
 
 
+@pytest.mark.parametrize("text", ['{"m": 2, "subsets": [[1, 2, 3]', '{"m": 2}', '{"m": 2, "subsets": 5}'],
+                         ids=["invalid-json", "no-subsets", "subsets-not-a-list"])
+@pytest.mark.parametrize("command", ["gadget kfss --output OUT", "x3c decide --via bruteforce"],
+                         ids=["gadget", "x3c"])
+def test_bad_x3c_file_is_input_error(tmp_path, capsys, command, text):
+    path = tmp_path / "x3c.json"
+    path.write_text(text)
+    argv = command.replace("OUT", str(tmp_path / "g.json")).split()
+    assert run_cli(*argv, "--x3c", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(("error: invalid X3C JSON", "error: malformed X3C instance")) and str(path) in err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_greedy_on_a_fractional_budget_is_input_error(example1_file, tmp_path, capsys):
+    data = json.loads(example1_file.read_text())
+    data["budget_select"] = 1.5
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("solve", "--instance", str(path), "--mode", "select", "--algorithm", "greedy") == 1
+    assert capsys.readouterr().err.startswith("error: greedy needs an integer selection budget, got 1.5")
+    # exhaustive search takes a real budget
+    assert run_cli("solve", "--instance", str(path), "--mode", "select", "--algorithm", "exhaustive") == 0
+
+
+# SHA-256 of the generated files.  Generating solves nothing, so these bytes
+# do not depend on the platform's linear algebra; a changed key, value or
+# type (an integer Z written as a float, say) changes them.
+GENERATED_SHA256 = {
+    "example1.json": "29003236e570ec7e774c08b42c84c5b1415c8cb0548d91eaa643a1ec249f9f57",
+    "example2.json": "dcbb9c886661aeb3cd3124bbb3711f7b9c6758bf4203f20678e13c5a16e464a3",
+    "kfss.json": "39085ce6d0faa0bfc1b2badf27a5b11df27859e384efbe7a35daeb12e35e2192",
+    "kfss.json.threshold.json": "2078183ce8aedb46e6c8dbf464809527192ad488f348541c150064ea920bd14f",
+    "kfsa.json": "47eb17883713cba93fdf7e801b5fe560415cae7e4d4c34aa8f055adb036a6a57",
+    "kfsa.json.threshold.json": "ffff242cbd1ece382aa30bac330d5584fa1271017e7a4b708b9f102d378dc1e6",
+}
+
+
+def test_generated_files_keep_their_bytes(yes_x3c_file, tmp_path):
+    for kind in ("example1", "example2"):
+        assert run_cli("gadget", kind, "--lambda1", "0.9", "--h", "10", "--output", str(tmp_path / f"{kind}.json")) == 0
+    for kind in ("kfss", "kfsa"):
+        assert run_cli("gadget", kind, "--x3c", str(yes_x3c_file), "--k", "1",
+                       "--output", str(tmp_path / f"{kind}.json")) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GENERATED_SHA256}
+    assert digests == GENERATED_SHA256
+
+
 def test_x3c_decide_bruteforce(yes_x3c_file, capsys):
     assert run_cli("x3c", "decide", "--via", "bruteforce", "--x3c", str(yes_x3c_file)) == 0
     assert capsys.readouterr().out.startswith("yes witness=[1, 2]")
@@ -284,6 +334,29 @@ def test_sweep_v_scale_flag(tmp_path):
     assert code == 0
     row = out.read_text().strip().splitlines()[1]
     assert float(row.split(",")[2]) > 3.0  # extra sensor noise lifts the optimum
+
+
+@pytest.mark.parametrize("v_scale", ["inf", "nan", "-1"])
+def test_sweep_refuses_a_bad_v_scale_before_building_a_model(tmp_path, capsys, monkeypatch, v_scale):
+    # refused as a flag, before any model: a scaled V would warn on inf * 0,
+    # and a negative scale would be refused as an eigenvalue of V
+    monkeypatch.setattr(gadgets, "build_example1", lambda *args: pytest.fail("built a model"))
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("sweep", "--family", "example1", "--lambda1", "0.9", "--h-grid", "1",
+                       "--v-scale", v_scale, "--output", str(out))
+    assert code == 1 and caught == []
+    assert capsys.readouterr().err.splitlines() == [f"error: --v-scale must be finite and >= 0, got {v_scale}"]
+    assert not out.exists()
+
+
+def test_sweep_v_scale_zero_is_noiseless(tmp_path):
+    plain, zero = tmp_path / "plain.csv", tmp_path / "zero.csv"
+    argv = ["sweep", "--family", "example1", "--lambda1", "0.9", "--h-grid", "10,1000"]
+    assert run_cli(*argv, "--output", str(plain)) == 0
+    assert run_cli(*argv, "--v-scale", "0", "--output", str(zero)) == 0
+    assert zero.read_bytes() == plain.read_bytes()
 
 
 def _kernel_spy(monkeypatch):
@@ -394,7 +467,7 @@ def test_sweep_no_convergence_is_solver_error(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("grid", ["--h-range 10 1000 2.7", "--h-range 10 1000 inf", "--h-range 10 1000 nan",
                                   "--h-range 10 1000 0", "--h-grid 1e6", "--h-grid 1e8", "--h-grid 1e200",
                                   "--h-grid nan", "--h-range 1 inf 2", "--h-range nan 10 2",
-                                  "--h-range 1 1.7976931348623157e308 2"])
+                                  "--h-range 1 1.7976931348623157e308 2", "--h-grid 1,abc", "--h-grid ,"])
 def test_bad_sweep_grid_is_input_error(tmp_path, capsys, grid):
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--family", "example1", "--lambda1", "0.9", *grid.split(), "--output", str(out)]

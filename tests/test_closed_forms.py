@@ -66,6 +66,27 @@ def test_scalar_domain_error():
         scalar_sensor_msee(0.5, -1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: example1_predictions(0.9, math.inf),
+    lambda: example1_predictions(0.9, math.nan),
+    lambda: example2_predictions(math.nan, 1.0),
+    lambda: example2_predictions(0.9, math.inf),
+    lambda: msee_limit(math.nan),
+    lambda: limit_ratio_select(math.nan),
+    lambda: limit_ratio_attack(math.nan),
+    lambda: scalar_sensor_msee(0.9, math.inf),
+    lambda: scalar_sensor_msee(0.9, math.nan),
+    lambda: repeated_sensor_msee(0.9, 1.0, 2.5),
+    lambda: repeated_sensor_msee(0.9, 1.0, math.nan),
+    lambda: diag_bounds(0.5, math.nan),
+], ids=["ex1-h-inf", "ex1-h-nan", "ex2-lambda-nan", "ex2-h-inf", "limit-nan", "ratio-select-nan",
+        "ratio-attack-nan", "scalar-inf", "scalar-nan", "repeated-fractional", "repeated-nan", "diag-w-nan"])
+def test_non_finite_or_fractional_input_is_a_domain_error(call):
+    # NaN fails every range check; n_meas = 2.5 is refused, not read as 2
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_repeated_reduces_to_scalar():
     for lam in (0.2, 0.9):
         for noise in (0.0, 3.7, 2e5):

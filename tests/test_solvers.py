@@ -309,6 +309,17 @@ def test_non_integral_cardinality_budget_is_rejected(greedy, budget):
         greedy(build_example1(LAM, 10.0), budget, "priori")
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda m: greedy_select(m, -1, "priori"), "budget must be nonnegative"),
+    (lambda m: exhaustive_attack(m, np.ones(4), 1.0, "priori"), "costs must have length 3"),
+    (lambda m: greedy_and_optimal([m], 2, "bogus", "priori"), "mode must be"),
+    (lambda m: greedy_and_optimal([], 2, "select", "bogus"), "metric must be"),  # no models: checked all the same
+], ids=["negative-budget", "costs-length", "mode", "metric-no-models"])
+def test_bad_solver_input_is_rejected(call, match):
+    with pytest.raises(SolverInputError, match=match):
+        call(build_example1(LAM, 10.0))
+
+
 def test_report_dict_encodes_infinity():
     m = validate_model(SystemModel(
         n=1, q=1, A=np.array([[1.5]]), C=np.array([[1.0]]),
