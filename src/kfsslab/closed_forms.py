@@ -95,6 +95,14 @@ class Example1Predictions:
     trace_optimal_posteriori: float
 
 
+def _check_h_sq(h: float) -> float:
+    """h^2 of a family's h, which must be positive with a finite square."""
+    h = float(h)
+    if not (h > 0.0 and h * h < math.inf):  # NaN fails too
+        raise DomainError(f"h must be positive with a finite square, got {h}")
+    return h * h
+
+
 def example1_predictions(lambda1: float, h: float) -> Example1Predictions:
     """Predicted solver outcomes on the example1 family at budget 2.
 
@@ -102,10 +110,7 @@ def example1_predictions(lambda1: float, h: float) -> Example1Predictions:
     rows combine to an exact measurement of state 1.
     """
     lam = _check_lambda(lambda1)
-    h = float(h)
-    if not 0.0 < h < math.inf:
-        raise DomainError(f"h must be positive and finite, got {h}")
-    h_sq = h * h
+    h_sq = _check_h_sq(h)
     s2 = scalar_sensor_msee(lam, h_sq)
     s1 = scalar_sensor_msee(lam, 2.0 * h_sq)
     s3 = msee_limit(lam)
@@ -145,10 +150,7 @@ def example2_predictions(lambda1: float, h: float) -> Example2Predictions:
     leaving state 1 unobserved.
     """
     lam = _check_lambda(lambda1)
-    h = float(h)
-    if not 0.0 < h < math.inf:
-        raise DomainError(f"h must be positive and finite, got {h}")
-    h_sq = h * h
+    h_sq = _check_h_sq(h)
     s4 = scalar_sensor_msee(lam, h_sq)
     limit = msee_limit(lam)
     return Example2Predictions(

@@ -208,14 +208,16 @@ def validate_model(raw: SystemModel) -> SystemModel:
 
 
 def _symmetrize_psd(M: np.ndarray, name: str) -> np.ndarray:
-    sym = 0.5 * (M + M.T)
+    # halves before the sum: the bits of 0.5 * (M + M.T) for normal entries,
+    # without its overflow at entries near the float maximum
+    sym = 0.5 * M + 0.5 * M.T
     eigvals = np.linalg.eigvalsh(sym)
     if eigvals[0] < PSD_EIG_FLOOR:
         raise NotPSD(f"{name} has eigenvalue {eigvals[0]:.3e} < {PSD_EIG_FLOOR:.0e}")
     if eigvals[0] < 0.0:
         w, U = np.linalg.eigh(sym)
         sym = (U * np.clip(w, 0.0, None)) @ U.T
-        sym = 0.5 * (sym + sym.T)
+        sym = 0.5 * sym + 0.5 * sym.T
     return sym
 
 

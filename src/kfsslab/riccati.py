@@ -29,6 +29,11 @@ with unit noise, uncorrelated with every sensor.  A null sensor adds
 exactly 0 to C' V^-1 C, K C, K V K' and every PBH image, so a padded
 member agrees with its lone solve up to the order of the sums over p.
 Each member of a doubling or Newton run stops at its own stopping rule.
+A doubling run may also drop members early: every doubling keeps the
+invariant S = A_k' S (I + G_k S)^-1 A_k + H_k, which certifies
+tr H_k <= tr S <= tr H_k / (1 - ||A_k||_F^2), and a caller's ``settle``
+marks the members it no longer needs from these intervals (see
+_doubling_dare).  Newton runs, their Stein runs included, drop nothing.
 PBH takes one kernel basis of A - lam I per unstable mode and model.  The
 update of a nonsingular member solves with the G = C' V^-1 C its doubling
 used; a singular one takes the Joseph form.  The Newton gain (_gain), the
@@ -125,7 +130,7 @@ def _noise_gain(C: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises NoConvergence instead
-def _doubling_dare(A, G, W):
+def _doubling_dare(A, G, W, settle=None):
     """Structure-preserving doubling for S = A S (I + G S)^-1 A' + W, for
     every member G of the stack G (k x n x n), G = C' V^-1 C.  A and W are
     n x n or stacks broadcast against G.  G = None stands for G = 0 with A a
@@ -140,6 +145,15 @@ def _doubling_dare(A, G, W):
     TOL * max(1, ||H+||_F) and is frozen from then on.  Returns the stack of
     covariances and each member's doubling count; raises NoConvergence when
     a member reaches MAX_STEPS doublings or any step turns non-finite.
+
+    Every doubling keeps the invariant S = A_k' S (I + G_k S)^-1 A_k + H_k,
+    whose first term is PSD and has trace at most ||A_k||_F^2 tr S, so
+    lo = tr H_k <= tr S <= hi = tr H_k / (1 - ||A_k||_F^2), hi = inf while
+    ||A_k||_F >= 1 and hi = lo for a member that has just stopped.  Given a
+    callable ``settle``, after each doubling settle(lo, hi) gets both bounds
+    of every live member and returns a mask of the members to drop: a
+    dropped member that has not stopped gets a NaN covariance and is never
+    solved further, so it raises nothing.  settle=None makes no extra call.
     """
     k, n = (A if G is None else G).shape[0], A.shape[-1]
     out = np.empty((k, n, n))
@@ -167,6 +181,14 @@ def _doubling_dare(A, G, W):
         if bad.any():
             raise NoConvergence("doubling iterate became non-finite", float(step[bad][0]), it)
         done = step <= TOL * np.maximum(1.0, _fro(H))
+        if settle is not None:
+            lo = np.trace(H, axis1=1, axis2=2)
+            shrink = 1.0 - _fro(Ak) ** 2
+            hi = np.maximum(lo, np.divide(lo, shrink, out=np.full(lo.shape, np.inf), where=shrink > 0.0))
+            hi[done] = lo[done]
+            drop = settle(lo, hi) & ~done
+            H[drop] = np.nan
+            done |= drop
         if done.any():
             out[live[done]] = H[done]
             doublings[live[done]] = it
@@ -344,7 +366,7 @@ def is_detectable(A, C_sel) -> bool:
 
 
 def _sqrt_psd(W: np.ndarray) -> np.ndarray:
-    w, U = np.linalg.eigh(0.5 * (W + W.T))
+    w, U = np.linalg.eigh(0.5 * W + 0.5 * W.T)  # no overflow near the float maximum
     return (U * np.sqrt(np.clip(w, 0.0, None))) @ U.T
 
 
@@ -363,29 +385,30 @@ def check_stabilizable(A, W) -> None:
         raise StabilizabilityViolation("(A, W^(1/2)) is not stabilizable")
 
 
-def _solve_detectable(A, W, C, V) -> tuple[np.ndarray, np.ndarray, tuple]:
+def _solve_detectable(A, W, C, V, settle=None) -> tuple[np.ndarray, np.ndarray, tuple]:
     """A priori covariances, iteration counts and _noise_gain(C, V) for the
     stacks C (k x p x n) and V (k x p x p), every member detectable.
 
-    Nonsingular members share one doubling run and singular ones one Newton
-    run.  Raises NoConvergence as _doubling_dare and _newton_dare do, and
-    when a member's variance falls below W's by more than
-    sqrt(TOL) * max(1, ||S||_F): every a priori covariance is
-    A S* A' + W >= W, so such a member went astray, as on a pair (A, C)
-    that is undetectable within round-off but passed the PBH test, where
-    the shortfall is of the order of ||S||.  The bound is not TOL: with a
-    large gain K against a singular V, the round-off of K V K' alone puts
-    correct solutions up to 3e-9 relative below W (random noiseless
-    models, n <= 4).
+    Nonsingular members share one doubling run, which gets ``settle`` (see
+    _doubling_dare; a member it drops has a NaN covariance), and singular
+    ones one Newton run, which drops nothing.  Raises NoConvergence as
+    _doubling_dare and _newton_dare do, and when a member's variance falls
+    below W's by more than sqrt(TOL) * max(1, ||S||_F): every a priori
+    covariance is A S* A' + W >= W, so such a member went astray, as on a
+    pair (A, C) that is undetectable within round-off but passed the PBH
+    test, where the shortfall is of the order of ||S||.  The bound is not
+    TOL: with a large gain K against a singular V, the round-off of K V K'
+    alone puts correct solutions up to 3e-9 relative below W (random
+    noiseless models, n <= 4).
     """
     S = np.empty((C.shape[0],) + A.shape)
     iters = np.zeros(C.shape[0], dtype=int)
     nonsingular, G = noise = _noise_gain(C, V)
     if nonsingular.any():
-        S[nonsingular], iters[nonsingular] = _doubling_dare(A, G, W)
+        S[nonsingular], iters[nonsingular] = _doubling_dare(A, G, W, settle)
     if not nonsingular.all():
         S[~nonsingular], iters[~nonsingular] = _newton_dare(A, C[~nonsingular], W, V[~nonsingular])
-    shortfall = (W.diagonal() - S.diagonal(axis1=1, axis2=2)).max(axis=1)
+    shortfall = (W.diagonal() - S.diagonal(axis1=1, axis2=2)).max(axis=1)  # NaN, never below, if dropped
     below = np.flatnonzero(shortfall > np.sqrt(TOL) * np.maximum(1.0, _fro(S)))
     if below.size:
         j = below[0]

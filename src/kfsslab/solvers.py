@@ -27,7 +27,18 @@ it solves anything; the private drivers do neither.  Adding a sensor
 never raises the trace, so the exhaustive search solves only the
 inclusion-maximal feasible sets, and then the subsets of tied sets that the
 smallest-support tie rule needs, less those one sensor short of a scored
-set that is not tied, which cannot tie either.  A report's trace and
+set that is not tied, which cannot tie either.  Under the priori metric
+the exhaustive search also drops, inside the doubling, every set whose
+certified trace interval [lo, hi] (see riccati._doubling_dare) can neither
+beat nor tie the optimum: a selection drops lo > U + TIE_REL max(1, U),
+U the least hi seen, and an attack drops hi < L - TIE_REL max(1, L), L
+the greatest lo seen (infinite once a survivor set is undetectable).  One
+bound serves all chunks of the maximal sets, and each walk level starts
+from the best trace (_Incumbent).  A dropped set goes into the table's
+``beyond``, never into its scores: it counts as not tied, and an exact
+request, a greedy step or a report, still solves it.  Greedy,
+greedy_and_optimal's joint first scoring, the posteriori metric and the
+singular-V (Newton) members drop nothing.  A report's trace and
 covariance diagonal are those of the stack member that scored the chosen
 indicator; a greedy run with budget 0 scores its one indicator as a stack
 of one, and nothing is solved twice.  evaluate_selection is the per-subset
@@ -133,7 +144,7 @@ def evaluate_selection(model: SystemModel, sel: SelectionVector, metric: str) ->
     return SteadyStateResult.finite(post, result.iterations)
 
 
-def _score(members) -> tuple[list[float], np.ndarray]:
+def _score(members, settle=None) -> tuple[list[float], np.ndarray]:
     """Traces and covariance diagonals of evaluate_selection for members
     (table, sorted support), solved as stacks of at most STACK_CHUNK
     members.  The tables may differ if their models share A, W and the
@@ -144,7 +155,10 @@ def _score(members) -> tuple[list[float], np.ndarray]:
 
     Undetectable members score math.inf, with a NaN diagonal, without a
     solve.  Every member gets the per-subset solve's tests and kernel, so
-    the results agree with evaluate_selection to round-off.
+    the results agree with evaluate_selection to round-off, except that a
+    priori members that ``settle`` drops (see _Incumbent) score NaN.  Each
+    chunk's undetectable members reach ``settle`` as the interval
+    [inf, inf] before its kernel run.
     """
     tables = list(dict.fromkeys(table for table, _ in members))
     model, metric = tables[0].model, tables[0].metric
@@ -166,11 +180,14 @@ def _score(members) -> tuple[list[float], np.ndarray]:
         idx = np.array([s + (-1,) * (width - len(s)) for _, s in chunk], dtype=np.intp)
         rows = np.where(idx < 0, -1, idx + [[offset[table]] for table, _ in chunk])
         finite = riccati._detectable(images, rows)
+        if settle is not None and not finite.all():
+            unseen = np.full(len(chunk) - finite.sum(), math.inf)
+            settle(unseen, unseen)
         if not finite.any():
             continue
         row, col = rows[finite], idx[finite]
         C, V = C_all[row], V_all[row[:, :, None], col[:, None, :]]
-        S, _, noise = riccati._solve_detectable(model.A, model.W, C, V)
+        S, _, noise = riccati._solve_detectable(model.A, model.W, C, V, settle)
         if metric == "posteriori":
             S = riccati._posteriori(S, C, V, noise)
         at = lo + np.flatnonzero(finite)
@@ -181,31 +198,65 @@ def _score(members) -> tuple[list[float], np.ndarray]:
 
 class _ScoreTable:
     """Trace and covariance diagonal of each kept support, for one (model,
-    metric), and the model's PBH mode images.  A request solves only the
-    supports the table lacks, through _fill; stack members are solved
+    metric), the model's PBH mode images, and the supports ``beyond`` the
+    optimum that a settled request dropped unscored.  A request solves only
+    the supports the table lacks, through _fill; stack members are solved
     independently, so a stored score is the one a fresh stack would give."""
 
     def __init__(self, model: SystemModel, metric: str):
         self.model, self.metric = model, metric
         self.images = riccati._mode_images(model.A, model.C)
         self.scores: dict[tuple[int, ...], tuple[float, np.ndarray]] = {}
+        self.beyond: set[tuple[int, ...]] = set()
 
-    def __call__(self, supports) -> list[tuple[float, np.ndarray]]:
+    def __call__(self, supports, settle=None) -> list:
+        """The score of each support; None for one that ``settle`` drops or
+        dropped.  A request without ``settle`` solves every support it
+        lacks, those beyond included."""
         supports = [tuple(s) for s in supports]
-        _fill([(self, s) for s in supports])
-        return [self.scores[s] for s in supports]
+        _fill([(self, s) for s in supports], settle)
+        return [self.scores.get(s) for s in supports]
 
 
-def _fill(members) -> None:
+def _fill(members, settle=None) -> None:
     """Score the (table, sorted support tuple) members that their table
-    lacks, in one _score call whose stacks mix the tables and the sizes."""
+    lacks, in one _score call whose stacks mix the tables and the sizes.
+    With ``settle``, a support already beyond is not solved again, and one
+    that settle drops goes beyond."""
     tables = list(dict.fromkeys(table for table, _ in members))
     order = {table: t for t, table in enumerate(tables)}
-    missing = sorted({(len(s), s, order[table]) for table, s in members if s not in table.scores})
+    missing = sorted({(len(s), s, order[table]) for table, s in members
+                      if s not in table.scores and (settle is None or s not in table.beyond)})
     if missing:
         members = [(tables[t], s) for _, s, t in missing]
-        for (table, s), trace, diag in zip(members, *_score(members)):
-            table.scores[s] = trace, diag
+        for (table, s), trace, diag in zip(members, *_score(members, settle)):
+            if math.isnan(trace):
+                table.beyond.add(s)
+            else:
+                table.scores[s] = trace, diag
+
+
+class _Incumbent:
+    """The ``settle`` callable of one a priori exhaustive request (see
+    riccati._doubling_dare), which drops every member whose certified trace
+    interval [lo, hi] can neither beat nor tie the optimum.  A selection
+    keeps U, the least hi seen, and drops lo > U + TIE_REL max(1, U); an
+    attack keeps L, the greatest lo seen, and drops hi < L - TIE_REL
+    max(1, L), every finite member once L is infinite.  Both bounds start
+    from ``bound``, the best trace of a finished search or the neutral
+    infinity.  x -> x +- TIE_REL max(1, x) increases and U >= best >= L, so
+    a dropped member's trace lies beyond the best and is not tied with it.
+    The bound carries across the chunks of the request."""
+
+    def __init__(self, attack: bool, bound: float):
+        self.attack, self.bound = attack, bound
+
+    def __call__(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        if self.attack:
+            self.bound = L = max(self.bound, float(lo.max()))
+            return hi < (L - TIE_REL * max(1.0, L) if math.isfinite(L) else L)
+        self.bound = U = min(self.bound, float(hi.min()))
+        return lo > U + TIE_REL * max(1.0, U)
 
 
 def _kept(q: int, combo, attack: bool) -> list[int]:
@@ -326,36 +377,43 @@ def _exhaustive(table: _ScoreTable, n_feasible: int, maximal, attack: bool) -> S
     set.  Nonnegative costs keep subsets of feasible sets feasible.
 
     The walk skips every candidate one sensor short of a scored set that
-    is not tied: the table holds feasible sets only (greedy_and_optimal's
-    greedy sets fit the same unit-cost budget), so that set's trace lies
-    beyond the best, and by monotonicity the candidate's does too.
-    """
-    model = table.model
+    is not tied, or of a set beyond: the table holds feasible sets only
+    (greedy_and_optimal's greedy sets fit the same unit-cost budget), so
+    that set's trace lies beyond the best, and by monotonicity the
+    candidate's does too.
 
-    def traces(combos):
-        return [trace for trace, _ in table([_kept(model.q, c, attack) for c in combos])]
+    Under the priori metric the maximal sets, and then each walk level
+    from the best on, are scored through one _Incumbent, whose drops go
+    beyond.
+    """
+    model, q = table.model, table.model.q
+
+    def scored(combos, bound: float):
+        settle = _Incumbent(attack, bound) if table.metric == "priori" else None
+        found = table([_kept(q, c, attack) for c in combos], settle)
+        return [(c, s[0]) for c, s in zip(combos, found) if s is not None]
 
     def settled(combo) -> bool:
-        supersets = (table.scores.get(tuple(_kept(model.q, combo + (i,), attack)))
-                     for i in range(model.q) if i not in combo)
-        return any(s is not None and not _tied(s[0], best) for s in supersets)
+        supersets = (tuple(_kept(q, combo + (i,), attack)) for i in range(q) if i not in combo)
+        return any(s in table.beyond or s in table.scores and not _tied(table.scores[s][0], best)
+                   for s in supersets)
 
-    scores = traces(maximal)
-    best = (max if attack else min)(scores)
-    tied = [c for c, t in zip(maximal, scores) if _tied(t, best)]
+    scores = scored(maximal, -math.inf if attack else math.inf)
+    best = (max if attack else min)(t for _, t in scores)
+    tied = [c for c, t in scores if _tied(t, best)]
     lowest = min(map(len, tied))
     level: list[tuple[int, ...]] = []
     for size in range(max(map(len, tied)), -1, -1):
         below = sorted({c[:j] + c[j + 1:] for c in level for j in range(len(c))})
         below = [c for c in below if not settled(c)]
-        level = [c for c, t in zip(below, traces(below)) if _tied(t, best)]
+        level = [c for c, t in scored(below, best) if _tied(t, best)]
         level += [c for c in tied if len(c) == size]
         if level:
             smallest = level
         elif size < lowest:
             break
-    combo = min(smallest, key=lambda c: SelectionVector.from_support(model.q, c).bits)
-    ((trace, diag),) = table([_kept(model.q, combo, attack)])
+    combo = min(smallest, key=lambda c: SelectionVector.from_support(q, c).bits)
+    ((trace, diag),) = table([_kept(q, combo, attack)])
     return _report(model, attack, combo, table.metric, trace, diag, n_feasible + 1, [])
 
 

@@ -351,6 +351,27 @@ def test_sweep_refuses_a_bad_v_scale_before_building_a_model(tmp_path, capsys, m
     assert not out.exists()
 
 
+def test_sweep_at_a_v_scale_near_the_float_maximum_does_not_overflow(tmp_path):
+    # V = 1e308 I is finite, and symmetrizing it must not overflow to inf
+    # (a RuntimeWarning fails the test); the sensors are useless, so both
+    # traces are those of no measurement
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--family", "example1", "--lambda1", "0.9", "--h-grid", "1",
+                   "--v-scale", "1e308", "--output", str(out)) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert [round(float(x), 4) for x in row[1:4]] == [7.2632, 7.2632, 1.0]
+
+
+def test_solve_with_a_noise_variance_near_the_float_maximum(tmp_path, capsys):
+    # V = 1e308 passes validation and stays finite through the model's
+    # symmetrization, so the selection is solved with it, not with V = inf
+    path = tmp_path / "loud.json"
+    path.write_text(json.dumps({"n": 1, "q": 1, "A": [[0.5]], "C": [[1.0]], "W": [[1.0]], "V": [[1e308]],
+                                "b": [1.0], "omega": [1.0], "budget_select": 1, "budget_attack": 0}))
+    assert run_cli("solve", "--instance", str(path), "--mode", "select", "--algorithm", "exhaustive") == 0
+    assert capsys.readouterr().out.startswith("trace=1.3333333333333333 chosen=[]")
+
+
 def test_sweep_v_scale_zero_is_noiseless(tmp_path):
     plain, zero = tmp_path / "plain.csv", tmp_path / "zero.csv"
     argv = ["sweep", "--family", "example1", "--lambda1", "0.9", "--h-grid", "10,1000"]
@@ -364,9 +385,9 @@ def _kernel_spy(monkeypatch):
     runs = []
     original = riccati._solve_detectable
 
-    def spy(A, W, C, V):
+    def spy(A, W, C, V, settle=None):
         runs.append(len(C))
-        return original(A, W, C, V)
+        return original(A, W, C, V, settle)
 
     monkeypatch.setattr(riccati, "_solve_detectable", spy)
     return runs

@@ -71,6 +71,8 @@ def test_scalar_domain_error():
     lambda: example1_predictions(0.9, math.nan),
     lambda: example2_predictions(math.nan, 1.0),
     lambda: example2_predictions(0.9, math.inf),
+    lambda: example1_predictions(0.9, 1e200),
+    lambda: example2_predictions(0.9, 1e200),
     lambda: msee_limit(math.nan),
     lambda: limit_ratio_select(math.nan),
     lambda: limit_ratio_attack(math.nan),
@@ -79,12 +81,20 @@ def test_scalar_domain_error():
     lambda: repeated_sensor_msee(0.9, 1.0, 2.5),
     lambda: repeated_sensor_msee(0.9, 1.0, math.nan),
     lambda: diag_bounds(0.5, math.nan),
-], ids=["ex1-h-inf", "ex1-h-nan", "ex2-lambda-nan", "ex2-h-inf", "limit-nan", "ratio-select-nan",
-        "ratio-attack-nan", "scalar-inf", "scalar-nan", "repeated-fractional", "repeated-nan", "diag-w-nan"])
+], ids=["ex1-h-inf", "ex1-h-nan", "ex2-lambda-nan", "ex2-h-inf", "ex1-h-square-inf", "ex2-h-square-inf",
+        "limit-nan", "ratio-select-nan", "ratio-attack-nan", "scalar-inf", "scalar-nan", "repeated-fractional",
+        "repeated-nan", "diag-w-nan"])
 def test_non_finite_or_fractional_input_is_a_domain_error(call):
     # NaN fails every range check; n_meas = 2.5 is refused, not read as 2
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("predictions", [example1_predictions, example2_predictions])
+def test_an_overflowing_h_square_is_refused_by_name(predictions):
+    # h = 1e200 is finite, but h * h is not; the error names h, not the noise power
+    with pytest.raises(DomainError, match=r"^h must be .* got 1e\+200$"):
+        predictions(0.9, 1e200)
 
 
 def test_repeated_reduces_to_scalar():

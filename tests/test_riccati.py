@@ -253,6 +253,12 @@ def test_unstabilizable_noise_pair_rejected():
         solve_dare(np.array([[1.5]]), np.array([[1.0]]), np.array([[0.0]]), np.array([[1.0]]))
 
 
+def test_stabilizability_of_a_noise_near_the_float_maximum():
+    # W = 1e308 is finite and excites the unstable mode; its square root
+    # must not overflow on the way (a RuntimeWarning fails the test)
+    assert riccati.is_stabilizable_noise(np.array([[1.5]]), np.array([[1e308]]))
+
+
 # --- kernel choice: doubling for nonsingular V, Newton steps for singular V ---
 
 def _scipy_priori(A, C, W, V):

@@ -412,8 +412,8 @@ def test_exhaustive_on_generic_instances_solves_only_the_maximal_sets(monkeypatc
         for run, metric in ((exhaustive_select, "priori"), (exhaustive_attack, "posteriori")):
             members = []
             original = riccati._solve_detectable
-            monkeypatch.setattr(riccati, "_solve_detectable", lambda A, W, C, V: members.append(len(C))
-                                or original(A, W, C, V))
+            monkeypatch.setattr(riccati, "_solve_detectable", lambda A, W, C, V, settle=None: members.append(len(C))
+                                or original(A, W, C, V, settle))
             report = run(m, np.ones(m.q), 3.0, metric)
             monkeypatch.undo()
             assert members == [64, 56]
@@ -495,6 +495,94 @@ def test_tie_walk_continues_past_a_size_with_no_tied_set():
             m, m.b, 3.0, metric, False)
 
 
+def _settled_exhaustive(m, costs, budget, attack):
+    """The a priori exhaustive report, checked against the full enumeration
+    and the public driver, and the table it left, whose ``beyond`` holds
+    the supports the certified intervals dropped."""
+    table = _ScoreTable(m, "priori")
+    report = solvers._exhaustive(table, *_maximal_feasible(m, costs, budget, attack), attack)
+    assert (report.chosen.bits, report.trace, report.diag, report.evaluations) == _full_enumeration(
+        m, costs, budget, "priori", attack)
+    public = (exhaustive_attack if attack else exhaustive_select)(m, costs, budget, "priori")
+    assert report_to_dict(public) == report_to_dict(report)
+    assert not table.beyond & table.scores.keys()
+    return report, table
+
+
+def test_dropping_keeps_exact_ties_of_duplicated_sensors():
+    # every sensor row appears twice with uncorrelated unit noise, so sets
+    # that swap a sensor for its twin tie exactly; dropping must keep them
+    rng = np.random.default_rng(67)
+    dropped = tied = 0
+    for _ in range(4):
+        n = int(rng.integers(2, 4))
+        C = np.repeat(rng.standard_normal((3, n)), 2, axis=0)
+        A = np.diag(np.concatenate([[rng.choice([0.95, 1.05])], rng.uniform(-0.7, 0.7, n - 1)]))
+        m = validate_model(SystemModel(n=n, q=6, A=A, C=C, W=np.eye(n), V=np.eye(6)))
+        for budget in (2.0, 3.0):
+            for attack in (False, True):
+                report, table = _settled_exhaustive(m, np.ones(6), budget, attack)
+                dropped += bool(table.beyond)
+                tied += sum(_tied(t, report.trace) for t, _ in table.scores.values()) > 1
+    assert dropped == 16 and tied == 11  # every run dropped sets, most kept a tie too
+
+
+@pytest.mark.parametrize("blind", [(0, 1), (10, 11)])
+def test_an_undetectable_survivor_set_drops_every_finite_one(blind):
+    # only two sensors see the unstable mode, so the attack on them leaves
+    # an undetectable survivor set, the optimum; the 66 survivor sets fill
+    # two chunks, and the undetectable one lies in the first or the second
+    rng = np.random.default_rng(71)
+    q, n = 12, 3
+    C = rng.standard_normal((q, n))
+    C[:, 0] = 0.0
+    C[list(blind), 0] = 1.0
+    B = rng.standard_normal((q, q))
+    m = validate_model(SystemModel(n=n, q=q, A=np.diag([1.05, 0.5, -0.3]), C=C, W=np.eye(n),
+                                   V=B @ B.T / q + 0.5 * np.eye(q), omega=np.ones(q)))
+    report, table = _settled_exhaustive(m, m.omega, 2.0, attack=True)
+    assert math.isinf(report.trace) and report.chosen.support == blind
+    finite = [s for s, (t, _) in table.scores.items() if math.isfinite(t)]
+    assert len(table.beyond) > len(finite)
+    assert not table.scores.keys() - {tuple(_kept(q, blind, True))} - set(finite)
+
+
+def test_tie_walk_descends_past_a_dropped_superset():
+    # sensors 0 and 3 measure nothing, so {0, 1, 2}, {1, 2, 3} and {1, 2}
+    # tie at the optimum; {0, 1, 3} and {0, 2, 3} see one useful sensor and
+    # are dropped, which settles the walk's candidates {0, 1}, {0, 2},
+    # {1, 3} and {2, 3} unsolved, and the walk goes on down to {1, 2},
+    # whose subsets {1} and {2} it drops
+    C = np.array([[0.0, 0.0], [1.0, 0.3], [0.2, 1.0], [0.0, 0.0]])
+    m = validate_model(SystemModel(n=2, q=4, A=np.diag([0.9, 0.5]), C=C, W=np.eye(2), V=np.eye(4)))
+    report, table = _settled_exhaustive(m, np.ones(4), 3.0, attack=False)
+    assert report.chosen.support == (1, 2)
+    assert table.beyond == {(0, 1, 3), (0, 2, 3), (1,), (2,)}
+    assert set(table.scores) == {(0, 1, 2), (1, 2, 3), (1, 2)}
+
+
+def test_dropping_halves_the_doubling_solves_at_q_18(monkeypatch):
+    # each doubling solves every live member once, and hands exactly those
+    # members to settle; without dropping, each of the C(18, 3) = 816
+    # maximal sets would pass through as many solves as it takes doublings
+    rng = np.random.default_rng(61)
+    m = _random_solve_model(rng, 18)
+    sets = list(combinations(range(m.q), 3))
+    lone = sum(riccati.solve_dare(m.A, m.C[list(s)], m.W, m.V[np.ix_(s, s)]).iterations for s in sets)
+    solved = []
+    doubling = riccati._doubling_dare
+
+    def spy(A, G, W, settle=None):
+        assert settle is not None
+        return doubling(A, G, W, lambda lo, hi: solved.append(len(lo)) or settle(lo, hi))
+
+    monkeypatch.setattr(riccati, "_doubling_dare", spy)
+    report = exhaustive_select(m, np.ones(m.q), 3.0, "priori")
+    monkeypatch.undo()
+    assert report_to_dict(report) == report_to_dict(_settled_exhaustive(m, np.ones(m.q), 3.0, False)[0])
+    assert 0 < sum(solved) <= lone / 2
+
+
 def test_exhaustive_rejects_negative_costs():
     m = build_example1(LAM, 10.0)
     with pytest.raises(SolverInputError, match="nonnegative"):
@@ -532,9 +620,9 @@ def test_greedy_and_optimal_scores_each_support_once(mode, monkeypatch):
             for budget in range(m.q + 1):
                 scored = []
 
-                def spy(members):
+                def spy(members, settle=None):
                     scored.extend(members)
-                    return _score(members)
+                    return _score(members, settle)
 
                 monkeypatch.setattr(solvers, "_score", spy)
                 ((greedy, optimal, ratio),) = greedy_and_optimal([m], budget, mode, metric)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfsslab import riccati, solvers
-from kfsslab.gadgets import build_example1, build_example2
+from kfsslab.gadgets import X3CInstance, build_example1, build_example2, build_kfsa_gadget, build_kfss_gadget
 from kfsslab.model import AttackVector, SelectionVector, SystemModel, complement, validate_model
 from kfsslab.riccati import NoConvergence
 from kfsslab.solvers import (
@@ -29,6 +29,7 @@ from kfsslab.solvers import (
 )
 
 REL = 1e-12
+ULPS = 4 * np.finfo(float).eps
 
 
 def _stack(m, supports, metric):
@@ -635,3 +636,63 @@ def test_posteriori_stack_mixing_singular_and_nonsingular_equals_members_alone()
     stacked = riccati._posteriori(S, C, V, noise)
     for got, s, c, v in zip(stacked, S, C, V):
         assert np.array_equal(got, riccati.posteriori_from_priori(s, c, v))
+
+
+def _assert_certified(A, G, W):
+    """Run the doubling with a settle that drops nothing, and check that
+    every doubling's interval [lo, hi] of each live member holds the trace
+    of that member's covariance.  The interval is exact for n = 1 Stein
+    members, whose hi is the fixed point itself, so it holds to a few ulps,
+    far inside the solvers' tie tolerance."""
+    S, counts = riccati._doubling_dare(A, G, W)
+    seen = []
+
+    def settle(lo, hi):
+        seen.append((lo, hi))
+        return np.zeros(lo.shape, dtype=bool)
+
+    S_kept, counts_kept = riccati._doubling_dare(A, G, W, settle)
+    assert np.array_equal(S_kept, S) and np.array_equal(counts_kept, counts)  # dropping nothing changes no bit
+    assert len(seen) == counts.max()
+    trace = np.trace(S, axis1=1, axis2=2)
+    for t, (lo, hi) in enumerate(seen, 1):
+        live = trace[counts >= t]  # members stop in stack order, so the live ones keep it
+        assert np.all(lo <= live * (1 + ULPS)) and np.all(live <= hi * (1 + ULPS)), t
+        assert np.array_equal(lo[counts[counts >= t] == t], hi[counts[counts >= t] == t])  # hi = lo on stopping
+    assert any(np.isfinite(hi).all() and (hi > lo).any() for lo, hi in seen)  # the bound does close in
+
+
+def _nonsingular_gains(A, C, V, supports):
+    """G = C' V^-1 C of every detectable support (all of one size)."""
+    idx = np.array(supports, dtype=np.intp)
+    idx = idx[riccati._detectable(riccati._mode_images(A, C), idx)]
+    nonsingular, G = riccati._noise_gain(C[idx], V[idx[:, :, None], idx[:, None, :]])
+    assert nonsingular.all()
+    return G
+
+
+@pytest.mark.parametrize("q", [6, 10, 14, 18])
+def test_doubling_interval_holds_the_trace_on_random_solve_stacks(q):
+    rng = np.random.default_rng(700 + q)
+    m = _random_model(rng, q)
+    triples = list(combinations(range(q), 3))
+    for sets in (triples, [tuple(i for i in range(q) if i not in c) for c in triples]):
+        picked = rng.choice(len(sets), min(len(sets), 2 * STACK_CHUNK), replace=False)
+        _assert_certified(m.A, _nonsingular_gains(m.A, m.C, m.V, [sets[i] for i in picked]), m.W)
+
+
+@pytest.mark.parametrize("K", [1.0, 30.0, 300.0])
+def test_doubling_interval_holds_the_trace_on_the_reduction_gadgets(K):
+    inst = X3CInstance(2, ((1, 2, 3), (4, 5, 6), (1, 4, 5)))
+    for build, size in ((build_kfss_gadget, inst.m + 1), (build_kfsa_gadget, None)):
+        m = build(inst, K).model
+        sets = list(combinations(range(m.q), size or m.q - inst.m))
+        _assert_certified(m.A, _nonsingular_gains(m.A, m.C, m.V, sets), m.W)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_doubling_interval_holds_the_trace_of_stein_runs(seed):
+    rng = np.random.default_rng(330 + seed)
+    k, n = 16, int(rng.integers(1, 6))
+    F, Q = _stein_stack(rng, k, n, rng.uniform(0.05, 0.99, k))
+    _assert_certified(F, None, Q)
