@@ -34,10 +34,10 @@ invariant S = A_k' S (I + G_k S)^-1 A_k + H_k, which certifies
 tr H_k <= tr S <= tr H_k / (1 - ||A_k||_F^2), and a caller's ``settle``
 marks the members it no longer needs from these intervals (see
 _doubling_dare).  Newton runs, their Stein runs included, drop nothing.
-PBH takes one kernel basis of A - lam I per unstable mode and model.  The
-update of a nonsingular member solves with the G = C' V^-1 C its doubling
-used; a singular one takes the Joseph form.  The Newton gain (_gain), the
-Joseph form and pseudo_inverse_psd share one pseudo-inverse (_pinv_psd).
+PBH takes one kernel basis of A - lam I per unstable mode and request.
+The update of a nonsingular member solves with the G = C' V^-1 C its
+doubling used; a singular one takes the Joseph form.  The Newton gain and
+the Joseph form share _gain, which shares _pinv_psd with pseudo_inverse_psd.
 solve_dare, and every public solver call in the solvers module, tests
 stabilizability once and uncached (check_stabilizable).
 
@@ -201,13 +201,22 @@ def _doubling_dare(A, G, W, settle=None):
 
 
 def _sym(X: np.ndarray) -> np.ndarray:
-    """Symmetric part of every member of the stack X (k x n x n)."""
-    return 0.5 * (X + X.transpose(0, 2, 1))
+    """Symmetric part of every member of the stack X (k x n x n), halved
+    first so that entries near the float maximum do not overflow."""
+    half = 0.5 * X
+    return half + half.transpose(0, 2, 1)
 
 
 def _fro(X: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(X, axis=(1, 2)) of a real stack X, without the dispatch."""
-    return np.sqrt(np.add.reduce(X * X, axis=(1, 2)))
+    """np.linalg.norm(X, axis=(1, 2)) of a real stack X, without the
+    dispatch.  Only a member whose sum of squares overflows is summed again,
+    scaled by 2^-600 (exactly); callers hold np.errstate(over="ignore")."""
+    norm = np.sqrt(np.add.reduce(X * X, axis=(1, 2)))
+    if np.fmax.reduce(norm, initial=0.0) == np.inf:
+        big = np.isinf(norm)
+        Y = X[big] * 2.0**-600
+        norm[big] = np.sqrt(np.add.reduce(Y * Y, axis=(1, 2))) * 2.0**600
+    return norm
 
 
 def _pinv_psd(M: np.ndarray) -> np.ndarray:
@@ -221,7 +230,8 @@ def _pinv_psd(M: np.ndarray) -> np.ndarray:
 
 def _gain(A, S, C, V) -> np.ndarray:
     """Filter gain A S C' (C S C' + V)^+ of every member of the stacks
-    S (k x n x n), C (k x p x n) and V (k x p x p)."""
+    S (k x n x n), C (k x p x n) and V (k x p x p); A = I gives the
+    measurement-update gain of the Joseph form."""
     CS = C @ S
     return A @ CS.transpose(0, 2, 1) @ _pinv_psd(CS @ C.transpose(0, 2, 1) + V)
 
@@ -245,8 +255,7 @@ def _newton_dare(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
     """
     k, p, n = C.shape
     start = V + NEWTON_START_DELTA * np.eye(p)
-    F = np.linalg.solve(np.linalg.cholesky(start), C)
-    S, _ = _doubling_dare(A, F.transpose(0, 2, 1) @ F, W)
+    S, _ = _doubling_dare(A, _noise_gain(C, start)[1], W)  # start is positive definite
     K = _gain(A, S, C, start)
     out = np.empty((k, n, n))
     steps = np.zeros(k, dtype=int)
@@ -279,15 +288,15 @@ def _posteriori(S, C, V, noise) -> np.ndarray:
         return S.copy()
     nonsingular, G = noise
     out = np.empty_like(S)
+    eye = np.eye(S.shape[-1])
     if nonsingular.any():
         Sn = S[nonsingular]
-        out[nonsingular] = _sym(np.linalg.solve(np.eye(S.shape[-1]) + Sn @ G, Sn))
+        out[nonsingular] = _sym(np.linalg.solve(eye + Sn @ G, Sn))
     singular = ~nonsingular
     if singular.any():
         S, C, V = S[singular], C[singular], V[singular]
-        CS = C @ S
-        K = CS.transpose(0, 2, 1) @ _pinv_psd(CS @ C.transpose(0, 2, 1) + V)
-        F = np.eye(S.shape[-1]) - K @ C
+        K = _gain(eye, S, C, V)
+        F = eye - K @ C
         out[singular] = _sym(F @ S @ F.transpose(0, 2, 1) + K @ V @ K.transpose(0, 2, 1))
     return out
 
@@ -409,7 +418,8 @@ def _solve_detectable(A, W, C, V, settle=None) -> tuple[np.ndarray, np.ndarray, 
     if not nonsingular.all():
         S[~nonsingular], iters[~nonsingular] = _newton_dare(A, C[~nonsingular], W, V[~nonsingular])
     shortfall = (W.diagonal() - S.diagonal(axis1=1, axis2=2)).max(axis=1)  # NaN, never below, if dropped
-    below = np.flatnonzero(shortfall > np.sqrt(TOL) * np.maximum(1.0, _fro(S)))
+    with np.errstate(over="ignore"):  # see _fro
+        below = np.flatnonzero(shortfall > np.sqrt(TOL) * np.maximum(1.0, _fro(S)))
     if below.size:
         j = below[0]
         raise NoConvergence("a priori variance below W's", float(shortfall[j]), int(iters[j]))

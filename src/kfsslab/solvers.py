@@ -13,17 +13,18 @@ handling depend on round-off.
 Each driver scores its candidates in stacks: all candidates of one greedy
 step, or all the sets an exhaustive search reads at once, go to the
 riccati module's batched kernels in chunks of at most STACK_CHUNK members.
-A chunk pads its smaller sets with a null sensor (see _score), so it is
-one (C, V) stack and one kernel run; a padded member agrees with its lone
-solve to round-off, and any other keeps its bits.  An attack is scored
-through its survivor set.  Scores are kept in a table for one (model,
-metric), so a run solves each survivor set at most once.
+A chunk pads its smaller sets with a null sensor (see _ScoreTable), so it
+is one (C, V) stack and one kernel run; a padded member agrees with its
+lone solve to round-off, and any other keeps its bits.  An attack is
+scored through its survivor set.  Each public call keeps one score table
+for all its models, so a run solves each survivor set at most once per
+model.
 greedy_and_optimal takes a sequence of models that share A and W, such as
-a sweep's grid points: each model's greedy and exhaustive runs share one
-table, and the sets both runs are known to read are scored for all models
-at once, in one stack whose chunks mix the subset sizes.  Every public
-solver checks its input and tests stabilizability once, uncached, before
-it solves anything; the private drivers do neither.  Adding a sensor
+a sweep's grid points: both drivers of every model read the table, and
+the sets both are known to read are scored for all models at once, in
+one stack whose chunks mix the subset sizes.  Every public solver checks
+its input and tests stabilizability once, uncached, before it solves
+anything; the private drivers do neither.  Adding a sensor
 never raises the trace, so the exhaustive search solves only the
 inclusion-maximal feasible sets, and then the subsets of tied sets that the
 smallest-support tie rule needs, less those one sensor short of a scored
@@ -144,96 +145,74 @@ def evaluate_selection(model: SystemModel, sel: SelectionVector, metric: str) ->
     return SteadyStateResult.finite(post, result.iterations)
 
 
-def _score(members, settle=None) -> tuple[list[float], np.ndarray]:
-    """Traces and covariance diagonals of evaluate_selection for members
-    (table, sorted support), solved as stacks of at most STACK_CHUNK
-    members.  The tables may differ if their models share A, W and the
-    sensor count, and the tables the metric.  The supports may differ in
-    size: a chunk pads each to its widest with null sensors (zero rows of C
-    with unit, uncorrelated noise; see the riccati module), so each chunk
-    is one PBH test, one kernel run and one measurement update.
-
-    Undetectable members score math.inf, with a NaN diagonal, without a
-    solve.  Every member gets the per-subset solve's tests and kernel, so
-    the results agree with evaluate_selection to round-off, except that a
-    priori members that ``settle`` drops (see _Incumbent) score NaN.  Each
-    chunk's undetectable members reach ``settle`` as the interval
-    [inf, inf] before its kernel run.
-    """
-    tables = list(dict.fromkeys(table for table, _ in members))
-    model, metric = tables[0].model, tables[0].metric
-    if any(t.metric != metric or t.model.q != model.q or not np.array_equal(t.model.A, model.A)
-           or not np.array_equal(t.model.W, model.W) for t in tables[1:]):
-        raise ValueError("tables scored together must share A, W, the sensor count and the metric")
-    # the tables' rows of C, V and the mode images, then the null sensor (-1)
-    offset = {table: i * model.q for i, table in enumerate(tables)}
-    C_all = np.concatenate([t.model.C for t in tables] + [np.zeros((1, model.n))])
-    V_all = np.zeros((len(C_all), model.q + 1))
-    V_all[:-1, :-1] = np.concatenate([t.model.V for t in tables])
-    V_all[-1, -1] = 1.0
-    images = [np.concatenate(parts + (np.zeros((1, parts[0].shape[1])),)) for parts in zip(*(t.images for t in tables))]
-    traces = np.full(len(members), math.inf)
-    diags = np.full((len(members), model.n), math.nan)
-    for lo in range(0, len(members), STACK_CHUNK):
-        chunk = members[lo:lo + STACK_CHUNK]
-        width = max(len(s) for _, s in chunk)
-        idx = np.array([s + (-1,) * (width - len(s)) for _, s in chunk], dtype=np.intp)
-        rows = np.where(idx < 0, -1, idx + [[offset[table]] for table, _ in chunk])
-        finite = riccati._detectable(images, rows)
-        if settle is not None and not finite.all():
-            unseen = np.full(len(chunk) - finite.sum(), math.inf)
-            settle(unseen, unseen)
-        if not finite.any():
-            continue
-        row, col = rows[finite], idx[finite]
-        C, V = C_all[row], V_all[row[:, :, None], col[:, None, :]]
-        S, _, noise = riccati._solve_detectable(model.A, model.W, C, V, settle)
-        if metric == "posteriori":
-            S = riccati._posteriori(S, C, V, noise)
-        at = lo + np.flatnonzero(finite)
-        traces[at] = np.trace(S, axis1=1, axis2=2)
-        diags[at] = S.diagonal(axis1=1, axis2=2)
-    return traces.tolist(), diags
-
-
 class _ScoreTable:
-    """Trace and covariance diagonal of each kept support, for one (model,
-    metric), the model's PBH mode images, and the supports ``beyond`` the
-    optimum that a settled request dropped unscored.  A request solves only
-    the supports the table lacks, through _fill; stack members are solved
-    independently, so a stored score is the one a fresh stack would give."""
+    """Trace and covariance diagonal of each kept support of one request,
+    keyed by (j, support), j the index of the support's model, and the keys
+    ``beyond`` the optimum that a settled request dropped unscored.
 
-    def __init__(self, model: SystemModel, metric: str):
-        self.model, self.metric = model, metric
-        self.images = riccati._mode_images(model.A, model.C)
-        self.scores: dict[tuple[int, ...], tuple[float, np.ndarray]] = {}
-        self.beyond: set[tuple[int, ...]] = set()
+    The constructor checks the metric, tests once that (A, W^1/2) is
+    stabilizable and that the models share A, W and the sensor count, and
+    stacks their rows of C and V, then the null sensor (-1), a zero row of
+    C with unit, uncorrelated noise (see the riccati module), with the PBH
+    mode images of that stack.  A call solves the members the table lacks
+    in (size, support, j) order, as stacks of at most STACK_CHUNK members;
+    a chunk pads each support to its widest with null sensors, so it is one
+    PBH test, one kernel run and one measurement update.  Stack members are
+    solved independently, so a stored score is the one a fresh stack, or
+    evaluate_selection to round-off, would give."""
 
-    def __call__(self, supports, settle=None) -> list:
-        """The score of each support; None for one that ``settle`` drops or
-        dropped.  A request without ``settle`` solves every support it
-        lacks, those beyond included."""
-        supports = [tuple(s) for s in supports]
-        _fill([(self, s) for s in supports], settle)
-        return [self.scores.get(s) for s in supports]
+    def __init__(self, models, metric: str):
+        _check_metric(metric)
+        model = models[0]
+        riccati.check_stabilizable(model.A, model.W)
+        if any(m.q != model.q or not np.array_equal(m.A, model.A) or not np.array_equal(m.W, model.W)
+               for m in models[1:]):
+            raise ValueError("models scored together must share A, W and the sensor count")
+        self.models, self.metric = models, metric
+        self.C = np.concatenate([m.C for m in models] + [np.zeros((1, model.n))])
+        self.V = np.zeros((len(self.C), model.q + 1))
+        self.V[:-1, :-1] = np.concatenate([m.V for m in models])
+        self.V[-1, -1] = 1.0
+        self.images = riccati._mode_images(model.A, self.C)
+        self.scores: dict[tuple[int, tuple[int, ...]], tuple[float, np.ndarray]] = {}
+        self.beyond: set[tuple[int, tuple[int, ...]]] = set()
 
-
-def _fill(members, settle=None) -> None:
-    """Score the (table, sorted support tuple) members that their table
-    lacks, in one _score call whose stacks mix the tables and the sizes.
-    With ``settle``, a support already beyond is not solved again, and one
-    that settle drops goes beyond."""
-    tables = list(dict.fromkeys(table for table, _ in members))
-    order = {table: t for t, table in enumerate(tables)}
-    missing = sorted({(len(s), s, order[table]) for table, s in members
-                      if s not in table.scores and (settle is None or s not in table.beyond)})
-    if missing:
-        members = [(tables[t], s) for _, s, t in missing]
-        for (table, s), trace, diag in zip(members, *_score(members, settle)):
-            if math.isnan(trace):
-                table.beyond.add(s)
-            else:
-                table.scores[s] = trace, diag
+    def __call__(self, members, settle=None) -> list:
+        """The score of each (j, sorted support) member; None for one that
+        ``settle`` drops or dropped, which goes beyond.  A request without
+        ``settle`` solves every member it lacks, those beyond included.
+        Undetectable members score math.inf, with a NaN diagonal, without a
+        solve, and reach ``settle`` as the interval [inf, inf] before their
+        chunk's kernel run."""
+        members = [(j, tuple(s)) for j, s in members]
+        missing = sorted({(len(s), s, j) for j, s in members
+                          if (j, s) not in self.scores and (settle is None or (j, s) not in self.beyond)})
+        A, W, q = self.models[0].A, self.models[0].W, self.models[0].q
+        for lo in range(0, len(missing), STACK_CHUNK):
+            chunk = missing[lo:lo + STACK_CHUNK]
+            width = chunk[-1][0]  # sizes ascend
+            idx = np.array([s + (-1,) * (width - size) for size, s, _ in chunk], dtype=np.intp)
+            rows = np.where(idx < 0, -1, idx + [[j * q] for _, _, j in chunk])
+            finite = riccati._detectable(self.images, rows)
+            if settle is not None and not finite.all():
+                unseen = np.full(len(chunk) - finite.sum(), math.inf)
+                settle(unseen, unseen)
+            traces = np.full(len(chunk), math.inf)
+            diags = np.full((len(chunk), A.shape[0]), math.nan)  # a copy: no score keeps S alive
+            if finite.any():
+                row, col = rows[finite], idx[finite]
+                C, V = self.C[row], self.V[row[:, :, None], col[:, None, :]]
+                S, _, noise = riccati._solve_detectable(A, W, C, V, settle)
+                if self.metric == "posteriori":
+                    S = riccati._posteriori(S, C, V, noise)
+                traces[finite] = np.trace(S, axis1=1, axis2=2)
+                diags[finite] = S.diagonal(axis1=1, axis2=2)
+            for (_, s, j), trace, diag in zip(chunk, traces.tolist(), diags):
+                if math.isnan(trace):
+                    self.beyond.add((j, s))
+                else:
+                    self.scores[j, s] = trace, diag
+        return [self.scores.get(m) for m in members]
 
 
 class _Incumbent:
@@ -297,20 +276,21 @@ def _report(model, attack: bool, combo, metric, trace, diag, evaluations, steps)
     )
 
 
-def _greedy(table: _ScoreTable, budget: int, attack: bool) -> SolveReport:
+def _greedy(table: _ScoreTable, j: int, budget: int, attack: bool) -> SolveReport:
     """Grow the selection (or the attack) one sensor at a time, taking the
     candidate with the smallest (largest) trace; ties go to the lowest index.
-    Scores come from ``table``, the budget from _check_cardinality_budget."""
-    model, metric = table.model, table.metric
+    Scores come from ``table``'s model j, the budget from
+    _check_cardinality_budget."""
+    model, metric = table.models[j], table.metric
     if not budget:
-        ((trace, diag),) = table([_kept(model.q, [], attack)])
+        ((trace, diag),) = table([(j, _kept(model.q, [], attack))])
         return _report(model, attack, [], metric, trace, diag, 1, [])
     better = max if attack else min
     picked: list[int] = []
     steps: list[GreedyStep] = []
     for _ in range(budget):
         candidates = [i for i in range(model.q) if i not in picked]
-        scored = table([_kept(model.q, picked + [i], attack) for i in candidates])
+        scored = table([(j, _kept(model.q, picked + [i], attack)) for i in candidates])
         traces = [trace for trace, _ in scored]
         best = better(traces)
         k = min(c for c, t in enumerate(traces) if _tied(t, best))  # candidates ascend
@@ -363,11 +343,11 @@ def _maximal_feasible(model: SystemModel, costs, budget: float, attack: bool) ->
     return len(feasible), [c for c in feasible if c not in covered]
 
 
-def _exhaustive(table: _ScoreTable, n_feasible: int, maximal, attack: bool) -> SolveReport:
+def _exhaustive(table: _ScoreTable, j: int, n_feasible: int, maximal, attack: bool) -> SolveReport:
     """Keep the feasible selection (attack) with the smallest (largest)
     trace; ties go to the smallest support, then the lexicographically
-    smallest bit pattern.  Scores come from ``table``, the count of feasible
-    indicators and the maximal ones from _maximal_feasible.
+    smallest bit pattern.  Scores come from ``table``'s model j, the count
+    of feasible indicators and the maximal ones from _maximal_feasible.
 
     Adding a sensor never raises a selection's trace (never lowers an
     attack's), so the optimum lies at an inclusion-maximal feasible set, and
@@ -386,15 +366,15 @@ def _exhaustive(table: _ScoreTable, n_feasible: int, maximal, attack: bool) -> S
     from the best on, are scored through one _Incumbent, whose drops go
     beyond.
     """
-    model, q = table.model, table.model.q
+    model, q = table.models[j], table.models[j].q
 
     def scored(combos, bound: float):
         settle = _Incumbent(attack, bound) if table.metric == "priori" else None
-        found = table([_kept(q, c, attack) for c in combos], settle)
+        found = table([(j, _kept(q, c, attack)) for c in combos], settle)
         return [(c, s[0]) for c, s in zip(combos, found) if s is not None]
 
     def settled(combo) -> bool:
-        supersets = (tuple(_kept(q, combo + (i,), attack)) for i in range(q) if i not in combo)
+        supersets = ((j, tuple(_kept(q, combo + (i,), attack))) for i in range(q) if i not in combo)
         return any(s in table.beyond or s in table.scores and not _tied(table.scores[s][0], best)
                    for s in supersets)
 
@@ -413,30 +393,22 @@ def _exhaustive(table: _ScoreTable, n_feasible: int, maximal, attack: bool) -> S
         elif size < lowest:
             break
     combo = min(smallest, key=lambda c: SelectionVector.from_support(q, c).bits)
-    ((trace, diag),) = table([_kept(q, combo, attack)])
+    ((trace, diag),) = table([(j, _kept(q, combo, attack))])
     return _report(model, attack, combo, table.metric, trace, diag, n_feasible + 1, [])
-
-
-def _tables(models, metric: str) -> list[_ScoreTable]:
-    """A fresh score table for each of ``models``, which share A and W, after
-    checking the metric and testing once that (A, W^1/2) is stabilizable."""
-    _check_metric(metric)
-    riccati.check_stabilizable(models[0].A, models[0].W)
-    return [_ScoreTable(m, metric) for m in models]
 
 
 def greedy_select(model: SystemModel, cardinality_budget: int, metric: str) -> SolveReport:
     """Add, one at a time, the sensor whose inclusion yields the smallest
     trace, until exactly ``cardinality_budget`` sensors are selected."""
     budget = _check_cardinality_budget(model, cardinality_budget, attack=False)
-    return _greedy(_tables([model], metric)[0], budget, attack=False)
+    return _greedy(_ScoreTable([model], metric), 0, budget, attack=False)
 
 
 def greedy_attack(model: SystemModel, cardinality_budget: int, metric: str) -> SolveReport:
     """Remove, one at a time, the sensor whose removal yields the largest
     trace for the surviving set.  An infinite trace is maximal."""
     budget = _check_cardinality_budget(model, cardinality_budget, attack=True)
-    return _greedy(_tables([model], metric)[0], budget, attack=True)
+    return _greedy(_ScoreTable([model], metric), 0, budget, attack=True)
 
 
 def exhaustive_select(model: SystemModel, costs, budget: float, metric: str) -> SolveReport:
@@ -447,14 +419,14 @@ def exhaustive_select(model: SystemModel, costs, budget: float, metric: str) -> 
     support, then the lexicographically smallest bit pattern.
     """
     search = _maximal_feasible(model, costs, budget, attack=False)
-    return _exhaustive(_tables([model], metric)[0], *search, attack=False)
+    return _exhaustive(_ScoreTable([model], metric), 0, *search, attack=False)
 
 
 def exhaustive_attack(model: SystemModel, costs, budget: float, metric: str) -> SolveReport:
     """Exact worst-case attack over every removal set within budget, for
     nonnegative costs; ties resolve as in exhaustive_select."""
     search = _maximal_feasible(model, costs, budget, attack=True)
-    return _exhaustive(_tables([model], metric)[0], *search, attack=True)
+    return _exhaustive(_ScoreTable([model], metric), 0, *search, attack=True)
 
 
 def trace_ratio(num: float, den: float) -> float:
@@ -476,8 +448,8 @@ def greedy_and_optimal(
     """Greedy and exhaustive reports for one cardinality budget, and the
     suboptimality ratio of greedy against the exhaustive optimum, for each
     of the sequence ``models`` (one model is a list of one).  The models
-    must share A, W and the sensor count, else _score raises ValueError
-    before any solve.
+    must share A, W and the sensor count, else ValueError is raised before
+    any solve.
 
     Selection mode returns trace(greedy) / trace(optimum); attack mode
     returns trace(optimum) / trace(greedy), so the ratio is >= 1 either way.
@@ -485,11 +457,11 @@ def greedy_and_optimal(
     is 1.
 
     Every input is checked, and stabilizability tested once, before any
-    solve.  Each model's two drivers share one score table, so no set is
-    solved twice for a model.  The sets greedy's first step reads and the
-    maximal sets exhaustive search reads are scored first, for all models
-    and both sizes as one stack; greedy's later steps and the tie walk
-    score what their table still lacks.
+    solve.  All drivers read one score table, so no set is solved twice
+    for a model.  The sets greedy's first step reads and the maximal sets
+    exhaustive search reads are scored first, for all models and both
+    sizes as one stack; greedy's later steps and the tie walk score what
+    the table still lacks.
     """
     if mode not in ("select", "attack"):
         raise SolverInputError(f"mode must be 'select' or 'attack', got {mode!r}")
@@ -502,12 +474,12 @@ def greedy_and_optimal(
     q = models[0].q
     # greedy's unit costs make every model's feasible sets the same
     n_feasible, maximal = _maximal_feasible(models[0], np.ones(q), float(k), attack)
-    tables = _tables(models, metric)
+    table = _ScoreTable(models, metric)
     first = [(i,) for i in range(q)] if k else [()]
-    _fill([(table, tuple(_kept(q, c, attack))) for table in tables for c in first + maximal])
+    table([(j, _kept(q, c, attack)) for j in range(len(models)) for c in first + maximal])
     out = []
-    for table in tables:
-        greedy, optimal = _greedy(table, k, attack), _exhaustive(table, n_feasible, maximal, attack)
+    for j in range(len(models)):
+        greedy, optimal = _greedy(table, j, k, attack), _exhaustive(table, j, n_feasible, maximal, attack)
         ratio = trace_ratio(optimal.trace, greedy.trace) if attack else trace_ratio(greedy.trace, optimal.trace)
         out.append((greedy, optimal, ratio))
     return out

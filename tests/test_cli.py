@@ -372,6 +372,22 @@ def test_solve_with_a_noise_variance_near_the_float_maximum(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("trace=1.3333333333333333 chosen=[]")
 
 
+@pytest.mark.parametrize("metric", ["priori", "posteriori"])
+@pytest.mark.parametrize("w", [1e150, 1e200, 1e300, 1e308])
+def test_solve_with_a_process_noise_near_the_float_maximum(tmp_path, capsys, w, metric):
+    # the covariance is about W, whose square overflows: the Frobenius
+    # norms of the stopping rule and the shortfall check must stay finite,
+    # and symmetrizing must not overflow (a RuntimeWarning fails the test);
+    # W + 0.25 S / (1 + S) rounds to W, and the update leaves S / (1 + S) = 1
+    path = tmp_path / "loud.json"
+    path.write_text(json.dumps({"n": 1, "q": 1, "A": [[0.5]], "C": [[1.0]], "W": [[w]], "V": [[1.0]],
+                                "b": [1.0], "omega": [1.0], "budget_select": 1, "budget_attack": 0}))
+    assert run_cli("solve", "--instance", str(path), "--mode", "select", "--algorithm", "exhaustive",
+                   "--metric", metric) == 0
+    want = w if metric == "priori" else 1.0
+    assert capsys.readouterr().out.startswith(f"trace={want!r} chosen=[1]")
+
+
 def test_sweep_v_scale_zero_is_noiseless(tmp_path):
     plain, zero = tmp_path / "plain.csv", tmp_path / "zero.csv"
     argv = ["sweep", "--family", "example1", "--lambda1", "0.9", "--h-grid", "10,1000"]

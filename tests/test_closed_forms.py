@@ -18,14 +18,14 @@ from kfsslab.closed_forms import (
 from kfsslab.gadgets import build_example1, build_example2
 from kfsslab import riccati
 from kfsslab.riccati import solve_dare
-from kfsslab.solvers import _ScoreTable, _score
+from kfsslab.solvers import _ScoreTable
 
 
 def _stack(m, supports, metric):
-    """Traces and diagonals of same-size ``supports``, scored as one request
-    on a fresh table."""
-    table = _ScoreTable(m, metric)
-    return _score([(table, tuple(s)) for s in supports])
+    """Traces and diagonals of ``supports``, scored as one request on a
+    fresh table."""
+    scored = _ScoreTable([m], metric)([(0, s) for s in supports])
+    return [trace for trace, _ in scored], np.array([diag for _, diag in scored])
 
 
 def _scalar_via_dare(lam, alpha_sq):

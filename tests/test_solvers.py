@@ -26,7 +26,6 @@ from kfsslab.solvers import (
     _kept,
     _maximal_feasible,
     _ScoreTable,
-    _score,
     _tied,
 )
 
@@ -34,10 +33,10 @@ LAM = 0.9
 
 
 def _stack(m, supports, metric):
-    """Traces and diagonals of same-size ``supports``, scored as one request
-    on a fresh table."""
-    table = _ScoreTable(m, metric)
-    return _score([(table, tuple(s)) for s in supports])
+    """Traces and diagonals of ``supports``, scored as one request on a
+    fresh table."""
+    scored = _ScoreTable([m], metric)([(0, s) for s in supports])
+    return [trace for trace, _ in scored], np.array([diag for _, diag in scored])
 
 
 def _ratio(m, budget, mode, metric):
@@ -498,9 +497,9 @@ def test_tie_walk_continues_past_a_size_with_no_tied_set():
 def _settled_exhaustive(m, costs, budget, attack):
     """The a priori exhaustive report, checked against the full enumeration
     and the public driver, and the table it left, whose ``beyond`` holds
-    the supports the certified intervals dropped."""
-    table = _ScoreTable(m, "priori")
-    report = solvers._exhaustive(table, *_maximal_feasible(m, costs, budget, attack), attack)
+    the (0, support) keys the certified intervals dropped."""
+    table = _ScoreTable([m], "priori")
+    report = solvers._exhaustive(table, 0, *_maximal_feasible(m, costs, budget, attack), attack)
     assert (report.chosen.bits, report.trace, report.diag, report.evaluations) == _full_enumeration(
         m, costs, budget, "priori", attack)
     public = (exhaustive_attack if attack else exhaustive_select)(m, costs, budget, "priori")
@@ -542,9 +541,9 @@ def test_an_undetectable_survivor_set_drops_every_finite_one(blind):
                                    V=B @ B.T / q + 0.5 * np.eye(q), omega=np.ones(q)))
     report, table = _settled_exhaustive(m, m.omega, 2.0, attack=True)
     assert math.isinf(report.trace) and report.chosen.support == blind
-    finite = [s for s, (t, _) in table.scores.items() if math.isfinite(t)]
+    finite = [key for key, (t, _) in table.scores.items() if math.isfinite(t)]
     assert len(table.beyond) > len(finite)
-    assert not table.scores.keys() - {tuple(_kept(q, blind, True))} - set(finite)
+    assert not table.scores.keys() - {(0, tuple(_kept(q, blind, True)))} - set(finite)
 
 
 def test_tie_walk_descends_past_a_dropped_superset():
@@ -557,8 +556,8 @@ def test_tie_walk_descends_past_a_dropped_superset():
     m = validate_model(SystemModel(n=2, q=4, A=np.diag([0.9, 0.5]), C=C, W=np.eye(2), V=np.eye(4)))
     report, table = _settled_exhaustive(m, np.ones(4), 3.0, attack=False)
     assert report.chosen.support == (1, 2)
-    assert table.beyond == {(0, 1, 3), (0, 2, 3), (1,), (2,)}
-    assert set(table.scores) == {(0, 1, 2), (1, 2, 3), (1, 2)}
+    assert table.beyond == {(0, (0, 1, 3)), (0, (0, 2, 3)), (0, (1,)), (0, (2,))}
+    assert set(table.scores) == {(0, (0, 1, 2)), (0, (1, 2, 3)), (0, (1, 2))}
 
 
 def test_dropping_halves_the_doubling_solves_at_q_18(monkeypatch):
@@ -618,17 +617,25 @@ def test_greedy_and_optimal_scores_each_support_once(mode, monkeypatch):
     for m in (build_example1(LAM, 100.0), build_example2(LAM, 0.01), tie, _random_model(rng)):
         for metric in METRICS:
             for budget in range(m.q + 1):
-                scored = []
+                tables, scored = [], []
 
-                def spy(members, settle=None):
-                    scored.extend(members)
-                    return _score(members, settle)
+                class Table(_ScoreTable):
+                    def __init__(self, *args):
+                        super().__init__(*args)
+                        tables.append(self)
 
-                monkeypatch.setattr(solvers, "_score", spy)
+                def spy(images, rows):  # each chunk's PBH test sees all its members
+                    if tables and images is tables[0].images:  # not the stabilizability test
+                        scored.extend(tuple(int(i) for i in row if i >= 0) for row in rows)
+                    return detectable(images, rows)
+
+                detectable = riccati._detectable
+                monkeypatch.setattr(solvers, "_ScoreTable", Table)
+                monkeypatch.setattr(riccati, "_detectable", spy)
                 ((greedy, optimal, ratio),) = greedy_and_optimal([m], budget, mode, metric)
                 monkeypatch.undo()
-                assert len(scored) == len(set(scored)), (m.q, metric, budget)
-                assert len({table for table, _ in scored}) == 1
+                assert scored and len(scored) == len(set(scored)), (m.q, metric, budget)
+                assert len(tables) == 1
                 attack = mode == "attack"
                 alone_greedy = (greedy_attack if attack else greedy_select)(m, budget, metric)
                 alone_optimal = (exhaustive_attack if attack else exhaustive_select)(
@@ -648,12 +655,14 @@ def test_mode_images_are_computed_once_per_table(mode, monkeypatch):
         original = riccati._mode_images
         monkeypatch.setattr(riccati, "_mode_images", lambda A, C: calls.append((A, C)) or original(A, C))
         for metric in METRICS:
-            greedy_and_optimal([m], 2, mode, metric)
+            greedy_and_optimal([m, m], 2, mode, metric)
         monkeypatch.undo()
-        # one per table, and one per call for its stabilizability test,
-        # whose PBH test of (A', W^1/2) goes through _mode_images too
-        tables = [A for A, C in calls if C is m.C]
-        assert len(tables) == len(METRICS) and all(A is m.A for A in tables)
+        # one per request's table, of both models' rows and the null sensor,
+        # and one per call for its stabilizability test, whose PBH test of
+        # (A', W^1/2) goes through _mode_images too
+        tables = [(A, C) for A, C in calls if C.shape == (2 * m.q + 1, m.n)]
+        assert len(tables) == len(METRICS) and all(A is m.A for A, _ in tables)
+        assert all(np.array_equal(C, np.concatenate([m.C, m.C, np.zeros((1, m.n))])) for _, C in tables)
         assert len(calls) == 2 * len(METRICS)
 
 

@@ -1,6 +1,6 @@
 """The stacked candidate scorer against the per-subset solve.
 
-``solvers._score`` solves many supports, of one size or of several, as
+``solvers._ScoreTable`` solves many supports, of one size or of several, as
 batched stacks; every score must agree with ``evaluate_selection`` on the
 same support, whatever mix of members a stack holds.
 """
@@ -20,7 +20,6 @@ from kfsslab.riccati import NoConvergence
 from kfsslab.solvers import (
     STACK_CHUNK,
     _ScoreTable,
-    _score,
     evaluate_selection,
     exhaustive_attack,
     exhaustive_select,
@@ -33,10 +32,10 @@ ULPS = 4 * np.finfo(float).eps
 
 
 def _stack(m, supports, metric):
-    """Traces and diagonals of same-size ``supports``, scored as one request
-    on a fresh table."""
-    table = _ScoreTable(m, metric)
-    return _score([(table, tuple(s)) for s in supports])
+    """Traces and diagonals of ``supports``, scored as one request on a
+    fresh table."""
+    scored = _ScoreTable([m], metric)([(0, s) for s in supports])
+    return [trace for trace, _ in scored], np.array([diag for _, diag in scored])
 
 
 def _spd(rng, size):
@@ -147,11 +146,12 @@ def test_stack_mixing_singular_and_nonsingular_noise(monkeypatch):
         _assert_matches_scalar(m, supports, metric)
     # the singular members of the one chunk go to the Newton iteration as
     # one stack, with no second PBH test
+    table = _ScoreTable([m], "posteriori")  # its stabilizability test is a PBH test
     calls = []
     for name in ("is_detectable", "_newton_dare"):
         original = getattr(riccati, name)
         monkeypatch.setattr(riccati, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
-    _stack(m, supports, "posteriori")
+    table([(0, s) for s in supports])
     assert len(supports) <= STACK_CHUNK
     assert calls == ["_newton_dare"]
 
@@ -204,16 +204,27 @@ def test_stack_of_several_tables_equals_each_member_alone():
         m.V = 0.3 * np.eye(m.q)
         models.append(validate_model(m))
     for metric in ("priori", "posteriori"):
-        tables = [_ScoreTable(m, metric) for m in models]
+        table = _ScoreTable(models, metric)
         for r in range(4):
-            members = [(table, s) for s in combinations(range(3), r) for table in tables]
-            traces, diags = _score(members)
-            for (table, s), trace, diag in zip(members, traces, diags):
-                (alone,), alone_diag = _stack(table.model, [s], metric)
+            members = [(j, s) for s in combinations(range(3), r) for j in range(len(models))]
+            for (j, s), (trace, diag) in zip(members, table(members)):
+                (alone,), alone_diag = _stack(models[j], [s], metric)
                 assert repr(trace) == repr(alone) and np.array_equal(diag, alone_diag[0], equal_nan=True)
-    other = _ScoreTable(build_example1(0.6, 1.0), "priori")
     with pytest.raises(ValueError, match="share A, W"):
-        _score([(_ScoreTable(models[0], "priori"), (0,)), (other, (0,))])
+        _ScoreTable([models[0], build_example1(0.6, 1.0)], "priori")
+
+
+@pytest.mark.parametrize("metric", ["priori", "posteriori"])
+def test_a_stored_diagonal_does_not_keep_its_chunk_stack_alive(metric):
+    # a stored diagonal is a row of the chunk's own k x n array, not a view
+    # of the k x n x n covariance stack, in a chunk with undetectable
+    # members (the pairs) and in one without (the triples)
+    table = _ScoreTable([_blind_model()], metric)
+    pairs = table([(0, s) for s in combinations(range(4), 2)])
+    triples = table([(0, s) for s in combinations(range(4), 3)])
+    assert any(np.isinf(trace) for trace, _ in pairs) and not any(np.isinf(trace) for trace, _ in triples)
+    for _, diag in pairs + triples:
+        assert diag.shape == (3,) and (diag.base is None or diag.base.ndim == 2)
 
 
 def test_stacked_solve_raises_no_convergence(monkeypatch):
@@ -287,7 +298,7 @@ def test_fixed_point_stack_equals_members_alone(case):
 def test_chunk_of_several_sensor_counts_equals_members_alone(case, monkeypatch):
     # one kernel run over the detectable sets of 1, 2 and 3 sensors with the
     # model's V (singular, or singular where sensor 1 is in) and the pairs
-    # with V + 0.3 I as well, each padded to 3 sensors as _score pads a
+    # with V + 0.3 I as well, each padded to 3 sensors as _ScoreTable pads a
     # chunk: null sensors with a zero row of C and unit, uncorrelated noise
     m = _singular_model(case)
     members = []
@@ -326,7 +337,7 @@ def test_padding_does_not_fool_pbh():
     supports = [s for r in range(5) for s in combinations(range(4), r)]
     assert len(supports) <= STACK_CHUNK
     for metric in ("priori", "posteriori"):
-        traces, _ = _score([(_ScoreTable(m, metric), s) for s in supports])
+        traces, _ = _stack(m, supports, metric)
         for s, got in zip(supports, traces):
             want = _scalar(m, s, metric)
             assert np.isinf(got) == np.isinf(want) == (len(s) <= 1), (s, got, want)
@@ -338,9 +349,7 @@ def test_empty_support_in_a_chunk_of_survivor_sets_keeps_its_bits(metric):
     # padded to three null sensors, the empty support has G = 0 exactly, so
     # nothing rounds differently from its lone solve
     m = build_example2(0.9, 0.01)
-    table = _ScoreTable(m, metric)
-    members = [(table, ())] + [(table, s) for s in combinations(range(m.q), 3)]
-    traces, diags = _score(members)
+    traces, diags = _stack(m, [()] + list(combinations(range(m.q), 3)), metric)
     (alone,), alone_diag = _stack(m, [()], metric)
     assert repr(traces[0]) == repr(alone) and np.array_equal(diags[0], alone_diag[0])
 
@@ -385,6 +394,23 @@ def test_fro_equals_linalg_norm_bit_for_bit():
     for shape in [(1, 1, 1), (5, 2, 2), (7, 3, 3), (4, 6, 6), (3, 2, 5), (0, 3, 3)]:
         X = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150, 150, shape)
         assert riccati._fro(X).tobytes() == np.linalg.norm(X, axis=(1, 2)).tobytes()
+
+
+def test_fro_of_entries_near_the_float_maximum_stays_finite():
+    # squares above about 1.3e154 overflow: only such a member is summed
+    # again, scaled; an infinite entry or a norm past the float maximum
+    # stays infinite, and the other members keep the plain sum's bits
+    X = np.zeros((5, 2, 2))
+    X[0] = [[3.0, 4.0], [0.0, 0.0]]
+    X[1] = [[1e200, 0.0], [0.0, 1e200]]
+    X[2, 0, 0] = 1.7e308
+    X[3, 0, 0] = np.inf
+    X[4] = 1.7e308
+    with np.errstate(over="ignore"):
+        norm = riccati._fro(X)
+    assert norm[0] == 5.0 and norm[2] == 1.7e308
+    assert math.isclose(norm[1], np.hypot(1e200, 1e200), rel_tol=4 * np.finfo(float).eps)
+    assert np.isinf(norm[3:]).all()
 
 
 def test_stein_doubling_without_a_stable_f_raises_no_convergence():
