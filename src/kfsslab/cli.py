@@ -72,21 +72,26 @@ def _load_x3c(path: str) -> gadgets.X3CInstance:
 def _write_json(*files: tuple[str, dict]) -> None:
     """Write each (path, payload) as JSON, or none of them.  Every path is
     opened, without truncating it, before any is written; when one cannot
-    be opened or written, the files this call created are removed again."""
+    be opened or written, or two name one file, the files this call
+    created are removed again."""
     created = []
     try:
         with contextlib.ExitStack() as stack:
-            handles = []
+            handles, stats = [], []
             for path, _ in files:
                 existed = os.path.exists(path)
                 handles.append(stack.enter_context(open(path, "a", encoding="utf-8")))
                 if not existed:
                     created.append(path)
+                stats.append(os.fstat(handles[-1].fileno()))
+                for (other, _), stat in zip(files, stats[:-1]):
+                    if os.path.samestat(stat, stats[-1]):
+                        raise _InputError(f"output paths {other} and {path} name one file")
             for fh, (_, payload) in zip(handles, files):
                 fh.truncate(0)
                 json.dump(payload, fh, sort_keys=True, indent=2)
                 fh.write("\n")
-    except OSError:
+    except (OSError, _InputError):
         for path in created:
             os.remove(path)
         raise

@@ -241,15 +241,15 @@ def gadget_to_dict(g: GadgetOutput) -> dict:
     return {"threshold": g.threshold, "kind": g.kind, "constants": asdict(g.constants)}
 
 
-def x3c_bruteforce(inst: X3CInstance, cap: int = BRUTEFORCE_CAP) -> tuple[bool, list[int] | None]:
+def x3c_bruteforce(inst: X3CInstance) -> tuple[bool, list[int] | None]:
     """Decide X3C by enumerating every m-subset of the collection.
 
     Returns (True, witness indices) for the lexicographically first exact
-    cover, or (False, None).  Refuses instances with more than ``cap``
-    candidate combinations.
+    cover, or (False, None).  Refuses instances with more than
+    BRUTEFORCE_CAP candidate combinations, read when it runs.
     """
-    if math.comb(inst.tau, inst.m) > cap:
-        raise TooLarge(f"C({inst.tau},{inst.m}) exceeds enumeration cap {cap}")
+    if math.comb(inst.tau, inst.m) > BRUTEFORCE_CAP:
+        raise TooLarge(f"C({inst.tau},{inst.m}) exceeds enumeration cap {BRUTEFORCE_CAP}")
     universe = frozenset(range(1, inst.universe_size + 1))
     for combo in combinations(range(inst.tau), inst.m):
         covered: set[int] = set()

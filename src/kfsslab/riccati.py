@@ -59,8 +59,8 @@ class ShapeError(ValueError):
 
 class NoConvergence(RuntimeError):
     """A doubling run or the Newton iteration reached MAX_STEPS above
-    tolerance, a doubling iterate became non-finite, or a solution fell
-    below W on the diagonal."""
+    tolerance, a doubling iterate became non-finite, a solution's trace
+    overflowed, or a solution fell below W on the diagonal."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(f"{message} (residual {residual:.3e} after {iterations} iterations)")
@@ -401,14 +401,16 @@ def _solve_detectable(A, W, C, V, settle=None) -> tuple[np.ndarray, np.ndarray, 
     Nonsingular members share one doubling run, which gets ``settle`` (see
     _doubling_dare; a member it drops has a NaN covariance), and singular
     ones one Newton run, which drops nothing.  Raises NoConvergence as
-    _doubling_dare and _newton_dare do, and when a member's variance falls
-    below W's by more than sqrt(TOL) * max(1, ||S||_F): every a priori
-    covariance is A S* A' + W >= W, so such a member went astray, as on a
-    pair (A, C) that is undetectable within round-off but passed the PBH
-    test, where the shortfall is of the order of ||S||.  The bound is not
-    TOL: with a large gain K against a singular V, the round-off of K V K'
-    alone puts correct solutions up to 3e-9 relative below W (random
-    noiseless models, n <= 4).
+    _doubling_dare and _newton_dare do; when a member's trace overflows,
+    since a score could not tell it from an undetectable member's infinity;
+    and when a member's variance falls below W's by more than
+    sqrt(TOL) * max(1, ||S||_F): every a priori covariance is
+    A S* A' + W >= W, so such a member went astray, as on a pair (A, C)
+    that is undetectable within round-off but passed the PBH test, where
+    the shortfall is of the order of ||S||.  The bound is not TOL: with a
+    large gain K against a singular V, the round-off of K V K' alone puts
+    correct solutions up to 3e-9 relative below W (random noiseless
+    models, n <= 4).
     """
     S = np.empty((C.shape[0],) + A.shape)
     iters = np.zeros(C.shape[0], dtype=int)
@@ -420,9 +422,13 @@ def _solve_detectable(A, W, C, V, settle=None) -> tuple[np.ndarray, np.ndarray, 
     shortfall = (W.diagonal() - S.diagonal(axis1=1, axis2=2)).max(axis=1)  # NaN, never below, if dropped
     with np.errstate(over="ignore"):  # see _fro
         below = np.flatnonzero(shortfall > np.sqrt(TOL) * np.maximum(1.0, _fro(S)))
+        huge = np.flatnonzero(np.isinf(np.trace(S, axis1=1, axis2=2)))  # a dropped member's is NaN
     if below.size:
         j = below[0]
         raise NoConvergence("a priori variance below W's", float(shortfall[j]), int(iters[j]))
+    if huge.size:
+        j = huge[0]
+        raise NoConvergence("a priori trace overflows the float range", np.inf, int(iters[j]))
     return S, iters, noise
 
 
@@ -441,7 +447,8 @@ def solve_dare(A, C, W, V) -> SteadyStateResult:
     StabilizabilityViolation when (A, W^{1/2}) is not stabilizable and
     NoConvergence when a doubling run or the Newton iteration reaches
     MAX_STEPS above tolerance, a doubling iterate turns non-finite, or the
-    solution's variance falls below W's (see _solve_detectable).
+    solution's trace overflows or its variance falls below W's (see
+    _solve_detectable).
     """
     A = np.ascontiguousarray(A, dtype=float)
     C = np.ascontiguousarray(C, dtype=float)

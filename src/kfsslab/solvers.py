@@ -10,15 +10,19 @@ agree within 1e-9 relative: mathematically equal selections can differ by
 the solver's stopping error, so exact float comparison would make tie
 handling depend on round-off.
 
-Each driver scores its candidates in stacks: all candidates of one greedy
-step, or all the sets an exhaustive search reads at once, go to the
-riccati module's batched kernels in chunks of at most STACK_CHUNK members.
-A chunk pads its smaller sets with a null sensor (see _ScoreTable), so it
-is one (C, V) stack and one kernel run; a padded member agrees with its
-lone solve to round-off, and any other keeps its bits.  An attack is
-scored through its survivor set.  Each public call keeps one score table
+Select and attack share one greedy and one exhaustive search, and one
+indicator type (AttackVector is SelectionVector); a report's mode says
+whether its bits mark selected or removed sensors.  Only the score table
+(_ScoreTable) knows the direction: it is keyed by indicators, scores an
+attack through its survivor set, picks the better trace, applies a
+request's bound and builds the reports.  Each public call keeps one table
 for all its models, so a run solves each survivor set at most once per
-model.
+model.  The table solves in stacks: all candidates of one greedy step, or
+all the sets an exhaustive search reads at once, go to the riccati
+module's batched kernels in chunks of at most STACK_CHUNK members.  A
+chunk pads its smaller sets with a null sensor, so it is one (C, V) stack
+and one kernel run; a padded member agrees with its lone solve to
+round-off, and any other keeps its bits.
 greedy_and_optimal takes a sequence of models that share A and W, such as
 a sweep's grid points: both drivers of every model read the table, and
 the sets both are known to read are scored for all models at once, in
@@ -29,26 +33,18 @@ never raises the trace, so the exhaustive search solves only the
 inclusion-maximal feasible sets, and then the subsets of tied sets that the
 smallest-support tie rule needs, less those one sensor short of a scored
 set that is not tied, which cannot tie either.  Under the priori metric
-the exhaustive search also drops, inside the doubling, every set whose
-certified trace interval [lo, hi] (see riccati._doubling_dare) can neither
-beat nor tie the optimum: a selection drops lo > U + TIE_REL max(1, U),
-U the least hi seen, and an attack drops hi < L - TIE_REL max(1, L), L
-the greatest lo seen (infinite once a survivor set is undetectable).  One
-bound serves all chunks of the maximal sets, and each walk level starts
-from the best trace (_Incumbent).  A dropped set goes into the table's
-``beyond``, never into its scores: it counts as not tied, and an exact
-request, a greedy step or a report, still solves it.  Greedy,
-greedy_and_optimal's joint first scoring, the posteriori metric and the
-singular-V (Newton) members drop nothing.  A report's trace and
-covariance diagonal are those of the stack member that scored the chosen
-indicator; a greedy run with budget 0 scores its one indicator as a stack
-of one, and nothing is solved twice.  evaluate_selection is the per-subset
-reference that the scorer agrees with, not a path the drivers take.
-Select and attack share one greedy and one exhaustive driver, which differ
-only in direction: minimize over selections, or maximize over survivor
-sets.  They also share one indicator type (AttackVector is
-SelectionVector); a report's mode says whether its bits mark selected or
-removed sensors.
+the search also passes a bound, the neutral one for the maximal sets and
+the best trace for each walk level, which drops inside the doubling every
+member whose certified trace interval can neither beat nor tie the
+optimum (Narendra & Fukunaga's monotone bound, 1977; see
+_ScoreTable._settle).  A dropped member is stored as None: it counts as
+not tied, and a request without a bound, a greedy step or a report,
+solves it.  Greedy, greedy_and_optimal's joint first scoring, the
+posteriori metric and the singular-V (Newton) members drop nothing.  A
+report's trace and covariance diagonal are those of the stack member that
+scored the chosen indicator, and nothing is solved twice.
+evaluate_selection is the per-subset reference that the scorer agrees
+with, not a path the searches take.
 """
 
 from __future__ import annotations
@@ -146,53 +142,61 @@ def evaluate_selection(model: SystemModel, sel: SelectionVector, metric: str) ->
 
 
 class _ScoreTable:
-    """Trace and covariance diagonal of each kept support of one request,
-    keyed by (j, support), j the index of the support's model, and the keys
-    ``beyond`` the optimum that a settled request dropped unscored.
+    """Trace and covariance diagonal of each indicator of one request,
+    keyed by (j, support), j the index of the indicator's model and support
+    its sorted sensor indices, or None for one that a bound dropped.  An
+    attack indicator is scored through its survivor set.
 
     The constructor checks the metric, tests once that (A, W^1/2) is
     stabilizable and that the models share A, W and the sensor count, and
     stacks their rows of C and V, then the null sensor (-1), a zero row of
     C with unit, uncorrelated noise (see the riccati module), with the PBH
     mode images of that stack.  A call solves the members the table lacks
-    in (size, support, j) order, as stacks of at most STACK_CHUNK members;
-    a chunk pads each support to its widest with null sensors, so it is one
-    PBH test, one kernel run and one measurement update.  Stack members are
-    solved independently, so a stored score is the one a fresh stack, or
-    evaluate_selection to round-off, would give."""
+    in (size, kept, j) order, kept the sensors the filter runs on, as
+    stacks of at most STACK_CHUNK members; a chunk pads each kept set to
+    its widest with null sensors, so it is one PBH test, one kernel run
+    and one measurement update.  Stack members are solved independently,
+    so a stored score is the one a fresh stack, or evaluate_selection to
+    round-off, would give.  ``best`` picks the better of some traces (the
+    least for a selection, the greatest for an attack), and ``worst`` is
+    the neutral bound, which no trace is worse than."""
 
-    def __init__(self, models, metric: str):
+    def __init__(self, models, metric: str, attack: bool):
         _check_metric(metric)
         model = models[0]
         riccati.check_stabilizable(model.A, model.W)
         if any(m.q != model.q or not np.array_equal(m.A, model.A) or not np.array_equal(m.W, model.W)
                for m in models[1:]):
             raise ValueError("models scored together must share A, W and the sensor count")
-        self.models, self.metric = models, metric
+        self.models, self.metric, self.attack = models, metric, attack
+        self.best, self.worst = (max, -math.inf) if attack else (min, math.inf)
         self.C = np.concatenate([m.C for m in models] + [np.zeros((1, model.n))])
         self.V = np.zeros((len(self.C), model.q + 1))
         self.V[:-1, :-1] = np.concatenate([m.V for m in models])
         self.V[-1, -1] = 1.0
         self.images = riccati._mode_images(model.A, self.C)
-        self.scores: dict[tuple[int, tuple[int, ...]], tuple[float, np.ndarray]] = {}
-        self.beyond: set[tuple[int, tuple[int, ...]]] = set()
+        self.scores: dict[tuple[int, tuple[int, ...]], tuple[float, np.ndarray] | None] = {}
 
-    def __call__(self, members, settle=None) -> list:
-        """The score of each (j, sorted support) member; None for one that
-        ``settle`` drops or dropped, which goes beyond.  A request without
-        ``settle`` solves every member it lacks, those beyond included.
+    def __call__(self, members, bound: float | None = None) -> list:
+        """The score of each (j, support) member, or None for one that a
+        bound drops or dropped.  Under the priori metric a ``bound``, a
+        trace the optimum is no worse than, drops the members that can
+        neither beat nor tie the optimum (see _settle); a request without
+        one solves every member it lacks, those stored as None included.
         Undetectable members score math.inf, with a NaN diagonal, without a
-        solve, and reach ``settle`` as the interval [inf, inf] before their
-        chunk's kernel run."""
-        members = [(j, tuple(s)) for j, s in members]
-        missing = sorted({(len(s), s, j) for j, s in members
-                          if (j, s) not in self.scores and (settle is None or (j, s) not in self.beyond)})
+        solve, and reach the drop rule as the interval [inf, inf] before
+        their chunk's kernel run."""
+        members = [(j, tuple(sorted(s))) for j, s in members]
+        settle = None if bound is None or self.metric != "priori" else self._settle(bound)
         A, W, q = self.models[0].A, self.models[0].W, self.models[0].q
+        lacking = {m for m in members if m not in self.scores or settle is None and self.scores[m] is None}
+        missing = sorted((len(kept), kept, j, s) for j, s in lacking
+                         for kept in [tuple(i for i in range(q) if i not in s) if self.attack else s])
         for lo in range(0, len(missing), STACK_CHUNK):
             chunk = missing[lo:lo + STACK_CHUNK]
             width = chunk[-1][0]  # sizes ascend
-            idx = np.array([s + (-1,) * (width - size) for size, s, _ in chunk], dtype=np.intp)
-            rows = np.where(idx < 0, -1, idx + [[j * q] for _, _, j in chunk])
+            idx = np.array([kept + (-1,) * (width - size) for size, kept, _, _ in chunk], dtype=np.intp)
+            rows = np.where(idx < 0, -1, idx + [[j * q] for _, _, j, _ in chunk])
             finite = riccati._detectable(self.images, rows)
             if settle is not None and not finite.all():
                 unseen = np.full(len(chunk) - finite.sum(), math.inf)
@@ -207,40 +211,44 @@ class _ScoreTable:
                     S = riccati._posteriori(S, C, V, noise)
                 traces[finite] = np.trace(S, axis1=1, axis2=2)
                 diags[finite] = S.diagonal(axis1=1, axis2=2)
-            for (_, s, j), trace, diag in zip(chunk, traces.tolist(), diags):
-                if math.isnan(trace):
-                    self.beyond.add((j, s))
-                else:
-                    self.scores[j, s] = trace, diag
-        return [self.scores.get(m) for m in members]
+            for (_, _, j, s), trace, diag in zip(chunk, traces.tolist(), diags):
+                self.scores[j, s] = None if math.isnan(trace) else (trace, diag)
+        return [self.scores[m] for m in members]
 
+    def _settle(self, bound: float):
+        """The settle callable of one request (see riccati._doubling_dare),
+        which drops every member whose certified trace interval [lo, hi]
+        can neither beat nor tie the optimum.  A selection keeps U, the
+        least hi seen, and drops lo > U + TIE_REL max(1, U); an attack keeps
+        L, the greatest lo seen, and drops hi < L - TIE_REL max(1, L), every
+        finite member once L is infinite.  Both start from ``bound``.
+        x -> x +- TIE_REL max(1, x) increases and U >= best >= L, so a
+        dropped member's trace is worse than the best and not tied with it.
+        The bound carries across the chunks of the request."""
 
-class _Incumbent:
-    """The ``settle`` callable of one a priori exhaustive request (see
-    riccati._doubling_dare), which drops every member whose certified trace
-    interval [lo, hi] can neither beat nor tie the optimum.  A selection
-    keeps U, the least hi seen, and drops lo > U + TIE_REL max(1, U); an
-    attack keeps L, the greatest lo seen, and drops hi < L - TIE_REL
-    max(1, L), every finite member once L is infinite.  Both bounds start
-    from ``bound``, the best trace of a finished search or the neutral
-    infinity.  x -> x +- TIE_REL max(1, x) increases and U >= best >= L, so
-    a dropped member's trace lies beyond the best and is not tied with it.
-    The bound carries across the chunks of the request."""
+        def settle(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+            nonlocal bound
+            if self.attack:
+                bound = L = max(bound, float(lo.max()))
+                return hi < (L - TIE_REL * max(1.0, L) if math.isfinite(L) else L)
+            bound = U = min(bound, float(hi.min()))
+            return lo > U + TIE_REL * max(1.0, U)
 
-    def __init__(self, attack: bool, bound: float):
-        self.attack, self.bound = attack, bound
+        return settle
 
-    def __call__(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        if self.attack:
-            self.bound = L = max(self.bound, float(lo.max()))
-            return hi < (L - TIE_REL * max(1.0, L) if math.isfinite(L) else L)
-        self.bound = U = min(self.bound, float(hi.min()))
-        return lo > U + TIE_REL * max(1.0, U)
-
-
-def _kept(q: int, combo, attack: bool) -> list[int]:
-    """Sensors the filter runs on: the selection, or the attack's survivors."""
-    return [i for i in range(q) if i not in combo] if attack else sorted(combo)
+    def report(self, j: int, support, evaluations: int, steps=()) -> SolveReport:
+        """Model j's report for the chosen indicator ``support``, with the
+        trace and diagonal that scored it."""
+        ((trace, diag),) = self([(j, support)])
+        return SolveReport(
+            mode="attack" if self.attack else "select",
+            metric=self.metric,
+            chosen=SelectionVector.from_support(self.models[j].q, support),
+            trace=trace,
+            diag=None if math.isinf(trace) else tuple(diag.tolist()),
+            evaluations=evaluations,
+            steps=list(steps),
+        )
 
 
 def _tied(score: float, best: float) -> bool:
@@ -262,42 +270,21 @@ def _check_cardinality_budget(model: SystemModel, budget, attack: bool) -> int:
     return budget
 
 
-def _report(model, attack: bool, combo, metric, trace, diag, evaluations, steps) -> SolveReport:
-    """Wrap a run up around the chosen indicator and the trace and diagonal
-    it scored."""
-    return SolveReport(
-        mode="attack" if attack else "select",
-        metric=metric,
-        chosen=SelectionVector.from_support(model.q, combo),
-        trace=trace,
-        diag=None if math.isinf(trace) else tuple(diag.tolist()),
-        evaluations=evaluations,
-        steps=steps,
-    )
-
-
-def _greedy(table: _ScoreTable, j: int, budget: int, attack: bool) -> SolveReport:
-    """Grow the selection (or the attack) one sensor at a time, taking the
-    candidate with the smallest (largest) trace; ties go to the lowest index.
-    Scores come from ``table``'s model j, the budget from
-    _check_cardinality_budget."""
-    model, metric = table.models[j], table.metric
-    if not budget:
-        ((trace, diag),) = table([(j, _kept(model.q, [], attack))])
-        return _report(model, attack, [], metric, trace, diag, 1, [])
-    better = max if attack else min
+def _greedy(table: _ScoreTable, j: int, budget: int) -> SolveReport:
+    """Grow the indicator one sensor at a time, taking the candidate with
+    the best trace; ties go to the lowest index.  Scores come from
+    ``table``'s model j, the budget from _check_cardinality_budget."""
+    q = table.models[j].q
     picked: list[int] = []
     steps: list[GreedyStep] = []
     for _ in range(budget):
-        candidates = [i for i in range(model.q) if i not in picked]
-        scored = table([(j, _kept(model.q, picked + [i], attack)) for i in candidates])
-        traces = [trace for trace, _ in scored]
-        best = better(traces)
+        candidates = [i for i in range(q) if i not in picked]
+        traces = [trace for trace, _ in table([(j, picked + [i]) for i in candidates])]
+        best = table.best(traces)
         k = min(c for c, t in enumerate(traces) if _tied(t, best))  # candidates ascend
         steps.append(GreedyStep(scores=dict(zip(candidates, traces)), chosen=candidates[k]))
         picked.append(candidates[k])
-    evaluations = sum(len(step.scores) for step in steps) + 1
-    return _report(model, attack, picked, metric, *scored[k], evaluations, steps)
+    return table.report(j, picked, sum(len(step.scores) for step in steps) + 1, steps)
 
 
 def _enumerate_feasible(q: int, costs: np.ndarray, budget: float):
@@ -343,11 +330,11 @@ def _maximal_feasible(model: SystemModel, costs, budget: float, attack: bool) ->
     return len(feasible), [c for c in feasible if c not in covered]
 
 
-def _exhaustive(table: _ScoreTable, j: int, n_feasible: int, maximal, attack: bool) -> SolveReport:
-    """Keep the feasible selection (attack) with the smallest (largest)
-    trace; ties go to the smallest support, then the lexicographically
-    smallest bit pattern.  Scores come from ``table``'s model j, the count
-    of feasible indicators and the maximal ones from _maximal_feasible.
+def _exhaustive(table: _ScoreTable, j: int, n_feasible: int, maximal) -> SolveReport:
+    """Keep the feasible indicator with the best trace; ties go to the
+    smallest support, then the lexicographically smallest bit pattern.
+    Scores come from ``table``'s model j, the count of feasible indicators
+    and the maximal ones from _maximal_feasible.
 
     Adding a sensor never raises a selection's trace (never lowers an
     attack's), so the optimum lies at an inclusion-maximal feasible set, and
@@ -357,34 +344,30 @@ def _exhaustive(table: _ScoreTable, j: int, n_feasible: int, maximal, attack: bo
     set.  Nonnegative costs keep subsets of feasible sets feasible.
 
     The walk skips every candidate one sensor short of a scored set that
-    is not tied, or of a set beyond: the table holds feasible sets only
+    is not tied, or of a dropped set: the table holds feasible sets only
     (greedy_and_optimal's greedy sets fit the same unit-cost budget), so
-    that set's trace lies beyond the best, and by monotonicity the
-    candidate's does too.
-
-    Under the priori metric the maximal sets, and then each walk level
-    from the best on, are scored through one _Incumbent, whose drops go
-    beyond.
+    that set's trace is worse than the best, and by monotonicity the
+    candidate's is too.  The maximal sets are scored under the neutral
+    bound, and each walk level under the best trace.
     """
-    model, q = table.models[j], table.models[j].q
+    q = table.models[j].q
 
     def scored(combos, bound: float):
-        settle = _Incumbent(attack, bound) if table.metric == "priori" else None
-        found = table([(j, _kept(q, c, attack)) for c in combos], settle)
+        found = table([(j, c) for c in combos], bound)
         return [(c, s[0]) for c, s in zip(combos, found) if s is not None]
 
     def settled(combo) -> bool:
-        supersets = ((j, tuple(_kept(q, combo + (i,), attack))) for i in range(q) if i not in combo)
-        return any(s in table.beyond or s in table.scores and not _tied(table.scores[s][0], best)
-                   for s in supersets)
+        supersets = ((j, tuple(sorted(combo + (i,)))) for i in range(q) if i not in combo)
+        return any(table.scores[s] is None or not _tied(table.scores[s][0], best)
+                   for s in supersets if s in table.scores)
 
-    scores = scored(maximal, -math.inf if attack else math.inf)
-    best = (max if attack else min)(t for _, t in scores)
+    scores = scored(maximal, table.worst)
+    best = table.best(t for _, t in scores)
     tied = [c for c, t in scores if _tied(t, best)]
     lowest = min(map(len, tied))
     level: list[tuple[int, ...]] = []
     for size in range(max(map(len, tied)), -1, -1):
-        below = sorted({c[:j] + c[j + 1:] for c in level for j in range(len(c))})
+        below = sorted({c[:k] + c[k + 1:] for c in level for k in range(len(c))})
         below = [c for c in below if not settled(c)]
         level = [c for c, t in scored(below, best) if _tied(t, best)]
         level += [c for c in tied if len(c) == size]
@@ -393,22 +376,21 @@ def _exhaustive(table: _ScoreTable, j: int, n_feasible: int, maximal, attack: bo
         elif size < lowest:
             break
     combo = min(smallest, key=lambda c: SelectionVector.from_support(q, c).bits)
-    ((trace, diag),) = table([(j, _kept(q, combo, attack))])
-    return _report(model, attack, combo, table.metric, trace, diag, n_feasible + 1, [])
+    return table.report(j, combo, n_feasible + 1)
 
 
 def greedy_select(model: SystemModel, cardinality_budget: int, metric: str) -> SolveReport:
     """Add, one at a time, the sensor whose inclusion yields the smallest
     trace, until exactly ``cardinality_budget`` sensors are selected."""
     budget = _check_cardinality_budget(model, cardinality_budget, attack=False)
-    return _greedy(_ScoreTable([model], metric), 0, budget, attack=False)
+    return _greedy(_ScoreTable([model], metric, attack=False), 0, budget)
 
 
 def greedy_attack(model: SystemModel, cardinality_budget: int, metric: str) -> SolveReport:
     """Remove, one at a time, the sensor whose removal yields the largest
     trace for the surviving set.  An infinite trace is maximal."""
     budget = _check_cardinality_budget(model, cardinality_budget, attack=True)
-    return _greedy(_ScoreTable([model], metric), 0, budget, attack=True)
+    return _greedy(_ScoreTable([model], metric, attack=True), 0, budget)
 
 
 def exhaustive_select(model: SystemModel, costs, budget: float, metric: str) -> SolveReport:
@@ -419,14 +401,14 @@ def exhaustive_select(model: SystemModel, costs, budget: float, metric: str) -> 
     support, then the lexicographically smallest bit pattern.
     """
     search = _maximal_feasible(model, costs, budget, attack=False)
-    return _exhaustive(_ScoreTable([model], metric), 0, *search, attack=False)
+    return _exhaustive(_ScoreTable([model], metric, attack=False), 0, *search)
 
 
 def exhaustive_attack(model: SystemModel, costs, budget: float, metric: str) -> SolveReport:
     """Exact worst-case attack over every removal set within budget, for
     nonnegative costs; ties resolve as in exhaustive_select."""
     search = _maximal_feasible(model, costs, budget, attack=True)
-    return _exhaustive(_ScoreTable([model], metric), 0, *search, attack=True)
+    return _exhaustive(_ScoreTable([model], metric, attack=True), 0, *search)
 
 
 def trace_ratio(num: float, den: float) -> float:
@@ -474,12 +456,12 @@ def greedy_and_optimal(
     q = models[0].q
     # greedy's unit costs make every model's feasible sets the same
     n_feasible, maximal = _maximal_feasible(models[0], np.ones(q), float(k), attack)
-    table = _ScoreTable(models, metric)
+    table = _ScoreTable(models, metric, attack)
     first = [(i,) for i in range(q)] if k else [()]
-    table([(j, _kept(q, c, attack)) for j in range(len(models)) for c in first + maximal])
+    table([(j, c) for j in range(len(models)) for c in first + maximal])
     out = []
     for j in range(len(models)):
-        greedy, optimal = _greedy(table, j, k, attack), _exhaustive(table, j, n_feasible, maximal, attack)
+        greedy, optimal = _greedy(table, j, k), _exhaustive(table, j, n_feasible, maximal)
         ratio = trace_ratio(optimal.trace, greedy.trace) if attack else trace_ratio(greedy.trace, optimal.trace)
         out.append((greedy, optimal, ratio))
     return out

@@ -139,6 +139,25 @@ def test_gadget_with_an_unwritable_file_leaves_no_file_behind(yes_x3c_file, tmp_
         assert kept.read_text() == "before\n"
 
 
+@pytest.mark.parametrize("kind", ["kfss", "kfsa"])
+@pytest.mark.parametrize("sidecar", ["P.json", "./P.json"])
+def test_gadget_refuses_one_file_for_model_and_sidecar(yes_x3c_file, tmp_path, capsys, monkeypatch,
+                                                        kind, sidecar):
+    # both payloads in one file would leave it unparseable: the run writes
+    # nothing, removes the file if it created it, and else keeps its content
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "P.json"
+    for before in (None, "before\n"):
+        if before is not None:
+            path.write_text(before)
+        code = run_cli("gadget", kind, "--x3c", str(yes_x3c_file), "--output", "P.json",
+                       "--threshold-output", sidecar)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: output paths P.json and {sidecar} name one file\n"
+        assert (path.read_text() if path.exists() else None) == before
+
+
 def test_sweep_unwritable_output_is_input_error(tmp_path, capsys):
     path = str(tmp_path / "missing-dir" / "s.csv")
     _assert_unwritable(capsys, run_cli("sweep", "--family", "example1", "--lambda1", "0.9",
@@ -386,6 +405,22 @@ def test_solve_with_a_process_noise_near_the_float_maximum(tmp_path, capsys, w, 
                    "--metric", metric) == 0
     want = w if metric == "priori" else 1.0
     assert capsys.readouterr().out.startswith(f"trace={want!r} chosen=[1]")
+
+
+@pytest.mark.parametrize("metric", ["priori", "posteriori"])
+@pytest.mark.parametrize("mode", ["select", "attack"])
+@pytest.mark.parametrize("algorithm", ["greedy", "exhaustive"])
+def test_solve_with_a_trace_past_the_float_maximum_is_solver_error(tmp_path, capsys, algorithm, mode, metric):
+    # n = 2 and W = 1e308 I: every covariance is finite, but its trace
+    # overflows, which must not pass for an undetectable pair's infinity
+    path = tmp_path / "loud.json"
+    path.write_text(json.dumps({"n": 2, "q": 2, "A": [[0.5, 0.0], [0.0, 0.5]], "C": [[1.0, 0.0], [0.0, 1.0]],
+                                "W": [[1e308, 0.0], [0.0, 1e308]], "V": [[1.0, 0.0], [0.0, 1.0]],
+                                "b": [1.0, 1.0], "omega": [1.0, 1.0], "budget_select": 1, "budget_attack": 1}))
+    assert run_cli("solve", "--instance", str(path), "--mode", mode, "--algorithm", algorithm,
+                   "--metric", metric) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: a priori trace overflows")
 
 
 def test_sweep_v_scale_zero_is_noiseless(tmp_path):

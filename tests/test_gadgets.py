@@ -3,7 +3,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from kfsslab import riccati
+from kfsslab import gadgets, riccati
 from kfsslab.closed_forms import DomainError
 from kfsslab.gadgets import (
     NoZeroColumn,
@@ -170,9 +170,10 @@ def test_bruteforce_examples():
     assert x3c_bruteforce(NO_INSTANCE) == (False, None)
 
 
-def test_bruteforce_cap():
+def test_bruteforce_cap(monkeypatch):
+    monkeypatch.setattr(gadgets, "BRUTEFORCE_CAP", 2)
     with pytest.raises(TooLarge):
-        x3c_bruteforce(YES_INSTANCE, cap=2)
+        x3c_bruteforce(YES_INSTANCE)
 
 
 def test_reductions_agree_with_bruteforce_on_named_instances():

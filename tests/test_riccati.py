@@ -231,6 +231,21 @@ def test_solution_below_w_raises_no_convergence():
     assert exc.value.residual > 1e16
 
 
+@pytest.mark.parametrize("noise", [1.0, 0.0])  # the doubling and the Newton path
+@pytest.mark.parametrize("rows", [2, 0])
+def test_a_trace_past_the_float_maximum_raises_no_convergence(noise, rows):
+    # W = 1e308 I, n = 2: each variance is at least 1e308 and finite, but
+    # their sum overflows, and a trace of inf would read as undetectable
+    A, W = 0.5 * np.eye(2), 1e308 * np.eye(2)
+    with pytest.raises(NoConvergence, match="trace overflows") as exc:
+        solve_dare(A, np.eye(2)[:rows], W, noise * np.eye(rows))
+    assert exc.value.residual == math.inf
+    m = SystemModel(n=2, q=2, A=A, C=np.eye(2), W=W, V=noise * np.eye(2))
+    for metric in ("priori", "posteriori"):
+        with pytest.raises(NoConvergence, match="trace overflows"):
+            evaluate_selection(validate_model(m), SelectionVector.from_support(2, range(rows)), metric)
+
+
 def test_diverging_noiseless_solve_ends_without_a_numpy_warning():
     # C is invertible and V = 0, so the exact answer is S = W.  On this model
     # the doubling's iterates overflow; the kernel's own finiteness checks

@@ -23,7 +23,6 @@ from kfsslab.solvers import (
     report_to_dict,
     trace_ratio,
     _enumerate_feasible,
-    _kept,
     _maximal_feasible,
     _ScoreTable,
     _tied,
@@ -35,7 +34,7 @@ LAM = 0.9
 def _stack(m, supports, metric):
     """Traces and diagonals of ``supports``, scored as one request on a
     fresh table."""
-    scored = _ScoreTable([m], metric)([(0, s) for s in supports])
+    scored = _ScoreTable([m], metric, attack=False)([(0, s) for s in supports])
     return [trace for trace, _ in scored], np.array([diag for _, diag in scored])
 
 
@@ -427,7 +426,8 @@ def _full_enumeration(m, costs, budget, metric, attack):
     combos, traces, diags = [], [], []
     for _, layer in groupby(_enumerate_feasible(m.q, np.asarray(costs, dtype=float), budget), key=len):
         layer = list(layer)
-        layer_traces, layer_diags = _stack(m, [_kept(m.q, c, attack) for c in layer], metric)
+        kept = [[i for i in range(m.q) if i not in c] if attack else c for c in layer]
+        layer_traces, layer_diags = _stack(m, kept, metric)
         combos += layer
         traces += layer_traces
         diags += list(layer_diags)
@@ -496,16 +496,21 @@ def test_tie_walk_continues_past_a_size_with_no_tied_set():
 
 def _settled_exhaustive(m, costs, budget, attack):
     """The a priori exhaustive report, checked against the full enumeration
-    and the public driver, and the table it left, whose ``beyond`` holds
-    the (0, support) keys the certified intervals dropped."""
-    table = _ScoreTable([m], "priori")
-    report = solvers._exhaustive(table, 0, *_maximal_feasible(m, costs, budget, attack), attack)
+    and the public solver, the traces of the (0, indicator support) keys
+    the table it left scored, and the keys the certified intervals dropped,
+    which the table stores as None."""
+    table = _ScoreTable([m], "priori", attack)
+    report = solvers._exhaustive(table, 0, *_maximal_feasible(m, costs, budget, attack))
     assert (report.chosen.bits, report.trace, report.diag, report.evaluations) == _full_enumeration(
         m, costs, budget, "priori", attack)
     public = (exhaustive_attack if attack else exhaustive_select)(m, costs, budget, "priori")
     assert report_to_dict(public) == report_to_dict(report)
-    assert not table.beyond & table.scores.keys()
-    return report, table
+    scored = {key: score[0] for key, score in table.scores.items() if score is not None}
+    dropped = {key for key, score in table.scores.items() if score is None}
+    # solved exactly, every dropped member is worse than the optimum and not tied with it
+    for trace, _ in _ScoreTable([m], "priori", attack)(dropped):
+        assert not _tied(trace, report.trace) and (trace < report.trace if attack else trace > report.trace)
+    return report, scored, dropped
 
 
 def test_dropping_keeps_exact_ties_of_duplicated_sensors():
@@ -520,9 +525,9 @@ def test_dropping_keeps_exact_ties_of_duplicated_sensors():
         m = validate_model(SystemModel(n=n, q=6, A=A, C=C, W=np.eye(n), V=np.eye(6)))
         for budget in (2.0, 3.0):
             for attack in (False, True):
-                report, table = _settled_exhaustive(m, np.ones(6), budget, attack)
-                dropped += bool(table.beyond)
-                tied += sum(_tied(t, report.trace) for t, _ in table.scores.values()) > 1
+                report, scored, lost = _settled_exhaustive(m, np.ones(6), budget, attack)
+                dropped += bool(lost)
+                tied += sum(_tied(t, report.trace) for t in scored.values()) > 1
     assert dropped == 16 and tied == 11  # every run dropped sets, most kept a tie too
 
 
@@ -539,11 +544,11 @@ def test_an_undetectable_survivor_set_drops_every_finite_one(blind):
     B = rng.standard_normal((q, q))
     m = validate_model(SystemModel(n=n, q=q, A=np.diag([1.05, 0.5, -0.3]), C=C, W=np.eye(n),
                                    V=B @ B.T / q + 0.5 * np.eye(q), omega=np.ones(q)))
-    report, table = _settled_exhaustive(m, m.omega, 2.0, attack=True)
+    report, scored, dropped = _settled_exhaustive(m, m.omega, 2.0, attack=True)
     assert math.isinf(report.trace) and report.chosen.support == blind
-    finite = [key for key, (t, _) in table.scores.items() if math.isfinite(t)]
-    assert len(table.beyond) > len(finite)
-    assert not table.scores.keys() - {(0, tuple(_kept(q, blind, True)))} - set(finite)
+    finite = [key for key, t in scored.items() if math.isfinite(t)]
+    assert len(dropped) > len(finite)
+    assert not scored.keys() - {(0, blind)} - set(finite)
 
 
 def test_tie_walk_descends_past_a_dropped_superset():
@@ -554,10 +559,10 @@ def test_tie_walk_descends_past_a_dropped_superset():
     # whose subsets {1} and {2} it drops
     C = np.array([[0.0, 0.0], [1.0, 0.3], [0.2, 1.0], [0.0, 0.0]])
     m = validate_model(SystemModel(n=2, q=4, A=np.diag([0.9, 0.5]), C=C, W=np.eye(2), V=np.eye(4)))
-    report, table = _settled_exhaustive(m, np.ones(4), 3.0, attack=False)
+    report, scored, dropped = _settled_exhaustive(m, np.ones(4), 3.0, attack=False)
     assert report.chosen.support == (1, 2)
-    assert table.beyond == {(0, (0, 1, 3)), (0, (0, 2, 3)), (0, (1,)), (0, (2,))}
-    assert set(table.scores) == {(0, (0, 1, 2)), (0, (1, 2, 3)), (0, (1, 2))}
+    assert dropped == {(0, (0, 1, 3)), (0, (0, 2, 3)), (0, (1,)), (0, (2,))}
+    assert set(scored) == {(0, (0, 1, 2)), (0, (1, 2, 3)), (0, (1, 2))}
 
 
 def test_dropping_halves_the_doubling_solves_at_q_18(monkeypatch):

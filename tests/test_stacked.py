@@ -34,7 +34,7 @@ ULPS = 4 * np.finfo(float).eps
 def _stack(m, supports, metric):
     """Traces and diagonals of ``supports``, scored as one request on a
     fresh table."""
-    scored = _ScoreTable([m], metric)([(0, s) for s in supports])
+    scored = _ScoreTable([m], metric, attack=False)([(0, s) for s in supports])
     return [trace for trace, _ in scored], np.array([diag for _, diag in scored])
 
 
@@ -146,7 +146,7 @@ def test_stack_mixing_singular_and_nonsingular_noise(monkeypatch):
         _assert_matches_scalar(m, supports, metric)
     # the singular members of the one chunk go to the Newton iteration as
     # one stack, with no second PBH test
-    table = _ScoreTable([m], "posteriori")  # its stabilizability test is a PBH test
+    table = _ScoreTable([m], "posteriori", attack=False)  # its stabilizability test is a PBH test
     calls = []
     for name in ("is_detectable", "_newton_dare"):
         original = getattr(riccati, name)
@@ -204,14 +204,14 @@ def test_stack_of_several_tables_equals_each_member_alone():
         m.V = 0.3 * np.eye(m.q)
         models.append(validate_model(m))
     for metric in ("priori", "posteriori"):
-        table = _ScoreTable(models, metric)
+        table = _ScoreTable(models, metric, attack=False)
         for r in range(4):
             members = [(j, s) for s in combinations(range(3), r) for j in range(len(models))]
             for (j, s), (trace, diag) in zip(members, table(members)):
                 (alone,), alone_diag = _stack(models[j], [s], metric)
                 assert repr(trace) == repr(alone) and np.array_equal(diag, alone_diag[0], equal_nan=True)
     with pytest.raises(ValueError, match="share A, W"):
-        _ScoreTable([models[0], build_example1(0.6, 1.0)], "priori")
+        _ScoreTable([models[0], build_example1(0.6, 1.0)], "priori", attack=False)
 
 
 @pytest.mark.parametrize("metric", ["priori", "posteriori"])
@@ -219,7 +219,7 @@ def test_a_stored_diagonal_does_not_keep_its_chunk_stack_alive(metric):
     # a stored diagonal is a row of the chunk's own k x n array, not a view
     # of the k x n x n covariance stack, in a chunk with undetectable
     # members (the pairs) and in one without (the triples)
-    table = _ScoreTable([_blind_model()], metric)
+    table = _ScoreTable([_blind_model()], metric, attack=False)
     pairs = table([(0, s) for s in combinations(range(4), 2)])
     triples = table([(0, s) for s in combinations(range(4), 3)])
     assert any(np.isinf(trace) for trace, _ in pairs) and not any(np.isinf(trace) for trace, _ in triples)
@@ -479,6 +479,14 @@ def test_stacked_scores_are_monotone_and_attack_is_complement(instance, metric):
     for i, score in attack.items():
         want = evaluate_selection(m, complement(AttackVector.from_support(m.q, [i])), metric).trace
         assert score == want or abs(score - want) <= REL * want
+    # an attack table keyed by indicators gives a select table's scores on
+    # the survivor sets, bit for bit: both solve the same sets in one order
+    attacks = [(), tuple(base)] + [(i,) for i in extra]
+    got = _ScoreTable([m], metric, attack=True)([(0, a) for a in attacks])
+    survivors = [[i for i in range(m.q) if i not in a] for a in attacks]
+    want = _ScoreTable([m], metric, attack=False)([(0, s) for s in survivors])
+    for (trace, diag), (trace_want, diag_want) in zip(got, want):
+        assert repr(trace) == repr(trace_want) and np.array_equal(diag, diag_want, equal_nan=True)
 
 
 @settings(max_examples=40, deadline=None)
