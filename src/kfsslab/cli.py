@@ -123,18 +123,24 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gadget(args) -> int:
-    if args.kind in ("example1", "example2"):
+    # a flag left out is not on the namespace (its default is SUPPRESS)
+    given = vars(args)
+    example = args.kind in ("example1", "example2")
+    for name in ("x3c", "k", "threshold_output") if example else ("lambda1", "h"):
+        if name in given:
+            raise _InputError(f"gadget {args.kind} takes no --{name.replace('_', '-')}")
+    if example:
         build = gadgets.build_example1 if args.kind == "example1" else gadgets.build_example2
-        instance = build(args.lambda1, args.h)
+        instance = build(given.get("lambda1", 0.9), given.get("h", 100.0))
         _write_json((args.output, model_mod.model_to_dict(instance)))
         print(f"wrote {args.kind} instance to {args.output}")
         return EXIT_OK
-    if args.x3c is None:
+    if "x3c" not in given:
         raise _InputError(f"gadget {args.kind} needs --x3c")
     x3c = _load_x3c(args.x3c)
     build = gadgets.build_kfss_gadget if args.kind == "kfss" else gadgets.build_kfsa_gadget
-    gadget = build(x3c, args.k)
-    sidecar = args.threshold_output or args.output + ".threshold.json"
+    gadget = build(x3c, given.get("k", 1.0))
+    sidecar = given.get("threshold_output") or args.output + ".threshold.json"
     _write_json((args.output, model_mod.model_to_dict(gadget.model)),
                 (sidecar, gadgets.gadget_to_dict(gadget)))
     print(f"wrote {gadget.kind} instance to {args.output} (threshold {gadget.threshold} in {sidecar})")
@@ -226,12 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gadget = sub.add_parser("gadget", help="generate instance files")
     p_gadget.add_argument("kind", choices=("example1", "example2", "kfss", "kfsa"))
-    p_gadget.add_argument("--lambda1", type=float, default=0.9, help="state-1 pole (example families)")
-    p_gadget.add_argument("--h", type=float, default=100.0, help="coupling gain (example families)")
-    p_gadget.add_argument("--x3c", default=None, help="X3C JSON path (reduction kinds)")
-    p_gadget.add_argument("--k", type=float, default=1.0, help="separation factor K >= 1")
+    omitted = argparse.SUPPRESS
+    p_gadget.add_argument("--lambda1", type=float, default=omitted, help="state-1 pole (example1/2; default 0.9)")
+    p_gadget.add_argument("--h", type=float, default=omitted, help="coupling gain (example1/2; default 100)")
+    p_gadget.add_argument("--x3c", default=omitted, help="X3C JSON path (kfss/kfsa; required)")
+    p_gadget.add_argument("--k", type=float, default=omitted, help="separation factor K >= 1 (kfss/kfsa; default 1)")
     p_gadget.add_argument("--output", required=True, help="instance JSON path")
-    p_gadget.add_argument("--threshold-output", default=None, help="threshold sidecar path")
+    p_gadget.add_argument("--threshold-output", default=omitted,
+                          help="threshold sidecar path (kfss/kfsa; default OUTPUT.threshold.json)")
     p_gadget.set_defaults(func=cmd_gadget)
 
     p_x3c = sub.add_parser("x3c", help="decide an exact-cover instance")

@@ -32,17 +32,19 @@ anything; the private drivers do neither.  Adding a sensor
 never raises the trace, so the exhaustive search solves only the
 inclusion-maximal feasible sets, and then the subsets of tied sets that the
 smallest-support tie rule needs, less those one sensor short of a scored
-set that is not tied, which cannot tie either.  Under the priori metric
-the search also passes a bound, the neutral one for the maximal sets and
-the best trace for each walk level, which drops inside the doubling every
-member whose certified trace interval can neither beat nor tie the
-optimum (Narendra & Fukunaga's monotone bound, 1977; see
-_ScoreTable._settle).  A dropped member is stored as None: it counts as
-not tied, and a request without a bound, a greedy step or a report,
-solves it.  Greedy, greedy_and_optimal's joint first scoring, the
-posteriori metric and the singular-V (Newton) members drop nothing.  A
-report's trace and covariance diagonal are those of the stack member that
-scored the chosen indicator, and nothing is solved twice.
+set that is not tied, which cannot tie either.  The search also passes
+a bound, the neutral one for the maximal sets and the best trace for
+each walk level, which drops inside the doubling every member whose
+certified trace interval can neither beat nor tie the optimum (Narendra
+& Fukunaga's monotone bound, 1977; see _ScoreTable._settle); under the
+posteriori metric, H_k <= S <= H_k + (hi - lo) I and the monotone update
+(Anderson & Moore, 1979) give it (see riccati._doubling_dare).  A
+dropped member is stored as None: it counts as not tied, and a request
+without a bound, a greedy step or a report, solves it.  Greedy,
+greedy_and_optimal's joint first scoring and the singular-V (Newton)
+members drop nothing.  A report's trace and covariance diagonal are
+those of the stack member that scored the chosen indicator, and nothing
+is solved twice.
 evaluate_selection is the per-subset reference that the scorer agrees
 with, not a path the searches take.
 """
@@ -179,15 +181,15 @@ class _ScoreTable:
 
     def __call__(self, members, bound: float | None = None) -> list:
         """The score of each (j, support) member, or None for one that a
-        bound drops or dropped.  Under the priori metric a ``bound``, a
-        trace the optimum is no worse than, drops the members that can
-        neither beat nor tie the optimum (see _settle); a request without
-        one solves every member it lacks, those stored as None included.
+        bound drops or dropped.  A ``bound``, a trace the optimum is no
+        worse than, drops the members that can neither beat nor tie the
+        optimum (see _settle); a request without one solves every member
+        it lacks, those stored as None included.
         Undetectable members score math.inf, with a NaN diagonal, without a
         solve, and reach the drop rule as the interval [inf, inf] before
         their chunk's kernel run."""
         members = [(j, tuple(sorted(s))) for j, s in members]
-        settle = None if bound is None or self.metric != "priori" else self._settle(bound)
+        settle = None if bound is None else self._settle(bound)
         A, W, q = self.models[0].A, self.models[0].W, self.models[0].q
         lacking = {m for m in members if m not in self.scores or settle is None and self.scores[m] is None}
         missing = sorted((len(kept), kept, j, s) for j, s in lacking
@@ -224,7 +226,8 @@ class _ScoreTable:
         finite member once L is infinite.  Both start from ``bound``.
         x -> x +- TIE_REL max(1, x) increases and U >= best >= L, so a
         dropped member's trace is worse than the best and not tied with it.
-        The bound carries across the chunks of the request."""
+        The bound carries across the chunks of the request, and the
+        ``posteriori`` attribute asks for intervals of the table's metric."""
 
         def settle(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             nonlocal bound
@@ -234,6 +237,7 @@ class _ScoreTable:
             bound = U = min(bound, float(hi.min()))
             return lo > U + TIE_REL * max(1.0, U)
 
+        settle.posteriori = self.metric == "posteriori"
         return settle
 
     def report(self, j: int, support, evaluations: int, steps=()) -> SolveReport:

@@ -571,6 +571,37 @@ def test_gadget_reduction_without_x3c_is_input_error(kind, tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("kind, flag, value", [
+    (kind, flag, value) for kind in ("example1", "example2")
+    for flag, value in (("--threshold-output", "T.json"), ("--x3c", "X3C"), ("--k", "1"))
+] + [(kind, flag, value) for kind in ("kfss", "kfsa") for flag, value in (("--lambda1", "0.9"), ("--h", "100"))])
+def test_gadget_flag_of_another_kind_is_input_error(kind, flag, value, yes_x3c_file, tmp_path, capsys):
+    # a flag that the kind does not read exits 1, even at its default
+    # value, and writes neither the model nor a sidecar
+    out, sidecar = tmp_path / "g.json", tmp_path / "T.json"
+    argv = ["gadget", kind, "--output", str(out), flag, value.replace("X3C", str(yes_x3c_file))]
+    if kind in ("kfss", "kfsa"):
+        argv += ["--x3c", str(yes_x3c_file)]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: gadget {kind} takes no {flag}\n"
+    assert list(tmp_path.iterdir()) == [yes_x3c_file] and not sidecar.exists()
+
+
+def test_gadget_defaults_equal_the_flags_they_stand_for(yes_x3c_file, tmp_path):
+    for kind, flags in (("example1", ["--lambda1", "0.9", "--h", "100"]),
+                        ("example2", ["--lambda1", "0.9", "--h", "100"]),
+                        ("kfss", ["--k", "1", "--threshold-output", str(tmp_path / "kfss-b.json.threshold.json")]),
+                        ("kfsa", ["--k", "1", "--threshold-output", str(tmp_path / "kfsa-b.json.threshold.json")])):
+        x3c = ["--x3c", str(yes_x3c_file)] if kind in ("kfss", "kfsa") else []
+        assert run_cli("gadget", kind, *x3c, "--output", str(tmp_path / f"{kind}-a.json")) == 0
+        assert run_cli("gadget", kind, *x3c, *flags, "--output", str(tmp_path / f"{kind}-b.json")) == 0
+        assert (tmp_path / f"{kind}-a.json").read_bytes() == (tmp_path / f"{kind}-b.json").read_bytes()
+        if x3c:
+            a, b = (tmp_path / f"{kind}-{s}.json.threshold.json" for s in "ab")
+            assert a.read_bytes() == b.read_bytes()
+
+
 def _readme_blocks(lang):
     return re.findall(rf"```{lang}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
 

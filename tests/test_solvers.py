@@ -1,3 +1,4 @@
+import functools
 import math
 from itertools import combinations, groupby
 
@@ -494,41 +495,43 @@ def test_tie_walk_continues_past_a_size_with_no_tied_set():
             m, m.b, 3.0, metric, False)
 
 
-def _settled_exhaustive(m, costs, budget, attack):
-    """The a priori exhaustive report, checked against the full enumeration
-    and the public solver, the traces of the (0, indicator support) keys
-    the table it left scored, and the keys the certified intervals dropped,
-    which the table stores as None."""
-    table = _ScoreTable([m], "priori", attack)
+def _settled_exhaustive(m, costs, budget, attack, metric="priori"):
+    """The exhaustive report under ``metric``, checked against the full
+    enumeration and the public solver, the traces of the (0, indicator
+    support) keys the table it left scored, and the keys the certified
+    intervals dropped, which the table stores as None."""
+    table = _ScoreTable([m], metric, attack)
     report = solvers._exhaustive(table, 0, *_maximal_feasible(m, costs, budget, attack))
     assert (report.chosen.bits, report.trace, report.diag, report.evaluations) == _full_enumeration(
-        m, costs, budget, "priori", attack)
-    public = (exhaustive_attack if attack else exhaustive_select)(m, costs, budget, "priori")
+        m, costs, budget, metric, attack)
+    public = (exhaustive_attack if attack else exhaustive_select)(m, costs, budget, metric)
     assert report_to_dict(public) == report_to_dict(report)
     scored = {key: score[0] for key, score in table.scores.items() if score is not None}
     dropped = {key for key, score in table.scores.items() if score is None}
     # solved exactly, every dropped member is worse than the optimum and not tied with it
-    for trace, _ in _ScoreTable([m], "priori", attack)(dropped):
+    for trace, _ in _ScoreTable([m], metric, attack)(dropped):
         assert not _tied(trace, report.trace) and (trace < report.trace if attack else trace > report.trace)
     return report, scored, dropped
 
 
 def test_dropping_keeps_exact_ties_of_duplicated_sensors():
     # every sensor row appears twice with uncorrelated unit noise, so sets
-    # that swap a sensor for its twin tie exactly; dropping must keep them
-    rng = np.random.default_rng(67)
-    dropped = tied = 0
-    for _ in range(4):
-        n = int(rng.integers(2, 4))
-        C = np.repeat(rng.standard_normal((3, n)), 2, axis=0)
-        A = np.diag(np.concatenate([[rng.choice([0.95, 1.05])], rng.uniform(-0.7, 0.7, n - 1)]))
-        m = validate_model(SystemModel(n=n, q=6, A=A, C=C, W=np.eye(n), V=np.eye(6)))
-        for budget in (2.0, 3.0):
-            for attack in (False, True):
-                report, scored, lost = _settled_exhaustive(m, np.ones(6), budget, attack)
-                dropped += bool(lost)
-                tied += sum(_tied(t, report.trace) for t in scored.values()) > 1
-    assert dropped == 16 and tied == 11  # every run dropped sets, most kept a tie too
+    # that swap a sensor for its twin tie exactly; dropping must keep them,
+    # under either metric
+    for metric, want in (("priori", (16, 11)), ("posteriori", (16, 12))):
+        rng = np.random.default_rng(67)
+        dropped = tied = 0
+        for _ in range(4):
+            n = int(rng.integers(2, 4))
+            C = np.repeat(rng.standard_normal((3, n)), 2, axis=0)
+            A = np.diag(np.concatenate([[rng.choice([0.95, 1.05])], rng.uniform(-0.7, 0.7, n - 1)]))
+            m = validate_model(SystemModel(n=n, q=6, A=A, C=C, W=np.eye(n), V=np.eye(6)))
+            for budget in (2.0, 3.0):
+                for attack in (False, True):
+                    report, scored, lost = _settled_exhaustive(m, np.ones(6), budget, attack, metric)
+                    dropped += bool(lost)
+                    tied += sum(_tied(t, report.trace) for t in scored.values()) > 1
+        assert (dropped, tied) == want, metric  # every run dropped sets, most kept a tie too
 
 
 @pytest.mark.parametrize("blind", [(0, 1), (10, 11)])
@@ -544,11 +547,12 @@ def test_an_undetectable_survivor_set_drops_every_finite_one(blind):
     B = rng.standard_normal((q, q))
     m = validate_model(SystemModel(n=n, q=q, A=np.diag([1.05, 0.5, -0.3]), C=C, W=np.eye(n),
                                    V=B @ B.T / q + 0.5 * np.eye(q), omega=np.ones(q)))
-    report, scored, dropped = _settled_exhaustive(m, m.omega, 2.0, attack=True)
-    assert math.isinf(report.trace) and report.chosen.support == blind
-    finite = [key for key, t in scored.items() if math.isfinite(t)]
-    assert len(dropped) > len(finite)
-    assert not scored.keys() - {(0, blind)} - set(finite)
+    for metric in METRICS:
+        report, scored, dropped = _settled_exhaustive(m, m.omega, 2.0, True, metric)
+        assert math.isinf(report.trace) and report.chosen.support == blind
+        finite = [key for key, t in scored.items() if math.isfinite(t)]
+        assert len(dropped) > len(finite)
+        assert not scored.keys() - {(0, blind)} - set(finite)
 
 
 def test_tie_walk_descends_past_a_dropped_superset():
@@ -556,13 +560,14 @@ def test_tie_walk_descends_past_a_dropped_superset():
     # tie at the optimum; {0, 1, 3} and {0, 2, 3} see one useful sensor and
     # are dropped, which settles the walk's candidates {0, 1}, {0, 2},
     # {1, 3} and {2, 3} unsolved, and the walk goes on down to {1, 2},
-    # whose subsets {1} and {2} it drops
+    # whose subsets {1} and {2} it drops, under either metric
     C = np.array([[0.0, 0.0], [1.0, 0.3], [0.2, 1.0], [0.0, 0.0]])
     m = validate_model(SystemModel(n=2, q=4, A=np.diag([0.9, 0.5]), C=C, W=np.eye(2), V=np.eye(4)))
-    report, scored, dropped = _settled_exhaustive(m, np.ones(4), 3.0, attack=False)
-    assert report.chosen.support == (1, 2)
-    assert dropped == {(0, (0, 1, 3)), (0, (0, 2, 3)), (0, (1,)), (0, (2,))}
-    assert set(scored) == {(0, (0, 1, 2)), (0, (1, 2, 3)), (0, (1, 2))}
+    for metric in METRICS:
+        report, scored, dropped = _settled_exhaustive(m, np.ones(4), 3.0, False, metric)
+        assert report.chosen.support == (1, 2)
+        assert dropped == {(0, (0, 1, 3)), (0, (0, 2, 3)), (0, (1,)), (0, (2,))}
+        assert set(scored) == {(0, (0, 1, 2)), (0, (1, 2, 3)), (0, (1, 2))}
 
 
 def test_dropping_halves_the_doubling_solves_at_q_18(monkeypatch):
@@ -585,6 +590,43 @@ def test_dropping_halves_the_doubling_solves_at_q_18(monkeypatch):
     monkeypatch.undo()
     assert report_to_dict(report) == report_to_dict(_settled_exhaustive(m, np.ones(m.q), 3.0, False)[0])
     assert 0 < sum(solved) <= lone / 2
+
+
+@pytest.mark.parametrize("attack", [False, True], ids=["select", "attack"])
+def test_posteriori_dropping_halves_the_doubling_solves_at_q_18(attack, monkeypatch):
+    # the model above under the a posteriori metric, whose settle asks the
+    # doubling for the interval of the updated trace; the spy's wrapper
+    # keeps that request.  The maximal sets are the triples (survivor sets
+    # of 15 sensors for the attack)
+    rng = np.random.default_rng(61)
+    m = _random_solve_model(rng, 18)
+    sets = [tuple(i for i in range(m.q) if i not in c) if attack else c for c in combinations(range(m.q), 3)]
+    lone = sum(riccati.solve_dare(m.A, m.C[list(s)], m.W, m.V[np.ix_(s, s)]).iterations for s in sets)
+    solved = []
+    doubling = riccati._doubling_dare
+
+    def spy(A, G, W, settle=None):
+        assert settle.posteriori
+        return doubling(A, G, W, functools.wraps(settle)(lambda lo, hi: solved.append(len(lo)) or settle(lo, hi)))
+
+    monkeypatch.setattr(riccati, "_doubling_dare", spy)
+    report = (exhaustive_attack if attack else exhaustive_select)(m, np.ones(m.q), 3.0, "posteriori")
+    monkeypatch.undo()
+    settled = _settled_exhaustive(m, np.ones(m.q), 3.0, attack, "posteriori")[0]
+    assert report_to_dict(report) == report_to_dict(settled)
+    assert 0 < sum(solved) <= lone / 2
+
+
+def test_singular_v_posteriori_exhaustive_drops_nothing():
+    # noiseless sensors: every member goes through Newton, which takes no
+    # settle, so the a posteriori search drops nothing and equals the full
+    # enumeration
+    rng = np.random.default_rng(73)
+    for _ in range(4):
+        m = _random_model(rng, psd_v=False)
+        for attack in (False, True):
+            _, scored, dropped = _settled_exhaustive(m, np.ones(m.q), float(m.q // 2), attack, "posteriori")
+            assert scored and not dropped
 
 
 def test_exhaustive_rejects_negative_costs():

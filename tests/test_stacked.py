@@ -696,13 +696,52 @@ def _assert_certified(A, G, W):
     assert any(np.isfinite(hi).all() and (hi > lo).any() for lo, hi in seen)  # the bound does close in
 
 
-def _nonsingular_gains(A, C, V, supports):
-    """G = C' V^-1 C of every detectable support (all of one size)."""
+def _nonsingular_members(A, C, V, supports):
+    """The stacks of C and V rows of every detectable support (all of one
+    size)."""
     idx = np.array(supports, dtype=np.intp)
     idx = idx[riccati._detectable(riccati._mode_images(A, C), idx)]
-    nonsingular, G = riccati._noise_gain(C[idx], V[idx[:, :, None], idx[:, None, :]])
+    return C[idx], V[idx[:, :, None], idx[:, None, :]]
+
+
+def _nonsingular_gains(A, C, V, supports):
+    """G = C' V^-1 C of every detectable support (all of one size)."""
+    nonsingular, G = riccati._noise_gain(*_nonsingular_members(A, C, V, supports))
     assert nonsingular.all()
     return G
+
+
+def _assert_certified_posteriori(A, W, C, V):
+    """_assert_certified's twin for a settle that asks for the a posteriori
+    interval: every doubling's [lo, hi] of each live member, widened for
+    the update's round-off, holds the trace that riccati._posteriori gives
+    for that member's final covariance within ULPS, and its lower end is at
+    most the a priori one; hi = lo on stopping, and the upper end closes in
+    below the a priori one.  Unwidened, the K = 300 kfss gadget misses by
+    6e-9 relative."""
+    nonsingular, G = noise = riccati._noise_gain(C, V)
+    assert nonsingular.all()
+    S, counts = riccati._doubling_dare(A, G, W)
+    seen = {}
+    for posteriori in (False, True):
+        seen[posteriori] = []
+
+        def settle(lo, hi):
+            seen[posteriori].append((lo, hi))
+            return np.zeros(lo.shape, dtype=bool)
+
+        settle.posteriori = posteriori
+        S_kept, counts_kept = riccati._doubling_dare(A, G, W, settle)
+        assert np.array_equal(S_kept, S) and np.array_equal(counts_kept, counts)
+    assert len(seen[True]) == counts.max()
+    trace = np.trace(riccati._posteriori(S, C, V, noise), axis1=1, axis2=2)
+    for t, ((lo, hi), (prior_lo, _)) in enumerate(zip(seen[True], seen[False]), 1):
+        live, stopped = trace[counts >= t], counts[counts >= t] == t
+        assert np.all(lo <= live * (1 + ULPS)) and np.all(live <= hi * (1 + ULPS)), t
+        assert np.array_equal(lo[stopped], hi[stopped])  # hi = lo on stopping
+        assert np.all(lo <= prior_lo * (1 + ULPS)), t
+    assert any(np.isfinite(hi).all() and (hi > lo).any() for lo, hi in seen[True])
+    assert any((hi < prior_hi).any() for (_, hi), (_, prior_hi) in zip(seen[True], seen[False]))
 
 
 @pytest.mark.parametrize("q", [6, 10, 14, 18])
@@ -730,3 +769,22 @@ def test_doubling_interval_holds_the_trace_of_stein_runs(seed):
     k, n = 16, int(rng.integers(1, 6))
     F, Q = _stein_stack(rng, k, n, rng.uniform(0.05, 0.99, k))
     _assert_certified(F, None, Q)
+
+
+@pytest.mark.parametrize("q", [6, 10, 14, 18])
+def test_posteriori_interval_holds_the_trace_on_random_solve_stacks(q):
+    rng = np.random.default_rng(700 + q)
+    m = _random_model(rng, q)
+    triples = list(combinations(range(q), 3))
+    for sets in (triples, [tuple(i for i in range(q) if i not in c) for c in triples]):
+        picked = rng.choice(len(sets), min(len(sets), 2 * STACK_CHUNK), replace=False)
+        _assert_certified_posteriori(m.A, m.W, *_nonsingular_members(m.A, m.C, m.V, [sets[i] for i in picked]))
+
+
+@pytest.mark.parametrize("K", [1.0, 30.0, 300.0])
+def test_posteriori_interval_holds_the_trace_on_the_reduction_gadgets(K):
+    inst = X3CInstance(2, ((1, 2, 3), (4, 5, 6), (1, 4, 5)))
+    for build, size in ((build_kfss_gadget, inst.m + 1), (build_kfsa_gadget, None)):
+        m = build(inst, K).model
+        sets = list(combinations(range(m.q), size or m.q - inst.m))
+        _assert_certified_posteriori(m.A, m.W, *_nonsingular_members(m.A, m.C, m.V, sets))
