@@ -332,9 +332,10 @@ def no_instance_transform(rows: np.ndarray) -> NullspaceBasis:
     least one all-zero column (an uncovered element).
 
     The nullspace block starts with the coordinate axes of the zero columns
-    (so the all-ones row vector hits exact 1 entries there) and is completed
-    deterministically from the SVD nullspace; the rowspace block is the SVD
-    row basis.
+    (so the all-ones row vector hits exact 1 entries there), followed by the
+    SVD nullspace of the covered columns; the rowspace block is their SVD
+    row basis.  The axes and the covered columns' basis have disjoint
+    supports, so together they are orthonormal as they stand.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] < 1:
@@ -343,31 +344,11 @@ def no_instance_transform(rows: np.ndarray) -> NullspaceBasis:
     zero_cols = tuple(j for j in range(dim) if not rows[:, j].any())
     if not zero_cols:
         raise NoZeroColumn("every column has a nonzero entry; no uncovered element")
-    _, sv, Vh = np.linalg.svd(rows)
+    covered = [j for j in range(dim) if j not in zero_cols]
+    _, sv, Vh = np.linalg.svd(rows[:, covered])
     cutoff = max(rows.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
     rank = int(np.sum(sv > cutoff))
-    nullity = dim - rank
-
-    basis: list[np.ndarray] = []
-    for j in zero_cols:
-        e = np.zeros(dim)
-        e[j] = 1.0
-        basis.append(e)
-    # complete the nullspace block from the SVD basis, orthogonalizing
-    # against the forced axes in a fixed order (re-orthogonalized once for
-    # tight orthonormality)
-    for cand in Vh[rank:]:
-        v = cand.copy()
-        for _ in range(2):
-            for u in basis:
-                v -= (u @ v) * u
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            basis.append(v / norm)
-        if len(basis) == nullity:
-            break
-    if len(basis) != nullity:
-        raise ArithmeticError("nullspace completion failed; inconsistent numerical rank")
-    N1 = np.column_stack(basis)
-    N2 = Vh[:rank].T
-    return NullspaceBasis(N=np.hstack([N1, N2]), rank=rank, zero_columns=zero_cols)
+    N = np.zeros((dim, dim))
+    N[zero_cols, range(len(zero_cols))] = 1.0
+    N[np.ix_(covered, range(len(zero_cols), dim))] = np.concatenate((Vh[rank:], Vh[:rank])).T
+    return NullspaceBasis(N=N, rank=rank, zero_columns=zero_cols)

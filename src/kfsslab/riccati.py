@@ -33,15 +33,17 @@ A doubling run may also drop members early: every doubling keeps the
 invariant S = A_k' S (I + G_k S)^-1 A_k + H_k, which certifies
 tr H_k <= tr S <= tr H_k / (1 - ||A_k||_F^2), and a caller's ``settle``
 marks the members it no longer needs from these intervals (see
-_doubling_dare).  A settle that asks for the a posteriori metric gets the
-interval of tr post(S), post(X) = (I + X G)^-1 X with the member's first
-G: H_k <= S <= H_k + (hi - lo) I in the Loewner order, and post is
-monotone in it (Anderson & Moore, 1979).  Newton runs, their Stein runs
-included, drop nothing.
+_doubling_dare).  Newton runs, their Stein runs included, drop nothing.
+_solve_detectable alone chooses the metric: with ``posteriori`` it
+returns the measurement-update covariances, and its doubling hands settle
+the interval of tr post(S), post(X) = (I + X G)^-1 X with the member's
+first G: H_k <= S <= H_k + (hi - lo) I in the Loewner order, and post is
+monotone in it (Anderson & Moore, 1979).
 PBH takes one kernel basis of A - lam I per unstable mode and request.
 The update of a nonsingular member solves with the G = C' V^-1 C its
-doubling used; a singular one takes the Joseph form.  The Newton gain and
-the Joseph form share _gain, which shares _pinv_psd with pseudo_inverse_psd.
+doubling used (_g_update); a singular one takes the Joseph form.  The
+Newton gain and the Joseph form share _gain, which shares _pinv_psd with
+pseudo_inverse_psd.
 solve_dare, and every public solver call in the solvers module, tests
 stabilizability once and uncached (check_stabilizable).
 
@@ -134,7 +136,7 @@ def _noise_gain(C: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises NoConvergence instead
-def _doubling_dare(A, G, W, settle=None):
+def _doubling_dare(A, G, W, settle=None, posteriori=False):
     """Structure-preserving doubling for S = A S (I + G S)^-1 A' + W, for
     every member G of the stack G (k x n x n), G = C' V^-1 C.  A and W are
     n x n or stacks broadcast against G.  G = None stands for G = 0 with A a
@@ -159,9 +161,9 @@ def _doubling_dare(A, G, W, settle=None):
     dropped member that has not stopped gets a NaN covariance and is never
     solved further, so it raises nothing.  settle=None makes no extra call.
 
-    A settle whose ``posteriori`` attribute is true gets the interval of the
-    a posteriori trace instead: S - H_k is PSD with trace at most hi - lo,
-    so H_k <= S <= H_k + (hi - lo) I, and post(X) = (I + X G)^-1 X, G the
+    With ``posteriori`` true, settle gets the interval of the a posteriori
+    trace instead: S - H_k is PSD with trace at most hi - lo, so
+    H_k <= S <= H_k + (hi - lo) I, and post(X) = (I + X G)^-1 X, G the
     member's first G, is monotone in the Loewner order, so tr post(H_k) <=
     tr post(S) <= min(hi, tr post(H_k + (hi - lo) I)), the upper end solved
     only where hi is finite.  Both ends widen by n eps hi ||G||_F for the
@@ -169,7 +171,6 @@ def _doubling_dare(A, G, W, settle=None):
     the widening at most on random and gadget stacks), except on stopping.
     """
     k, n = (A if G is None else G).shape[0], A.shape[-1]
-    posteriori = getattr(settle, "posteriori", False)
     first = G if posteriori else None  # the loop rebinds G; the update takes the member's first
     out = np.empty((k, n, n))
     doublings = np.zeros(k, dtype=int)
@@ -203,7 +204,7 @@ def _doubling_dare(A, G, W, settle=None):
             if posteriori:  # tr post(H) and tr post(H + (hi - lo) I), in one solve
                 up = np.flatnonzero(np.isfinite(hi) & ~done)
                 X = np.concatenate((H, H[up] + (hi - lo)[up, None, None] * eye))
-                post = np.trace(np.linalg.solve(eye + X @ np.concatenate((first, first[up])), X), axis1=1, axis2=2)
+                post = np.trace(_g_update(X, np.concatenate((first, first[up]))), axis1=1, axis2=2)
                 slack = np.where(done, 0.0, n * np.finfo(float).eps * hi * _fro(first))  # NaN: G = 0, hi = inf
                 hi[up] = np.minimum(hi[up], post[live.size:]) * (1.0 + slack[up])
                 lo = post[:live.size] * np.fmax(0.0, 1.0 - slack)
@@ -221,6 +222,11 @@ def _doubling_dare(A, G, W, settle=None):
             if not live.size:
                 return out, doublings
     raise NoConvergence("iteration cap reached above tolerance", float(step[0]), MAX_STEPS)
+
+
+def _g_update(X: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """(I + X G)^-1 X, the unsymmetrized G-form update, member by member."""
+    return np.linalg.solve(np.eye(X.shape[-1]) + X @ G, X)
 
 
 def _sym(X: np.ndarray) -> np.ndarray:
@@ -247,7 +253,7 @@ def _pinv_psd(M: np.ndarray) -> np.ndarray:
     from its lower triangle.  Neither M nor the result is symmetrized here;
     callers that want symmetry symmetrize around the call."""
     w, U = np.linalg.eigh(M)
-    inv = 1.0 / np.where(w > PINV_RTOL * np.maximum(w, 1.0), w, np.inf)  # cut-off ones give 0
+    inv = 1.0 / np.where(w > PINV_RTOL, w, np.inf)  # cut-off ones give 0
     return (U * inv[:, None, :]) @ U.transpose(0, 2, 1)
 
 
@@ -311,13 +317,12 @@ def _posteriori(S, C, V, noise) -> np.ndarray:
         return S.copy()
     nonsingular, G = noise
     out = np.empty_like(S)
-    eye = np.eye(S.shape[-1])
     if nonsingular.any():
-        Sn = S[nonsingular]
-        out[nonsingular] = _sym(np.linalg.solve(eye + Sn @ G, Sn))
+        out[nonsingular] = _sym(_g_update(S[nonsingular], G))
     singular = ~nonsingular
     if singular.any():
         S, C, V = S[singular], C[singular], V[singular]
+        eye = np.eye(S.shape[-1])
         K = _gain(eye, S, C, V)
         F = eye - K @ C
         out[singular] = _sym(F @ S @ F.transpose(0, 2, 1) + K @ V @ K.transpose(0, 2, 1))
@@ -327,10 +332,10 @@ def _posteriori(S, C, V, noise) -> np.ndarray:
 def pseudo_inverse_psd(M: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric PSD matrix via eigendecomposition.
 
-    Eigenvalues at or below PINV_RTOL * max(eigenvalue, 1) are treated as
-    zero.  The safeguard keeps informative but small eigenvalues of badly
-    scaled matrices (entries of order h^2 with h large) invertible while
-    still zeroing genuine rank deficiency.
+    Eigenvalues at or below the absolute cutoff PINV_RTOL are treated as
+    zero.  It keeps informative but small eigenvalues of badly scaled
+    matrices (entries of order h^2 with h large, eigenvalues of order
+    1/h^2) invertible while still zeroing genuine rank deficiency.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -417,13 +422,15 @@ def check_stabilizable(A, W) -> None:
         raise StabilizabilityViolation("(A, W^(1/2)) is not stabilizable")
 
 
-def _solve_detectable(A, W, C, V, settle=None) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """A priori covariances, iteration counts and _noise_gain(C, V) for the
-    stacks C (k x p x n) and V (k x p x p), every member detectable.
+def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.ndarray, np.ndarray]:
+    """Covariances and iteration counts for the stacks C (k x p x n) and
+    V (k x p x p), every member detectable: the a priori covariances, or
+    with ``posteriori`` their measurement updates (_posteriori).
 
-    Nonsingular members share one doubling run, which gets ``settle`` (see
-    _doubling_dare; a member it drops has a NaN covariance), and singular
-    ones one Newton run, which drops nothing.  Raises NoConvergence as
+    Nonsingular members share one doubling run, which gets ``settle`` and
+    ``posteriori`` (see _doubling_dare; a member it drops has a NaN
+    covariance), and singular ones one Newton run, which drops nothing.
+    The checks read the a priori covariances: raises NoConvergence as
     _doubling_dare and _newton_dare do; when a member's trace overflows,
     since a score could not tell it from an undetectable member's infinity;
     and when a member's variance falls below W's by more than
@@ -439,7 +446,7 @@ def _solve_detectable(A, W, C, V, settle=None) -> tuple[np.ndarray, np.ndarray, 
     iters = np.zeros(C.shape[0], dtype=int)
     nonsingular, G = noise = _noise_gain(C, V)
     if nonsingular.any():
-        S[nonsingular], iters[nonsingular] = _doubling_dare(A, G, W, settle)
+        S[nonsingular], iters[nonsingular] = _doubling_dare(A, G, W, settle, posteriori)
     if not nonsingular.all():
         S[~nonsingular], iters[~nonsingular] = _newton_dare(A, C[~nonsingular], W, V[~nonsingular])
     shortfall = (W.diagonal() - S.diagonal(axis1=1, axis2=2)).max(axis=1)  # NaN, never below, if dropped
@@ -452,7 +459,7 @@ def _solve_detectable(A, W, C, V, settle=None) -> tuple[np.ndarray, np.ndarray, 
     if huge.size:
         j = huge[0]
         raise NoConvergence("a priori trace overflows the float range", np.inf, int(iters[j]))
-    return S, iters, noise
+    return (_posteriori(S, C, V, noise) if posteriori else S), iters
 
 
 def solve_dare(A, C, W, V) -> SteadyStateResult:
@@ -485,7 +492,7 @@ def solve_dare(A, C, W, V) -> SteadyStateResult:
     check_stabilizable(A, W)
     if not is_detectable(A, C):
         return SteadyStateResult.infinite()
-    S, iters, _ = _solve_detectable(A, W, C[None], V[None])
+    S, iters = _solve_detectable(A, W, C[None], V[None])
     return SteadyStateResult.finite(S[0], int(iters[0]))
 
 

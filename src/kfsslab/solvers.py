@@ -36,9 +36,9 @@ set that is not tied, which cannot tie either.  The search also passes
 a bound, the neutral one for the maximal sets and the best trace for
 each walk level, which drops inside the doubling every member whose
 certified trace interval can neither beat nor tie the optimum (Narendra
-& Fukunaga's monotone bound, 1977; see _ScoreTable._settle); under the
-posteriori metric, H_k <= S <= H_k + (hi - lo) I and the monotone update
-(Anderson & Moore, 1979) give it (see riccati._doubling_dare).  A
+& Fukunaga's monotone bound, 1977; see _ScoreTable._settle).  The table
+passes its metric to the kernel run, which returns covariances and
+certifies intervals in that metric (see riccati._solve_detectable).  A
 dropped member is stored as None: it counts as not tied, and a request
 without a bound, a greedy step or a report, solves it.  Greedy,
 greedy_and_optimal's joint first scoring and the singular-V (Newton)
@@ -156,8 +156,8 @@ class _ScoreTable:
     mode images of that stack.  A call solves the members the table lacks
     in (size, kept, j) order, kept the sensors the filter runs on, as
     stacks of at most STACK_CHUNK members; a chunk pads each kept set to
-    its widest with null sensors, so it is one PBH test, one kernel run
-    and one measurement update.  Stack members are solved independently,
+    its widest with null sensors, so it is one PBH test and one kernel run
+    in the table's metric.  Stack members are solved independently,
     so a stored score is the one a fresh stack, or evaluate_selection to
     round-off, would give.  ``best`` picks the better of some traces (the
     least for a selection, the greatest for an attack), and ``worst`` is
@@ -208,9 +208,7 @@ class _ScoreTable:
             if finite.any():
                 row, col = rows[finite], idx[finite]
                 C, V = self.C[row], self.V[row[:, :, None], col[:, None, :]]
-                S, _, noise = riccati._solve_detectable(A, W, C, V, settle)
-                if self.metric == "posteriori":
-                    S = riccati._posteriori(S, C, V, noise)
+                S, _ = riccati._solve_detectable(A, W, C, V, self.metric == "posteriori", settle)
                 traces[finite] = np.trace(S, axis1=1, axis2=2)
                 diags[finite] = S.diagonal(axis1=1, axis2=2)
             for (_, _, j, s), trace, diag in zip(chunk, traces.tolist(), diags):
@@ -226,8 +224,8 @@ class _ScoreTable:
         finite member once L is infinite.  Both start from ``bound``.
         x -> x +- TIE_REL max(1, x) increases and U >= best >= L, so a
         dropped member's trace is worse than the best and not tied with it.
-        The bound carries across the chunks of the request, and the
-        ``posteriori`` attribute asks for intervals of the table's metric."""
+        The bound carries across the chunks of the request; the intervals
+        are in the table's metric, which the kernel run is told."""
 
         def settle(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             nonlocal bound
@@ -237,7 +235,6 @@ class _ScoreTable:
             bound = U = min(bound, float(hi.min()))
             return lo > U + TIE_REL * max(1.0, U)
 
-        settle.posteriori = self.metric == "posteriori"
         return settle
 
     def report(self, j: int, support, evaluations: int, steps=()) -> SolveReport:
@@ -299,13 +296,18 @@ def _enumerate_feasible(q: int, costs: np.ndarray, budget: float):
     fits a budget of 0.3.  Costs are nonnegative, so enumeration stops at
     the first size whose cheapest subset exceeds the budget.  Sums add
     Python floats left to right, the bits of a sum of numpy scalars (the
-    builtin sum compensates float sums from Python 3.12 on).
+    builtin sum compensates float sums from Python 3.12 on).  The cheapest
+    sum adds the r least costs in ascending order, not in index order, and
+    rounds apart from the set's own sum: each float sum of r nonnegative
+    terms lies within a factor (1 +- eps/2)^(r-1) of the exact one, so a
+    set's sum is at least cheapest (1 - (r - 1) eps), and the stop needs
+    cheapest (1 - 2 r eps), rounded, above the limit.
     """
     limit = budget + 1e-9 * max(1.0, abs(budget))
     cheapest = np.cumsum(np.sort(costs))
     costs = costs.tolist()
     for r in range(q + 1):
-        if r and cheapest[r - 1] > limit:
+        if r and cheapest[r - 1] * (1.0 - 2 * r * np.finfo(float).eps) > limit:
             return
         for combo in combinations(range(q), r):
             total = 0.0

@@ -436,9 +436,9 @@ def _kernel_spy(monkeypatch):
     runs = []
     original = riccati._solve_detectable
 
-    def spy(A, W, C, V, settle=None):
+    def spy(A, W, C, V, posteriori=False, settle=None):
         runs.append(len(C))
-        return original(A, W, C, V, settle)
+        return original(A, W, C, V, posteriori, settle)
 
     monkeypatch.setattr(riccati, "_solve_detectable", spy)
     return runs

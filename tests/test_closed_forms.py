@@ -255,7 +255,7 @@ def test_no_family_subset_takes_more_than_three_newton_steps(family):
                 sets = np.array(list(combinations(range(m.q), r)))
                 C, V = m.C[sets], m.V[sets[:, :, None], sets[:, None, :]]
                 seen = np.array([riccati.is_detectable(m.A, c) for c in C])
-                _, iters, _ = riccati._solve_detectable(m.A, m.W, C[seen], V[seen])
+                _, iters = riccati._solve_detectable(m.A, m.W, C[seen], V[seen])
                 steps += iters.tolist()
     assert len(steps) == {"example1": 315, "example2": 675}[family]
     assert max(steps) <= 3

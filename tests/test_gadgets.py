@@ -259,6 +259,29 @@ def test_transform_requires_zero_column():
         no_instance_transform(np.array([[1.0, 1.0, 1.0]]))
 
 
+def test_transform_of_all_zero_rows_is_the_identity():
+    basis = no_instance_transform(np.zeros((2, 6)))
+    assert basis.rank == 0 and basis.zero_columns == tuple(range(6))
+    assert np.array_equal(basis.N, np.eye(6))
+
+
+def test_transform_is_orthonormal_to_round_off():
+    # the zero columns' axes and the covered columns' SVD basis have
+    # disjoint supports, so N is orthonormal without any completion
+    rng = np.random.default_rng(103)
+    for _ in range(200):
+        m = int(rng.integers(2, 6))
+        dim = 3 * m
+        covered = rng.choice(dim, size=int(rng.integers(3, dim)), replace=False)
+        rows = np.zeros((int(rng.integers(1, m + 2)), dim))
+        for row in rows:
+            row[rng.choice(covered, size=3, replace=False)] = 1.0
+        basis = no_instance_transform(rows)
+        assert np.abs(basis.N.T @ basis.N - np.eye(dim)).max() <= 1e-14
+        assert np.abs(rows @ basis.null_part).max() <= 1e-14
+        assert basis.rank == np.linalg.matrix_rank(rows)
+
+
 def test_transform_random_membership_matrices():
     rng = np.random.default_rng(101)
     done = 0

@@ -1,4 +1,3 @@
-import functools
 import math
 from itertools import combinations, groupby
 
@@ -353,6 +352,12 @@ def test_pruned_enumerator_matches_full_scan():
         assert list(_enumerate_feasible(q, costs, budget)) == full
 
 
+# costs and a budget whose index-order sum of all three sensors equals the
+# budget's limit, 1.4833333333333332, while np.cumsum of the sorted costs
+# reaches 1.4833333333333334
+ROUNDING_COSTS, ROUNDING_BUDGET = (0.7, 0.45, 1 / 3), 1.48333333185
+
+
 def _bit_mask_maximal(q, costs, budget):
     """The feasible count and the maximal sets as a per-sensor bit-mask
     probe finds them, over a full scan that sums numpy scalars: a set is
@@ -386,6 +391,13 @@ def test_maximal_feasible_equals_the_bit_mask_probe():
                 _maximal_feasible(m, costs, budget, attack=bool(k % 2))
             continue
         assert _maximal_feasible(m, costs, budget, attack=bool(k % 2)) == (count, maximal)
+    # the full set sums to the limit in index order, but its costs added in
+    # ascending order round one ulp above it
+    m = validate_model(SystemModel(n=1, q=3, A=np.array([[0.5]]), C=np.ones((3, 1)), W=np.eye(1), V=np.eye(3)))
+    costs = np.array(ROUNDING_COSTS)
+    assert _bit_mask_maximal(3, costs, ROUNDING_BUDGET) == (8, [(0, 1, 2)])
+    for attack in (False, True):
+        assert _maximal_feasible(m, costs, ROUNDING_BUDGET, attack) == (8, [(0, 1, 2)])
 
 
 def _random_solve_model(rng, q):
@@ -411,8 +423,8 @@ def test_exhaustive_on_generic_instances_solves_only_the_maximal_sets(monkeypatc
         for run, metric in ((exhaustive_select, "priori"), (exhaustive_attack, "posteriori")):
             members = []
             original = riccati._solve_detectable
-            monkeypatch.setattr(riccati, "_solve_detectable", lambda A, W, C, V, settle=None: members.append(len(C))
-                                or original(A, W, C, V, settle))
+            monkeypatch.setattr(riccati, "_solve_detectable", lambda A, W, C, V, posteriori=False, settle=None:
+                                members.append(len(C)) or original(A, W, C, V, posteriori, settle))
             report = run(m, np.ones(m.q), 3.0, metric)
             monkeypatch.undo()
             assert members == [64, 56]
@@ -581,9 +593,9 @@ def test_dropping_halves_the_doubling_solves_at_q_18(monkeypatch):
     solved = []
     doubling = riccati._doubling_dare
 
-    def spy(A, G, W, settle=None):
+    def spy(A, G, W, settle=None, posteriori=False):
         assert settle is not None
-        return doubling(A, G, W, lambda lo, hi: solved.append(len(lo)) or settle(lo, hi))
+        return doubling(A, G, W, lambda lo, hi: solved.append(len(lo)) or settle(lo, hi), posteriori)
 
     monkeypatch.setattr(riccati, "_doubling_dare", spy)
     report = exhaustive_select(m, np.ones(m.q), 3.0, "priori")
@@ -594,10 +606,10 @@ def test_dropping_halves_the_doubling_solves_at_q_18(monkeypatch):
 
 @pytest.mark.parametrize("attack", [False, True], ids=["select", "attack"])
 def test_posteriori_dropping_halves_the_doubling_solves_at_q_18(attack, monkeypatch):
-    # the model above under the a posteriori metric, whose settle asks the
-    # doubling for the interval of the updated trace; the spy's wrapper
-    # keeps that request.  The maximal sets are the triples (survivor sets
-    # of 15 sensors for the attack)
+    # the model above under the a posteriori metric, whose doubling hands
+    # settle the interval of the updated trace; the flag is an argument, so
+    # a plain lambda around settle keeps the metric.  The maximal sets are
+    # the triples (survivor sets of 15 sensors for the attack)
     rng = np.random.default_rng(61)
     m = _random_solve_model(rng, 18)
     sets = [tuple(i for i in range(m.q) if i not in c) if attack else c for c in combinations(range(m.q), 3)]
@@ -605,9 +617,9 @@ def test_posteriori_dropping_halves_the_doubling_solves_at_q_18(attack, monkeypa
     solved = []
     doubling = riccati._doubling_dare
 
-    def spy(A, G, W, settle=None):
-        assert settle.posteriori
-        return doubling(A, G, W, functools.wraps(settle)(lambda lo, hi: solved.append(len(lo)) or settle(lo, hi)))
+    def spy(A, G, W, settle=None, posteriori=False):
+        assert posteriori
+        return doubling(A, G, W, lambda lo, hi: solved.append(len(lo)) or settle(lo, hi), posteriori)
 
     monkeypatch.setattr(riccati, "_doubling_dare", spy)
     report = (exhaustive_attack if attack else exhaustive_select)(m, np.ones(m.q), 3.0, "posteriori")
@@ -627,6 +639,16 @@ def test_singular_v_posteriori_exhaustive_drops_nothing():
         for attack in (False, True):
             _, scored, dropped = _settled_exhaustive(m, np.ones(m.q), float(m.q // 2), attack, "posteriori")
             assert scored and not dropped
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_exhaustive_takes_a_set_whose_sorted_costs_round_above_the_budget(metric):
+    costs = np.array(ROUNDING_COSTS)
+    m = validate_model(SystemModel(n=1, q=3, A=np.array([[0.5]]), C=np.ones((3, 1)), W=np.eye(1), V=np.eye(3),
+                                   b=costs, omega=costs))
+    for run in (exhaustive_select, exhaustive_attack):
+        report = run(m, costs, ROUNDING_BUDGET, metric)
+        assert report.chosen.support == (0, 1, 2) and report.evaluations == 9, run.__name__
 
 
 def test_exhaustive_rejects_negative_costs():

@@ -88,7 +88,7 @@ def test_stack_members_stop_at_their_own_rule():
     m = _random_model(np.random.default_rng(8), 11)
     supports = np.array(list(combinations(range(11), 3)))
     C, V = m.C[supports], m.V[supports[:, :, None], supports[:, None, :]]
-    S, iters, _ = riccati._solve_detectable(m.A, m.W, C, V)
+    S, iters = riccati._solve_detectable(m.A, m.W, C, V)
     alone = [riccati.solve_dare(m.A, c, m.W, v) for c, v in zip(C, V)]
     assert iters.tolist() == [res.iterations for res in alone]
     assert len(set(iters.tolist())) > 1  # members freeze at different doublings
@@ -294,13 +294,12 @@ def test_fixed_point_stack_equals_members_alone(case):
         assert len(set(steps.tolist())) > 1
 
 
-@pytest.mark.parametrize("case", ["example1", "example2", "zero-diagonal", "rank-one W"])
-def test_chunk_of_several_sensor_counts_equals_members_alone(case, monkeypatch):
-    # one kernel run over the detectable sets of 1, 2 and 3 sensors with the
-    # model's V (singular, or singular where sensor 1 is in) and the pairs
-    # with V + 0.3 I as well, each padded to 3 sensors as _ScoreTable pads a
-    # chunk: null sensors with a zero row of C and unit, uncorrelated noise
-    m = _singular_model(case)
+def _mixed_chunk(m):
+    """The detectable sets of 1, 2 and 3 sensors with the model's V
+    (singular, or singular where sensor 1 is in) and the pairs with
+    V + 0.3 I as well, each padded to 3 sensors as _ScoreTable pads a
+    chunk: null sensors with a zero row of C and unit, uncorrelated noise.
+    Returns the unpadded (C, V) members and the padded stacks C and V."""
     members = []
     for r, shift in ((1, 0.0), (2, 0.0), (3, 0.0), (2, 0.3)):
         for s in combinations(range(m.q), r):
@@ -312,11 +311,20 @@ def test_chunk_of_several_sensor_counts_equals_members_alone(case, monkeypatch):
     V = np.tile(np.eye(3), (len(members), 1, 1))
     for j, (c, v) in enumerate(members):
         C[j, :len(c)], V[j, :len(c), :len(c)] = c, v
+    return members, C, V
+
+
+@pytest.mark.parametrize("case", ["example1", "example2", "zero-diagonal", "rank-one W"])
+def test_chunk_of_several_sensor_counts_equals_members_alone(case, monkeypatch):
+    # one kernel run over _mixed_chunk's members
+    m = _singular_model(case)
+    members, C, V = _mixed_chunk(m)
     runs = []
     newton = riccati._newton_dare
     monkeypatch.setattr(riccati, "_newton_dare", lambda *a: runs.append(a[1]) or newton(*a))
-    S, iters, (nonsingular, _) = riccati._solve_detectable(m.A, m.W, C, V)
+    S, iters = riccati._solve_detectable(m.A, m.W, C, V)
     monkeypatch.undo()
+    nonsingular, _ = riccati._noise_gain(C, V)
     assert len(runs) == 1 and nonsingular.any() and not nonsingular.all()
     assert {len(c) for (c, _), ok in zip(members, nonsingular) if not ok} == {1, 2, 3}
     for cov, count, (c, v) in zip(S, iters.tolist(), members):
@@ -325,6 +333,20 @@ def test_chunk_of_several_sensor_counts_equals_members_alone(case, monkeypatch):
             assert count == alone.iterations and np.array_equal(cov, alone.cov)
         else:
             assert np.abs(cov - alone.cov).max() <= REL * np.abs(alone.cov).max()
+
+
+@pytest.mark.parametrize("case", ["example1", "example2", "zero-diagonal", "rank-one W"])
+def test_posteriori_solve_is_the_update_of_the_priori_solve(case):
+    # the kernel applies the update itself: the bits of _posteriori of the
+    # a priori stack, doubling and Newton members alike, at the same counts
+    m = _singular_model(case)
+    _, C, V = _mixed_chunk(m)
+    nonsingular, _ = noise = riccati._noise_gain(C, V)
+    assert nonsingular.any() and not nonsingular.all()
+    S, iters = riccati._solve_detectable(m.A, m.W, C, V)
+    post, post_iters = riccati._solve_detectable(m.A, m.W, C, V, posteriori=True)
+    assert np.array_equal(post, riccati._posteriori(S, C, V, noise)) and np.array_equal(post_iters, iters)
+    assert not np.array_equal(post, S)
 
 
 def test_padding_does_not_fool_pbh():
@@ -712,7 +734,7 @@ def _nonsingular_gains(A, C, V, supports):
 
 
 def _assert_certified_posteriori(A, W, C, V):
-    """_assert_certified's twin for a settle that asks for the a posteriori
+    """_assert_certified's twin for a run that hands settle the a posteriori
     interval: every doubling's [lo, hi] of each live member, widened for
     the update's round-off, holds the trace that riccati._posteriori gives
     for that member's final covariance within ULPS, and its lower end is at
@@ -730,8 +752,7 @@ def _assert_certified_posteriori(A, W, C, V):
             seen[posteriori].append((lo, hi))
             return np.zeros(lo.shape, dtype=bool)
 
-        settle.posteriori = posteriori
-        S_kept, counts_kept = riccati._doubling_dare(A, G, W, settle)
+        S_kept, counts_kept = riccati._doubling_dare(A, G, W, settle, posteriori)
         assert np.array_equal(S_kept, S) and np.array_equal(counts_kept, counts)
     assert len(seen[True]) == counts.max()
     trace = np.trace(riccati._posteriori(S, C, V, noise), axis1=1, axis2=2)
