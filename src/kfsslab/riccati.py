@@ -14,10 +14,10 @@ One doubling loop computes it, in one of two ways chosen from the data:
 * Singular V (noiseless sensors): Newton's method on the equation
   (Kleinman 1968; Hewer 1971).  Each step fixes the gain
   K = A S C' (C S C' + V)^+ and solves the closed-loop Stein equation
-  S = F S F' + W + K V K', F = A - K C, by the same doubling with G = None:
-  Smith's squared iteration, with no solve.  It starts from the doubling
-  solution for V + delta I, whose gain is stabilizing, and converges
-  quadratically.
+  S = F S F' + W + K V K', F = A - K C (_stein): one linear system in vec S
+  if n <= STEIN_DIRECT_MAX_N and F is stable, else Smith's doubling with
+  G = None.  It starts from the doubling solution for V + delta I, whose
+  gain is stabilizing, and converges quadratically.
 
 The private helpers work on stacks: arrays of k same-shape members, one
 per sensor subset (C is k x p x n, V is k x p x p), and every batched
@@ -25,7 +25,7 @@ numpy call works member by member.  The public functions are the stack of
 one, so a stack of one width keeps the bits of its members solved alone.
 Subsets of several sizes share a stack when the smaller ones are padded
 with null sensors, as the solvers module pads a chunk: a zero row of C
-with unit noise, uncorrelated with every sensor.  A null sensor adds
+with unit noise, uncorrelated with every other sensor.  A null sensor adds
 exactly 0 to C' V^-1 C, K C, K V K' and every PBH image, so a padded
 member agrees with its lone solve up to the order of the sums over p.
 Each member of a doubling or Newton run stops at its own stopping rule.
@@ -33,7 +33,7 @@ A doubling run may also drop members early: every doubling keeps the
 invariant S = A_k' S (I + G_k S)^-1 A_k + H_k, which certifies
 tr H_k <= tr S <= tr H_k / (1 - ||A_k||_F^2), and a caller's ``settle``
 marks the members it no longer needs from these intervals (see
-_doubling_dare).  Newton runs, their Stein runs included, drop nothing.
+_doubling_dare).  Newton runs, their Stein solves included, drop nothing.
 _solve_detectable alone chooses the metric: with ``posteriori`` it
 returns the measurement-update covariances, and its doubling hands settle
 the interval of tr post(S), post(X) = (I + X G)^-1 X with the member's
@@ -83,11 +83,19 @@ class StabilizabilityViolation(ValueError):
 # closer to the noiseless solution.  On the 990 detectable nonempty subsets
 # of the example families (lambda 0.6-0.99, h 1e-4-1e4) the most Newton
 # steps any member takes are 6 at 1, 4 at 1e-2 and 3 at 1e-3 and 1e-4, and
-# the Stein doublings fall from 14383 to 11385 at 1e-3.  Smaller values cost
-# the start's doubling accuracy: on 3200 random noiseless stacks 14 failed
-# to converge at 1, 11 at 1e-3 and 15 at 1e-4, and from 1e-5 on family
-# subsets fail too (15 of them at 1e-8).
+# the grid's Newton steps fall from 2949 to 2627 at 1e-3.  Smaller values
+# cost the start's doubling accuracy: on 3200 random noiseless stacks (Stein
+# equations by doubling) 14 failed to converge at 1, 11 at 1e-3 and 15 at
+# 1e-4, and from 1e-5 on family subsets fail too (15 of them at 1e-8).
 NEWTON_START_DELTA = 1e-3
+
+# Largest state dimension whose Newton steps solve their Stein equations as
+# one n^2 x n^2 linear system per member, not by Smith's doubling (_stein).
+# Direct vs doubling per stack of k Newton closed loops (2 CPUs, numpy 2.4,
+# OpenBLAS): n = 3, k = 40: 110-180 vs 240-290 us; n = 4, k = 64: 280 vs
+# 285 us, and 510 vs 1130 us on random F of rho 0.9999, which take 18
+# doublings; n = 5, k = 40: 530 vs 320 us.
+STEIN_DIRECT_MAX_N = 4
 
 # Cap on the doublings of each doubling run and on Newton steps.  Both
 # converge quadratically, and 100 doublings are 2^100 fixed-point steps.
@@ -257,6 +265,27 @@ def _pinv_psd(M: np.ndarray) -> np.ndarray:
     return (U * inv[:, None, :]) @ U.transpose(0, 2, 1)
 
 
+def _stein(F, Q) -> np.ndarray:
+    """S = F S F' + Q for every member of the stacks F and Q (k x n x n).
+    A member with n <= STEIN_DIRECT_MAX_N and a finite F of spectral radius
+    below 1 solves (I - F (x) F) vec S = vec Q, one batched solve; any other
+    takes _doubling_dare(F, None, Q) and raises as it does.  Each member
+    picks its own path, so it keeps the bits of its lone solve."""
+    k, n = F.shape[:2]
+    if n > STEIN_DIRECT_MAX_N:
+        return _doubling_dare(F, None, Q)[0]
+    direct = _fro(np.linalg.matrix_power(F, 4)) < 1.0  # rho(F)^4 <= ||F^4||_F: most need no eigvals
+    test = np.flatnonzero(~direct & np.isfinite(F).all(axis=(1, 2)))
+    direct[test] = np.abs(np.linalg.eigvals(F[test])).max(axis=1) < 1.0
+    S = np.empty((k, n, n))
+    f = F[direct]
+    kron = (f[:, :, None, :, None] * f[:, None, :, None, :]).reshape(-1, n * n, n * n)
+    S[direct] = _sym(np.linalg.solve(np.eye(n * n) - kron, Q[direct].reshape(-1, n * n, 1)).reshape(-1, n, n))
+    if not direct.all():
+        S[~direct], _ = _doubling_dare(F[~direct], None, Q[~direct])
+    return S
+
+
 def _gain(A, S, C, V) -> np.ndarray:
     """Filter gain A S C' (C S C' + V)^+ of every member of the stacks
     S (k x n x n), C (k x p x n) and V (k x p x p); A = I gives the
@@ -272,8 +301,8 @@ def _newton_dare(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
 
     Step 1 takes the gain of the doubling solution S_0 for
     V + NEWTON_START_DELTA I, which stabilizes A - K C.  Step j solves
-    S_j = F S_j F' + W + K V K', F = A - K C, as _doubling_dare(F, None, .)
-    and takes the gain K = A S_j C' (C S_j C' + V)^+ for step j + 1.  Step 1
+    S_j = F S_j F' + W + K V K', F = A - K C, by _stein and takes the gain
+    K = A S_j C' (C S_j C' + V)^+ for step j + 1.  Step 1
     is measured from S_0, not from a Newton iterate, so it is never tested.
     From step 2 on a member stops once its step ||S_j - S_j-1||_F is at most
     TOL * max(1, ||S_j||_F), or once a step neither shrinks nor lowers
@@ -291,7 +320,7 @@ def _newton_dare(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
     live = np.arange(k)
     for it in range(1, MAX_STEPS + 1):
         Q = _sym(W + K @ V @ K.transpose(0, 2, 1))
-        S2, _ = _doubling_dare(A - K @ C, None, Q)
+        S2 = _stein(A - K @ C, Q)
         step = _fro(S2 - S)
         trace2 = np.trace(S2, axis1=1, axis2=2)
         S = S2
@@ -425,7 +454,8 @@ def check_stabilizable(A, W) -> None:
 def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.ndarray, np.ndarray]:
     """Covariances and iteration counts for the stacks C (k x p x n) and
     V (k x p x p), every member detectable: the a priori covariances, or
-    with ``posteriori`` their measurement updates (_posteriori).
+    with ``posteriori`` their measurement updates (_posteriori, of the
+    members not dropped).
 
     Nonsingular members share one doubling run, which gets ``settle`` and
     ``posteriori`` (see _doubling_dare; a member it drops has a NaN
@@ -444,7 +474,7 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
     """
     S = np.empty((C.shape[0],) + A.shape)
     iters = np.zeros(C.shape[0], dtype=int)
-    nonsingular, G = noise = _noise_gain(C, V)
+    nonsingular, G = _noise_gain(C, V)
     if nonsingular.any():
         S[nonsingular], iters[nonsingular] = _doubling_dare(A, G, W, settle, posteriori)
     if not nonsingular.all():
@@ -459,7 +489,10 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
     if huge.size:
         j = huge[0]
         raise NoConvergence("a priori trace overflows the float range", np.inf, int(iters[j]))
-    return (_posteriori(S, C, V, noise) if posteriori else S), iters
+    if posteriori:  # the dropped members stay NaN
+        kept = ~np.isnan(S[:, 0, 0])
+        S[kept] = _posteriori(S[kept], C[kept], V[kept], (nonsingular[kept], G[kept[nonsingular]]))
+    return S, iters
 
 
 def solve_dare(A, C, W, V) -> SteadyStateResult:
@@ -497,8 +530,8 @@ def solve_dare(A, C, W, V) -> SteadyStateResult:
 
 
 def warmup() -> None:
-    """Run one tiny singular-V solve, which runs both the doubling and the
-    Newton loop, so that the first timed solve does not pay numpy's one-time
-    set-up costs."""
+    """Run one tiny singular-V solve, which runs the doubling, the Newton
+    loop and its direct Stein solve, so that the first timed solve does not
+    pay numpy's one-time set-up costs."""
     one = np.ones((1, 1, 1))
     _solve_detectable(np.array([[0.5]]), np.eye(1), one, 0.0 * one)

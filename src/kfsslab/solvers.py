@@ -208,6 +208,8 @@ class _ScoreTable:
             if finite.any():
                 row, col = rows[finite], idx[finite]
                 C, V = self.C[row], self.V[row[:, :, None], col[:, None, :]]
+                null = col < 0  # unit, uncorrelated noise: null pairs read V[-1, -1] = 1 too
+                V = np.where(null[:, :, None] & null[:, None, :], np.eye(width), V) if null.any() else V
                 S, _ = riccati._solve_detectable(A, W, C, V, self.metric == "posteriori", settle)
                 traces[finite] = np.trace(S, axis1=1, axis2=2)
                 diags[finite] = S.diagonal(axis1=1, axis2=2)

@@ -244,11 +244,14 @@ def test_every_family_subset_obeys_floor_and_closed_forms(family, lam):
 @pytest.mark.parametrize("family", ["example1", "example2"])
 def test_no_family_subset_takes_more_than_three_newton_steps(family):
     # the Newton start from V + NEWTON_START_DELTA I with delta = 1e-3 is
-    # close enough that every detectable subset of the grid above takes at
-    # most 3 steps (delta = 1 took up to 6); V = 0, so all go through Newton
+    # close enough that every detectable subset of the grid above, and of
+    # lambda = 0.9999 and 0.99999, takes at most 3 steps (delta = 1 took up
+    # to 6); V = 0, so all go through Newton.  The two added lambdas give
+    # closed loops of spectral radius up to 0.99999, the worst conditioned
+    # of the direct Stein solves
     build = EXAMPLE_FORMS[family][0]
     steps = []
-    for lam in (0.6, 0.7, 0.9, 0.95, 0.99):
+    for lam in (0.6, 0.7, 0.9, 0.95, 0.99, 0.9999, 0.99999):
         for h in [10.0**e for e in range(-4, 5)]:
             m = build(lam, h)
             for r in range(1, m.q + 1):
@@ -257,5 +260,5 @@ def test_no_family_subset_takes_more_than_three_newton_steps(family):
                 seen = np.array([riccati.is_detectable(m.A, c) for c in C])
                 _, iters = riccati._solve_detectable(m.A, m.W, C[seen], V[seen])
                 steps += iters.tolist()
-    assert len(steps) == {"example1": 315, "example2": 675}[family]
+    assert len(steps) == {"example1": 441, "example2": 945}[family]
     assert max(steps) <= 3

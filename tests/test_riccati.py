@@ -358,11 +358,13 @@ def _kernel_spy(monkeypatch):
     (np.ones((2, 2)), "_newton_dare"),  # singular without a zero diagonal entry
 ])
 def test_kernel_follows_noise_singularity(monkeypatch, V, kernel):
+    # five states, above STEIN_DIRECT_MAX_N, so Newton's Stein equations
+    # take the doubling
     used = _kernel_spy(monkeypatch)
     p = V.shape[0]
-    A = np.diag([0.9, 0.5])
-    C = np.array([[1.0, 0.0], [1.0, 1.0]])[:p]
-    res = solve_dare(A, C, np.eye(2), V)
+    A = np.diag([0.9, 0.5, 0.7, -0.3, 0.6])
+    C = np.array([[1.0, 0.0, 0.5, 0.0, 0.2], [1.0, 1.0, 0.0, 0.3, 0.0]])[:p]
+    res = solve_dare(A, C, np.eye(5), V)
     if kernel == "_doubling_dare":
         assert used == [kernel]
     else:
@@ -372,7 +374,18 @@ def test_kernel_follows_noise_singularity(monkeypatch, V, kernel):
         assert res.iterations == len(used) - 2 >= 2
     assert res.is_finite
     S = res.cov
-    assert np.linalg.norm(_riccati_step(S, A, C, np.eye(2), V) - S) < 1e-9
+    assert np.linalg.norm(_riccati_step(S, A, C, np.eye(5), V) - S) < 1e-9
+
+
+@pytest.mark.parametrize("V", [np.diag([1.0, 0.0]), np.ones((2, 2))])
+def test_small_newton_solve_runs_the_doubling_only_for_its_start(monkeypatch, V):
+    # two states: every Newton step solves its Stein equation directly
+    used = _kernel_spy(monkeypatch)
+    A = np.diag([0.9, 0.5])
+    C = np.array([[1.0, 0.0], [1.0, 1.0]])
+    res = solve_dare(A, C, np.eye(2), V)
+    assert used == ["_newton_dare", "_doubling_dare"] and res.iterations >= 2
+    assert np.linalg.norm(_riccati_step(res.cov, A, C, np.eye(2), V) - res.cov) < 1e-9
 
 
 def test_stabilizability_verdict_follows_pbh_tol(monkeypatch):

@@ -376,6 +376,27 @@ def test_empty_support_in_a_chunk_of_survivor_sets_keeps_its_bits(metric):
     assert repr(traces[0]) == repr(alone) and np.array_equal(diags[0], alone_diag[0])
 
 
+def test_null_sensors_pad_with_unit_uncorrelated_noise(monkeypatch):
+    # a member padded with two or more null sensors gets an identity noise
+    # block for them, so padding leaves a nonsingular V nonsingular: the 8
+    # singletons of greedy_and_optimal's first scoring, padded to 3 sensors
+    # next to the maximal triples, take the doubling, and no member Newton.
+    # Padded to three, example2's empty selection takes the doubling too,
+    # beside its noiseless triples
+    newton = riccati._newton_dare
+    members = []
+    monkeypatch.setattr(riccati, "_newton_dare", lambda A, C, W, V: members.append(len(C)) or newton(A, C, W, V))
+    m = _random_model(np.random.default_rng(41), 8)
+    ((greedy, optimal, _),) = solvers.greedy_and_optimal([m], 3, "select", "priori")
+    assert members == []
+    for report in (greedy, optimal):
+        assert abs(report.trace - _scalar(m, report.chosen.support, "priori")) <= REL * report.trace
+    m = build_example2(0.9, 0.01)
+    triples = list(combinations(range(m.q), 3))
+    _stack(m, [()] + triples, "priori")
+    assert members == [sum(riccati.is_detectable(m.A, m.C[list(s)]) for s in triples)]
+
+
 def test_fixed_point_raises_no_convergence(monkeypatch):
     m = build_example1(0.9, 1e4)
     monkeypatch.setattr(riccati, "MAX_STEPS", 2)
@@ -451,27 +472,125 @@ def test_stein_doubling_without_a_stable_f_raises_no_convergence():
         assert str(stein.value) == str(zero_g.value)
 
 
-def test_stein_runs_of_a_newton_solve_call_no_linear_solve(monkeypatch):
-    runs = []  # [Stein?, np.linalg.solve calls] of each doubling run, in order
+@pytest.mark.parametrize("seed", range(4))
+def test_direct_stein_solve_agrees_with_the_doubling(seed):
+    # n = 1-4 take the n^2 x n^2 solve.  Its residual stays at round-off
+    # (2.2e-14 relative at worst on 2720 such members, the doubling's 4.9e-13),
+    # and the two agree to 1e-12 relative, scaled by 1 / (1 - rho(F)) as both
+    # lose accuracy to the conditioning near rho = 1 (3.5e-13 scaled, at worst)
+    rng = np.random.default_rng(340 + seed)
+    for n in range(1, riccati.STEIN_DIRECT_MAX_N + 1):
+        radii = np.concatenate([rng.uniform(0.05, 0.99, 8), 1.0 - 10.0 ** -rng.uniform(2, 5, 8), [1.0 - 1e-5]])
+        F, Q = _stein_stack(rng, len(radii), n, radii)
+        S = riccati._stein(F, Q)
+        smith, _ = riccati._doubling_dare(F, None, Q)
+        scale = np.linalg.norm(smith, axis=(1, 2))
+        residual = np.linalg.norm(F @ S @ F.transpose(0, 2, 1) + Q - S, axis=(1, 2))
+        assert np.all(residual <= 1e-13 * scale), (n, residual / scale)
+        gap = np.linalg.norm(S - smith, axis=(1, 2)) / scale
+        assert np.all(gap <= 1e-12 / (1.0 - radii)), (n, gap * (1.0 - radii))
+        assert not np.array_equal(S, smith)  # the direct solve ran
+
+
+@pytest.mark.parametrize("radius, message", [(1.0, "iteration cap"), (1.2, "non-finite")])
+def test_direct_stein_stack_with_an_unstable_member_raises_as_the_doubling(radius, message):
+    # a member with rho(F) >= 1 goes to the doubling, which raises as it
+    # does on the whole stack; the stable members solved alone keep the
+    # bits of their lone solves
+    rng = np.random.default_rng(35)
+    k, n = 6, 3
+    radii = [0.5, 0.9, radius, 0.3, 0.99, 0.7]
+    F, Q = _stein_stack(rng, k, n, radii)
+    if radius == 1.0:  # a cyclic shift, whose powers stay exact
+        F[2] = np.roll(np.eye(n), 1, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NoConvergence, match=message) as direct:
+            riccati._stein(F, Q)
+        with pytest.raises(NoConvergence) as smith:
+            riccati._doubling_dare(F, None, Q)
+    assert str(direct.value) == str(smith.value)
+    stable = np.array(radii) < 1.0
+    S = riccati._stein(F[stable], Q[stable])
+    for cov, f, q in zip(S, F[stable], Q[stable]):
+        assert np.array_equal(cov, riccati._stein(f[None], q[None])[0])
+
+
+def test_direct_stein_solve_is_chosen_member_by_member():
+    # F = diag(1, F3) with Q = diag(0, Q3) never excites the unit mode: the
+    # doubling solves it, the Kronecker system is singular.  Next to direct
+    # members, it takes the doubling and every member keeps its lone bits
+    rng = np.random.default_rng(37)
+    F, Q = _stein_stack(rng, 6, 4, rng.uniform(0.05, 0.99, 6))
+    F[3, 0], F[3, :, 0], Q[3, 0], Q[3, :, 0] = 0.0, 0.0, 0.0, 0.0
+    F[3, 0, 0] = 1.0
+    S = riccati._stein(F, Q)
+    for cov, f, q in zip(S, F, Q):
+        assert np.array_equal(cov, riccati._stein(f[None], q[None])[0])
+    assert np.array_equal(S[3], riccati._doubling_dare(F[3:4], None, Q[3:4])[0][0])
+    assert np.isfinite(S).all() and S[3, 0, 0] == 0.0
+
+
+def test_direct_stein_stack_with_a_non_finite_member_raises_as_the_doubling():
+    # a NaN closed loop has no spectral radius to test (eigvals refuses it):
+    # it goes to the doubling, which reports it
+    rng = np.random.default_rng(36)
+    F, Q = _stein_stack(rng, 8, 4, rng.uniform(0.05, 0.99, 8))
+    F[5] = np.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NoConvergence, match="non-finite") as direct:
+            riccati._stein(F, Q)
+        with pytest.raises(NoConvergence) as smith:
+            riccati._doubling_dare(F, None, Q)
+    assert str(direct.value) == str(smith.value)
+
+
+def _spy_kernel_events(monkeypatch):
+    """A list that records, in order, ("doubling", Stein?) for each doubling
+    run and ("solve", matrix shape) for each np.linalg.solve call."""
+    events = []
     doubling, solve = riccati._doubling_dare, np.linalg.solve
+    monkeypatch.setattr(riccati, "_doubling_dare",
+                        lambda A, G, W: events.append(("doubling", G is None)) or doubling(A, G, W))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: events.append(("solve", a.shape[1:])) or solve(a, b))
+    return events
 
-    def spy_doubling(A, G, W):
-        runs.append([G is None, 0])
-        return doubling(A, G, W)
 
-    def spy_solve(*args):
-        if runs:
+def _runs(events):
+    """[Stein?, np.linalg.solve calls] of each doubling run in ``events``."""
+    runs = []
+    for kind, what in events:
+        if kind == "doubling":
+            runs.append([what, 0])
+        elif runs:
             runs[-1][1] += 1
-        return solve(*args)
+    return runs
 
-    monkeypatch.setattr(riccati, "_doubling_dare", spy_doubling)
-    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+
+def test_stein_runs_of_a_newton_solve_call_no_linear_solve(monkeypatch):
+    # five states, above STEIN_DIRECT_MAX_N: every Newton step solves its
+    # Stein equation by Smith's doubling
+    events = _spy_kernel_events(monkeypatch)
+    rng = np.random.default_rng(23)
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    A = (Q * [0.95, 0.8, -0.6, 0.4, 0.2]) @ Q.T
+    res = riccati.solve_dare(A, rng.standard_normal((2, 5)), np.eye(5), np.zeros((2, 2)))
+    assert res.is_finite and res.iterations >= 2
+    start, *stein = _runs(events)
+    assert start[0] is False and start[1] > 0  # the V + delta I start solves
+    assert len(stein) == res.iterations and all(run == [True, 0] for run in stein)
+
+
+def test_stein_equations_of_a_small_newton_solve_take_one_linear_solve_each(monkeypatch):
+    # three states: the start is the only doubling run, and after its
+    # doublings each Newton step makes one solve, of its 9 x 9 Kronecker system
+    events = _spy_kernel_events(monkeypatch)
     m = build_example1(0.9, 1e4)
     res = riccati.solve_dare(m.A, m.C[:2], m.W, m.V[:2, :2])
     assert res.is_finite and res.iterations >= 2
-    start, *stein = runs
-    assert start[0] is False and start[1] > 0  # the V + delta I start solves
-    assert len(stein) == res.iterations and all(run == [True, 0] for run in stein)
+    (start,) = _runs(events)
+    assert start[0] is False and start[1] > 0
+    assert events[-res.iterations:] == [("solve", (9, 9))] * res.iterations
+    assert ("solve", (9, 9)) not in events[:-res.iterations]
 
 
 @st.composite
