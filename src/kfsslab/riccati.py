@@ -15,9 +15,9 @@ One doubling loop computes it, in one of two ways chosen from the data:
   (Kleinman 1968; Hewer 1971).  Each step fixes the gain
   K = A S C' (C S C' + V)^+ and solves the closed-loop Stein equation
   S = F S F' + W + K V K', F = A - K C (_stein): one linear system in vec S
-  if n <= STEIN_DIRECT_MAX_N and F is stable, else Smith's doubling with
-  G = None.  It starts from the doubling solution for V + delta I, whose
-  gain is stabilizing, and converges quadratically.
+  if n <= STEIN_DIRECT_MAX_N and ||F||_F <= STEIN_DIRECT_MAX_FRO, else
+  Smith's doubling with G = None.  It starts from the doubling solution for
+  V + delta I, whose gain is stabilizing, and converges quadratically.
 
 The private helpers work on stacks: arrays of k same-shape members, one
 per sensor subset (C is k x p x n, V is k x p x p), and every batched
@@ -89,13 +89,19 @@ class StabilizabilityViolation(ValueError):
 # 1e-4, and from 1e-5 on family subsets fail too (15 of them at 1e-8).
 NEWTON_START_DELTA = 1e-3
 
-# Largest state dimension whose Newton steps solve their Stein equations as
-# one n^2 x n^2 linear system per member, not by Smith's doubling (_stein).
-# Direct vs doubling per stack of k Newton closed loops (2 CPUs, numpy 2.4,
-# OpenBLAS): n = 3, k = 40: 110-180 vs 240-290 us; n = 4, k = 64: 280 vs
-# 285 us, and 510 vs 1130 us on random F of rho 0.9999, which take 18
-# doublings; n = 5, k = 40: 530 vs 320 us.
-STEIN_DIRECT_MAX_N = 4
+# A Newton step of a member with at most STEIN_DIRECT_MAX_N states and a
+# closed loop of ||F||_F = phi <= STEIN_DIRECT_MAX_FRO solves its Stein
+# equation as one n^2 x n^2 linear system (_stein).  phi < 1 bounds
+# rho(F) <= phi and cond_2(I - F (x) F) <= (1 + phi^2) / (1 - phi^2), 1e4
+# here.  On an ill-conditioned system the doubling, a sum of PSD terms, is
+# the more accurate (8.7e-12 vs 2.5e-10 off a 40-digit reference at
+# condition 3.5e7); under the bound the two agreed to 1.1e-13 relative on
+# 24000 random members of 1-3 states.  Direct vs doubling per stack of 40
+# (2 CPUs, numpy 2.4, OpenBLAS): 3 states 81-159 vs 271-347 us, 4 states
+# 204-329 vs 309-471 us, 5 states 472-839 vs 251-486 us.  The noiseless
+# models of every benchmark workload have 3 states.
+STEIN_DIRECT_MAX_N = 3
+STEIN_DIRECT_MAX_FRO = 0.9999
 
 # Cap on the doublings of each doubling run and on Newton steps.  Both
 # converge quadratically, and 100 doublings are 2^100 fixed-point steps.
@@ -267,16 +273,14 @@ def _pinv_psd(M: np.ndarray) -> np.ndarray:
 
 def _stein(F, Q) -> np.ndarray:
     """S = F S F' + Q for every member of the stacks F and Q (k x n x n).
-    A member with n <= STEIN_DIRECT_MAX_N and a finite F of spectral radius
-    below 1 solves (I - F (x) F) vec S = vec Q, one batched solve; any other
-    takes _doubling_dare(F, None, Q) and raises as it does.  Each member
-    picks its own path, so it keeps the bits of its lone solve."""
+    The members that STEIN_DIRECT_MAX_N and STEIN_DIRECT_MAX_FRO admit take
+    one batched solve of (I - F (x) F) vec S = vec Q; every other one, a
+    non-finite one included, takes _doubling_dare(F, None, Q) and raises as
+    it does.  Each member picks its own path, so it keeps its lone bits."""
     k, n = F.shape[:2]
     if n > STEIN_DIRECT_MAX_N:
         return _doubling_dare(F, None, Q)[0]
-    direct = _fro(np.linalg.matrix_power(F, 4)) < 1.0  # rho(F)^4 <= ||F^4||_F: most need no eigvals
-    test = np.flatnonzero(~direct & np.isfinite(F).all(axis=(1, 2)))
-    direct[test] = np.abs(np.linalg.eigvals(F[test])).max(axis=1) < 1.0
+    direct = _fro(F) <= STEIN_DIRECT_MAX_FRO
     S = np.empty((k, n, n))
     f = F[direct]
     kron = (f[:, :, None, :, None] * f[:, None, :, None, :]).reshape(-1, n * n, n * n)
@@ -302,8 +306,8 @@ def _newton_dare(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
     Step 1 takes the gain of the doubling solution S_0 for
     V + NEWTON_START_DELTA I, which stabilizes A - K C.  Step j solves
     S_j = F S_j F' + W + K V K', F = A - K C, by _stein and takes the gain
-    K = A S_j C' (C S_j C' + V)^+ for step j + 1.  Step 1
-    is measured from S_0, not from a Newton iterate, so it is never tested.
+    K = A S_j C' (C S_j C' + V)^+ for step j + 1.  Step 1 is measured from
+    S_0, not from a Newton iterate, so it is never tested.
     From step 2 on a member stops once its step ||S_j - S_j-1||_F is at most
     TOL * max(1, ||S_j||_F), or once a step neither shrinks nor lowers
     the trace (the iterates decrease, so that step is round-off), and is
@@ -454,8 +458,7 @@ def check_stabilizable(A, W) -> None:
 def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.ndarray, np.ndarray]:
     """Covariances and iteration counts for the stacks C (k x p x n) and
     V (k x p x p), every member detectable: the a priori covariances, or
-    with ``posteriori`` their measurement updates (_posteriori, of the
-    members not dropped).
+    with ``posteriori`` their measurement updates (_posteriori).
 
     Nonsingular members share one doubling run, which gets ``settle`` and
     ``posteriori`` (see _doubling_dare; a member it drops has a NaN
@@ -474,7 +477,7 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
     """
     S = np.empty((C.shape[0],) + A.shape)
     iters = np.zeros(C.shape[0], dtype=int)
-    nonsingular, G = _noise_gain(C, V)
+    nonsingular, G = noise = _noise_gain(C, V)
     if nonsingular.any():
         S[nonsingular], iters[nonsingular] = _doubling_dare(A, G, W, settle, posteriori)
     if not nonsingular.all():
@@ -489,10 +492,7 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
     if huge.size:
         j = huge[0]
         raise NoConvergence("a priori trace overflows the float range", np.inf, int(iters[j]))
-    if posteriori:  # the dropped members stay NaN
-        kept = ~np.isnan(S[:, 0, 0])
-        S[kept] = _posteriori(S[kept], C[kept], V[kept], (nonsingular[kept], G[kept[nonsingular]]))
-    return S, iters
+    return (_posteriori(S, C, V, noise) if posteriori else S), iters
 
 
 def solve_dare(A, C, W, V) -> SteadyStateResult:

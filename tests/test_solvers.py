@@ -629,32 +629,6 @@ def test_posteriori_dropping_halves_the_doubling_solves_at_q_18(attack, monkeypa
     assert 0 < sum(solved) <= lone / 2
 
 
-def test_posteriori_update_skips_the_dropped_members(monkeypatch):
-    # the a posteriori attack at q = 14 drops most survivor sets inside the
-    # doubling; the measurement update runs on the kept members only, and the
-    # report keeps its bits
-    m = _random_solve_model(np.random.default_rng(67), 14)
-    want = report_to_dict(exhaustive_attack(m, np.ones(m.q), 3.0, "posteriori"))
-    updated, kept, dropped = [], [], []
-    update, solve = riccati._posteriori, riccati._solve_detectable
-
-    def spy_solve(A, W, C, V, posteriori=False, settle=None):
-        S, iters = solve(A, W, C, V, posteriori, settle)
-        nan = np.isnan(S).all(axis=(1, 2))
-        kept.append(int((~nan).sum()))
-        dropped.append(int(nan.sum()))
-        return S, iters
-
-    monkeypatch.setattr(riccati, "_posteriori", lambda S, *rest: updated.append(S) or update(S, *rest))
-    monkeypatch.setattr(riccati, "_solve_detectable", spy_solve)
-    report = exhaustive_attack(m, np.ones(m.q), 3.0, "posteriori")
-    monkeypatch.undo()
-    assert report_to_dict(report) == want
-    assert sum(dropped) > sum(kept) > 0
-    assert sum(len(S) for S in updated) == sum(kept)
-    assert not any(np.isnan(S).any() for S in updated)
-
-
 def test_singular_v_posteriori_exhaustive_drops_nothing():
     # noiseless sensors: every member goes through Newton, which takes no
     # settle, so the a posteriori search drops nothing and equals the full

@@ -472,31 +472,43 @@ def test_stein_doubling_without_a_stable_f_raises_no_convergence():
         assert str(stein.value) == str(zero_g.value)
 
 
+def _frobenius_stack(rng, k, n, norms):
+    """_stein_stack's stacks with F rescaled to the given Frobenius norms."""
+    F, Q = _stein_stack(rng, k, n, np.ones(k))
+    return F * (np.asarray(norms) / np.linalg.norm(F, axis=(1, 2)))[:, None, None], Q
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_direct_stein_solve_agrees_with_the_doubling(seed):
-    # n = 1-4 take the n^2 x n^2 solve.  Its residual stays at round-off
-    # (2.2e-14 relative at worst on 2720 such members, the doubling's 4.9e-13),
-    # and the two agree to 1e-12 relative, scaled by 1 / (1 - rho(F)) as both
-    # lose accuracy to the conditioning near rho = 1 (3.5e-13 scaled, at worst)
+    # n = 1-3: a member with ||F||_F <= STEIN_DIRECT_MAX_FRO takes the
+    # n^2 x n^2 solve, with a residual at round-off; every other member, up
+    # to rho = 1 - 1e-5, takes the doubling.  All agree with the doubling
+    # to 1e-12 relative
     rng = np.random.default_rng(340 + seed)
+    cap = riccati.STEIN_DIRECT_MAX_FRO
     for n in range(1, riccati.STEIN_DIRECT_MAX_N + 1):
         radii = np.concatenate([rng.uniform(0.05, 0.99, 8), 1.0 - 10.0 ** -rng.uniform(2, 5, 8), [1.0 - 1e-5]])
         F, Q = _stein_stack(rng, len(radii), n, radii)
+        near_cap = _frobenius_stack(rng, 8, n, cap * (1.0 - 10.0 ** -rng.uniform(0.5, 4, 8)))
+        F, Q = np.concatenate([F, near_cap[0]]), np.concatenate([Q, near_cap[1]])
+        direct = np.linalg.norm(F, axis=(1, 2)) <= cap
+        assert direct.sum() >= 8 and not direct.all()
         S = riccati._stein(F, Q)
         smith, _ = riccati._doubling_dare(F, None, Q)
         scale = np.linalg.norm(smith, axis=(1, 2))
         residual = np.linalg.norm(F @ S @ F.transpose(0, 2, 1) + Q - S, axis=(1, 2))
-        assert np.all(residual <= 1e-13 * scale), (n, residual / scale)
+        assert np.all(residual[direct] <= 1e-13 * scale[direct]), (n, residual / scale)
         gap = np.linalg.norm(S - smith, axis=(1, 2)) / scale
-        assert np.all(gap <= 1e-12 / (1.0 - radii)), (n, gap * (1.0 - radii))
-        assert not np.array_equal(S, smith)  # the direct solve ran
+        assert np.all(gap <= 1e-12), (n, gap)
+        assert np.array_equal(S[~direct], smith[~direct])
+        assert not np.array_equal(S[direct], smith[direct])  # the direct solve ran
 
 
 @pytest.mark.parametrize("radius, message", [(1.0, "iteration cap"), (1.2, "non-finite")])
 def test_direct_stein_stack_with_an_unstable_member_raises_as_the_doubling(radius, message):
-    # a member with rho(F) >= 1 goes to the doubling, which raises as it
-    # does on the whole stack; the stable members solved alone keep the
-    # bits of their lone solves
+    # a member with rho(F) >= 1 has ||F||_F >= 1 and goes to the doubling,
+    # which raises as it does on the whole stack; the stable members solved
+    # alone keep the bits of their lone solves
     rng = np.random.default_rng(35)
     k, n = 6, 3
     radii = [0.5, 0.9, radius, 0.3, 0.99, 0.7]
@@ -516,25 +528,26 @@ def test_direct_stein_stack_with_an_unstable_member_raises_as_the_doubling(radiu
 
 
 def test_direct_stein_solve_is_chosen_member_by_member():
-    # F = diag(1, F3) with Q = diag(0, Q3) never excites the unit mode: the
+    # F = diag(1, F2) with Q = diag(0, Q2) never excites the unit mode: the
     # doubling solves it, the Kronecker system is singular.  Next to direct
     # members, it takes the doubling and every member keeps its lone bits
     rng = np.random.default_rng(37)
-    F, Q = _stein_stack(rng, 6, 4, rng.uniform(0.05, 0.99, 6))
+    F, Q = _frobenius_stack(rng, 6, 3, rng.uniform(0.05, 0.99, 6))
     F[3, 0], F[3, :, 0], Q[3, 0], Q[3, :, 0] = 0.0, 0.0, 0.0, 0.0
     F[3, 0, 0] = 1.0
     S = riccati._stein(F, Q)
     for cov, f, q in zip(S, F, Q):
         assert np.array_equal(cov, riccati._stein(f[None], q[None])[0])
-    assert np.array_equal(S[3], riccati._doubling_dare(F[3:4], None, Q[3:4])[0][0])
+    smith, _ = riccati._doubling_dare(F, None, Q)
+    assert np.array_equal(S[3], smith[3]) and not np.array_equal(np.delete(S, 3, 0), np.delete(smith, 3, 0))
     assert np.isfinite(S).all() and S[3, 0, 0] == 0.0
 
 
 def test_direct_stein_stack_with_a_non_finite_member_raises_as_the_doubling():
-    # a NaN closed loop has no spectral radius to test (eigvals refuses it):
-    # it goes to the doubling, which reports it
+    # a NaN closed loop has a NaN norm, which fails the direct test: it goes
+    # to the doubling, which reports it
     rng = np.random.default_rng(36)
-    F, Q = _stein_stack(rng, 8, 4, rng.uniform(0.05, 0.99, 8))
+    F, Q = _frobenius_stack(rng, 8, 3, rng.uniform(0.05, 0.99, 8))
     F[5] = np.nan
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NoConvergence, match="non-finite") as direct:
