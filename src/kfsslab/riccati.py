@@ -16,7 +16,7 @@ One doubling loop computes it, in one of two ways chosen from the data:
   K = A S C' (C S C' + V)^+ and solves the closed-loop Stein equation
   S = F S F' + W + K V K', F = A - K C (_stein): one linear system in vec S
   if n <= STEIN_DIRECT_MAX_N and ||F||_F <= STEIN_DIRECT_MAX_FRO, else
-  Smith's doubling with G = None.  It starts from the doubling solution for
+  the G = 0 doubling (Smith's).  It starts from the doubling solution for
   V + delta I, whose gain is stabilizing, and converges quadratically.
 
 The private helpers work on stacks: arrays of k same-shape members, one
@@ -83,10 +83,12 @@ class StabilizabilityViolation(ValueError):
 # closer to the noiseless solution.  On the 990 detectable nonempty subsets
 # of the example families (lambda 0.6-0.99, h 1e-4-1e4) the most Newton
 # steps any member takes are 6 at 1, 4 at 1e-2 and 3 at 1e-3 and 1e-4, and
-# the grid's Newton steps fall from 2949 to 2627 at 1e-3.  Smaller values
-# cost the start's doubling accuracy: on 3200 random noiseless stacks (Stein
-# equations by doubling) 14 failed to converge at 1, 11 at 1e-3 and 15 at
-# 1e-4, and from 1e-5 on family subsets fail too (15 of them at 1e-8).
+# the grid's Newton steps fall from 2949 to 2627 at 1e-3 (2700 at 1e-2).
+# Much smaller values cost the start's doubling accuracy (measured with the
+# direct Stein solve): of 3200 random noiseless models (n, q <= 4, A's
+# eigenvalues in (-1.2, 1.2), sensor gains 1e-3, 1 or 1e3, rank V < q) 13
+# failed to converge at 1, 7 at 1e-2, 12 at 1e-3, 11 at 1e-4 and 22 at
+# 1e-5, and 15 family subsets fail at 1e-8 (none at 1e-7).
 NEWTON_START_DELTA = 1e-3
 
 # A Newton step of a member with at most STEIN_DIRECT_MAX_N states and a
@@ -96,10 +98,12 @@ NEWTON_START_DELTA = 1e-3
 # here.  On an ill-conditioned system the doubling, a sum of PSD terms, is
 # the more accurate (8.7e-12 vs 2.5e-10 off a 40-digit reference at
 # condition 3.5e7); under the bound the two agreed to 1.1e-13 relative on
-# 24000 random members of 1-3 states.  Direct vs doubling per stack of 40
-# (2 CPUs, numpy 2.4, OpenBLAS): 3 states 81-159 vs 271-347 us, 4 states
-# 204-329 vs 309-471 us, 5 states 472-839 vs 251-486 us.  The noiseless
-# models of every benchmark workload have 3 states.
+# 24000 random members of 1-3 states.  Per stack of 40 (2 CPUs, numpy 2.4,
+# OpenBLAS) the direct solve took 65-140 us at 3 states, 149-314 at 4 and
+# 331-847 at 5, the G = 0 doubling 635-1265, 597-1282 and 832-1652 us.  The
+# cap of 3 predates the G = 0 run: a Stein doubling without a solve took
+# 218-525 us at 4 and 5 states.  Every benchmark workload's noiseless models
+# have 3 states.
 STEIN_DIRECT_MAX_N = 3
 STEIN_DIRECT_MAX_FRO = 0.9999
 
@@ -152,10 +156,9 @@ def _noise_gain(C: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises NoConvergence instead
 def _doubling_dare(A, G, W, settle=None, posteriori=False):
     """Structure-preserving doubling for S = A S (I + G S)^-1 A' + W, for
-    every member G of the stack G (k x n x n), G = C' V^-1 C.  A and W are
-    n x n or stacks broadcast against G.  G = None stands for G = 0 with A a
-    stack (k x n x n), the Stein equation S = A S A' + W: its doublings skip
-    the solve and the G update, and give the bits of the G = 0 run.
+    every member G of the stack G (k x n x n), G = C' V^-1 C, or G = 0 for
+    the Stein equation S = A S A' + W.  A and W are n x n or stacks
+    broadcast against G.
 
     With A_0 = A', G_0 = G and H_0 = W, each doubling maps
     A <- A (I+GH)^-1 A, G <- G + A (I+GH)^-1 G A', H <- H + A' H (I+GH)^-1 A;
@@ -184,7 +187,7 @@ def _doubling_dare(A, G, W, settle=None, posteriori=False):
     update's round-off (6e-9 relative on the K = 300 kfss gadget, 1/500 of
     the widening at most on random and gadget stacks), except on stopping.
     """
-    k, n = (A if G is None else G).shape[0], A.shape[-1]
+    k, n = G.shape[0], A.shape[-1]
     first = G if posteriori else None  # the loop rebinds G; the update takes the member's first
     out = np.empty((k, n, n))
     doublings = np.zeros(k, dtype=int)
@@ -195,14 +198,12 @@ def _doubling_dare(A, G, W, settle=None, posteriori=False):
     step = np.full(k, np.inf)
     for it in range(1, MAX_STEPS + 1):
         AkT = Ak.transpose(0, 2, 1)
-        XA = Ak  # the Stein case: (I + 0 H)^-1 A is A
-        if G is not None:
-            try:
-                X = np.linalg.solve(eye + G @ H, np.concatenate((Ak, G), axis=2))
-            except np.linalg.LinAlgError:
-                raise NoConvergence("doubling iterate became non-finite", float(step[0]), it) from None
-            XA = X[:, :, :n]
-            G = _sym(G + Ak @ X[:, :, n:] @ AkT)
+        try:
+            X = np.linalg.solve(eye + G @ H, np.concatenate((Ak, G), axis=2))
+        except np.linalg.LinAlgError:
+            raise NoConvergence("doubling iterate became non-finite", float(step[0]), it) from None
+        XA = X[:, :, :n]
+        G = _sym(G + Ak @ X[:, :, n:] @ AkT)
         H2 = _sym(H + AkT @ H @ XA)
         Ak = Ak @ XA
         step = _fro(H2 - H)
@@ -230,8 +231,7 @@ def _doubling_dare(A, G, W, settle=None, posteriori=False):
             out[live[done]] = H[done]
             doublings[live[done]] = it
             keep = ~done
-            live, Ak, H, step = live[keep], Ak[keep], H[keep], step[keep]
-            G = None if G is None else G[keep]
+            live, Ak, G, H, step = live[keep], Ak[keep], G[keep], H[keep], step[keep]
             first = first[keep] if posteriori else None
             if not live.size:
                 return out, doublings
@@ -275,18 +275,16 @@ def _stein(F, Q) -> np.ndarray:
     """S = F S F' + Q for every member of the stacks F and Q (k x n x n).
     The members that STEIN_DIRECT_MAX_N and STEIN_DIRECT_MAX_FRO admit take
     one batched solve of (I - F (x) F) vec S = vec Q; every other one, a
-    non-finite one included, takes _doubling_dare(F, None, Q) and raises as
-    it does.  Each member picks its own path, so it keeps its lone bits."""
+    non-finite one included, takes the G = 0 doubling run and raises as it
+    does.  Each member picks its own path, so it keeps its lone bits."""
     k, n = F.shape[:2]
-    if n > STEIN_DIRECT_MAX_N:
-        return _doubling_dare(F, None, Q)[0]
-    direct = _fro(F) <= STEIN_DIRECT_MAX_FRO
+    direct = (_fro(F) <= STEIN_DIRECT_MAX_FRO) & (n <= STEIN_DIRECT_MAX_N)
     S = np.empty((k, n, n))
     f = F[direct]
     kron = (f[:, :, None, :, None] * f[:, None, :, None, :]).reshape(-1, n * n, n * n)
     S[direct] = _sym(np.linalg.solve(np.eye(n * n) - kron, Q[direct].reshape(-1, n * n, 1)).reshape(-1, n, n))
     if not direct.all():
-        S[~direct], _ = _doubling_dare(F[~direct], None, Q[~direct])
+        S[~direct], _ = _doubling_dare(F[~direct], np.zeros_like(F[~direct]), Q[~direct])
     return S
 
 
@@ -373,8 +371,6 @@ def pseudo_inverse_psd(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ShapeError(f"expected a square matrix, got {M.shape}")
-    if M.shape[0] == 0:
-        return np.zeros((0, 0))
     return _sym(_pinv_psd(_sym(M[None])))[0]
 
 
@@ -502,9 +498,9 @@ def solve_dare(A, C, W, V) -> SteadyStateResult:
     Nonsingular V (a 0 x 0 V included) is solved by doubling until the
     step falls to TOL relative to max(1, ||S||_F); the result's
     ``iterations`` counts doublings.  Singular V is solved by Newton steps
-    whose Stein equations go through the same doubling, until a step falls
-    to TOL by the same measure or to its round-off floor (see
-    _newton_dare); ``iterations`` counts Newton steps.
+    (_newton_dare; each Stein equation takes a linear solve or the G = 0
+    doubling) until a step falls to TOL by the same measure or to its
+    round-off floor; ``iterations`` counts Newton steps.
 
     Returns the infinite result when (A, C) is undetectable.  Raises
     StabilizabilityViolation when (A, W^{1/2}) is not stabilizable and

@@ -328,8 +328,10 @@ def _maximal_feasible(model: SystemModel, costs, budget: float, attack: bool) ->
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (model.q,):
         raise SolverInputError(f"costs must have length {model.q}")
-    if np.any(costs < 0.0):
-        raise SolverInputError("costs must be nonnegative")
+    if not np.all(costs >= 0.0):  # NaN fails too, and would make its sensor unusable
+        raise SolverInputError("costs must be nonnegative numbers")
+    if math.isnan(budget):  # would enumerate every subset before finding none feasible
+        raise SolverInputError("budget must be a number, got nan")
     feasible = list(_enumerate_feasible(model.q, costs, budget))
     if not feasible:
         raise SolverInputError(f"no feasible {'attack' if attack else 'selection'} within budget")
@@ -404,9 +406,10 @@ def greedy_attack(model: SystemModel, cardinality_budget: int, metric: str) -> S
 def exhaustive_select(model: SystemModel, costs, budget: float, metric: str) -> SolveReport:
     """Exact optimum over every selection within budget.
 
-    Supports arbitrary nonnegative costs (a negative one raises
-    SolverInputError) and real budgets.  Ties resolve to the smallest
-    support, then the lexicographically smallest bit pattern.
+    Supports nonnegative costs and budgets, infinite ones included; a
+    negative cost or a NaN cost or budget raises SolverInputError before
+    any enumeration.  Ties resolve to the smallest support, then the
+    lexicographically smallest bit pattern.
     """
     search = _maximal_feasible(model, costs, budget, attack=False)
     return _exhaustive(_ScoreTable([model], metric, attack=False), 0, *search)

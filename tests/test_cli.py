@@ -98,6 +98,33 @@ def test_solve_rejects_malformed_json(example1_file, tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {key} must be an array of numbers"), key
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"n": 0}, "need n >= 1 and q >= 1, got n=0, q=3"),
+    ({"q": 0}, "need n >= 1 and q >= 1, got n=3, q=0"),
+    ({"b": [1.0, 1.0]}, "b must have length 3, got shape (2,)"),
+    ({"omega": [1.0]}, "omega must have length 3, got shape (1,)"),
+    ({"A": [[0.9, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 0.0]]}, "A contains non-finite entries"),
+    ({"omega": [1.0, math.inf, 1.0]}, "omega contains non-finite entries"),
+    ({"budget_select": math.inf}, "budgets must be finite"),
+    ({"budget_attack": math.nan}, "budgets must be finite"),
+    ({"omega": [1.0, -1.0, 1.0]}, "attack costs must be nonnegative"),
+    ({"W": None}, "instance JSON missing keys: ['W']"),
+    ("[1, 2]", "instance JSON must be an object"),
+], ids=["n-0", "q-0", "b-length", "omega-length", "A-nan", "omega-inf", "budget-inf", "budget-nan",
+        "negative-attack-cost", "missing-key", "not-an-object"])
+def test_invalid_instance_is_input_error(example1_file, tmp_path, capsys, edit, message):
+    # a None value deletes its key; a string replaces the whole file
+    if isinstance(edit, str):
+        text = edit
+    else:
+        data = {**json.loads(example1_file.read_text()), **edit}
+        text = json.dumps({k: v for k, v in data.items() if v is not None})
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run_cli("solve", "--instance", str(bad), "--mode", "select", "--algorithm", "exhaustive") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_solve_missing_file_is_input_error(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert run_cli("solve", "--instance", missing, "--mode", "select", "--algorithm", "greedy") == 1

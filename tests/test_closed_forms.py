@@ -97,6 +97,11 @@ def test_an_overflowing_h_square_is_refused_by_name(predictions):
         predictions(0.9, 1e200)
 
 
+def test_repeated_sensor_msee_needs_a_measurement():
+    with pytest.raises(DomainError, match="n_meas must be >= 1, got 0"):
+        repeated_sensor_msee(0.9, 1.0, 0)
+
+
 def test_repeated_reduces_to_scalar():
     for lam in (0.2, 0.9):
         for noise in (0.0, 3.7, 2e5):

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations, product
 
 import numpy as np
@@ -37,6 +38,8 @@ def test_x3c_validation():
         X3CInstance(1, ((1, 2, 2),))  # repeated element
     with pytest.raises(DomainError):
         X3CInstance(2, ((1, 2, 3),))  # fewer subsets than m
+    with pytest.raises(DomainError, match="m must be >= 1, got 0"):
+        X3CInstance(0, ())
     inst = X3CInstance(1, ((3, 1, 2),))
     assert inst.subsets == ((1, 2, 3),)
     # direct construction: non-integral values are refused, not truncated
@@ -257,6 +260,11 @@ def test_transform_single_row():
 def test_transform_requires_zero_column():
     with pytest.raises(NoZeroColumn):
         no_instance_transform(np.array([[1.0, 1.0, 1.0]]))
+
+
+def test_transform_requires_a_matrix():
+    with pytest.raises(ValueError, match=re.escape("expected an l x 3m matrix, got shape (6,)")):
+        no_instance_transform(np.zeros(6))
 
 
 def test_transform_of_all_zero_rows_is_the_identity():

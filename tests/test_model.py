@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from kfsslab.gadgets import build_example1, build_example2, build_kfss_gadget, X
 from kfsslab.model import (
     AttackVector,
     DimensionMismatch,
+    ModelError,
     NegativeCost,
     NotPSD,
     SelectionVector,
@@ -14,6 +17,7 @@ from kfsslab.model import (
     SystemModel,
     complement,
     loads_model,
+    model_from_dict,
     model_to_dict,
     restrict,
     validate_model,
@@ -62,6 +66,33 @@ def test_negative_cost_rejected():
         validate_model(_raw(budget_attack=-0.5))
 
 
+@pytest.mark.parametrize("overrides, error, message", [
+    (dict(n=0), DimensionMismatch, "need n >= 1 and q >= 1, got n=0, q=3"),
+    (dict(q=0), DimensionMismatch, "need n >= 1 and q >= 1, got n=3, q=0"),
+    (dict(b=np.ones(2)), DimensionMismatch, "b must have length 3, got shape (2,)"),
+    (dict(omega=np.ones(4)), DimensionMismatch, "omega must have length 3, got shape (4,)"),
+    (dict(A=np.diag([0.9, math.nan, 0.0])), ModelError, "A contains non-finite entries"),
+    (dict(V=np.diag([1.0, math.inf, 1.0])), ModelError, "V contains non-finite entries"),
+    (dict(b=np.array([1.0, math.inf, 1.0])), ModelError, "b contains non-finite entries"),
+    (dict(budget_select=math.inf), ModelError, "budgets must be finite"),
+    (dict(budget_attack=math.nan), ModelError, "budgets must be finite"),
+    (dict(omega=np.array([1.0, -1.0, 1.0])), NegativeCost, "attack costs must be nonnegative"),
+], ids=["n-0", "q-0", "b-length", "omega-length", "A-nan", "V-inf", "b-inf", "budget-inf", "budget-nan",
+        "negative-attack-cost"])
+def test_invalid_model_is_rejected(overrides, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        validate_model(_raw(**overrides))
+
+
+def test_instance_json_must_be_an_object_with_every_key():
+    with pytest.raises(ModelError, match=re.escape("instance JSON missing keys: ['W', 'budget_attack']")):
+        model_from_dict({k: v for k, v in model_to_dict(build_example1(0.9, 10.0)).items()
+                         if k not in ("W", "budget_attack")})
+    for text in ("[1, 2]", "3", "null"):
+        with pytest.raises(ModelError, match="^instance JSON must be an object$"):
+            loads_model(text)
+
+
 def test_near_symmetric_w_is_symmetrized_and_clamped():
     W = np.eye(3)
     W[0, 1] = 1e-13  # asymmetric dirt from a text round-trip
@@ -86,6 +117,11 @@ def test_restrict_full_and_empty():
     C_none, V_none = restrict(m, SelectionVector((0, 0, 0)))
     assert C_none.shape == (0, 3)
     assert V_none.shape == (0, 0)
+
+
+def test_restrict_refuses_an_indicator_of_another_length():
+    with pytest.raises(DimensionMismatch, match="indicator has length 2, model has q=3"):
+        restrict(build_example1(0.9, 10.0), SelectionVector((1, 0)))
 
 
 def test_restrict_row_count_and_psd_submatrix():

@@ -136,6 +136,20 @@ def test_pinv_basic_cases():
     assert np.array_equal(pseudo_inverse_psd(np.eye(3)), np.eye(3))
     assert np.array_equal(pseudo_inverse_psd(np.zeros((2, 2))), np.zeros((2, 2)))
     assert pseudo_inverse_psd(np.diag([4.0, 0.0])) == pytest.approx(np.diag([0.25, 0.0]))
+    empty = pseudo_inverse_psd(np.zeros((0, 0)))
+    assert empty.shape == (0, 0) and empty.dtype == float
+
+
+def test_shape_errors_of_solve_dare_and_the_pseudo_inverse():
+    with pytest.raises(ShapeError, match="A and W must be n x n"):
+        solve_dare(np.eye(2), np.ones((1, 2)), np.eye(3), np.eye(1))
+    with pytest.raises(ShapeError, match="C must be p x n with V p x p"):
+        solve_dare(np.eye(2), np.ones((1, 3)), np.eye(2), np.eye(1))
+    with pytest.raises(ShapeError, match="C must be p x n with V p x p"):
+        solve_dare(np.eye(2), np.ones((1, 2)), np.eye(2), np.eye(2))
+    for M in (np.ones((2, 3)), np.ones(3)):
+        with pytest.raises(ShapeError, match="expected a square matrix"):
+            pseudo_inverse_psd(M)
 
 
 def test_pinv_penrose_identity_on_random_psd():

@@ -318,6 +318,40 @@ def test_bad_solver_input_is_rejected(call, match):
         call(build_example1(LAM, 10.0))
 
 
+def _four_sensor_model():
+    return validate_model(SystemModel(
+        n=1, q=4, A=np.array([[0.5]]), C=np.ones((4, 1)), W=np.eye(1), V=np.eye(4),
+        budget_select=4.0, budget_attack=4.0,
+    ))
+
+
+@pytest.mark.parametrize("exhaustive", [exhaustive_select, exhaustive_attack])
+@pytest.mark.parametrize("costs, budget, match", [
+    ([math.nan, 1.0, 1.0, 1.0], 4.0, "costs must be nonnegative numbers"),
+    ([1.0, 1.0, 1.0, 1.0], math.nan, "budget must be a number, got nan"),
+], ids=["nan-cost", "nan-budget"])
+def test_nan_cost_or_budget_is_refused_before_enumeration(monkeypatch, exhaustive, costs, budget, match):
+    # a NaN budget fits no set, so the enumerator would walk every subset
+    # before finding none; a NaN cost silently made its sensor unusable
+    calls = []
+    monkeypatch.setattr(solvers, "combinations", lambda *args: calls.append(args) or combinations(*args))
+    with pytest.raises(SolverInputError, match=match):
+        exhaustive(_four_sensor_model(), np.array(costs), budget, "priori")
+    assert calls == []
+
+
+@pytest.mark.parametrize("exhaustive", [exhaustive_select, exhaustive_attack])
+def test_infinite_cost_or_budget_stays_allowed(exhaustive):
+    m = _four_sensor_model()
+    assert exhaustive(m, np.ones(4), math.inf, "priori").chosen.support == (0, 1, 2, 3)
+    assert exhaustive(m, np.array([math.inf, 1.0, 1.0, 1.0]), 4.0, "priori").chosen.support == (1, 2, 3)
+
+
+def test_trace_ratio_over_a_zero_trace():
+    assert trace_ratio(0.0, 0.0) == 1.0
+    assert trace_ratio(2.0, 0.0) == math.inf
+
+
 def test_report_dict_encodes_infinity():
     m = validate_model(SystemModel(
         n=1, q=1, A=np.array([[1.5]]), C=np.array([[1.0]]),

@@ -424,9 +424,7 @@ def test_stein_doubling_equals_the_zero_g_run_bit_for_bit(seed):
     rng = np.random.default_rng(300 + seed)
     k, n = 12, int(rng.integers(1, 5))
     F, Q = _stein_stack(rng, k, n, rng.uniform(0.05, 0.99, k))
-    S, counts = riccati._doubling_dare(F, None, Q)
-    S0, counts0 = riccati._doubling_dare(F, np.zeros((k, n, n)), Q)
-    assert np.array_equal(S, S0) and np.array_equal(counts, counts0)
+    S, counts = riccati._doubling_dare(F, np.zeros_like(F), Q)
     assert len(set(counts.tolist())) > 1  # members freeze at different doublings
     for cov, f, q in zip(S, F, Q):  # each member solves its Stein equation
         assert np.linalg.norm(f @ cov @ f.T + q - cov) <= 1e-9 * np.linalg.norm(cov)
@@ -465,11 +463,8 @@ def test_stein_doubling_without_a_stable_f_raises_no_convergence():
         if radii[1] == 1.0:  # a cyclic shift, whose powers stay exact
             F[1] = np.roll(np.eye(n), 1, axis=0)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NoConvergence, match=message) as stein:
-                riccati._doubling_dare(F, None, Q)
-            with pytest.raises(NoConvergence) as zero_g:
-                riccati._doubling_dare(F, np.zeros((k, n, n)), Q)
-        assert str(stein.value) == str(zero_g.value)
+            with pytest.raises(NoConvergence, match=message):
+                riccati._doubling_dare(F, np.zeros_like(F), Q)
 
 
 def _frobenius_stack(rng, k, n, norms):
@@ -494,7 +489,7 @@ def test_direct_stein_solve_agrees_with_the_doubling(seed):
         direct = np.linalg.norm(F, axis=(1, 2)) <= cap
         assert direct.sum() >= 8 and not direct.all()
         S = riccati._stein(F, Q)
-        smith, _ = riccati._doubling_dare(F, None, Q)
+        smith, _ = riccati._doubling_dare(F, np.zeros_like(F), Q)
         scale = np.linalg.norm(smith, axis=(1, 2))
         residual = np.linalg.norm(F @ S @ F.transpose(0, 2, 1) + Q - S, axis=(1, 2))
         assert np.all(residual[direct] <= 1e-13 * scale[direct]), (n, residual / scale)
@@ -519,7 +514,7 @@ def test_direct_stein_stack_with_an_unstable_member_raises_as_the_doubling(radiu
         with pytest.raises(NoConvergence, match=message) as direct:
             riccati._stein(F, Q)
         with pytest.raises(NoConvergence) as smith:
-            riccati._doubling_dare(F, None, Q)
+            riccati._doubling_dare(F, np.zeros_like(F), Q)
     assert str(direct.value) == str(smith.value)
     stable = np.array(radii) < 1.0
     S = riccati._stein(F[stable], Q[stable])
@@ -538,7 +533,7 @@ def test_direct_stein_solve_is_chosen_member_by_member():
     S = riccati._stein(F, Q)
     for cov, f, q in zip(S, F, Q):
         assert np.array_equal(cov, riccati._stein(f[None], q[None])[0])
-    smith, _ = riccati._doubling_dare(F, None, Q)
+    smith, _ = riccati._doubling_dare(F, np.zeros_like(F), Q)
     assert np.array_equal(S[3], smith[3]) and not np.array_equal(np.delete(S, 3, 0), np.delete(smith, 3, 0))
     assert np.isfinite(S).all() and S[3, 0, 0] == 0.0
 
@@ -553,35 +548,45 @@ def test_direct_stein_stack_with_a_non_finite_member_raises_as_the_doubling():
         with pytest.raises(NoConvergence, match="non-finite") as direct:
             riccati._stein(F, Q)
         with pytest.raises(NoConvergence) as smith:
-            riccati._doubling_dare(F, None, Q)
+            riccati._doubling_dare(F, np.zeros_like(F), Q)
     assert str(direct.value) == str(smith.value)
 
 
 def _spy_kernel_events(monkeypatch):
     """A list that records, in order, ("doubling", Stein?) for each doubling
-    run and ("solve", matrix shape) for each np.linalg.solve call."""
+    run, a Stein run being one with an all-zero G, ("doublings", count) when
+    it returns, and ("solve", matrix shape) for each np.linalg.solve call."""
     events = []
     doubling, solve = riccati._doubling_dare, np.linalg.solve
-    monkeypatch.setattr(riccati, "_doubling_dare",
-                        lambda A, G, W: events.append(("doubling", G is None)) or doubling(A, G, W))
+
+    def spy(A, G, W):
+        events.append(("doubling", not G.any()))
+        S, counts = doubling(A, G, W)
+        events.append(("doublings", int(counts.max())))
+        return S, counts
+
+    monkeypatch.setattr(riccati, "_doubling_dare", spy)
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: events.append(("solve", a.shape[1:])) or solve(a, b))
     return events
 
 
 def _runs(events):
-    """[Stein?, np.linalg.solve calls] of each doubling run in ``events``."""
+    """[Stein?, np.linalg.solve calls inside the run, doublings] of each
+    doubling run in ``events``."""
     runs = []
     for kind, what in events:
         if kind == "doubling":
-            runs.append([what, 0])
-        elif runs:
+            runs.append([what, 0, None])
+        elif kind == "doublings":
+            runs[-1][2] = what
+        elif runs and runs[-1][2] is None:
             runs[-1][1] += 1
     return runs
 
 
-def test_stein_runs_of_a_newton_solve_call_no_linear_solve(monkeypatch):
+def test_stein_runs_of_a_newton_solve_take_one_linear_solve_per_doubling(monkeypatch):
     # five states, above STEIN_DIRECT_MAX_N: every Newton step solves its
-    # Stein equation by Smith's doubling
+    # Stein equation by the G = 0 doubling, one solve of I + G H per doubling
     events = _spy_kernel_events(monkeypatch)
     rng = np.random.default_rng(23)
     Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
@@ -589,8 +594,8 @@ def test_stein_runs_of_a_newton_solve_call_no_linear_solve(monkeypatch):
     res = riccati.solve_dare(A, rng.standard_normal((2, 5)), np.eye(5), np.zeros((2, 2)))
     assert res.is_finite and res.iterations >= 2
     start, *stein = _runs(events)
-    assert start[0] is False and start[1] > 0  # the V + delta I start solves
-    assert len(stein) == res.iterations and all(run == [True, 0] for run in stein)
+    assert start[0] is False and start[1] == start[2] > 0  # the V + delta I start
+    assert len(stein) == res.iterations and all(run[0] and run[1] == run[2] > 0 for run in stein)
 
 
 def test_stein_equations_of_a_small_newton_solve_take_one_linear_solve_each(monkeypatch):
@@ -601,7 +606,7 @@ def test_stein_equations_of_a_small_newton_solve_take_one_linear_solve_each(monk
     res = riccati.solve_dare(m.A, m.C[:2], m.W, m.V[:2, :2])
     assert res.is_finite and res.iterations >= 2
     (start,) = _runs(events)
-    assert start[0] is False and start[1] > 0
+    assert start[0] is False and start[1] == start[2] > 0
     assert events[-res.iterations:] == [("solve", (9, 9))] * res.iterations
     assert ("solve", (9, 9)) not in events[:-res.iterations]
 
@@ -815,6 +820,25 @@ def test_posteriori_g_form_matches_joseph_and_subtraction(seed):
         assert err.max() <= 1e-10
 
 
+def test_noise_gain_factors_members_one_by_one_after_a_failed_batch(monkeypatch):
+    # V = ones((2, 2)) is singular with a positive diagonal: the batched
+    # Cholesky factorization fails on it, and the members are factored one
+    # by one; only that member is singular, and every other member's G
+    # keeps the bits of its lone _noise_gain
+    rng = np.random.default_rng(720)
+    _, C, V = _posteriori_stack(rng, 8, 3, 2)
+    V[5] = np.ones((2, 2))
+    shapes, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
+    nonsingular, G = riccati._noise_gain(C, V)
+    monkeypatch.undo()
+    assert shapes == [(8, 2, 2)] + [(2, 2)] * 8
+    assert np.array_equal(nonsingular, np.arange(8) != 5)
+    for g, c, v in zip(G, C[nonsingular], V[nonsingular]):
+        alone_ok, alone = riccati._noise_gain(c[None], v[None])
+        assert alone_ok.all() and np.array_equal(g, alone[0])
+
+
 def test_posteriori_stack_mixing_singular_and_nonsingular_equals_members_alone():
     rng = np.random.default_rng(710)
     S, C, V = _posteriori_stack(rng, 12, 4, 3)
@@ -921,7 +945,7 @@ def test_doubling_interval_holds_the_trace_of_stein_runs(seed):
     rng = np.random.default_rng(330 + seed)
     k, n = 16, int(rng.integers(1, 6))
     F, Q = _stein_stack(rng, k, n, rng.uniform(0.05, 0.99, k))
-    _assert_certified(F, None, Q)
+    _assert_certified(F, np.zeros_like(F), Q)
 
 
 @pytest.mark.parametrize("q", [6, 10, 14, 18])
