@@ -231,9 +231,7 @@ def restrict(model: SystemModel, sel: SelectionVector) -> tuple[np.ndarray, np.n
     if sel.q != model.q:
         raise DimensionMismatch(f"indicator has length {sel.q}, model has q={model.q}")
     idx = list(sel.support)
-    C_sel = model.C[idx, :] if idx else np.zeros((0, model.n))
-    V_sel = model.V[np.ix_(idx, idx)] if idx else np.zeros((0, 0))
-    return C_sel, V_sel
+    return model.C[idx, :], model.V[np.ix_(idx, idx)]
 
 
 MODEL_JSON_KEYS = ("n", "q", "A", "C", "W", "V", "b", "omega", "budget_select", "budget_attack")

@@ -23,11 +23,11 @@ The private helpers work on stacks: arrays of k same-shape members, one
 per sensor subset (C is k x p x n, V is k x p x p), and every batched
 numpy call works member by member.  The public functions are the stack of
 one, so a stack of one width keeps the bits of its members solved alone.
-Subsets of several sizes share a stack when the smaller ones are padded
-with null sensors, as the solvers module pads a chunk: a zero row of C
-with unit noise, uncorrelated with every other sensor.  A null sensor adds
-exactly 0 to C' V^-1 C, K C, K V K' and every PBH image, so a padded
-member agrees with its lone solve up to the order of the sums over p.
+Subsets of several sizes share a stack when the smaller ones are padded,
+as the solvers module pads a chunk, with zero rows of C (no index marks
+them) whose noise block is the identity, zero against every sensor.  A
+zero row adds exactly 0 to C' V^-1 C, K C, K V K' and every PBH image, so
+a padded member agrees with its lone solve up to the order of sums over p.
 Each member of a doubling or Newton run stops at its own stopping rule.
 A doubling run may also drop members early: every doubling keeps the
 invariant S = A_k' S (I + G_k S)^-1 A_k + H_k, which certifies
@@ -65,8 +65,8 @@ class ShapeError(ValueError):
 
 class NoConvergence(RuntimeError):
     """A doubling run or the Newton iteration reached MAX_STEPS above
-    tolerance, a doubling iterate became non-finite, a solution's trace
-    overflowed, or a solution fell below W on the diagonal."""
+    tolerance, a doubling iterate became non-finite, a Newton start was
+    singular, or a solution's trace overflowed or its diagonal fell below W's."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(f"{message} (residual {residual:.3e} after {iterations} iterations)")
@@ -101,9 +101,9 @@ NEWTON_START_DELTA = 1e-3
 # 24000 random members of 1-3 states.  Per stack of 40 (2 CPUs, numpy 2.4,
 # OpenBLAS) the direct solve took 65-140 us at 3 states, 149-314 at 4 and
 # 331-847 at 5, the G = 0 doubling 635-1265, 597-1282 and 832-1652 us.  The
-# cap of 3 predates the G = 0 run: a Stein doubling without a solve took
-# 218-525 us at 4 and 5 states.  Every benchmark workload's noiseless models
-# have 3 states.
+# cap stays at 3 although the direct solve is faster at 4 and 5 states: its
+# accuracy was measured at 1-3 states only, and no workload has larger
+# noiseless members (every benchmark workload's have 3 states).
 STEIN_DIRECT_MAX_N = 3
 STEIN_DIRECT_MAX_FRO = 0.9999
 
@@ -133,10 +133,8 @@ def _noise_gain(C: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     does.  A batched factorization fails as a whole when one member is not
     positive definite; the members are then factored one by one.
     """
-    (k, p), n = V.shape[:2], C.shape[2]
-    if p == 0:
-        return np.ones(k, dtype=bool), np.zeros((k, n, n))
-    ok = V.diagonal(axis1=1, axis2=2).min(axis=1) > PINV_RTOL
+    p = V.shape[1]
+    ok = V.diagonal(axis1=1, axis2=2).min(axis=1, initial=np.inf) > PINV_RTOL
     tried = np.flatnonzero(ok)
     try:
         L = np.linalg.cholesky(V[tried])
@@ -147,7 +145,7 @@ def _noise_gain(C: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 L[j] = np.linalg.cholesky(V[m])
             except np.linalg.LinAlgError:
                 pass
-    pivots_ok = L.diagonal(axis1=1, axis2=2).min(axis=1) ** 2 > PINV_RTOL
+    pivots_ok = L.diagonal(axis1=1, axis2=2).min(axis=1, initial=np.inf) ** 2 > PINV_RTOL
     ok[tried] = pivots_ok
     F = np.linalg.solve(L[pivots_ok], C[ok])
     return ok, F.transpose(0, 2, 1) @ F
@@ -310,12 +308,15 @@ def _newton_dare(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
     TOL * max(1, ||S_j||_F), or once a step neither shrinks nor lowers
     the trace (the iterates decrease, so that step is round-off), and is
     frozen.  Returns the stack of covariances and each member's step count;
-    raises NoConvergence when a member reaches MAX_STEPS steps, or as
-    _doubling_dare does.
+    raises NoConvergence on a singular start, before any doubling, when a
+    member reaches MAX_STEPS steps, or as _doubling_dare does.
     """
     k, p, n = C.shape
     start = V + NEWTON_START_DELTA * np.eye(p)
-    S, _ = _doubling_dare(A, _noise_gain(C, start)[1], W)  # start is positive definite
+    factored, G = _noise_gain(C, start)
+    if not factored.all():  # a V that is not PSD, or too large for delta to lift
+        raise NoConvergence(f"Newton start V + {NEWTON_START_DELTA:g} I is not positive definite", np.nan, 0)
+    S, _ = _doubling_dare(A, G, W)
     K = _gain(A, S, C, start)
     out = np.empty((k, n, n))
     steps = np.zeros(k, dtype=int)
@@ -344,8 +345,6 @@ def _newton_dare(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
 def _posteriori(S, C, V, noise) -> np.ndarray:
     """posteriori_from_priori for every member of the stacks S (k x n x n),
     C (k x p x n) and V (k x p x p), given noise = _noise_gain(C, V)."""
-    if C.shape[1] == 0:
-        return S.copy()
     nonsingular, G = noise
     out = np.empty_like(S)
     if nonsingular.any():
@@ -405,16 +404,16 @@ def _detectable(images: list, idx: np.ndarray) -> np.ndarray:
     """is_detectable for the members idx (k x p rows of C), images =
     _mode_images(A, C).  [A - lam I; C_S] x = 0 iff x is in ker(A - lam I)
     and in ker C_S, so S sees lam iff C_S N has full column rank: every
-    singular value above PBH_TOL.  A simple mode sums the q-vector |C v|^2.
-    A negative index pads a member: it reads the zero last row of every
-    image and does not count as a sensor."""
+    singular value above PBH_TOL.  A simple mode sums the q-vector |C v|^2,
+    a multiple one counts the rows that see it first: a zero row of C, such
+    as a pad, adds nothing to either, and no index or sign is special."""
     ok = np.ones(len(idx), dtype=bool)
     for image in images:
         r = image.shape[1]
         if r == 1:
             ok &= np.sqrt((np.abs(image[:, 0]) ** 2)[idx].sum(axis=1)) > PBH_TOL
-        elif r:  # fewer sensors than kernel directions never have full rank
-            ok &= (idx >= 0).sum(axis=1) >= r
+        elif r:  # fewer rows that see the mode than kernel directions never have full rank
+            ok &= (image[idx] != 0).any(axis=2).sum(axis=1) >= r
             if r <= idx.shape[1]:
                 ok &= np.linalg.svd(image[idx], compute_uv=False)[:, -1] > PBH_TOL
     return ok
@@ -505,9 +504,10 @@ def solve_dare(A, C, W, V) -> SteadyStateResult:
     Returns the infinite result when (A, C) is undetectable.  Raises
     StabilizabilityViolation when (A, W^{1/2}) is not stabilizable and
     NoConvergence when a doubling run or the Newton iteration reaches
-    MAX_STEPS above tolerance, a doubling iterate turns non-finite, or the
-    solution's trace overflows or its variance falls below W's (see
-    _solve_detectable).
+    MAX_STEPS above tolerance, a doubling iterate turns non-finite, the
+    Newton start V + NEWTON_START_DELTA I is singular (V is not PSD, or too
+    large for the delta to count), or the solution's trace overflows or its
+    variance falls below W's (see _solve_detectable).
     """
     A = np.ascontiguousarray(A, dtype=float)
     C = np.ascontiguousarray(C, dtype=float)

@@ -20,9 +20,9 @@ for all its models, so a run solves each survivor set at most once per
 model.  The table solves in stacks: all candidates of one greedy step, or
 all the sets an exhaustive search reads at once, go to the riccati
 module's batched kernels in chunks of at most STACK_CHUNK members.  A
-chunk pads its smaller sets with a null sensor, so it is one (C, V) stack
-and one kernel run; a padded member agrees with its lone solve to
-round-off, and any other keeps its bits.
+chunk pads its smaller sets with null sensors, one per pad slot, so it is
+one (C, V) stack and one kernel run; a padded member agrees with its lone
+solve to round-off, and any other keeps its bits.
 greedy_and_optimal takes a sequence of models that share A and W, such as
 a sweep's grid points: both drivers of every model read the table, and
 the sets both are known to read are scored for all models at once, in
@@ -151,17 +151,18 @@ class _ScoreTable:
 
     The constructor checks the metric, tests once that (A, W^1/2) is
     stabilizable and that the models share A, W and the sensor count, and
-    stacks their rows of C and V, then the null sensor (-1), a zero row of
-    C with unit, uncorrelated noise (see the riccati module), with the PBH
-    mode images of that stack.  A call solves the members the table lacks
-    in (size, kept, j) order, kept the sensors the filter runs on, as
-    stacks of at most STACK_CHUNK members; a chunk pads each kept set to
-    its widest with null sensors, so it is one PBH test and one kernel run
-    in the table's metric.  Stack members are solved independently,
-    so a stored score is the one a fresh stack, or evaluate_selection to
-    round-off, would give.  ``best`` picks the better of some traces (the
-    least for a selection, the greatest for an attack), and ``worst`` is
-    the neutral bound, which no trace is worse than."""
+    stacks their rows of C and V, then q null sensors -1 ... -q: zero rows
+    of C whose noise is an identity block, zero against every real sensor,
+    with the PBH mode images of that stack.  A call solves the members the
+    table lacks in (size, kept, j) order, kept the sensors the filter runs
+    on, as stacks of at most STACK_CHUNK members; a chunk pads each kept
+    set to its widest with null sensors -1, -2, ..., whose V then reads
+    block-diag(V_kept, I), so it is one PBH test and one kernel run in the
+    table's metric.  Stack members are solved independently, so a stored
+    score is the one a fresh stack, or evaluate_selection to round-off,
+    would give.  ``best`` picks the better of some traces (the least for a
+    selection, the greatest for an attack), and ``worst`` is the neutral
+    bound, which no trace is worse than."""
 
     def __init__(self, models, metric: str, attack: bool):
         _check_metric(metric)
@@ -172,10 +173,10 @@ class _ScoreTable:
             raise ValueError("models scored together must share A, W and the sensor count")
         self.models, self.metric, self.attack = models, metric, attack
         self.best, self.worst = (max, -math.inf) if attack else (min, math.inf)
-        self.C = np.concatenate([m.C for m in models] + [np.zeros((1, model.n))])
-        self.V = np.zeros((len(self.C), model.q + 1))
-        self.V[:-1, :-1] = np.concatenate([m.V for m in models])
-        self.V[-1, -1] = 1.0
+        self.C = np.concatenate([m.C for m in models] + [np.zeros((model.q, model.n))])
+        self.V = np.zeros((len(self.C), 2 * model.q))
+        self.V[:-model.q, :model.q] = np.concatenate([m.V for m in models])
+        self.V[-model.q:, model.q:] = np.eye(model.q)
         self.images = riccati._mode_images(model.A, self.C)
         self.scores: dict[tuple[int, tuple[int, ...]], tuple[float, np.ndarray] | None] = {}
 
@@ -197,8 +198,9 @@ class _ScoreTable:
         for lo in range(0, len(missing), STACK_CHUNK):
             chunk = missing[lo:lo + STACK_CHUNK]
             width = chunk[-1][0]  # sizes ascend
-            idx = np.array([kept + (-1,) * (width - size) for size, kept, _, _ in chunk], dtype=np.intp)
-            rows = np.where(idx < 0, -1, idx + [[j * q] for _, _, j, _ in chunk])
+            pads = tuple(range(-1, -width - 1, -1))  # one null sensor per pad slot
+            idx = np.array([kept + pads[:width - size] for size, kept, _, _ in chunk], dtype=np.intp)
+            rows = np.where(idx < 0, idx, idx + [[j * q] for _, _, j, _ in chunk])
             finite = riccati._detectable(self.images, rows)
             if settle is not None and not finite.all():
                 unseen = np.full(len(chunk) - finite.sum(), math.inf)
@@ -208,8 +210,6 @@ class _ScoreTable:
             if finite.any():
                 row, col = rows[finite], idx[finite]
                 C, V = self.C[row], self.V[row[:, :, None], col[:, None, :]]
-                null = col < 0  # unit, uncorrelated noise: null pairs read V[-1, -1] = 1 too
-                V = np.where(null[:, :, None] & null[:, None, :], np.eye(width), V) if null.any() else V
                 S, _ = riccati._solve_detectable(A, W, C, V, self.metric == "posteriori", settle)
                 traces[finite] = np.trace(S, axis1=1, axis2=2)
                 diags[finite] = S.diagonal(axis1=1, axis2=2)

@@ -23,7 +23,7 @@ from kfsslab.riccati import (
     pseudo_inverse_psd,
     solve_dare,
 )
-from kfsslab.solvers import evaluate_selection, exhaustive_select, greedy_and_optimal, greedy_select
+from kfsslab.solvers import evaluate_selection, exhaustive_select, greedy_and_optimal, greedy_attack, greedy_select
 
 EMPTY_V = np.zeros((0, 0))
 
@@ -86,6 +86,9 @@ def test_posteriori_empty_selection_is_identity_update():
     Sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
     post = posteriori_from_priori(Sigma, np.zeros((0, 2)), EMPTY_V)
     assert np.array_equal(post, Sigma)
+    # symmetrized, as every update is
+    post = posteriori_from_priori(np.array([[2.0, 1.0], [0.0, 3.0]]), np.zeros((0, 2)), EMPTY_V)
+    assert np.array_equal(post, [[2.0, 0.5], [0.5, 3.0]])
 
 
 def test_posteriori_shape_errors():
@@ -350,6 +353,54 @@ def test_doubling_cap_raises_no_convergence(monkeypatch):
         solve_dare(A, C, W, V)
     assert exc.value.iterations == 2
     assert exc.value.residual > 0
+
+
+def test_a_singular_doubling_system_raises_no_convergence():
+    # G = -I is not PSD, as every C' V^-1 C is, so I + G H = 0 at the first doubling
+    with pytest.raises(NoConvergence, match="doubling iterate became non-finite") as exc:
+        riccati._doubling_dare(np.zeros((1, 1)), -np.eye(1)[None], np.eye(1))
+    assert exc.value.iterations == 1
+
+
+def test_newton_cap_raises_no_convergence(monkeypatch):
+    # A = 0: the start's doubling stops after one doubling, and step 1 is never tested
+    monkeypatch.setattr(riccati, "MAX_STEPS", 1)
+    with pytest.raises(NoConvergence, match="iteration cap reached above tolerance") as exc:
+        solve_dare(np.zeros((1, 1)), np.eye(1), np.eye(1), np.zeros((1, 1)))
+    assert exc.value.iterations == 1
+
+
+DIAG_A = np.diag([0.5, 0.3])
+
+
+@pytest.mark.parametrize("V", [[[-1.0]], [[math.nan]], 1e14 * np.ones((2, 2))])
+def test_a_newton_start_that_cannot_be_factored_raises_no_convergence(V):
+    # V + NEWTON_START_DELTA I is not positive definite: V is not PSD, or
+    # 1e14 + 1e-3 rounds to 1e14, so the rank-one V keeps its rank
+    V = np.array(V)
+    p = V.shape[0]
+    with pytest.raises(NoConvergence, match="Newton start") as exc:
+        solve_dare(DIAG_A[:p, :p], np.eye(p), np.eye(p), V)
+    assert exc.value.iterations == 0
+
+
+def test_a_stack_member_does_not_borrow_another_members_newton_start():
+    # alone, the second member raises; in a stack it must not take the first's start
+    C = np.stack([np.eye(2)] * 2)
+    V = np.stack([np.zeros((2, 2)), 1e14 * np.ones((2, 2))])
+    with pytest.raises(NoConvergence, match="Newton start"):
+        riccati._solve_detectable(DIAG_A, np.eye(2), C, V)
+
+
+@pytest.mark.parametrize("run", [
+    lambda m: exhaustive_select(m, m.b, 2.0, "priori"),
+    lambda m: greedy_attack(m, 0, "posteriori"),
+], ids=["exhaustive_select", "greedy_attack"])
+def test_solvers_refuse_a_noise_that_is_not_psd(run):
+    # an unvalidated model: V = -I reaches the Newton start unchanged
+    m = SystemModel(n=2, q=2, A=DIAG_A, C=np.eye(2), W=np.eye(2), V=-np.eye(2))
+    with pytest.raises(NoConvergence, match="Newton start"):
+        run(m)
 
 
 def _kernel_spy(monkeypatch):

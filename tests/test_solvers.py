@@ -760,12 +760,12 @@ def test_mode_images_are_computed_once_per_table(mode, monkeypatch):
         for metric in METRICS:
             greedy_and_optimal([m, m], 2, mode, metric)
         monkeypatch.undo()
-        # one per request's table, of both models' rows and the null sensor,
-        # and one per call for its stabilizability test, whose PBH test of
-        # (A', W^1/2) goes through _mode_images too
-        tables = [(A, C) for A, C in calls if C.shape == (2 * m.q + 1, m.n)]
+        # one per request's table, of both models' rows and the q null
+        # sensors, and one per call for its stabilizability test, whose PBH
+        # test of (A', W^1/2) goes through _mode_images too
+        tables = [(A, C) for A, C in calls if C.shape == (3 * m.q, m.n)]
         assert len(tables) == len(METRICS) and all(A is m.A for A, _ in tables)
-        assert all(np.array_equal(C, np.concatenate([m.C, m.C, np.zeros((1, m.n))])) for _, C in tables)
+        assert all(np.array_equal(C, np.concatenate([m.C, m.C, np.zeros((m.q, m.n))])) for _, C in tables)
         assert len(calls) == 2 * len(METRICS)
 
 
