@@ -5,18 +5,25 @@ The a priori covariance is the stabilizing solution of
 
     S = A S A' + W - A S C' (C S C' + V)^+ C S A'.
 
-One doubling loop computes it, in one of two ways chosen from the data:
+One doubling loop computes it, in one of three ways chosen from the data:
 
 * Nonsingular V (including the empty selection's 0 x 0 V): the equation is
   S = A S (I + G S)^-1 A' + W with G = C' V^-1 C, solved by the
   structure-preserving doubling algorithm (Chu, Fan & Lin; Anderson & Moore,
   Optimal Filtering, 1979), which converges quadratically.
-* Singular V (noiseless sensors): Newton's method on the equation
-  (Kleinman 1968; Hewer 1971).  Each step fixes the gain
-  K = A S C' (C S C' + V)^+ and solves the closed-loop Stein equation
-  S = F S F' + W + K V K', F = A - K C (_stein): one linear system in vec S
-  if n <= STEIN_DIRECT_MAX_N and ||F||_F <= STEIN_DIRECT_MAX_FRO, else
-  the G = 0 doubling (Smith's).  It starts from the doubling solution for
+* Singular V (noiseless sensors) with W nonsingular: the perfect-measurement
+  reduction (Bryson & Johansen, 1965; Anderson & Moore, 1979).  Rows
+  scaled to unit norm split V into noisy rows and noiseless ones (_split);
+  the noiseless rows' next value measures C0 A x with noise C0 w, and
+  decorrelating it from the process noise leaves an ordinary problem with
+  nonsingular noise, which the same doubling solves (_reduced_dare).  The
+  rank decisions are made once per member and do not depend on the scale
+  of a measurement (a row of C and V's row and column alike).
+* Singular V with W singular, or a V the reduction refuses (not finite, not
+  PSD): Newton's method on the equation (Kleinman 1968; Hewer 1971).  Each
+  step fixes the gain K = A S C' (C S C' + V)^+ and solves the closed-loop
+  Stein equation S = F S F' + W + K V K', F = A - K C, as the G = 0
+  doubling (Smith's, _stein).  It starts from the doubling solution for
   V + delta I, whose gain is stabilizing, and converges quadratically.
 
 The private helpers work on stacks: arrays of k same-shape members, one
@@ -27,13 +34,15 @@ Subsets of several sizes share a stack when the smaller ones are padded,
 as the solvers module pads a chunk, with zero rows of C (no index marks
 them) whose noise block is the identity, zero against every sensor.  A
 zero row adds exactly 0 to C' V^-1 C, K C, K V K' and every PBH image, so
-a padded member agrees with its lone solve up to the order of sums over p.
+a padded member agrees with its lone solve up to the order of sums over p;
+the reduction's decompositions leave such rows out, and a padded member
+keeps its lone bits there.
 Each member of a doubling or Newton run stops at its own stopping rule.
-A doubling run may also drop members early: every doubling keeps the
-invariant S = A_k' S (I + G_k S)^-1 A_k + H_k, which certifies
+The nonsingular doubling run may also drop members early: every doubling
+keeps the invariant S = A_k' S (I + G_k S)^-1 A_k + H_k, which certifies
 tr H_k <= tr S <= tr H_k / (1 - ||A_k||_F^2), and a caller's ``settle``
 marks the members it no longer needs from these intervals (see
-_doubling_dare).  Newton runs, their Stein solves included, drop nothing.
+_doubling_dare).  Reduced and Newton runs drop nothing.
 _solve_detectable alone chooses the metric: with ``posteriori`` it
 returns the measurement-update covariances, and its doubling hands settle
 the interval of tr post(S), post(X) = (I + X G)^-1 X with the member's
@@ -41,16 +50,18 @@ first G: H_k <= S <= H_k + (hi - lo) I in the Loewner order, and post is
 monotone in it (Anderson & Moore, 1979).
 PBH takes one kernel basis of A - lam I per unstable mode and request.
 The update of a nonsingular member solves with the G = C' V^-1 C its
-doubling used (_g_update); a singular one takes the Joseph form.  The
-Newton gain and the Joseph form share _gain, which shares _pinv_psd with
-pseudo_inverse_psd.
+doubling used (_g_update); a singular one that _split takes is updated
+exactly by its noiseless rows, then by G1 = C1' V1^-1 C1 (_posteriori);
+any other takes the Joseph form.  The Newton gain and the Joseph form share
+_gain, which shares _pinv_psd with pseudo_inverse_psd.
 solve_dare, and every public solver call in the solvers module, tests
 stabilizability once and uncached (check_stabilizable).
 
 Three module constants hold the tolerances: TOL (the stopping rule),
-PINV_RTOL (the pseudo-inverse cutoff, which also decides whether V is
-singular) and PBH_TOL (the detectability test).  Every function reads them
-from the module when it runs; no function takes a tolerance argument.
+PINV_RTOL (the pseudo-inverse cutoff, and the cutoff of every rank
+decision: whether V or W is singular, and which rows are noiseless) and
+PBH_TOL (the detectability test).  Every function reads them from the
+module when it runs; no function takes a tolerance argument.
 """
 
 from __future__ import annotations
@@ -64,9 +75,11 @@ class ShapeError(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """A doubling run or the Newton iteration reached MAX_STEPS above
-    tolerance, a doubling iterate became non-finite, a Newton start was
-    singular, or a solution's trace overflowed or its diagonal fell below W's."""
+    """A doubling run (nonsingular, reduced or Stein) or the Newton
+    iteration reached MAX_STEPS above tolerance, a doubling iterate became
+    non-finite, a Newton start was singular (a V that is not finite or not
+    PSD reaches it), or a solution's trace overflowed or its diagonal fell
+    below W's."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(f"{message} (residual {residual:.3e} after {iterations} iterations)")
@@ -78,7 +91,8 @@ class StabilizabilityViolation(ValueError):
     pass
 
 
-# Noise added to a singular V for the Newton start.  In exact arithmetic any
+# Noise added to a singular V for the Newton start, which only members the
+# perfect-measurement reduction refuses reach.  In exact arithmetic any
 # value above zero gives a stabilizing first gain, and a smaller one starts
 # closer to the noiseless solution.  On the 990 detectable nonempty subsets
 # of the example families (lambda 0.6-0.99, h 1e-4-1e4) the most Newton
@@ -91,22 +105,6 @@ class StabilizabilityViolation(ValueError):
 # 1e-5, and 15 family subsets fail at 1e-8 (none at 1e-7).
 NEWTON_START_DELTA = 1e-3
 
-# A Newton step of a member with at most STEIN_DIRECT_MAX_N states and a
-# closed loop of ||F||_F = phi <= STEIN_DIRECT_MAX_FRO solves its Stein
-# equation as one n^2 x n^2 linear system (_stein).  phi < 1 bounds
-# rho(F) <= phi and cond_2(I - F (x) F) <= (1 + phi^2) / (1 - phi^2), 1e4
-# here.  On an ill-conditioned system the doubling, a sum of PSD terms, is
-# the more accurate (8.7e-12 vs 2.5e-10 off a 40-digit reference at
-# condition 3.5e7); under the bound the two agreed to 1.1e-13 relative on
-# 24000 random members of 1-3 states.  Per stack of 40 (2 CPUs, numpy 2.4,
-# OpenBLAS) the direct solve took 65-140 us at 3 states, 149-314 at 4 and
-# 331-847 at 5, the G = 0 doubling 635-1265, 597-1282 and 832-1652 us.  The
-# cap stays at 3 although the direct solve is faster at 4 and 5 states: its
-# accuracy was measured at 1-3 states only, and no workload has larger
-# noiseless members (every benchmark workload's have 3 states).
-STEIN_DIRECT_MAX_N = 3
-STEIN_DIRECT_MAX_FRO = 0.9999
-
 # Cap on the doublings of each doubling run and on Newton steps.  Both
 # converge quadratically, and 100 doublings are 2^100 fixed-point steps.
 MAX_STEPS = 100
@@ -115,8 +113,12 @@ MAX_STEPS = 100
 # relative to max(1, ||S||_F).
 TOL = 1e-11
 
-# Eigenvalue cutoff of the PSD pseudo-inverse; a V with a Cholesky pivot
-# squared at or below it counts as singular.
+# Eigenvalue cutoff of the PSD pseudo-inverse.  A V with a diagonal entry
+# or a Cholesky pivot squared at or below PINV_RTOL * max(1, V_ii) counts as
+# singular, and a W with an eigenvalue at or below PINV_RTOL * max(1,
+# largest).  The reduction counts a measurement noiseless when its noise
+# per squared gain is at most PINV_RTOL (_split), and keeps the noiseless
+# directions whose singular values are above PINV_RTOL times the largest.
 PINV_RTOL = 1e-12
 
 # Rank tolerance of the PBH detectability test.
@@ -127,14 +129,17 @@ def _noise_gain(C: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which members of the stacks C (k x p x n) and V (k x p x p) have a
     nonsingular V, and G = C' V^-1 C of each of those, in stack order.
 
-    V is PSD, so a diagonal entry at or below the pseudo-inverse cutoff
-    already makes a member singular without a factorization; otherwise a
-    failed Cholesky factorization or a pivot squared at or below the cutoff
-    does.  A batched factorization fails as a whole when one member is not
-    positive definite; the members are then factored one by one.
+    A member is singular when a diagonal entry V_ii, or the squared
+    Cholesky pivot of row i, is at or below PINV_RTOL * max(1, V_ii): the
+    cutoff is absolute for entries up to 1 and relative to larger ones, so
+    a rank-one s [[1, 1], [1, 1]] is singular at any scale s.  V is PSD, so
+    the diagonal test decides some members without a factorization.  A
+    batched factorization fails as a whole when one member is not positive
+    definite; the members are then factored one by one.
     """
     p = V.shape[1]
-    ok = V.diagonal(axis1=1, axis2=2).min(axis=1, initial=np.inf) > PINV_RTOL
+    cut = PINV_RTOL * np.maximum(1.0, V.diagonal(axis1=1, axis2=2))
+    ok = (V.diagonal(axis1=1, axis2=2) > cut).all(axis=1)
     tried = np.flatnonzero(ok)
     try:
         L = np.linalg.cholesky(V[tried])
@@ -145,7 +150,7 @@ def _noise_gain(C: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 L[j] = np.linalg.cholesky(V[m])
             except np.linalg.LinAlgError:
                 pass
-    pivots_ok = L.diagonal(axis1=1, axis2=2).min(axis=1, initial=np.inf) ** 2 > PINV_RTOL
+    pivots_ok = (L.diagonal(axis1=1, axis2=2) ** 2 > cut[tried]).all(axis=1)
     ok[tried] = pivots_ok
     F = np.linalg.solve(L[pivots_ok], C[ok])
     return ok, F.transpose(0, 2, 1) @ F
@@ -270,20 +275,9 @@ def _pinv_psd(M: np.ndarray) -> np.ndarray:
 
 
 def _stein(F, Q) -> np.ndarray:
-    """S = F S F' + Q for every member of the stacks F and Q (k x n x n).
-    The members that STEIN_DIRECT_MAX_N and STEIN_DIRECT_MAX_FRO admit take
-    one batched solve of (I - F (x) F) vec S = vec Q; every other one, a
-    non-finite one included, takes the G = 0 doubling run and raises as it
-    does.  Each member picks its own path, so it keeps its lone bits."""
-    k, n = F.shape[:2]
-    direct = (_fro(F) <= STEIN_DIRECT_MAX_FRO) & (n <= STEIN_DIRECT_MAX_N)
-    S = np.empty((k, n, n))
-    f = F[direct]
-    kron = (f[:, :, None, :, None] * f[:, None, :, None, :]).reshape(-1, n * n, n * n)
-    S[direct] = _sym(np.linalg.solve(np.eye(n * n) - kron, Q[direct].reshape(-1, n * n, 1)).reshape(-1, n, n))
-    if not direct.all():
-        S[~direct], _ = _doubling_dare(F[~direct], np.zeros_like(F[~direct]), Q[~direct])
-    return S
+    """S = F S F' + Q for every member of the stacks F and Q (k x n x n):
+    the G = 0 doubling run, which raises as it does."""
+    return _doubling_dare(F, np.zeros_like(F), Q)[0]
 
 
 def _gain(A, S, C, V) -> np.ndarray:
@@ -342,20 +336,159 @@ def _newton_dare(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
     raise NoConvergence("iteration cap reached above tolerance", float(last[0]), MAX_STEPS)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a member with a non-finite scaled row is not ok
+def _split(C, V):
+    """The reduction's rank decision on V for the stacks C (k x p x n) and
+    V (k x p x p), once per member: (ok, R0, G1), ok marking the members
+    whose scaled C and V are finite with V PSD within the cutoff, R0
+    (k x p x n) their noiseless rows (zeros elsewhere) and
+    G1 = C1' V1^-1 C1 the gain of their noisy ones.
+
+    Each row of C is scaled by 1/||C_i|| (a zero row, such as a pad, by 1)
+    and V alike, so a diagonal entry is its row's noise per squared gain.
+    A member whose scaled V is not diagonal is rotated into its
+    eigenvectors, computed without its null rows (zero in C, uncorrelated
+    in V, as pads are), so a padded member keeps its lone bits.  A row is
+    noiseless when its noise is at most PINV_RTOL or, rotated, within the
+    eigenvalues' round-off, 8 r eps times the largest of its r rows (zero
+    eigenvalues of graded random V came out within 2.4 eps of it, r <= 6).
+    """
+    k, p, n = C.shape
+    norm = np.sqrt((C * C).sum(axis=2))
+    d = np.where(norm > 0.0, norm, 1.0)
+    R = C / d[:, :, None]
+    v = V / d[:, :, None] / d[:, None, :]
+    ok = np.isfinite(norm).all(axis=1) & np.isfinite(v).all(axis=(1, 2))
+    w = v.diagonal(axis1=1, axis2=2).copy()
+    cut = np.full(w.shape, PINV_RTOL)
+    off = ~np.eye(p, dtype=bool)
+    full = ok & ((v != 0.0) & off).any(axis=(1, 2))
+    if full.any():
+        null = ~C.any(axis=2) & ~((V != 0.0) & off).any(axis=2)
+        for g, keep in _groups(~null & full[:, None]):
+            g2 = g[:, None]
+            w[g2, keep], U = np.linalg.eigh(v[g2[:, :, None], keep[:, :, None], keep[:, None, :]])
+            R[g2, keep] = U.transpose(0, 2, 1) @ R[g2, keep]
+            cut[g2, keep] = np.maximum(PINV_RTOL, 8 * keep.shape[1] * np.finfo(float).eps * w[g2, keep][:, -1:])
+    ok &= (w >= -cut).all(axis=1)
+    noisy = w > cut
+    R1 = R * np.sqrt(np.divide(1.0, w, out=np.zeros(w.shape), where=noisy))[:, :, None]
+    return ok, np.where(ok[:, None, None] & ~noisy[:, :, None], R, 0.0), R1.transpose(0, 2, 1) @ R1
+
+
+def _groups(rows):
+    """Yield (g, keep) for each group g of the members with the same count
+    r >= 1 of True entries in their row of the mask rows (k x p); keep
+    (len(g) x r) holds those entries' indices, in order."""
+    count = rows.sum(axis=1)
+    order = np.argsort(~rows, axis=1, kind="stable")
+    for r in np.unique(count[count > 0]):
+        g = np.flatnonzero(count == r)
+        yield g, order[g, :r]
+
+
+def _basis(B) -> np.ndarray:
+    """Q (k x n x n): per member of B (k x p x n), an orthonormal basis of
+    its rows (the right singular vectors above PINV_RTOL times the largest
+    singular value), then zero rows.  The SVD sees the nonzero rows only,
+    in order, padded to n x n, so zero rows such as pads leave the bits
+    alone; members with more than n nonzero rows go by count."""
+    k, p, n = B.shape
+    if p < n:
+        B = np.concatenate((B, np.zeros((k, n - p, n))), axis=1)
+    rows = B.any(axis=2)
+    order = np.argsort(~rows, axis=1, kind="stable")
+    _, sv, Q = np.linalg.svd(B[np.arange(k)[:, None], order[:, :n]])
+    wide = rows.sum(axis=1) > n
+    if wide.any():
+        for g, keep in _groups(rows & wide[:, None]):
+            _, sv[g], Q[g] = np.linalg.svd(B[g[:, None], keep], full_matrices=False)
+    return Q * (sv > PINV_RTOL * sv[:, :1])[:, :, None]
+
+
+def _noise(C, V):
+    """_noise_gain of the stacks C and V, plus _split of the singular
+    members (None when there are none)."""
+    nonsingular, G = _noise_gain(C, V)
+    singular = ~nonsingular
+    return nonsingular, G, (_split(C[singular], V[singular]) if singular.any() else None)
+
+
+def _measured(R0, X):
+    """(w, L, Q, Z) for noiseless rows R0 (k x p x n) and a PSD X (n x n or
+    a stack): X = L L' with eigenvalues w, Q = _basis(R0 L) and
+    Z = L (I - Q'Q).  Z Z' = X - X R0' (R0 X R0')^+ R0 X is X updated
+    exactly by the rows; for X > 0, C0 = Q L^-1 spans them, C0 X C0' = I."""
+    w, U = np.linalg.eigh(X)
+    L = U * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+    Q = _basis(R0 @ L)
+    return w, L, Q, L - L @ Q.transpose(0, 2, 1) @ Q
+
+
+def _reduced_dare(A, W, R0, G1):
+    """A priori covariances and doubling counts of the members of _split's
+    R0 and G1 by the perfect-measurement reduction, in one doubling run;
+    None when W's smallest eigenvalue is at or below PINV_RTOL * max(1,
+    largest).
+
+    With _measured's C0 = Q L^-1 for X = W, J = W C0' (C0 W C0')^-1 C0 =
+    L Q'Q L^-1: the noiseless rows' next value measures C0 A x with noise
+    C0 w, and decorrelated from the process noise that leaves
+    Ab = (I - J) A = Z L^-1 A, Wb = (I - J) W = Z Z' and G = G1 + A' C0' C0 A.
+    The run's Sigma is the covariance given the noisy rows up to k - 1 and
+    the noiseless ones up to k, so P = (I + Sigma G1)^-1 Sigma is the a
+    posteriori covariance and S = A P A' + W the a priori one.
+
+    W > 0 makes (Ab, Wb^1/2) stabilizable: a left eigenvector x' of Ab with
+    x' Wb = 0 has x' = x' J, so x' Ab = 0.  With W singular it need not
+    be, and the doubling would return a solution that does not stabilize.
+    """
+    w, L, Q, Z = _measured(R0, W)
+    if not w[0] > PINV_RTOL * max(1.0, w[-1]):
+        return None
+    B = np.linalg.solve(L, A)
+    QB = Q @ B
+    P, doublings = _doubling_dare(Z @ B, _sym(G1 + QB.transpose(0, 2, 1) @ QB), _sym(Z @ Z.transpose(0, 2, 1)))
+    _update(P, G1)
+    return _sym(A @ P @ A.T + W), doublings
+
+
+def _update(X, G1) -> None:
+    """X <- (I + X G1)^-1 X, symmetrized, in place, for every member of the
+    stacks X and G1 whose G1 is not zero; on the others the update gives
+    X's bits back."""
+    noisy = G1.any(axis=(1, 2))
+    if noisy.any():
+        X[noisy] = _sym(_g_update(X[noisy], G1[noisy]))
+
+
 def _posteriori(S, C, V, noise) -> np.ndarray:
     """posteriori_from_priori for every member of the stacks S (k x n x n),
-    C (k x p x n) and V (k x p x p), given noise = _noise_gain(C, V)."""
-    nonsingular, G = noise
+    C (k x p x n) and V (k x p x p), given noise = _noise(C, V).  A member
+    with singular V that _split takes is updated in two steps: exactly by
+    its noiseless rows R0, Sigma = Z Z' (_measured with X = S), then
+    (I + Sigma G1)^-1 Sigma.  Any other singular member takes the Joseph
+    form."""
+    nonsingular, G, split = noise
     out = np.empty_like(S)
     if nonsingular.any():
         out[nonsingular] = _sym(_g_update(S[nonsingular], G))
-    singular = ~nonsingular
-    if singular.any():
-        S, C, V = S[singular], C[singular], V[singular]
+    if split is None:
+        return out
+    singular = np.flatnonzero(~nonsingular)
+    ok, R0, G1 = split
+    if ok.any():
+        Z = _measured(R0[ok], S[singular[ok]])[3]
+        P = _sym(Z @ Z.transpose(0, 2, 1))
+        _update(P, G1[ok])
+        out[singular[ok]] = P
+    if not ok.all():
+        joseph = singular[~ok]
+        S, C, V = S[joseph], C[joseph], V[joseph]
         eye = np.eye(S.shape[-1])
         K = _gain(eye, S, C, V)
         F = eye - K @ C
-        out[singular] = _sym(F @ S @ F.transpose(0, 2, 1) + K @ V @ K.transpose(0, 2, 1))
+        out[joseph] = _sym(F @ S @ F.transpose(0, 2, 1) + K @ V @ K.transpose(0, 2, 1))
     return out
 
 
@@ -383,7 +516,7 @@ def posteriori_from_priori(Sigma, C_sel, V_sel) -> np.ndarray:
     if C.ndim != 2 or Sigma.shape != (C.shape[1],) * 2 or V.shape != (C.shape[0],) * 2:
         raise ShapeError(f"need C p x n, an n x n covariance and V p x p, got {C.shape}, {Sigma.shape}, {V.shape}")
     C, V = C[None], V[None]
-    return _posteriori(Sigma[None], C, V, _noise_gain(C, V))[0]
+    return _posteriori(Sigma[None], C, V, _noise(C, V))[0]
 
 
 def _mode_images(A: np.ndarray, C: np.ndarray) -> list:
@@ -457,7 +590,10 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
 
     Nonsingular members share one doubling run, which gets ``settle`` and
     ``posteriori`` (see _doubling_dare; a member it drops has a NaN
-    covariance), and singular ones one Newton run, which drops nothing.
+    covariance).  Singular members that _split takes share one reduced
+    doubling run when W is nonsingular (_reduced_dare), and the others one
+    Newton run; neither drops anything.  The route is decided once per
+    member, from C, V and W.
     The checks read the a priori covariances: raises NoConvergence as
     _doubling_dare and _newton_dare do; when a member's trace overflows,
     since a score could not tell it from an undetectable member's infinity;
@@ -470,13 +606,21 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
     correct solutions up to 3e-9 relative below W (random noiseless
     models, n <= 4).
     """
-    S = np.empty((C.shape[0],) + A.shape)
-    iters = np.zeros(C.shape[0], dtype=int)
-    nonsingular, G = noise = _noise_gain(C, V)
+    k = C.shape[0]
+    S = np.empty((k,) + A.shape)
+    iters = np.zeros(k, dtype=int)
+    nonsingular, G, split = noise = _noise(C, V)
     if nonsingular.any():
         S[nonsingular], iters[nonsingular] = _doubling_dare(A, G, W, settle, posteriori)
-    if not nonsingular.all():
-        S[~nonsingular], iters[~nonsingular] = _newton_dare(A, C[~nonsingular], W, V[~nonsingular])
+    if split is not None:
+        singular = np.flatnonzero(~nonsingular)
+        ok, R0, G1 = split
+        reduced = _reduced_dare(A, W, R0[ok], G1[ok]) if ok.any() else None
+        if reduced is not None:
+            S[singular[ok]], iters[singular[ok]] = reduced
+            singular = singular[~ok]
+        if singular.size:
+            S[singular], iters[singular] = _newton_dare(A, C[singular], W, V[singular])
     shortfall = (W.diagonal() - S.diagonal(axis1=1, axis2=2)).max(axis=1)  # NaN, never below, if dropped
     with np.errstate(over="ignore"):  # see _fro
         below = np.flatnonzero(shortfall > np.sqrt(TOL) * np.maximum(1.0, _fro(S)))
@@ -496,18 +640,22 @@ def solve_dare(A, C, W, V) -> SteadyStateResult:
 
     Nonsingular V (a 0 x 0 V included) is solved by doubling until the
     step falls to TOL relative to max(1, ||S||_F); the result's
-    ``iterations`` counts doublings.  Singular V is solved by Newton steps
-    (_newton_dare; each Stein equation takes a linear solve or the G = 0
-    doubling) until a step falls to TOL by the same measure or to its
-    round-off floor; ``iterations`` counts Newton steps.
+    ``iterations`` counts doublings.  Singular V with W nonsingular is
+    solved by the perfect-measurement reduction, whose equation the same
+    doubling solves; ``iterations`` counts the reduced run's doublings.
+    Any other singular V is solved by Newton steps (_newton_dare; each
+    Stein equation takes the G = 0 doubling) until a step falls to TOL by
+    the same measure or to its round-off floor; ``iterations`` counts
+    Newton steps.
 
     Returns the infinite result when (A, C) is undetectable.  Raises
     StabilizabilityViolation when (A, W^{1/2}) is not stabilizable and
     NoConvergence when a doubling run or the Newton iteration reaches
     MAX_STEPS above tolerance, a doubling iterate turns non-finite, the
-    Newton start V + NEWTON_START_DELTA I is singular (V is not PSD, or too
-    large for the delta to count), or the solution's trace overflows or its
-    variance falls below W's (see _solve_detectable).
+    Newton start V + NEWTON_START_DELTA I is singular (V is not finite or
+    not PSD, or, with W singular, too large for the delta to count), or the
+    solution's trace overflows or its variance falls below W's (see
+    _solve_detectable).
     """
     A = np.ascontiguousarray(A, dtype=float)
     C = np.ascontiguousarray(C, dtype=float)
@@ -526,8 +674,8 @@ def solve_dare(A, C, W, V) -> SteadyStateResult:
 
 
 def warmup() -> None:
-    """Run one tiny singular-V solve, which runs the doubling, the Newton
-    loop and its direct Stein solve, so that the first timed solve does not
+    """Run one tiny singular-V solve, which runs the reduction's
+    decompositions and its doubling, so that the first timed solve does not
     pay numpy's one-time set-up costs."""
     one = np.ones((1, 1, 1))
     _solve_detectable(np.array([[0.5]]), np.eye(1), one, 0.0 * one)

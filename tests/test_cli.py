@@ -555,11 +555,12 @@ def test_solve_on_a_defective_blind_mode_is_solver_error(tmp_path, capsys, algor
 
 @pytest.mark.parametrize("algorithm", ["greedy", "exhaustive"])
 def test_solve_with_an_unfactorable_newton_start_is_solver_error(tmp_path, capsys, algorithm):
-    # a valid rank-one V = 1e14 [[1, 1], [1, 1]]: 1e14 + NEWTON_START_DELTA
-    # rounds to 1e14, so the Newton start V + delta I stays singular
+    # a valid rank-one V = 1e14 [[1, 1], [1, 1]] with a singular W, so the
+    # pair takes Newton: 1e14 + NEWTON_START_DELTA rounds to 1e14, so the
+    # Newton start V + delta I stays singular
     path = tmp_path / "rank-one.json"
     path.write_text(json.dumps({
-        "n": 2, "q": 2, "A": [[0.5, 0.0], [0.0, 0.3]], "C": np.eye(2).tolist(), "W": np.eye(2).tolist(),
+        "n": 2, "q": 2, "A": [[0.5, 0.0], [0.0, 0.3]], "C": np.eye(2).tolist(), "W": [[1.0, 0.0], [0.0, 0.0]],
         "V": (1e14 * np.ones((2, 2))).tolist(), "b": [1.0, 1.0], "omega": [1.0, 1.0],
         "budget_select": 2, "budget_attack": 0}))
     assert run_cli("solve", "--instance", str(path), "--mode", "select", "--algorithm", algorithm) == 2

@@ -247,13 +247,11 @@ def test_every_family_subset_obeys_floor_and_closed_forms(family, lam):
 
 
 @pytest.mark.parametrize("family", ["example1", "example2"])
-def test_no_family_subset_takes_more_than_three_newton_steps(family):
-    # the Newton start from V + NEWTON_START_DELTA I with delta = 1e-3 is
-    # close enough that every detectable subset of the grid above, and of
-    # lambda = 0.9999 and 0.99999, takes at most 3 steps (delta = 1 took up
-    # to 6); V = 0, so all go through Newton.  The two added lambdas give
-    # closed loops of spectral radius up to 0.99999, the worst conditioned
-    # of the direct Stein solves
+def test_no_family_subset_takes_more_than_22_doublings(family):
+    # V = 0 and W = I, so every detectable subset of the grid above, and of
+    # lambda = 0.9999 and 0.99999, takes the perfect-measurement reduction:
+    # one doubling run, of at most 22 doublings (the slowest members keep
+    # a pole of modulus up to 0.99999) and a median of 3
     build = EXAMPLE_FORMS[family][0]
     steps = []
     for lam in (0.6, 0.7, 0.9, 0.95, 0.99, 0.9999, 0.99999):
@@ -266,4 +264,4 @@ def test_no_family_subset_takes_more_than_three_newton_steps(family):
                 _, iters = riccati._solve_detectable(m.A, m.W, C[seen], V[seen])
                 steps += iters.tolist()
     assert len(steps) == {"example1": 441, "example2": 945}[family]
-    assert max(steps) <= 3
+    assert max(steps) <= 22 and np.median(steps) <= 3

@@ -248,7 +248,7 @@ def test_solution_below_w_raises_no_convergence():
     assert exc.value.residual > 1e16
 
 
-@pytest.mark.parametrize("noise", [1.0, 0.0])  # the doubling and the Newton path
+@pytest.mark.parametrize("noise", [1.0, 0.0])  # the doubling and the reduced path
 @pytest.mark.parametrize("rows", [2, 0])
 def test_a_trace_past_the_float_maximum_raises_no_convergence(noise, rows):
     # W = 1e308 I, n = 2: each variance is at least 1e308 and finite, but
@@ -291,7 +291,7 @@ def test_stabilizability_of_a_noise_near_the_float_maximum():
     assert riccati.is_stabilizable_noise(np.array([[1.5]]), np.array([[1e308]]))
 
 
-# --- kernel choice: doubling for nonsingular V, Newton steps for singular V ---
+# --- kernel choice: doubling for nonsingular V; the reduction, or Newton steps, for singular V ---
 
 def _scipy_priori(A, C, W, V):
     scipy_linalg = pytest.importorskip("scipy.linalg")
@@ -363,10 +363,11 @@ def test_a_singular_doubling_system_raises_no_convergence():
 
 
 def test_newton_cap_raises_no_convergence(monkeypatch):
-    # A = 0: the start's doubling stops after one doubling, and step 1 is never tested
+    # W = 0 is singular, so the noiseless member takes Newton; A = 0: the
+    # start's doubling stops after one doubling, and step 1 is never tested
     monkeypatch.setattr(riccati, "MAX_STEPS", 1)
     with pytest.raises(NoConvergence, match="iteration cap reached above tolerance") as exc:
-        solve_dare(np.zeros((1, 1)), np.eye(1), np.eye(1), np.zeros((1, 1)))
+        solve_dare(np.zeros((1, 1)), np.eye(1), np.zeros((1, 1)), np.zeros((1, 1)))
     assert exc.value.iterations == 1
 
 
@@ -376,20 +377,23 @@ DIAG_A = np.diag([0.5, 0.3])
 @pytest.mark.parametrize("V", [[[-1.0]], [[math.nan]], 1e14 * np.ones((2, 2))])
 def test_a_newton_start_that_cannot_be_factored_raises_no_convergence(V):
     # V + NEWTON_START_DELTA I is not positive definite: V is not PSD, or
-    # 1e14 + 1e-3 rounds to 1e14, so the rank-one V keeps its rank
+    # 1e14 + 1e-3 rounds to 1e14, so the rank-one V keeps its rank.  The
+    # reduction refuses a V that is not PSD or not finite, and with W
+    # singular any singular V, so each reaches the Newton start
     V = np.array(V)
     p = V.shape[0]
     with pytest.raises(NoConvergence, match="Newton start") as exc:
-        solve_dare(DIAG_A[:p, :p], np.eye(p), np.eye(p), V)
+        solve_dare(DIAG_A[:p, :p], np.eye(p), np.diag([1.0, 0.0])[:p, :p], V)
     assert exc.value.iterations == 0
 
 
 def test_a_stack_member_does_not_borrow_another_members_newton_start():
-    # alone, the second member raises; in a stack it must not take the first's start
+    # alone, the second member raises; in a stack it must not take the
+    # first's start.  W is singular, so both members take Newton
     C = np.stack([np.eye(2)] * 2)
     V = np.stack([np.zeros((2, 2)), 1e14 * np.ones((2, 2))])
     with pytest.raises(NoConvergence, match="Newton start"):
-        riccati._solve_detectable(DIAG_A, np.eye(2), C, V)
+        riccati._solve_detectable(DIAG_A, np.diag([1.0, 0.0]), C, V)
 
 
 @pytest.mark.parametrize("run", [
@@ -403,9 +407,79 @@ def test_solvers_refuse_a_noise_that_is_not_psd(run):
         run(m)
 
 
+def _recursion_limit(A, C, W, V, steps):
+    """_riccati_step iterated ``steps`` times from W."""
+    S = W
+    for _ in range(steps):
+        S = _riccati_step(S, A, C, W, V)
+    return S
+
+
+@pytest.mark.parametrize("scale", [1e12, 1e13, 1e14, 1e15, 1e16])
+def test_a_rank_one_noise_at_any_scale_is_the_equivalent_noiseless_sensor(scale):
+    # V = s [[1, 1], [1, 1]]: the two sensors share one noise, so y1 - y2 =
+    # x1 - x2 is exact and y1 + y2 carries noise 4 s; at every scale the
+    # trace is the noiseless sensor [1, -1]'s, which the relative pivot rule
+    # and the scaled eigenvalue split both see (an absolute rule answered
+    # 1e13 and 1e15 wrongly and refused 1e14 and 1e16)
+    want = np.trace(_recursion_limit(DIAG_A, np.array([[1.0, -1.0]]), np.eye(2), np.zeros((1, 1)), 200))
+    assert abs(want - 2.2019294470871) <= 1e-12 * want
+    res = solve_dare(DIAG_A, np.eye(2), np.eye(2), scale * np.ones((2, 2)))
+    assert abs(res.trace - want) <= 1e-12 * want, (scale, res.trace, want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_noiseless_sensors_are_invariant_under_an_invertible_row_map(seed):
+    # with W > 0, measuring T y instead of y for an invertible T (C -> T C,
+    # V -> T V T') is the same information, so the trace cannot move; V is
+    # singular, and T = D U mixes its noisy and noiseless rows (U
+    # orthogonal) and rescales them by gains D of 1e-3 to 1e3
+    rng = np.random.default_rng(900 + seed)
+    for _ in range(25):
+        n, p = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = (Q * rng.uniform(-0.95, 0.95, n)) @ Q.T
+        B = rng.standard_normal((n, n))
+        W = B @ B.T / n + 0.1 * np.eye(n)
+        C = rng.standard_normal((p, n))
+        L = rng.standard_normal((p, int(rng.integers(0, p))))
+        V = L @ L.T
+        U, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        T = 10.0 ** rng.integers(-3, 4, (p, 1)) * U
+        base = solve_dare(A, C, W, V).trace
+        mapped = solve_dare(A, T @ C, W, T @ V @ T.T).trace
+        assert abs(mapped - base) <= 1e-10 * base, (n, p, base, mapped)
+
+
+def test_a_precise_noisy_sensor_next_to_a_poor_one_stays_noisy():
+    # sensor 2 has noise 1.5e-7 per squared gain, sensor 3 2e5: a cutoff
+    # relative to the member's largest noise would call sensor 2 noiseless
+    # and move the trace by 2.2e-8; the per-row cutoff keeps it noisy
+    A, W = np.diag([0.9, 0.5, -0.4]), np.eye(3)
+    C = np.array([[1.0, 0.5, 0.0], [1e3, 0.0, 1e3], [0.0, 1e-3, 2e-3]])
+    V = np.diag([0.0, 0.3, 1.0])
+    want = np.trace(_recursion_limit(A, C, W, V, 300))
+    assert abs(solve_dare(A, C, W, V).trace - want) <= 1e-10 * want
+
+
+def test_a_noiseless_member_with_singular_w_takes_newton():
+    # W = u u' and one noiseless sensor c with c W c' > 0: the reduced pair
+    # has W_b = 0 and A_b an eigenvalue of 2.04, a zero of the sensor's
+    # transfer function outside the unit circle, so the reduced doubling
+    # would return 1.6444 where the recursion converges to 2.4246; a
+    # singular W sends the member to Newton, which gets it right
+    rng = np.random.default_rng(12)
+    u = rng.standard_normal(3)
+    A, C, W = np.diag([0.5, -0.3, 0.8]), rng.standard_normal((4, 3))[:1], np.outer(u, u)
+    want = _recursion_limit(A, C, W, np.zeros((1, 1)), 3000)
+    assert abs(np.trace(want) - 2.4246457436563) <= 1e-12
+    res = solve_dare(A, C, W, np.zeros((1, 1)))
+    assert abs(res.trace - np.trace(want)) <= 1e-9 * np.trace(want)
+
+
 def _kernel_spy(monkeypatch):
     used = []
-    for name in ("_newton_dare", "_doubling_dare"):
+    for name in ("_newton_dare", "_reduced_dare", "_doubling_dare"):
         kernel = getattr(riccati, name)
 
         def spy(*args, _kernel=kernel, _name=name):
@@ -419,37 +493,45 @@ def _kernel_spy(monkeypatch):
 @pytest.mark.parametrize("V, kernel", [
     (np.diag([1.0, 0.5]), "_doubling_dare"),
     (np.zeros((0, 0)), "_doubling_dare"),
-    (np.diag([1.0, 0.0]), "_newton_dare"),  # a zero diagonal entry
-    (np.ones((2, 2)), "_newton_dare"),  # singular without a zero diagonal entry
+    (np.diag([1.0, 0.0]), "_newton_dare"),  # a zero diagonal entry, W singular
+    (np.ones((2, 2)), "_newton_dare"),  # singular without a zero diagonal entry, W singular
+    (np.diag([1.0, 0.0]), "_reduced_dare"),
+    (np.ones((2, 2)), "_reduced_dare"),
 ])
 def test_kernel_follows_noise_singularity(monkeypatch, V, kernel):
-    # five states, above STEIN_DIRECT_MAX_N, so Newton's Stein equations
-    # take the doubling
+    # a singular V takes the perfect-measurement reduction when W is
+    # nonsingular, and Newton when it is not
     used = _kernel_spy(monkeypatch)
     p = V.shape[0]
     A = np.diag([0.9, 0.5, 0.7, -0.3, 0.6])
     C = np.array([[1.0, 0.0, 0.5, 0.0, 0.2], [1.0, 1.0, 0.0, 0.3, 0.0]])[:p]
-    res = solve_dare(A, C, np.eye(5), V)
+    W = np.diag([1.0, 1.0, 1.0, 1.0, 0.0]) if kernel == "_newton_dare" else np.eye(5)
+    res = solve_dare(A, C, W, V)
     if kernel == "_doubling_dare":
         assert used == [kernel]
+    elif kernel == "_reduced_dare":
+        # one doubling run, on the reduced equation; iterations counts its doublings
+        assert used == [kernel, "_doubling_dare"] and res.iterations >= 1
     else:
-        # the start, then one Stein equation per Newton step, all through the
-        # doubling; step 1 is never tested, so there are at least two steps
-        assert used[0] == kernel and set(used[1:]) == {"_doubling_dare"}
-        assert res.iterations == len(used) - 2 >= 2
+        # the reduction declines, then the start and one Stein equation per
+        # Newton step, all through the doubling; step 1 is never tested, so
+        # there are at least two steps
+        assert used[:2] == ["_reduced_dare", kernel] and set(used[2:]) == {"_doubling_dare"}
+        assert res.iterations == len(used) - 3 >= 2
     assert res.is_finite
     S = res.cov
-    assert np.linalg.norm(_riccati_step(S, A, C, np.eye(5), V) - S) < 1e-9
+    assert np.linalg.norm(_riccati_step(S, A, C, W, V) - S) < 1e-9
 
 
 @pytest.mark.parametrize("V", [np.diag([1.0, 0.0]), np.ones((2, 2))])
 def test_small_newton_solve_runs_the_doubling_only_for_its_start(monkeypatch, V):
-    # two states: every Newton step solves its Stein equation directly
+    # two states, noiseless sensors, W = I: what was a Newton solve and its
+    # start is one doubling run, on the reduced equation
     used = _kernel_spy(monkeypatch)
     A = np.diag([0.9, 0.5])
     C = np.array([[1.0, 0.0], [1.0, 1.0]])
     res = solve_dare(A, C, np.eye(2), V)
-    assert used == ["_newton_dare", "_doubling_dare"] and res.iterations >= 2
+    assert used == ["_reduced_dare", "_doubling_dare"] and res.iterations >= 1
     assert np.linalg.norm(_riccati_step(res.cov, A, C, np.eye(2), V) - res.cov) < 1e-9
 
 

@@ -664,9 +664,9 @@ def test_posteriori_dropping_halves_the_doubling_solves_at_q_18(attack, monkeypa
 
 
 def test_singular_v_posteriori_exhaustive_drops_nothing():
-    # noiseless sensors: every member goes through Newton, which takes no
-    # settle, so the a posteriori search drops nothing and equals the full
-    # enumeration
+    # noiseless sensors: every member goes through the reduced doubling or
+    # Newton, neither of which takes settle, so the a posteriori search
+    # drops nothing and equals the full enumeration
     rng = np.random.default_rng(73)
     for _ in range(4):
         m = _random_model(rng, psd_v=False)

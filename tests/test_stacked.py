@@ -144,16 +144,16 @@ def test_stack_mixing_singular_and_nonsingular_noise(monkeypatch):
 
     for metric in ("priori", "posteriori"):
         _assert_matches_scalar(m, supports, metric)
-    # the singular members of the one chunk go to the Newton iteration as
-    # one stack, with no second PBH test
+    # the singular members of the one chunk go to the reduced doubling as
+    # one stack, with no second PBH test and no Newton run
     table = _ScoreTable([m], "posteriori", attack=False)  # its stabilizability test is a PBH test
     calls = []
-    for name in ("is_detectable", "_newton_dare"):
+    for name in ("is_detectable", "_reduced_dare", "_newton_dare"):
         original = getattr(riccati, name)
         monkeypatch.setattr(riccati, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
     table([(0, s) for s in supports])
     assert len(supports) <= STACK_CHUNK
-    assert calls == ["_newton_dare"]
+    assert calls == ["_reduced_dare"]
 
 
 def _blind_model():
@@ -196,7 +196,7 @@ def test_reports_come_from_the_scoring_stack(case, monkeypatch):
 
 
 def test_stack_of_several_tables_equals_each_member_alone():
-    # example1 at several gains, noiseless (the Newton path) and with
+    # example1 at several gains, noiseless (the reduced path) and with
     # V = 0.3 I (the doubling path), shares A and W, so one stack holds them
     models = [build_example1(0.9, h) for h in (1e-3, 1.0, 1e3)]
     for h in (1e-3, 1e3):
@@ -276,11 +276,27 @@ def _singular_stack(case):
     return m.A, m.W, m.C[pairs], m.V[pairs[:, :, None], pairs[:, None, :]]
 
 
+def _singular_kernel(case):
+    """The kernel that solves _singular_model(case)'s singular members:
+    Newton for the singular W, the reduced doubling for the others."""
+    return "_newton_dare" if case == "rank-one W" else "_reduced_dare"
+
+
+def _spy_runs(monkeypatch, name):
+    """A list that records the arguments of each call of riccati's ``name``."""
+    runs, kernel = [], getattr(riccati, name)
+    monkeypatch.setattr(riccati, name, lambda *a: runs.append(a) or kernel(*a))
+    return runs
+
+
 @pytest.mark.parametrize("case", ["example1", "example2", "zero-diagonal", "rank-one W"])
-def test_fixed_point_stack_equals_members_alone(case):
+def test_fixed_point_stack_equals_members_alone(case, monkeypatch):
     A, W, C, V = _singular_stack(case)
     assert not riccati._noise_gain(C, V)[0].any()
-    S, steps = riccati._newton_dare(A, C, W, V)
+    runs = _spy_runs(monkeypatch, _singular_kernel(case))
+    S, steps = riccati._solve_detectable(A, W, C, V)
+    monkeypatch.undo()
+    assert len(runs) == 1  # every member in one run of its kernel
     for cov, count, c, v in zip(S, steps.tolist(), C, V):
         alone = riccati.solve_dare(A, c, W, v)
         assert count == alone.iterations and np.array_equal(cov, alone.cov)
@@ -289,8 +305,7 @@ def test_fixed_point_stack_equals_members_alone(case):
             residual = np.linalg.norm(_riccati_step(cov, A, c, W, v) - cov)
             assert residual <= 1e-12 * max(1.0, np.linalg.norm(cov))
     if case in ("example1", "example2"):
-        # members freeze at different steps (from V + 1e-3 I, every member
-        # of the other two stacks takes 3)
+        # members freeze at different doublings
         assert len(set(steps.tolist())) > 1
 
 
@@ -316,20 +331,20 @@ def _mixed_chunk(m):
 
 @pytest.mark.parametrize("case", ["example1", "example2", "zero-diagonal", "rank-one W"])
 def test_chunk_of_several_sensor_counts_equals_members_alone(case, monkeypatch):
-    # one kernel run over _mixed_chunk's members
+    # one kernel run over _mixed_chunk's singular members.  The reduction
+    # leaves the pads out of its decompositions, so there a padded member
+    # keeps its lone bits too
     m = _singular_model(case)
     members, C, V = _mixed_chunk(m)
-    runs = []
-    newton = riccati._newton_dare
-    monkeypatch.setattr(riccati, "_newton_dare", lambda *a: runs.append(a[1]) or newton(*a))
+    runs = _spy_runs(monkeypatch, _singular_kernel(case))
     S, iters = riccati._solve_detectable(m.A, m.W, C, V)
     monkeypatch.undo()
     nonsingular, _ = riccati._noise_gain(C, V)
     assert len(runs) == 1 and nonsingular.any() and not nonsingular.all()
     assert {len(c) for (c, _), ok in zip(members, nonsingular) if not ok} == {1, 2, 3}
-    for cov, count, (c, v) in zip(S, iters.tolist(), members):
+    for cov, count, (c, v), ok in zip(S, iters.tolist(), members, nonsingular):
         alone = riccati.solve_dare(m.A, c, m.W, v)
-        if len(c) == 3:  # no padding: the bits of the lone solve
+        if len(c) == 3 or (not ok and case != "rank-one W"):  # the bits of the lone solve
             assert count == alone.iterations and np.array_equal(cov, alone.cov)
         else:
             assert np.abs(cov - alone.cov).max() <= REL * np.abs(alone.cov).max()
@@ -338,10 +353,11 @@ def test_chunk_of_several_sensor_counts_equals_members_alone(case, monkeypatch):
 @pytest.mark.parametrize("case", ["example1", "example2", "zero-diagonal", "rank-one W"])
 def test_posteriori_solve_is_the_update_of_the_priori_solve(case):
     # the kernel applies the update itself: the bits of _posteriori of the
-    # a priori stack, doubling and Newton members alike, at the same counts
+    # a priori stack, doubling, reduced and Newton members alike, at the
+    # same counts
     m = _singular_model(case)
     _, C, V = _mixed_chunk(m)
-    nonsingular, _ = noise = riccati._noise_gain(C, V)
+    nonsingular, _, _ = noise = riccati._noise(C, V)
     assert nonsingular.any() and not nonsingular.all()
     S, iters = riccati._solve_detectable(m.A, m.W, C, V)
     post, post_iters = riccati._solve_detectable(m.A, m.W, C, V, posteriori=True)
@@ -380,12 +396,12 @@ def test_null_sensors_pad_with_unit_uncorrelated_noise(monkeypatch):
     # a member padded with two or more null sensors gets an identity noise
     # block for them, so padding leaves a nonsingular V nonsingular: the 8
     # singletons of greedy_and_optimal's first scoring, padded to 3 sensors
-    # next to the maximal triples, take the doubling, and no member Newton.
-    # Padded to three, example2's empty selection takes the doubling too,
-    # beside its noiseless triples
-    newton = riccati._newton_dare
+    # next to the maximal triples, take the doubling, and no member the
+    # reduction.  Padded to three, example2's empty selection takes the
+    # doubling too, beside its noiseless triples
+    reduced = riccati._reduced_dare
     members = []
-    monkeypatch.setattr(riccati, "_newton_dare", lambda A, C, W, V: members.append(len(C)) or newton(A, C, W, V))
+    monkeypatch.setattr(riccati, "_reduced_dare", lambda A, W, R0, G1: members.append(len(R0)) or reduced(A, W, R0, G1))
     m = _random_model(np.random.default_rng(41), 8)
     ((greedy, optimal, _),) = solvers.greedy_and_optimal([m], 3, "select", "priori")
     assert members == []
@@ -473,15 +489,24 @@ def _frobenius_stack(rng, k, n, norms):
     return F * (np.asarray(norms) / np.linalg.norm(F, axis=(1, 2)))[:, None, None], Q
 
 
+def _direct_stein(F, Q):
+    """S = F S F' + Q of every member by one solve of
+    (I - F (x) F) vec S = vec Q, symmetrized: the kernel's reference."""
+    k, n = F.shape[:2]
+    kron = (F[:, :, None, :, None] * F[:, None, :, None, :]).reshape(k, n * n, n * n)
+    S = np.linalg.solve(np.eye(n * n) - kron, Q.reshape(k, n * n, 1)).reshape(k, n, n)
+    return 0.5 * (S + S.transpose(0, 2, 1))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_direct_stein_solve_agrees_with_the_doubling(seed):
-    # n = 1-3: a member with ||F||_F <= STEIN_DIRECT_MAX_FRO takes the
-    # n^2 x n^2 solve, with a residual at round-off; every other member, up
-    # to rho = 1 - 1e-5, takes the doubling.  All agree with the doubling
-    # to 1e-12 relative
+    # n = 1-3: on a member with ||F||_F <= 0.9999, where cond(I - F (x) F)
+    # <= 1e4, the direct n^2 x n^2 solve has a residual at round-off, and
+    # the Stein run of Newton's steps (_stein, the G = 0 doubling) agrees
+    # with it to 1e-12 relative; members up to rho = 1 - 1e-5 run too
     rng = np.random.default_rng(340 + seed)
-    cap = riccati.STEIN_DIRECT_MAX_FRO
-    for n in range(1, riccati.STEIN_DIRECT_MAX_N + 1):
+    cap = 0.9999
+    for n in range(1, 4):
         radii = np.concatenate([rng.uniform(0.05, 0.99, 8), 1.0 - 10.0 ** -rng.uniform(2, 5, 8), [1.0 - 1e-5]])
         F, Q = _stein_stack(rng, len(radii), n, radii)
         near_cap = _frobenius_stack(rng, 8, n, cap * (1.0 - 10.0 ** -rng.uniform(0.5, 4, 8)))
@@ -490,20 +515,20 @@ def test_direct_stein_solve_agrees_with_the_doubling(seed):
         assert direct.sum() >= 8 and not direct.all()
         S = riccati._stein(F, Q)
         smith, _ = riccati._doubling_dare(F, np.zeros_like(F), Q)
-        scale = np.linalg.norm(smith, axis=(1, 2))
-        residual = np.linalg.norm(F @ S @ F.transpose(0, 2, 1) + Q - S, axis=(1, 2))
-        assert np.all(residual[direct] <= 1e-13 * scale[direct]), (n, residual / scale)
-        gap = np.linalg.norm(S - smith, axis=(1, 2)) / scale
+        assert np.array_equal(S, smith)
+        ref = _direct_stein(F[direct], Q[direct])
+        scale = np.linalg.norm(smith[direct], axis=(1, 2))
+        residual = np.linalg.norm(F[direct] @ ref @ F[direct].transpose(0, 2, 1) + Q[direct] - ref, axis=(1, 2))
+        assert np.all(residual <= 1e-13 * scale), (n, residual / scale)
+        gap = np.linalg.norm(ref - S[direct], axis=(1, 2)) / scale
         assert np.all(gap <= 1e-12), (n, gap)
-        assert np.array_equal(S[~direct], smith[~direct])
-        assert not np.array_equal(S[direct], smith[direct])  # the direct solve ran
 
 
 @pytest.mark.parametrize("radius, message", [(1.0, "iteration cap"), (1.2, "non-finite")])
 def test_direct_stein_stack_with_an_unstable_member_raises_as_the_doubling(radius, message):
-    # a member with rho(F) >= 1 has ||F||_F >= 1 and goes to the doubling,
-    # which raises as it does on the whole stack; the stable members solved
-    # alone keep the bits of their lone solves
+    # a Stein run with a member of rho(F) >= 1 raises as the doubling does
+    # on the whole stack; the stable members solved alone keep the bits of
+    # their lone solves
     rng = np.random.default_rng(35)
     k, n = 6, 3
     radii = [0.5, 0.9, radius, 0.3, 0.99, 0.7]
@@ -522,25 +547,25 @@ def test_direct_stein_stack_with_an_unstable_member_raises_as_the_doubling(radiu
         assert np.array_equal(cov, riccati._stein(f[None], q[None])[0])
 
 
-def test_direct_stein_solve_is_chosen_member_by_member():
-    # F = diag(1, F2) with Q = diag(0, Q2) never excites the unit mode: the
-    # doubling solves it, the Kronecker system is singular.  Next to direct
-    # members, it takes the doubling and every member keeps its lone bits
+def test_stein_run_of_an_unexcited_unit_mode_keeps_its_lone_bits():
+    # F = diag(1, F2) with Q = diag(0, Q2) never excites the unit mode: its
+    # Kronecker system I - F (x) F is singular, and the Stein run solves it;
+    # next to other members, every member keeps its lone bits
     rng = np.random.default_rng(37)
     F, Q = _frobenius_stack(rng, 6, 3, rng.uniform(0.05, 0.99, 6))
     F[3, 0], F[3, :, 0], Q[3, 0], Q[3, :, 0] = 0.0, 0.0, 0.0, 0.0
     F[3, 0, 0] = 1.0
+    assert np.linalg.matrix_rank(np.eye(9) - np.kron(F[3], F[3])) < 9
     S = riccati._stein(F, Q)
     for cov, f, q in zip(S, F, Q):
         assert np.array_equal(cov, riccati._stein(f[None], q[None])[0])
-    smith, _ = riccati._doubling_dare(F, np.zeros_like(F), Q)
-    assert np.array_equal(S[3], smith[3]) and not np.array_equal(np.delete(S, 3, 0), np.delete(smith, 3, 0))
     assert np.isfinite(S).all() and S[3, 0, 0] == 0.0
+    assert np.linalg.norm(F[3] @ S[3] @ F[3].T + Q[3] - S[3]) <= 1e-12 * np.linalg.norm(S[3])
 
 
 def test_direct_stein_stack_with_a_non_finite_member_raises_as_the_doubling():
-    # a NaN closed loop has a NaN norm, which fails the direct test: it goes
-    # to the doubling, which reports it
+    # a NaN closed loop makes the Stein run's iterate non-finite, which the
+    # doubling reports for the whole stack
     rng = np.random.default_rng(36)
     F, Q = _frobenius_stack(rng, 8, 3, rng.uniform(0.05, 0.99, 8))
     F[5] = np.nan
@@ -585,13 +610,15 @@ def _runs(events):
 
 
 def test_stein_runs_of_a_newton_solve_take_one_linear_solve_per_doubling(monkeypatch):
-    # five states, above STEIN_DIRECT_MAX_N: every Newton step solves its
-    # Stein equation by the G = 0 doubling, one solve of I + G H per doubling
+    # five states, W singular, so the noiseless member takes Newton: every
+    # Newton step solves its Stein equation by the G = 0 doubling, one
+    # solve of I + G H per doubling
     events = _spy_kernel_events(monkeypatch)
     rng = np.random.default_rng(23)
     Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     A = (Q * [0.95, 0.8, -0.6, 0.4, 0.2]) @ Q.T
-    res = riccati.solve_dare(A, rng.standard_normal((2, 5)), np.eye(5), np.zeros((2, 2)))
+    W = np.diag([1.0, 1.0, 1.0, 1.0, 0.0])
+    res = riccati.solve_dare(A, rng.standard_normal((2, 5)), W, np.zeros((2, 2)))
     assert res.is_finite and res.iterations >= 2
     start, *stein = _runs(events)
     assert start[0] is False and start[1] == start[2] > 0  # the V + delta I start
@@ -599,16 +626,18 @@ def test_stein_runs_of_a_newton_solve_take_one_linear_solve_per_doubling(monkeyp
 
 
 def test_stein_equations_of_a_small_newton_solve_take_one_linear_solve_each(monkeypatch):
-    # three states: the start is the only doubling run, and after its
-    # doublings each Newton step makes one solve, of its 9 x 9 Kronecker system
+    # three states, a rank-one W, so a noiseless pair takes Newton: each
+    # step's Stein equation is one G = 0 doubling run, one solve of I + G H
+    # per doubling, and the answer is a fixed point of the recursion
     events = _spy_kernel_events(monkeypatch)
-    m = build_example1(0.9, 1e4)
-    res = riccati.solve_dare(m.A, m.C[:2], m.W, m.V[:2, :2])
+    A, W, C, V = _singular_stack("rank-one W")
+    res = riccati.solve_dare(A, C[0], W, V[0])
     assert res.is_finite and res.iterations >= 2
-    (start,) = _runs(events)
+    start, *stein = _runs(events)
     assert start[0] is False and start[1] == start[2] > 0
-    assert events[-res.iterations:] == [("solve", (9, 9))] * res.iterations
-    assert ("solve", (9, 9)) not in events[:-res.iterations]
+    assert len(stein) == res.iterations and all(run[0] and run[1] == run[2] > 0 for run in stein)
+    residual = np.linalg.norm(_riccati_step(res.cov, A, C[0], W, V[0]) - res.cov)
+    assert residual <= 1e-12 * max(1.0, np.linalg.norm(res.cov))
 
 
 @st.composite
@@ -652,7 +681,7 @@ def test_stacked_scores_are_monotone_and_attack_is_complement(instance, metric):
 @given(instance=_instances(), quiet=st.integers(0, 6))
 def test_stacked_priori_dominates_posteriori_and_couples(instance, quiet):
     m, _ = instance
-    if quiet < m.q:  # a noiseless sensor: its sets take the Newton path
+    if quiet < m.q:  # a noiseless sensor: its sets take the reduced path
         m.V[quiet, :] = m.V[:, quiet] = 0.0
         m = validate_model(m)
     a_sq, w = np.diag(m.A) ** 2, np.diag(m.W)
@@ -806,7 +835,7 @@ def test_posteriori_g_form_matches_joseph_and_subtraction(seed):
     rng = np.random.default_rng(700 + seed)
     n, p = int(rng.integers(1, 8)), int(rng.integers(1, 16))
     S, C, V = _posteriori_stack(rng, 24, n, p)
-    noise = riccati._noise_gain(C, V)
+    noise = riccati._noise(C, V)
     assert noise[0].all()
     got = riccati._posteriori(S, C, V, noise)
     CS = C @ S
@@ -842,8 +871,8 @@ def test_noise_gain_factors_members_one_by_one_after_a_failed_batch(monkeypatch)
 def test_posteriori_stack_mixing_singular_and_nonsingular_equals_members_alone():
     rng = np.random.default_rng(710)
     S, C, V = _posteriori_stack(rng, 12, 4, 3)
-    V[::3, 1, :] = V[::3, :, 1] = 0.0  # a noiseless sensor: the Joseph form
-    nonsingular, _ = noise = riccati._noise_gain(C, V)
+    V[::3, 1, :] = V[::3, :, 1] = 0.0  # a noiseless sensor: the exact update
+    nonsingular, _, _ = noise = riccati._noise(C, V)
     assert any(nonsingular) and not all(nonsingular)
     stacked = riccati._posteriori(S, C, V, noise)
     for got, s, c, v in zip(stacked, S, C, V):
@@ -897,7 +926,7 @@ def _assert_certified_posteriori(A, W, C, V):
     most the a priori one; hi = lo on stopping, and the upper end closes in
     below the a priori one.  Unwidened, the K = 300 kfss gadget misses by
     6e-9 relative."""
-    nonsingular, G = noise = riccati._noise_gain(C, V)
+    nonsingular, G, _ = noise = riccati._noise(C, V)
     assert nonsingular.all()
     S, counts = riccati._doubling_dare(A, G, W)
     seen = {}
