@@ -5,26 +5,30 @@ The a priori covariance is the stabilizing solution of
 
     S = A S A' + W - A S C' (C S C' + V)^+ C S A'.
 
-One doubling loop computes it, in one of three ways chosen from the data:
+Each member's noise is described once, before any kernel runs (_noise):
+R0, its noiseless rows, and G, the gain C1' V1^-1 C1 of its noisy ones.
+A V that _noise_gain finds nonsingular has R0 = 0 and G = C' V^-1 C from
+its Cholesky factor.  Otherwise rows scaled to unit norm split V into
+noisy rows and noiseless ones (_split), a decision that does not depend
+on the scale of a measurement (a row of C and V's row and column alike);
+a V that _split refuses (not finite, or not PSD within its cutoff)
+raises NoConvergence.  One doubling loop then computes S, in one of three
+ways chosen from (R0, G):
 
-* Nonsingular V (including the empty selection's 0 x 0 V): the equation is
-  S = A S (I + G S)^-1 A' + W with G = C' V^-1 C, solved by the
-  structure-preserving doubling algorithm (Chu, Fan & Lin; Anderson & Moore,
-  Optimal Filtering, 1979), which converges quadratically.
-* Singular V (noiseless sensors) with W nonsingular: the perfect-measurement
-  reduction (Bryson & Johansen, 1965; Anderson & Moore, 1979).  Rows
-  scaled to unit norm split V into noisy rows and noiseless ones (_split);
-  the noiseless rows' next value measures C0 A x with noise C0 w, and
-  decorrelating it from the process noise leaves an ordinary problem with
-  nonsingular noise, which the same doubling solves (_reduced_dare).  The
-  rank decisions are made once per member and do not depend on the scale
-  of a measurement (a row of C and V's row and column alike).
-* Singular V with W singular, or a V the reduction refuses (not finite, not
-  PSD): Newton's method on the equation (Kleinman 1968; Hewer 1971).  Each
-  step fixes the gain K = A S C' (C S C' + V)^+ and solves the closed-loop
-  Stein equation S = F S F' + W + K V K', F = A - K C, as the G = 0
-  doubling (Smith's, _stein).  It starts from the doubling solution for
-  V + delta I, whose gain is stabilizing, and converges quadratically.
+* No noiseless rows: S = A S (I + G S)^-1 A' + W, solved by the
+  structure-preserving doubling algorithm (Chu, Fan & Lin; Anderson &
+  Moore, Optimal Filtering, 1979), which converges quadratically.
+* Noiseless rows with W nonsingular: the perfect-measurement reduction
+  (Bryson & Johansen, 1965; Anderson & Moore, 1979).  The noiseless rows'
+  next value measures C0 A x with noise C0 w, and decorrelating it from
+  the process noise leaves an ordinary problem with nonsingular noise,
+  which the same doubling solves (_reduced_dare).
+* Noiseless rows with W singular: Newton's method on the equation
+  (Kleinman 1968; Hewer 1971).  Each step fixes the gain
+  K = A S C' (C S C' + V)^+ (_gain) and solves the closed-loop Stein
+  equation S = F S F' + W + K V K', F = A - K C, as the G = 0 doubling
+  (Smith's).  It starts from the doubling solution for V + delta I, whose
+  gain is stabilizing, and converges quadratically.
 
 The private helpers work on stacks: arrays of k same-shape members, one
 per sensor subset (C is k x p x n, V is k x p x p), and every batched
@@ -38,7 +42,7 @@ a padded member agrees with its lone solve up to the order of sums over p;
 the reduction's decompositions leave such rows out, and a padded member
 keeps its lone bits there.
 Each member of a doubling or Newton run stops at its own stopping rule.
-The nonsingular doubling run may also drop members early: every doubling
+The plain doubling run may also drop members early: every doubling
 keeps the invariant S = A_k' S (I + G_k S)^-1 A_k + H_k, which certifies
 tr H_k <= tr S <= tr H_k / (1 - ||A_k||_F^2), and a caller's ``settle``
 marks the members it no longer needs from these intervals (see
@@ -49,11 +53,10 @@ the interval of tr post(S), post(X) = (I + X G)^-1 X with the member's
 first G: H_k <= S <= H_k + (hi - lo) I in the Loewner order, and post is
 monotone in it (Anderson & Moore, 1979).
 PBH takes one kernel basis of A - lam I per unstable mode and request.
-The update of a nonsingular member solves with the G = C' V^-1 C its
-doubling used (_g_update); a singular one that _split takes is updated
-exactly by its noiseless rows, then by G1 = C1' V1^-1 C1 (_posteriori);
-any other takes the Joseph form.  The Newton gain and the Joseph form share
-_gain, which shares _pinv_psd with pseudo_inverse_psd.
+Every measurement update takes one formula (_posteriori): S updated
+exactly by the noiseless rows R0, where a member has any, then by the
+G-form (I + S G)^-1 S (_g_update).  Newton's gain shares _pinv_psd with
+pseudo_inverse_psd.
 solve_dare, and every public solver call in the solvers module, tests
 stabilizability once and uncached (check_stabilizable).
 
@@ -75,11 +78,11 @@ class ShapeError(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """A doubling run (nonsingular, reduced or Stein) or the Newton
-    iteration reached MAX_STEPS above tolerance, a doubling iterate became
-    non-finite, a Newton start was singular (a V that is not finite or not
-    PSD reaches it), or a solution's trace overflowed or its diagonal fell
-    below W's."""
+    """A V was not finite or not PSD, a doubling run (plain, reduced or
+    Stein) or the Newton iteration reached MAX_STEPS above tolerance, a
+    doubling iterate became non-finite, a Newton start was singular (a V
+    too large for the delta to count), or a solution's trace overflowed or
+    its diagonal fell below W's."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(f"{message} (residual {residual:.3e} after {iterations} iterations)")
@@ -91,18 +94,15 @@ class StabilizabilityViolation(ValueError):
     pass
 
 
-# Noise added to a singular V for the Newton start, which only members the
-# perfect-measurement reduction refuses reach.  In exact arithmetic any
-# value above zero gives a stabilizing first gain, and a smaller one starts
-# closer to the noiseless solution.  On the 990 detectable nonempty subsets
-# of the example families (lambda 0.6-0.99, h 1e-4-1e4) the most Newton
-# steps any member takes are 6 at 1, 4 at 1e-2 and 3 at 1e-3 and 1e-4, and
-# the grid's Newton steps fall from 2949 to 2627 at 1e-3 (2700 at 1e-2).
-# Much smaller values cost the start's doubling accuracy (measured with the
-# direct Stein solve): of 3200 random noiseless models (n, q <= 4, A's
-# eigenvalues in (-1.2, 1.2), sensor gains 1e-3, 1 or 1e3, rank V < q) 13
-# failed to converge at 1, 7 at 1e-2, 12 at 1e-3, 11 at 1e-4 and 22 at
-# 1e-5, and 15 family subsets fail at 1e-8 (none at 1e-7).
+# Noise added to a singular V for the Newton start, which only members with
+# noiseless rows and a singular W reach.  In exact arithmetic any value
+# above zero gives a stabilizing first gain, and a smaller one starts
+# closer to the noiseless solution, but a much smaller one costs the
+# start's doubling accuracy: of 600 random noiseless models with W singular
+# (2 <= n <= 4, q <= 4, A's eigenvalues in (-1.2, 1.2), sensor gains 1e-3,
+# 1 or 1e3, rank V < q), 11 raise NoConvergence at 1, 9 at 1e-2, 4 at
+# 1e-3, 7 at 1e-4 and 14 at 1e-5, in 2094, 1824, 1733, 1665 and 1558
+# Newton steps.
 NEWTON_START_DELTA = 1e-3
 
 # Cap on the doublings of each doubling run and on Newton steps.  Both
@@ -274,16 +274,9 @@ def _pinv_psd(M: np.ndarray) -> np.ndarray:
     return (U * inv[:, None, :]) @ U.transpose(0, 2, 1)
 
 
-def _stein(F, Q) -> np.ndarray:
-    """S = F S F' + Q for every member of the stacks F and Q (k x n x n):
-    the G = 0 doubling run, which raises as it does."""
-    return _doubling_dare(F, np.zeros_like(F), Q)[0]
-
-
 def _gain(A, S, C, V) -> np.ndarray:
     """Filter gain A S C' (C S C' + V)^+ of every member of the stacks
-    S (k x n x n), C (k x p x n) and V (k x p x p); A = I gives the
-    measurement-update gain of the Joseph form."""
+    S (k x n x n), C (k x p x n) and V (k x p x p): Newton's gain."""
     CS = C @ S
     return A @ CS.transpose(0, 2, 1) @ _pinv_psd(CS @ C.transpose(0, 2, 1) + V)
 
@@ -295,20 +288,22 @@ def _newton_dare(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
 
     Step 1 takes the gain of the doubling solution S_0 for
     V + NEWTON_START_DELTA I, which stabilizes A - K C.  Step j solves
-    S_j = F S_j F' + W + K V K', F = A - K C, by _stein and takes the gain
+    S_j = F S_j F' + W + K V K', F = A - K C, as the G = 0 doubling run
+    (Smith's iteration, which raises as the doubling does) and takes the gain
     K = A S_j C' (C S_j C' + V)^+ for step j + 1.  Step 1 is measured from
     S_0, not from a Newton iterate, so it is never tested.
     From step 2 on a member stops once its step ||S_j - S_j-1||_F is at most
     TOL * max(1, ||S_j||_F), or once a step neither shrinks nor lowers
     the trace (the iterates decrease, so that step is round-off), and is
     frozen.  Returns the stack of covariances and each member's step count;
-    raises NoConvergence on a singular start, before any doubling, when a
-    member reaches MAX_STEPS steps, or as _doubling_dare does.
+    raises NoConvergence on a singular start (V too large for the delta to
+    lift), before any doubling, when a member reaches MAX_STEPS steps, or
+    as _doubling_dare does.
     """
     k, p, n = C.shape
     start = V + NEWTON_START_DELTA * np.eye(p)
     factored, G = _noise_gain(C, start)
-    if not factored.all():  # a V that is not PSD, or too large for delta to lift
+    if not factored.all():
         raise NoConvergence(f"Newton start V + {NEWTON_START_DELTA:g} I is not positive definite", np.nan, 0)
     S, _ = _doubling_dare(A, G, W)
     K = _gain(A, S, C, start)
@@ -317,7 +312,7 @@ def _newton_dare(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
     live = np.arange(k)
     for it in range(1, MAX_STEPS + 1):
         Q = _sym(W + K @ V @ K.transpose(0, 2, 1))
-        S2 = _stein(A - K @ C, Q)
+        S2, _ = _doubling_dare(A - K @ C, np.zeros_like(S), Q)
         step = _fro(S2 - S)
         trace2 = np.trace(S2, axis1=1, axis2=2)
         S = S2
@@ -407,29 +402,44 @@ def _basis(B) -> np.ndarray:
 
 
 def _noise(C, V):
-    """_noise_gain of the stacks C and V, plus _split of the singular
-    members (None when there are none)."""
+    """(R0, G), the noise description of every member of the stacks
+    C (k x p x n) and V (k x p x p): R0 (k x p x n) its noiseless rows and
+    G (k x n x n) the gain C1' V1^-1 C1 of its noisy ones.  A member whose
+    V _noise_gain finds nonsingular has R0 = 0 and its G; any other takes
+    _split's R0 and G1.  Raises NoConvergence when _split refuses a
+    member's V (not finite, or not PSD within its cutoff)."""
     nonsingular, G = _noise_gain(C, V)
+    R0 = np.zeros(C.shape)
+    if nonsingular.all():
+        return R0, G
     singular = ~nonsingular
-    return nonsingular, G, (_split(C[singular], V[singular]) if singular.any() else None)
+    ok, R0[singular], G1 = _split(C[singular], V[singular])
+    if not ok.all():
+        raise NoConvergence("noise V is not finite or not positive semidefinite", np.nan, 0)
+    full = np.empty((C.shape[0],) + G1.shape[1:])
+    full[nonsingular], full[singular] = G, G1
+    return R0, full
 
 
-def _measured(R0, X):
-    """(w, L, Q, Z) for noiseless rows R0 (k x p x n) and a PSD X (n x n or
-    a stack): X = L L' with eigenvalues w, Q = _basis(R0 L) and
-    Z = L (I - Q'Q).  Z Z' = X - X R0' (R0 X R0')^+ R0 X is X updated
-    exactly by the rows; for X > 0, C0 = Q L^-1 spans them, C0 X C0' = I."""
+def _root(X):
+    """(w, L) for a PSD X (n x n or a stack): X = L L' with eigenvalues w."""
     w, U = np.linalg.eigh(X)
-    L = U * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+    return w, U * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+
+
+def _measured(R0, L):
+    """(Q, Z) for noiseless rows R0 (k x p x n) and the root L of a PSD X
+    (_root): Q = _basis(R0 L) and Z = L (I - Q'Q).  Z Z' =
+    X - X R0' (R0 X R0')^+ R0 X is X updated exactly by the rows; for
+    X > 0, C0 = Q L^-1 spans them, C0 X C0' = I."""
     Q = _basis(R0 @ L)
-    return w, L, Q, L - L @ Q.transpose(0, 2, 1) @ Q
+    return Q, L - L @ Q.transpose(0, 2, 1) @ Q
 
 
-def _reduced_dare(A, W, R0, G1):
-    """A priori covariances and doubling counts of the members of _split's
-    R0 and G1 by the perfect-measurement reduction, in one doubling run;
-    None when W's smallest eigenvalue is at or below PINV_RTOL * max(1,
-    largest).
+def _reduced_dare(A, W, L, R0, G1):
+    """A priori covariances and doubling counts of the members with
+    noiseless rows R0 and noisy gain G1 (_noise) by the perfect-measurement
+    reduction, in one doubling run; W = L L' (_root) must be nonsingular.
 
     With _measured's C0 = Q L^-1 for X = W, J = W C0' (C0 W C0')^-1 C0 =
     L Q'Q L^-1: the noiseless rows' next value measures C0 A x with noise
@@ -443,9 +453,7 @@ def _reduced_dare(A, W, R0, G1):
     x' Wb = 0 has x' = x' J, so x' Ab = 0.  With W singular it need not
     be, and the doubling would return a solution that does not stabilize.
     """
-    w, L, Q, Z = _measured(R0, W)
-    if not w[0] > PINV_RTOL * max(1.0, w[-1]):
-        return None
+    Q, Z = _measured(R0, L)
     B = np.linalg.solve(L, A)
     QB = Q @ B
     P, doublings = _doubling_dare(Z @ B, _sym(G1 + QB.transpose(0, 2, 1) @ QB), _sym(Z @ Z.transpose(0, 2, 1)))
@@ -453,43 +461,27 @@ def _reduced_dare(A, W, R0, G1):
     return _sym(A @ P @ A.T + W), doublings
 
 
-def _update(X, G1) -> None:
-    """X <- (I + X G1)^-1 X, symmetrized, in place, for every member of the
-    stacks X and G1 whose G1 is not zero; on the others the update gives
+def _update(X, G) -> None:
+    """X <- (I + X G)^-1 X, symmetrized, in place, for every member of the
+    stacks X and G whose G is not zero; on the others the update gives
     X's bits back."""
-    noisy = G1.any(axis=(1, 2))
+    noisy = G.any(axis=(1, 2))
     if noisy.any():
-        X[noisy] = _sym(_g_update(X[noisy], G1[noisy]))
+        X[noisy] = _sym(_g_update(X[noisy], G[noisy]))
 
 
-def _posteriori(S, C, V, noise) -> np.ndarray:
-    """posteriori_from_priori for every member of the stacks S (k x n x n),
-    C (k x p x n) and V (k x p x p), given noise = _noise(C, V).  A member
-    with singular V that _split takes is updated in two steps: exactly by
-    its noiseless rows R0, Sigma = Z Z' (_measured with X = S), then
-    (I + Sigma G1)^-1 Sigma.  Any other singular member takes the Joseph
-    form."""
-    nonsingular, G, split = noise
-    out = np.empty_like(S)
-    if nonsingular.any():
-        out[nonsingular] = _sym(_g_update(S[nonsingular], G))
-    if split is None:
-        return out
-    singular = np.flatnonzero(~nonsingular)
-    ok, R0, G1 = split
-    if ok.any():
-        Z = _measured(R0[ok], S[singular[ok]])[3]
-        P = _sym(Z @ Z.transpose(0, 2, 1))
-        _update(P, G1[ok])
-        out[singular[ok]] = P
-    if not ok.all():
-        joseph = singular[~ok]
-        S, C, V = S[joseph], C[joseph], V[joseph]
-        eye = np.eye(S.shape[-1])
-        K = _gain(eye, S, C, V)
-        F = eye - K @ C
-        out[joseph] = _sym(F @ S @ F.transpose(0, 2, 1) + K @ V @ K.transpose(0, 2, 1))
-    return out
+def _posteriori(S, R0, G) -> np.ndarray:
+    """The measurement updates of the symmetric stack S (k x n x n) given
+    (R0, G) = _noise(C, V): S updated exactly by the noiseless rows R0
+    where a member has any, Sigma = Z Z' (_measured with X = S), then by
+    the noisy ones, (I + Sigma G)^-1 Sigma (_update)."""
+    P = S.copy()
+    noiseless = R0.any(axis=(1, 2))
+    if noiseless.any():
+        Z = _measured(R0[noiseless], _root(S[noiseless])[1])[1]
+        P[noiseless] = _sym(Z @ Z.transpose(0, 2, 1))
+    _update(P, G)
+    return P
 
 
 def pseudo_inverse_psd(M: np.ndarray) -> np.ndarray:
@@ -508,15 +500,15 @@ def pseudo_inverse_psd(M: np.ndarray) -> np.ndarray:
 
 def posteriori_from_priori(Sigma, C_sel, V_sel) -> np.ndarray:
     """Measurement-update covariance S - S C' M^+ C S, M = C S C' + V,
-    symmetrized.  A V nonsingular by solve_dare's test gives the equal
-    (I + S G)^-1 S, G = C' V^-1 C, an n x n solve; a singular V gives the
-    Joseph form (I - K C) S (I - K C)' + K V K', K = S C' M^+, on which the
-    family closed forms rely.  Neither form subtracts a term close to S."""
+    symmetrized, in the equal form solve_dare's update takes (_posteriori):
+    S updated exactly by V's noiseless rows, if any, then (I + S G)^-1 S
+    with G the gain of the noisy rows, an n x n solve.  Neither step
+    subtracts a term close to S.  Raises NoConvergence when V is not finite
+    or not PSD (_noise)."""
     Sigma, C, V = (np.asarray(M, dtype=float) for M in (Sigma, C_sel, V_sel))
     if C.ndim != 2 or Sigma.shape != (C.shape[1],) * 2 or V.shape != (C.shape[0],) * 2:
         raise ShapeError(f"need C p x n, an n x n covariance and V p x p, got {C.shape}, {Sigma.shape}, {V.shape}")
-    C, V = C[None], V[None]
-    return _posteriori(Sigma[None], C, V, _noise(C, V))[0]
+    return _posteriori(_sym(Sigma[None]), *_noise(C[None], V[None]))[0]
 
 
 def _mode_images(A: np.ndarray, C: np.ndarray) -> list:
@@ -588,12 +580,13 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
     V (k x p x p), every member detectable: the a priori covariances, or
     with ``posteriori`` their measurement updates (_posteriori).
 
-    Nonsingular members share one doubling run, which gets ``settle`` and
-    ``posteriori`` (see _doubling_dare; a member it drops has a NaN
-    covariance).  Singular members that _split takes share one reduced
-    doubling run when W is nonsingular (_reduced_dare), and the others one
-    Newton run; neither drops anything.  The route is decided once per
-    member, from C, V and W.
+    The route is decided once per member, from its noise description
+    (R0, G) = _noise(C, V), before any kernel runs: members without
+    noiseless rows share one doubling run with their G, which gets
+    ``settle`` and ``posteriori`` (see _doubling_dare; a member it drops
+    has a NaN covariance).  Members with noiseless rows share one reduced
+    doubling run when W is nonsingular (_reduced_dare), and one Newton run
+    when it is not; neither drops anything.
     The checks read the a priori covariances: raises NoConvergence as
     _doubling_dare and _newton_dare do; when a member's trace overflows,
     since a score could not tell it from an undetectable member's infinity;
@@ -609,18 +602,20 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
     k = C.shape[0]
     S = np.empty((k,) + A.shape)
     iters = np.zeros(k, dtype=int)
-    nonsingular, G, split = noise = _noise(C, V)
-    if nonsingular.any():
-        S[nonsingular], iters[nonsingular] = _doubling_dare(A, G, W, settle, posteriori)
-    if split is not None:
-        singular = np.flatnonzero(~nonsingular)
-        ok, R0, G1 = split
-        reduced = _reduced_dare(A, W, R0[ok], G1[ok]) if ok.any() else None
-        if reduced is not None:
-            S[singular[ok]], iters[singular[ok]] = reduced
-            singular = singular[~ok]
-        if singular.size:
-            S[singular], iters[singular] = _newton_dare(A, C[singular], W, V[singular])
+    R0, G = _noise(C, V)
+    plain = ~R0.any(axis=(1, 2))
+    newton = np.zeros(k, dtype=bool)
+    if not plain.all():
+        w, L = _root(W)
+        if not w[0] > PINV_RTOL * max(1.0, w[-1]):  # W singular: the reduction need not stabilize
+            newton = ~plain
+    reduced = ~plain & ~newton
+    if plain.any():
+        S[plain], iters[plain] = _doubling_dare(A, G[plain], W, settle, posteriori)
+    if reduced.any():
+        S[reduced], iters[reduced] = _reduced_dare(A, W, L, R0[reduced], G[reduced])
+    if newton.any():
+        S[newton], iters[newton] = _newton_dare(A, C[newton], W, V[newton])
     shortfall = (W.diagonal() - S.diagonal(axis1=1, axis2=2)).max(axis=1)  # NaN, never below, if dropped
     with np.errstate(over="ignore"):  # see _fro
         below = np.flatnonzero(shortfall > np.sqrt(TOL) * np.maximum(1.0, _fro(S)))
@@ -631,31 +626,31 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
     if huge.size:
         j = huge[0]
         raise NoConvergence("a priori trace overflows the float range", np.inf, int(iters[j]))
-    return (_posteriori(S, C, V, noise) if posteriori else S), iters
+    return (_posteriori(S, R0, G) if posteriori else S), iters
 
 
 def solve_dare(A, C, W, V) -> SteadyStateResult:
     """Stabilizing solution of the filter Riccati equation (the a priori
     steady-state covariance).
 
-    Nonsingular V (a 0 x 0 V included) is solved by doubling until the
-    step falls to TOL relative to max(1, ||S||_F); the result's
-    ``iterations`` counts doublings.  Singular V with W nonsingular is
-    solved by the perfect-measurement reduction, whose equation the same
-    doubling solves; ``iterations`` counts the reduced run's doublings.
-    Any other singular V is solved by Newton steps (_newton_dare; each
-    Stein equation takes the G = 0 doubling) until a step falls to TOL by
-    the same measure or to its round-off floor; ``iterations`` counts
-    Newton steps.
+    A member without noiseless rows (_noise; every nonsingular V, a 0 x 0
+    V included) is solved by doubling until the step falls to TOL relative
+    to max(1, ||S||_F); the result's ``iterations`` counts doublings.  One
+    with noiseless rows and W nonsingular is solved by the
+    perfect-measurement reduction, whose equation the same doubling
+    solves; ``iterations`` counts the reduced run's doublings.  One with
+    noiseless rows and W singular is solved by Newton steps (_newton_dare;
+    each Stein equation takes the G = 0 doubling) until a step falls to
+    TOL by the same measure or to its round-off floor; ``iterations``
+    counts Newton steps.
 
     Returns the infinite result when (A, C) is undetectable.  Raises
     StabilizabilityViolation when (A, W^{1/2}) is not stabilizable and
-    NoConvergence when a doubling run or the Newton iteration reaches
-    MAX_STEPS above tolerance, a doubling iterate turns non-finite, the
-    Newton start V + NEWTON_START_DELTA I is singular (V is not finite or
-    not PSD, or, with W singular, too large for the delta to count), or the
-    solution's trace overflows or its variance falls below W's (see
-    _solve_detectable).
+    NoConvergence when V is not finite or not PSD, a doubling run or the
+    Newton iteration reaches MAX_STEPS above tolerance, a doubling iterate
+    turns non-finite, the Newton start V + NEWTON_START_DELTA I is singular
+    (V too large for the delta to count), or the solution's trace
+    overflows or its variance falls below W's (see _solve_detectable).
     """
     A = np.ascontiguousarray(A, dtype=float)
     C = np.ascontiguousarray(C, dtype=float)

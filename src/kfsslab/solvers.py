@@ -41,8 +41,8 @@ passes its metric to the kernel run, which returns covariances and
 certifies intervals in that metric (see riccati._solve_detectable).  A
 dropped member is stored as None: it counts as not tied, and a request
 without a bound, a greedy step or a report, solves it.  Greedy,
-greedy_and_optimal's joint first scoring and the singular-V (reduced or
-Newton) members drop nothing.  A report's trace and covariance diagonal are
+greedy_and_optimal's joint first scoring and the members with noiseless
+rows (reduced or Newton) drop nothing.  A report's trace and covariance diagonal are
 those of the stack member that scored the chosen indicator, and nothing
 is solved twice.
 evaluate_selection is the per-subset reference that the scorer agrees

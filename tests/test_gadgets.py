@@ -143,8 +143,8 @@ def test_builder_bounds_follow_the_pinv_cutoff(monkeypatch):
 
 @pytest.mark.parametrize("build", [build_example1, build_example2])
 def test_family_builders_reject_extreme_h(build):
-    # h^2 at or beyond 1 / PINV_RTOL (h >= 1e6) drops the
-    # gain-h rows' informative eigenvalue at the pseudo-inverse cutoff
+    # h^2 at or beyond 1 / PINV_RTOL (h >= 1e6) is past the families'
+    # checked range, though the reduction still solves it exactly
     for h in (float("inf"), float("nan"), 0.0, -1.0, 1e6, 1e8, 1e200):
         with pytest.raises(DomainError, match="h"):
             build(0.9, h)
@@ -154,8 +154,8 @@ def test_family_builders_reject_extreme_h(build):
 
 def test_example2_h_bound_keeps_its_smallest_eigenvalue():
     # T = {1, 3, 4} has the smallest eigenvalue of C_T C_T', about
-    # 1 / (2 + 2 h^2): at h = 9e5 the cutoff dropped it and these three
-    # noiseless sensors, which determine x, scored 7.263 instead of 3
+    # 1 / (2 + 2 h^2), which the bound keeps above PINV_RTOL; these three
+    # noiseless sensors determine x and score 3
     for h in (9e5, 999999.0):
         with pytest.raises(DomainError, match="h"):
             build_example2(0.9, h)

@@ -376,13 +376,14 @@ DIAG_A = np.diag([0.5, 0.3])
 
 @pytest.mark.parametrize("V", [[[-1.0]], [[math.nan]], 1e14 * np.ones((2, 2))])
 def test_a_newton_start_that_cannot_be_factored_raises_no_convergence(V):
-    # V + NEWTON_START_DELTA I is not positive definite: V is not PSD, or
-    # 1e14 + 1e-3 rounds to 1e14, so the rank-one V keeps its rank.  The
-    # reduction refuses a V that is not PSD or not finite, and with W
-    # singular any singular V, so each reaches the Newton start
+    # with W singular, the noiseless member of the rank-one V takes Newton,
+    # and 1e14 + NEWTON_START_DELTA rounds to 1e14, so its start
+    # V + delta I keeps the rank; V = -1 and NaN are refused before any
+    # kernel, since _noise refuses a V that is not PSD or not finite
     V = np.array(V)
     p = V.shape[0]
-    with pytest.raises(NoConvergence, match="Newton start") as exc:
+    message = "not finite or not positive semidefinite" if p == 1 else "Newton start"
+    with pytest.raises(NoConvergence, match=message) as exc:
         solve_dare(DIAG_A[:p, :p], np.eye(p), np.diag([1.0, 0.0])[:p, :p], V)
     assert exc.value.iterations == 0
 
@@ -401,10 +402,46 @@ def test_a_stack_member_does_not_borrow_another_members_newton_start():
     lambda m: greedy_attack(m, 0, "posteriori"),
 ], ids=["exhaustive_select", "greedy_attack"])
 def test_solvers_refuse_a_noise_that_is_not_psd(run):
-    # an unvalidated model: V = -I reaches the Newton start unchanged
+    # an unvalidated model: V = -I reaches the kernel unchanged, which
+    # refuses it before any solve
     m = SystemModel(n=2, q=2, A=DIAG_A, C=np.eye(2), W=np.eye(2), V=-np.eye(2))
-    with pytest.raises(NoConvergence, match="Newton start"):
+    with pytest.raises(NoConvergence, match="not finite or not positive semidefinite"):
         run(m)
+
+
+def _rotated(w):
+    """V = U diag(w) U' with U the rotation by 45 degrees."""
+    U = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
+    return (U * w) @ U.T
+
+
+@pytest.mark.parametrize("W", [np.eye(2), np.diag([1.0, 0.0])], ids=["W=I", "W singular"])
+@pytest.mark.parametrize("V", [np.array([[1.0, math.nan], [math.nan, 1.0]]), _rotated([1.0, -1e-6])],
+                         ids=["NaN off-diagonal", "eigenvalue -1e-6"])
+def test_a_noise_that_is_not_finite_or_not_psd_is_refused_before_any_kernel(monkeypatch, V, W):
+    used = _kernel_spy(monkeypatch)
+    with pytest.raises(NoConvergence, match="not finite or not positive semidefinite") as exc:
+        solve_dare(DIAG_A, np.eye(2), W, V)
+    assert used == [] and exc.value.iterations == 0
+
+
+def test_an_indefinite_noise_has_no_measurement_update():
+    with pytest.raises(NoConvergence, match="not finite or not positive semidefinite"):
+        posteriori_from_priori(np.eye(2), np.eye(2), _rotated([1.0, -1e-6]))
+
+
+@pytest.mark.parametrize("W", [np.eye(2), np.diag([1.0, 0.0])], ids=["W=I", "W singular"])
+def test_a_noisy_row_below_the_pivot_cutoff_takes_the_plain_doubling(monkeypatch, W):
+    # V_00 = 1e-13 is singular by _noise_gain's absolute pivot rule, but
+    # per squared gain (C_00 = 0.1) the row's noise is 1e-11, above _split's
+    # cutoff: no row is noiseless, so the member takes the plain doubling
+    # with _split's G1, whatever W is
+    used = _kernel_spy(monkeypatch)
+    A, C, V = np.diag([0.9, 0.5]), np.diag([0.1, 1.0]), np.diag([1e-13, 1.0])
+    res = solve_dare(A, C, W, V)
+    assert used == ["_doubling_dare"]
+    want = np.trace(_scipy_priori(A, C, W, V))
+    assert abs(res.trace - want) <= 1e-12 * want
 
 
 def _recursion_limit(A, C, W, V, steps):
@@ -513,11 +550,10 @@ def test_kernel_follows_noise_singularity(monkeypatch, V, kernel):
         # one doubling run, on the reduced equation; iterations counts its doublings
         assert used == [kernel, "_doubling_dare"] and res.iterations >= 1
     else:
-        # the reduction declines, then the start and one Stein equation per
-        # Newton step, all through the doubling; step 1 is never tested, so
-        # there are at least two steps
-        assert used[:2] == ["_reduced_dare", kernel] and set(used[2:]) == {"_doubling_dare"}
-        assert res.iterations == len(used) - 3 >= 2
+        # the start and one Stein equation per Newton step, all through the
+        # doubling; step 1 is never tested, so there are at least two steps
+        assert used[0] == kernel and set(used[1:]) == {"_doubling_dare"}
+        assert res.iterations == len(used) - 2 >= 2
     assert res.is_finite
     S = res.cov
     assert np.linalg.norm(_riccati_step(S, A, C, W, V) - S) < 1e-9

@@ -357,11 +357,12 @@ def test_posteriori_solve_is_the_update_of_the_priori_solve(case):
     # same counts
     m = _singular_model(case)
     _, C, V = _mixed_chunk(m)
-    nonsingular, _, _ = noise = riccati._noise(C, V)
-    assert nonsingular.any() and not nonsingular.all()
+    R0, G = riccati._noise(C, V)
+    noiseless = R0.any(axis=(1, 2))
+    assert noiseless.any() and not noiseless.all()
     S, iters = riccati._solve_detectable(m.A, m.W, C, V)
     post, post_iters = riccati._solve_detectable(m.A, m.W, C, V, posteriori=True)
-    assert np.array_equal(post, riccati._posteriori(S, C, V, noise)) and np.array_equal(post_iters, iters)
+    assert np.array_equal(post, riccati._posteriori(S, R0, G)) and np.array_equal(post_iters, iters)
     assert not np.array_equal(post, S)
 
 
@@ -401,7 +402,7 @@ def test_null_sensors_pad_with_unit_uncorrelated_noise(monkeypatch):
     # doubling too, beside its noiseless triples
     reduced = riccati._reduced_dare
     members = []
-    monkeypatch.setattr(riccati, "_reduced_dare", lambda A, W, R0, G1: members.append(len(R0)) or reduced(A, W, R0, G1))
+    monkeypatch.setattr(riccati, "_reduced_dare", lambda A, W, L, R0, G1: members.append(len(R0)) or reduced(A, W, L, R0, G1))
     m = _random_model(np.random.default_rng(41), 8)
     ((greedy, optimal, _),) = solvers.greedy_and_optimal([m], 3, "select", "priori")
     assert members == []
@@ -433,6 +434,12 @@ def _stein_stack(rng, k, n, radii):
     F *= (np.asarray(radii) / np.abs(np.linalg.eigvals(F)).max(axis=1))[:, None, None]
     B = rng.standard_normal((k, n, n))
     return F, B @ B.transpose(0, 2, 1)
+
+
+def _zero_g_run(F, Q):
+    """S = F S F' + Q for every member of the stacks F and Q: the G = 0
+    doubling run, which solves Newton's Stein equations."""
+    return riccati._doubling_dare(F, np.zeros_like(F), Q)[0]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -471,16 +478,25 @@ def test_fro_of_entries_near_the_float_maximum_stays_finite():
 
 
 def test_stein_doubling_without_a_stable_f_raises_no_convergence():
+    # one member with rho(F) >= 1, or with a NaN closed loop, makes the
+    # whole G = 0 run raise; the stable members, run without it, keep the
+    # bits of their lone runs
     rng = np.random.default_rng(32)
     k, n = 4, 3
-    for radii, message in [([0.5, 1.0, 0.9, 0.3], "iteration cap"),  # H doubles
-                           ([0.5, 1.2, 0.9, 0.3], "non-finite")]:  # H overflows
-        F, Q = _stein_stack(rng, k, n, radii)
-        if radii[1] == 1.0:  # a cyclic shift, whose powers stay exact
+    for bad, message in [(1.0, "iteration cap"),  # H doubles
+                         (1.2, "non-finite"),  # H overflows
+                         (math.nan, "non-finite")]:
+        F, Q = _stein_stack(rng, k, n, [0.5, 0.7 if math.isnan(bad) else bad, 0.9, 0.3])
+        if bad == 1.0:  # a cyclic shift, whose powers stay exact
             F[1] = np.roll(np.eye(n), 1, axis=0)
+        elif math.isnan(bad):
+            F[1] = np.nan
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NoConvergence, match=message):
-                riccati._doubling_dare(F, np.zeros_like(F), Q)
+                _zero_g_run(F, Q)
+        stable = np.arange(k) != 1
+        for cov, f, q in zip(_zero_g_run(F[stable], Q[stable]), F[stable], Q[stable]):
+            assert np.array_equal(cov, _zero_g_run(f[None], q[None])[0])
 
 
 def _frobenius_stack(rng, k, n, norms):
@@ -502,8 +518,8 @@ def _direct_stein(F, Q):
 def test_direct_stein_solve_agrees_with_the_doubling(seed):
     # n = 1-3: on a member with ||F||_F <= 0.9999, where cond(I - F (x) F)
     # <= 1e4, the direct n^2 x n^2 solve has a residual at round-off, and
-    # the Stein run of Newton's steps (_stein, the G = 0 doubling) agrees
-    # with it to 1e-12 relative; members up to rho = 1 - 1e-5 run too
+    # the Stein run of Newton's steps (the G = 0 doubling) agrees with it
+    # to 1e-12 relative; members up to rho = 1 - 1e-5 run too
     rng = np.random.default_rng(340 + seed)
     cap = 0.9999
     for n in range(1, 4):
@@ -513,38 +529,13 @@ def test_direct_stein_solve_agrees_with_the_doubling(seed):
         F, Q = np.concatenate([F, near_cap[0]]), np.concatenate([Q, near_cap[1]])
         direct = np.linalg.norm(F, axis=(1, 2)) <= cap
         assert direct.sum() >= 8 and not direct.all()
-        S = riccati._stein(F, Q)
-        smith, _ = riccati._doubling_dare(F, np.zeros_like(F), Q)
-        assert np.array_equal(S, smith)
+        S = _zero_g_run(F, Q)
         ref = _direct_stein(F[direct], Q[direct])
-        scale = np.linalg.norm(smith[direct], axis=(1, 2))
+        scale = np.linalg.norm(S[direct], axis=(1, 2))
         residual = np.linalg.norm(F[direct] @ ref @ F[direct].transpose(0, 2, 1) + Q[direct] - ref, axis=(1, 2))
         assert np.all(residual <= 1e-13 * scale), (n, residual / scale)
         gap = np.linalg.norm(ref - S[direct], axis=(1, 2)) / scale
         assert np.all(gap <= 1e-12), (n, gap)
-
-
-@pytest.mark.parametrize("radius, message", [(1.0, "iteration cap"), (1.2, "non-finite")])
-def test_direct_stein_stack_with_an_unstable_member_raises_as_the_doubling(radius, message):
-    # a Stein run with a member of rho(F) >= 1 raises as the doubling does
-    # on the whole stack; the stable members solved alone keep the bits of
-    # their lone solves
-    rng = np.random.default_rng(35)
-    k, n = 6, 3
-    radii = [0.5, 0.9, radius, 0.3, 0.99, 0.7]
-    F, Q = _stein_stack(rng, k, n, radii)
-    if radius == 1.0:  # a cyclic shift, whose powers stay exact
-        F[2] = np.roll(np.eye(n), 1, axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NoConvergence, match=message) as direct:
-            riccati._stein(F, Q)
-        with pytest.raises(NoConvergence) as smith:
-            riccati._doubling_dare(F, np.zeros_like(F), Q)
-    assert str(direct.value) == str(smith.value)
-    stable = np.array(radii) < 1.0
-    S = riccati._stein(F[stable], Q[stable])
-    for cov, f, q in zip(S, F[stable], Q[stable]):
-        assert np.array_equal(cov, riccati._stein(f[None], q[None])[0])
 
 
 def test_stein_run_of_an_unexcited_unit_mode_keeps_its_lone_bits():
@@ -556,25 +547,11 @@ def test_stein_run_of_an_unexcited_unit_mode_keeps_its_lone_bits():
     F[3, 0], F[3, :, 0], Q[3, 0], Q[3, :, 0] = 0.0, 0.0, 0.0, 0.0
     F[3, 0, 0] = 1.0
     assert np.linalg.matrix_rank(np.eye(9) - np.kron(F[3], F[3])) < 9
-    S = riccati._stein(F, Q)
+    S = _zero_g_run(F, Q)
     for cov, f, q in zip(S, F, Q):
-        assert np.array_equal(cov, riccati._stein(f[None], q[None])[0])
+        assert np.array_equal(cov, _zero_g_run(f[None], q[None])[0])
     assert np.isfinite(S).all() and S[3, 0, 0] == 0.0
     assert np.linalg.norm(F[3] @ S[3] @ F[3].T + Q[3] - S[3]) <= 1e-12 * np.linalg.norm(S[3])
-
-
-def test_direct_stein_stack_with_a_non_finite_member_raises_as_the_doubling():
-    # a NaN closed loop makes the Stein run's iterate non-finite, which the
-    # doubling reports for the whole stack
-    rng = np.random.default_rng(36)
-    F, Q = _frobenius_stack(rng, 8, 3, rng.uniform(0.05, 0.99, 8))
-    F[5] = np.nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NoConvergence, match="non-finite") as direct:
-            riccati._stein(F, Q)
-        with pytest.raises(NoConvergence) as smith:
-            riccati._doubling_dare(F, np.zeros_like(F), Q)
-    assert str(direct.value) == str(smith.value)
 
 
 def _spy_kernel_events(monkeypatch):
@@ -835,9 +812,9 @@ def test_posteriori_g_form_matches_joseph_and_subtraction(seed):
     rng = np.random.default_rng(700 + seed)
     n, p = int(rng.integers(1, 8)), int(rng.integers(1, 16))
     S, C, V = _posteriori_stack(rng, 24, n, p)
-    noise = riccati._noise(C, V)
-    assert noise[0].all()
-    got = riccati._posteriori(S, C, V, noise)
+    R0, G = riccati._noise(C, V)
+    assert riccati._noise_gain(C, V)[0].all() and not R0.any()
+    got = riccati._posteriori(S, R0, G)
     CS = C @ S
     M = CS @ C.transpose(0, 2, 1) + V
     K = np.linalg.solve(M, CS).transpose(0, 2, 1)
@@ -872,9 +849,9 @@ def test_posteriori_stack_mixing_singular_and_nonsingular_equals_members_alone()
     rng = np.random.default_rng(710)
     S, C, V = _posteriori_stack(rng, 12, 4, 3)
     V[::3, 1, :] = V[::3, :, 1] = 0.0  # a noiseless sensor: the exact update
-    nonsingular, _, _ = noise = riccati._noise(C, V)
+    nonsingular, _ = riccati._noise_gain(C, V)
     assert any(nonsingular) and not all(nonsingular)
-    stacked = riccati._posteriori(S, C, V, noise)
+    stacked = riccati._posteriori(S, *riccati._noise(C, V))
     for got, s, c, v in zip(stacked, S, C, V):
         assert np.array_equal(got, riccati.posteriori_from_priori(s, c, v))
 
@@ -926,8 +903,8 @@ def _assert_certified_posteriori(A, W, C, V):
     most the a priori one; hi = lo on stopping, and the upper end closes in
     below the a priori one.  Unwidened, the K = 300 kfss gadget misses by
     6e-9 relative."""
-    nonsingular, G, _ = noise = riccati._noise(C, V)
-    assert nonsingular.all()
+    R0, G = riccati._noise(C, V)
+    assert riccati._noise_gain(C, V)[0].all() and not R0.any()
     S, counts = riccati._doubling_dare(A, G, W)
     seen = {}
     for posteriori in (False, True):
@@ -940,7 +917,7 @@ def _assert_certified_posteriori(A, W, C, V):
         S_kept, counts_kept = riccati._doubling_dare(A, G, W, settle, posteriori)
         assert np.array_equal(S_kept, S) and np.array_equal(counts_kept, counts)
     assert len(seen[True]) == counts.max()
-    trace = np.trace(riccati._posteriori(S, C, V, noise), axis1=1, axis2=2)
+    trace = np.trace(riccati._posteriori(S, R0, G), axis1=1, axis2=2)
     for t, ((lo, hi), (prior_lo, _)) in enumerate(zip(seen[True], seen[False]), 1):
         live, stopped = trace[counts >= t], counts[counts >= t] == t
         assert np.all(lo <= live * (1 + ULPS)) and np.all(live <= hi * (1 + ULPS)), t
