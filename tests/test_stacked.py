@@ -478,25 +478,16 @@ def test_fro_of_entries_near_the_float_maximum_stays_finite():
 
 
 def test_stein_doubling_without_a_stable_f_raises_no_convergence():
-    # one member with rho(F) >= 1, or with a NaN closed loop, makes the
-    # whole G = 0 run raise; the stable members, run without it, keep the
-    # bits of their lone runs
     rng = np.random.default_rng(32)
     k, n = 4, 3
-    for bad, message in [(1.0, "iteration cap"),  # H doubles
-                         (1.2, "non-finite"),  # H overflows
-                         (math.nan, "non-finite")]:
-        F, Q = _stein_stack(rng, k, n, [0.5, 0.7 if math.isnan(bad) else bad, 0.9, 0.3])
-        if bad == 1.0:  # a cyclic shift, whose powers stay exact
+    for radii, message in [([0.5, 1.0, 0.9, 0.3], "iteration cap"),  # H doubles
+                           ([0.5, 1.2, 0.9, 0.3], "non-finite")]:  # H overflows
+        F, Q = _stein_stack(rng, k, n, radii)
+        if radii[1] == 1.0:  # a cyclic shift, whose powers stay exact
             F[1] = np.roll(np.eye(n), 1, axis=0)
-        elif math.isnan(bad):
-            F[1] = np.nan
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NoConvergence, match=message):
                 _zero_g_run(F, Q)
-        stable = np.arange(k) != 1
-        for cov, f, q in zip(_zero_g_run(F[stable], Q[stable]), F[stable], Q[stable]):
-            assert np.array_equal(cov, _zero_g_run(f[None], q[None])[0])
 
 
 def _frobenius_stack(rng, k, n, norms):
@@ -538,6 +529,29 @@ def test_direct_stein_solve_agrees_with_the_doubling(seed):
         assert np.all(gap <= 1e-12), (n, gap)
 
 
+@pytest.mark.parametrize("radius, message", [(1.0, "iteration cap"), (1.2, "non-finite")])
+def test_direct_stein_stack_with_an_unstable_member_raises_as_the_doubling(radius, message):
+    # a Stein run with a member of rho(F) >= 1 raises for the whole stack
+    # as the doubling does on that member alone, after as many doublings;
+    # the stable members run without it keep the bits of their lone runs
+    rng = np.random.default_rng(35)
+    k, n = 6, 3
+    radii = [0.5, 0.9, radius, 0.3, 0.99, 0.7]
+    F, Q = _stein_stack(rng, k, n, radii)
+    if radius == 1.0:  # a cyclic shift, whose powers stay exact
+        F[2] = np.roll(np.eye(n), 1, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NoConvergence, match=message) as stack:
+            _zero_g_run(F, Q)
+        with pytest.raises(NoConvergence, match=message) as lone:
+            _zero_g_run(F[2:3], Q[2:3])
+    assert stack.value.iterations == lone.value.iterations
+    stable = np.array(radii) < 1.0
+    S = _zero_g_run(F[stable], Q[stable])
+    for cov, f, q in zip(S, F[stable], Q[stable]):
+        assert np.array_equal(cov, _zero_g_run(f[None], q[None])[0])
+
+
 def test_stein_run_of_an_unexcited_unit_mode_keeps_its_lone_bits():
     # F = diag(1, F2) with Q = diag(0, Q2) never excites the unit mode: its
     # Kronecker system I - F (x) F is singular, and the Stein run solves it;
@@ -552,6 +566,20 @@ def test_stein_run_of_an_unexcited_unit_mode_keeps_its_lone_bits():
         assert np.array_equal(cov, _zero_g_run(f[None], q[None])[0])
     assert np.isfinite(S).all() and S[3, 0, 0] == 0.0
     assert np.linalg.norm(F[3] @ S[3] @ F[3].T + Q[3] - S[3]) <= 1e-12 * np.linalg.norm(S[3])
+
+
+def test_direct_stein_stack_with_a_non_finite_member_raises_as_the_doubling():
+    # a NaN closed loop makes the Stein run's iterate non-finite, which the
+    # doubling reports for the whole stack as for that member alone
+    rng = np.random.default_rng(36)
+    F, Q = _frobenius_stack(rng, 8, 3, rng.uniform(0.05, 0.99, 8))
+    F[5] = np.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NoConvergence, match="non-finite") as stack:
+            _zero_g_run(F, Q)
+        with pytest.raises(NoConvergence, match="non-finite") as lone:
+            _zero_g_run(F[5:6], Q[5:6])
+    assert stack.value.iterations == lone.value.iterations
 
 
 def _spy_kernel_events(monkeypatch):
