@@ -51,7 +51,9 @@ _solve_detectable alone chooses the metric: with ``posteriori`` it
 returns the measurement-update covariances, and its doubling hands settle
 the interval of tr post(S), post(X) = (I + X G)^-1 X with the member's
 first G: H_k <= S <= H_k + (hi - lo) I in the Loewner order, and post is
-monotone in it (Anderson & Moore, 1979).
+monotone in it (Anderson & Moore, 1979).  Such a run solves first the end
+that settle drops on, and the other end only for the members settle
+kept (_settle_posteriori); a dropped member gets no measurement update.
 PBH takes one kernel basis of A - lam I per unstable mode and request.
 Every measurement update takes one formula (_posteriori): S updated
 exactly by the noiseless rows R0, where a member has any, then by the
@@ -157,7 +159,7 @@ def _noise_gain(C: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises NoConvergence instead
-def _doubling_dare(A, G, W, settle=None, posteriori=False):
+def _doubling_dare(A, G, W, settle=None, posteriori=False, upper_first=False):
     """Structure-preserving doubling for S = A S (I + G S)^-1 A' + W, for
     every member G of the stack G (k x n x n), G = C' V^-1 C, or G = 0 for
     the Stein equation S = A S A' + W.  A and W are n x n or stacks
@@ -189,6 +191,12 @@ def _doubling_dare(A, G, W, settle=None, posteriori=False):
     only where hi is finite.  Both ends widen by n eps hi ||G||_F for the
     update's round-off (6e-9 relative on the K = 300 kfss gadget, 1/500 of
     the widening at most on random and gadget stacks), except on stopping.
+    The two ends are solved apart, and settle may be called twice per
+    doubling (_settle_posteriori): first every live member with the end
+    settle drops on, the upper one when ``upper_first``, and a bound on the
+    other end that always holds, then the members it kept with both ends.
+    Every call gets valid bounds, and the calls drop the members that one
+    call with both ends of every member would.
     """
     k, n = G.shape[0], A.shape[-1]
     first = G if posteriori else None  # the loop rebinds G; the update takes the member's first
@@ -219,15 +227,11 @@ def _doubling_dare(A, G, W, settle=None, posteriori=False):
             lo = np.trace(H, axis1=1, axis2=2)
             shrink = 1.0 - _fro(Ak) ** 2
             hi = np.maximum(lo, np.divide(lo, shrink, out=np.full(lo.shape, np.inf), where=shrink > 0.0))
-            if posteriori:  # tr post(H) and tr post(H + (hi - lo) I), in one solve
-                up = np.flatnonzero(np.isfinite(hi) & ~done)
-                X = np.concatenate((H, H[up] + (hi - lo)[up, None, None] * eye))
-                post = np.trace(_g_update(X, np.concatenate((first, first[up]))), axis1=1, axis2=2)
-                slack = np.where(done, 0.0, n * np.finfo(float).eps * hi * _fro(first))  # NaN: G = 0, hi = inf
-                hi[up] = np.minimum(hi[up], post[live.size:]) * (1.0 + slack[up])
-                lo = post[:live.size] * np.fmax(0.0, 1.0 - slack)
-            hi[done] = lo[done]
-            drop = settle(lo, hi) & ~done
+            if posteriori:
+                drop = _settle_posteriori(settle, upper_first, H, lo, hi, first, done)
+            else:
+                hi[done] = lo[done]
+                drop = settle(lo, hi) & ~done
             H[drop] = np.nan
             done |= drop
         if done.any():
@@ -239,6 +243,49 @@ def _doubling_dare(A, G, W, settle=None, posteriori=False):
             if not live.size:
                 return out, doublings
     raise NoConvergence("iteration cap reached above tolerance", float(step[0]), MAX_STEPS)
+
+
+def _settle_posteriori(settle, upper_first, H, lo, hi, G, done) -> np.ndarray:
+    """settle's drop mask for one doubling of an a posteriori run, from the
+    a priori interval [lo, hi] of every live member of H, G its first gain
+    and done the members that have just stopped (see _doubling_dare).
+
+    The end settle drops on, the upper one when upper_first, is solved for
+    every member and handed to settle with a bound on the other end that
+    always holds: -inf below, and above the a priori hi widened as a solved
+    upper end is, which no solved upper end exceeds.  A stopped member gets
+    hi = lo = tr post(H) at once.  The members settle kept, less the
+    stopped ones, then get their other end solved and go to settle again.
+    A member dropped by the first call has its other end beyond its
+    decisive one, so the rule's bound ends where one call with both ends of
+    every member would leave it, and the two calls drop the same members.
+    """
+    eye = np.eye(H.shape[-1])
+    slack = np.where(done, 0.0, H.shape[-1] * np.finfo(float).eps * hi * _fro(G))  # NaN: G = 0, hi = inf
+    up = np.isfinite(hi) & ~done  # the members whose upper end is solved; any other keeps hi = inf
+
+    def lower(m):
+        return np.trace(_g_update(H[m], G[m]), axis1=1, axis2=2) * np.fmax(0.0, 1.0 - slack[m])
+
+    def upper(m):
+        post = np.trace(_g_update(H[m] + (hi - lo)[m, None, None] * eye, G[m]), axis1=1, axis2=2)
+        return np.minimum(hi[m], post) * (1.0 + slack[m])
+
+    post_lo, post_hi = np.full(lo.shape, -np.inf), np.where(up, hi * (1.0 + slack), hi)
+    if upper_first:
+        post_hi[up], post_lo[done] = upper(up), lower(done)
+    else:
+        post_lo = lower(slice(None))
+    post_hi[done] = post_lo[done]
+    drop = settle(post_lo, post_hi) & ~done
+    kept = ~drop & ~done
+    if kept.any():
+        if upper_first:
+            post_lo[kept] = lower(kept)
+        else:
+            post_hi[kept & up] = upper(kept & up)
+        drop[kept] = settle(post_lo[kept], post_hi[kept])
+    return drop
 
 
 def _g_update(X: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -575,7 +622,7 @@ def check_stabilizable(A, W) -> None:
         raise StabilizabilityViolation("(A, W^(1/2)) is not stabilizable")
 
 
-def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.ndarray, np.ndarray]:
+def _solve_detectable(A, W, C, V, posteriori=False, settle=None, upper_first=False) -> tuple[np.ndarray, np.ndarray]:
     """Covariances and iteration counts for the stacks C (k x p x n) and
     V (k x p x p), every member detectable: the a priori covariances, or
     with ``posteriori`` their measurement updates (_posteriori).
@@ -583,10 +630,12 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
     The route is decided once per member, from its noise description
     (R0, G) = _noise(C, V), before any kernel runs: members without
     noiseless rows share one doubling run with their G, which gets
-    ``settle`` and ``posteriori`` (see _doubling_dare; a member it drops
-    has a NaN covariance).  Members with noiseless rows share one reduced
-    doubling run when W is nonsingular (_reduced_dare), and one Newton run
-    when it is not; neither drops anything.
+    ``settle``, ``posteriori`` and ``upper_first`` (see _doubling_dare; a
+    member it drops has a NaN covariance, and stays NaN: the measurement
+    update takes only the members not dropped).  Members with noiseless
+    rows share one reduced doubling run when W is nonsingular
+    (_reduced_dare), and one Newton run when it is not; neither drops
+    anything.
     The checks read the a priori covariances: raises NoConvergence as
     _doubling_dare and _newton_dare do; when a member's trace overflows,
     since a score could not tell it from an undetectable member's infinity;
@@ -611,7 +660,7 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
             newton = ~plain
     reduced = ~plain & ~newton
     if plain.any():
-        S[plain], iters[plain] = _doubling_dare(A, G[plain], W, settle, posteriori)
+        S[plain], iters[plain] = _doubling_dare(A, G[plain], W, settle, posteriori, upper_first)
     if reduced.any():
         S[reduced], iters[reduced] = _reduced_dare(A, W, L, R0[reduced], G[reduced])
     if newton.any():
@@ -626,7 +675,12 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
     if huge.size:
         j = huge[0]
         raise NoConvergence("a priori trace overflows the float range", np.inf, int(iters[j]))
-    return (_posteriori(S, R0, G) if posteriori else S), iters
+    if posteriori:
+        kept = ~np.isnan(shortfall)
+        if kept.all():
+            return _posteriori(S, R0, G), iters
+        S[kept] = _posteriori(S[kept], R0[kept], G[kept])
+    return S, iters
 
 
 def solve_dare(A, C, W, V) -> SteadyStateResult:

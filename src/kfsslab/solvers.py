@@ -38,8 +38,10 @@ each walk level, which drops inside the doubling every member whose
 certified trace interval can neither beat nor tie the optimum (Narendra
 & Fukunaga's monotone bound, 1977; see _ScoreTable._settle).  The table
 passes its metric to the kernel run, which returns covariances and
-certifies intervals in that metric (see riccati._solve_detectable).  A
-dropped member is stored as None: it counts as not tied, and a request
+certifies intervals in that metric (see riccati._solve_detectable), and
+the end of an interval that the bound drops on: an a posteriori run
+solves that end first, the other only for the members it keeps, and
+updates no dropped member.  A dropped member is stored as None: it counts as not tied, and a request
 without a bound, a greedy step or a report, solves it.  Greedy,
 greedy_and_optimal's joint first scoring and the members with noiseless
 rows (reduced or Newton) drop nothing.  A report's trace and covariance diagonal are
@@ -192,9 +194,10 @@ class _ScoreTable:
         members = [(j, tuple(sorted(s))) for j, s in members]
         settle = None if bound is None else self._settle(bound)
         A, W, q = self.models[0].A, self.models[0].W, self.models[0].q
+        sensors = frozenset(range(q))
         lacking = {m for m in members if m not in self.scores or settle is None and self.scores[m] is None}
         missing = sorted((len(kept), kept, j, s) for j, s in lacking
-                         for kept in [tuple(i for i in range(q) if i not in s) if self.attack else s])
+                         for kept in [tuple(sorted(sensors.difference(s))) if self.attack else s])
         for lo in range(0, len(missing), STACK_CHUNK):
             chunk = missing[lo:lo + STACK_CHUNK]
             width = chunk[-1][0]  # sizes ascend
@@ -210,7 +213,7 @@ class _ScoreTable:
             if finite.any():
                 row, col = rows[finite], idx[finite]
                 C, V = self.C[row], self.V[row[:, :, None], col[:, None, :]]
-                S, _ = riccati._solve_detectable(A, W, C, V, self.metric == "posteriori", settle)
+                S, _ = riccati._solve_detectable(A, W, C, V, self.metric == "posteriori", settle, self.attack)
                 traces[finite] = np.trace(S, axis1=1, axis2=2)
                 diags[finite] = S.diagonal(axis1=1, axis2=2)
             for (_, _, j, s), trace, diag in zip(chunk, traces.tolist(), diags):
@@ -226,8 +229,12 @@ class _ScoreTable:
         finite member once L is infinite.  Both start from ``bound``.
         x -> x +- TIE_REL max(1, x) increases and U >= best >= L, so a
         dropped member's trace is worse than the best and not tied with it.
-        The bound carries across the chunks of the request; the intervals
-        are in the table's metric, which the kernel run is told."""
+        The bound carries across the calls and chunks of the request; the
+        intervals are in the table's metric, which the kernel run is told,
+        and so is the end the rule drops on, hi for an attack and lo for a
+        selection: an a posteriori run solves that end first and may call
+        settle twice per doubling, every call with valid bounds (see
+        riccati._settle_posteriori)."""
 
         def settle(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             nonlocal bound

@@ -200,9 +200,9 @@ B = rng.standard_normal((q, q))
 m = validate_model(SystemModel(n=n, q=q, A=(Q * np.concatenate([[1.05], np.linspace(-0.5, 0.5, n - 1)])) @ Q.T,
                                C=C, W=np.eye(n), V=B @ B.T / q + 0.5 * np.eye(q)))
 doubling, dropped = riccati._doubling_dare, []
-def spy(A, G, W, settle=None, posteriori=False):
+def spy(A, G, W, settle=None, *args):
     counted = settle and (lambda lo, hi: dropped.append(settle(lo, hi)) or dropped[-1])
-    return doubling(A, G, W, counted, posteriori)
+    return doubling(A, G, W, counted, *args)
 riccati._doubling_dare = spy
 for run, attack in ((exhaustive_select, False), (exhaustive_attack, True)):
     dropped.clear()

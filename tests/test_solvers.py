@@ -457,8 +457,8 @@ def test_exhaustive_on_generic_instances_solves_only_the_maximal_sets(monkeypatc
         for run, metric in ((exhaustive_select, "priori"), (exhaustive_attack, "posteriori")):
             members = []
             original = riccati._solve_detectable
-            monkeypatch.setattr(riccati, "_solve_detectable", lambda A, W, C, V, posteriori=False, settle=None:
-                                members.append(len(C)) or original(A, W, C, V, posteriori, settle))
+            monkeypatch.setattr(riccati, "_solve_detectable", lambda A, W, C, V, *args:
+                                members.append(len(C)) or original(A, W, C, V, *args))
             report = run(m, np.ones(m.q), 3.0, metric)
             monkeypatch.undo()
             assert members == [64, 56]
@@ -627,9 +627,9 @@ def test_dropping_halves_the_doubling_solves_at_q_18(monkeypatch):
     solved = []
     doubling = riccati._doubling_dare
 
-    def spy(A, G, W, settle=None, posteriori=False):
+    def spy(A, G, W, settle=None, *args):
         assert settle is not None
-        return doubling(A, G, W, lambda lo, hi: solved.append(len(lo)) or settle(lo, hi), posteriori)
+        return doubling(A, G, W, lambda lo, hi: solved.append(len(lo)) or settle(lo, hi), *args)
 
     monkeypatch.setattr(riccati, "_doubling_dare", spy)
     report = exhaustive_select(m, np.ones(m.q), 3.0, "priori")
@@ -638,29 +638,60 @@ def test_dropping_halves_the_doubling_solves_at_q_18(monkeypatch):
     assert 0 < sum(solved) <= lone / 2
 
 
-@pytest.mark.parametrize("attack", [False, True], ids=["select", "attack"])
-def test_posteriori_dropping_halves_the_doubling_solves_at_q_18(attack, monkeypatch):
+@pytest.mark.parametrize("attack, doublings, updated", [(False, 923, 2657), (True, 835, 2482)],
+                         ids=["select", "attack"])
+def test_posteriori_dropping_halves_the_doubling_solves_at_q_18(attack, doublings, updated, monkeypatch):
     # the model above under the a posteriori metric, whose doubling hands
-    # settle the interval of the updated trace; the flag is an argument, so
-    # a plain lambda around settle keeps the metric.  The maximal sets are
-    # the triples (survivor sets of 15 sensors for the attack)
+    # settle the interval of the updated trace.  The maximal sets are the
+    # triples (survivor sets of 15 sensors for the attack).  Each doubling
+    # settles every live member once on the end the request drops on (the
+    # upper one for an attack) and again, with both ends, only the members
+    # it kept: the run makes the ``doublings`` that one call with both ends
+    # made, and of the ``updated`` members that one call and the final
+    # update of every member solved, at most half are left
     rng = np.random.default_rng(61)
     m = _random_solve_model(rng, 18)
     sets = [tuple(i for i in range(m.q) if i not in c) if attack else c for c in combinations(range(m.q), 3)]
     lone = sum(riccati.solve_dare(m.A, m.C[list(s)], m.W, m.V[np.ix_(s, s)]).iterations for s in sets)
-    solved = []
-    doubling = riccati._doubling_dare
+    counted, rounds, solves = [], [], []
+    doubling, settle_posteriori, g_update = riccati._doubling_dare, riccati._settle_posteriori, riccati._g_update
 
-    def spy(A, G, W, settle=None, posteriori=False):
-        assert posteriori
-        return doubling(A, G, W, lambda lo, hi: solved.append(len(lo)) or settle(lo, hi), posteriori)
+    def spy(A, G, W, settle=None, posteriori=False, upper_first=False):
+        assert posteriori and upper_first == attack
+        S, counts = doubling(A, G, W, settle, posteriori, upper_first)
+        counted.append(counts.sum())
+        return S, counts
+
+    def round_spy(settle, *args):  # one call per doubling
+        rounds.append([])
+        return settle_posteriori(lambda lo, hi: rounds[-1].append(len(lo)) or settle(lo, hi), *args)
 
     monkeypatch.setattr(riccati, "_doubling_dare", spy)
+    monkeypatch.setattr(riccati, "_settle_posteriori", round_spy)
+    monkeypatch.setattr(riccati, "_g_update", lambda X, G: solves.append(len(X)) or g_update(X, G))
     report = (exhaustive_attack if attack else exhaustive_select)(m, np.ones(m.q), 3.0, "posteriori")
     monkeypatch.undo()
     settled = _settled_exhaustive(m, np.ones(m.q), 3.0, attack, "posteriori")[0]
     assert report_to_dict(report) == report_to_dict(settled)
+    solved = [members[0] for members in rounds]  # each live member once per doubling
+    assert sum(solved) == sum(counted) == doublings
+    assert all(len(members) == 1 or len(members) == 2 and members[1] <= members[0] for members in rounds)
     assert 0 < sum(solved) <= lone / 2
+    assert 0 < sum(solves) <= updated / 2
+
+
+@pytest.mark.parametrize("attack", [False, True], ids=["select", "attack"])
+def test_posteriori_update_takes_no_dropped_member(attack, monkeypatch):
+    # a dropped member keeps its NaN covariance: the measurement update
+    # after the doubling takes only the members the run kept
+    rng = np.random.default_rng(61)
+    m = _random_solve_model(rng, 10)
+    updated = []
+    update = riccati._update
+    monkeypatch.setattr(riccati, "_update", lambda X, G: updated.append(np.isnan(X).any()) or update(X, G))
+    _, _, dropped = _settled_exhaustive(m, np.ones(m.q), 3.0, attack, "posteriori")
+    monkeypatch.undo()
+    assert dropped and updated and not any(updated)
 
 
 def test_singular_v_posteriori_exhaustive_drops_nothing():

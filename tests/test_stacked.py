@@ -923,36 +923,64 @@ def _nonsingular_gains(A, C, V, supports):
     return G
 
 
+def _settle_calls(A, G, W, *args):
+    """Every (lo, hi) that a settle dropping nothing gets from the doubling
+    run _doubling_dare(A, G, W, settle, *args), in call order; the run must
+    keep the bits of the run without settle."""
+    S, counts = riccati._doubling_dare(A, G, W)
+    seen = []
+
+    def settle(lo, hi):
+        seen.append((lo.copy(), hi.copy()))  # the kernel may fill in an end after the call
+        return np.zeros(lo.shape, dtype=bool)
+
+    S_kept, counts_kept = riccati._doubling_dare(A, G, W, settle, *args)
+    assert np.array_equal(S_kept, S) and np.array_equal(counts_kept, counts)
+    return seen
+
+
 def _assert_certified_posteriori(A, W, C, V):
     """_assert_certified's twin for a run that hands settle the a posteriori
-    interval: every doubling's [lo, hi] of each live member, widened for
-    the update's round-off, holds the trace that riccati._posteriori gives
-    for that member's final covariance within ULPS, and its lower end is at
-    most the a priori one; hi = lo on stopping, and the upper end closes in
-    below the a priori one.  Unwidened, the K = 300 kfss gadget misses by
-    6e-9 relative."""
+    interval, with either end solved first.  In each doubling the first
+    settle call gets every live member, and a second one the members that
+    have not stopped; in the first, the end not yet solved may be -inf
+    below, and above it is at least the a priori hi.  Every [lo, hi]
+    settle gets, widened for the update's round-off, holds the trace that
+    riccati._posteriori gives for the member's final covariance within
+    ULPS.  Each member's last interval in a doubling is the same whichever
+    end comes first, so both ends are solved, and its lower end is finite
+    and at most the a priori one; hi = lo on stopping, and the upper end
+    closes in below the a priori one.  Unwidened, the K = 300 kfss gadget
+    misses by 6e-9 relative."""
     R0, G = riccati._noise(C, V)
     assert riccati._noise_gain(C, V)[0].all() and not R0.any()
     S, counts = riccati._doubling_dare(A, G, W)
-    seen = {}
-    for posteriori in (False, True):
-        seen[posteriori] = []
-
-        def settle(lo, hi):
-            seen[posteriori].append((lo, hi))
-            return np.zeros(lo.shape, dtype=bool)
-
-        S_kept, counts_kept = riccati._doubling_dare(A, G, W, settle, posteriori)
-        assert np.array_equal(S_kept, S) and np.array_equal(counts_kept, counts)
-    assert len(seen[True]) == counts.max()
     trace = np.trace(riccati._posteriori(S, R0, G), axis1=1, axis2=2)
-    for t, ((lo, hi), (prior_lo, _)) in enumerate(zip(seen[True], seen[False]), 1):
-        live, stopped = trace[counts >= t], counts[counts >= t] == t
-        assert np.all(lo <= live * (1 + ULPS)) and np.all(live <= hi * (1 + ULPS)), t
-        assert np.array_equal(lo[stopped], hi[stopped])  # hi = lo on stopping
-        assert np.all(lo <= prior_lo * (1 + ULPS)), t
-    assert any(np.isfinite(hi).all() and (hi > lo).any() for lo, hi in seen[True])
-    assert any((hi < prior_hi).any() for (_, hi), (_, prior_hi) in zip(seen[True], seen[False]))
+    prior = _settle_calls(A, G, W)
+    assert len(prior) == counts.max()
+    last = {}
+    for upper_first in (False, True):
+        calls, last[upper_first] = _settle_calls(A, G, W, True, upper_first), []
+        for t, (prior_lo, prior_hi) in enumerate(prior, 1):
+            live, stopped = trace[counts >= t], counts[counts >= t] == t
+            lo, hi = calls.pop(0)
+            assert len(lo) == len(live), t
+            assert np.all(lo <= live * (1 + ULPS)) and np.all(live <= hi * (1 + ULPS)), t
+            assert np.array_equal(lo[stopped], hi[stopped])  # hi = lo on stopping
+            if upper_first:
+                assert np.all(lo[~stopped] == -np.inf) and np.isfinite(lo[stopped]).all(), t
+            else:
+                assert np.all(hi[~stopped] >= prior_hi[~stopped]), t
+            if not stopped.all():
+                lo[~stopped], hi[~stopped] = calls.pop(0)
+                assert np.all(lo <= live * (1 + ULPS)) and np.all(live <= hi * (1 + ULPS)), t
+            assert np.isfinite(lo).all() and np.all(lo <= prior_lo * (1 + ULPS)), t
+            last[upper_first].append((lo, hi))
+        assert not calls
+    for (lo, hi), (lo_upper, hi_upper) in zip(last[False], last[True]):
+        assert np.array_equal(lo, lo_upper) and np.array_equal(hi, hi_upper)
+    assert any(np.isfinite(hi).all() and (hi > lo).any() for lo, hi in last[True])
+    assert any((hi < prior_hi).any() for (_, hi), (_, prior_hi) in zip(last[True], prior))
 
 
 @pytest.mark.parametrize("q", [6, 10, 14, 18])
