@@ -645,10 +645,11 @@ def test_posteriori_dropping_halves_the_doubling_solves_at_q_18(attack, doubling
     # settle the interval of the updated trace.  The maximal sets are the
     # triples (survivor sets of 15 sensors for the attack).  Each doubling
     # settles every live member once on the end the request drops on (the
-    # upper one for an attack) and again, with both ends, only the members
-    # it kept: the run makes the ``doublings`` that one call with both ends
-    # made, and of the ``updated`` members that one call and the final
-    # update of every member solved, at most half are left
+    # upper one for an attack), and again, with both ends, only the members
+    # it kept.  The run makes the ``doublings`` of one settle call with both
+    # ends, and hands the G-form update at most half of the ``updated``
+    # members that both ends of every live member and an update of every
+    # member took
     rng = np.random.default_rng(61)
     m = _random_solve_model(rng, 18)
     sets = [tuple(i for i in range(m.q) if i not in c) if attack else c for c in combinations(range(m.q), 3)]
