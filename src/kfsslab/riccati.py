@@ -677,8 +677,6 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None, upper_first=Fal
         raise NoConvergence("a priori trace overflows the float range", np.inf, int(iters[j]))
     if posteriori:
         kept = ~np.isnan(shortfall)
-        if kept.all():
-            return _posteriori(S, R0, G), iters
         S[kept] = _posteriori(S[kept], R0[kept], G[kept])
     return S, iters
 
