@@ -122,13 +122,18 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _refuse(given: dict, names, command: str) -> None:
+    """Raise _InputError for the first of ``names`` in ``given``, vars() of the
+    parsed arguments, where a flag whose default is SUPPRESS is only if given."""
+    for name in names:
+        if name in given:
+            raise _InputError(f"{command} takes no --{name.replace('_', '-')}")
+
+
 def cmd_gadget(args) -> int:
-    # a flag left out is not on the namespace (its default is SUPPRESS)
     given = vars(args)
     example = args.kind in ("example1", "example2")
-    for name in ("x3c", "k", "threshold_output") if example else ("lambda1", "h"):
-        if name in given:
-            raise _InputError(f"gadget {args.kind} takes no --{name.replace('_', '-')}")
+    _refuse(given, ("x3c", "k", "threshold_output") if example else ("lambda1", "h"), f"gadget {args.kind}")
     if example:
         build = gadgets.build_example1 if args.kind == "example1" else gadgets.build_example2
         instance = build(given.get("lambda1", 0.9), given.get("h", 100.0))
@@ -148,18 +153,17 @@ def cmd_gadget(args) -> int:
 
 
 def cmd_x3c(args) -> int:
-    inst = _load_x3c(args.x3c)
+    given = vars(args)
     if args.via == "bruteforce":
-        answer, witness = gadgets.x3c_bruteforce(inst)
-        if answer:
-            print(f"yes witness={[i + 1 for i in witness]}")
-        else:
-            print("no")
+        _refuse(given, ("k", "solver"), "x3c decide --via bruteforce")
+        answer, witness = gadgets.x3c_bruteforce(_load_x3c(args.x3c))
+        print(f"yes witness={[i + 1 for i in witness]}" if answer else "no")
         return EXIT_OK
     decide = gadgets.x3c_decide_via_kfss if args.via == "kfss" else gadgets.x3c_decide_via_kfsa
-    decision = decide(inst, K=args.k, solver=args.solver)
+    solver = given.get("solver", "exhaustive")
+    decision = decide(_load_x3c(args.x3c), K=given.get("k", 1.0), solver=solver)
     verdict = "yes" if decision.answer else "no"
-    note = " (heuristic: greedy solver carries no guarantee)" if args.solver == "greedy" else ""
+    note = " (heuristic: greedy solver carries no guarantee)" if solver == "greedy" else ""
     print(f"{verdict} trace={decision.trace!r} threshold={decision.threshold!r}{note}")
     return EXIT_OK
 
@@ -181,9 +185,9 @@ def _sweep_grid(args) -> list[float]:
             raise _InputError(f"bad --h-grid: {exc}") from exc
     else:
         lo, hi, count = args.h_range
-        if not (0 < lo < math.inf and 0 < hi < math.inf and count >= 1 and count.is_integer()):
-            raise _InputError(f"--h-range needs positive finite MIN and MAX and an integer COUNT >= 1, "
-                              f"got {lo:g} {hi:g} {count:g}")
+        if not (0 < lo < math.inf and 0 < hi < math.inf and 1 <= count <= 100_000 and count.is_integer()):
+            raise _InputError(f"--h-range needs positive finite MIN and MAX and an integer COUNT from 1 to "
+                              f"100000, got {lo:g} {hi:g} {count:g}")
         count = int(count)
         if count == 1:
             grid = [lo]
@@ -247,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_decide = x3c_sub.add_parser("decide")
     p_decide.add_argument("--x3c", required=True, help="X3C JSON path")
     p_decide.add_argument("--via", choices=("bruteforce", "kfss", "kfsa"), required=True)
-    p_decide.add_argument("--solver", choices=("greedy", "exhaustive"), default="exhaustive")
-    p_decide.add_argument("--k", type=float, default=1.0)
+    p_decide.add_argument("--solver", choices=("greedy", "exhaustive"), default=omitted,
+                          help="kfss/kfsa; default exhaustive")
+    p_decide.add_argument("--k", type=float, default=omitted, help="separation factor K >= 1 (kfss/kfsa; default 1)")
     p_decide.set_defaults(func=cmd_x3c)
 
     p_sweep = sub.add_parser("sweep", help="h-sweep of a counterexample family")

@@ -60,7 +60,7 @@ exactly by the noiseless rows R0, where a member has any, then by the
 G-form (I + S G)^-1 S (_g_update).  Newton's gain shares _pinv_psd with
 pseudo_inverse_psd.
 solve_dare, and every public solver call in the solvers module, tests
-stabilizability once and uncached (check_stabilizable).
+stabilizability once and uncached (check_stabilizable, on _root's W = L L').
 
 Three module constants hold the tolerances: TOL (the stopping rule),
 PINV_RTOL (the pseudo-inverse cutoff, and the cutoff of every rank
@@ -378,13 +378,13 @@ def _newton_dare(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
     raise NoConvergence("iteration cap reached above tolerance", float(last[0]), MAX_STEPS)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a member with a non-finite scaled row is not ok
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite scaled row raises NoConvergence below
 def _split(C, V):
     """The reduction's rank decision on V for the stacks C (k x p x n) and
-    V (k x p x p), once per member: (ok, R0, G1), ok marking the members
-    whose scaled C and V are finite with V PSD within the cutoff, R0
-    (k x p x n) their noiseless rows (zeros elsewhere) and
-    G1 = C1' V1^-1 C1 the gain of their noisy ones.
+    V (k x p x p), once per member: (R0, G1), R0 (k x p x n) the noiseless
+    rows (zeros elsewhere) and G1 = C1' V1^-1 C1 the gain of the noisy
+    ones.  Raises NoConvergence unless every member's scaled C and V are
+    finite with V PSD within the cutoff.
 
     Each row of C is scaled by 1/||C_i|| (a zero row, such as a pad, by 1)
     and V alike, so a diagonal entry is its row's noise per squared gain.
@@ -412,10 +412,11 @@ def _split(C, V):
             w[g2, keep], U = np.linalg.eigh(v[g2[:, :, None], keep[:, :, None], keep[:, None, :]])
             R[g2, keep] = U.transpose(0, 2, 1) @ R[g2, keep]
             cut[g2, keep] = np.maximum(PINV_RTOL, 8 * keep.shape[1] * np.finfo(float).eps * w[g2, keep][:, -1:])
-    ok &= (w >= -cut).all(axis=1)
+    if not (ok & (w >= -cut).all(axis=1)).all():
+        raise NoConvergence("noise V is not finite or not positive semidefinite", np.nan, 0)
     noisy = w > cut
     R1 = R * np.sqrt(np.divide(1.0, w, out=np.zeros(w.shape), where=noisy))[:, :, None]
-    return ok, np.where(ok[:, None, None] & ~noisy[:, :, None], R, 0.0), R1.transpose(0, 2, 1) @ R1
+    return np.where(noisy[:, :, None], 0.0, R), R1.transpose(0, 2, 1) @ R1
 
 
 def _groups(rows):
@@ -453,16 +454,14 @@ def _noise(C, V):
     C (k x p x n) and V (k x p x p): R0 (k x p x n) its noiseless rows and
     G (k x n x n) the gain C1' V1^-1 C1 of its noisy ones.  A member whose
     V _noise_gain finds nonsingular has R0 = 0 and its G; any other takes
-    _split's R0 and G1.  Raises NoConvergence when _split refuses a
+    _split's R0 and G1, and _split raises NoConvergence when it refuses a
     member's V (not finite, or not PSD within its cutoff)."""
     nonsingular, G = _noise_gain(C, V)
     R0 = np.zeros(C.shape)
     if nonsingular.all():
         return R0, G
     singular = ~nonsingular
-    ok, R0[singular], G1 = _split(C[singular], V[singular])
-    if not ok.all():
-        raise NoConvergence("noise V is not finite or not positive semidefinite", np.nan, 0)
+    R0[singular], G1 = _split(C[singular], V[singular])
     full = np.empty((C.shape[0],) + G1.shape[1:])
     full[nonsingular], full[singular] = G, G1
     return R0, full
@@ -535,9 +534,8 @@ def pseudo_inverse_psd(M: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric PSD matrix via eigendecomposition.
 
     Eigenvalues at or below the absolute cutoff PINV_RTOL are treated as
-    zero.  It keeps informative but small eigenvalues of badly scaled
-    matrices (entries of order h^2 with h large, eigenvalues of order
-    1/h^2) invertible while still zeroing genuine rank deficiency.
+    zero, and every one above it is inverted, however small against the
+    largest.  Newton's gain takes the same inverse (_pinv_psd).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -602,14 +600,12 @@ def is_detectable(A, C_sel) -> bool:
     return bool(_detectable(_mode_images(A, C_sel), np.arange(C_sel.shape[0])[None])[0])
 
 
-def _sqrt_psd(W: np.ndarray) -> np.ndarray:
-    w, U = np.linalg.eigh(0.5 * W + 0.5 * W.T)  # no overflow near the float maximum
-    return (U * np.sqrt(np.clip(w, 0.0, None))) @ U.T
-
-
 def is_stabilizable_noise(A, W) -> bool:
-    """Dual PBH test that (A, W^{1/2}) is stabilizable."""
-    return is_detectable(np.asarray(A, dtype=float).T, _sqrt_psd(np.asarray(W, dtype=float)))
+    """Dual PBH test that (A, W^{1/2}) is stabilizable: (A', L') is
+    detectable for the root W = L L' (_root), as for any such L."""
+    W = np.asarray(W, dtype=float)
+    L = _root(0.5 * W + 0.5 * W.T)[1]  # halved first: no overflow near the float maximum
+    return is_detectable(np.asarray(A, dtype=float).T, L.T)
 
 
 def check_stabilizable(A, W) -> None:

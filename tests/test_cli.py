@@ -1,10 +1,7 @@
 import hashlib
 import json
 import math
-import re
-import shlex
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +10,6 @@ from kfsslab import closed_forms, gadgets, riccati
 from kfsslab.cli import main
 from kfsslab.model import validate_model
 from kfsslab.solvers import STACK_CHUNK, greedy_and_optimal
-
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -321,6 +316,25 @@ def test_x3c_decide_bruteforce(yes_x3c_file, capsys):
     assert capsys.readouterr().out.startswith("yes witness=[1, 2]")
 
 
+@pytest.mark.parametrize("flag, value", [("--k", "0.5"), ("--k", "1"), ("--solver", "greedy"),
+                                         ("--solver", "exhaustive")])
+def test_x3c_bruteforce_refuses_the_reduction_flags(yes_x3c_file, capsys, flag, value):
+    # the brute force reads neither flag: either exits 1, even at its
+    # default value, as gadget refuses a flag of the other kind
+    assert run_cli("x3c", "decide", "--via", "bruteforce", "--x3c", str(yes_x3c_file), flag, value) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: x3c decide --via bruteforce takes no {flag}\n"
+
+
+@pytest.mark.parametrize("via", ["kfss", "kfsa"])
+def test_x3c_decide_defaults_equal_the_flags_they_stand_for(yes_x3c_file, capsys, via):
+    outs = []
+    for flags in ([], ["--k", "1", "--solver", "exhaustive"]):
+        assert run_cli("x3c", "decide", "--via", via, "--x3c", str(yes_x3c_file), *flags) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].startswith("yes trace=")
+
+
 def test_x3c_decide_via_reductions(yes_x3c_file, capsys):
     assert run_cli("x3c", "decide", "--via", "kfss", "--x3c", str(yes_x3c_file)) == 0
     out = capsys.readouterr().out
@@ -523,18 +537,28 @@ def test_sweep_refuses_a_bad_point_before_any_solve(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
-def test_sweep_refuses_example2_past_its_cutoff(tmp_path, capsys, monkeypatch):
-    # h = 9e5 passes example1's bound (h^2 < 1e12) but not example2's
-    # (2 + 2 h^2 < 1e12), where it wrote ratio 0.99999999998
+def test_sweep_takes_example2_up_to_the_family_bound(tmp_path, capsys, monkeypatch):
+    # example2 has example1's h rule (h^2 < 1e12): h = 9e5 and 999999 give
+    # the closed-form traces and a ratio of at least 1, and 1e6 is refused
+    # before any solve, with no CSV
     out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--family", "example2", "--lambda1", "0.9", "--output", str(out)]
+    for metric in ("priori", "posteriori"):
+        assert run_cli(*argv, "--metric", metric, "--h-grid", "9e5,999999") == 0
+        rows = [[float(x) for x in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == [9e5, 999999.0]
+        for h, greedy, optimal, ratio, _ in rows:
+            p = closed_forms.example2_predictions(0.9, h)
+            for got, want in ((greedy, getattr(p, f"trace_greedy_{metric}")),
+                              (optimal, getattr(p, f"trace_optimal_{metric}"))):
+                assert abs(got - want) <= 1e-10 * want, (metric, h, got, want)
+            assert ratio >= 1.0
+    out.unlink()
     runs = _kernel_spy(monkeypatch)
-    assert run_cli("sweep", "--family", "example2", "--lambda1", "0.9",
-                   "--h-grid", "9e5", "--output", str(out)) == 1
-    assert capsys.readouterr().err.startswith("error: h = 900000.0")
+    assert run_cli(*argv, "--h-grid", "9e5,1e6") == 1
+    assert capsys.readouterr().err.startswith("error: h = 1000000.0")
     assert runs == []
     assert not out.exists()
-    assert run_cli("sweep", "--family", "example2", "--lambda1", "0.9",
-                   "--h-grid", "7e5", "--output", str(out)) == 0
 
 
 @pytest.mark.parametrize("algorithm", ["greedy", "exhaustive"])
@@ -580,7 +604,8 @@ def test_sweep_no_convergence_is_solver_error(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("grid", ["--h-range 10 1000 2.7", "--h-range 10 1000 inf", "--h-range 10 1000 nan",
-                                  "--h-range 10 1000 0", "--h-grid 1e6", "--h-grid 1e8", "--h-grid 1e200",
+                                  "--h-range 10 1000 0", "--h-range 1 10 100001", "--h-range 1 10 1e30",
+                                  "--h-grid 1e6", "--h-grid 1e8", "--h-grid 1e200",
                                   "--h-grid nan", "--h-range 1 inf 2", "--h-range nan 10 2",
                                   "--h-range 1 1.7976931348623157e308 2", "--h-grid 1,abc", "--h-grid ,"])
 def test_bad_sweep_grid_is_input_error(tmp_path, capsys, grid):
@@ -588,7 +613,7 @@ def test_bad_sweep_grid_is_input_error(tmp_path, capsys, grid):
     argv = ["sweep", "--family", "example1", "--lambda1", "0.9", *grid.split(), "--output", str(out)]
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
     if grid.startswith("--h-range"):
         assert "--h-range" in err
     assert not out.exists()
@@ -643,18 +668,3 @@ def test_gadget_defaults_equal_the_flags_they_stand_for(yes_x3c_file, tmp_path):
         if x3c:
             a, b = (tmp_path / f"{kind}-{s}.json.threshold.json" for s in "ab")
             assert a.read_bytes() == b.read_bytes()
-
-
-def _readme_blocks(lang):
-    return re.findall(rf"```{lang}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
-
-
-def test_readme_cli_block_runs(tmp_path, monkeypatch):
-    (cover,) = [block for block in _readme_blocks("json") if '"subsets"' in block]
-    (tmp_path / "cover.json").write_text(cover, encoding="utf-8")
-    commands = [shlex.split(line, comments=True)[1:] for block in _readme_blocks("sh")
-                for line in block.splitlines() if line.startswith("kfsslab ")]
-    assert {argv[0] for argv in commands} == {"gadget", "solve", "x3c", "sweep"}
-    monkeypatch.chdir(tmp_path)
-    for argv in commands:
-        assert main(argv) == 0, argv

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kfsslab import gadgets, riccati
-from kfsslab.closed_forms import DomainError
+from kfsslab.closed_forms import DomainError, example2_predictions
 from kfsslab.gadgets import (
     NoZeroColumn,
     TooLarge,
@@ -23,7 +23,7 @@ from kfsslab.gadgets import (
     x3c_from_dict,
 )
 from kfsslab.model import ModelError, SelectionVector, validate_model
-from kfsslab.solvers import evaluate_selection
+from kfsslab.solvers import evaluate_selection, greedy_and_optimal
 
 YES_INSTANCE = X3CInstance(2, ((1, 2, 3), (4, 5, 6), (1, 4, 5)))
 NO_INSTANCE = X3CInstance(2, ((1, 2, 3), (1, 4, 5), (2, 5, 6)))
@@ -148,22 +148,28 @@ def test_family_builders_reject_extreme_h(build):
     for h in (float("inf"), float("nan"), 0.0, -1.0, 1e6, 1e8, 1e200):
         with pytest.raises(DomainError, match="h"):
             build(0.9, h)
-    if build is build_example1:
-        build(0.9, 999999.0)
+    build(0.9, 999999.0)
 
 
-def test_example2_h_bound_keeps_its_smallest_eigenvalue():
-    # T = {1, 3, 4} has the smallest eigenvalue of C_T C_T', about
-    # 1 / (2 + 2 h^2), which the bound keeps above PINV_RTOL; these three
-    # noiseless sensors determine x and score 3
-    for h in (9e5, 999999.0):
-        with pytest.raises(DomainError, match="h"):
-            build_example2(0.9, h)
-    m = build_example2(0.9, 7e5)
-    C = m.C[[0, 2, 3]]
-    assert np.linalg.eigvalsh(C @ C.T)[0] > riccati.PINV_RTOL
-    trace = evaluate_selection(m, SelectionVector((1, 0, 1, 1)), "priori").trace
-    assert trace == pytest.approx(3.0, rel=1e-7)
+def test_example2_up_to_the_family_bound_matches_its_closed_forms():
+    # past 2 + 2 h^2 = 1 / PINV_RTOL (h ~ 7.07e5), where C_T C_T' of
+    # T = {1, 3, 4} has its smallest eigenvalue at the cutoff: the noiseless
+    # members take the reduction, whose rank rule is relative, so both
+    # metrics' greedy and optimal traces keep the closed forms, and the three
+    # noiseless sensors of T still determine x and score 3.  Traces, not
+    # sets: at lambda <= 0.9 removing {1, 2} ties greedy's trace within the
+    # solvers' 1e-9, and the tie rule reports the smaller set {4}, as at 7e5
+    for lam, h in product((0.6, 0.9, 0.99), (9e5, 999999.0)):
+        m = build_example2(lam, h)
+        p = example2_predictions(lam, h)
+        for metric in ("priori", "posteriori"):
+            ((greedy, optimal, ratio),) = greedy_and_optimal([m], 2, "attack", metric)
+            for got, want in ((greedy.trace, getattr(p, f"trace_greedy_{metric}")),
+                              (optimal.trace, getattr(p, f"trace_optimal_{metric}"))):
+                assert abs(got - want) <= 1e-10 * want, (lam, h, metric, got, want)
+            assert ratio >= 1.0
+        trace = evaluate_selection(m, SelectionVector((1, 0, 1, 1)), "priori").trace
+        assert trace == pytest.approx(3.0, rel=1e-12)
 
 
 def test_bruteforce_examples():

@@ -20,7 +20,8 @@ checks:
 * a q = 12 brute force against the a posteriori exhaustive search, which
   drops members inside the doubling;
 * noiseless solves against numpy's pinv recursion and the closed forms;
-* the Python block of README's "## Library" section, as written.
+* every ``kfsslab`` line of README's "## CLI" section and the Python block
+  of its "## Library" section, as written.
 
 Run it with ``PYTHONPATH=src python -m pytest -q tests/test_numpy_only.py``.
 """
@@ -90,8 +91,8 @@ for answer, subsets in (("yes", [[1, 2, 3], [4, 5, 6], [1, 4, 5]]),
 for answer in ("yes", "no"):
     answers = []
     for via in ("bruteforce", "kfss", "kfsa"):
-        argv = ["x3c", "decide", "--via", via, "--k", "300", "--solver", "exhaustive",
-                "--x3c", f"{out}/{answer}.json"]
+        argv = ["x3c", "decide", "--via", via, "--x3c", f"{out}/{answer}.json"]
+        argv += [] if via == "bruteforce" else ["--k", "300", "--solver", "exhaustive"]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             assert main(argv) == 0, argv
@@ -269,10 +270,25 @@ for lam in (0.9999, 0.99999):
     ((greedy, optimal, _),) = greedy_and_optimal([build_example1(lam, 1e3)], 2, "select", "priori")
     for got, want in ((greedy.trace, p.trace_greedy_priori), (optimal.trace, p.trace_optimal_priori)):
         assert abs(got - want) <= 1e-9 * want, (lam, got, want)
+# every kfsslab line of README's "## CLI" section runs as written and
+# exits 0, in a directory that holds README's X3C example as cover.json
+import re, shlex
+readme = open("README.md", encoding="utf-8").read()
+def section(title):
+    return readme.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+(cover,) = [b for b in re.findall(r"```json\n(.*?)```", section("File formats"), re.S) if '"subsets"' in b]
+commands = [shlex.split(line, comments=True)[1:] for block in re.findall(r"```sh\n(.*?)```", section("CLI"), re.S)
+            for line in block.splitlines() if line.startswith("kfsslab ")]
+assert {argv[0] for argv in commands} == {"gadget", "solve", "x3c", "sweep"}, commands
+os.mkdir(f"{out}/readme")
+os.chdir(f"{out}/readme")
+with open("cover.json", "w", encoding="utf-8") as fh:
+    fh.write(cover)
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
 # the Python block of README's "## Library" section runs as written
-import re
-library = open("README.md", encoding="utf-8").read().split("## Library\n", 1)[1].split("\n## ", 1)[0]
-(block,) = re.findall(r"```python\n(.*?)```", library, re.S)
+(block,) = re.findall(r"```python\n(.*?)```", section("Library"), re.S)
 exec(compile(block, "README.md", "exec"), {})
 '''
 
