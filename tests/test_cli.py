@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from kfsslab import closed_forms, gadgets, riccati
 from kfsslab.cli import main
 from kfsslab.model import validate_model
 from kfsslab.solvers import STACK_CHUNK, greedy_and_optimal
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -668,3 +673,18 @@ def test_gadget_defaults_equal_the_flags_they_stand_for(yes_x3c_file, tmp_path):
         if x3c:
             a, b = (tmp_path / f"{kind}-{s}.json.threshold.json" for s in "ab")
             assert a.read_bytes() == b.read_bytes()
+
+
+def _readme_blocks(lang):
+    return re.findall(rf"```{lang}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    (cover,) = [block for block in _readme_blocks("json") if '"subsets"' in block]
+    (tmp_path / "cover.json").write_text(cover, encoding="utf-8")
+    commands = [shlex.split(line, comments=True)[1:] for block in _readme_blocks("sh")
+                for line in block.splitlines() if line.startswith("kfsslab ")]
+    assert {argv[0] for argv in commands} == {"gadget", "solve", "x3c", "sweep"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
