@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -69,28 +70,32 @@ def _load_x3c(path: str) -> gadgets.X3CInstance:
         raise _InputError(f"malformed X3C instance in {path}: {exc}") from exc
 
 
-def _write_json(*files: tuple[str, dict]) -> None:
-    """Write each (path, payload) as JSON, or none of them.  Every path is
-    opened, without truncating it, before any is written; when one cannot
-    be opened or written, or two name one file, the files this call
-    created are removed again."""
+def _json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _write(*files: tuple[str, str]) -> None:
+    """Write each (path, text), or none of them.  Every path is opened,
+    without truncating it, before any is written; when one cannot be
+    opened or written, or two name one file, the files this call created
+    are removed again.  Text is written untranslated, so a CSV keeps the
+    CRLF line ends of csv.writer."""
     created = []
     try:
         with contextlib.ExitStack() as stack:
             handles, stats = [], []
             for path, _ in files:
                 existed = os.path.exists(path)
-                handles.append(stack.enter_context(open(path, "a", encoding="utf-8")))
+                handles.append(stack.enter_context(open(path, "a", encoding="utf-8", newline="")))
                 if not existed:
                     created.append(path)
                 stats.append(os.fstat(handles[-1].fileno()))
                 for (other, _), stat in zip(files, stats[:-1]):
                     if os.path.samestat(stat, stats[-1]):
                         raise _InputError(f"output paths {other} and {path} name one file")
-            for fh, (_, payload) in zip(handles, files):
+            for fh, (_, text) in zip(handles, files):
                 fh.truncate(0)
-                json.dump(payload, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+                fh.write(text)
     except (OSError, _InputError):
         for path in created:
             os.remove(path)
@@ -118,7 +123,7 @@ def cmd_solve(args) -> int:
     trace_text = "inf" if math.isinf(report.trace) else repr(report.trace)
     print(f"trace={trace_text} chosen={support}")
     if args.output:
-        _write_json((args.output, solvers.report_to_dict(report)))
+        _write((args.output, _json(solvers.report_to_dict(report))))
     return EXIT_OK
 
 
@@ -137,7 +142,7 @@ def cmd_gadget(args) -> int:
     if example:
         build = gadgets.build_example1 if args.kind == "example1" else gadgets.build_example2
         instance = build(given.get("lambda1", 0.9), given.get("h", 100.0))
-        _write_json((args.output, model_mod.model_to_dict(instance)))
+        _write((args.output, _json(model_mod.model_to_dict(instance))))
         print(f"wrote {args.kind} instance to {args.output}")
         return EXIT_OK
     if "x3c" not in given:
@@ -146,8 +151,8 @@ def cmd_gadget(args) -> int:
     build = gadgets.build_kfss_gadget if args.kind == "kfss" else gadgets.build_kfsa_gadget
     gadget = build(x3c, given.get("k", 1.0))
     sidecar = given.get("threshold_output") or args.output + ".threshold.json"
-    _write_json((args.output, model_mod.model_to_dict(gadget.model)),
-                (sidecar, gadgets.gadget_to_dict(gadget)))
+    _write((args.output, _json(model_mod.model_to_dict(gadget.model))),
+           (sidecar, _json(gadgets.gadget_to_dict(gadget))))
     print(f"wrote {gadget.kind} instance to {args.output} (threshold {gadget.threshold} in {sidecar})")
     return EXIT_OK
 
@@ -213,11 +218,12 @@ def cmd_sweep(args) -> int:
     limit = predicted[0] if args.metric == "priori" else predicted[1]
     reports = solvers.greedy_and_optimal(models, 2, "attack" if attack else "select", args.metric)
     rows = [(h, g.trace, o.trace, ratio, limit) for h, (g, o, ratio) in zip(grid, reports)]
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "trace_greedy", "trace_optimal", "ratio", "predicted_limit"])
-        for row in rows:
-            writer.writerow([repr(x) for x in row])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["h", "trace_greedy", "trace_optimal", "ratio", "predicted_limit"])
+    for row in rows:
+        writer.writerow([repr(x) for x in row])
+    _write((args.output, text.getvalue()))
     print(f"wrote {len(rows)} sweep rows to {args.output}")
     return EXIT_OK
 

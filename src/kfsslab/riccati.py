@@ -12,23 +12,28 @@ its Cholesky factor.  Otherwise rows scaled to unit norm split V into
 noisy rows and noiseless ones (_split), a decision that does not depend
 on the scale of a measurement (a row of C and V's row and column alike);
 a V that _split refuses (not finite, or not PSD within its cutoff)
-raises NoConvergence.  One doubling loop then computes S, in one of three
-ways chosen from (R0, G):
+raises NoConvergence.  One doubling loop then computes the covariance, in
+one of three ways chosen from (R0, G) and the metric:
 
-* No noiseless rows: S = A S (I + G S)^-1 A' + W, solved by the
-  structure-preserving doubling algorithm (Chu, Fan & Lin; Anderson &
-  Moore, Optimal Filtering, 1979), which converges quadratically.
-* Noiseless rows with W nonsingular: the perfect-measurement reduction
-  (Bryson & Johansen, 1965; Anderson & Moore, 1979).  The noiseless rows'
-  next value measures C0 A x with noise C0 w, and decorrelating it from
-  the process noise leaves an ordinary problem with nonsingular noise,
-  which the same doubling solves (_reduced_dare).
+* An a priori member without noiseless rows: S = A S (I + G S)^-1 A' + W,
+  solved by the structure-preserving doubling algorithm (Chu, Fan & Lin;
+  Anderson & Moore, Optimal Filtering, 1979), which converges
+  quadratically.
+* Every other member whose noiseless rows, if any, meet a nonsingular W:
+  the filtered form (_filtered).  Every row measures the next state,
+  y+ = C A x + C w + v, with noise correlated with the process noise
+  (Bryson & Johansen, 1965; Anderson & Moore, 1979).  Decorrelated, that
+  is an equation P = Ab P (I + Gb P)^-1 Ab' + Wb whose stabilizing
+  solution is the a posteriori covariance P, which the same doubling
+  solves; the a priori one is S = A P A' + W.
 * Noiseless rows with W singular: Newton's method on the equation
   (Kleinman 1968; Hewer 1971).  Each step fixes the gain
   K = A S C' (C S C' + V)^+ (_gain) and solves the closed-loop Stein
   equation S = F S F' + W + K V K', F = A - K C, as the G = 0 doubling
   (Smith's).  It starts from the doubling solution for V + delta I, whose
-  gain is stabilizing, and converges quadratically.
+  gain is stabilizing, and converges quadratically.  Its a posteriori
+  covariance is the measurement update of S (_posteriori): S updated
+  exactly by the noiseless rows R0, then by the G-form (I + S G)^-1 S.
 
 The private helpers work on stacks: arrays of k same-shape members, one
 per sensor subset (C is k x p x n, V is k x p x p), and every batched
@@ -42,23 +47,17 @@ a padded member agrees with its lone solve up to the order of sums over p;
 the reduction's decompositions leave such rows out, and a padded member
 keeps its lone bits there.
 Each member of a doubling or Newton run stops at its own stopping rule.
-The plain doubling run may also drop members early: every doubling
-keeps the invariant S = A_k' S (I + G_k S)^-1 A_k + H_k, which certifies
+A doubling run may also drop members early: every doubling keeps the
+invariant S = A_k' S (I + G_k S)^-1 A_k + H_k, which certifies
 tr H_k <= tr S <= tr H_k / (1 - ||A_k||_F^2), and a caller's ``settle``
 marks the members it no longer needs from these intervals (see
-_doubling_dare).  Reduced and Newton runs drop nothing.
-_solve_detectable alone chooses the metric: with ``posteriori`` it
-returns the measurement-update covariances, and its doubling hands settle
-the interval of tr post(S), post(X) = (I + X G)^-1 X with the member's
-first G: H_k <= S <= H_k + (hi - lo) I in the Loewner order, and post is
-monotone in it (Anderson & Moore, 1979).  Such a run solves first the end
-that settle drops on, and the other end only for the members settle
-kept (_settle_posteriori); a dropped member gets no measurement update.
+_doubling_dare).  _solve_detectable alone chooses the metric, and hands
+settle to the run that solves in it: the plain run of an a priori
+request, the filtered run of an a posteriori one, whose interval is
+that of the a posteriori trace.  An a priori request's filtered run
+and Newton runs drop nothing.
 PBH takes one kernel basis of A - lam I per unstable mode and request.
-Every measurement update takes one formula (_posteriori): S updated
-exactly by the noiseless rows R0, where a member has any, then by the
-G-form (I + S G)^-1 S (_g_update).  Newton's gain shares _pinv_psd with
-pseudo_inverse_psd.
+Newton's gain shares _pinv_psd with pseudo_inverse_psd.
 solve_dare, and every public solver call in the solvers module, tests
 stabilizability once and uncached (check_stabilizable, on _root's W = L L').
 
@@ -80,7 +79,7 @@ class ShapeError(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """A V was not finite or not PSD, a doubling run (plain, reduced or
+    """A V was not finite or not PSD, a doubling run (plain, filtered or
     Stein) or the Newton iteration reached MAX_STEPS above tolerance, a
     doubling iterate became non-finite, a Newton start was singular (a V
     too large for the delta to count), or a solution's trace overflowed or
@@ -159,19 +158,19 @@ def _noise_gain(C: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises NoConvergence instead
-def _doubling_dare(A, G, W, settle=None, posteriori=False, upper_first=False):
+def _doubling_dare(A, G, W, settle=None):
     """Structure-preserving doubling for S = A S (I + G S)^-1 A' + W, for
     every member G of the stack G (k x n x n), G = C' V^-1 C, or G = 0 for
     the Stein equation S = A S A' + W.  A and W are n x n or stacks
-    broadcast against G.
+    broadcast against G; a filtered run (_filtered) passes stacks.
 
     With A_0 = A', G_0 = G and H_0 = W, each doubling maps
     A <- A (I+GH)^-1 A, G <- G + A (I+GH)^-1 G A', H <- H + A' H (I+GH)^-1 A;
     H_k is the fixed-point iterate 2^k steps from zero, so H converges
-    quadratically to the a priori covariance.  G and H stay PSD, so I + GH
+    quadratically to the stabilizing solution.  G and H stay PSD, so I + GH
     is nonsingular.  A member stops once its step ||H+ - H||_F is at most
     TOL * max(1, ||H+||_F) and is frozen from then on.  Returns the stack of
-    covariances and each member's doubling count; raises NoConvergence when
+    solutions and each member's doubling count; raises NoConvergence when
     a member reaches MAX_STEPS doublings or any step turns non-finite.
 
     Every doubling keeps the invariant S = A_k' S (I + G_k S)^-1 A_k + H_k,
@@ -180,26 +179,12 @@ def _doubling_dare(A, G, W, settle=None, posteriori=False, upper_first=False):
     ||A_k||_F >= 1 and hi = lo for a member that has just stopped.  Given a
     callable ``settle``, after each doubling settle(lo, hi) gets both bounds
     of every live member and returns a mask of the members to drop: a
-    dropped member that has not stopped gets a NaN covariance and is never
+    dropped member that has not stopped gets a NaN solution and is never
     solved further, so it raises nothing.  settle=None makes no extra call.
-
-    With ``posteriori`` true, settle gets the interval of the a posteriori
-    trace instead: S - H_k is PSD with trace at most hi - lo, so
-    H_k <= S <= H_k + (hi - lo) I, and post(X) = (I + X G)^-1 X, G the
-    member's first G, is monotone in the Loewner order, so tr post(H_k) <=
-    tr post(S) <= min(hi, tr post(H_k + (hi - lo) I)), the upper end solved
-    only where hi is finite.  Both ends widen by n eps hi ||G||_F for the
-    update's round-off (6e-9 relative on the K = 300 kfss gadget, 1/500 of
-    the widening at most on random and gadget stacks), except on stopping.
-    The two ends are solved apart, and settle may be called twice per
-    doubling (_settle_posteriori): first every live member with the end
-    settle drops on, the upper one when ``upper_first``, and a bound on the
-    other end that always holds, then the members it kept with both ends.
-    Every call gets valid bounds, and the calls drop the members that one
-    call with both ends of every member would.
+    The interval is in the metric of the equation solved: a filtered run's
+    solution is the a posteriori covariance, so its interval is too.
     """
     k, n = G.shape[0], A.shape[-1]
-    first = G if posteriori else None  # the loop rebinds G; the update takes the member's first
     out = np.empty((k, n, n))
     doublings = np.zeros(k, dtype=int)
     live = np.arange(k)
@@ -227,11 +212,8 @@ def _doubling_dare(A, G, W, settle=None, posteriori=False, upper_first=False):
             lo = np.trace(H, axis1=1, axis2=2)
             shrink = 1.0 - _fro(Ak) ** 2
             hi = np.maximum(lo, np.divide(lo, shrink, out=np.full(lo.shape, np.inf), where=shrink > 0.0))
-            if posteriori:
-                drop = _settle_posteriori(settle, upper_first, H, lo, hi, first, done)
-            else:
-                hi[done] = lo[done]
-                drop = settle(lo, hi) & ~done
+            hi[done] = lo[done]
+            drop = settle(lo, hi) & ~done
             H[drop] = np.nan
             done |= drop
         if done.any():
@@ -239,58 +221,9 @@ def _doubling_dare(A, G, W, settle=None, posteriori=False, upper_first=False):
             doublings[live[done]] = it
             keep = ~done
             live, Ak, G, H, step = live[keep], Ak[keep], G[keep], H[keep], step[keep]
-            first = first[keep] if posteriori else None
             if not live.size:
                 return out, doublings
     raise NoConvergence("iteration cap reached above tolerance", float(step[0]), MAX_STEPS)
-
-
-def _settle_posteriori(settle, upper_first, H, lo, hi, G, done) -> np.ndarray:
-    """settle's drop mask for one doubling of an a posteriori run, from the
-    a priori interval [lo, hi] of every live member of H, G its first gain
-    and done the members that have just stopped (see _doubling_dare).
-
-    The end settle drops on, the upper one when upper_first, is solved for
-    every member and handed to settle with a bound on the other end that
-    always holds: -inf below, and above the a priori hi widened as a solved
-    upper end is, which no solved upper end exceeds.  A stopped member gets
-    hi = lo = tr post(H) at once.  The members settle kept, less the
-    stopped ones, then get their other end solved and go to settle again.
-    A member dropped by the first call has its other end beyond its
-    decisive one, so the rule's bound ends where one call with both ends of
-    every member would leave it, and the two calls drop the same members.
-    """
-    eye = np.eye(H.shape[-1])
-    slack = np.where(done, 0.0, H.shape[-1] * np.finfo(float).eps * hi * _fro(G))  # NaN: G = 0, hi = inf
-    up = np.isfinite(hi) & ~done  # the members whose upper end is solved; any other keeps hi = inf
-
-    def lower(m):
-        return np.trace(_g_update(H[m], G[m]), axis1=1, axis2=2) * np.fmax(0.0, 1.0 - slack[m])
-
-    def upper(m):
-        post = np.trace(_g_update(H[m] + (hi - lo)[m, None, None] * eye, G[m]), axis1=1, axis2=2)
-        return np.minimum(hi[m], post) * (1.0 + slack[m])
-
-    post_lo, post_hi = np.full(lo.shape, -np.inf), np.where(up, hi * (1.0 + slack), hi)
-    if upper_first:
-        post_hi[up], post_lo[done] = upper(up), lower(done)
-    else:
-        post_lo = lower(slice(None))
-    post_hi[done] = post_lo[done]
-    drop = settle(post_lo, post_hi) & ~done
-    kept = ~drop & ~done
-    if kept.any():
-        if upper_first:
-            post_lo[kept] = lower(kept)
-        else:
-            post_hi[kept & up] = upper(kept & up)
-        drop[kept] = settle(post_lo[kept], post_hi[kept])
-    return drop
-
-
-def _g_update(X: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """(I + X G)^-1 X, the unsymmetrized G-form update, member by member."""
-    return np.linalg.solve(np.eye(X.shape[-1]) + X @ G, X)
 
 
 def _sym(X: np.ndarray) -> np.ndarray:
@@ -482,51 +415,54 @@ def _measured(R0, L):
     return Q, L - L @ Q.transpose(0, 2, 1) @ Q
 
 
-def _reduced_dare(A, W, L, R0, G1):
-    """A priori covariances and doubling counts of the members with
-    noiseless rows R0 and noisy gain G1 (_noise) by the perfect-measurement
-    reduction, in one doubling run; W = L L' (_root) must be nonsingular.
+def _filtered(A, W, L, R0, G):
+    """(Ab, Gb, Wb), stacks (k x n x n) of the equation
+    P = Ab P (I + Gb P)^-1 Ab' + Wb whose stabilizing solution is the a
+    posteriori covariance of each member with noiseless rows R0 and noisy
+    gain G (_noise); W = L L' (_root) must be nonsingular where a member
+    has noiseless rows.
 
-    With _measured's C0 = Q L^-1 for X = W, J = W C0' (C0 W C0')^-1 C0 =
-    L Q'Q L^-1: the noiseless rows' next value measures C0 A x with noise
-    C0 w, and decorrelated from the process noise that leaves
-    Ab = (I - J) A = Z L^-1 A, Wb = (I - J) W = Z Z' and G = G1 + A' C0' C0 A.
-    The run's Sigma is the covariance given the noisy rows up to k - 1 and
-    the noiseless ones up to k, so P = (I + Sigma G1)^-1 Sigma is the a
-    posteriori covariance and S = A P A' + W the a priori one.
-
-    W > 0 makes (Ab, Wb^1/2) stabilizable: a left eigenvector x' of Ab with
-    x' Wb = 0 has x' = x' J, so x' Ab = 0.  With W singular it need not
-    be, and the doubling would return a solution that does not stabilize.
+    The noiseless rows come first.  With _measured's C0 = Q L^-1 for X = W,
+    J = W C0' (C0 W C0')^-1 C0 = L Q'Q L^-1, decorrelating C0 w from the
+    process noise leaves A0 = (I - J) A = Z L^-1 A, W0 = (I - J) W = Z Z'
+    and G0 = A' C0' C0 A; without noiseless rows A0 = A, W0 = W and G0 = 0.
+    W > 0 makes (A0, W0^1/2) stabilizable: a left eigenvector x' of A0
+    with x' W0 = 0 has x' = x' J, so x' A0 = 0; with W singular it need
+    not be.  The noisy rows then give X = (I + W0 G)^-1 [A0, W0], Ab = X_A,
+    Wb = X_W and Gb = G0 + A0' G Ab, skipped where G = 0.
     """
-    Q, Z = _measured(R0, L)
-    B = np.linalg.solve(L, A)
-    QB = Q @ B
-    P, doublings = _doubling_dare(Z @ B, _sym(G1 + QB.transpose(0, 2, 1) @ QB), _sym(Z @ Z.transpose(0, 2, 1)))
-    _update(P, G1)
-    return _sym(A @ P @ A.T + W), doublings
-
-
-def _update(X, G) -> None:
-    """X <- (I + X G)^-1 X, symmetrized, in place, for every member of the
-    stacks X and G whose G is not zero; on the others the update gives
-    X's bits back."""
+    n = A.shape[-1]
+    Ab, Wb, Gb = np.broadcast_to(A, G.shape).copy(), np.broadcast_to(W, G.shape).copy(), np.zeros(G.shape)
+    noiseless = R0.any(axis=(1, 2))
+    if noiseless.any():
+        Q, Z = _measured(R0[noiseless], L)
+        B = np.linalg.solve(L, A)
+        QB = Q @ B
+        Ab[noiseless], Wb[noiseless] = Z @ B, _sym(Z @ Z.transpose(0, 2, 1))
+        Gb[noiseless] = _sym(QB.transpose(0, 2, 1) @ QB)
     noisy = G.any(axis=(1, 2))
     if noisy.any():
-        X[noisy] = _sym(_g_update(X[noisy], G[noisy]))
+        A0, W0 = Ab[noisy], Wb[noisy]
+        X = np.linalg.solve(np.eye(n) + W0 @ G[noisy], np.concatenate((A0, W0), axis=2))
+        Ab[noisy], Wb[noisy] = X[:, :, :n], _sym(X[:, :, n:])
+        Gb[noisy] = _sym(Gb[noisy] + A0.transpose(0, 2, 1) @ G[noisy] @ Ab[noisy])
+    return Ab, Gb, Wb
 
 
 def _posteriori(S, R0, G) -> np.ndarray:
     """The measurement updates of the symmetric stack S (k x n x n) given
     (R0, G) = _noise(C, V): S updated exactly by the noiseless rows R0
     where a member has any, Sigma = Z Z' (_measured with X = S), then by
-    the noisy ones, (I + Sigma G)^-1 Sigma (_update)."""
+    the noisy ones, (I + Sigma G)^-1 Sigma, symmetrized, where G is not
+    zero; elsewhere Sigma's bits."""
     P = S.copy()
     noiseless = R0.any(axis=(1, 2))
     if noiseless.any():
         Z = _measured(R0[noiseless], _root(S[noiseless])[1])[1]
         P[noiseless] = _sym(Z @ Z.transpose(0, 2, 1))
-    _update(P, G)
+    noisy = G.any(axis=(1, 2))
+    if noisy.any():
+        P[noisy] = _sym(np.linalg.solve(np.eye(S.shape[-1]) + P[noisy] @ G[noisy], P[noisy]))
     return P
 
 
@@ -544,11 +480,13 @@ def pseudo_inverse_psd(M: np.ndarray) -> np.ndarray:
 
 
 def posteriori_from_priori(Sigma, C_sel, V_sel) -> np.ndarray:
-    """Measurement-update covariance S - S C' M^+ C S, M = C S C' + V,
-    symmetrized, in the equal form solve_dare's update takes (_posteriori):
-    S updated exactly by V's noiseless rows, if any, then (I + S G)^-1 S
-    with G the gain of the noisy rows, an n x n solve.  Neither step
-    subtracts a term close to S.  Raises NoConvergence when V is not finite
+    """Measurement-update covariance S - S C' M^+ C S, M = C S C' + V, of a
+    given covariance S, symmetrized, in an equal form (_posteriori): S
+    updated exactly by V's noiseless rows, if any, then (I + S G)^-1 S with
+    G the gain of the noisy rows, an n x n solve.  Neither step subtracts a
+    term close to S.  Of a solve_dare result it agrees with the a
+    posteriori covariance that the solvers take from their filtered run to
+    round-off, not bit for bit.  Raises NoConvergence when V is not finite
     or not PSD (_noise)."""
     Sigma, C, V = (np.asarray(M, dtype=float) for M in (Sigma, C_sel, V_sel))
     if C.ndim != 2 or Sigma.shape != (C.shape[1],) * 2 or V.shape != (C.shape[0],) * 2:
@@ -618,20 +556,23 @@ def check_stabilizable(A, W) -> None:
         raise StabilizabilityViolation("(A, W^(1/2)) is not stabilizable")
 
 
-def _solve_detectable(A, W, C, V, posteriori=False, settle=None, upper_first=False) -> tuple[np.ndarray, np.ndarray]:
+def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.ndarray, np.ndarray]:
     """Covariances and iteration counts for the stacks C (k x p x n) and
     V (k x p x p), every member detectable: the a priori covariances, or
-    with ``posteriori`` their measurement updates (_posteriori).
+    with ``posteriori`` the a posteriori ones.
 
     The route is decided once per member, from its noise description
-    (R0, G) = _noise(C, V), before any kernel runs: members without
-    noiseless rows share one doubling run with their G, which gets
-    ``settle``, ``posteriori`` and ``upper_first`` (see _doubling_dare; a
-    member it drops has a NaN covariance, and stays NaN: the measurement
-    update takes only the members not dropped).  Members with noiseless
-    rows share one reduced doubling run when W is nonsingular
-    (_reduced_dare), and one Newton run when it is not; neither drops
-    anything.
+    (R0, G) = _noise(C, V), before any kernel runs.  Members with
+    noiseless rows share one Newton run when W is singular; it returns
+    the a priori covariance S, and the a posteriori one is its measurement
+    update (_posteriori).  Of the others, an a priori request solves the
+    members without noiseless rows in one plain doubling run with their G.
+    Every remaining member joins one filtered run (_filtered), whose
+    solution P is the a posteriori covariance, S = A P A' + W the a priori
+    one.  ``settle`` (see _doubling_dare) goes to the run that solves in
+    the requested metric: the plain run of an a priori request, the
+    filtered run of an a posteriori one.  A member it drops has a NaN
+    covariance; Newton drops nothing.
     The checks read the a priori covariances: raises NoConvergence as
     _doubling_dare and _newton_dare do; when a member's trace overflows,
     since a score could not tell it from an undetectable member's infinity;
@@ -648,17 +589,20 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None, upper_first=Fal
     S = np.empty((k,) + A.shape)
     iters = np.zeros(k, dtype=int)
     R0, G = _noise(C, V)
-    plain = ~R0.any(axis=(1, 2))
-    newton = np.zeros(k, dtype=bool)
-    if not plain.all():
+    noiseless = R0.any(axis=(1, 2))
+    newton, L = np.zeros(k, dtype=bool), None
+    if noiseless.any():
         w, L = _root(W)
         if not w[0] > PINV_RTOL * max(1.0, w[-1]):  # W singular: the reduction need not stabilize
-            newton = ~plain
-    reduced = ~plain & ~newton
+            newton = noiseless
+    filtered = ~newton & (noiseless | posteriori)
+    plain = ~newton & ~filtered
     if plain.any():
-        S[plain], iters[plain] = _doubling_dare(A, G[plain], W, settle, posteriori, upper_first)
-    if reduced.any():
-        S[reduced], iters[reduced] = _reduced_dare(A, W, L, R0[reduced], G[reduced])
+        S[plain], iters[plain] = _doubling_dare(A, G[plain], W, settle)
+    if filtered.any():
+        P, iters[filtered] = _doubling_dare(*_filtered(A, W, L, R0[filtered], G[filtered]),
+                                            settle if posteriori else None)
+        S[filtered] = _sym(A @ P @ A.T + W)
     if newton.any():
         S[newton], iters[newton] = _newton_dare(A, C[newton], W, V[newton])
     shortfall = (W.diagonal() - S.diagonal(axis1=1, axis2=2)).max(axis=1)  # NaN, never below, if dropped
@@ -671,9 +615,10 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None, upper_first=Fal
     if huge.size:
         j = huge[0]
         raise NoConvergence("a priori trace overflows the float range", np.inf, int(iters[j]))
-    if posteriori:
-        kept = ~np.isnan(shortfall)
-        S[kept] = _posteriori(S[kept], R0[kept], G[kept])
+    if posteriori and filtered.any():
+        S[filtered] = P
+    if posteriori and newton.any():
+        S[newton] = _posteriori(S[newton], R0[newton], G[newton])
     return S, iters
 
 
@@ -685,8 +630,8 @@ def solve_dare(A, C, W, V) -> SteadyStateResult:
     V included) is solved by doubling until the step falls to TOL relative
     to max(1, ||S||_F); the result's ``iterations`` counts doublings.  One
     with noiseless rows and W nonsingular is solved by the
-    perfect-measurement reduction, whose equation the same doubling
-    solves; ``iterations`` counts the reduced run's doublings.  One with
+    perfect-measurement reduction, whose filtered equation the same
+    doubling solves; ``iterations`` counts that run's doublings.  One with
     noiseless rows and W singular is solved by Newton steps (_newton_dare;
     each Stein equation takes the G = 0 doubling) until a step falls to
     TOL by the same measure or to its round-off floor; ``iterations``
@@ -700,6 +645,13 @@ def solve_dare(A, C, W, V) -> SteadyStateResult:
     (V too large for the delta to count), or the solution's trace
     overflows or its variance falls below W's (see _solve_detectable).
     """
+    return _solve(A, C, W, V, posteriori=False)
+
+
+def _solve(A, C, W, V, posteriori) -> SteadyStateResult:
+    """solve_dare's checks and solve of one subset, in the a posteriori
+    metric when ``posteriori``: the solvers' kernel run of a stack of one,
+    so evaluate_selection keeps a scorer's bits."""
     A = np.ascontiguousarray(A, dtype=float)
     C = np.ascontiguousarray(C, dtype=float)
     W = np.ascontiguousarray(W, dtype=float)
@@ -712,7 +664,7 @@ def solve_dare(A, C, W, V) -> SteadyStateResult:
     check_stabilizable(A, W)
     if not is_detectable(A, C):
         return SteadyStateResult.infinite()
-    S, iters = _solve_detectable(A, W, C[None], V[None])
+    S, iters = _solve_detectable(A, W, C[None], V[None], posteriori)
     return SteadyStateResult.finite(S[0], int(iters[0]))
 
 

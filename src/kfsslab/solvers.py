@@ -37,18 +37,18 @@ a bound, the neutral one for the maximal sets and the best trace for
 each walk level, which drops inside the doubling every member whose
 certified trace interval can neither beat nor tie the optimum (Narendra
 & Fukunaga's monotone bound, 1977; see _ScoreTable._settle).  The table
-passes its metric to the kernel run, which returns covariances and
-certifies intervals in that metric (see riccati._solve_detectable), and
-the end of an interval that the bound drops on: an a posteriori run
-solves that end first, the other only for the members it keeps, and
-updates no dropped member.  A dropped member is stored as None: it
-counts as not tied, and a request without a bound, a greedy step or a
-report, solves it.  Greedy, greedy_and_optimal's joint first scoring
-and the members with noiseless rows (reduced or Newton) drop nothing.
+passes its metric to the kernel run, which solves an equation in that
+metric and certifies intervals in it (see riccati._solve_detectable): an
+a posteriori run solves the a posteriori covariance itself, so no
+member needs an update after it.  A dropped member is stored as None:
+it counts as not tied, and a request without a bound, a greedy step or
+a report, solves it.  Greedy, greedy_and_optimal's joint first scoring,
+the Newton members, and an a priori request's members with noiseless
+rows drop nothing.
 A report's trace and covariance diagonal are those of the stack member
 that scored the chosen indicator, and nothing is solved twice.
-evaluate_selection is the per-subset reference that the scorer agrees
-with, not a path the searches take.
+evaluate_selection is the per-subset reference, a kernel run of a stack
+of one, not a path the searches take.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ import numpy as np
 from . import riccati
 from .model import SelectionVector, SteadyStateResult, SystemModel, as_integer, restrict
 from .model import complement  # unused here; perfbench's tracer patches solvers.complement
-from .riccati import posteriori_from_priori
+from .riccati import posteriori_from_priori  # unused here; perfbench's tracer patches solvers.posteriori_from_priori
 
 METRICS = ("priori", "posteriori")
 
@@ -131,18 +131,16 @@ def _check_metric(metric: str) -> None:
 
 
 def evaluate_selection(model: SystemModel, sel: SelectionVector, metric: str) -> SteadyStateResult:
-    """Steady-state covariance for a selection, under the requested metric.
-
-    The posteriori metric applies the measurement update to the a priori
-    fixed point; an infinite a priori result stays infinite.
+    """Steady-state covariance for a selection, under the requested metric,
+    after solve_dare's checks: the kernel run that scores the selection in
+    a stack of one, so a report's trace is this one's bit for bit.  Under
+    "posteriori" that run solves the a posteriori equation itself, and
+    agrees with posteriori_from_priori of the a priori covariance to
+    round-off; an undetectable selection is infinite under either metric.
     """
     _check_metric(metric)
     C_sel, V_sel = restrict(model, sel)
-    result = riccati.solve_dare(model.A, C_sel, model.W, V_sel)
-    if metric == "priori" or not result.is_finite:
-        return result
-    post = posteriori_from_priori(result.cov, C_sel, V_sel)
-    return SteadyStateResult.finite(post, result.iterations)
+    return riccati._solve(model.A, C_sel, model.W, V_sel, metric == "posteriori")
 
 
 class _ScoreTable:
@@ -213,7 +211,7 @@ class _ScoreTable:
             if finite.any():
                 row, col = rows[finite], idx[finite]
                 C, V = self.C[row], self.V[row[:, :, None], col[:, None, :]]
-                S, _ = riccati._solve_detectable(A, W, C, V, self.metric == "posteriori", settle, self.attack)
+                S, _ = riccati._solve_detectable(A, W, C, V, self.metric == "posteriori", settle)
                 traces[finite] = np.trace(S, axis1=1, axis2=2)
                 diags[finite] = S.diagonal(axis1=1, axis2=2)
             for (_, _, j, s), trace, diag in zip(chunk, traces.tolist(), diags):
@@ -230,11 +228,9 @@ class _ScoreTable:
         x -> x +- TIE_REL max(1, x) increases and U >= best >= L, so a
         dropped member's trace is worse than the best and not tied with it.
         The bound carries across the calls and chunks of the request; the
-        intervals are in the table's metric, which the kernel run is told,
-        and so is the end the rule drops on, hi for an attack and lo for a
-        selection: an a posteriori run solves that end first and may call
-        settle twice per doubling, every call with valid bounds (see
-        riccati._settle_posteriori)."""
+        intervals are in the table's metric, which the kernel run is told:
+        they bound the trace of the solution of the equation the run
+        solves, the a posteriori one for an a posteriori table."""
 
         def settle(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             nonlocal bound

@@ -18,7 +18,9 @@ checks:
   mode and an overflowing trace (exit 2), and gadget sidecars that cannot
   be written (exit 1);
 * a q = 12 brute force against the a posteriori exhaustive search, which
-  drops members inside the doubling;
+  drops members inside the filtered doubling, and the a posteriori
+  exhaustive searches of both noiseless families against the closed forms,
+  which drop members there too;
 * noiseless solves against numpy's pinv recursion and the closed forms;
 * every ``kfsslab`` line of README's "## CLI" section and the Python block
   of its "## Library" section, as written.
@@ -127,7 +129,7 @@ for via in ("kfss", "kfsa"):
         assert main(argv) == 0, argv
     assert stdout.getvalue().split()[0] == expected, (argv, stdout.getvalue())
 # one unstable mode that sensor 3 cannot see, nonsingular V: the PBH
-# test and the posteriori update of nonsingular members, exhaustively
+# test and the a posteriori filtered run of nonsingular members, exhaustively
 path = f"{out}/blind.json"
 with open(path, "w") as fh:
     json.dump({"n": 2, "q": 3, "A": [[1.2, 0.0], [0.0, 0.5]],
@@ -201,9 +203,9 @@ B = rng.standard_normal((q, q))
 m = validate_model(SystemModel(n=n, q=q, A=(Q * np.concatenate([[1.05], np.linspace(-0.5, 0.5, n - 1)])) @ Q.T,
                                C=C, W=np.eye(n), V=B @ B.T / q + 0.5 * np.eye(q)))
 doubling, dropped = riccati._doubling_dare, []
-def spy(A, G, W, settle=None, *args):
+def spy(A, G, W, settle=None):
     counted = settle and (lambda lo, hi: dropped.append(settle(lo, hi)) or dropped[-1])
-    return doubling(A, G, W, counted, *args)
+    return doubling(A, G, W, counted)
 riccati._doubling_dare = spy
 for run, attack in ((exhaustive_select, False), (exhaustive_attack, True)):
     dropped.clear()
@@ -218,6 +220,20 @@ for run, attack in ((exhaustive_select, False), (exhaustive_attack, True)):
     assert report.chosen.support == want, (run.__name__, report, want)
     assert abs(report.trace - scores[want]) <= 1e-12 * scores[want], (run.__name__, report, scores[want])
     assert sum(d.sum() for d in dropped) > 0, run.__name__
+# the noiseless families under the a posteriori metric: their members join
+# the filtered run, which drops members under the search's bound, and the
+# optimal traces match the closed forms
+from kfsslab.closed_forms import example1_predictions, example2_predictions
+from kfsslab.gadgets import build_example1, build_example2
+for build, predict, run, hs in ((build_example1, example1_predictions, exhaustive_select, (10.0, 1e3)),
+                                (build_example2, example2_predictions, exhaustive_attack, (0.1, 1e-3))):
+    for h in hs:
+        dropped.clear()
+        family = build(0.9, h)
+        report = run(family, family.omega if run is exhaustive_attack else family.b, 2.0, "posteriori")
+        want = predict(0.9, h).trace_optimal_posteriori
+        assert abs(report.trace - want) <= 1e-10 * want, (run.__name__, h, report.trace, want)
+        assert sum(d.sum() for d in dropped) > 0, (run.__name__, h)
 riccati._doubling_dare = doubling
 # a sensor blind to a defective unstable mode passes PBH within
 # round-off; its solution falls below W, which solve refuses (exit 2)

@@ -344,6 +344,25 @@ def test_gadget_subsets_match_scipy(build):
             assert abs(res.trace - ref) <= 1e-9 * ref, support
 
 
+@pytest.mark.parametrize("build", [build_kfss_gadget, build_kfsa_gadget])
+def test_gadget_subsets_match_scipy_posteriori(build):
+    # the filtered run's a posteriori trace against scipy's a priori
+    # solution updated by P - P C' (C P C' + V)^-1 C P, on every subset
+    inst = X3CInstance(2, ((1, 2, 3), (4, 5, 6), (1, 2, 4), (3, 5, 6)))
+    m = build(inst, 1.0).model
+    for r in range(1, m.q + 1):
+        for support in combinations(range(m.q), r):
+            sel = SelectionVector.from_support(m.q, support)
+            res = evaluate_selection(m, sel, "posteriori")
+            if not res.is_finite:
+                continue
+            C_sel, V_sel = restrict(m, sel)
+            P = _scipy_priori(m.A, C_sel, m.W, V_sel)
+            PC = P @ C_sel.T
+            ref = np.trace(P - PC @ np.linalg.solve(C_sel @ PC + V_sel, PC.T))
+            assert abs(res.trace - ref) <= 1e-9 * ref, support
+
+
 def test_doubling_cap_raises_no_convergence(monkeypatch):
     A, C, W, V = np.array([[0.99]]), np.array([[1.0]]), np.eye(1), np.eye(1)
     assert solve_dare(A, C, W, V).is_finite
@@ -516,7 +535,7 @@ def test_a_noiseless_member_with_singular_w_takes_newton():
 
 def _kernel_spy(monkeypatch):
     used = []
-    for name in ("_newton_dare", "_reduced_dare", "_doubling_dare"):
+    for name in ("_newton_dare", "_filtered", "_doubling_dare"):
         kernel = getattr(riccati, name)
 
         def spy(*args, _kernel=kernel, _name=name):
@@ -532,8 +551,8 @@ def _kernel_spy(monkeypatch):
     (np.zeros((0, 0)), "_doubling_dare"),
     (np.diag([1.0, 0.0]), "_newton_dare"),  # a zero diagonal entry, W singular
     (np.ones((2, 2)), "_newton_dare"),  # singular without a zero diagonal entry, W singular
-    (np.diag([1.0, 0.0]), "_reduced_dare"),
-    (np.ones((2, 2)), "_reduced_dare"),
+    (np.diag([1.0, 0.0]), "_filtered"),
+    (np.ones((2, 2)), "_filtered"),
 ])
 def test_kernel_follows_noise_singularity(monkeypatch, V, kernel):
     # a singular V takes the perfect-measurement reduction when W is
@@ -546,7 +565,7 @@ def test_kernel_follows_noise_singularity(monkeypatch, V, kernel):
     res = solve_dare(A, C, W, V)
     if kernel == "_doubling_dare":
         assert used == [kernel]
-    elif kernel == "_reduced_dare":
+    elif kernel == "_filtered":
         # one doubling run, on the reduced equation; iterations counts its doublings
         assert used == [kernel, "_doubling_dare"] and res.iterations >= 1
     else:
@@ -567,7 +586,7 @@ def test_small_newton_solve_runs_the_doubling_only_for_its_start(monkeypatch, V)
     A = np.diag([0.9, 0.5])
     C = np.array([[1.0, 0.0], [1.0, 1.0]])
     res = solve_dare(A, C, np.eye(2), V)
-    assert used == ["_reduced_dare", "_doubling_dare"] and res.iterations >= 1
+    assert used == ["_filtered", "_doubling_dare"] and res.iterations >= 1
     assert np.linalg.norm(_riccati_step(res.cov, A, C, np.eye(2), V) - res.cov) < 1e-9
 
 

@@ -1,12 +1,13 @@
 import math
+from dataclasses import replace
 from itertools import combinations, groupby
 
 import numpy as np
 import pytest
 
 from kfsslab.closed_forms import example1_predictions, example2_predictions, msee_limit
-from kfsslab.gadgets import build_example1, build_example2
-from kfsslab.model import AttackVector, SelectionVector, SystemModel, complement, validate_model
+from kfsslab.gadgets import X3CInstance, build_example1, build_example2, build_kfsa_gadget, build_kfss_gadget
+from kfsslab.model import AttackVector, SelectionVector, SystemModel, complement, restrict, validate_model
 from kfsslab import riccati, solvers
 from kfsslab.solvers import (
     METRICS,
@@ -638,73 +639,97 @@ def test_dropping_halves_the_doubling_solves_at_q_18(monkeypatch):
     assert 0 < sum(solved) <= lone / 2
 
 
-@pytest.mark.parametrize("attack, doublings, updated", [(False, 923, 2657), (True, 835, 2482)],
-                         ids=["select", "attack"])
-def test_posteriori_dropping_halves_the_doubling_solves_at_q_18(attack, doublings, updated, monkeypatch):
-    # the model above under the a posteriori metric, whose doubling hands
-    # settle the interval of the updated trace.  The maximal sets are the
-    # triples (survivor sets of 15 sensors for the attack).  Each doubling
-    # settles every live member once on the end the request drops on (the
-    # upper one for an attack), and again, with both ends, only the members
-    # it kept.  The run makes the ``doublings`` of one settle call with both
-    # ends, and hands the G-form update at most half of the ``updated``
-    # members that both ends of every live member and an update of every
-    # member took
+@pytest.mark.parametrize("attack, doublings", [(False, 902), (True, 828)], ids=["select", "attack"])
+def test_posteriori_dropping_halves_the_doubling_solves_at_q_18(attack, doublings, monkeypatch):
+    # the model above under the a posteriori metric.  The maximal sets are
+    # the triples (survivor sets of 15 sensors for the attack).  Every
+    # member joins the filtered run, whose solution is the a posteriori
+    # covariance, so its doubling hands settle the a posteriori interval
+    # once per doubling, as an a priori run does, and no measurement update
+    # follows: each doubling settles every live member once
     rng = np.random.default_rng(61)
     m = _random_solve_model(rng, 18)
     sets = [tuple(i for i in range(m.q) if i not in c) if attack else c for c in combinations(range(m.q), 3)]
     lone = sum(riccati.solve_dare(m.A, m.C[list(s)], m.W, m.V[np.ix_(s, s)]).iterations for s in sets)
-    counted, rounds, solves = [], [], []
-    doubling, settle_posteriori, g_update = riccati._doubling_dare, riccati._settle_posteriori, riccati._g_update
+    counted, solved, updated = [], [], []
+    doubling, posteriori = riccati._doubling_dare, riccati._posteriori
 
-    def spy(A, G, W, settle=None, posteriori=False, upper_first=False):
-        assert posteriori and upper_first == attack
-        S, counts = doubling(A, G, W, settle, posteriori, upper_first)
+    def spy(A, G, W, settle=None):
+        assert settle is not None and A.shape == G.shape == W.shape  # the filtered equation's stacks
+        S, counts = doubling(A, G, W, lambda lo, hi: solved.append(len(lo)) or settle(lo, hi))
         counted.append(counts.sum())
         return S, counts
 
-    def round_spy(settle, *args):  # one call per doubling
-        rounds.append([])
-        return settle_posteriori(lambda lo, hi: rounds[-1].append(len(lo)) or settle(lo, hi), *args)
-
     monkeypatch.setattr(riccati, "_doubling_dare", spy)
-    monkeypatch.setattr(riccati, "_settle_posteriori", round_spy)
-    monkeypatch.setattr(riccati, "_g_update", lambda X, G: solves.append(len(X)) or g_update(X, G))
+    monkeypatch.setattr(riccati, "_posteriori", lambda *a: updated.append(a) or posteriori(*a))
     report = (exhaustive_attack if attack else exhaustive_select)(m, np.ones(m.q), 3.0, "posteriori")
     monkeypatch.undo()
     settled = _settled_exhaustive(m, np.ones(m.q), 3.0, attack, "posteriori")[0]
     assert report_to_dict(report) == report_to_dict(settled)
-    solved = [members[0] for members in rounds]  # each live member once per doubling
-    assert sum(solved) == sum(counted) == doublings
-    assert all(len(members) == 1 or len(members) == 2 and members[1] <= members[0] for members in rounds)
+    assert sum(solved) == sum(counted) == doublings and not updated
     assert 0 < sum(solved) <= lone / 2
-    assert 0 < sum(solves) <= updated / 2
 
 
 @pytest.mark.parametrize("attack", [False, True], ids=["select", "attack"])
 def test_posteriori_update_takes_no_dropped_member(attack, monkeypatch):
-    # a dropped member keeps its NaN covariance: the measurement update
-    # after the doubling takes only the members the run kept
+    # a dropped member keeps its NaN covariance, and no member of an a
+    # posteriori search without noiseless rows takes a measurement update:
+    # the filtered run solves the a posteriori covariance itself
     rng = np.random.default_rng(61)
     m = _random_solve_model(rng, 10)
     updated = []
-    update = riccati._update
-    monkeypatch.setattr(riccati, "_update", lambda X, G: updated.append(np.isnan(X).any()) or update(X, G))
+    posteriori = riccati._posteriori
+    monkeypatch.setattr(riccati, "_posteriori", lambda *a: updated.append(a) or posteriori(*a))
     _, _, dropped = _settled_exhaustive(m, np.ones(m.q), 3.0, attack, "posteriori")
     monkeypatch.undo()
-    assert dropped and updated and not any(updated)
+    assert dropped and not updated
 
 
-def test_singular_v_posteriori_exhaustive_drops_nothing():
-    # noiseless sensors: every member goes through the reduced doubling or
-    # Newton, neither of which takes settle, so the a posteriori search
-    # drops nothing and equals the full enumeration
+def test_noiseless_posteriori_exhaustive_drops_under_the_bound():
+    # noiseless sensors with W > 0 join the filtered run, which takes the
+    # bound under the a posteriori metric: the search equals the no-bound
+    # reference and drops members on some model.  With W singular the
+    # members with sensors take Newton, which drops nothing; only the empty
+    # set, which has no noiseless rows, may drop
     rng = np.random.default_rng(73)
+    dropped_any = False
     for _ in range(4):
         m = _random_model(rng, psd_v=False)
+        singular_w = replace(m, W=np.diag(np.concatenate([[0.0], np.diag(m.W)[1:]])))
         for attack in (False, True):
             _, scored, dropped = _settled_exhaustive(m, np.ones(m.q), float(m.q // 2), attack, "posteriori")
-            assert scored and not dropped
+            dropped_any |= bool(dropped)
+            assert scored
+            _, scored, dropped = _settled_exhaustive(singular_w, np.ones(m.q), float(m.q // 2), attack,
+                                                     "posteriori")
+            kept = [set(range(m.q)).difference(s) if attack else s for _, s in dropped]
+            assert scored and not any(kept)
+    assert dropped_any
+
+
+def test_evaluate_selection_posteriori_is_the_update_of_the_priori_solve():
+    # evaluate_selection's a posteriori covariance is the filtered run's,
+    # which the scorer uses; the public update of the a priori solve gives
+    # the same trace to 1e-12 relative, on random-solve models and on every
+    # subset of up to four sensors of both K = 1 reduction gadgets
+    rng = np.random.default_rng(83)
+    inst = X3CInstance(2, ((1, 2, 3), (4, 5, 6), (1, 4, 5)))
+    models = [(_random_solve_model(rng, q), 3) for q in (6, 10)]
+    models += [(build(inst, 1.0).model, 4) for build in (build_kfss_gadget, build_kfsa_gadget)]
+    checked = 0
+    for m, size in models:
+        for r in range(1, size + 1):
+            for support in combinations(range(m.q), r):
+                sel = SelectionVector.from_support(m.q, support)
+                post = evaluate_selection(m, sel, "posteriori")
+                C_sel, V_sel = restrict(m, sel)
+                prior = riccati.solve_dare(m.A, C_sel, m.W, V_sel)
+                assert post.is_finite == prior.is_finite
+                if prior.is_finite:
+                    want = np.trace(riccati.posteriori_from_priori(prior.cov, C_sel, V_sel))
+                    assert abs(post.trace - want) <= 1e-12 * want, (support, post.trace, want)
+                    checked += 1
+    assert checked >= 480
 
 
 @pytest.mark.parametrize("metric", METRICS)
