@@ -612,8 +612,9 @@ def test_sweep_takes_example2_up_to_the_family_bound(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize("algorithm", ["greedy", "exhaustive"])
 def test_solve_on_a_defective_blind_mode_is_solver_error(tmp_path, capsys, algorithm):
     # the sensor cannot see the defective mode 1.1 of A, but the PBH test
-    # passes within round-off; the solution falls below W and is refused,
-    # under the a posteriori metric too, whose check reads A P A' + W
+    # passes within round-off.  The a priori solution falls below W and is
+    # refused; the a posteriori one, the filtered run's, stays PSD (about
+    # 1e17) but leaves a residual of 11% in its own equation and is refused
     t = 0.1
     Q = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
     path = tmp_path / "defective.json"
@@ -621,11 +622,12 @@ def test_solve_on_a_defective_blind_mode_is_solver_error(tmp_path, capsys, algor
         "n": 2, "q": 1, "A": (Q @ np.array([[1.1, 1.0], [0.0, 1.1]]) @ Q.T).tolist(),
         "C": (np.array([[0.0, 1.0]]) @ Q.T).tolist(), "W": np.eye(2).tolist(), "V": [[1.0]],
         "b": [1.0], "omega": [1.0], "budget_select": 1, "budget_attack": 0}))
-    for metric in ("priori", "posteriori"):
+    for metric, message in (("priori", "a priori variance below W's"),
+                            ("posteriori", "a posteriori solution leaves its equation")):
         assert run_cli("solve", "--instance", str(path), "--mode", "select", "--algorithm", algorithm,
                        "--metric", metric) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: a priori variance below W's")
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("algorithm", ["greedy", "exhaustive"])

@@ -454,7 +454,7 @@ def test_a_noisy_row_below_the_pivot_cutoff_takes_the_plain_doubling(monkeypatch
     # V_00 = 1e-13 is singular by _noise_gain's absolute pivot rule, but
     # per squared gain (C_00 = 0.1) the row's noise is 1e-11, above _split's
     # cutoff: no row is noiseless, so the member takes the plain doubling
-    # with _split's G1, whatever W is
+    # with the gain of _split's whitened rows, whatever W is
     used = _kernel_spy(monkeypatch)
     A, C, V = np.diag([0.9, 0.5]), np.diag([0.1, 1.0]), np.diag([1e-13, 1.0])
     res = solve_dare(A, C, W, V)

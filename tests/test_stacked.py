@@ -356,22 +356,59 @@ def test_posteriori_solve_is_the_update_of_the_priori_solve(case):
     # the a posteriori traces agree with those of _posteriori of the a
     # priori stack to 1e-12 relative, doubling, filtered and Newton members
     # alike: the filtered run solves the a posteriori equation itself, a
-    # different rounding of the same covariance.  The G-form update loses
-    # up to eps cond(I + S G), which the bound adds: one example1 member (a
-    # pair with V = 0.3 I at h = 1e4, cond 6.7e8) differs by 1.4e-9, where
-    # the update is 3.2e-10 off a 60-digit recursion and the filtered run
-    # 1.0e-9 off
+    # different rounding of the same covariance
     m = _singular_model(case)
     _, C, V = _mixed_chunk(m)
-    R0, G = riccati._noise(C, V)
+    R0, F = riccati._noise(C, V)
     noiseless = R0.any(axis=(1, 2))
     assert noiseless.any() and not noiseless.all()
     S, _ = riccati._solve_detectable(m.A, m.W, C, V)
     post, _ = riccati._solve_detectable(m.A, m.W, C, V, posteriori=True)
-    got, want = (np.trace(X, axis1=1, axis2=2) for X in (post, riccati._posteriori(S, R0, G)))
-    bound = 1e-12 + np.finfo(float).eps * np.linalg.cond(np.eye(m.n) + S @ G)
-    assert np.all(np.abs(got - want) <= bound * want)
+    got, want = (np.trace(X, axis1=1, axis2=2) for X in (post, riccati._posteriori(S, R0, F)))
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
     assert not np.array_equal(post, S)
+
+
+def _decimal_posteriori_trace(A, C, W, V, steps):
+    """Trace of the a posteriori Riccati recursion P <- S - S C' M^-1 C S,
+    S = A P A' + W, M = C S C' + V, from P = W, at 50 digits; C has two
+    rows, so M is inverted by its adjugate."""
+    from decimal import Decimal, localcontext
+
+    def mul(X, Y):
+        return [[sum(X[i][k] * Y[k][j] for k in range(len(Y))) for j in range(len(Y[0]))] for i in range(len(X))]
+
+    def lin(X, Y, b):
+        return [[x + b * y for x, y in zip(u, w)] for u, w in zip(X, Y)]
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        A, C, W, V = ([[Decimal(float(x)) for x in row] for row in M] for M in (A, C, W, V))
+        At, Ct = [list(r) for r in zip(*A)], [list(r) for r in zip(*C)]
+        P = W
+        for _ in range(steps):
+            S = lin(mul(mul(A, P), At), W, 1)
+            SC = mul(S, Ct)
+            M = lin(mul(C, SC), V, 1)
+            det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
+            inv = [[M[1][1] / det, -M[0][1] / det], [-M[1][0] / det, M[0][0] / det]]
+            P = lin(S, mul(mul(SC, inv), [list(r) for r in zip(*SC)]), -1)
+        return float(sum(P[i][i] for i in range(len(P))))
+
+
+def test_posteriori_trace_off_the_gain_axes_matches_a_50_digit_recursion():
+    # example1 at h = 1e4 with V = 0.3 I, sensors 0 and 2: G = C' V^-1 C is
+    # large along a direction off the axes, where an n x n solve with
+    # I + S G loses eps cond (6.7e8 here).  The a priori solve's G-form
+    # update was 3.2e-10 off and a filtered run whose transform took that
+    # solve 1.0e-9 off; the augmented solve of _update is within 1e-15
+    m = build_example1(0.9, 1e4)
+    m.V = 0.3 * np.eye(m.q)
+    got = solvers.evaluate_selection(validate_model(m), SelectionVector.from_support(m.q, (0, 2)), "posteriori")
+    c, v = m.C[[0, 2]], m.V[:2, :2]
+    want = _decimal_posteriori_trace(m.A, c, m.W, v, 400)
+    assert want == _decimal_posteriori_trace(m.A, c, m.W, v, 500)  # converged
+    assert abs(got.trace - want) <= 1e-13 * want
 
 
 def test_padding_does_not_fool_pbh():
@@ -410,7 +447,7 @@ def test_null_sensors_pad_with_unit_uncorrelated_noise(monkeypatch):
     # doubling too, beside its noiseless triples
     filtered = riccati._filtered
     members = []
-    monkeypatch.setattr(riccati, "_filtered", lambda A, W, L, R0, G: members.append(len(R0)) or filtered(A, W, L, R0, G))
+    monkeypatch.setattr(riccati, "_filtered", lambda A, W, L, R0, F: members.append(len(R0)) or filtered(A, W, L, R0, F))
     m = _random_model(np.random.default_rng(41), 8)
     ((greedy, optimal, _),) = solvers.greedy_and_optimal([m], 3, "select", "priori")
     assert members == []
@@ -848,9 +885,9 @@ def test_posteriori_g_form_matches_joseph_and_subtraction(seed):
     rng = np.random.default_rng(700 + seed)
     n, p = int(rng.integers(1, 8)), int(rng.integers(1, 16))
     S, C, V = _posteriori_stack(rng, 24, n, p)
-    R0, G = riccati._noise(C, V)
+    R0, F = riccati._noise(C, V)
     assert riccati._noise_gain(C, V)[0].all() and not R0.any()
-    got = riccati._posteriori(S, R0, G)
+    got = riccati._posteriori(S, R0, F)
     CS = C @ S
     M = CS @ C.transpose(0, 2, 1) + V
     K = np.linalg.solve(M, CS).transpose(0, 2, 1)
@@ -865,20 +902,20 @@ def test_posteriori_g_form_matches_joseph_and_subtraction(seed):
 def test_noise_gain_factors_members_one_by_one_after_a_failed_batch(monkeypatch):
     # V = ones((2, 2)) is singular with a positive diagonal: the batched
     # Cholesky factorization fails on it, and the members are factored one
-    # by one; only that member is singular, and every other member's G
-    # keeps the bits of its lone _noise_gain
+    # by one; only that member is singular, and every other member's
+    # whitened rows keep the bits of its lone _noise_gain
     rng = np.random.default_rng(720)
     _, C, V = _posteriori_stack(rng, 8, 3, 2)
     V[5] = np.ones((2, 2))
     shapes, cholesky = [], np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
-    nonsingular, G = riccati._noise_gain(C, V)
+    nonsingular, F = riccati._noise_gain(C, V)
     monkeypatch.undo()
     assert shapes == [(8, 2, 2)] + [(2, 2)] * 8
     assert np.array_equal(nonsingular, np.arange(8) != 5)
-    for g, c, v in zip(G, C[nonsingular], V[nonsingular]):
+    for f, c, v in zip(F, C[nonsingular], V[nonsingular]):
         alone_ok, alone = riccati._noise_gain(c[None], v[None])
-        assert alone_ok.all() and np.array_equal(g, alone[0])
+        assert alone_ok.all() and np.array_equal(f, alone[0])
 
 
 def test_posteriori_stack_mixing_singular_and_nonsingular_equals_members_alone():
@@ -926,18 +963,18 @@ def _nonsingular_members(A, C, V, supports):
 
 def _nonsingular_gains(A, C, V, supports):
     """G = C' V^-1 C of every detectable support (all of one size)."""
-    nonsingular, G = riccati._noise_gain(*_nonsingular_members(A, C, V, supports))
+    nonsingular, F = riccati._noise_gain(*_nonsingular_members(A, C, V, supports))
     assert nonsingular.all()
-    return G
+    return F.transpose(0, 2, 1) @ F
 
 
 def _assert_certified_posteriori(A, W, C, V):
     """_assert_certified on the filtered run of the members (C, V), none
     with noiseless rows: its solution is the a posteriori covariance P,
     so every doubling's interval holds tr P."""
-    R0, G = riccati._noise(C, V)
+    R0, F = riccati._noise(C, V)
     assert riccati._noise_gain(C, V)[0].all() and not R0.any()
-    _assert_certified(*riccati._filtered(A, W, None, R0, G))
+    _assert_certified(*riccati._filtered(A, W, None, R0, F))
 
 
 @pytest.mark.parametrize("q", [6, 10, 14, 18])
