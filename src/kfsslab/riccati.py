@@ -622,7 +622,7 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
     models, n <= 4).  A filtered P keeps A P A' + W >= W, so an a
     posteriori request also raises where P's residual in its own equation
     exceeds sqrt(TOL) * max(1, ||P||_F): 11% on the pair above, at most
-    3e-15 on the 20 749 other such members of the test suite.
+    3e-15 on the 20 699 other such members of the test suite.
     """
     k = C.shape[0]
     S = np.empty((k,) + A.shape)
