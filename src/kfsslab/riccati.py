@@ -46,16 +46,19 @@ zero row adds exactly 0 to C' V^-1 C, K C, K V K' and every PBH image, so
 a padded member agrees with its lone solve up to the order of sums over p;
 the reduction's decompositions leave such rows out, and a padded member
 keeps its lone bits there.
-Each member of a doubling or Newton run stops at its own stopping rule.
+Each member of a doubling or Newton run stops at its own stopping rule,
+and the run's certificate then checks it, whatever the metric
+(_solve_detectable): a plain or Newton member's variances may not fall
+below W's, and a filtered member's P must solve its own equation.
 A doubling run may also drop members early: every doubling keeps the
 invariant S = A_k' S (I + G_k S)^-1 A_k + H_k, which certifies
 tr H_k <= tr S <= tr H_k / (1 - ||A_k||_F^2), and a caller's ``settle``
 marks the members it no longer needs from these intervals (see
-_doubling_dare).  _solve_detectable alone chooses the metric, and hands
-settle to the run that solves in it: the plain run of an a priori
-request, the filtered run of an a posteriori one, whose interval is
-that of the a posteriori trace.  An a priori request's filtered run
-and Newton runs drop nothing.
+_doubling_dare).  The metric picks the route and the covariance
+returned, and settle goes to the run that solves in it: the plain run of
+an a priori request, the filtered run of an a posteriori one, whose
+interval is that of the a posteriori trace.  An a priori request's
+filtered run and Newton runs drop nothing.
 PBH takes one kernel basis of A - lam I per unstable mode and request.
 Newton's gain shares _pinv_psd with pseudo_inverse_psd.
 solve_dare, and every public solver call in the solvers module, tests
@@ -93,6 +96,18 @@ class NoConvergence(RuntimeError):
 
 class StabilizabilityViolation(ValueError):
     pass
+
+
+class NonFiniteInput(ValueError):
+    pass
+
+
+def _check_finite(**arrays) -> None:
+    """Raise NonFiniteInput, naming the array, for the first of ``arrays``
+    with an entry that is not finite: no kernel gives such input an answer."""
+    for name, M in arrays.items():
+        if not np.isfinite(M).all():
+            raise NonFiniteInput(f"{name} has an entry that is not finite")
 
 
 # Noise added to a singular V for the Newton start, which only members with
@@ -521,9 +536,10 @@ def posteriori_from_priori(Sigma, C_sel, V_sel) -> np.ndarray:
     G the gain of the noisy rows, solved by _update.  Neither step
     subtracts a term close to S.  Of a solve_dare result it agrees with the a
     posteriori covariance that the solvers take from their filtered run to
-    round-off, not bit for bit.  Raises NoConvergence when V is not finite
-    or not PSD (_noise)."""
+    round-off, not bit for bit.  Raises NonFiniteInput when S or C is not
+    finite, and NoConvergence when V is not finite or not PSD (_noise)."""
     Sigma, C, V = (np.asarray(M, dtype=float) for M in (Sigma, C_sel, V_sel))
+    _check_finite(Sigma=Sigma, C=C)
     if C.ndim != 2 or Sigma.shape != (C.shape[1],) * 2 or V.shape != (C.shape[0],) * 2:
         raise ShapeError(f"need C p x n, an n x n covariance and V p x p, got {C.shape}, {Sigma.shape}, {V.shape}")
     return _posteriori(_sym(Sigma[None]), *_noise(C[None], V[None]))[0]
@@ -566,10 +582,12 @@ def is_detectable(A, C_sel) -> bool:
     """PBH test: [A - lam I; C] has full column rank for every eigenvalue
     lam of A with modulus >= 1 - PBH_TOL, PBH_TOL being the relative rank
     tolerance on the scale ||A||_2 (see _mode_images and _detectable).  A
-    spectral radius below 1 - PBH_TOL short-circuits to True.
+    spectral radius below 1 - PBH_TOL short-circuits to True.  Raises
+    NonFiniteInput when A or C is not finite.
     """
     A = np.asarray(A, dtype=float)
     C_sel = np.asarray(C_sel, dtype=float)
+    _check_finite(A=A, C=C_sel)
     return bool(_detectable(_mode_images(A, C_sel), np.arange(C_sel.shape[0])[None])[0])
 
 
@@ -577,6 +595,7 @@ def is_stabilizable_noise(A, W) -> bool:
     """Dual PBH test that (A, W^{1/2}) is stabilizable: (A', L') is
     detectable for the root W = L L' (_root), as for any such L."""
     W = np.asarray(W, dtype=float)
+    _check_finite(W=W)  # and is_detectable checks A
     L = _root(0.5 * W + 0.5 * W.T)[1]  # halved first: no overflow near the float maximum
     return is_detectable(np.asarray(A, dtype=float).T, L.T)
 
@@ -597,32 +616,32 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
     with ``posteriori`` the a posteriori ones.
 
     The route is decided once per member, from its noise description
-    (R0, F) = _noise(C, V), before any kernel runs.  Members with
-    noiseless rows share one Newton run when W is singular; it returns
-    the a priori covariance S, and the a posteriori one is its measurement
-    update (_posteriori).  Of the others, an a priori request solves the
-    members without noiseless rows in one plain doubling run with their
-    G = F'F.
+    (R0, F) = _noise(C, V), before any kernel runs.  Members with noiseless
+    rows share one Newton run when W is singular; it returns the a priori
+    covariance S, and the a posteriori one is its measurement update
+    (_posteriori).  Of the others, an a priori request solves the members
+    without noiseless rows in one plain doubling run with their G = F'F.
     Every remaining member joins one filtered run (_filtered), whose
     solution P is the a posteriori covariance, S = A P A' + W the a priori
-    one.  ``settle`` (see _doubling_dare) goes to the run that solves in
-    the requested metric: the plain run of an a priori request, the
-    filtered run of an a posteriori one.  A member it drops has a NaN
-    covariance; Newton drops nothing.
-    The checks read the a priori covariances: raises NoConvergence as
-    _doubling_dare and _newton_dare do; when a member's trace overflows,
-    since a score could not tell it from an undetectable member's infinity;
-    and when a member's variance falls below W's by more than
-    sqrt(TOL) * max(1, ||S||_F): every a priori covariance is
-    A S* A' + W >= W, so such a member went astray, as on a pair (A, C)
-    that is undetectable within round-off but passed the PBH test, where
-    the shortfall is of the order of ||S||.  The bound is not TOL: with a
-    large gain K against a singular V, the round-off of K V K' alone puts
-    correct solutions up to 3e-9 relative below W (random noiseless
-    models, n <= 4).  A filtered P keeps A P A' + W >= W, so an a
-    posteriori request also raises where P's residual in its own equation
-    exceeds sqrt(TOL) * max(1, ||P||_F): 11% on the pair above, at most
-    3e-15 on the 20 699 other such members of the test suite.
+    one.  ``settle`` (see _doubling_dare) goes to the run that solves in the
+    requested metric: the plain run of an a priori request, the filtered run
+    of an a posteriori one.  A member it drops has a NaN covariance; Newton
+    drops nothing.
+
+    Raises NoConvergence as _doubling_dare and _newton_dare do, when a
+    member's a priori trace overflows (a score could not tell it from an
+    undetectable member's infinity), and when a member fails its run's
+    certificate, under either metric.  A plain or Newton member fails when
+    its variance falls below W's by more than sqrt(TOL) * max(1, ||S||_F):
+    every a priori covariance is A S* A' + W >= W, so it went astray, as on
+    a pair (A, C) that is undetectable within round-off but passed the PBH
+    test, where the shortfall is of the order of ||S||.  The bound is not
+    TOL: with a large gain K against a singular V, the round-off of K V K'
+    alone puts correct solutions up to 3e-9 relative below W (random
+    noiseless models, n <= 4).  A filtered member keeps A P A' + W >= W, so
+    it fails when P's residual in its own equation exceeds
+    sqrt(TOL) * max(1, ||P||_F): 11% on the pair above, at most 3e-15 on
+    the test suite's 27 246 other filtered members.
     """
     k = C.shape[0]
     S = np.empty((k,) + A.shape)
@@ -654,48 +673,38 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
     if huge.size:
         j = huge[0]
         raise NoConvergence("a priori trace overflows the float range", np.inf, int(iters[j]))
-    if posteriori and filtered.any():
+    if filtered.any():
         j = np.flatnonzero(~np.isnan(P[:, 0, 0]))  # a dropped member is NaN
         Ab, Gb, Wb, P1 = Ab[j], Gb[j], Wb[j], P[j]
         off = _fro(Ab @ P1 @ np.linalg.solve(np.eye(A.shape[0]) + Gb @ P1, Ab.transpose(0, 2, 1)) + Wb - P1)
         for j in np.flatnonzero(filtered)[j][off > np.sqrt(TOL) * np.maximum(1.0, _fro(P1))][:1]:
             raise NoConvergence("a posteriori solution leaves its equation", float(off.max()), int(iters[j]))
-        S[filtered] = P
+        if posteriori:
+            S[filtered] = P
     if posteriori and newton.any():
         S[newton] = _posteriori(S[newton], R0[newton], F[newton])
     return S, iters
 
 
-def solve_dare(A, C, W, V) -> SteadyStateResult:
-    """Stabilizing solution of the filter Riccati equation (the a priori
-    steady-state covariance).
+def solve_dare(A, C, W, V, posteriori=False) -> SteadyStateResult:
+    """Steady-state covariance of one sensor subset, a priori (the
+    stabilizing solution of the filter Riccati equation) or with
+    ``posteriori`` a posteriori: the solvers' kernel run of a stack of one,
+    so evaluate_selection, which calls it, keeps a scorer's bits.
 
-    A member without noiseless rows (_noise; every nonsingular V, a 0 x 0
-    V included) is solved by doubling until the step falls to TOL relative
-    to max(1, ||S||_F); the result's ``iterations`` counts doublings.  One
-    with noiseless rows and W nonsingular is solved by the
-    perfect-measurement reduction, whose filtered equation the same
-    doubling solves; ``iterations`` counts that run's doublings.  One with
-    noiseless rows and W singular is solved by Newton steps (_newton_dare;
-    each Stein equation takes the G = 0 doubling) until a step falls to
-    TOL by the same measure or to its round-off floor; ``iterations``
-    counts Newton steps.
+    ``iterations`` counts the doublings of the run that solved
+    (_solve_detectable): the plain run for an a priori member without
+    noiseless rows (_noise; every nonsingular V, a 0 x 0 V included), the
+    filtered run for an a posteriori one and, under either metric, for one
+    with noiseless rows and W nonsingular.  One with noiseless rows and W
+    singular takes Newton's method, and ``iterations`` counts its steps.
 
     Returns the infinite result when (A, C) is undetectable.  Raises
-    StabilizabilityViolation when (A, W^{1/2}) is not stabilizable and
-    NoConvergence when V is not finite or not PSD, a doubling run or the
-    Newton iteration reaches MAX_STEPS above tolerance, a doubling iterate
-    turns non-finite, the Newton start V + NEWTON_START_DELTA I is singular
-    (V too large for the delta to count), or the solution's trace
-    overflows or its variance falls below W's (see _solve_detectable).
+    NonFiniteInput when A, C or W is not finite, ShapeError on mismatched
+    shapes, StabilizabilityViolation when (A, W^{1/2}) is not
+    stabilizable, and NoConvergence when V is not finite or not PSD, a run
+    does not converge, or a certificate fails (see _solve_detectable).
     """
-    return _solve(A, C, W, V, posteriori=False)
-
-
-def _solve(A, C, W, V, posteriori) -> SteadyStateResult:
-    """solve_dare's checks and solve of one subset, in the a posteriori
-    metric when ``posteriori``: the solvers' kernel run of a stack of one,
-    so evaluate_selection keeps a scorer's bits."""
     A = np.ascontiguousarray(A, dtype=float)
     C = np.ascontiguousarray(C, dtype=float)
     W = np.ascontiguousarray(W, dtype=float)

@@ -47,8 +47,8 @@ the Newton members, and an a priori request's members with noiseless
 rows drop nothing.
 A report's trace and covariance diagonal are those of the stack member
 that scored the chosen indicator, and nothing is solved twice.
-evaluate_selection is the per-subset reference, a kernel run of a stack
-of one, not a path the searches take.
+evaluate_selection is the per-subset reference, riccati.solve_dare's
+kernel run of a stack of one, not a path the searches take.
 """
 
 from __future__ import annotations
@@ -132,15 +132,15 @@ def _check_metric(metric: str) -> None:
 
 def evaluate_selection(model: SystemModel, sel: SelectionVector, metric: str) -> SteadyStateResult:
     """Steady-state covariance for a selection, under the requested metric,
-    after solve_dare's checks: the kernel run that scores the selection in
-    a stack of one, so a report's trace is this one's bit for bit.  Under
+    from riccati.solve_dare: the kernel run that scores the selection in a
+    stack of one, so a report's trace is this one's bit for bit.  Under
     "posteriori" that run solves the a posteriori equation itself, and
     agrees with posteriori_from_priori of the a priori covariance to
     round-off; an undetectable selection is infinite under either metric.
     """
     _check_metric(metric)
     C_sel, V_sel = restrict(model, sel)
-    return riccati._solve(model.A, C_sel, model.W, V_sel, metric == "posteriori")
+    return riccati.solve_dare(model.A, C_sel, model.W, V_sel, metric == "posteriori")
 
 
 class _ScoreTable:
@@ -222,10 +222,10 @@ class _ScoreTable:
         """The settle callable of one request (see riccati._doubling_dare),
         which drops every member whose certified trace interval [lo, hi]
         can neither beat nor tie the optimum.  A selection keeps U, the
-        least hi seen, and drops lo > U + TIE_REL max(1, U); an attack keeps
-        L, the greatest lo seen, and drops hi < L - TIE_REL max(1, L), every
-        finite member once L is infinite.  Both start from ``bound``.
-        x -> x +- TIE_REL max(1, x) increases and U >= best >= L, so a
+        least hi seen, and drops lo > U + _band(U); an attack keeps L, the
+        greatest lo seen, and drops hi < L - _band(L), every finite member
+        once L is infinite.  Both start from ``bound``.
+        x -> x +- _band(x) increases and U >= best >= L, so a
         dropped member's trace is worse than the best and not tied with it.
         The bound carries across the calls and chunks of the request; the
         intervals are in the table's metric, which the kernel run is told:
@@ -236,9 +236,9 @@ class _ScoreTable:
             nonlocal bound
             if self.attack:
                 bound = L = max(bound, float(lo.max()))
-                return hi < (L - TIE_REL * max(1.0, L) if math.isfinite(L) else L)
+                return hi < (L - _band(L) if math.isfinite(L) else L)
             bound = U = min(bound, float(hi.min()))
-            return lo > U + TIE_REL * max(1.0, U)
+            return lo > U + _band(U)
 
         return settle
 
@@ -257,10 +257,14 @@ class _ScoreTable:
         )
 
 
+def _band(x: float) -> float:  # the tie band's half-width at a trace x: _tied's and _settle's
+    return TIE_REL * max(1.0, abs(x))
+
+
 def _tied(score: float, best: float) -> bool:
     if math.isinf(best):
         return math.isinf(score)
-    return abs(score - best) <= TIE_REL * max(1.0, abs(best))
+    return abs(score - best) <= _band(best)
 
 
 def _check_cardinality_budget(model: SystemModel, budget, attack: bool) -> int:

@@ -16,9 +16,11 @@ from kfsslab.gadgets import (
 from kfsslab.model import SelectionVector, SystemModel, restrict, validate_model
 from kfsslab.riccati import (
     NoConvergence,
+    NonFiniteInput,
     ShapeError,
     StabilizabilityViolation,
     is_detectable,
+    is_stabilizable_noise,
     posteriori_from_priori,
     pseudo_inverse_psd,
     solve_dare,
@@ -246,6 +248,43 @@ def test_solution_below_w_raises_no_convergence():
     with pytest.raises(NoConvergence, match="below W") as exc:
         solve_dare(A, c, np.eye(2), np.eye(1))
     assert exc.value.residual > 1e16
+
+
+def test_filtered_solution_off_its_equation_raises_no_convergence():
+    # the model above with a noiseless sensor: W = I is nonsingular, so the
+    # filtered run solves it under both metrics.  Its P stays PSD (trace
+    # about 1e17) and S = A P A' + W >= W, but P leaves its own equation
+    t = 0.1
+    Q = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    A, c = Q @ np.array([[1.1, 1.0], [0.0, 1.1]]) @ Q.T, np.array([[0.0, 1.0]]) @ Q.T
+    for posteriori in (False, True):
+        with pytest.raises(NoConvergence, match="a posteriori solution leaves its equation") as exc:
+            solve_dare(A, c, np.eye(2), np.zeros((1, 1)), posteriori)
+        assert exc.value.residual > 1e15
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_is_refused_before_any_kernel_runs(bad):
+    # each public single-subset function names the array it refuses, where
+    # numpy raised its own LinAlgError, the doubling "became non-finite" or
+    # the update answered NaN or -0
+    A, C, W, V = np.array([[0.5, 0.1], [0.0, 0.3]]), np.array([[1.0, 0.0]]), np.eye(2), np.eye(1)
+
+    def spoilt(M):
+        M = M.copy()
+        M[0, 0] = bad
+        return M
+
+    for name, call in (("A", lambda A: solve_dare(A, C, W, V)), ("C", lambda C: solve_dare(A, C, W, V)),
+                       ("W", lambda W: solve_dare(A, C, W, V)), ("A", lambda A: is_detectable(A, C)),
+                       ("C", lambda C: is_detectable(A, C)), ("A", lambda A: is_stabilizable_noise(A, W)),
+                       ("W", lambda W: is_stabilizable_noise(A, W)),
+                       ("Sigma", lambda S: posteriori_from_priori(S, C, V)),
+                       ("C", lambda C: posteriori_from_priori(W, C, V))):
+        with pytest.raises(NonFiniteInput, match=f"^{name} has an entry that is not finite$"):
+            call(spoilt({"A": A, "C": C, "W": W, "Sigma": W}[name]))
+    with pytest.raises(NonFiniteInput, match="^Sigma "):  # a 1 x 1 covariance, given as lists
+        posteriori_from_priori([[bad]], [[1.0]], [[1.0]])
 
 
 @pytest.mark.parametrize("noise", [1.0, 0.0])  # the doubling and the reduced path

@@ -172,10 +172,14 @@ def test_reports_come_from_the_scoring_stack(case, monkeypatch):
          "undetectable": _blind_model,
          "nonsingular": lambda: _random_model(np.random.default_rng(9), 6)}[case]()
     calls = []
-    for owner, name in ((riccati, "solve_dare"), (riccati, "_solve"), (riccati, "posteriori_from_priori"),
-                        (solvers, "posteriori_from_priori"), (solvers, "evaluate_selection")):
+
+    def spy(owner, name):
         original = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+
+    for owner, name in ((riccati, "solve_dare"), (riccati, "posteriori_from_priori"),
+                        (solvers, "posteriori_from_priori"), (solvers, "evaluate_selection")):
+        spy(owner, name)
     reports = []
     for metric in ("priori", "posteriori"):
         for budget in (0, 1, 2):
@@ -183,9 +187,11 @@ def test_reports_come_from_the_scoring_stack(case, monkeypatch):
                         exhaustive_select(m, m.b, float(budget), metric),
                         exhaustive_attack(m, m.omega, float(budget), metric)]
     assert calls == []
+    spy(riccati, "_solve_detectable")  # the kernel, which the drivers call directly
     solvers.evaluate_selection(m, SelectionVector.from_support(m.q, range(m.q)), "posteriori")
     riccati.posteriori_from_priori(m.W, m.C, m.V)
-    assert calls == ["evaluate_selection", "_solve", "posteriori_from_priori"]  # the spies see calls
+    # the spies see calls, and the reference reaches the kernel through solve_dare
+    assert calls == ["evaluate_selection", "solve_dare", "_solve_detectable", "posteriori_from_priori"]
     monkeypatch.undo()
     infinite = 0
     for report in reports:
