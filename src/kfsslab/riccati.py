@@ -12,8 +12,8 @@ has R0 = 0 and F = L^-1 C.  Otherwise rows scaled to unit norm split V into
 noisy rows and noiseless ones (_split), a decision that does not depend
 on the scale of a measurement (a row of C and V's row and column alike);
 a V that _split refuses (not finite, or not PSD within its cutoff)
-raises NoConvergence.  One doubling loop then computes the covariance, in
-one of three ways chosen from (R0, F) and the metric:
+raises NoConvergence.  The covariance is then computed in one of three
+ways chosen from (R0, F), A, W and the metric:
 
 * An a priori member without noiseless rows: S = A S (I + G S)^-1 A' + W,
   solved by the structure-preserving doubling algorithm (Chu, Fan & Lin;
@@ -25,7 +25,12 @@ one of three ways chosen from (R0, F) and the metric:
   (Bryson & Johansen, 1965; Anderson & Moore, 1979).  Decorrelated, that
   is an equation P = Ab P (I + Gb P)^-1 Ab' + Wb whose stabilizing
   solution is the a posteriori covariance P, which the same doubling
-  solves; the a priori one is S = A P A' + W.
+  solves; the a priori one is S = A P A' + W.  Where A has one nonzero
+  column j, u = A e_j, and W is nonsingular, as in every instance the
+  paper builds, every member takes this form and none doubles: zero
+  columns stay zero, so Ab = ub e_j', Gb = g e_j e_j' and
+  P = Wb + c ub ub', c = x / (1 + g x), with x = P_jj the nonnegative root
+  of a quadratic, and S = W + x u u' (_solve_detectable).
 * Noiseless rows with W singular: Newton's method on the equation
   (Kleinman 1968; Hewer 1971).  Each step fixes the gain
   K = A S C' (C S C' + V)^+ (_gain) and solves the closed-loop Stein
@@ -49,7 +54,8 @@ keeps its lone bits there.
 Each member of a doubling or Newton run stops at its own stopping rule,
 and the run's certificate then checks it, whatever the metric
 (_solve_detectable): a plain or Newton member's variances may not fall
-below W's, and a filtered member's P must solve its own equation.
+below W's, and a filtered member's P, or a closed-form member's x, must
+solve its own equation.
 A doubling run may also drop members early: every doubling keeps the
 invariant S = A_k' S (I + G_k S)^-1 A_k + H_k, which certifies
 tr H_k <= tr S <= tr H_k / (1 - ||A_k||_F^2), and a caller's ``settle``
@@ -58,7 +64,7 @@ _doubling_dare).  The metric picks the route and the covariance
 returned, and settle goes to the run that solves in it: the plain run of
 an a priori request, the filtered run of an a posteriori one, whose
 interval is that of the a posteriori trace.  An a priori request's
-filtered run and Newton runs drop nothing.
+filtered run, Newton runs and closed-form members drop nothing.
 PBH takes one kernel basis of A - lam I per unstable mode and request.
 Newton's gain shares _pinv_psd with pseudo_inverse_psd.
 solve_dare, and every public solver call in the solvers module, tests
@@ -192,10 +198,12 @@ def _doubling_dare(A, G, W, settle=None):
     whose first term is PSD and has trace at most ||A_k||_F^2 tr S, so
     lo = tr H_k <= tr S <= hi = tr H_k / (1 - ||A_k||_F^2), hi = inf while
     ||A_k||_F >= 1 and hi = lo for a member that has just stopped.  Given a
-    callable ``settle``, after each doubling settle(lo, hi) gets both bounds
-    of every live member and returns a mask of the members to drop: a
-    dropped member that has not stopped gets a NaN solution and is never
-    solved further, so it raises nothing.  settle=None makes no extra call.
+    callable ``settle``, before the first doubling (lo = tr W) and after
+    each one settle(lo, hi) gets both bounds of every live member and
+    returns a mask of the members to drop: a dropped member that has not
+    stopped gets a NaN solution and is never solved further, so it raises
+    nothing, and one dropped before any doubling counts 0 doublings.
+    settle=None makes no extra call.
     The interval is in the metric of the equation solved: a filtered run's
     solution is the a posteriori covariance, so its interval is too.
     """
@@ -206,23 +214,24 @@ def _doubling_dare(A, G, W, settle=None):
     Ak = np.broadcast_to(A.swapaxes(-1, -2), (k, n, n)).copy()
     H = np.broadcast_to(W, (k, n, n)).copy()
     eye = np.eye(n)
-    step = np.full(k, np.inf)
-    for it in range(1, MAX_STEPS + 1):
-        AkT = Ak.transpose(0, 2, 1)
-        try:
-            X = np.linalg.solve(eye + G @ H, np.concatenate((Ak, G), axis=2))
-        except np.linalg.LinAlgError:
-            raise NoConvergence("doubling iterate became non-finite", float(step[0]), it) from None
-        XA = X[:, :, :n]
-        G = _sym(G + Ak @ X[:, :, n:] @ AkT)
-        H2 = _sym(H + AkT @ H @ XA)
-        Ak = Ak @ XA
-        step = _fro(H2 - H)
-        H = H2
-        bad = ~np.isfinite(step)
-        if bad.any():
-            raise NoConvergence("doubling iterate became non-finite", float(step[bad][0]), it)
-        done = step <= TOL * np.maximum(1.0, _fro(H))
+    step, done = np.full(k, np.inf), np.zeros(k, dtype=bool)
+    for it in range(MAX_STEPS + 1):
+        if it:  # doubling 0 only settles
+            AkT = Ak.transpose(0, 2, 1)
+            try:
+                X = np.linalg.solve(eye + G @ H, np.concatenate((Ak, G), axis=2))
+            except np.linalg.LinAlgError:
+                raise NoConvergence("doubling iterate became non-finite", float(step[0]), it) from None
+            XA = X[:, :, :n]
+            G = _sym(G + Ak @ X[:, :, n:] @ AkT)
+            H2 = _sym(H + AkT @ H @ XA)
+            Ak = Ak @ XA
+            step = _fro(H2 - H)
+            H = H2
+            bad = ~np.isfinite(step)
+            if bad.any():
+                raise NoConvergence("doubling iterate became non-finite", float(step[bad][0]), it)
+            done = step <= TOL * np.maximum(1.0, _fro(H))
         if settle is not None:
             lo = np.trace(H, axis1=1, axis2=2)
             shrink = 1.0 - _fro(Ak) ** 2
@@ -432,12 +441,14 @@ def _measured(R0, L):
     return Q, L - L @ Q.transpose(0, 2, 1) @ Q
 
 
-def _filtered(A, W, L, R0, F):
+def _filtered(A, W, L, R0, F, cols=None):
     """(Ab, Gb, Wb), stacks (k x n x n) of the equation
     P = Ab P (I + Gb P)^-1 Ab' + Wb whose stabilizing solution is the a
     posteriori covariance of each member with noiseless rows R0 and
     whitened noisy rows F (_noise); W = L L' (_root) must be nonsingular
-    where a member has noiseless rows.
+    where a member has noiseless rows.  Given only the m nonzero columns of
+    A (n x m), Ab holds those columns and Gb (k x m x m) their block; given
+    ``cols``, Wb holds only those columns, unsymmetrized.
 
     The noiseless rows come first.  With _measured's C0 = Q L^-1 for X = W,
     J = W C0' (C0 W C0')^-1 C0 = L Q'Q L^-1, decorrelating C0 w from the
@@ -449,21 +460,22 @@ def _filtered(A, W, L, R0, F):
     Ab = (I + W0 G)^-1 A0, Wb = (I + W0 G)^-1 W0 and Gb = G0 + A0' G Ab,
     skipped where F = 0.
     """
-    k, n = len(F), A.shape[-1]
-    Ab, Wb, Gb = np.broadcast_to(A, (k, n, n)).copy(), np.broadcast_to(W, (k, n, n)).copy(), np.zeros((k, n, n))
+    k, (n, m) = len(F), A.shape
+    Ab, W0, Gb = np.broadcast_to(A, (k, n, m)).copy(), np.broadcast_to(W, (k, n, n)).copy(), np.zeros((k, m, m))
     noiseless = R0.any(axis=(1, 2))
     if noiseless.any():
         Q, Z = _measured(R0[noiseless], L)
         B = np.linalg.solve(L, A)
         QB = Q @ B
-        Ab[noiseless], Wb[noiseless] = Z @ B, _sym(Z @ Z.transpose(0, 2, 1))
+        Ab[noiseless], W0[noiseless] = Z @ B, _sym(Z @ Z.transpose(0, 2, 1))
         Gb[noiseless] = _sym(QB.transpose(0, 2, 1) @ QB)
+    Wb = W0 if cols is None else W0[:, :, cols]
     noisy = F.any(axis=(1, 2))
     if noisy.any():
         A0 = Ab[noisy]
-        X, GX = _update(Wb[noisy], F[noisy], np.concatenate((A0, Wb[noisy]), axis=2))
-        Ab[noisy], Wb[noisy] = X[:, :, :n], _sym(X[:, :, n:])
-        Gb[noisy] = _sym(Gb[noisy] + A0.transpose(0, 2, 1) @ GX[:, :, :n])
+        X, GX = _update(W0[noisy], F[noisy], np.concatenate((A0, Wb[noisy]), axis=2))
+        Ab[noisy], Wb[noisy] = X[:, :, :m], X[:, :, m:] if cols is not None else _sym(X[:, :, m:])
+        Gb[noisy] = _sym(Gb[noisy] + A0.transpose(0, 2, 1) @ GX[:, :, :m])
     return Ab, Gb, Wb
 
 
@@ -626,7 +638,13 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
     one.  ``settle`` (see _doubling_dare) goes to the run that solves in the
     requested metric: the plain run of an a priori request, the filtered run
     of an a posteriori one.  A member it drops has a NaN covariance; Newton
-    drops nothing.
+    drops nothing.  When A has one nonzero column j and W is nonsingular,
+    every member is filtered and solved in closed form instead, with 0
+    iterations and nothing dropped: x = P_jj solves
+    g x^2 + (1 - g om - mu^2) x - om = 0, om = (Wb)_jj, mu = (ub)_j, whose
+    root is taken in a form that neither cancels nor overflows.  _filtered
+    gets the columns [a0, W0 e_j] only (a0 = A0 e_j) under the a priori
+    metric, and [a0, W0] under the a posteriori one, which returns Wb + c ub ub'.
 
     Raises NoConvergence as _doubling_dare and _newton_dare do, when a
     member's a priori trace overflows (a score could not tell it from an
@@ -641,23 +659,40 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
     noiseless models, n <= 4).  A filtered member keeps A P A' + W >= W, so
     it fails when P's residual in its own equation exceeds
     sqrt(TOL) * max(1, ||P||_F): 11% on the pair above, at most 3e-15 on
-    the test suite's 27 246 other filtered members.
+    the test suite's 27 246 other filtered members.  A closed-form member's
+    residual is |x - om - mu^2 c| ||ub||^2 at most, and it fails when the
+    scalar |x - om - mu^2 c| exceeds sqrt(TOL) * max(1, x), or is NaN.
     """
     k = C.shape[0]
     S = np.empty((k,) + A.shape)
     iters = np.zeros(k, dtype=int)
     R0, F = _noise(C, V)
     noiseless = R0.any(axis=(1, 2))
-    newton, L = np.zeros(k, dtype=bool), None
-    if noiseless.any():
+    cols = np.flatnonzero(A.any(axis=0))
+    newton, L, closed = np.zeros(k, dtype=bool), None, False
+    if noiseless.any() or cols.size == 1:
         w, L = _root(W)
         if not w[0] > PINV_RTOL * max(1.0, w[-1]):  # W singular: the reduction need not stabilize
             newton = noiseless
-    filtered = ~newton & (noiseless | posteriori)
+        else:
+            closed = cols.size == 1
+    filtered = ~newton & (noiseless | posteriori | closed)
     plain = ~newton & ~filtered
     if plain.any():
         S[plain], iters[plain] = _doubling_dare(A, (F.transpose(0, 2, 1) @ F)[plain], W, settle)
-    if filtered.any():
+    if closed:  # A = u e_j': Ab = ub e_j' and Gb = g e_j e_j', so P = Wb + c ub ub' with x = P_jj
+        j = cols[0]
+        Ab, Gb, Wb = _filtered(A[:, cols], W, L, R0, F, None if posteriori else cols)
+        ub, g, om = Ab[:, :, 0], np.maximum(Gb[:, 0, 0], 0.0), np.maximum(Wb[:, j, j if posteriori else 0], 0.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a non-finite x fails a check below
+            b = 0.5 * (1.0 - g * om - ub[:, j] ** 2)  # x solves g x^2 + 2 b x - om = 0
+            h = np.hypot(b, np.sqrt(g) * np.sqrt(om))
+            x = np.where(b > 0.0, om / (b + h), (h - b) / g)  # its nonnegative root, neither form cancelling
+            c = x / (1.0 + g * x)
+            off, scale, live = np.abs(x - om - ub[:, j] ** 2 * c), x, np.arange(k)
+            S = _sym(W + x[:, None, None] * np.outer(A[:, j], A[:, j]))
+            P = _sym(Wb + c[:, None, None] * ub[:, :, None] * ub[:, None, :]) if posteriori else None
+    elif filtered.any():
         Ab, Gb, Wb = _filtered(A, W, L, R0[filtered], F[filtered])
         P, iters[filtered] = _doubling_dare(Ab, Gb, Wb, settle if posteriori else None)
         S[filtered] = _sym(A @ P @ A.T + W)
@@ -674,10 +709,12 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
         j = huge[0]
         raise NoConvergence("a priori trace overflows the float range", np.inf, int(iters[j]))
     if filtered.any():
-        j = np.flatnonzero(~np.isnan(P[:, 0, 0]))  # a dropped member is NaN
-        Ab, Gb, Wb, P1 = Ab[j], Gb[j], Wb[j], P[j]
-        off = _fro(Ab @ P1 @ np.linalg.solve(np.eye(A.shape[0]) + Gb @ P1, Ab.transpose(0, 2, 1)) + Wb - P1)
-        for j in np.flatnonzero(filtered)[j][off > np.sqrt(TOL) * np.maximum(1.0, _fro(P1))][:1]:
+        if not closed:
+            live = np.flatnonzero(~np.isnan(P[:, 0, 0]))  # a dropped member is NaN
+            Ab, Gb, Wb, P1 = Ab[live], Gb[live], Wb[live], P[live]
+            off = _fro(Ab @ P1 @ np.linalg.solve(np.eye(A.shape[0]) + Gb @ P1, Ab.transpose(0, 2, 1)) + Wb - P1)
+            live, scale = np.flatnonzero(filtered)[live], _fro(P1)
+        for j in live[~(off <= np.sqrt(TOL) * np.maximum(1.0, scale))][:1]:
             raise NoConvergence("a posteriori solution leaves its equation", float(off.max()), int(iters[j]))
         if posteriori:
             S[filtered] = P
@@ -698,6 +735,8 @@ def solve_dare(A, C, W, V, posteriori=False) -> SteadyStateResult:
     filtered run for an a posteriori one and, under either metric, for one
     with noiseless rows and W nonsingular.  One with noiseless rows and W
     singular takes Newton's method, and ``iterations`` counts its steps.
+    With one nonzero column in A and W nonsingular, the filtered equation
+    is solved in closed form, and ``iterations`` is 0.
 
     Returns the infinite result when (A, C) is undetectable.  Raises
     NonFiniteInput when A, C or W is not finite, ShapeError on mismatched
@@ -722,8 +761,11 @@ def solve_dare(A, C, W, V, posteriori=False) -> SteadyStateResult:
 
 
 def warmup() -> None:
-    """Run one tiny singular-V solve, which runs the reduction's
-    decompositions and its doubling, so that the first timed solve does not
-    pay numpy's one-time set-up costs."""
-    one = np.ones((1, 1, 1))
-    _solve_detectable(np.array([[0.5]]), np.eye(1), one, 0.0 * one)
+    """Run one tiny stack of a noiseless and a noisy member on each route:
+    A = 0.5 I of n = 1 has one nonzero column and takes the closed form,
+    and n = 2 the doublings, plain and filtered.  The reduction's
+    decompositions, _update's solve and the doubling's then have paid
+    numpy's one-time set-up costs before the first timed solve."""
+    V = np.array([0.0, 1.0]).reshape(2, 1, 1)
+    for n in (1, 2):
+        _solve_detectable(0.5 * np.eye(n), np.eye(n), np.ones((2, 1, n)), V)

@@ -43,8 +43,9 @@ a posteriori run solves the a posteriori covariance itself, so no
 member needs an update after it.  A dropped member is stored as None:
 it counts as not tied, and a request without a bound, a greedy step or
 a report, solves it.  Greedy, greedy_and_optimal's joint first scoring,
-the Newton members, and an a priori request's members with noiseless
-rows drop nothing.
+the Newton members, an a priori request's members with noiseless rows,
+and the closed-form members of an A with one nonzero column (every
+paper instance) drop nothing.
 A report's trace and covariance diagonal are those of the stack member
 that scored the chosen indicator, and nothing is solved twice.
 evaluate_selection is the per-subset reference, riccati.solve_dare's

@@ -6,6 +6,7 @@ import math
 import re
 import shlex
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -651,12 +652,34 @@ def test_solve_with_an_unfactorable_newton_start_is_solver_error(tmp_path, capsy
 
 
 def test_sweep_no_convergence_is_solver_error(tmp_path, capsys, monkeypatch):
+    # the family's A with 1e-3 added on state 2 has two nonzero columns, so
+    # its members double (the family's own A takes the closed form)
     out = tmp_path / "sweep.csv"
+    build = gadgets.build_example1
+    monkeypatch.setattr(gadgets, "build_example1", lambda lam, h: validate_model(
+        replace(build(lam, h), A=build(lam, h).A + np.diag([0.0, 1e-3, 0.0]))))
     monkeypatch.setattr(riccati, "MAX_STEPS", 2)
     monkeypatch.setattr(riccati, "TOL", 1e-300)
     assert run_cli("sweep", "--family", "example1", "--lambda1", "0.9",
                    "--h-range", "10", "1e4", "3", "--output", str(out)) == 2
     assert capsys.readouterr().err.startswith("error: iteration cap reached")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("metric", ["priori", "posteriori"])
+@pytest.mark.parametrize("family", ["example1", "example2"])
+def test_sweep_whose_closed_form_root_leaves_its_equation_is_solver_error(tmp_path, capsys, monkeypatch,
+                                                                          family, metric):
+    # the families' A has one nonzero column, so each member's filtered
+    # equation is a quadratic in x = P_11; a root 1e-3 off (np.hypot spoilt
+    # for the run) fails the closed form's certificate
+    out = tmp_path / "sweep.csv"
+    hypot = np.hypot
+    monkeypatch.setattr(np, "hypot", lambda a, b: 1.001 * hypot(a, b))
+    assert run_cli("sweep", "--family", family, "--lambda1", "0.9", "--metric", metric,
+                   "--h-range", "10", "1e4", "3", "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a posteriori solution leaves its equation") and "after 0 iterations" in err
     assert not out.exists()
 
 

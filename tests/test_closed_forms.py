@@ -15,7 +15,7 @@ from kfsslab.closed_forms import (
     repeated_sensor_msee,
     scalar_sensor_msee,
 )
-from kfsslab.gadgets import build_example1, build_example2
+from kfsslab.gadgets import X3CInstance, build_example1, build_example2, build_kfsa_gadget, build_kfss_gadget
 from kfsslab import riccati
 from kfsslab.riccati import solve_dare
 from kfsslab.solvers import _ScoreTable
@@ -249,9 +249,10 @@ def test_every_family_subset_obeys_floor_and_closed_forms(family, lam):
 @pytest.mark.parametrize("family", ["example1", "example2"])
 def test_no_family_subset_takes_more_than_22_doublings(family):
     # V = 0 and W = I, so every detectable subset of the grid above, and of
-    # lambda = 0.9999 and 0.99999, takes the perfect-measurement reduction:
-    # one doubling run, of at most 22 doublings (the slowest members keep
-    # a pole of modulus up to 0.99999) and a median of 3
+    # lambda = 0.9999 and 0.99999, takes the perfect-measurement reduction,
+    # whose doubling takes at most 22 doublings (the slowest members keep a
+    # pole of modulus up to 0.99999) and a median of 3.  A = diag(lam, 0, 0)
+    # has one nonzero column, so the kernel solves it in closed form, in none
     build = EXAMPLE_FORMS[family][0]
     steps = []
     for lam in (0.6, 0.7, 0.9, 0.95, 0.99, 0.9999, 0.99999):
@@ -265,3 +266,68 @@ def test_no_family_subset_takes_more_than_22_doublings(family):
                 steps += iters.tolist()
     assert len(steps) == {"example1": 441, "example2": 945}[family]
     assert max(steps) <= 22 and np.median(steps) <= 3
+    assert not any(steps)
+
+
+def _closed_and_doubled(m, posteriori):
+    """(support, S, ref) for every detectable subset of m, whose A has one
+    nonzero column: S the kernel's covariance, which takes the closed form
+    (no member doubles), and ref the same member's from _doubling_dare run
+    on _filtered's full output.  One stack per subset size."""
+    out = []
+    for r in range(m.q + 1):
+        sets = np.array(list(combinations(range(m.q), r)), dtype=np.intp).reshape(math.comb(m.q, r), r)
+        C, V = m.C[sets], m.V[sets[:, :, None], sets[:, None, :]]
+        seen = np.array([riccati.is_detectable(m.A, c) for c in C])
+        if not seen.any():
+            continue
+        sets, C, V = sets[seen], C[seen], V[seen]
+        S, iters = riccati._solve_detectable(m.A, m.W, C, V, posteriori)
+        assert not iters.any()
+        P, _ = riccati._doubling_dare(*riccati._filtered(m.A, m.W, riccati._root(m.W)[1], *riccati._noise(C, V)))
+        ref = P if posteriori else riccati._sym(m.A @ P @ m.A.T + m.W)
+        out += zip(map(tuple, sets), S, ref)
+    return out
+
+
+@pytest.mark.parametrize("family", ["example1", "example2"])
+def test_closed_form_matches_the_filtered_doubling_and_the_predictions(family):
+    # every subset of the family under both metrics, lambda up to 0.9999
+    # and h from 1e-4 to 1e5: within 1e-12 of the doubling (6.2e-13 at
+    # worst, at lambda = 0.9999) and of the family's predictions
+    build, predict, forms = EXAMPLE_FORMS[family]
+    for lam in (0.6, 0.9, 0.99, 0.9999):
+        for h in (1e-4, 1e-2, 1.0, 1e2, 1e4, 1e5):
+            m, p = build(lam, h), predict(lam, h)
+            for metric in ("priori", "posteriori"):
+                for support, S, ref in _closed_and_doubled(m, metric == "posteriori"):
+                    assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max(), (lam, h, support, metric)
+                    got = {"s11": S[0, 0], metric: np.trace(S)}
+                    for what, field in forms.get(support, {}).items():
+                        want = getattr(p, field)
+                        if what in got and (what, metric) != ("s11", "posteriori"):
+                            assert abs(got[what] - want) <= 1e-12 * want, (lam, h, support, field, got[what], want)
+
+
+@pytest.mark.parametrize("K", [1.0, 300.0])
+@pytest.mark.parametrize("build", [build_kfss_gadget, build_kfsa_gadget])
+def test_closed_form_matches_the_filtered_doubling_on_the_named_gadgets(build, K):
+    # every subset of the named yes instance's gadgets under both metrics:
+    # within 1e-12 of the doubling, and at K = 1, where V is nonsingular,
+    # of scipy's DARE.  At K = 300 two traces are known exactly (sensors
+    # numbered from 1 in the comments): kfsa's survivor set {1, 2, 3, 4, 6,
+    # 9} a priori, where the plain doubling is 3.7e-9 off, and kfss's set
+    # {2, 3, 4} a posteriori
+    m = build(X3CInstance(2, ((1, 2, 3), (4, 5, 6), (1, 4, 5))), K).model
+    exact = {(build_kfsa_gadget, "priori"): ((0, 1, 2, 3, 5, 8), 3003.0035346265852),
+             (build_kfss_gadget, "posteriori"): ((1, 2, 3), 3603.250017362499)}
+    for metric in ("priori", "posteriori"):
+        for support, S, ref in _closed_and_doubled(m, metric == "posteriori"):
+            assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max(), (support, metric)
+            if K == 1.0 and metric == "priori" and support:
+                scipy_linalg = pytest.importorskip("scipy.linalg")
+                C, V = m.C[list(support)], m.V[np.ix_(support, support)]
+                want = scipy_linalg.solve_discrete_are(m.A.T, C.T, m.W, V)
+                assert np.abs(S - want).max() <= 1e-12 * np.abs(want).max(), support
+            if K == 300.0 and exact.get((build, metric), (None,))[0] == support:
+                assert abs(np.trace(S) - exact[build, metric][1]) <= 1e-12 * exact[build, metric][1]

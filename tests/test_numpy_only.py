@@ -18,9 +18,12 @@ checks:
   mode and an overflowing trace (exit 2), and gadget sidecars that cannot
   be written (exit 1);
 * a q = 12 brute force against the a posteriori exhaustive search, which
-  drops members inside the filtered doubling, and the a posteriori
-  exhaustive searches of both noiseless families against the closed forms,
-  which drop members there too;
+  drops members inside the filtered doubling, the a posteriori exhaustive
+  searches of both noiseless families against the closed forms, and, with
+  a second nonzero column in the families' A, that they drop members there
+  too;
+* the kernel's closed form on the K = 300 gadgets against two exact
+  traces, where an overflow or invalid value in its root would fail;
 * noiseless solves against numpy's pinv recursion and the closed forms;
 * every ``kfsslab`` line of README's "## CLI" section and the Python block
   of its "## Library" section, as written.
@@ -220,21 +223,37 @@ for run, attack in ((exhaustive_select, False), (exhaustive_attack, True)):
     assert report.chosen.support == want, (run.__name__, report, want)
     assert abs(report.trace - scores[want]) <= 1e-12 * scores[want], (run.__name__, report, scores[want])
     assert sum(d.sum() for d in dropped) > 0, run.__name__
-# the noiseless families under the a posteriori metric: their members join
-# the filtered run, which drops members under the search's bound, and the
-# optimal traces match the closed forms
+# the noiseless families under the a posteriori metric: the optimal traces
+# match the closed forms.  Their A has one nonzero column, which the kernel
+# solves in closed form; with 1e-3 added on state 2 the members join the
+# filtered run, which drops members under the search's bound
+from dataclasses import replace
 from kfsslab.closed_forms import example1_predictions, example2_predictions
 from kfsslab.gadgets import build_example1, build_example2
 for build, predict, run, hs in ((build_example1, example1_predictions, exhaustive_select, (10.0, 1e3)),
                                 (build_example2, example2_predictions, exhaustive_attack, (0.1, 1e-3))):
     for h in hs:
-        dropped.clear()
         family = build(0.9, h)
-        report = run(family, family.omega if run is exhaustive_attack else family.b, 2.0, "posteriori")
+        costs = family.omega if run is exhaustive_attack else family.b
+        report = run(family, costs, 2.0, "posteriori")
         want = predict(0.9, h).trace_optimal_posteriori
         assert abs(report.trace - want) <= 1e-10 * want, (run.__name__, h, report.trace, want)
+        dropped.clear()
+        run(validate_model(replace(family, A=family.A + np.diag([0.0, 1e-3, 0.0]))), costs, 2.0, "posteriori")
         assert sum(d.sum() for d in dropped) > 0, (run.__name__, h)
 riccati._doubling_dare = doubling
+# the named yes instance's K = 300 gadgets, whose A has one nonzero column:
+# the closed form is within 1e-12 of the exact traces of the kfsa survivor
+# set {1, 2, 3, 4, 6, 9} (a priori) and the kfss set {2, 3, 4} (a
+# posteriori), sensors numbered from 1; the plain doubling is 3.7e-9 off
+# on the first
+from kfsslab.gadgets import X3CInstance, build_kfsa_gadget, build_kfss_gadget
+named = X3CInstance(2, ((1, 2, 3), (4, 5, 6), (1, 4, 5)))
+for build, support, metric, exact in ((build_kfsa_gadget, (0, 1, 2, 3, 5, 8), "priori", 3003.0035346265852),
+                                      (build_kfss_gadget, (1, 2, 3), "posteriori", 3603.250017362499)):
+    gadget = build(named, 300.0).model
+    got = evaluate_selection(gadget, SelectionVector.from_support(gadget.q, support), metric)
+    assert got.iterations == 0 and abs(got.trace - exact) <= 1e-12 * exact, (build.__name__, got.trace, exact)
 # a sensor blind to a defective unstable mode passes PBH within
 # round-off; its solution falls below W, which solve refuses (exit 2)
 import numpy as np

@@ -226,11 +226,12 @@ def test_determinism_bit_identical():
 
 
 def test_no_convergence_reports_residual(monkeypatch):
-    m = _diag_model([0.9])
+    # two nonzero columns in A: one would take the closed form, which doubles nothing
+    m = _diag_model([0.9, 0.5])
     monkeypatch.setattr(riccati, "MAX_STEPS", 5)
     monkeypatch.setattr(riccati, "TOL", 1e-300)
     with pytest.raises(NoConvergence) as exc:
-        evaluate_selection(m, SelectionVector((0,)), "priori")
+        evaluate_selection(m, SelectionVector((0, 0)), "priori")
     assert exc.value.residual > 0
     assert exc.value.iterations == 5
 
@@ -368,6 +369,36 @@ def test_doubling_matches_scipy_on_random_instances():
     assert checked >= 40
 
 
+def test_closed_form_of_an_unstable_one_column_a_matches_the_doubling_and_scipy():
+    # A = u e_j' with |u_j| in (1.05, 2): the pole sits outside the unit
+    # circle, so about two in three members have g om + mu^2 > 1 and take
+    # the root's (h - b) / g form, which no paper instance (|lambda| < 1)
+    # reaches.  Against the filtered doubling within 1e-12 (4.8e-16 here),
+    # against scipy's DARE and its update within 1e-9 (3.1e-11)
+    rng = np.random.default_rng(91)
+    for _ in range(60):
+        n, p = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        j = int(rng.integers(n))
+        A = np.zeros((n, n))
+        A[:, j] = rng.standard_normal(n)
+        A[j, j] = rng.choice([-1, 1]) * rng.uniform(1.05, 2.0)
+        C = rng.standard_normal((p, n))
+        B = rng.standard_normal((p, p))
+        V = B @ B.T / p + 0.1 * np.eye(p)
+        B = rng.standard_normal((n, n))
+        W = B @ B.T / n + 0.1 * np.eye(n)
+        assert is_detectable(A, C)
+        S_scipy = _scipy_priori(A, C, W, V)
+        PC = S_scipy @ C.T
+        P_scipy = S_scipy - PC @ np.linalg.solve(C @ PC + V, PC.T)
+        P, _ = riccati._doubling_dare(*riccati._filtered(A, W, riccati._root(W)[1], *riccati._noise(C[None], V[None])))
+        for posteriori, doubled, want in ((False, riccati._sym(A @ P @ A.T + W)[0], S_scipy), (True, P[0], P_scipy)):
+            res = solve_dare(A, C, W, V, posteriori)
+            assert res.iterations == 0
+            assert np.abs(res.cov - doubled).max() <= 1e-12 * np.abs(doubled).max()
+            assert np.abs(res.cov - want).max() <= 1e-9 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("build", [build_kfss_gadget, build_kfsa_gadget])
 def test_gadget_subsets_match_scipy(build):
     inst = X3CInstance(2, ((1, 2, 3), (4, 5, 6), (1, 2, 4), (3, 5, 6)))
@@ -403,7 +434,8 @@ def test_gadget_subsets_match_scipy_posteriori(build):
 
 
 def test_doubling_cap_raises_no_convergence(monkeypatch):
-    A, C, W, V = np.array([[0.99]]), np.array([[1.0]]), np.eye(1), np.eye(1)
+    # two nonzero columns in A, so the doubling runs (see above)
+    A, C, W, V = np.diag([0.99, 0.5]), np.array([[1.0, 0.0]]), np.eye(2), np.eye(1)
     assert solve_dare(A, C, W, V).is_finite
     monkeypatch.setattr(riccati, "MAX_STEPS", 2)
     monkeypatch.setattr(riccati, "TOL", 1e-300)

@@ -6,6 +6,7 @@ same support, whatever mix of members a stack holds.
 """
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -270,9 +271,23 @@ def _singular_model(case):
         V = _spd(rng, 6)
         V[1, :] = V[:, 1] = 0.0  # noiseless sensor 1, in every pair below
         m = _random_model(rng, 6, n=3, V=V)
-    else:  # the noiseless example families at extreme gains
-        m = build_example1(0.9, 1e4) if case == "example1" else build_example2(0.9, 1e-4)
+    else:  # the noiseless example families at extreme gains, or their A with a second nonzero column
+        m = build_example1(0.9, 1e4) if case.startswith("example1") else build_example2(0.9, 1e-4)
+        if case.endswith("two-column"):
+            m = _two_column(m)
     return m
+
+
+def _two_column(m):
+    """m with 1e-3 added to A's state 2: a family A with two nonzero
+    columns, whose members double instead of taking the closed form."""
+    return validate_model(replace(m, A=m.A + np.diag([0.0, 1e-3, 0.0])))
+
+
+# the example families' A has one nonzero column, which takes the closed
+# form; "two-column" runs the filtered doubling on the same sensors
+SINGULAR_CASES = ["example1", "example2", "example1 two-column", "example2 two-column", "zero-diagonal",
+                  "rank-one W"]
 
 
 def _singular_stack(case):
@@ -296,7 +311,7 @@ def _spy_runs(monkeypatch, name):
     return runs
 
 
-@pytest.mark.parametrize("case", ["example1", "example2", "zero-diagonal", "rank-one W"])
+@pytest.mark.parametrize("case", SINGULAR_CASES)
 def test_fixed_point_stack_equals_members_alone(case, monkeypatch):
     A, W, C, V = _singular_stack(case)
     assert not riccati._noise_gain(C, V)[0].any()
@@ -311,9 +326,11 @@ def test_fixed_point_stack_equals_members_alone(case, monkeypatch):
             # the result is a fixed point of the recursion
             residual = np.linalg.norm(_riccati_step(cov, A, c, W, v) - cov)
             assert residual <= 1e-12 * max(1.0, np.linalg.norm(cov))
-    if case in ("example1", "example2"):
+    if case.endswith("two-column"):
         # members freeze at different doublings
         assert len(set(steps.tolist())) > 1
+    elif case.startswith("example"):
+        assert not steps.any()  # the closed form doubles nothing
 
 
 def _mixed_chunk(m):
@@ -336,7 +353,7 @@ def _mixed_chunk(m):
     return members, C, V
 
 
-@pytest.mark.parametrize("case", ["example1", "example2", "zero-diagonal", "rank-one W"])
+@pytest.mark.parametrize("case", SINGULAR_CASES)
 def test_chunk_of_several_sensor_counts_equals_members_alone(case, monkeypatch):
     # one kernel run over _mixed_chunk's singular members.  The reduction
     # leaves the pads out of its decompositions, so there a padded member
@@ -357,7 +374,7 @@ def test_chunk_of_several_sensor_counts_equals_members_alone(case, monkeypatch):
             assert np.abs(cov - alone.cov).max() <= REL * np.abs(alone.cov).max()
 
 
-@pytest.mark.parametrize("case", ["example1", "example2", "zero-diagonal", "rank-one W"])
+@pytest.mark.parametrize("case", SINGULAR_CASES)
 def test_posteriori_solve_is_the_update_of_the_priori_solve(case):
     # the a posteriori traces agree with those of _posteriori of the a
     # priori stack to 1e-12 relative, doubling, filtered and Newton members
@@ -449,24 +466,26 @@ def test_null_sensors_pad_with_unit_uncorrelated_noise(monkeypatch):
     # block for them, so padding leaves a nonsingular V nonsingular: the 8
     # singletons of greedy_and_optimal's first scoring, padded to 3 sensors
     # next to the maximal triples, take the doubling, and no member the
-    # reduction.  Padded to three, example2's empty selection takes the
-    # doubling too, beside its noiseless triples
+    # reduction.  Padded to three, the empty selection of example2 with a
+    # second nonzero column in A takes the doubling too, beside its
+    # noiseless triples
     filtered = riccati._filtered
     members = []
-    monkeypatch.setattr(riccati, "_filtered", lambda A, W, L, R0, F: members.append(len(R0)) or filtered(A, W, L, R0, F))
+    monkeypatch.setattr(riccati, "_filtered", lambda A, W, L, R0, F, *a: members.append(len(R0)) or filtered(
+        A, W, L, R0, F, *a))
     m = _random_model(np.random.default_rng(41), 8)
     ((greedy, optimal, _),) = solvers.greedy_and_optimal([m], 3, "select", "priori")
     assert members == []
     for report in (greedy, optimal):
         assert abs(report.trace - _scalar(m, report.chosen.support, "priori")) <= REL * report.trace
-    m = build_example2(0.9, 0.01)
+    m = _two_column(build_example2(0.9, 0.01))
     triples = list(combinations(range(m.q), 3))
     _stack(m, [()] + triples, "priori")
     assert members == [sum(riccati.is_detectable(m.A, m.C[list(s)]) for s in triples)]
 
 
 def test_fixed_point_raises_no_convergence(monkeypatch):
-    m = build_example1(0.9, 1e4)
+    m = _two_column(build_example1(0.9, 1e4))
     monkeypatch.setattr(riccati, "MAX_STEPS", 2)
     monkeypatch.setattr(riccati, "TOL", 1e-300)
     with pytest.raises(NoConvergence) as alone:
@@ -937,10 +956,11 @@ def test_posteriori_stack_mixing_singular_and_nonsingular_equals_members_alone()
 
 def _assert_certified(A, G, W):
     """Run the doubling with a settle that drops nothing, and check that
-    every doubling's interval [lo, hi] of each live member holds the trace
-    of that member's covariance.  The interval is exact for n = 1 Stein
-    members, whose hi is the fixed point itself, so it holds to a few ulps,
-    far inside the solvers' tie tolerance."""
+    the interval [lo, hi] of each live member, before the first doubling
+    and after every one, holds the trace of that member's covariance.  The
+    interval is exact for n = 1 Stein members, whose hi is the fixed point
+    itself, so it holds to a few ulps, far inside the solvers' tie
+    tolerance."""
     S, counts = riccati._doubling_dare(A, G, W)
     seen = []
 
@@ -950,9 +970,9 @@ def _assert_certified(A, G, W):
 
     S_kept, counts_kept = riccati._doubling_dare(A, G, W, settle)
     assert np.array_equal(S_kept, S) and np.array_equal(counts_kept, counts)  # dropping nothing changes no bit
-    assert len(seen) == counts.max()
+    assert len(seen) == counts.max() + 1
     trace = np.trace(S, axis1=1, axis2=2)
-    for t, (lo, hi) in enumerate(seen, 1):
+    for t, (lo, hi) in enumerate(seen):
         live = trace[counts >= t]  # members stop in stack order, so the live ones keep it
         assert np.all(lo <= live * (1 + ULPS)) and np.all(live <= hi * (1 + ULPS)), t
         assert np.array_equal(lo[counts[counts >= t] == t], hi[counts[counts >= t] == t])  # hi = lo on stopping
