@@ -29,8 +29,8 @@ def scalar_sensor_msee(lambda1: float, alpha_sq: float) -> float:
     """Steady-state a priori variance of state 1 when a single scalar sensor
     measures it through effective noise power alpha_sq.
 
-    Solves the scalar fixed-point equation s = lam^2 s (1 - s/(a + s)) + 1.
-    For large alpha_sq the conjugate form avoids cancellation.
+    Solves the scalar fixed-point equation s = lam^2 s (1 - s/(a + s)) + 1
+    (see repeated_sensor_msee for the root's form).
     """
     return repeated_sensor_msee(lambda1, alpha_sq, 1)
 
@@ -48,13 +48,12 @@ def repeated_sensor_msee(lambda1: float, rho_sq: float, n_meas: int) -> float:
     n = as_integer(n_meas, "n_meas", DomainError)
     if n < 1:
         raise DomainError(f"n_meas must be >= 1, got {n_meas}")
-    lam_sq = lam * lam
-    # x = noise (1 - lam^2) - n; the value is (-x + sqrt(x^2 + 4 n noise)) / (2n)
-    x = noise - lam_sq * noise - n
-    disc = math.sqrt(x * x + 4.0 * n * noise)
-    if noise > 1e4:
-        return 2.0 * noise / (disc + x)
-    return (lam_sq * noise + n - noise + disc) / (2.0 * n)
+    # x = noise (1 - lam^2) - n; the value is (-x + sqrt(x^2 + 4 n noise)) / (2n),
+    # taken for x > 0 in the conjugate form, so that neither form cancels;
+    # halves and roots keep every step finite up to the float maximum
+    x = noise * ((1.0 - lam) * (1.0 + lam)) - n
+    disc = math.hypot(x, 2.0 * math.sqrt(n) * math.sqrt(noise))
+    return noise / (0.5 * disc + 0.5 * x) if x > 0.0 else (disc - x) / (2.0 * n)
 
 
 def msee_limit(lambda1: float) -> float:

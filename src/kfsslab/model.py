@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-PSD_EIG_FLOOR = -1e-10  # eigenvalues below this fail validation; above, clamped to 0
+PSD_EIG_FLOOR = -1e-10  # eigenvalues below this * max(1, largest) are refused; above, round-off taken as 0
 
 
 class ModelError(ValueError):
@@ -157,7 +157,7 @@ class SystemModel:
 
 def validate_model(raw: SystemModel) -> SystemModel:
     """Check dimensions, costs and noise covariances; return a model with W
-    and V symmetrized and, when needed, eigenvalue-clamped to PSD.
+    and V symmetrized and, where round-off needs it, clamped to PSD (psd_root).
 
     Raises DimensionMismatch, NotPSD or NegativeCost listing every violation
     of the failing category.
@@ -197,28 +197,28 @@ def validate_model(raw: SystemModel) -> SystemModel:
     if cost_problems:
         raise NegativeCost("; ".join(cost_problems))
 
-    W = _symmetrize_psd(raw.W, "W")
-    V = _symmetrize_psd(raw.V, "V")
+    noise = {}
+    for name, M in (("W", raw.W), ("V", raw.V)):
+        sym = 0.5 * M + 0.5 * M.T  # halves first: 0.5 * (M + M.T) without its overflow near the float maximum
+        w, L = psd_root(sym, name)
+        noise[name] = sym if w[0] >= 0.0 else L @ L.T  # L @ L.T: one syrk, exactly symmetric
     return SystemModel(
-        n=n, q=q, A=raw.A.copy(), C=raw.C.copy(), W=W, V=V,
+        n=n, q=q, A=raw.A.copy(), C=raw.C.copy(), **noise,
         b=raw.b.copy(), omega=raw.omega.copy(),
         budget_select=float(raw.budget_select),
         budget_attack=float(raw.budget_attack),
     )
 
 
-def _symmetrize_psd(M: np.ndarray, name: str) -> np.ndarray:
-    # halves before the sum: the bits of 0.5 * (M + M.T) for normal entries,
-    # without its overflow at entries near the float maximum
-    sym = 0.5 * M + 0.5 * M.T
-    eigvals = np.linalg.eigvalsh(sym)
-    if eigvals[0] < PSD_EIG_FLOOR:
-        raise NotPSD(f"{name} has eigenvalue {eigvals[0]:.3e} < {PSD_EIG_FLOOR:.0e}")
-    if eigvals[0] < 0.0:
-        w, U = np.linalg.eigh(sym)
-        sym = (U * np.clip(w, 0.0, None)) @ U.T
-        sym = 0.5 * sym + 0.5 * sym.T
-    return sym
+def psd_root(X: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(w, L) for a PSD X (n x n or a stack, lower triangle read): its
+    eigenvalues w, ascending, and X = L L', negative ones taken as 0.  Raises
+    NotPSD, naming X ``name``, for one below PSD_EIG_FLOOR * max(1, largest)."""
+    w, U = np.linalg.eigh(X)
+    low = w[..., :1] < PSD_EIG_FLOOR * np.maximum(1.0, w[..., -1:])
+    if low.any():
+        raise NotPSD(f"{name} has eigenvalue {w[..., :1][low].min():.3e} < {PSD_EIG_FLOOR:.0e} * max(1, largest)")
+    return w, U * np.sqrt(np.maximum(w, 0.0))[..., None, :]
 
 
 def restrict(model: SystemModel, sel: SelectionVector) -> tuple[np.ndarray, np.ndarray]:

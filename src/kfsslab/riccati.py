@@ -68,7 +68,8 @@ filtered run, Newton runs and closed-form members drop nothing.
 PBH takes one kernel basis of A - lam I per unstable mode and request.
 Newton's gain shares _pinv_psd with pseudo_inverse_psd.
 solve_dare, and every public solver call in the solvers module, tests
-stabilizability once and uncached (check_stabilizable, on _root's W = L L').
+stabilizability once and uncached (check_stabilizable); its root W = L L'
+(model.psd_root, validate_model's rule) refuses a W that is not PSD.
 
 Three module constants hold the tolerances: TOL (the stopping rule),
 PINV_RTOL (the pseudo-inverse cutoff, and the cutoff of every rank
@@ -81,7 +82,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import SteadyStateResult, restrict  # restrict: unused here, perfbench's tracer patches it
+from .model import SteadyStateResult, psd_root, restrict  # restrict: unused here, perfbench's tracer patches it
 
 class ShapeError(ValueError):
     pass
@@ -426,15 +427,9 @@ def _noise(C, V):
     return R0, full
 
 
-def _root(X):
-    """(w, L) for a PSD X (n x n or a stack): X = L L' with eigenvalues w."""
-    w, U = np.linalg.eigh(X)
-    return w, U * np.sqrt(np.maximum(w, 0.0))[..., None, :]
-
-
 def _measured(R0, L):
     """(Q, Z) for noiseless rows R0 (k x p x n) and the root L of a PSD X
-    (_root): Q = _basis(R0 L) and Z = L (I - Q'Q).  Z Z' =
+    (psd_root): Q = _basis(R0 L) and Z = L (I - Q'Q).  Z Z' =
     X - X R0' (R0 X R0')^+ R0 X is X updated exactly by the rows; for
     X > 0, C0 = Q L^-1 spans them, C0 X C0' = I."""
     Q = _basis(R0 @ L)
@@ -445,7 +440,7 @@ def _filtered(A, W, L, R0, F, cols=None):
     """(Ab, Gb, Wb), stacks (k x n x n) of the equation
     P = Ab P (I + Gb P)^-1 Ab' + Wb whose stabilizing solution is the a
     posteriori covariance of each member with noiseless rows R0 and
-    whitened noisy rows F (_noise); W = L L' (_root) must be nonsingular
+    whitened noisy rows F (_noise); W = L L' (psd_root) must be nonsingular
     where a member has noiseless rows.  Given only the m nonzero columns of
     A (n x m), Ab holds those columns and Gb (k x m x m) their block; given
     ``cols``, Wb holds only those columns, unsymmetrized.
@@ -520,7 +515,7 @@ def _posteriori(S, R0, F) -> np.ndarray:
     P = S.copy()
     noiseless = R0.any(axis=(1, 2))
     if noiseless.any():
-        Z = _measured(R0[noiseless], _root(S[noiseless])[1])[1]
+        Z = _measured(R0[noiseless], psd_root(S[noiseless], "S")[1])[1]
         P[noiseless] = _sym(Z @ Z.transpose(0, 2, 1))
     noisy = F.any(axis=(1, 2))
     if noisy.any():
@@ -533,11 +528,13 @@ def pseudo_inverse_psd(M: np.ndarray) -> np.ndarray:
 
     Eigenvalues at or below the absolute cutoff PINV_RTOL are treated as
     zero, and every one above it is inverted, however small against the
-    largest.  Newton's gain takes the same inverse (_pinv_psd).
+    largest.  Newton's gain takes the same inverse (_pinv_psd).  Raises
+    NonFiniteInput when M is not finite.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ShapeError(f"expected a square matrix, got {M.shape}")
+    _check_finite(M=M)
     return _sym(_pinv_psd(_sym(M[None])))[0]
 
 
@@ -549,12 +546,15 @@ def posteriori_from_priori(Sigma, C_sel, V_sel) -> np.ndarray:
     subtracts a term close to S.  Of a solve_dare result it agrees with the a
     posteriori covariance that the solvers take from their filtered run to
     round-off, not bit for bit.  Raises NonFiniteInput when S or C is not
-    finite, and NoConvergence when V is not finite or not PSD (_noise)."""
+    finite, model.NotPSD, naming it Sigma, when S is not PSD (psd_root),
+    and NoConvergence when V is not finite or not PSD (_noise)."""
     Sigma, C, V = (np.asarray(M, dtype=float) for M in (Sigma, C_sel, V_sel))
     _check_finite(Sigma=Sigma, C=C)
     if C.ndim != 2 or Sigma.shape != (C.shape[1],) * 2 or V.shape != (C.shape[0],) * 2:
         raise ShapeError(f"need C p x n, an n x n covariance and V p x p, got {C.shape}, {Sigma.shape}, {V.shape}")
-    return _posteriori(_sym(Sigma[None]), *_noise(C[None], V[None]))[0]
+    Sigma = _sym(Sigma[None])
+    psd_root(Sigma, "Sigma")
+    return _posteriori(Sigma, *_noise(C[None], V[None]))[0]
 
 
 def _mode_images(A: np.ndarray, C: np.ndarray) -> list:
@@ -605,10 +605,11 @@ def is_detectable(A, C_sel) -> bool:
 
 def is_stabilizable_noise(A, W) -> bool:
     """Dual PBH test that (A, W^{1/2}) is stabilizable: (A', L') is
-    detectable for the root W = L L' (_root), as for any such L."""
+    detectable for the root W = L L' (psd_root), as for any such L.
+    Raises NonFiniteInput for a non-finite A or W, model.NotPSD for a W not PSD."""
     W = np.asarray(W, dtype=float)
     _check_finite(W=W)  # and is_detectable checks A
-    L = _root(0.5 * W + 0.5 * W.T)[1]  # halved first: no overflow near the float maximum
+    L = psd_root(0.5 * W + 0.5 * W.T, "W")[1]  # halved first: no overflow near the float maximum
     return is_detectable(np.asarray(A, dtype=float).T, L.T)
 
 
@@ -671,7 +672,7 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
     cols = np.flatnonzero(A.any(axis=0))
     newton, L, closed = np.zeros(k, dtype=bool), None, False
     if noiseless.any() or cols.size == 1:
-        w, L = _root(W)
+        w, L = psd_root(W, "W")
         if not w[0] > PINV_RTOL * max(1.0, w[-1]):  # W singular: the reduction need not stabilize
             newton = noiseless
         else:
@@ -740,7 +741,8 @@ def solve_dare(A, C, W, V, posteriori=False) -> SteadyStateResult:
 
     Returns the infinite result when (A, C) is undetectable.  Raises
     NonFiniteInput when A, C or W is not finite, ShapeError on mismatched
-    shapes, StabilizabilityViolation when (A, W^{1/2}) is not
+    shapes, model.NotPSD when W is not PSD (is_stabilizable_noise's
+    test), StabilizabilityViolation when (A, W^{1/2}) is not
     stabilizable, and NoConvergence when V is not finite or not PSD, a run
     does not converge, or a certificate fails (see _solve_detectable).
     """

@@ -112,10 +112,11 @@ def test_solve_rejects_malformed_json(example1_file, tmp_path, capsys):
     ({"budget_select": math.inf}, "budgets must be finite"),
     ({"budget_attack": math.nan}, "budgets must be finite"),
     ({"omega": [1.0, -1.0, 1.0]}, "attack costs must be nonnegative"),
+    ({"W": np.diag([1.0, -0.5, 1.0]).tolist()}, "W has eigenvalue -5.000e-01 < -1e-10 * max(1, largest)"),
     ({"W": None}, "instance JSON missing keys: ['W']"),
     ("[1, 2]", "instance JSON must be an object"),
 ], ids=["n-0", "q-0", "b-length", "omega-length", "A-nan", "omega-inf", "budget-inf", "budget-nan",
-        "negative-attack-cost", "missing-key", "not-an-object"])
+        "negative-attack-cost", "indefinite-W", "missing-key", "not-an-object"])
 def test_invalid_instance_is_input_error(example1_file, tmp_path, capsys, edit, message):
     # a None value deletes its key; a string replaces the whole file
     if isinstance(edit, str):
@@ -127,6 +128,17 @@ def test_invalid_instance_is_input_error(example1_file, tmp_path, capsys, edit, 
     bad.write_text(text)
     assert run_cli("solve", "--instance", str(bad), "--mode", "select", "--algorithm", "exhaustive") == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_solve_takes_a_rank_one_noise_at_a_large_scale(example1_file, tmp_path, capsys):
+    # 1e7 u u' has a zero eigenvalue that comes out -3.9e-9: round-off at
+    # its scale, which the relative PSD floor takes as 0
+    u = np.array([0.3, 0.7, 1.1])
+    data = {**json.loads(example1_file.read_text()), "W": (1e7 * np.outer(u, u)).tolist(), "V": np.eye(3).tolist()}
+    path = tmp_path / "rank_one.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("solve", "--instance", str(path), "--mode", "select", "--algorithm", "greedy") == 0
+    assert capsys.readouterr().out.startswith("trace=")
 
 
 def test_solve_missing_file_is_input_error(tmp_path, capsys):

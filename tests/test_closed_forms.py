@@ -1,3 +1,4 @@
+import decimal
 import math
 from itertools import combinations
 
@@ -115,6 +116,35 @@ def test_repeated_noiseless():
 def test_repeated_dare_cross_check():
     val = repeated_sensor_msee(0.9, 100.0, 2)
     assert abs(val - _repeated_via_dare(0.9, 100.0, 2)) < 1e-8
+
+
+def _msee_exact(lam, noise, n):
+    """repeated_sensor_msee of the floats lam and noise, to 60 digits: the
+    root (-x + sqrt(x^2 + 4 n noise)) / (2n), x = noise (1 - lam^2) - n, in
+    the form that loses no digits to cancellation at that precision."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        lam, noise = decimal.Decimal(lam), decimal.Decimal(noise)
+        x = noise * (1 - lam * lam) - n
+        disc = (x * x + 4 * n * noise).sqrt()
+        return float(2 * noise / (disc + x) if x > 0 else (disc - x) / (2 * n))
+
+
+def test_repeated_sensor_msee_is_within_round_off_of_its_exact_root():
+    # the root form follows the sign of x, not the size of the noise: with
+    # the form picked by noise > 1e4, lam = 0.3 at noise 9999 was 2.7e-13
+    # off; a noise past 1e154 squared x to inf and answered 0, and one
+    # near the float maximum overflowed 2 noise and answered inf
+    rng = np.random.default_rng(34)
+    cases = [(0.3, 9999.0, 1), (0.99999, 5e9, 1), (0.9, 1e200, 3), (0.5, 1.7e308, 3), (0.5, 0.0, 2)]
+    cases += [(lam, noise, int(n)) for lam, noise, n in
+              zip(rng.uniform(-1.0, 1.0, 2000), 10.0 ** rng.uniform(-4.0, 8.0, 2000), rng.integers(1, 7, 2000))]
+    cases += [(1.0 - d, noise, 1) for d, noise in zip(10.0 ** rng.uniform(-6.0, -1.0, 500), 10.0 ** rng.uniform(0.0, 10.0, 500))]
+    for lam, noise, n in cases:
+        want = _msee_exact(lam, noise, n)
+        assert abs(repeated_sensor_msee(lam, noise, n) - want) <= 1e-15 * want, (lam, noise, n)
+    want = _msee_exact(0.99999, 1e10 / 2.0, 1) + 2.0
+    assert abs(example1_predictions(0.99999, 1e5).trace_greedy_priori - want) <= 1e-15 * want
 
 
 def test_limit_values():
@@ -284,7 +314,7 @@ def _closed_and_doubled(m, posteriori):
         sets, C, V = sets[seen], C[seen], V[seen]
         S, iters = riccati._solve_detectable(m.A, m.W, C, V, posteriori)
         assert not iters.any()
-        P, _ = riccati._doubling_dare(*riccati._filtered(m.A, m.W, riccati._root(m.W)[1], *riccati._noise(C, V)))
+        P, _ = riccati._doubling_dare(*riccati._filtered(m.A, m.W, riccati.psd_root(m.W, "W")[1], *riccati._noise(C, V)))
         ref = P if posteriori else riccati._sym(m.A @ P @ m.A.T + m.W)
         out += zip(map(tuple, sets), S, ref)
     return out

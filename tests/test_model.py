@@ -54,6 +54,28 @@ def test_indefinite_w_rejected():
         validate_model(_raw(W=W))
 
 
+def test_the_psd_floor_is_relative_to_the_largest_eigenvalue():
+    # a rank-deficient covariance's zero eigenvalues come out about eps
+    # times its scale off zero: 1e7 u u' reads -3.9e-9, which an absolute
+    # floor of -1e-10 refused.  An eigenvalue below -1e-10 max(1, largest)
+    # is still refused, whatever its scale
+    u = np.array([0.3, 0.7, 1.1])
+    rng = np.random.default_rng(34)
+    rotations = [np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(10)]
+    singular = [np.outer(u, u)] + [(U * w) @ U.T for U in rotations for w in ([0.0, 0.5, 2.0], [0.0, 0.0, 1.0])]
+    indefinite = [np.diag([1.0, -0.5, 1.0]), (rotations[0] * [1.0, -1e-6, 1.0]) @ rotations[0].T]
+    for scale in (1.0, 1e4, 1e7, 1e8):
+        for W in singular:
+            m = validate_model(_raw(W=scale * W, V=scale * W))
+            for got in (m.W, m.V):
+                assert np.array_equal(got, got.T)
+                assert np.abs(got - scale * W).max() <= 1e-14 * scale, scale
+        for W in indefinite:
+            for name in ("W", "V"):
+                with pytest.raises(NotPSD, match=f"^{name} has eigenvalue -"):
+                    validate_model(_raw(**{name: scale * W}))
+
+
 def test_wrong_sensor_row_shape_rejected():
     with pytest.raises(DimensionMismatch):
         validate_model(_raw(C=np.ones((3, 4))))

@@ -13,7 +13,7 @@ from kfsslab.gadgets import (
     build_kfsa_gadget,
     build_kfss_gadget,
 )
-from kfsslab.model import SelectionVector, SystemModel, restrict, validate_model
+from kfsslab.model import NotPSD, SelectionVector, SystemModel, restrict, validate_model
 from kfsslab.riccati import (
     NoConvergence,
     NonFiniteInput,
@@ -267,8 +267,8 @@ def test_filtered_solution_off_its_equation_raises_no_convergence():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_input_is_refused_before_any_kernel_runs(bad):
     # each public single-subset function names the array it refuses, where
-    # numpy raised its own LinAlgError, the doubling "became non-finite" or
-    # the update answered NaN or -0
+    # numpy raised its own LinAlgError, the doubling "became non-finite",
+    # the update answered NaN or -0, or the pseudo-inverse answered 0
     A, C, W, V = np.array([[0.5, 0.1], [0.0, 0.3]]), np.array([[1.0, 0.0]]), np.eye(2), np.eye(1)
 
     def spoilt(M):
@@ -281,9 +281,12 @@ def test_non_finite_input_is_refused_before_any_kernel_runs(bad):
                        ("C", lambda C: is_detectable(A, C)), ("A", lambda A: is_stabilizable_noise(A, W)),
                        ("W", lambda W: is_stabilizable_noise(A, W)),
                        ("Sigma", lambda S: posteriori_from_priori(S, C, V)),
-                       ("C", lambda C: posteriori_from_priori(W, C, V))):
+                       ("C", lambda C: posteriori_from_priori(W, C, V)),
+                       ("M", pseudo_inverse_psd)):
         with pytest.raises(NonFiniteInput, match=f"^{name} has an entry that is not finite$"):
-            call(spoilt({"A": A, "C": C, "W": W, "Sigma": W}[name]))
+            call(spoilt({"A": A, "C": C, "W": W, "Sigma": W, "M": W}[name]))
+    with pytest.raises(NonFiniteInput, match="^M "):  # off the diagonal, where eigh reads it
+        pseudo_inverse_psd([[1.0, 0.0], [bad, 1.0]])
     with pytest.raises(NonFiniteInput, match="^Sigma "):  # a 1 x 1 covariance, given as lists
         posteriori_from_priori([[bad]], [[1.0]], [[1.0]])
 
@@ -391,7 +394,7 @@ def test_closed_form_of_an_unstable_one_column_a_matches_the_doubling_and_scipy(
         S_scipy = _scipy_priori(A, C, W, V)
         PC = S_scipy @ C.T
         P_scipy = S_scipy - PC @ np.linalg.solve(C @ PC + V, PC.T)
-        P, _ = riccati._doubling_dare(*riccati._filtered(A, W, riccati._root(W)[1], *riccati._noise(C[None], V[None])))
+        P, _ = riccati._doubling_dare(*riccati._filtered(A, W, riccati.psd_root(W, "W")[1], *riccati._noise(C[None], V[None])))
         for posteriori, doubled, want in ((False, riccati._sym(A @ P @ A.T + W)[0], S_scipy), (True, P[0], P_scipy)):
             res = solve_dare(A, C, W, V, posteriori)
             assert res.iterations == 0
@@ -671,6 +674,29 @@ def test_stabilizability_verdict_follows_pbh_tol(monkeypatch):
         riccati.check_stabilizable(A, W)
     monkeypatch.undo()
     riccati.check_stabilizable(A, W)
+
+
+@pytest.mark.parametrize("metric", ["priori", "posteriori"])
+def test_a_process_noise_that_is_not_psd_is_refused_before_any_kernel(monkeypatch, metric):
+    # W = -I once passed the stabilizability test on a clamped root and
+    # ended in numpy's LinAlgError or an answer; the test's root now refuses
+    # it, by the rule validate_model applies, for every caller
+    used = _kernel_spy(monkeypatch)
+    m = SystemModel(n=2, q=2, A=DIAG_A, C=np.eye(2), W=-np.eye(2), V=np.eye(2))
+    for run in (lambda: solve_dare(m.A, m.C, m.W, m.V, posteriori=metric == "posteriori"),
+                lambda: exhaustive_select(m, m.b, 2.0, metric), lambda: greedy_attack(m, 1, metric),
+                lambda: is_stabilizable_noise(m.A, m.W)):
+        with pytest.raises(NotPSD, match="^W has eigenvalue -1.000e"):
+            run()
+    assert used == []
+
+
+def test_a_covariance_that_is_not_psd_has_no_measurement_update(monkeypatch):
+    used = _kernel_spy(monkeypatch)
+    for V in (np.eye(2), np.zeros((2, 2))):  # the noisy update and the noiseless one
+        with pytest.raises(NotPSD, match="^Sigma has eigenvalue -1.000e"):
+            posteriori_from_priori(-np.eye(2), np.eye(2), V)
+    assert used == []
 
 
 def test_stabilizability_checked_once_per_driver_run(monkeypatch):
