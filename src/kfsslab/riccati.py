@@ -47,10 +47,11 @@ one, so a stack of one width keeps the bits of its members solved alone.
 Subsets of several sizes share a stack when the smaller ones are padded,
 as the solvers module pads a chunk, with zero rows of C (no index marks
 them) whose noise block is the identity, zero against every sensor.  A
-zero row adds exactly 0 to C' V^-1 C, K C, K V K' and every PBH image, so
-a padded member agrees with its lone solve up to the order of sums over p;
-the reduction's decompositions leave such rows out, and a padded member
-keeps its lone bits there.
+pad is ordinary data: it adds exactly 0 to C' V^-1 C, K C, K V K' and
+every PBH image, and is a zero or identity row of the reduction's
+decompositions (_split, _measured, _update), which may round differently
+at the larger size.  So a padded member agrees with its lone solve to
+round-off, and a member in a chunk of one size keeps its bits.
 Each member of a doubling or Newton run stops at its own stopping rule,
 and the run's certificate then checks it, whatever the metric
 (_solve_detectable): a plain or Newton member's variances may not fall
@@ -348,11 +349,13 @@ def _split(C, V):
     Each row of C is scaled by 1/||C_i|| (a zero row, such as a pad, by 1)
     and V alike, so a diagonal entry is its row's noise per squared gain.
     A member whose scaled V is not diagonal is rotated into its
-    eigenvectors, computed without its null rows (zero in C, uncorrelated
-    in V, as pads are), so a padded member keeps its lone bits.  A row is
-    noiseless when its noise is at most PINV_RTOL or, rotated, within the
-    eigenvalues' round-off, 8 r eps times the largest of its r rows (zero
-    eigenvalues of graded random V came out within 2.4 eps of it, r <= 6).
+    eigenvectors; a pad is an identity row there, so a padded member
+    agrees with its lone solve to round-off.  A row is noiseless when its
+    noise is at most PINV_RTOL or, rotated, within the eigenvalues'
+    round-off, 8 r eps times the largest (zero eigenvalues of graded random
+    V came out within 2.4 eps of it, r <= 6).  r counts the member's rows
+    that are not null (zero in C, uncorrelated in V, as pads are), so pads
+    do not move the cut.
     """
     k, p, n = C.shape
     norm = np.sqrt((C * C).sum(axis=2))
@@ -365,47 +368,15 @@ def _split(C, V):
     off = ~np.eye(p, dtype=bool)
     full = ok & ((v != 0.0) & off).any(axis=(1, 2))
     if full.any():
-        null = ~C.any(axis=2) & ~((V != 0.0) & off).any(axis=2)
-        for g, keep in _groups(~null & full[:, None]):
-            g2 = g[:, None]
-            w[g2, keep], U = np.linalg.eigh(v[g2[:, :, None], keep[:, :, None], keep[:, None, :]])
-            R[g2, keep] = U.transpose(0, 2, 1) @ R[g2, keep]
-            cut[g2, keep] = np.maximum(PINV_RTOL, 8 * keep.shape[1] * np.finfo(float).eps * w[g2, keep][:, -1:])
+        r = (C[full].any(axis=2) | ((V[full] != 0.0) & off).any(axis=2)).sum(axis=1)
+        w[full], U = np.linalg.eigh(v[full])
+        R[full] = U.transpose(0, 2, 1) @ R[full]
+        cut[full] = np.maximum(PINV_RTOL, 8 * r[:, None] * np.finfo(float).eps * w[full][:, -1:])
     if not (ok & (w >= -cut).all(axis=1)).all():
         raise NoConvergence("noise V is not finite or not positive semidefinite", np.nan, 0)
     noisy = w > cut
     R1 = R * np.sqrt(np.divide(1.0, w, out=np.zeros(w.shape), where=noisy))[:, :, None]
     return np.where(noisy[:, :, None], 0.0, R), R1
-
-
-def _groups(rows):
-    """Yield (g, keep) for each group g of the members with the same count
-    r >= 1 of True entries in their row of the mask rows (k x p); keep
-    (len(g) x r) holds those entries' indices, in order."""
-    count = rows.sum(axis=1)
-    order = np.argsort(~rows, axis=1, kind="stable")
-    for r in np.unique(count[count > 0]):
-        g = np.flatnonzero(count == r)
-        yield g, order[g, :r]
-
-
-def _basis(B) -> np.ndarray:
-    """Q (k x n x n): per member of B (k x p x n), an orthonormal basis of
-    its rows (the right singular vectors above PINV_RTOL times the largest
-    singular value), then zero rows.  The SVD sees the nonzero rows only,
-    in order, padded to n x n, so zero rows such as pads leave the bits
-    alone; members with more than n nonzero rows go by count."""
-    k, p, n = B.shape
-    if p < n:
-        B = np.concatenate((B, np.zeros((k, n - p, n))), axis=1)
-    rows = B.any(axis=2)
-    order = np.argsort(~rows, axis=1, kind="stable")
-    _, sv, Q = np.linalg.svd(B[np.arange(k)[:, None], order[:, :n]])
-    wide = rows.sum(axis=1) > n
-    if wide.any():
-        for g, keep in _groups(rows & wide[:, None]):
-            _, sv[g], Q[g] = np.linalg.svd(B[g[:, None], keep], full_matrices=False)
-    return Q * (sv > PINV_RTOL * sv[:, :1])[:, :, None]
 
 
 def _noise(C, V):
@@ -429,10 +400,17 @@ def _noise(C, V):
 
 def _measured(R0, L):
     """(Q, Z) for noiseless rows R0 (k x p x n) and the root L of a PSD X
-    (psd_root): Q = _basis(R0 L) and Z = L (I - Q'Q).  Z Z' =
+    (psd_root): Q (k x n x n) an orthonormal basis of the rows of R0 L,
+    its right singular vectors above PINV_RTOL times the largest
+    singular value, then zero rows, and Z = L (I - Q'Q).  Z Z' =
     X - X R0' (R0 X R0')^+ R0 X is X updated exactly by the rows; for
-    X > 0, C0 = Q L^-1 spans them, C0 X C0' = I."""
-    Q = _basis(R0 @ L)
+    X > 0, C0 = Q L^-1 spans them, C0 X C0' = I.  A zero row of R0, such
+    as a pad, is a zero row of that SVD, so a padded member agrees with its
+    lone solve to round-off."""
+    k, p, n = R0.shape
+    B = np.concatenate((R0, np.zeros((k, max(0, n - p), n))), axis=1) @ L  # n rows at least: Q is n x n
+    _, sv, Q = np.linalg.svd(B, full_matrices=False)
+    Q = Q * (sv > PINV_RTOL * sv[:, :1])[:, :, None]
     return Q, L - L @ Q.transpose(0, 2, 1) @ Q
 
 
@@ -483,8 +461,9 @@ def _update(X, F, Y):
     gain form Y - X F' (I + F X F')^-1 F Y cancels where a measurement
     leaves X small).  The others solve [[I, X F'/c], [-c F, I]] [Z; U] =
     [Y; 0], U = c F Z, which never forms G; c, a power of 2 near the root
-    of X's largest variance, only steers the pivoting.  That system holds
-    a member's nonzero rows of F only, so pads leave the bits alone."""
+    of X's largest variance, only steers the pivoting.  A zero row of F,
+    such as a pad, is a decoupled identity row there, so a padded member
+    agrees with its lone solve to round-off."""
     k, n = X.shape[:2]
     G = F.transpose(0, 2, 1) @ F
     M = np.eye(n) + X @ G
@@ -495,14 +474,13 @@ def _update(X, F, Y):
     if not hard.size:
         return Z, GZ
     X, F = X[hard], F[hard]
+    h, p = F.shape[:2]
     c = np.ldexp(1.0, np.frexp(np.sqrt(X.diagonal(axis1=1, axis2=2).max(axis=1)))[1])[:, None, None]
-    for g, keep in _groups(F.any(axis=2)):
-        Fg, r = F[g[:, None], keep], keep.shape[1]
-        FT = Fg.transpose(0, 2, 1) / c[g]
-        B = np.concatenate((np.concatenate((np.broadcast_to(np.eye(n), (len(g), n, n)), X[g] @ FT), axis=2),
-                            np.concatenate((-c[g] * Fg, np.broadcast_to(np.eye(r), (len(g), r, r))), axis=2)), axis=1)
-        ZU = np.linalg.solve(B, np.concatenate((Y[hard[g]], np.zeros((len(g), r, Y.shape[2]))), axis=1))
-        Z[hard[g]], GZ[hard[g]] = ZU[:, :n], FT @ ZU[:, n:]
+    FT = F.transpose(0, 2, 1) / c
+    B = np.concatenate((np.concatenate((np.broadcast_to(np.eye(n), (h, n, n)), X @ FT), axis=2),
+                        np.concatenate((-c * F, np.broadcast_to(np.eye(p), (h, p, p))), axis=2)), axis=1)
+    ZU = np.linalg.solve(B, np.concatenate((Y[hard], np.zeros((h, p, Y.shape[2]))), axis=1))
+    Z[hard], GZ[hard] = ZU[:, :n], FT @ ZU[:, n:]
     return Z, GZ
 
 
@@ -557,6 +535,16 @@ def posteriori_from_priori(Sigma, C_sel, V_sel) -> np.ndarray:
     return _posteriori(Sigma, *_noise(C[None], V[None]))[0]
 
 
+def _check_shapes(A, C=None, W=None, V=None) -> None:
+    """Raise ShapeError, naming the arrays, unless A is n x n and, where
+    given, W is n x n, C is p x n and V is p x p."""
+    n = A.shape[0] if A.ndim else None
+    if A.shape != (n, n) or W is not None and W.shape != (n, n):
+        raise ShapeError("A must be n x n" if W is None else "A and W must be n x n")
+    if C is not None and (C.ndim != 2 or C.shape[1] != n or V is not None and V.shape != (len(C),) * 2):
+        raise ShapeError("C must be p x n" if V is None else "C must be p x n with V p x p")
+
+
 def _mode_images(A: np.ndarray, C: np.ndarray) -> list:
     """C N / ||A||_2 for every eigenvalue lam of A with modulus >= 1 - PBH_TOL
     (C is q x n).  N, computed once for any number of subsets, is a basis of
@@ -595,10 +583,12 @@ def is_detectable(A, C_sel) -> bool:
     lam of A with modulus >= 1 - PBH_TOL, PBH_TOL being the relative rank
     tolerance on the scale ||A||_2 (see _mode_images and _detectable).  A
     spectral radius below 1 - PBH_TOL short-circuits to True.  Raises
-    NonFiniteInput when A or C is not finite.
+    ShapeError when A is not square or C not p x n, and NonFiniteInput
+    when A or C is not finite.
     """
     A = np.asarray(A, dtype=float)
     C_sel = np.asarray(C_sel, dtype=float)
+    _check_shapes(A, C_sel)
     _check_finite(A=A, C=C_sel)
     return bool(_detectable(_mode_images(A, C_sel), np.arange(C_sel.shape[0])[None])[0])
 
@@ -606,11 +596,13 @@ def is_detectable(A, C_sel) -> bool:
 def is_stabilizable_noise(A, W) -> bool:
     """Dual PBH test that (A, W^{1/2}) is stabilizable: (A', L') is
     detectable for the root W = L L' (psd_root), as for any such L.
-    Raises NonFiniteInput for a non-finite A or W, model.NotPSD for a W not PSD."""
-    W = np.asarray(W, dtype=float)
+    Raises ShapeError when A or W is not n x n, NonFiniteInput for a
+    non-finite A or W, and model.NotPSD for a W not PSD."""
+    A, W = np.asarray(A, dtype=float), np.asarray(W, dtype=float)
+    _check_shapes(A, W=W)
     _check_finite(W=W)  # and is_detectable checks A
     L = psd_root(0.5 * W + 0.5 * W.T, "W")[1]  # halved first: no overflow near the float maximum
-    return is_detectable(np.asarray(A, dtype=float).T, L.T)
+    return is_detectable(A.T, L.T)
 
 
 def check_stabilizable(A, W) -> None:
@@ -750,11 +742,7 @@ def solve_dare(A, C, W, V, posteriori=False) -> SteadyStateResult:
     C = np.ascontiguousarray(C, dtype=float)
     W = np.ascontiguousarray(W, dtype=float)
     V = np.ascontiguousarray(V, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n) or W.shape != (n, n):
-        raise ShapeError("A and W must be n x n")
-    if C.ndim != 2 or C.shape[1] != n or V.shape != (C.shape[0], C.shape[0]):
-        raise ShapeError("C must be p x n with V p x p")
+    _check_shapes(A, C, W, V)
     check_stabilizable(A, W)
     if not is_detectable(A, C):
         return SteadyStateResult.infinite()

@@ -157,6 +157,22 @@ def test_shape_errors_of_solve_dare_and_the_pseudo_inverse():
             pseudo_inverse_psd(M)
 
 
+@pytest.mark.parametrize("A", [0.5 * np.eye(2), np.diag([1.5, 0.5])])
+def test_pbh_tests_refuse_arrays_of_the_wrong_shape(A):
+    # against a stable A the wrong widths were answered True, against an
+    # unstable one they ended in numpy's own errors
+    for C in (np.ones((1, 3)), np.ones(3), np.ones(2), np.ones((1, 1, 2))):
+        with pytest.raises(ShapeError, match="^C must be p x n$"):
+            is_detectable(A, C)
+    with pytest.raises(ShapeError, match="^A and W must be n x n$"):
+        is_stabilizable_noise(A, np.eye(3))
+    for bad in (np.ones((2, 3)), np.ones(2), np.array(1.0)):
+        with pytest.raises(ShapeError, match="^A must be n x n$"):
+            is_detectable(bad, np.ones((1, 2)))
+        with pytest.raises(ShapeError, match="^A and W must be n x n$"):
+            is_stabilizable_noise(bad, np.eye(2))
+
+
 def test_pinv_penrose_identity_on_random_psd():
     rng = np.random.default_rng(17)
     for k in range(20):

@@ -355,9 +355,9 @@ def _mixed_chunk(m):
 
 @pytest.mark.parametrize("case", SINGULAR_CASES)
 def test_chunk_of_several_sensor_counts_equals_members_alone(case, monkeypatch):
-    # one kernel run over _mixed_chunk's singular members.  The reduction
-    # leaves the pads out of its decompositions, so there a padded member
-    # keeps its lone bits too
+    # one kernel run over _mixed_chunk's singular members.  A padded member
+    # agrees with its lone solve to round-off; on these models the noiseless
+    # filtered members keep their lone bits as well
     m = _singular_model(case)
     members, C, V = _mixed_chunk(m)
     runs = _spy_runs(monkeypatch, _singular_kernel(case))
@@ -372,6 +372,104 @@ def test_chunk_of_several_sensor_counts_equals_members_alone(case, monkeypatch):
             assert count == alone.iterations and np.array_equal(cov, alone.cov)
         else:
             assert np.abs(cov - alone.cov).max() <= REL * np.abs(alone.cov).max()
+
+
+def _padded(c, v, pads):
+    """The stack of one of c (p x n) and v (p x p) with ``pads`` null
+    sensors, as _ScoreTable pads a chunk: zero rows of C with unit,
+    uncorrelated noise."""
+    p, n = c.shape
+    C, V = np.zeros((1, p + pads, n)), np.eye(p + pads)[None].copy()
+    C[0, :p], V[0, :p, :p] = c, v
+    return C, V
+
+
+def _noiseless_rows(C, V):
+    """Each member's count of noiseless rows in _noise's description."""
+    return riccati._noise(C, V)[0].any(axis=2).sum(axis=1)
+
+
+def _pad_case(case):
+    """(A, W, c, v) for one of the decompositions that see the pads:
+    _split's rotation of a rank-one correlated V beside a noisy sensor,
+    _measured's SVD of four noiseless rows on three states, and _update's
+    augmented solve of a small noise beside a noiseless sensor, with a full
+    A (the filtered doubling) or one nonzero column (the closed form)."""
+    rng = np.random.default_rng(35)
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    A, W = (Q * [1.05, 0.5, -0.3]) @ Q.T, _spd(rng, 3)
+    c = rng.standard_normal((4, 3))
+    if case == "rotation":
+        u = np.array([0.3, 0.7, 1.1])
+        v = np.zeros((4, 4))
+        v[:3, :3], v[3, 3] = np.outer(u, u), 0.5
+    elif case == "wide":
+        v = np.zeros((4, 4))
+    else:
+        noise, columns = case.split()[1:]
+        if columns == "one-column":
+            A = np.outer([1.1, 0.4, -0.2], [1.0, 0.0, 0.0])
+        c, v = c[:2], np.diag([float(noise), 0.0])
+    return A, W, c, v
+
+
+PAD_CASES = ["rotation", "wide"] + [f"augmented {noise} {columns}" for noise in ("1e-8", "1e-6")
+                                    for columns in ("full", "one-column")]
+
+
+@pytest.mark.parametrize("metric", ["priori", "posteriori"])
+@pytest.mark.parametrize("case", PAD_CASES)
+def test_a_padded_member_agrees_with_its_lone_solve(case, metric, monkeypatch):
+    # with 1, 2 and 3 null sensors, the member keeps its noiseless rows and
+    # its iteration count, and its covariance is within round-off
+    A, W, c, v = _pad_case(case)
+    alone = riccati.solve_dare(A, c, W, v, posteriori=metric == "posteriori")
+    want = {"rotation": 2, "wide": 4}.get(case, 1)
+    assert _noiseless_rows(c[None], v[None]).tolist() == [want]
+    updates = _spy_runs(monkeypatch, "_update")
+    for pads in (1, 2, 3):
+        C, V = _padded(c, v, pads)
+        assert _noiseless_rows(C, V).tolist() == [want]
+        S, iters = riccati._solve_detectable(A, W, C, V, metric == "posteriori")
+        assert iters.tolist() == [alone.iterations]
+        assert np.linalg.norm(S[0] - alone.cov) <= 1e-12 * max(1.0, np.linalg.norm(alone.cov))
+    if case.startswith("augmented"):  # I + X G too ill-conditioned for the n x n solve
+        X, F, _ = updates[-1]
+        M = np.eye(3) + X @ F.transpose(0, 2, 1) @ F
+        assert (np.linalg.norm(M, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(M), axis=(1, 2)) > 1e3).all()
+
+
+def _graded_member(rng):
+    """Sensors on up to 5 states with row gains and noise from 1e-3 to
+    1e3, 40% of them noiseless; half the members with p > 1 correlate the
+    noisy ones through a V of rank below p."""
+    n, p = (int(x) for x in rng.integers(1, [6, 7]))
+    gain, noise = 10.0 ** rng.uniform(-3.0, 3.0, (2, p))
+    noise[rng.random(p) < 0.4] = 0.0
+    c = gain[:, None] * rng.standard_normal((p, n))
+    if p > 1 and rng.random() < 0.5:
+        E = noise[:, None] * rng.standard_normal((p, p))
+        E[:, int(rng.integers(1, p)):] = 0.0
+        return c, E @ E.T
+    return c, np.diag(noise**2)
+
+
+def test_padding_keeps_every_noiseless_decision():
+    # _split's round-off cut counts the rows that are not null, so no
+    # padded member gains or loses a noiseless row; a cut that counted the
+    # pads flipped 8 of these members (6 and 10 at seeds 1 and 2).  Members
+    # of one shape share a stack, which keeps each member's decision
+    rng = np.random.default_rng(0)
+    lone = [_graded_member(rng) for _ in range(10000)]
+    padded = [tuple(M[0] for M in _padded(c, v, int(rng.integers(1, 4)))) for c, v in lone]
+    counts = []
+    for members in (lone, padded):
+        count = np.empty(len(members), dtype=int)
+        for shape in {c.shape for c, _ in members}:
+            idx = [j for j, (c, _) in enumerate(members) if c.shape == shape]
+            count[idx] = _noiseless_rows(*(np.array([members[j][i] for j in idx]) for i in (0, 1)))
+        counts.append(count)
+    assert counts[0].any() and np.array_equal(*counts)
 
 
 @pytest.mark.parametrize("case", SINGULAR_CASES)
