@@ -10,9 +10,9 @@ Exit codes: 0 success, 1 input error, 2 solver error, 3 enumeration too
 large.  Report payloads carry no timestamps, so identical invocations write
 byte-identical files.  A file that cannot be read or written is an input
 error, and a run that fails so leaves none of the files it created.  A
-sweep builds every point's model first, then runs one
-solvers.greedy_and_optimal over all of them, in this process, and writes
-its rows in grid order.  No flag sets a solver tolerance: the solvers use
+sweep checks every h first, then builds and scores SWEEP_CHUNK points per
+solvers.greedy_and_optimal call, in this process, and writes all its rows
+at once, in grid order.  No flag sets a solver tolerance: the solvers use
 the constants of the riccati module.  The parser is built once, at import.
 """
 
@@ -35,6 +35,8 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SOLVER = 2
 EXIT_TOO_LARGE = 3
+
+SWEEP_CHUNK = 256  # grid points a sweep builds and scores at a time
 
 
 class _Parser(argparse.ArgumentParser):
@@ -212,19 +214,22 @@ def cmd_sweep(args) -> int:
     grid = _sweep_grid(args)
     if args.v_scale is not None and not 0.0 <= args.v_scale < math.inf:
         raise _InputError(f"--v-scale must be finite and >= 0, got {args.v_scale:g}")
-    models = [_sweep_model(args.family, args.lambda1, h, args.v_scale) for h in grid]
+    for h in grid:  # a bad point anywhere is refused before any solve
+        gadgets.check_family_params(args.lambda1, h)
     attack = args.family == "example2"
     predicted = (closed_forms.limit_ratio_attack if attack else closed_forms.limit_ratio_select)(args.lambda1)
     limit = predicted[0] if args.metric == "priori" else predicted[1]
-    reports = solvers.greedy_and_optimal(models, 2, "attack" if attack else "select", args.metric)
-    rows = [(h, g.trace, o.trace, ratio, limit) for h, (g, o, ratio) in zip(grid, reports)]
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(["h", "trace_greedy", "trace_optimal", "ratio", "predicted_limit"])
-    for row in rows:
-        writer.writerow([repr(x) for x in row])
+    for start in range(0, len(grid), SWEEP_CHUNK):
+        chunk = grid[start:start + SWEEP_CHUNK]
+        models = [_sweep_model(args.family, args.lambda1, h, args.v_scale) for h in chunk]
+        reports = solvers.greedy_and_optimal(models, 2, "attack" if attack else "select", args.metric)
+        for h, (g, o, ratio) in zip(chunk, reports):
+            writer.writerow([repr(x) for x in (h, g.trace, o.trace, ratio, limit)])
     _write((args.output, text.getvalue()))
-    print(f"wrote {len(rows)} sweep rows to {args.output}")
+    print(f"wrote {len(grid)} sweep rows to {args.output}")
     return EXIT_OK
 
 

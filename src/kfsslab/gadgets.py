@@ -129,7 +129,7 @@ def build_example1(lambda1: float, h: float) -> SystemModel:
     best in isolation, so one-step greedy starts wrong and ends with noise
     of order h^2 on the only persistent state.
     """
-    lam, h = _check_family_params(lambda1, h)
+    lam, h = check_family_params(lambda1, h)
     C = np.array([[1.0, h, h], [1.0, 0.0, h], [0.0, 1.0, 1.0]])
     return _instance(lam, C, np.zeros((3, 3)), budget_select=2.0)
 
@@ -141,15 +141,15 @@ def build_example2(lambda1: float, h: float) -> SystemModel:
     sensor 4 looks best in isolation, so one-step greedy attacks start
     wrong; the damage they forgo grows as h shrinks.
 
-    h has example1's range (_check_family_params); the reduction keeps
+    h has example1's range (check_family_params); the reduction keeps
     example2_predictions to 3.3e-11 up to h = 999999 (lambda 0.6 to 0.99).
     """
-    lam, h = _check_family_params(lambda1, h)
+    lam, h = check_family_params(lambda1, h)
     C = np.array([[1.0, h, h], [1.0, 0.0, h], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     return _instance(lam, C, np.zeros((4, 4)), budget_attack=2.0)
 
 
-def _check_family_params(lambda1: float, h: float) -> tuple[float, float]:
+def check_family_params(lambda1: float, h: float) -> tuple[float, float]:
     """lambda1 and h as floats.  Raises DomainError unless 0 < |lambda1| < 1
     and 0 < h with h^2 below 1 / riccati.PINV_RTOL, the range the families
     are checked over; the reduction, whose rank rule is relative, stays

@@ -72,11 +72,11 @@ solve_dare, and every public solver call in the solvers module, tests
 stabilizability once and uncached (check_stabilizable); its root W = L L'
 (model.psd_root, validate_model's rule) refuses a W that is not PSD.
 
-Three module constants hold the tolerances: TOL (the stopping rule),
-PINV_RTOL (the pseudo-inverse cutoff, and the cutoff of every rank
-decision: whether V or W is singular, and which rows are noiseless) and
-PBH_TOL (the detectability test).  Every function reads them from the
-module when it runs; no function takes a tolerance argument.
+Four module constants hold the tolerances: TOL (the stopping rule),
+PINV_RTOL (the pseudo-inverse cutoff and every rank decision's: whether V
+or W is singular, and which rows are noiseless), PBH_TOL (detectability)
+and UPDATE_BOUND (_update's choice of solve).  Every function reads them
+from the module when it runs; no function takes a tolerance argument.
 """
 
 from __future__ import annotations
@@ -147,6 +147,11 @@ PINV_RTOL = 1e-12
 
 # Rank tolerance of the PBH detectability test.
 PBH_TOL = 1e-9
+
+# Largest t = tr X ||F||_F^2 at which _update solves with I + X G, losing
+# about eps cond_F <= 1.2e-10 at n <= 9, below solvers.TIE_REL (see _update).
+# The benchmark's members reach t = 4.1e3 (random-solve) or start at 5.1e4.
+UPDATE_BOUND = 1e4
 
 
 def _noise_gain(C: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -454,27 +459,22 @@ def _filtered(A, W, L, R0, F, cols=None):
 
 def _update(X, F, Y):
     """((I + X G)^-1 Y, G (I + X G)^-1 Y) for the stacks X (k x n x n, PSD)
-    and Y (k x n x m), G = F'F the gain of the whitened noisy rows F.
-    A member keeps the n x n solve with I + X G where the inverse it also
-    yields puts its Frobenius condition number at most 1e3; that solve
-    loses eps cond where G is large along a direction off the axes (and the
-    gain form Y - X F' (I + F X F')^-1 F Y cancels where a measurement
-    leaves X small).  The others solve [[I, X F'/c], [-c F, I]] [Z; U] =
-    [Y; 0], U = c F Z, which never forms G; c, a power of 2 near the root
-    of X's largest variance, only steers the pivoting.  A zero row of F,
-    such as a pad, is a decoupled identity row there, so a padded member
-    agrees with its lone solve to round-off."""
-    k, n = X.shape[:2]
-    G = F.transpose(0, 2, 1) @ F
-    M = np.eye(n) + X @ G
-    ZI = np.linalg.solve(M, np.concatenate((Y, np.broadcast_to(np.eye(n), (k, n, n))), axis=2))
-    Z, GZ = ZI[:, :, :-n], G @ ZI[:, :, :-n]
-    with np.errstate(over="ignore", invalid="ignore"):  # see _fro
-        hard = np.flatnonzero(~(_fro(M) * _fro(ZI[:, :, -n:]) <= 1e3))
-    if not hard.size:
-        return Z, GZ
-    X, F = X[hard], F[hard]
-    h, p = F.shape[:2]
+    and Y (k x n x m), G = F'F the gain of the whitened noisy rows F, by one
+    solve per member, chosen before it is made from t = tr X ||F||_F^2.
+    M = I + X G has M^-1 = I - X F' (I + F X F')^-1 F, and B'(I + B B')^-1,
+    B = F X^1/2, has singular values at most 1/2, so cond_F(M) <= (sqrt(n) +
+    t)(sqrt(n) + sqrt(t) / 2), of which random members with t in (1e2, 1e4]
+    reach 0.27.  A member with t <= UPDATE_BOUND solves with M, the others
+    [[I, X F'/c], [-c F, I]] [Z; U] = [Y; 0], U = c F Z, which never forms G;
+    c, a power of 2 near the root of X's largest variance, steers pivoting."""
+    n = X.shape[1]
+    with np.errstate(over="ignore"):  # an overflowing t is inf: not easy
+        easy = np.trace(X, axis1=1, axis2=2) * np.add.reduce(F * F, axis=(1, 2)) <= UPDATE_BOUND
+    Z, GZ, hard = np.empty(Y.shape), np.empty(Y.shape), ~easy
+    G = F[easy].transpose(0, 2, 1) @ F[easy]
+    Z[easy] = ZE = np.linalg.solve(np.eye(n) + X[easy] @ G, Y[easy])
+    GZ[easy] = G @ ZE
+    X, F, h, p = X[hard], F[hard], hard.sum(), F.shape[1]
     c = np.ldexp(1.0, np.frexp(np.sqrt(X.diagonal(axis1=1, axis2=2).max(axis=1)))[1])[:, None, None]
     FT = F.transpose(0, 2, 1) / c
     B = np.concatenate((np.concatenate((np.broadcast_to(np.eye(n), (h, n, n)), X @ FT), axis=2),

@@ -1,6 +1,7 @@
 import csv
 import errno
 import hashlib
+import io
 import json
 import math
 import re
@@ -13,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kfsslab import closed_forms, gadgets, riccati
+from kfsslab import cli, closed_forms, gadgets, riccati
 from kfsslab.cli import main
 from kfsslab.model import validate_model
 from kfsslab.solvers import STACK_CHUNK, greedy_and_optimal
@@ -596,6 +597,36 @@ def test_sweep_refuses_a_bad_point_before_any_solve(tmp_path, capsys, monkeypatc
     assert err.startswith("error: h = 1000000.0")
     assert runs == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["example1", "example2"])
+def test_a_sweep_of_several_chunks_writes_the_bytes_of_one_joint_call(tmp_path, capsys, monkeypatch, family):
+    # 300 points take two chunks of the sweep, and the CSV is byte for byte
+    # the one that a single greedy_and_optimal call over all of them gives;
+    # a bad point in the last chunk is still refused before any solve
+    out = tmp_path / "sweep.csv"
+    lo, hi = ("1e-2", "1e4") if family == "example1" else ("1e-4", "1e2")
+    assert run_cli("sweep", "--family", family, "--lambda1", "0.9", "--metric", "posteriori",
+                   "--h-range", lo, hi, "300", "--output", str(out)) == 0
+    assert capsys.readouterr().out == f"wrote 300 sweep rows to {out}\n"
+    attack = family == "example2"
+    grid = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    assert len(grid) == 300 > cli.SWEEP_CHUNK
+    build = gadgets.build_example2 if attack else gadgets.build_example1
+    reports = greedy_and_optimal([build(0.9, h) for h in grid], 2, "attack" if attack else "select", "posteriori")
+    limit = (closed_forms.limit_ratio_attack if attack else closed_forms.limit_ratio_select)(0.9)[1]
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(["h", "trace_greedy", "trace_optimal", "ratio", "predicted_limit"])
+    for h, (greedy, optimal, ratio) in zip(grid, reports):
+        writer.writerow([repr(x) for x in (h, greedy.trace, optimal.trace, ratio, limit)])
+    assert out.read_bytes() == want.getvalue().encode()
+    runs = _kernel_spy(monkeypatch)
+    bad = tmp_path / "bad.csv"
+    assert run_cli("sweep", "--family", family, "--lambda1", "0.9", "--h-grid",
+                   ",".join(map(repr, grid + [1e6])), "--output", str(bad)) == 1
+    assert capsys.readouterr().err.startswith("error: h = 1000000.0")
+    assert runs == [] and not bad.exists()
 
 
 def test_sweep_takes_example2_up_to_the_family_bound(tmp_path, capsys, monkeypatch):

@@ -608,6 +608,54 @@ def test_a_precise_noisy_sensor_next_to_a_poor_one_stays_noisy():
     assert abs(solve_dare(A, C, W, V).trace - want) <= 1e-10 * want
 
 
+@pytest.mark.parametrize("g", [1e4, 1e5, 1e7, 1e12])
+def test_a_precise_sensor_off_the_axes_has_its_measurement_update(g):
+    # C = [g, g] with V = 1e-11: I + X G is singular in float, and an n x n
+    # solve with it raised numpy's LinAlgError; t = tr X ||F||_F^2 sends the
+    # member to the augmented solve first.  The traces, from an 80-digit
+    # recursion, are the same at every g
+    C, W, V = np.array([[g, g]]), np.eye(2), np.array([[1e-11]])
+    one_column = np.array([[0.9, 0.0], [0.4, 0.0]])  # the closed form
+    for A, posteriori, want in ((np.array([[0.9, 0.1], [0.0, 0.5]]), True, 1.6864938965420604),
+                                (one_column, False, 2.5069791685466556), (one_column, True, 1.0453178732920734)):
+        assert abs(solve_dare(A, C, W, V, posteriori).trace - want) <= 1e-12 * want
+
+
+def test_a_measurement_update_whose_bound_overflows_takes_the_augmented_solve():
+    # Sigma = 1e300 and C = 1e5: t = tr Sigma ||F||_F^2 overflows to inf and
+    # the member takes the augmented solve, with no numpy warning (I + Sigma G
+    # overflowed before); the update is Sigma / (1 + 1e10 Sigma) = 1e-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        P = posteriori_from_priori(np.array([[1e300]]), np.array([[1e5]]), np.array([[1.0]]))
+    assert abs(P[0, 0] - 1e-10) <= 4 * np.finfo(float).eps * 1e-10
+
+
+def test_the_bound_that_chooses_the_update_solve():
+    # cond_F(I + X G) <= (sqrt(n) + t)(sqrt(n) + sqrt(t) / 2), t = tr X ||F||_F^2,
+    # the inverse taken as I - X F' (I + F X F')^-1 F; and at t just below
+    # and just above UPDATE_BOUND, _update agrees with the other solve
+    rng = np.random.default_rng(23)
+    for _ in range(1000):
+        n, p = (int(x) for x in rng.integers(1, 8, 2))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        X = (Q * 10.0 ** rng.uniform(-6.0, 4.0, n)) @ Q.T
+        F = 10.0 ** rng.uniform(-3.0, 3.0, (p, 1)) * rng.standard_normal((p, n))
+        t = np.trace(X) * (F * F).sum()
+        inv = np.eye(n) - X @ F.T @ np.linalg.solve(np.eye(p) + F @ X @ F.T, F)
+        cond = np.linalg.norm(np.eye(n) + X @ F.T @ F) * np.linalg.norm(inv)
+        assert cond <= (np.sqrt(n) + t) * (np.sqrt(n) + np.sqrt(t) / 2) * (1 + 1e-9)
+        F = np.array([F * np.sqrt(side * riccati.UPDATE_BOUND / t) for side in (0.99, 1.01)])
+        X, Y = np.array([X, X]), rng.standard_normal((2, n, 3))
+        Z, GZ = riccati._update(X, F, Y)
+        for j, G in enumerate(F.transpose(0, 2, 1) @ F):  # each member against both solves
+            nxn = np.linalg.solve(np.eye(n) + X[j] @ G, Y[j])
+            ZU = np.linalg.solve(np.block([[np.eye(n), X[j] @ F[j].T], [-F[j], np.eye(p)]]),
+                                 np.concatenate((Y[j], np.zeros((p, 3)))))
+            for got, want in ((Z[j], nxn), (GZ[j], G @ nxn), (Z[j], ZU[:n]), (GZ[j], F[j].T @ ZU[n:])):
+                assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
 def test_a_noiseless_member_with_singular_w_takes_newton():
     # W = u u' and one noiseless sensor c with c W c' > 0: the reduced pair
     # has W_b = 0 and A_b an eigenvalue of 2.04, a zero of the sensor's

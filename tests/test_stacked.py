@@ -437,6 +437,7 @@ def test_a_padded_member_agrees_with_its_lone_solve(case, metric, monkeypatch):
         X, F, _ = updates[-1]
         M = np.eye(3) + X @ F.transpose(0, 2, 1) @ F
         assert (np.linalg.norm(M, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(M), axis=(1, 2)) > 1e3).all()
+        assert (np.trace(X, axis1=1, axis2=2) * (F * F).sum(axis=(1, 2)) > riccati.UPDATE_BOUND).all()
 
 
 def _graded_member(rng):
