@@ -31,6 +31,10 @@ class NotPSD(ModelError):
     pass
 
 
+class NonFiniteInput(ModelError):
+    pass
+
+
 class NegativeCost(ModelError):
     pass
 
@@ -62,6 +66,8 @@ class SelectionVector:
     def from_support(cls, q: int, support: Sequence[int]) -> "SelectionVector":
         bits = [0] * q
         for i in support:
+            if not 0 <= i < q or bits[i]:
+                raise ValueError(f"support index {i} is repeated or outside 0..{q - 1}")
             bits[i] = 1
         return cls(tuple(bits))
 
@@ -156,12 +162,12 @@ class SystemModel:
 
 
 def validate_model(raw: SystemModel) -> SystemModel:
-    """Check dimensions, costs and noise covariances; return a model with W
-    and V symmetrized and, where round-off needs it, clamped to PSD (psd_root).
+    """Check dimensions, costs and noise covariances by the rules every solve
+    applies (noise_root); return a model with W and V symmetrized and, where
+    round-off needs it, clamped to PSD, a clamp that only this stores.
 
     Raises DimensionMismatch, NotPSD or NegativeCost listing every violation
-    of the failing category.
-    """
+    of the failing category, NonFiniteInput naming a non-finite array."""
     problems = []
     n, q = raw.n, raw.q
     if n < 1 or q < 1:
@@ -180,10 +186,7 @@ def validate_model(raw: SystemModel) -> SystemModel:
     if problems:
         raise DimensionMismatch("; ".join(problems))
 
-    for name, arr in (("A", raw.A), ("C", raw.C), ("W", raw.W), ("V", raw.V),
-                      ("b", raw.b), ("omega", raw.omega)):
-        if not np.all(np.isfinite(arr)):
-            raise ModelError(f"{name} contains non-finite entries")
+    check_finite(A=raw.A, C=raw.C, W=raw.W, V=raw.V, b=raw.b, omega=raw.omega)
     if not (math.isfinite(raw.budget_select) and math.isfinite(raw.budget_attack)):
         raise ModelError("budgets must be finite")
 
@@ -199,8 +202,7 @@ def validate_model(raw: SystemModel) -> SystemModel:
 
     noise = {}
     for name, M in (("W", raw.W), ("V", raw.V)):
-        sym = 0.5 * M + 0.5 * M.T  # halves first: 0.5 * (M + M.T) without its overflow near the float maximum
-        w, L = psd_root(sym, name)
+        sym, w, L = noise_root(M, name)
         noise[name] = sym if w[0] >= 0.0 else L @ L.T  # L @ L.T: one syrk, exactly symmetric
     return SystemModel(
         n=n, q=q, A=raw.A.copy(), C=raw.C.copy(), **noise,
@@ -208,6 +210,28 @@ def validate_model(raw: SystemModel) -> SystemModel:
         budget_select=float(raw.budget_select),
         budget_attack=float(raw.budget_attack),
     )
+
+
+def check_finite(**arrays) -> None:
+    """Raise NonFiniteInput, naming the array, for the first of ``arrays``
+    with an entry that is not finite: no kernel gives such input an answer."""
+    for name, M in arrays.items():
+        if not np.isfinite(M).all():
+            raise NonFiniteInput(f"{name} has an entry that is not finite")
+
+
+def symmetric(X: np.ndarray) -> np.ndarray:
+    """Symmetric part of X (n x n or a stack), halved first: no overflow near the float maximum."""
+    half = 0.5 * X
+    return half + half.swapaxes(-1, -2)
+
+
+def noise_root(M: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one rule for a noise covariance M (W, V or Sigma; n x n or a stack) named ``name``:
+    NonFiniteInput unless M is finite, then (sym, *psd_root(sym, name)), sym = symmetric(M)."""
+    check_finite(**{name: M})
+    sym = symmetric(M)
+    return (sym, *psd_root(sym, name))
 
 
 def psd_root(X: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:

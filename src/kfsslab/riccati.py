@@ -10,10 +10,10 @@ R0, its noiseless rows, and F, its noisy ones whitened, whose gain
 C1' V1^-1 C1 is G = F'F.  A V = L L' that _noise_gain finds nonsingular
 has R0 = 0 and F = L^-1 C.  Otherwise rows scaled to unit norm split V into
 noisy rows and noiseless ones (_split), a decision that does not depend
-on the scale of a measurement (a row of C and V's row and column alike);
-a V that _split refuses (not finite, or not PSD within its cutoff)
-raises NoConvergence.  The covariance is then computed in one of three
-ways chosen from (R0, F), A, W and the metric:
+on the scale of a measurement (a row of C and V's row and column alike).
+No kernel judges its input: every entry point has refused it first (see
+below).  The covariance is then computed in one of three ways chosen from
+(R0, F), A, W and the metric:
 
 * An a priori member without noiseless rows: S = A S (I + G S)^-1 A' + W,
   solved by the structure-preserving doubling algorithm (Chu, Fan & Lin;
@@ -68,9 +68,9 @@ interval is that of the a posteriori trace.  An a priori request's
 filtered run, Newton runs and closed-form members drop nothing.
 PBH takes one kernel basis of A - lam I per unstable mode and request.
 Newton's gain shares _pinv_psd with pseudo_inverse_psd.
-solve_dare, and every public solver call in the solvers module, tests
-stabilizability once and uncached (check_stabilizable); its root W = L L'
-(model.psd_root, validate_model's rule) refuses a W that is not PSD.
+solve_dare and every public solver call apply validate_model's input rule
+before any kernel runs, solve with W's and V's symmetric parts
+(model.noise_root), and test stabilizability once (check_stabilizable).
 
 Four module constants hold the tolerances: TOL (the stopping rule),
 PINV_RTOL (the pseudo-inverse cutoff and every rank decision's: whether V
@@ -83,18 +83,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import SteadyStateResult, psd_root, restrict  # restrict: unused here, perfbench's tracer patches it
+from .model import DimensionMismatch, SteadyStateResult, check_finite, noise_root, psd_root, symmetric as _sym
+from .model import NonFiniteInput, restrict  # unused: model's class re-exported, and the tracer patches restrict
 
-class ShapeError(ValueError):
+class ShapeError(DimensionMismatch):
     pass
 
 
 class NoConvergence(RuntimeError):
-    """A V was not finite or not PSD, a doubling run (plain, filtered or
-    Stein) or the Newton iteration reached MAX_STEPS above tolerance, a
-    doubling iterate became non-finite, a Newton start was singular (a V
-    too large for the delta to count), or a solution's trace overflowed or
-    its diagonal fell below W's."""
+    """A solve failed: a scaled sensor row overflowed (_split), a doubling
+    run (plain, filtered or Stein) or the Newton iteration reached
+    MAX_STEPS above tolerance, a doubling iterate became non-finite, a
+    Newton start was singular (a V too large for the delta to count), or a
+    solution's trace overflowed or it failed its certificate."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(f"{message} (residual {residual:.3e} after {iterations} iterations)")
@@ -104,18 +105,6 @@ class NoConvergence(RuntimeError):
 
 class StabilizabilityViolation(ValueError):
     pass
-
-
-class NonFiniteInput(ValueError):
-    pass
-
-
-def _check_finite(**arrays) -> None:
-    """Raise NonFiniteInput, naming the array, for the first of ``arrays``
-    with an entry that is not finite: no kernel gives such input an answer."""
-    for name, M in arrays.items():
-        if not np.isfinite(M).all():
-            raise NonFiniteInput(f"{name} has an entry that is not finite")
 
 
 # Noise added to a singular V for the Newton start, which only members with
@@ -257,13 +246,6 @@ def _doubling_dare(A, G, W, settle=None):
     raise NoConvergence("iteration cap reached above tolerance", float(step[0]), MAX_STEPS)
 
 
-def _sym(X: np.ndarray) -> np.ndarray:
-    """Symmetric part of every member of the stack X (k x n x n), halved
-    first so that entries near the float maximum do not overflow."""
-    half = 0.5 * X
-    return half + half.transpose(0, 2, 1)
-
-
 def _fro(X: np.ndarray) -> np.ndarray:
     """np.linalg.norm(X, axis=(1, 2)) of a real stack X, without the
     dispatch.  Only a member whose sum of squares overflows is summed again,
@@ -342,14 +324,14 @@ def _newton_dare(A, C, W, V) -> tuple[np.ndarray, np.ndarray]:
     raise NoConvergence("iteration cap reached above tolerance", float(last[0]), MAX_STEPS)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite scaled row raises NoConvergence below
+@np.errstate(over="ignore")  # an overflowing scaled row raises NoConvergence below
 def _split(C, V):
     """The reduction's rank decision on V for the stacks C (k x p x n) and
     V (k x p x p), once per member: (R0, F1), R0 (k x p x n) the noiseless
     rows and F1 (k x p x n) the noisy ones whitened, zeros elsewhere in
-    both, so that F1'F1 = C1' V1^-1 C1 is the noisy rows' gain.  Raises
-    NoConvergence unless every member's scaled C and V are finite with V
-    PSD within the cutoff.
+    both, so that F1'F1 = C1' V1^-1 C1 is the noisy rows' gain.  V passed
+    model.noise_root at every entry point; a row whose norm or scaled V
+    overflows raises NoConvergence, which names the row.
 
     Each row of C is scaled by 1/||C_i|| (a zero row, such as a pad, by 1)
     and V alike, so a diagonal entry is its row's noise per squared gain.
@@ -367,19 +349,18 @@ def _split(C, V):
     d = np.where(norm > 0.0, norm, 1.0)
     R = C / d[:, :, None]
     v = V / d[:, :, None] / d[:, None, :]
-    ok = np.isfinite(norm).all(axis=1) & np.isfinite(v).all(axis=(1, 2))
+    for _, i in np.argwhere(~(np.isfinite(norm) & np.isfinite(v).all(axis=2)))[:1]:
+        raise NoConvergence(f"row {i} of C overflows when scaled to unit norm", np.nan, 0)
     w = v.diagonal(axis1=1, axis2=2).copy()
     cut = np.full(w.shape, PINV_RTOL)
     off = ~np.eye(p, dtype=bool)
-    full = ok & ((v != 0.0) & off).any(axis=(1, 2))
+    full = ((v != 0.0) & off).any(axis=(1, 2))
     if full.any():
         r = (C[full].any(axis=2) | ((V[full] != 0.0) & off).any(axis=2)).sum(axis=1)
         w[full], U = np.linalg.eigh(v[full])
         R[full] = U.transpose(0, 2, 1) @ R[full]
         cut[full] = np.maximum(PINV_RTOL, 8 * r[:, None] * np.finfo(float).eps * w[full][:, -1:])
-    if not (ok & (w >= -cut).all(axis=1)).all():
-        raise NoConvergence("noise V is not finite or not positive semidefinite", np.nan, 0)
-    noisy = w > cut
+    noisy = w > cut  # a negative w, round-off that the PSD floor let through, is noiseless
     R1 = R * np.sqrt(np.divide(1.0, w, out=np.zeros(w.shape), where=noisy))[:, :, None]
     return np.where(noisy[:, :, None], 0.0, R), R1
 
@@ -389,9 +370,7 @@ def _noise(C, V):
     C (k x p x n) and V (k x p x p): R0 (k x p x n) its noiseless rows and
     F (k x p x n) its noisy ones whitened, so that G = F'F is their gain
     C1' V1^-1 C1.  A member whose V _noise_gain finds nonsingular has
-    R0 = 0 and its F; any other takes _split's R0 and F1, and _split raises
-    NoConvergence when it refuses a member's V (not finite, or not PSD
-    within its cutoff)."""
+    R0 = 0 and its F; any other takes _split's R0 and F1."""
     nonsingular, F = _noise_gain(C, V)
     R0 = np.zeros(C.shape)
     if nonsingular.all():
@@ -512,7 +491,7 @@ def pseudo_inverse_psd(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ShapeError(f"expected a square matrix, got {M.shape}")
-    _check_finite(M=M)
+    check_finite(M=M)
     return _sym(_pinv_psd(_sym(M[None])))[0]
 
 
@@ -523,16 +502,15 @@ def posteriori_from_priori(Sigma, C_sel, V_sel) -> np.ndarray:
     G the gain of the noisy rows, solved by _update.  Neither step
     subtracts a term close to S.  Of a solve_dare result it agrees with the a
     posteriori covariance that the solvers take from their filtered run to
-    round-off, not bit for bit.  Raises NonFiniteInput when S or C is not
-    finite, model.NotPSD, naming it Sigma, when S is not PSD (psd_root),
-    and NoConvergence when V is not finite or not PSD (_noise)."""
+    round-off, not bit for bit.  Raises ShapeError on mismatched shapes,
+    and applies model.noise_root to S (named Sigma) and V, and updates
+    their symmetric parts; NonFiniteInput is raised for C too."""
     Sigma, C, V = (np.asarray(M, dtype=float) for M in (Sigma, C_sel, V_sel))
-    _check_finite(Sigma=Sigma, C=C)
     if C.ndim != 2 or Sigma.shape != (C.shape[1],) * 2 or V.shape != (C.shape[0],) * 2:
         raise ShapeError(f"need C p x n, an n x n covariance and V p x p, got {C.shape}, {Sigma.shape}, {V.shape}")
-    Sigma = _sym(Sigma[None])
-    psd_root(Sigma, "Sigma")
-    return _posteriori(Sigma, *_noise(C[None], V[None]))[0]
+    check_finite(C=C)
+    Sigma, V = noise_root(Sigma, "Sigma")[0], noise_root(V, "V")[0]
+    return _posteriori(Sigma[None], *_noise(C[None], V[None]))[0]
 
 
 def _check_shapes(A, C=None, W=None, V=None) -> None:
@@ -570,7 +548,8 @@ def _detectable(images: list, idx: np.ndarray) -> np.ndarray:
     for image in images:
         r = image.shape[1]
         if r == 1:
-            ok &= np.sqrt((np.abs(image[:, 0]) ** 2)[idx].sum(axis=1)) > PBH_TOL
+            with np.errstate(over="ignore"):  # a row of 1e155 or more has an infinite norm: it sees the mode
+                ok &= np.sqrt((np.abs(image[:, 0]) ** 2)[idx].sum(axis=1)) > PBH_TOL
         elif r:  # fewer rows that see the mode than kernel directions never have full rank
             ok &= (image[idx] != 0).any(axis=2).sum(axis=1) >= r
             if r <= idx.shape[1]:
@@ -589,30 +568,28 @@ def is_detectable(A, C_sel) -> bool:
     A = np.asarray(A, dtype=float)
     C_sel = np.asarray(C_sel, dtype=float)
     _check_shapes(A, C_sel)
-    _check_finite(A=A, C=C_sel)
+    check_finite(A=A, C=C_sel)
     return bool(_detectable(_mode_images(A, C_sel), np.arange(C_sel.shape[0])[None])[0])
 
 
 def is_stabilizable_noise(A, W) -> bool:
     """Dual PBH test that (A, W^{1/2}) is stabilizable: (A', L') is
-    detectable for the root W = L L' (psd_root), as for any such L.
-    Raises ShapeError when A or W is not n x n, NonFiniteInput for a
-    non-finite A or W, and model.NotPSD for a W not PSD."""
+    detectable for the root L of W (model.noise_root), as for any such L.
+    Raises ShapeError unless A and W are n x n, then as noise_root and is_detectable do."""
     A, W = np.asarray(A, dtype=float), np.asarray(W, dtype=float)
     _check_shapes(A, W=W)
-    _check_finite(W=W)  # and is_detectable checks A
-    L = psd_root(0.5 * W + 0.5 * W.T, "W")[1]  # halved first: no overflow near the float maximum
-    return is_detectable(A.T, L.T)
+    return is_detectable(A.T, noise_root(W, "W")[2].T)  # is_detectable checks A
 
 
-def check_stabilizable(A, W) -> None:
-    """Raise StabilizabilityViolation unless (A, W^{1/2}) is stabilizable.
+def check_stabilizable(A, W) -> np.ndarray:
+    """Raise StabilizabilityViolation unless (A, W^{1/2}) is stabilizable, else return W's symmetric part.
 
     The verdict depends on A, W and PBH_TOL only, not on the sensors, so
     each public solver call tests it once, uncached.
     """
     if not is_stabilizable_noise(A, W):
         raise StabilizabilityViolation("(A, W^(1/2)) is not stabilizable")
+    return _sym(np.asarray(W, dtype=float))
 
 
 def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.ndarray, np.ndarray]:
@@ -731,19 +708,20 @@ def solve_dare(A, C, W, V, posteriori=False) -> SteadyStateResult:
     With one nonzero column in A and W nonsingular, the filtered equation
     is solved in closed form, and ``iterations`` is 0.
 
-    Returns the infinite result when (A, C) is undetectable.  Raises
-    NonFiniteInput when A, C or W is not finite, ShapeError on mismatched
-    shapes, model.NotPSD when W is not PSD (is_stabilizable_noise's
-    test), StabilizabilityViolation when (A, W^{1/2}) is not
-    stabilizable, and NoConvergence when V is not finite or not PSD, a run
-    does not converge, or a certificate fails (see _solve_detectable).
+    Returns the infinite result when (A, C) is undetectable.  Raises, as
+    the solvers do, ShapeError on mismatched shapes, NonFiniteInput and
+    model.NotPSD by model.noise_root's rule (it solves with W's and V's
+    symmetric parts), then StabilizabilityViolation, and NoConvergence
+    when a solve fails (see _split and _solve_detectable).
     """
     A = np.ascontiguousarray(A, dtype=float)
     C = np.ascontiguousarray(C, dtype=float)
     W = np.ascontiguousarray(W, dtype=float)
     V = np.ascontiguousarray(V, dtype=float)
     _check_shapes(A, C, W, V)
-    check_stabilizable(A, W)
+    check_finite(C=C)
+    V = noise_root(V, "V")[0]
+    W = check_stabilizable(A, W)
     if not is_detectable(A, C):
         return SteadyStateResult.infinite()
     S, iters = _solve_detectable(A, W, C[None], V[None], posteriori)

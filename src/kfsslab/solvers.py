@@ -27,8 +27,8 @@ greedy_and_optimal takes a sequence of models that share A and W, such as
 a sweep's grid points: both drivers of every model read the table, and
 the sets both are known to read are scored for all models at once, in
 one stack whose chunks mix the subset sizes.  Every public solver checks
-its input and tests stabilizability once, uncached, before it solves
-anything; the private drivers do neither.  Adding a sensor
+its input, C and V too, and stabilizability once, uncached, before it
+enumerates or solves; the private drivers do neither.  Adding a sensor
 never raises the trace, so the exhaustive search solves only the
 inclusion-maximal feasible sets, and then the subsets of tied sets that the
 smallest-support tie rule needs, less those one sensor short of a scored
@@ -61,7 +61,7 @@ from itertools import combinations
 import numpy as np
 
 from . import riccati
-from .model import SelectionVector, SteadyStateResult, SystemModel, as_integer, restrict
+from .model import SelectionVector, SteadyStateResult, SystemModel, as_integer, check_finite, noise_root, restrict
 from .model import complement  # unused here; perfbench's tracer patches solvers.complement
 from .riccati import posteriori_from_priori  # unused here; perfbench's tracer patches solvers.posteriori_from_priori
 
@@ -150,9 +150,9 @@ class _ScoreTable:
     its sorted sensor indices, or None for one that a bound dropped.  An
     attack indicator is scored through its survivor set.
 
-    The constructor checks the metric, tests once that (A, W^1/2) is
-    stabilizable and that the models share A, W and the sensor count, and
-    stacks their rows of C and V, then q null sensors -1 ... -q: zero rows
+    The constructor, the solvers' one door, checks the metric, that the
+    models share A, W and q, and what solve_dare checks (V by one batched
+    noise_root).  It stacks C and V, then q null sensors -1 ... -q: zero rows
     of C whose noise is an identity block, zero against every real sensor,
     with the PBH mode images of that stack.  A call solves the members the
     table lacks in (size, kept, j) order, kept the sensors the filter runs
@@ -167,17 +167,21 @@ class _ScoreTable:
 
     def __init__(self, models, metric: str, attack: bool):
         _check_metric(metric)
-        model = models[0]
-        riccati.check_stabilizable(model.A, model.W)
-        if any(m.q != model.q or not np.array_equal(m.A, model.A) or not np.array_equal(m.W, model.W)
+        model, q = models[0], models[0].q
+        if any(m.q != q or not np.array_equal(m.A, model.A) or not np.array_equal(m.W, model.W)
                for m in models[1:]):
             raise ValueError("models scored together must share A, W and the sensor count")
+        riccati._check_shapes(model.A, W=model.W)
+        if any(m.C.shape != (q, len(model.A)) or m.V.shape != (q, q) for m in models):
+            raise riccati.ShapeError(f"C must be q x n and V q x q, q = {q} sensors, in every model")
+        self.C = np.concatenate([m.C for m in models] + [np.zeros((q, len(model.A)))])
+        check_finite(C=self.C)
+        self.V = np.zeros((len(self.C), 2 * q))
+        self.V[:-q, :q] = noise_root(np.stack([m.V for m in models]), "V")[0].reshape(-1, q)
+        self.V[-q:, q:] = np.eye(q)
+        self.W = riccati.check_stabilizable(model.A, model.W)
         self.models, self.metric, self.attack = models, metric, attack
         self.best, self.worst = (max, -math.inf) if attack else (min, math.inf)
-        self.C = np.concatenate([m.C for m in models] + [np.zeros((model.q, model.n))])
-        self.V = np.zeros((len(self.C), 2 * model.q))
-        self.V[:-model.q, :model.q] = np.concatenate([m.V for m in models])
-        self.V[-model.q:, model.q:] = np.eye(model.q)
         self.images = riccati._mode_images(model.A, self.C)
         self.scores: dict[tuple[int, tuple[int, ...]], tuple[float, np.ndarray] | None] = {}
 
@@ -192,7 +196,7 @@ class _ScoreTable:
         their chunk's kernel run."""
         members = [(j, tuple(sorted(s))) for j, s in members]
         settle = None if bound is None else self._settle(bound)
-        A, W, q = self.models[0].A, self.models[0].W, self.models[0].q
+        A, W, q = self.models[0].A, self.W, self.models[0].q
         sensors = frozenset(range(q))
         lacking = {m for m in members if m not in self.scores or settle is None and self.scores[m] is None}
         missing = sorted((len(kept), kept, j, s) for j, s in lacking
@@ -419,15 +423,15 @@ def exhaustive_select(model: SystemModel, costs, budget: float, metric: str) -> 
     any enumeration.  Ties resolve to the smallest support, then the
     lexicographically smallest bit pattern.
     """
-    search = _maximal_feasible(model, costs, budget, attack=False)
-    return _exhaustive(_ScoreTable([model], metric, attack=False), 0, *search)
+    table = _ScoreTable([model], metric, attack=False)
+    return _exhaustive(table, 0, *_maximal_feasible(model, costs, budget, attack=False))
 
 
 def exhaustive_attack(model: SystemModel, costs, budget: float, metric: str) -> SolveReport:
     """Exact worst-case attack over every removal set within budget, for
     nonnegative costs; ties resolve as in exhaustive_select."""
-    search = _maximal_feasible(model, costs, budget, attack=True)
-    return _exhaustive(_ScoreTable([model], metric, attack=True), 0, *search)
+    table = _ScoreTable([model], metric, attack=True)
+    return _exhaustive(table, 0, *_maximal_feasible(model, costs, budget, attack=True))
 
 
 def trace_ratio(num: float, den: float) -> float:
@@ -473,9 +477,9 @@ def greedy_and_optimal(
     for m in models:
         k = _check_cardinality_budget(m, budget, attack)
     q = models[0].q
+    table = _ScoreTable(models, metric, attack)
     # greedy's unit costs make every model's feasible sets the same
     n_feasible, maximal = _maximal_feasible(models[0], np.ones(q), float(k), attack)
-    table = _ScoreTable(models, metric, attack)
     first = [(i,) for i in range(q)] if k else [()]
     table([(j, c) for j in range(len(models)) for c in first + maximal])
     out = []

@@ -108,8 +108,8 @@ def test_solve_rejects_malformed_json(example1_file, tmp_path, capsys):
     ({"q": 0}, "need n >= 1 and q >= 1, got n=3, q=0"),
     ({"b": [1.0, 1.0]}, "b must have length 3, got shape (2,)"),
     ({"omega": [1.0]}, "omega must have length 3, got shape (1,)"),
-    ({"A": [[0.9, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 0.0]]}, "A contains non-finite entries"),
-    ({"omega": [1.0, math.inf, 1.0]}, "omega contains non-finite entries"),
+    ({"A": [[0.9, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 0.0]]}, "A has an entry that is not finite"),
+    ({"omega": [1.0, math.inf, 1.0]}, "omega has an entry that is not finite"),
     ({"budget_select": math.inf}, "budgets must be finite"),
     ({"budget_attack": math.nan}, "budgets must be finite"),
     ({"omega": [1.0, -1.0, 1.0]}, "attack costs must be nonnegative"),

@@ -11,6 +11,7 @@ from kfsslab.model import (
     DimensionMismatch,
     ModelError,
     NegativeCost,
+    NonFiniteInput,
     NotPSD,
     SelectionVector,
     SteadyStateResult,
@@ -93,9 +94,9 @@ def test_negative_cost_rejected():
     (dict(q=0), DimensionMismatch, "need n >= 1 and q >= 1, got n=3, q=0"),
     (dict(b=np.ones(2)), DimensionMismatch, "b must have length 3, got shape (2,)"),
     (dict(omega=np.ones(4)), DimensionMismatch, "omega must have length 3, got shape (4,)"),
-    (dict(A=np.diag([0.9, math.nan, 0.0])), ModelError, "A contains non-finite entries"),
-    (dict(V=np.diag([1.0, math.inf, 1.0])), ModelError, "V contains non-finite entries"),
-    (dict(b=np.array([1.0, math.inf, 1.0])), ModelError, "b contains non-finite entries"),
+    (dict(A=np.diag([0.9, math.nan, 0.0])), NonFiniteInput, "A has an entry that is not finite"),
+    (dict(V=np.diag([1.0, math.inf, 1.0])), NonFiniteInput, "V has an entry that is not finite"),
+    (dict(b=np.array([1.0, math.inf, 1.0])), NonFiniteInput, "b has an entry that is not finite"),
     (dict(budget_select=math.inf), ModelError, "budgets must be finite"),
     (dict(budget_attack=math.nan), ModelError, "budgets must be finite"),
     (dict(omega=np.array([1.0, -1.0, 1.0])), NegativeCost, "attack costs must be nonnegative"),
@@ -170,6 +171,15 @@ def test_complement_examples():
     # attacking sensor 4 of the attack family leaves sensors 1..3
     att = AttackVector.from_support(4, [3])
     assert complement(att).support == (0, 1, 2)
+
+
+def test_from_support_refuses_an_index_outside_the_sensors_or_given_twice():
+    assert SelectionVector.from_support(3, [2, 0]).bits == (1, 0, 1)
+    assert SelectionVector.from_support(3, range(0)).bits == (0, 0, 0)
+    # -1 used to set the last bit, a repeat passed, and 3 raised a bare IndexError
+    for support in ([-1], [0, 0], [3], [1, 2, 1]):
+        with pytest.raises(ValueError, match="is repeated or outside 0..2$"):
+            SelectionVector.from_support(3, support)
 
 
 def test_complement_is_involution():

@@ -344,6 +344,16 @@ def test_unstabilizable_noise_pair_rejected():
         solve_dare(np.array([[1.5]]), np.array([[1.0]]), np.array([[0.0]]), np.array([[1.0]]))
 
 
+def test_a_large_valid_row_sees_its_mode_without_a_warning():
+    # |C v|^2 of the row 1e200 overflows to inf, the right verdict for the
+    # unstable mode it sees; the single-mode PBH test must not warn on it
+    m = validate_model(SystemModel(n=2, q=2, A=np.diag([1.05, 0.5]), C=np.array([[1e200, 0.0], [0.0, 1.0]]),
+                                   W=np.eye(2), V=np.eye(2), budget_select=2.0))
+    assert is_detectable(m.A, m.C[:1]) and not is_detectable(m.A, m.C[1:])
+    for report in (exhaustive_select(m, m.b, 2.0, "posteriori"), greedy_select(m, 2, "posteriori")):
+        assert (report.trace, report.chosen.support) == (0.5311288741492748, (0, 1))
+
+
 def test_stabilizability_of_a_noise_near_the_float_maximum():
     # W = 1e308 is finite and excites the unstable mode; its square root
     # must not overflow on the way (a RuntimeWarning fails the test)
@@ -484,15 +494,21 @@ DIAG_A = np.diag([0.5, 0.3])
 
 
 @pytest.mark.parametrize("V", [[[-1.0]], [[math.nan]], 1e14 * np.ones((2, 2))])
-def test_a_newton_start_that_cannot_be_factored_raises_no_convergence(V):
+def test_a_newton_start_that_cannot_be_factored_raises_no_convergence(monkeypatch, V):
     # with W singular, the noiseless member of the rank-one V takes Newton,
     # and 1e14 + NEWTON_START_DELTA rounds to 1e14, so its start
-    # V + delta I keeps the rank; V = -1 and NaN are refused before any
-    # kernel, since _noise refuses a V that is not PSD or not finite
+    # V + delta I keeps the rank; V = -1 and NaN are input errors, which
+    # solve_dare refuses by validate_model's rule before any kernel runs
+    used = _kernel_spy(monkeypatch)
     V = np.array(V)
     p = V.shape[0]
-    message = "not finite or not positive semidefinite" if p == 1 else "Newton start"
-    with pytest.raises(NoConvergence, match=message) as exc:
+    if p == 1:
+        error, message = (NonFiniteInput, "^V has an entry") if math.isnan(V[0, 0]) else (NotPSD, "^V has eigenvalue")
+        with pytest.raises(error, match=message):
+            solve_dare(DIAG_A[:p, :p], np.eye(p), np.diag([1.0, 0.0])[:p, :p], V)
+        assert used == []
+        return
+    with pytest.raises(NoConvergence, match="Newton start") as exc:
         solve_dare(DIAG_A[:p, :p], np.eye(p), np.diag([1.0, 0.0])[:p, :p], V)
     assert exc.value.iterations == 0
 
@@ -510,12 +526,14 @@ def test_a_stack_member_does_not_borrow_another_members_newton_start():
     lambda m: exhaustive_select(m, m.b, 2.0, "priori"),
     lambda m: greedy_attack(m, 0, "posteriori"),
 ], ids=["exhaustive_select", "greedy_attack"])
-def test_solvers_refuse_a_noise_that_is_not_psd(run):
-    # an unvalidated model: V = -I reaches the kernel unchanged, which
-    # refuses it before any solve
+def test_solvers_refuse_a_noise_that_is_not_psd(monkeypatch, run):
+    # an unvalidated model: the solvers apply validate_model's rule to
+    # V = -I before any kernel runs
+    used = _kernel_spy(monkeypatch)
     m = SystemModel(n=2, q=2, A=DIAG_A, C=np.eye(2), W=np.eye(2), V=-np.eye(2))
-    with pytest.raises(NoConvergence, match="not finite or not positive semidefinite"):
+    with pytest.raises(NotPSD, match="^V has eigenvalue -1.000e"):
         run(m)
+    assert used == []
 
 
 def _rotated(w):
@@ -529,14 +547,26 @@ def _rotated(w):
                          ids=["NaN off-diagonal", "eigenvalue -1e-6"])
 def test_a_noise_that_is_not_finite_or_not_psd_is_refused_before_any_kernel(monkeypatch, V, W):
     used = _kernel_spy(monkeypatch)
-    with pytest.raises(NoConvergence, match="not finite or not positive semidefinite") as exc:
+    error, message = (NotPSD, "^V has eigenvalue -1.000e-06") if np.isfinite(V).all() else (NonFiniteInput, "^V has an entry")
+    with pytest.raises(error, match=message):
         solve_dare(DIAG_A, np.eye(2), W, V)
-    assert used == [] and exc.value.iterations == 0
+    assert used == []
 
 
-def test_an_indefinite_noise_has_no_measurement_update():
-    with pytest.raises(NoConvergence, match="not finite or not positive semidefinite"):
+def test_split_refuses_only_a_row_that_overflows_when_scaled(monkeypatch):
+    # the noiseless row [1e200, 1e200] has a norm past the float maximum;
+    # its input is valid, so the refusal is a failed solve that names it
+    used = _kernel_spy(monkeypatch)
+    with pytest.raises(NoConvergence, match="^row 1 of C overflows when scaled to unit norm"):
+        solve_dare(DIAG_A, np.array([[1.0, 0.0], [1e200, 1e200]]), np.eye(2), np.diag([1.0, 0.0]))
+    assert used == []
+
+
+def test_an_indefinite_noise_has_no_measurement_update(monkeypatch):
+    used = _kernel_spy(monkeypatch)
+    with pytest.raises(NotPSD, match="^V has eigenvalue -1.000e-06"):
         posteriori_from_priori(np.eye(2), np.eye(2), _rotated([1.0, -1e-6]))
+    assert used == []
 
 
 @pytest.mark.parametrize("W", [np.eye(2), np.diag([1.0, 0.0])], ids=["W=I", "W singular"])

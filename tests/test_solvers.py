@@ -7,7 +7,18 @@ import pytest
 
 from kfsslab.closed_forms import example1_predictions, example2_predictions, msee_limit
 from kfsslab.gadgets import X3CInstance, build_example1, build_example2, build_kfsa_gadget, build_kfss_gadget
-from kfsslab.model import AttackVector, SelectionVector, SystemModel, complement, restrict, validate_model
+from kfsslab.model import (
+    AttackVector,
+    DimensionMismatch,
+    NonFiniteInput,
+    NotPSD,
+    SelectionVector,
+    SystemModel,
+    complement,
+    restrict,
+    symmetric,
+    validate_model,
+)
 from kfsslab import riccati, solvers
 from kfsslab.solvers import (
     METRICS,
@@ -850,3 +861,83 @@ def test_greedy_and_optimal_over_models_equals_each_model_alone(monkeypatch):
     monkeypatch.setattr(riccati, "_solve_detectable", lambda *a: pytest.fail("solved"))
     with pytest.raises(ValueError, match="share A, W"):
         greedy_and_optimal([models[0], build_example1(0.6, 1.0)], 2, "select", "priori")
+
+
+def _spoilt(M, i, j, value):
+    M = M.copy()
+    M[i, j] = value
+    return M
+
+
+@pytest.mark.parametrize("C, V, error", [
+    (_spoilt(np.eye(2), 1, 1, math.nan), np.eye(2), NonFiniteInput),
+    (_spoilt(np.eye(2), 1, 0, math.inf), np.eye(2), NonFiniteInput),
+    (np.eye(2), _spoilt(_spoilt(np.eye(2), 0, 1, math.nan), 1, 0, math.nan), NonFiniteInput),
+    (np.eye(2), np.array([[0.5 - 5e-7, 0.5 + 5e-7], [0.5 + 5e-7, 0.5 - 5e-7]]), NotPSD),  # eigenvalues 1, -1e-6
+    (np.ones((2, 3)), np.eye(2), DimensionMismatch),
+], ids=["nan-in-C", "inf-in-C", "nan-in-V", "V-eigenvalue--1e-6", "C-of-wrong-width"])
+def test_every_entry_point_refuses_bad_input_alike_before_any_kernel(monkeypatch, C, V, error):
+    # an unvalidated model: each entry point applies validate_model's rule
+    # itself, so all raise one ModelError subclass and no kernel runs
+    used = []
+    for name in ("_noise", "_solve_detectable", "_posteriori", "_doubling_dare", "_newton_dare", "_filtered"):
+        monkeypatch.setattr(riccati, name, lambda *a, _name=name, **k: used.append(_name))
+    m = SystemModel(n=2, q=2, A=np.diag([1.05, 0.5]), C=C, W=np.eye(2), V=V)
+    calls = {
+        "greedy_select": lambda: greedy_select(m, 1, "priori"),
+        "greedy_attack": lambda: greedy_attack(m, 1, "posteriori"),
+        "exhaustive_select": lambda: exhaustive_select(m, m.b, 1.0, "posteriori"),
+        "exhaustive_attack": lambda: exhaustive_attack(m, m.omega, 1.0, "priori"),
+        "greedy_and_optimal": lambda: greedy_and_optimal([m], 1, "select", "priori"),
+        "evaluate_selection": lambda: evaluate_selection(m, SelectionVector((1, 1)), "posteriori"),
+        "solve_dare": lambda: riccati.solve_dare(m.A, m.C, m.W, m.V),
+        "posteriori_from_priori": lambda: riccati.posteriori_from_priori(np.eye(2), m.C, m.V),
+    }
+    raised = {}
+    for name, call in calls.items():
+        with pytest.raises(error) as exc:
+            call()
+        raised[name] = type(exc.value)
+    assert len(set(raised.values())) == 1, raised
+    assert used == []
+
+
+def _raw_models(seed):
+    """Raw models (not validated) with W and V symmetric or not, PSD, some
+    of rank below their size, which validate_model may clamp."""
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        n, q = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+        A = rng.standard_normal((n, n))
+        A *= rng.uniform(0.3, 1.1) / max(abs(np.linalg.eigvals(A)))
+        B, D = rng.standard_normal((n, n)), rng.standard_normal((q, int(rng.integers(1, q + 1))))
+        W, V = B @ B.T + 0.1 * np.eye(n), D @ D.T
+        if rng.random() < 0.5:  # asymmetric, with the symmetric part kept up to round-off
+            T, U = rng.standard_normal((n, n)), rng.standard_normal((q, q))
+            W, V = W + T - T.T, V + U - U.T
+        yield SystemModel(n=n, q=q, A=A, C=rng.standard_normal((q, n)), W=W, V=V)
+    yield SystemModel(n=2, q=2, A=np.diag([1.05, 0.5]), C=np.eye(2), W=np.eye(2), V=np.diag([1.0, -5e-11]))
+    yield SystemModel(n=2, q=2, A=np.diag([1.05, 0.5]), C=np.eye(2), W=np.array([[1.0, 0.6], [0.0, 1.0]]),
+                      V=np.array([[1.0, 0.0], [0.4, 1.0]]))
+
+
+@pytest.mark.parametrize("seed", [3, 29, 2029])
+def test_a_raw_model_gives_the_reports_of_its_validated_copy(seed):
+    # the library answers the problem the CLI answers: bit for bit where
+    # validate_model stores the symmetric parts of W and V, and within
+    # round-off of its clamp where it stores L L'
+    for raw in _raw_models(seed):
+        valid = validate_model(raw)
+        clamped = not (np.array_equal(valid.W, symmetric(raw.W)) and np.array_equal(valid.V, symmetric(raw.V)))
+        k = raw.q // 2
+        for metric in METRICS:
+            runs = (lambda m: greedy_select(m, k, metric), lambda m: greedy_attack(m, k, metric),
+                    lambda m: exhaustive_select(m, m.b, k, metric), lambda m: exhaustive_attack(m, m.omega, k, metric))
+            for run in runs:
+                got, want = report_to_dict(run(raw)), report_to_dict(run(valid))
+                if not clamped:
+                    assert got == want
+                    continue
+                assert got["bits"] == want["bits"] and got["infinite"] == want["infinite"]
+                if not want["infinite"]:
+                    assert abs(got["trace"] - want["trace"]) <= 1e-12 * want["trace"]
