@@ -152,14 +152,17 @@ def _noise_gain(C: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Cholesky pivot of row i, is at or below PINV_RTOL * max(1, V_ii): the
     cutoff is absolute for entries up to 1 and relative to larger ones, so
     a rank-one s [[1, 1], [1, 1]] is singular at any scale s.  V is PSD, so
-    the diagonal test decides some members without a factorization.  A
-    batched factorization fails as a whole when one member is not positive
-    definite; the members are then factored one by one.
+    the diagonal test decides some members without a factorization.  None
+    left (V = 0) skips the factorization, no nonsingular member the solve.
+    A batched factorization fails as a whole when one member is not
+    positive definite; the members are then factored one by one.
     """
     p = V.shape[1]
     cut = PINV_RTOL * np.maximum(1.0, V.diagonal(axis1=1, axis2=2))
     ok = (V.diagonal(axis1=1, axis2=2) > cut).all(axis=1)
     tried = np.flatnonzero(ok)
+    if not tried.size:
+        return ok, C[ok]
     try:
         L = np.linalg.cholesky(V[tried])
     except np.linalg.LinAlgError:
@@ -171,7 +174,7 @@ def _noise_gain(C: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 pass
     pivots_ok = (L.diagonal(axis1=1, axis2=2) ** 2 > cut[tried]).all(axis=1)
     ok[tried] = pivots_ok
-    return ok, np.linalg.solve(L[pivots_ok], C[ok])
+    return ok, np.linalg.solve(L[pivots_ok], C[ok]) if pivots_ok.any() else C[ok]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises NoConvergence instead
@@ -445,21 +448,24 @@ def _update(X, F, Y):
     t)(sqrt(n) + sqrt(t) / 2), of which random members with t in (1e2, 1e4]
     reach 0.27.  A member with t <= UPDATE_BOUND solves with M, the others
     [[I, X F'/c], [-c F, I]] [Z; U] = [Y; 0], U = c F Z, which never forms G;
-    c, a power of 2 near the root of X's largest variance, steers pivoting."""
+    c, a power of 2 near the root of X's largest variance, steers pivoting.
+    A path with no members makes no call."""
     n = X.shape[1]
     with np.errstate(over="ignore"):  # an overflowing t is inf: not easy
         easy = np.trace(X, axis1=1, axis2=2) * np.add.reduce(F * F, axis=(1, 2)) <= UPDATE_BOUND
     Z, GZ, hard = np.empty(Y.shape), np.empty(Y.shape), ~easy
-    G = F[easy].transpose(0, 2, 1) @ F[easy]
-    Z[easy] = ZE = np.linalg.solve(np.eye(n) + X[easy] @ G, Y[easy])
-    GZ[easy] = G @ ZE
-    X, F, h, p = X[hard], F[hard], hard.sum(), F.shape[1]
-    c = np.ldexp(1.0, np.frexp(np.sqrt(X.diagonal(axis1=1, axis2=2).max(axis=1)))[1])[:, None, None]
-    FT = F.transpose(0, 2, 1) / c
-    B = np.concatenate((np.concatenate((np.broadcast_to(np.eye(n), (h, n, n)), X @ FT), axis=2),
-                        np.concatenate((-c * F, np.broadcast_to(np.eye(p), (h, p, p))), axis=2)), axis=1)
-    ZU = np.linalg.solve(B, np.concatenate((Y[hard], np.zeros((h, p, Y.shape[2]))), axis=1))
-    Z[hard], GZ[hard] = ZU[:, :n], FT @ ZU[:, n:]
+    if easy.any():
+        G = F[easy].transpose(0, 2, 1) @ F[easy]
+        Z[easy] = ZE = np.linalg.solve(np.eye(n) + X[easy] @ G, Y[easy])
+        GZ[easy] = G @ ZE
+    if hard.any():
+        X, F, h, p = X[hard], F[hard], hard.sum(), F.shape[1]
+        c = np.ldexp(1.0, np.frexp(np.sqrt(X.diagonal(axis1=1, axis2=2).max(axis=1)))[1])[:, None, None]
+        FT = F.transpose(0, 2, 1) / c
+        B = np.concatenate((np.concatenate((np.broadcast_to(np.eye(n), (h, n, n)), X @ FT), axis=2),
+                            np.concatenate((-c * F, np.broadcast_to(np.eye(p), (h, p, p))), axis=2)), axis=1)
+        ZU = np.linalg.solve(B, np.concatenate((Y[hard], np.zeros((h, p, Y.shape[2]))), axis=1))
+        Z[hard], GZ[hard] = ZU[:, :n], FT @ ZU[:, n:]
     return Z, GZ
 
 
@@ -682,7 +688,8 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
         if not closed:
             live = np.flatnonzero(~np.isnan(P[:, 0, 0]))  # a dropped member is NaN
             Ab, Gb, Wb, P1 = Ab[live], Gb[live], Wb[live], P[live]
-            off = _fro(Ab @ P1 @ np.linalg.solve(np.eye(A.shape[0]) + Gb @ P1, Ab.transpose(0, 2, 1)) + Wb - P1)
+            M = np.linalg.solve(np.eye(A.shape[0]) + Gb @ P1, Ab.transpose(0, 2, 1)) if live.size else P1
+            off = _fro(Ab @ P1 @ M + Wb - P1)
             live, scale = np.flatnonzero(filtered)[live], _fro(P1)
         for j in live[~(off <= np.sqrt(TOL) * np.maximum(1.0, scale))][:1]:
             raise NoConvergence("a posteriori solution leaves its equation", float(off.max()), int(iters[j]))
@@ -729,11 +736,12 @@ def solve_dare(A, C, W, V, posteriori=False) -> SteadyStateResult:
 
 
 def warmup() -> None:
-    """Run one tiny stack of a noiseless and a noisy member on each route:
-    A = 0.5 I of n = 1 has one nonzero column and takes the closed form,
-    and n = 2 the doublings, plain and filtered.  The reduction's
-    decompositions, _update's solve and the doubling's then have paid
-    numpy's one-time set-up costs before the first timed solve."""
-    V = np.array([0.0, 1.0]).reshape(2, 1, 1)
+    """Run one tiny stack of a noiseless member and two noisy ones (V = 0, 1
+    and 1e-6) on each route: A = 0.5 I of n = 1 has one nonzero column and
+    takes the closed form, where V = 1 and 1e-6 reach _update's two solves
+    (t = 1 and 1e6), and n = 2 the doublings, plain and filtered.  The
+    reduction's decompositions, _update's solves and the doubling's then
+    have paid numpy's one-time set-up costs before the first timed solve."""
+    V = np.array([0.0, 1.0, 1e-6]).reshape(3, 1, 1)
     for n in (1, 2):
-        _solve_detectable(0.5 * np.eye(n), np.eye(n), np.ones((2, 1, n)), V)
+        _solve_detectable(0.5 * np.eye(n), np.eye(n), np.ones((3, 1, n)), V)

@@ -195,10 +195,12 @@ class _ScoreTable:
         solve, and reach the drop rule as the interval [inf, inf] before
         their chunk's kernel run."""
         members = [(j, tuple(sorted(s))) for j, s in members]
+        lacking = {m for m in members if m not in self.scores or bound is None and self.scores[m] is None}
+        if not lacking:  # greedy's later steps, the walk and report read stored scores
+            return [self.scores[m] for m in members]
         settle = None if bound is None else self._settle(bound)
         A, W, q = self.models[0].A, self.W, self.models[0].q
         sensors = frozenset(range(q))
-        lacking = {m for m in members if m not in self.scores or settle is None and self.scores[m] is None}
         missing = sorted((len(kept), kept, j, s) for j, s in lacking
                          for kept in [tuple(sorted(sensors.difference(s))) if self.attack else s])
         for lo in range(0, len(missing), STACK_CHUNK):

@@ -227,6 +227,34 @@ def test_reductions_at_tau_4_and_5_make_one_kernel_run(monkeypatch):
     assert walked  # a walk that needs a solve still gets one
 
 
+def _built_models():
+    """Every family at lambda in {+-1e-9, 0.3, 0.6, 0.9, 1 - 1e-7} and h from
+    1e-12 to the bound, and kfss and kfsa at K in {1, 10, 300} over every
+    fifth tau-subset of X3C_POOL, tau = 2 ... 6."""
+    for lam, h in product((-1e-9, 1e-9, 0.3, 0.6, 0.9, 1 - 1e-7), (1e-12, 1e-6, 1e-3, 1.0, 1e3, 999999.0)):
+        yield build_example1(lam, h)
+        yield build_example2(lam, h)
+    for tau, K in product(range(2, 7), (1.0, 10.0, 300.0)):
+        for combo in list(combinations(range(len(X3C_POOL)), tau))[::5]:
+            inst = X3CInstance(2, tuple(X3C_POOL[i] for i in combo))
+            yield build_kfss_gadget(inst, K).model
+            yield build_kfsa_gadget(inst, K).model
+
+
+def test_builders_return_what_validate_model_would():
+    # the builders leave validation to the solvers' door: each model is
+    # valid by construction, and validate_model returns its very bytes
+    count = 0
+    for m in _built_models():
+        v = validate_model(m)
+        assert (v.n, v.q, v.budget_select, v.budget_attack) == (m.n, m.q, m.budget_select, m.budget_attack)
+        for name in ("A", "C", "W", "V", "b", "omega"):
+            got, want = getattr(m, name), getattr(v, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+        count += 1
+    assert count == 72 + 2 * 3 * 168  # 168 subsets: 9, 24, 42, 51 and 42 for tau = 2 ... 6
+
+
 def test_reduction_margins_are_clear():
     d_yes = x3c_decide_via_kfss(YES_INSTANCE)
     assert d_yes.threshold - d_yes.trace > 1.0

@@ -7,15 +7,23 @@ same support, whatever mix of members a stack holds.
 
 import math
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfsslab import riccati, solvers
-from kfsslab.gadgets import X3CInstance, build_example1, build_example2, build_kfsa_gadget, build_kfss_gadget
+from kfsslab import cli, gadgets, model, riccati, solvers
+from kfsslab.gadgets import (
+    X3CInstance,
+    build_example1,
+    build_example2,
+    build_kfsa_gadget,
+    build_kfss_gadget,
+    x3c_decide_via_kfsa,
+    x3c_decide_via_kfss,
+)
 from kfsslab.model import AttackVector, SelectionVector, SystemModel, complement, validate_model
 from kfsslab.riccati import NoConvergence
 from kfsslab.solvers import (
@@ -1146,3 +1154,43 @@ def test_posteriori_interval_holds_the_trace_on_the_reduction_gadgets(K):
         m = build(inst, K).model
         sets = list(combinations(range(m.q), size or m.q - inst.m))
         _assert_certified_posteriori(m.A, m.W, *_nonsingular_members(m.A, m.C, m.V, sets))
+
+
+def test_warmup_reaches_both_measurement_update_solves(monkeypatch):
+    # warm-up's noisy members straddle UPDATE_BOUND, so the n x n solve
+    # with I + X G and the augmented one both run before the first timed solve
+    updates = _spy_runs(monkeypatch, "_update")
+    riccati.warmup()
+    t = np.concatenate([np.trace(X, axis1=1, axis2=2) * (F * F).sum(axis=(1, 2)) for X, F, _ in updates])
+    assert (t <= riccati.UPDATE_BOUND).any() and (t > riccati.UPDATE_BOUND).any()
+
+
+def test_a_request_pays_only_for_the_members_it_has(monkeypatch, tmp_path):
+    # the solvers' door applies the one input rule, so the family sweeps
+    # (with and without --v-scale) and the reductions validate no model
+    # themselves; and no kernel path hands LAPACK a stack of zero members:
+    # a measurement-update path, the whitening of no nonsingular V (V = 0,
+    # or a rank-one V that fails Cholesky), or a certificate of a run whose
+    # members the bound all dropped
+    m = _random_model(np.random.default_rng(38), 10)  # a caller's validated model, random-solve-shaped
+    validations, empty = [], []
+    for owner in (model, gadgets):
+        monkeypatch.setattr(owner, "validate_model", lambda raw: validations.append(raw) or validate_model(raw))
+    for name in ("solve", "cholesky"):
+        def spy(a, *rest, call=getattr(np.linalg, name), name=name):
+            if a.ndim > 2 and not len(a):
+                empty.append((name, a.shape))
+            return call(a, *rest)
+        monkeypatch.setattr(np.linalg, name, spy)
+    flags = ([], ["--v-scale", "0.3"])
+    for family, metric, v_scale in product(("example1", "example2"), ("priori", "posteriori"), flags):
+        assert cli.main(["sweep", "--family", family, "--lambda1", "0.9", "--metric", metric, "--h-range", "1e-2",
+                         "1e2", "4", *v_scale, "--output", str(tmp_path / "sweep.csv")]) == 0
+    yes = X3CInstance(2, ((1, 2, 3), (4, 5, 6), (1, 4, 5)))
+    assert x3c_decide_via_kfss(yes).answer and x3c_decide_via_kfsa(yes).answer
+    reports = [greedy_select(m, 3, "priori"), greedy_attack(m, 3, "posteriori"),
+               exhaustive_select(m, m.b, 3.0, "priori"), exhaustive_attack(m, m.omega, 3.0, "posteriori")]
+    rank_one = riccati.solve_dare(np.diag([0.9, 0.5]), np.eye(2), np.eye(2), np.ones((2, 2)))
+    monkeypatch.undo()
+    assert all(math.isfinite(r.trace) for r in reports + [rank_one])
+    assert validations == [] and empty == []
