@@ -57,20 +57,18 @@ and the run's certificate then checks it, whatever the metric
 (_solve_detectable): a plain or Newton member's variances may not fall
 below W's, and a filtered member's P, or a closed-form member's x, must
 solve its own equation.
-A doubling run may also drop members early: every doubling keeps the
-invariant S = A_k' S (I + G_k S)^-1 A_k + H_k, which certifies
-tr H_k <= tr S <= tr H_k / (1 - ||A_k||_F^2), and a caller's ``settle``
-marks the members it no longer needs from these intervals (see
-_doubling_dare).  The metric picks the route and the covariance
-returned, and settle goes to the run that solves in it: the plain run of
-an a priori request, the filtered run of an a posteriori one, whose
-interval is that of the a posteriori trace.  An a priori request's
-filtered run, Newton runs and closed-form members drop nothing.
-PBH takes one kernel basis of A - lam I per unstable mode and request.
+A doubling run may also drop members early, those a caller's ``settle``
+no longer needs, from the trace intervals that its invariant certifies
+(_doubling_dare), in the run that solves in the requested metric
+(_solve_detectable).
 Newton's gain shares _pinv_psd with pseudo_inverse_psd.
 solve_dare and every public solver call apply validate_model's input rule
-before any kernel runs, solve with W's and V's symmetric parts
-(model.noise_root), and test stabilizability once (check_stabilizable).
+before any kernel runs and solve with W's and V's symmetric parts
+(model.noise_root).  Their door (_request) pays a request's fixed costs
+once: one root of W, which every kernel run takes, and one eigvals of A
+and one SVD of A - lam I per unstable mode, whose null vectors give both
+PBH tests, detectability and stabilizability.  A stack path whose mask
+selects every member gathers and scatters nothing (_members, _put).
 
 Four module constants hold the tolerances: TOL (the stopping rule),
 PINV_RTOL (the pseudo-inverse cutoff and every rank decision's: whether V
@@ -153,28 +151,41 @@ def _noise_gain(C: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cutoff is absolute for entries up to 1 and relative to larger ones, so
     a rank-one s [[1, 1], [1, 1]] is singular at any scale s.  V is PSD, so
     the diagonal test decides some members without a factorization.  None
-    left (V = 0) skips the factorization, no nonsingular member the solve.
-    A batched factorization fails as a whole when one member is not
-    positive definite; the members are then factored one by one.
+    left (V = 0) skips the factorization, no nonsingular member the solve,
+    and a uniform stack is factored and solved as it is.  A batched
+    factorization fails as a whole when one member is not positive
+    definite; the members are then factored one by one.
     """
     p = V.shape[1]
     cut = PINV_RTOL * np.maximum(1.0, V.diagonal(axis1=1, axis2=2))
     ok = (V.diagonal(axis1=1, axis2=2) > cut).all(axis=1)
-    tried = np.flatnonzero(ok)
-    if not tried.size:
+    if not ok.any():
         return ok, C[ok]
+    t = _members(ok)
     try:
-        L = np.linalg.cholesky(V[tried])
+        L = np.linalg.cholesky(V[t])
     except np.linalg.LinAlgError:
-        L = np.zeros((tried.size, p, p))  # a failed member keeps a zero pivot
-        for j, m in enumerate(tried):
+        L = np.zeros((ok.sum(), p, p))  # a failed member keeps a zero pivot
+        for j, m in enumerate(np.flatnonzero(ok)):
             try:
                 L[j] = np.linalg.cholesky(V[m])
             except np.linalg.LinAlgError:
                 pass
-    pivots_ok = (L.diagonal(axis1=1, axis2=2) ** 2 > cut[tried]).all(axis=1)
-    ok[tried] = pivots_ok
-    return ok, np.linalg.solve(L[pivots_ok], C[ok]) if pivots_ok.any() else C[ok]
+    pivots_ok = (L.diagonal(axis1=1, axis2=2) ** 2 > cut[t]).all(axis=1)
+    ok[t] = pivots_ok
+    return ok, np.linalg.solve(L[_members(pivots_ok)], C[_members(ok)]) if pivots_ok.any() else C[ok]
+
+
+def _members(mask):  # a stack's members that mask selects: the whole stack, a view, when it selects every one
+    return slice(None) if mask.all() else mask
+
+
+def _put(X, mask, Y):  # the stack X (or a broadcast view) with Y in the members mask selects: Y if it selects all
+    if mask.all():
+        return Y
+    X = X.copy()
+    X[mask] = Y
+    return X
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises NoConvergence instead
@@ -418,24 +429,25 @@ def _filtered(A, W, L, R0, F, cols=None):
     with x' W0 = 0 has x' = x' J, so x' A0 = 0; with W singular it need
     not be.  The noisy rows then give, by _update with G = F'F,
     Ab = (I + W0 G)^-1 A0, Wb = (I + W0 G)^-1 W0 and Gb = G0 + A0' G Ab,
-    skipped where F = 0.
+    skipped where F = 0.  A and W are copied only for a mixed stack.
     """
     k, (n, m) = len(F), A.shape
-    Ab, W0, Gb = np.broadcast_to(A, (k, n, m)).copy(), np.broadcast_to(W, (k, n, n)).copy(), np.zeros((k, m, m))
+    Ab, W0, Gb = np.broadcast_to(A, (k, n, m)), np.broadcast_to(W, (k, n, n)), np.zeros((k, m, m))
     noiseless = R0.any(axis=(1, 2))
     if noiseless.any():
-        Q, Z = _measured(R0[noiseless], L)
+        Q, Z = _measured(R0[_members(noiseless)], L)
         B = np.linalg.solve(L, A)
         QB = Q @ B
-        Ab[noiseless], W0[noiseless] = Z @ B, _sym(Z @ Z.transpose(0, 2, 1))
-        Gb[noiseless] = _sym(QB.transpose(0, 2, 1) @ QB)
+        Ab, W0 = _put(Ab, noiseless, Z @ B), _put(W0, noiseless, _sym(Z @ Z.transpose(0, 2, 1)))
+        Gb = _put(Gb, noiseless, _sym(QB.transpose(0, 2, 1) @ QB))
     Wb = W0 if cols is None else W0[:, :, cols]
     noisy = F.any(axis=(1, 2))
     if noisy.any():
-        A0 = Ab[noisy]
-        X, GX = _update(W0[noisy], F[noisy], np.concatenate((A0, Wb[noisy]), axis=2))
-        Ab[noisy], Wb[noisy] = X[:, :, :m], X[:, :, m:] if cols is not None else _sym(X[:, :, m:])
-        Gb[noisy] = _sym(Gb[noisy] + A0.transpose(0, 2, 1) @ GX[:, :, :m])
+        s = _members(noisy)
+        A0 = Ab[s]
+        X, GX = _update(W0[s], F[s], np.concatenate((A0, Wb[s]), axis=2))
+        Ab, Wb = _put(Ab, noisy, X[:, :, :m]), _put(Wb, noisy, X[:, :, m:] if cols is not None else _sym(X[:, :, m:]))
+        Gb = _put(Gb, noisy, _sym(Gb[s] + A0.transpose(0, 2, 1) @ GX[:, :, :m]))
     return Ab, Gb, Wb
 
 
@@ -449,23 +461,25 @@ def _update(X, F, Y):
     reach 0.27.  A member with t <= UPDATE_BOUND solves with M, the others
     [[I, X F'/c], [-c F, I]] [Z; U] = [Y; 0], U = c F Z, which never forms G;
     c, a power of 2 near the root of X's largest variance, steers pivoting.
-    A path with no members makes no call."""
+    A path with no members makes no call, and one with all of them copies none."""
     n = X.shape[1]
     with np.errstate(over="ignore"):  # an overflowing t is inf: not easy
         easy = np.trace(X, axis1=1, axis2=2) * np.add.reduce(F * F, axis=(1, 2)) <= UPDATE_BOUND
     Z, GZ, hard = np.empty(Y.shape), np.empty(Y.shape), ~easy
     if easy.any():
-        G = F[easy].transpose(0, 2, 1) @ F[easy]
-        Z[easy] = ZE = np.linalg.solve(np.eye(n) + X[easy] @ G, Y[easy])
-        GZ[easy] = G @ ZE
+        e = _members(easy)
+        G = F[e].transpose(0, 2, 1) @ F[e]
+        ZE = np.linalg.solve(np.eye(n) + X[e] @ G, Y[e])
+        Z, GZ = _put(Z, easy, ZE), _put(GZ, easy, G @ ZE)
     if hard.any():
-        X, F, h, p = X[hard], F[hard], hard.sum(), F.shape[1]
+        e = _members(hard)
+        X, F, h, p = X[e], F[e], hard.sum(), F.shape[1]
         c = np.ldexp(1.0, np.frexp(np.sqrt(X.diagonal(axis1=1, axis2=2).max(axis=1)))[1])[:, None, None]
         FT = F.transpose(0, 2, 1) / c
         B = np.concatenate((np.concatenate((np.broadcast_to(np.eye(n), (h, n, n)), X @ FT), axis=2),
                             np.concatenate((-c * F, np.broadcast_to(np.eye(p), (h, p, p))), axis=2)), axis=1)
-        ZU = np.linalg.solve(B, np.concatenate((Y[hard], np.zeros((h, p, Y.shape[2]))), axis=1))
-        Z[hard], GZ[hard] = ZU[:, :n], FT @ ZU[:, n:]
+        ZU = np.linalg.solve(B, np.concatenate((Y[e], np.zeros((h, p, Y.shape[2]))), axis=1))
+        Z, GZ = _put(Z, hard, ZU[:, :n]), _put(GZ, hard, FT @ ZU[:, n:])
     return Z, GZ
 
 
@@ -529,18 +543,32 @@ def _check_shapes(A, C=None, W=None, V=None) -> None:
         raise ShapeError("C must be p x n" if V is None else "C must be p x n with V p x p")
 
 
-def _mode_images(A: np.ndarray, C: np.ndarray) -> list:
+def _mode_images(A: np.ndarray, C: np.ndarray, L=None) -> list:
     """C N / ||A||_2 for every eigenvalue lam of A with modulus >= 1 - PBH_TOL
     (C is q x n).  N, computed once for any number of subsets, is a basis of
     the numerical kernel of A - lam I: its right singular vectors whose
-    singular value is at most PBH_TOL ||A||_2."""
-    images = []
-    for lam in np.linalg.eigvals(A):
-        if abs(lam) >= 1.0 - PBH_TOL:
-            scale = np.linalg.norm(A, 2)
-            _, sv, Vh = np.linalg.svd(A - lam * np.eye(A.shape[0]))
-            images.append(C @ Vh[sv <= PBH_TOL * scale].conj().T / scale)
+    singular value is at most PBH_TOL ||A||_2.  The conjugates M of the left
+    ones span ker(A' - lam I) (real A), so given W's root L the SVDs make
+    is_stabilizable_noise's test too (Hautus, 1969), and
+    StabilizabilityViolation is raised unless every L' M / ||A||_2 has full column rank."""
+    lams = [lam for lam in np.linalg.eigvals(A) if abs(lam) >= 1.0 - PBH_TOL]
+    scale, images, duals = np.linalg.norm(A, 2) if lams else None, [], []
+    for lam in lams:
+        U, sv, Vh = np.linalg.svd(A - lam * np.eye(A.shape[0]))
+        null = sv <= PBH_TOL * scale
+        images.append(C @ Vh[null].conj().T / scale)
+        duals.append(None if L is None else L.T @ U[:, null].conj() / scale)
+    if L is not None and not _detectable(duals, np.arange(len(A))[None])[0]:
+        raise StabilizabilityViolation("(A, W^(1/2)) is not stabilizable")
     return images
+
+
+def _request(A, W, C) -> tuple:
+    """(W's symmetric part, its root (w, L), the mode images of the rows C): the door of solve_dare and the
+    solvers, on checked shapes.  Raises as noise_root does for W, NonFiniteInput for A, then as _mode_images."""
+    W, w, L = noise_root(W, "W")
+    check_finite(A=A)
+    return W, (w, L), _mode_images(A, C, L)
 
 
 def _detectable(images: list, idx: np.ndarray) -> np.ndarray:
@@ -589,19 +617,17 @@ def is_stabilizable_noise(A, W) -> bool:
 
 def check_stabilizable(A, W) -> np.ndarray:
     """Raise StabilizabilityViolation unless (A, W^{1/2}) is stabilizable, else return W's symmetric part.
-
-    The verdict depends on A, W and PBH_TOL only, not on the sensors, so
-    each public solver call tests it once, uncached.
-    """
+    The solvers' door makes the same test from the SVDs it shares with detectability (_request)."""
     if not is_stabilizable_noise(A, W):
         raise StabilizabilityViolation("(A, W^(1/2)) is not stabilizable")
     return _sym(np.asarray(W, dtype=float))
 
 
-def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.ndarray, np.ndarray]:
+def _solve_detectable(A, W, C, V, root, posteriori=False, settle=None) -> tuple[np.ndarray, np.ndarray]:
     """Covariances and iteration counts for the stacks C (k x p x n) and
-    V (k x p x p), every member detectable: the a priori covariances, or
-    with ``posteriori`` the a posteriori ones.
+    V (k x p x p), every member detectable, given W's root (w, L) from the
+    door (_request): the a priori covariances, or with ``posteriori`` the a
+    posteriori ones.
 
     The route is decided once per member, from its noise description
     (R0, F) = _noise(C, V), before any kernel runs.  Members with noiseless
@@ -645,17 +671,16 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
     R0, F = _noise(C, V)
     noiseless = R0.any(axis=(1, 2))
     cols = np.flatnonzero(A.any(axis=0))
-    newton, L, closed = np.zeros(k, dtype=bool), None, False
-    if noiseless.any() or cols.size == 1:
-        w, L = psd_root(W, "W")
-        if not w[0] > PINV_RTOL * max(1.0, w[-1]):  # W singular: the reduction need not stabilize
-            newton = noiseless
-        else:
-            closed = cols.size == 1
+    (w, L), newton, closed = root, np.zeros(k, dtype=bool), False
+    if not w[0] > PINV_RTOL * max(1.0, w[-1]):  # W singular: the reduction need not stabilize
+        newton = noiseless
+    else:
+        closed = cols.size == 1
     filtered = ~newton & (noiseless | posteriori | closed)
     plain = ~newton & ~filtered
     if plain.any():
-        S[plain], iters[plain] = _doubling_dare(A, (F.transpose(0, 2, 1) @ F)[plain], W, settle)
+        p = _members(plain)
+        S[p], iters[p] = _doubling_dare(A, F[p].transpose(0, 2, 1) @ F[p], W, settle)
     if closed:  # A = u e_j': Ab = ub e_j' and Gb = g e_j e_j', so P = Wb + c ub ub' with x = P_jj
         j = cols[0]
         Ab, Gb, Wb = _filtered(A[:, cols], W, L, R0, F, None if posteriori else cols)
@@ -669,9 +694,10 @@ def _solve_detectable(A, W, C, V, posteriori=False, settle=None) -> tuple[np.nda
             S = _sym(W + x[:, None, None] * np.outer(A[:, j], A[:, j]))
             P = _sym(Wb + c[:, None, None] * ub[:, :, None] * ub[:, None, :]) if posteriori else None
     elif filtered.any():
-        Ab, Gb, Wb = _filtered(A, W, L, R0[filtered], F[filtered])
-        P, iters[filtered] = _doubling_dare(Ab, Gb, Wb, settle if posteriori else None)
-        S[filtered] = _sym(A @ P @ A.T + W)
+        f = _members(filtered)
+        Ab, Gb, Wb = _filtered(A, W, L, R0[f], F[f])
+        P, iters[f] = _doubling_dare(Ab, Gb, Wb, settle if posteriori else None)
+        S[f] = _sym(A @ P @ A.T + W)
     if newton.any():
         S[newton], iters[newton] = _newton_dare(A, C[newton], W, V[newton])
     shortfall = (W.diagonal() - S.diagonal(axis1=1, axis2=2)).max(axis=1)  # NaN, never below, if dropped
@@ -728,10 +754,10 @@ def solve_dare(A, C, W, V, posteriori=False) -> SteadyStateResult:
     _check_shapes(A, C, W, V)
     check_finite(C=C)
     V = noise_root(V, "V")[0]
-    W = check_stabilizable(A, W)
-    if not is_detectable(A, C):
+    W, root, images = _request(A, W, C)
+    if not _detectable(images, np.arange(len(C))[None])[0]:
         return SteadyStateResult.infinite()
-    S, iters = _solve_detectable(A, W, C[None], V[None], posteriori)
+    S, iters = _solve_detectable(A, W, C[None], V[None], root, posteriori)
     return SteadyStateResult.finite(S[0], int(iters[0]))
 
 
@@ -744,4 +770,4 @@ def warmup() -> None:
     have paid numpy's one-time set-up costs before the first timed solve."""
     V = np.array([0.0, 1.0, 1e-6]).reshape(3, 1, 1)
     for n in (1, 2):
-        _solve_detectable(0.5 * np.eye(n), np.eye(n), np.ones((3, 1, n)), V)
+        _solve_detectable(0.5 * np.eye(n), np.eye(n), np.ones((3, 1, n)), V, psd_root(np.eye(n), "W"))

@@ -27,10 +27,11 @@ greedy_and_optimal takes a sequence of models that share A and W, such as
 a sweep's grid points: both drivers of every model read the table, and
 the sets both are known to read are scored for all models at once, in
 one stack whose chunks mix the subset sizes.  Every public solver checks
-its input, C and V too, and stabilizability once, uncached, before it
-enumerates or solves; the private drivers do neither.  Adding a sensor
-never raises the trace, so the exhaustive search solves only the
-inclusion-maximal feasible sets, and then the subsets of tied sets that the
+its input, C and V too, and stabilizability, at the riccati door, once
+per request, before it enumerates or solves.  Adding a sensor never
+raises the trace, so the exhaustive search solves only the maximal
+feasible sets (by inclusion; counted, not listed, at sizes whose sets
+all fit: _maximal_feasible), and then the subsets of tied sets that the
 smallest-support tie rule needs, less those one sensor short of a scored
 set that is not tied, which cannot tie either.  The search also passes
 a bound, the neutral one for the maximal sets and the best trace for
@@ -179,10 +180,9 @@ class _ScoreTable:
         self.V = np.zeros((len(self.C), 2 * q))
         self.V[:-q, :q] = noise_root(np.stack([m.V for m in models]), "V")[0].reshape(-1, q)
         self.V[-q:, q:] = np.eye(q)
-        self.W = riccati.check_stabilizable(model.A, model.W)
+        self.W, self.root, self.images = riccati._request(model.A, model.W, self.C)
         self.models, self.metric, self.attack = models, metric, attack
         self.best, self.worst = (max, -math.inf) if attack else (min, math.inf)
-        self.images = riccati._mode_images(model.A, self.C)
         self.scores: dict[tuple[int, tuple[int, ...]], tuple[float, np.ndarray] | None] = {}
 
     def __call__(self, members, bound: float | None = None) -> list:
@@ -218,7 +218,7 @@ class _ScoreTable:
             if finite.any():
                 row, col = rows[finite], idx[finite]
                 C, V = self.C[row], self.V[row[:, :, None], col[:, None, :]]
-                S, _ = riccati._solve_detectable(A, W, C, V, self.metric == "posteriori", settle)
+                S, _ = riccati._solve_detectable(A, W, C, V, self.root, self.metric == "posteriori", settle)
                 traces[finite] = np.trace(S, axis1=1, axis2=2)
                 diags[finite] = S.diagonal(axis1=1, axis2=2)
             for (_, _, j, s), trace, diag in zip(chunk, traces.tolist(), diags):
@@ -304,39 +304,41 @@ def _greedy(table: _ScoreTable, j: int, budget: int) -> SolveReport:
     return table.report(j, picked, sum(len(step.scores) for step in steps) + 1, steps)
 
 
-def _enumerate_feasible(q: int, costs: np.ndarray, budget: float):
-    """Index tuples whose cost sum is within budget, by size, then in
-    lexicographic order.
-
-    Sums are compared with a 1e-9 relative allowance, so that 0.1 + 0.2
-    fits a budget of 0.3.  Costs are nonnegative, so enumeration stops at
-    the first size whose cheapest subset exceeds the budget.  Sums add
-    Python floats left to right, the bits of a sum of numpy scalars (the
-    builtin sum compensates float sums from Python 3.12 on).  The cheapest
-    sum adds the r least costs in ascending order, not in index order, and
-    rounds apart from the set's own sum: each float sum of r nonnegative
-    terms lies within a factor (1 +- eps/2)^(r-1) of the exact one, so a
-    set's sum is at least cheapest (1 - (r - 1) eps), and the stop needs
-    cheapest (1 - 2 r eps), rounded, above the limit.
-    """
+def _layers(q: int, costs: np.ndarray, budget: float):
+    """(every, sets) for each set size r = 0, 1, ... until no set fits the
+    budget: ``sets`` yields the r-sets whose cost sum is within it, in
+    lexicographic order, unsummed when ``every`` says that all of them are.
+    Sums have a 1e-9 relative allowance, so that 0.1 + 0.2 fits a budget
+    of 0.3, and add Python floats left to right, the bits of a sum of numpy
+    scalars (the builtin sum compensates from Python 3.12 on).  A float sum
+    of r nonnegative terms is within a factor (1 +- eps/2)^(r-1) of the
+    exact one, so a set's sum is at least cheapest (1 - (r - 1) eps) and at
+    most dearest (1 + r eps), the sorted sums of the r least and largest
+    costs.  So the sizes stop at the first whose cheapest (1 - 2 r eps),
+    rounded, is above the limit, and all r-sets fit when dearest
+    (1 + 2 r eps), rounded, is within it, the empty set when 0 is."""
     limit = budget + 1e-9 * max(1.0, abs(budget))
-    cheapest = np.cumsum(np.sort(costs))
+    eps, ascending = np.finfo(float).eps, np.sort(costs)
+    cheapest, dearest = np.cumsum(ascending), np.cumsum(ascending[::-1])
     costs = costs.tolist()
+
+    def within(combo) -> bool:
+        total = 0.0
+        for i in combo:
+            total += costs[i]
+        return total <= limit
+
     for r in range(q + 1):
-        if r and cheapest[r - 1] * (1.0 - 2 * r * np.finfo(float).eps) > limit:
+        if r and cheapest[r - 1] * (1.0 - 2 * r * eps) > limit:
             return
-        for combo in combinations(range(q), r):
-            total = 0.0
-            for i in combo:
-                total += costs[i]
-            if total <= limit:
-                yield combo
+        every = (dearest[r - 1] if r else 0.0) * (1.0 + 2 * r * eps) <= limit
+        yield every, combinations(range(q), r) if every else filter(within, combinations(range(q), r))
 
 
 def _maximal_feasible(model: SystemModel, costs, budget: float, attack: bool) -> tuple[int, list]:
-    """The number of feasible indicators of an exhaustive run, and the
-    inclusion-maximal ones, those no further sensor fits into, after
-    checking the run's input."""
+    """The number of feasible indicators of an exhaustive run, and the inclusion-maximal ones, those no further
+    sensor fits into, by size, then lexicographically, after checking the run's input.  A size whose sets all fit
+    (_layers) is counted, and listed only below a size where not all do: for unit costs and a budget k, the k-sets."""
     if model.q > EXHAUSTIVE_SENSOR_CAP:
         raise TooManySensors(f"refusing 2^{model.q} subsets (cap {EXHAUSTIVE_SENSOR_CAP})")
     costs = np.asarray(costs, dtype=float)
@@ -346,12 +348,19 @@ def _maximal_feasible(model: SystemModel, costs, budget: float, attack: bool) ->
         raise SolverInputError("costs must be nonnegative numbers")
     if math.isnan(budget):  # would enumerate every subset before finding none feasible
         raise SolverInputError("budget must be a number, got nan")
-    feasible = list(_enumerate_feasible(model.q, costs, budget))
-    if not feasible:
+    count, maximal, below = 0, [], ()  # below: the feasible sets one size down
+    for r, (every, sets) in enumerate(_layers(model.q, costs, budget)):
+        if every:
+            count += math.comb(model.q, r)
+        else:
+            sets = list(sets)
+            count += len(sets)
+            covered = {c[:j] + c[j + 1:] for c in sets for j in range(r)}  # not maximal below
+            maximal += [c for c in below if c not in covered]
+        below = sets
+    if not count:
         raise SolverInputError(f"no feasible {'attack' if attack else 'selection'} within budget")
-    # the sets one sensor short of a feasible set, which are not maximal
-    covered = {f[:j] + f[j + 1:] for f in feasible for j in range(len(f))}
-    return len(feasible), [c for c in feasible if c not in covered]
+    return count, maximal + list(below)
 
 
 def _exhaustive(table: _ScoreTable, j: int, n_feasible: int, maximal) -> SolveReport:

@@ -292,7 +292,7 @@ def test_no_family_subset_takes_more_than_22_doublings(family):
                 sets = np.array(list(combinations(range(m.q), r)))
                 C, V = m.C[sets], m.V[sets[:, :, None], sets[:, None, :]]
                 seen = np.array([riccati.is_detectable(m.A, c) for c in C])
-                _, iters = riccati._solve_detectable(m.A, m.W, C[seen], V[seen])
+                _, iters = riccati._solve_detectable(m.A, m.W, C[seen], V[seen], riccati.psd_root(m.W, "W"))
                 steps += iters.tolist()
     assert len(steps) == {"example1": 441, "example2": 945}[family]
     assert max(steps) <= 22 and np.median(steps) <= 3
@@ -312,7 +312,7 @@ def _closed_and_doubled(m, posteriori):
         if not seen.any():
             continue
         sets, C, V = sets[seen], C[seen], V[seen]
-        S, iters = riccati._solve_detectable(m.A, m.W, C, V, posteriori)
+        S, iters = riccati._solve_detectable(m.A, m.W, C, V, riccati.psd_root(m.W, "W"), posteriori)
         assert not iters.any()
         P, _ = riccati._doubling_dare(*riccati._filtered(m.A, m.W, riccati.psd_root(m.W, "W")[1], *riccati._noise(C, V)))
         ref = P if posteriori else riccati._sym(m.A @ P @ m.A.T + m.W)

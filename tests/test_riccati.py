@@ -518,8 +518,9 @@ def test_a_stack_member_does_not_borrow_another_members_newton_start():
     # first's start.  W is singular, so both members take Newton
     C = np.stack([np.eye(2)] * 2)
     V = np.stack([np.zeros((2, 2)), 1e14 * np.ones((2, 2))])
+    W = np.diag([1.0, 0.0])
     with pytest.raises(NoConvergence, match="Newton start"):
-        riccati._solve_detectable(DIAG_A, np.diag([1.0, 0.0]), C, V)
+        riccati._solve_detectable(DIAG_A, W, C, V, riccati.psd_root(W, "W"))
 
 
 @pytest.mark.parametrize("run", [
@@ -794,18 +795,16 @@ def test_a_covariance_that_is_not_psd_has_no_measurement_update(monkeypatch):
 
 
 def test_stabilizability_checked_once_per_driver_run(monkeypatch):
+    # the solvers' door tests it from its one eigvals of A per request (see
+    # test_stacked.py::test_each_request_decomposes_A_and_W_once)
     calls = []
-    check = riccati.is_stabilizable_noise
-
-    def counting(*args):
-        calls.append(1)
-        return check(*args)
-
-    monkeypatch.setattr(riccati, "is_stabilizable_noise", counting)
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
     m = _diag_model([0.9, 0.5], C=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), V=np.eye(3))
     exhaustive_select(m, m.b, 2.0, "priori")
     greedy_select(m, 2, "posteriori")
     greedy_and_optimal([m, m, m], 2, "attack", "priori")
+    monkeypatch.undo()
     assert len(calls) == 3
     # every public entry point refuses an unstabilizable pair, on every call
     bad = _diag_model([1.5], W=np.zeros((1, 1)), V=np.eye(1))
@@ -816,3 +815,65 @@ def test_stabilizability_checked_once_per_driver_run(monkeypatch):
                 lambda: greedy_and_optimal([bad, bad], 1, "select", "priori")] * 2:
         with pytest.raises(StabilizabilityViolation):
             run()
+
+
+def _rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+def _pbh_cases(rng):
+    """(A, W, C) of n <= 5 states: random real A with stable and unstable
+    real modes and complex pairs, and the structured cases the door's one
+    SVD per mode must get right, each in a random orthonormal basis."""
+    blocks = [
+        [np.diag([1.1, 0.4])], [1.3 * _rotation(0.7), [[0.2]]],  # a real unstable mode, a complex pair
+        [[[1.1, 1.0], [0.0, 1.1]]], [[[1.0, 1.0], [0.0, 1.0]], [[-0.5]]],  # defective Jordan blocks
+        [np.diag([1.2, 1.2, 0.5])], [np.diag([-1.0, -1.0, 1.0])],  # repeated modes, 2-D null spaces
+        [np.diag([1 + 1e-10, 0.3])], [np.diag([1 - 1e-10, 0.3])],  # moduli of 1 +- 1e-10
+        [(1 - 1e-10) * _rotation(1.1), [[0.9]]], [(1 + 1e-10) * _rotation(2.0)],
+        [np.diag([0.5, 0.2])],  # no unstable mode
+    ]
+    cases = []
+    for parts in blocks:
+        A = np.zeros((sum(len(b) for b in parts),) * 2)
+        k = 0
+        for b in parts:
+            A[k:k + len(b), k:k + len(b)] = b
+            k += len(b)
+        n = len(A)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        for rank in range(n + 1):  # a W singular along some modes, or along none
+            B = rng.standard_normal((n, rank))
+            C = rng.standard_normal((3, n)) * (rng.random((3, n)) < 0.7)
+            cases.append((Q @ A @ Q.T, Q @ B @ B.T @ Q.T, C))
+            cases.append((A, np.diag((np.arange(n) < rank).astype(float)), np.eye(n)[: min(n, 3)]))  # axis-aligned
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        A = rng.standard_normal((n, n)) * rng.uniform(0.3, 0.9)
+        B = rng.standard_normal((n, int(rng.integers(0, n + 1))))
+        cases.append((A, B @ B.T, rng.standard_normal((3, n)) * (rng.random((3, n)) < 0.6)))
+    cases.append((np.diag([1.05, 0.5]), np.diag([1e200, 1.0]), np.array([[1e200, 0.0], [0.0, 1.0]])))  # 1e200 rows
+    return cases
+
+
+def test_the_doors_pbh_tests_agree_with_the_public_ones():
+    # one SVD of A - lam I per unstable mode: its left null vectors give the
+    # verdict of is_detectable(A', L') (L W's root), its right ones the mode
+    # images whose verdict on every row subset S is is_detectable(A, C_S)
+    verdicts = set()
+    for A, W, C in _pbh_cases(np.random.default_rng(3901)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                riccati._request(A, W, C)
+                stabilizable = True
+            except StabilizabilityViolation:
+                stabilizable = False
+            assert stabilizable == is_detectable(A.T, riccati.noise_root(W, "W")[2].T) == is_stabilizable_noise(A, W)
+            _, _, images = riccati._request(A, np.eye(len(A)), C)
+            for r in range(len(C) + 1):
+                idx = np.array(list(combinations(range(len(C)), r)), dtype=np.intp).reshape(math.comb(len(C), r), r)
+                seen = riccati._detectable(images, idx).tolist()
+                assert seen == [is_detectable(A, C[list(s)]) for s in idx]
+                verdicts |= {(stabilizable, v) for v in seen}
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}

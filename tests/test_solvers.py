@@ -1,6 +1,6 @@
 import math
 from dataclasses import replace
-from itertools import combinations, groupby
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -34,7 +34,7 @@ from kfsslab.solvers import (
     greedy_select,
     report_to_dict,
     trace_ratio,
-    _enumerate_feasible,
+    _layers,
     _maximal_feasible,
     _ScoreTable,
     _tied,
@@ -395,7 +395,7 @@ def test_pruned_enumerator_matches_full_scan():
         limit = budget + 1e-9 * max(1.0, abs(budget))
         full = [combo for r in range(q + 1) for combo in combinations(range(q), r)
                 if sum(costs[i] for i in combo) <= limit]
-        assert list(_enumerate_feasible(q, costs, budget)) == full
+        assert [c for _, sets in _layers(q, costs, budget) for c in sets] == full
 
 
 # costs and a budget whose index-order sum of all three sensors equals the
@@ -446,6 +446,31 @@ def test_maximal_feasible_equals_the_bit_mask_probe():
         assert _maximal_feasible(m, costs, ROUNDING_BUDGET, attack) == (8, [(0, 1, 2)])
 
 
+def test_maximal_feasible_counts_the_sizes_whose_sets_all_fit():
+    # equal costs make every size either fit whole or not at all, but for
+    # round-off at the limit (0.1 and 0.3 sum inexactly); the counted
+    # sizes must give the probe's count and maximal sets, and a negative
+    # budget, which not even the empty set fits, none
+    for cost in (1.0, 0.1, 0.3):
+        for q in range(1, 13):
+            m = SystemModel(n=1, q=q, A=np.array([[0.5]]), C=np.ones((q, 1)), W=np.eye(1), V=np.eye(q))
+            costs = np.full(q, cost)
+            steps = np.arange(-1.0, q + 1.5, 0.5)
+            for budget in sorted({*steps, *steps * cost}):  # in absolute steps, and in steps of the cost
+                count, maximal = _bit_mask_maximal(q, costs, float(budget))
+                if budget < 0.0:
+                    assert count == 0
+                    with pytest.raises(SolverInputError, match="no feasible"):
+                        _maximal_feasible(m, costs, float(budget), attack=False)
+                    continue
+                assert _maximal_feasible(m, costs, float(budget), attack=False) == (count, maximal)
+    # unit costs at the sensor cap's scale: the 10-sets, listed once
+    m = SystemModel(n=1, q=20, A=np.array([[0.5]]), C=np.ones((20, 1)), W=np.eye(1), V=np.eye(20))
+    count, maximal = _maximal_feasible(m, np.ones(20), 10.0, attack=True)
+    assert count == 616_666 == sum(math.comb(20, r) for r in range(11))
+    assert maximal == list(combinations(range(20), 10))
+
+
 def _random_solve_model(rng, q):
     """An instance like the benchmark's random-solve items: n = q / 2, one
     unstable mode that every sensor sees, nonsingular V and unit costs."""
@@ -483,7 +508,7 @@ def _full_enumeration(m, costs, budget, metric, attack):
     lexicographically smallest bits.  Returns (bits, trace, diag,
     evaluations) as an exhaustive report should give them."""
     combos, traces, diags = [], [], []
-    for _, layer in groupby(_enumerate_feasible(m.q, np.asarray(costs, dtype=float), budget), key=len):
+    for _, layer in _layers(m.q, np.asarray(costs, dtype=float), budget):
         layer = list(layer)
         kept = [[i for i in range(m.q) if i not in c] if attack else c for c in layer]
         layer_traces, layer_diags = _stack(m, kept, metric)
@@ -827,17 +852,16 @@ def test_mode_images_are_computed_once_per_table(mode, monkeypatch):
     for m in (tie, build_example1(LAM, 100.0)):
         calls = []
         original = riccati._mode_images
-        monkeypatch.setattr(riccati, "_mode_images", lambda A, C: calls.append((A, C)) or original(A, C))
+        monkeypatch.setattr(riccati, "_mode_images", lambda A, C, *L: calls.append((A, C)) or original(A, C, *L))
         for metric in METRICS:
             greedy_and_optimal([m, m], 2, mode, metric)
         monkeypatch.undo()
         # one per request's table, of both models' rows and the q null
-        # sensors, and one per call for its stabilizability test, whose PBH
-        # test of (A', W^1/2) goes through _mode_images too
+        # sensors, whose SVDs also make the table's stabilizability test
         tables = [(A, C) for A, C in calls if C.shape == (3 * m.q, m.n)]
         assert len(tables) == len(METRICS) and all(A is m.A for A, _ in tables)
         assert all(np.array_equal(C, np.concatenate([m.C, m.C, np.zeros((m.q, m.n))])) for _, C in tables)
-        assert len(calls) == 2 * len(METRICS)
+        assert len(calls) == len(METRICS)
 
 
 def test_greedy_and_optimal_over_models_equals_each_model_alone(monkeypatch):

@@ -97,7 +97,7 @@ def test_stack_members_stop_at_their_own_rule():
     m = _random_model(np.random.default_rng(8), 11)
     supports = np.array(list(combinations(range(11), 3)))
     C, V = m.C[supports], m.V[supports[:, :, None], supports[:, None, :]]
-    S, iters = riccati._solve_detectable(m.A, m.W, C, V)
+    S, iters = riccati._solve_detectable(m.A, m.W, C, V, riccati.psd_root(m.W, "W"))
     alone = [riccati.solve_dare(m.A, c, m.W, v) for c, v in zip(C, V)]
     assert iters.tolist() == [res.iterations for res in alone]
     assert len(set(iters.tolist())) > 1  # members freeze at different doublings
@@ -324,7 +324,7 @@ def test_fixed_point_stack_equals_members_alone(case, monkeypatch):
     A, W, C, V = _singular_stack(case)
     assert not riccati._noise_gain(C, V)[0].any()
     runs = _spy_runs(monkeypatch, _singular_kernel(case))
-    S, steps = riccati._solve_detectable(A, W, C, V)
+    S, steps = riccati._solve_detectable(A, W, C, V, riccati.psd_root(W, "W"))
     monkeypatch.undo()
     assert len(runs) == 1  # every member in one run of its kernel
     for cov, count, c, v in zip(S, steps.tolist(), C, V):
@@ -369,7 +369,7 @@ def test_chunk_of_several_sensor_counts_equals_members_alone(case, monkeypatch):
     m = _singular_model(case)
     members, C, V = _mixed_chunk(m)
     runs = _spy_runs(monkeypatch, _singular_kernel(case))
-    S, iters = riccati._solve_detectable(m.A, m.W, C, V)
+    S, iters = riccati._solve_detectable(m.A, m.W, C, V, riccati.psd_root(m.W, "W"))
     monkeypatch.undo()
     nonsingular, _ = riccati._noise_gain(C, V)
     assert len(runs) == 1 and nonsingular.any() and not nonsingular.all()
@@ -438,7 +438,7 @@ def test_a_padded_member_agrees_with_its_lone_solve(case, metric, monkeypatch):
     for pads in (1, 2, 3):
         C, V = _padded(c, v, pads)
         assert _noiseless_rows(C, V).tolist() == [want]
-        S, iters = riccati._solve_detectable(A, W, C, V, metric == "posteriori")
+        S, iters = riccati._solve_detectable(A, W, C, V, riccati.psd_root(W, "W"), metric == "posteriori")
         assert iters.tolist() == [alone.iterations]
         assert np.linalg.norm(S[0] - alone.cov) <= 1e-12 * max(1.0, np.linalg.norm(alone.cov))
     if case.startswith("augmented"):  # I + X G too ill-conditioned for the n x n solve
@@ -492,8 +492,8 @@ def test_posteriori_solve_is_the_update_of_the_priori_solve(case):
     R0, F = riccati._noise(C, V)
     noiseless = R0.any(axis=(1, 2))
     assert noiseless.any() and not noiseless.all()
-    S, _ = riccati._solve_detectable(m.A, m.W, C, V)
-    post, _ = riccati._solve_detectable(m.A, m.W, C, V, posteriori=True)
+    S, _ = riccati._solve_detectable(m.A, m.W, C, V, riccati.psd_root(m.W, "W"))
+    post, _ = riccati._solve_detectable(m.A, m.W, C, V, riccati.psd_root(m.W, "W"), posteriori=True)
     got, want = (np.trace(X, axis1=1, axis2=2) for X in (post, riccati._posteriori(S, R0, F)))
     assert np.all(np.abs(got - want) <= 1e-12 * want)
     assert not np.array_equal(post, S)
@@ -1194,3 +1194,76 @@ def test_a_request_pays_only_for_the_members_it_has(monkeypatch, tmp_path):
     monkeypatch.undo()
     assert all(math.isfinite(r.trace) for r in reports + [rank_one])
     assert validations == [] and empty == []
+
+
+def _decomposition_spy(monkeypatch):
+    """Record every np.linalg.eigvals call, and every SVD and symmetric
+    eigendecomposition of a single matrix (the kernel decomposes stacks)."""
+    calls = []
+    for name in ("eigvals", "svd", "eigh"):
+        def spy(a, *rest, call=getattr(np.linalg, name), name=name, **kwargs):
+            if name == "eigvals" or a.ndim == 2:
+                calls.append((name, a))
+            return call(a, *rest, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def test_each_request_decomposes_A_and_W_once(monkeypatch, tmp_path):
+    # per request, summed over the solvers' door and every kernel run: one
+    # eigvals of A, one SVD of A - lam I per unstable eigenvalue lam, whose
+    # right null vectors give the mode images of C and its left ones the
+    # stabilizability test, and one eigendecomposition of W, whose root the
+    # kernel takes from the door
+    m = _random_model(np.random.default_rng(39), 10)  # one unstable mode
+    yes = X3CInstance(2, ((1, 2, 3), (4, 5, 6), (1, 4, 5)))
+    sweep = ["sweep", "--lambda1", "0.9", "--h-range", "1e-2", "1e2", "4", "--output", str(tmp_path / "sweep.csv")]
+    runs = [
+        (build_kfss_gadget(yes).model, 1, lambda: x3c_decide_via_kfss(yes).answer),
+        (build_kfsa_gadget(yes).model, 1, lambda: x3c_decide_via_kfsa(yes).answer),
+        (build_example1(0.9, 1.0), 1, lambda: cli.main(sweep + ["--family", "example1"]) == 0),
+        (build_example2(0.9, 1.0), 1, lambda: cli.main(sweep + ["--family", "example2"]) == 0),
+        (m, 4, lambda: all(math.isfinite(r.trace) for r in (
+            greedy_select(m, 3, "priori"), greedy_attack(m, 3, "posteriori"),
+            exhaustive_select(m, m.b, 3.0, "priori"), exhaustive_attack(m, m.omega, 3.0, "posteriori")))),
+        (m, 1, lambda: riccati.solve_dare(m.A, m.C[:3], m.W, m.V[:3, :3], posteriori=True).is_finite),
+    ]
+    for mdl, requests, run in runs:
+        lams = [lam for lam in np.linalg.eigvals(mdl.A) if abs(lam) >= 1.0 - riccati.PBH_TOL]
+        assert len(lams) == (mdl is m)
+        calls = _decomposition_spy(monkeypatch)
+        assert run()
+        monkeypatch.undo()
+        eye = np.eye(mdl.n)
+        assert all(np.array_equal(a, mdl.A) for name, a in calls if name == "eigvals")
+        assert all(any(np.array_equal(a, mdl.A - lam * eye) for lam in lams) for name, a in calls if name == "svd")
+        counts = [sum(name == kind and (kind != "eigh" or np.array_equal(a, mdl.W)) for name, a in calls)
+                  for kind in ("eigvals", "svd", "eigh")]
+        assert counts == [requests, requests * len(lams), requests]
+
+
+@pytest.mark.parametrize("metric", ["priori", "posteriori"])
+def test_a_member_keeps_its_bits_in_a_uniform_and_in_a_mixed_stack(metric):
+    # a path that takes every member of a stack gathers and scatters
+    # nothing; each member of such a stack must keep its trace and diagonal
+    # bit for bit when one member that takes the other path joins it
+    yes = X3CInstance(2, ((1, 2, 3), (4, 5, 6), (1, 4, 5)))
+    mixes = [  # (model, subset size, V of the joining member, which path the stack takes)
+        (_random_model(np.random.default_rng(3902), 10), 3, 1e-8, "easy"),  # joined by a precise hard member
+        (build_kfsa_gadget(yes).model, 7, 1e8, "hard"),  # gadget members, joined by an easy one
+        (build_example1(0.9, 1.0), 2, 1.0, "noiseless"),  # family members, joined by a noisy one
+    ]
+    for m, r, v, kind in mixes:
+        sets = np.array(list(combinations(range(m.q), r)), dtype=np.intp)
+        sets = sets[riccati._detectable(riccati._mode_images(m.A, m.C), sets)]
+        C, V = m.C[sets], m.V[sets[:, :, None], sets[:, None, :]]
+        mixed_C, mixed_V = np.concatenate((C, C[:1])), np.concatenate((V, v * np.eye(r)[None]))
+        R0, F = riccati._noise(mixed_C, mixed_V)
+        easy = np.trace(m.W) * (F * F).sum(axis=(1, 2)) <= riccati.UPDATE_BOUND
+        path = {"easy": easy, "hard": ~easy, "noiseless": R0.any(axis=(1, 2))}[kind]
+        assert len(C) > 1 and path[:-1].all() and not path[-1]
+        root = riccati.psd_root(m.W, "W")
+        uniform, _ = riccati._solve_detectable(m.A, m.W, C, V, root, metric == "posteriori")
+        mixed, _ = riccati._solve_detectable(m.A, m.W, mixed_C, mixed_V, root, metric == "posteriori")
+        for alone, joined in zip(uniform, mixed):
+            assert np.trace(alone) == np.trace(joined) and np.array_equal(alone.diagonal(), joined.diagonal())
