@@ -60,7 +60,8 @@ solve its own equation.
 A doubling run may also drop members early, those a caller's ``settle``
 no longer needs, from the trace intervals that its invariant certifies
 (_doubling_dare), in the run that solves in the requested metric
-(_solve_detectable).
+(_solve_detectable), and a caller may screen members before any run on a
+lower bound, the second iterate of the recursion from zero (_floor).
 Newton's gain shares _pinv_psd with pseudo_inverse_psd.
 solve_dare and every public solver call apply validate_model's input rule
 before any kernel runs and solve with W's and V's symmetric parts
@@ -481,6 +482,38 @@ def _update(X, F, Y):
         ZU = np.linalg.solve(B, np.concatenate((Y[e], np.zeros((h, p, Y.shape[2]))), axis=1))
         Z, GZ = _put(Z, hard, ZU[:, :n]), _put(GZ, hard, FT @ ZU[:, n:])
     return Z, GZ
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite bound screens nothing
+def _floor(base, C, V, CW, Y) -> np.ndarray:
+    """A lower bound on the trace of each member of the stacks C (k x p x n)
+    and V (k x p x p), from CW = C W and Y (k x p x m), without a kernel run:
+    base - tr(Y' Q^-1 Y), Q = V + C W C', by one batched p x p solve.  The
+    Riccati recursion S <- A (S - S C' Q(S)^+ C S) A' + W from S = 0 rises
+    monotonically to every PSD solution, so its second iterate bounds the a
+    priori covariance: base = tr(W + A W A') with Y = C W A', the kernel's
+    tr H_1.  The a posteriori covariance is the update of an a priori one,
+    which is at least W, so base = tr W with Y = C W bounds it, the filtered
+    run's tr Wb.
+    Q is formed within e = eps (n + p) (||V|| + ||CW|| ||C||) of its exact
+    value, and solved by a method as stable.  Where ||Q^-1|| e <= 1e-3, the
+    computed tr(Y' Q^-1 Y) is within about 2 e ||Q^-1 Y||^2 of the exact
+    one, and the bound is lowered by that and by the round-off of the sums.
+    A member nearer to singular, whose float Q may have lost a direction
+    that its exact Q^-1 weighs heavily (two nearly parallel noiseless rows),
+    gets -inf, as do a non-finite bound and every member of a stack with a
+    singular Q: they are never screened."""
+    (k, p, n), m = C.shape, Y.shape[2]
+    eye = np.broadcast_to(np.eye(p), (k, p, p))
+    try:  # Q^-1 Y and Q^-1 by one solve
+        X = np.linalg.solve(V + CW @ C.transpose(0, 2, 1), np.concatenate((Y, eye), axis=2))
+    except np.linalg.LinAlgError:
+        return np.full(k, -np.inf)
+    eps, X, inverse = np.finfo(float).eps, X[:, :, :m], X[:, :, m:]
+    x, e = _fro(X), eps * (n + p) * (_fro(V) + _fro(CW) * _fro(C))
+    t = np.add.reduce(Y * X, axis=(1, 2))
+    bound = base - t - 2 * e * x * x - eps * (n + p) * (_fro(Y) * x + base + abs(t))
+    return np.where(np.isfinite(bound) & (e * _fro(inverse) <= 1e-3), bound, -np.inf)
 
 
 def _posteriori(S, R0, F) -> np.ndarray:

@@ -37,16 +37,24 @@ set that is not tied, which cannot tie either.  The search also passes
 a bound, the neutral one for the maximal sets and the best trace for
 each walk level, which drops inside the doubling every member whose
 certified trace interval can neither beat nor tie the optimum (Narendra
-& Fukunaga's monotone bound, 1977; see _ScoreTable._settle).  The table
+& Fukunaga's monotone bound, 1977; see _ScoreTable._settle).  A
+selection that lacks more members than one chunk screens them first
+(_ScoreTable._screen): the Riccati recursion started at zero rises
+monotonically to the solution (Anderson & Moore, 1979), so its second
+iterate bounds each member's trace from below for one p x p solve
+(riccati._floor).  The members are solved best first by that floor, and
+before each chunk the same rule drops every member whose floor can
+neither beat nor tie the incumbent, unsolved.  The table
 passes its metric to the kernel run, which solves an equation in that
 metric and certifies intervals in it (see riccati._solve_detectable): an
 a posteriori run solves the a posteriori covariance itself, so no
 member needs an update after it.  A dropped member is stored as None:
 it counts as not tied, and a request without a bound, a greedy step or
-a report, solves it.  Greedy, greedy_and_optimal's joint first scoring,
-the Newton members, an a priori request's members with noiseless rows,
-and the closed-form members of an A with one nonzero column (every
-paper instance) drop nothing.
+a report, solves it.  Greedy, greedy_and_optimal's joint first scoring
+and attacks screen nothing, and inside the kernel the Newton members, an
+a priori request's members with noiseless rows, and the closed-form
+members of an A with one nonzero column (every paper instance) drop
+nothing.
 A report's trace and covariance diagonal are those of the stack member
 that scored the chosen indicator, and nothing is solved twice.
 evaluate_selection is the per-subset reference, riccati.solve_dare's
@@ -55,9 +63,10 @@ kernel run of a stack of one, not a path the searches take.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 
@@ -157,10 +166,10 @@ class _ScoreTable:
     of C whose noise is an identity block, zero against every real sensor,
     with the PBH mode images of that stack.  A call solves the members the
     table lacks in (size, kept, j) order, kept the sensors the filter runs
-    on, as stacks of at most STACK_CHUNK members; a chunk pads each kept
-    set to its widest with null sensors -1, -2, ..., whose V then reads
-    block-diag(V_kept, I), so it is one PBH test and one kernel run in the
-    table's metric.  Stack members are solved independently, so a stored
+    on, or screened in (size, floor) order (_screen), as stacks of at most
+    STACK_CHUNK members; a chunk pads each kept set to its widest with null
+    sensors -1, -2, ..., whose V then reads block-diag(V_kept, I), so it is
+    one PBH test and one kernel run in the table's metric.  Stack members are solved independently, so a stored
     score is the one a fresh stack, or evaluate_selection to round-off,
     would give.  ``best`` picks the better of some traces (the least for a
     selection, the greatest for an attack), and ``worst`` is the neutral
@@ -182,33 +191,41 @@ class _ScoreTable:
         self.V[-q:, q:] = np.eye(q)
         self.W, self.root, self.images = riccati._request(model.A, model.W, self.C)
         self.models, self.metric, self.attack = models, metric, attack
+        self.sensors = tuple(range(q))
         self.best, self.worst = (max, -math.inf) if attack else (min, math.inf)
         self.scores: dict[tuple[int, tuple[int, ...]], tuple[float, np.ndarray] | None] = {}
 
     def __call__(self, members, bound: float | None = None) -> list:
-        """The score of each (j, support) member, or None for one that a
-        bound drops or dropped.  A ``bound``, a trace the optimum is no
-        worse than, drops the members that can neither beat nor tie the
-        optimum (see _settle); a request without one solves every member
-        it lacks, those stored as None included.
+        """The score of each (j, support) member, support a sorted tuple, or
+        None for one that a bound drops or dropped.  A ``bound``, a trace the
+        optimum is no worse than, drops the members that can neither beat
+        nor tie the optimum (see _settle); a request without one solves every
+        member it lacks, those stored as None included.
         Undetectable members score math.inf, with a NaN diagonal, without a
         solve, and reach the drop rule as the interval [inf, inf] before
-        their chunk's kernel run."""
-        members = [(j, tuple(sorted(s))) for j, s in members]
+        their chunk's kernel run.  A selection with a bound that lacks more
+        members than one chunk screens them first (_screen)."""
         lacking = {m for m in members if m not in self.scores or bound is None and self.scores[m] is None}
         if not lacking:  # greedy's later steps, the walk and report read stored scores
             return [self.scores[m] for m in members]
         settle = None if bound is None else self._settle(bound)
-        A, W, q = self.models[0].A, self.W, self.models[0].q
-        sensors = frozenset(range(q))
+        A, W = self.models[0].A, self.W
         missing = sorted((len(kept), kept, j, s) for j, s in lacking
-                         for kept in [tuple(sorted(sensors.difference(s))) if self.attack else s])
-        for lo in range(0, len(missing), STACK_CHUNK):
-            chunk = missing[lo:lo + STACK_CHUNK]
+                         for kept in [self._survivors(s) if self.attack else s])
+        screen = settle is not None and not self.attack and len(missing) > STACK_CHUNK
+        if screen:
+            missing, floors = self._screen(missing)
+        while missing:
+            if screen:  # each floor against the incumbent, as the interval [floor, inf]
+                drop = settle(floors, np.full(len(floors), math.inf))
+                for _, _, j, s in compress(missing, drop.tolist()):
+                    self.scores[j, s] = None
+                missing, floors = list(compress(missing, (~drop).tolist())), floors[~drop][STACK_CHUNK:]
+            chunk, missing = missing[:STACK_CHUNK], missing[STACK_CHUNK:]
+            if not chunk:  # the screen dropped the rest
+                break
             width = chunk[-1][0]  # sizes ascend
-            pads = tuple(range(-1, -width - 1, -1))  # one null sensor per pad slot
-            idx = np.array([kept + pads[:width - size] for size, kept, _, _ in chunk], dtype=np.intp)
-            rows = np.where(idx < 0, idx, idx + [[j * q] for _, _, j, _ in chunk])
+            rows, idx = self._rows(chunk, width)
             finite = riccati._detectable(self.images, rows)
             if settle is not None and not finite.all():
                 unseen = np.full(len(chunk) - finite.sum(), math.inf)
@@ -223,7 +240,55 @@ class _ScoreTable:
                 diags[finite] = S.diagonal(axis1=1, axis2=2)
             for (_, _, j, s), trace, diag in zip(chunk, traces.tolist(), diags):
                 self.scores[j, s] = None if math.isnan(trace) else (trace, diag)
+            solved = traces[np.isfinite(traces)]
+            if screen and solved.size:  # closed-form and Newton runs never settle
+                settle(solved, solved)
         return [self.scores[m] for m in members]
+
+    def _survivors(self, s: tuple) -> tuple:  # the sorted complement of the sorted support s
+        kept, lo = (), 0
+        for i in s:
+            kept += self.sensors[lo:i]
+            lo = i + 1
+        return kept + self.sensors[lo:]
+
+    def _rows(self, chunk, width: int):
+        """(rows, idx) of the (size, kept, j, s) members ``chunk``: idx
+        (k x width) each kept set padded with the null sensors -1, -2, ...,
+        rows their rows of the stacked C."""
+        pads = tuple(range(-1, -width - 1, -1))  # one null sensor per pad slot
+        idx = np.array([kept + pads[:width - size] for size, kept, _, _ in chunk], dtype=np.intp)
+        first = np.array([j for _, _, j, _ in chunk], dtype=np.intp) * self.models[0].q  # model j's first row
+        return np.where(idx < 0, idx, idx + first[:, None]), idx
+
+    def _screen(self, missing):
+        """The (size, kept, j, s) members ``missing`` in (size, floor) order,
+        best first, and their floors: riccati._floor's lower bound on each
+        member's trace in the table's metric, from the rows of C W and of
+        Y (C W, or C W A' a priori) formed once per request (_products),
+        gathered as V is, by one solve per set size."""
+        base, CW, Y = self._products
+        floors = np.empty(len(missing))
+        sizes = np.array([size for size, _, _, _ in missing])
+        for size in np.unique(sizes).tolist():
+            at = np.flatnonzero(sizes == size)
+            rows, idx = self._rows([missing[i] for i in at.tolist()], size)
+            V = self.V[rows[:, :, None], idx[:, None, :]]
+            floors[at] = riccati._floor(base, self.C[rows], V, CW[rows], Y[rows])
+        order = np.lexsort((floors, sizes))
+        return [missing[i] for i in order.tolist()], floors[order]
+
+    @functools.cached_property
+    def _products(self):
+        """(base, C W, Y) of the stacked C for _screen, formed once per
+        request that screens: base = tr(W + A W A') and Y = C W A', or under
+        the a posteriori metric base = tr W and Y = C W."""
+        A, W = self.models[0].A, self.W
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound screens nothing (riccati._floor)
+            CW = self.C @ W
+            if self.metric == "posteriori":
+                return np.trace(W), CW, CW
+            return np.trace(W) + np.trace(A @ W @ A.T), CW, CW @ A.T
 
     def _settle(self, bound: float):
         """The settle callable of one request (see riccati._doubling_dare),
@@ -237,7 +302,11 @@ class _ScoreTable:
         The bound carries across the calls and chunks of the request; the
         intervals are in the table's metric, which the kernel run is told:
         they bound the trace of the solution of the equation the run
-        solves, the a posteriori one for an a posteriori table."""
+        solves, the a posteriori one for an a posteriori table.  A screened
+        selection also hands it each member's floor as [floor, inf] before
+        each chunk, and each solved chunk's finite traces as [t, t], since
+        closed-form and Newton runs never settle: U is the one incumbent of
+        every chunk and route."""
 
         def settle(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             nonlocal bound
@@ -252,7 +321,7 @@ class _ScoreTable:
     def report(self, j: int, support, evaluations: int, steps=()) -> SolveReport:
         """Model j's report for the chosen indicator ``support``, with the
         trace and diagonal that scored it."""
-        ((trace, diag),) = self([(j, support)])
+        ((trace, diag),) = self([(j, tuple(sorted(support)))])
         return SolveReport(
             mode="attack" if self.attack else "select",
             metric=self.metric,
@@ -296,7 +365,7 @@ def _greedy(table: _ScoreTable, j: int, budget: int) -> SolveReport:
     steps: list[GreedyStep] = []
     for _ in range(budget):
         candidates = [i for i in range(q) if i not in picked]
-        traces = [trace for trace, _ in table([(j, picked + [i]) for i in candidates])]
+        traces = [trace for trace, _ in table([(j, tuple(sorted(picked + [i]))) for i in candidates])]
         best = table.best(traces)
         k = min(c for c, t in enumerate(traces) if _tied(t, best))  # candidates ascend
         steps.append(GreedyStep(scores=dict(zip(candidates, traces)), chosen=candidates[k]))
@@ -381,7 +450,10 @@ def _exhaustive(table: _ScoreTable, j: int, n_feasible: int, maximal) -> SolveRe
     (greedy_and_optimal's greedy sets fit the same unit-cost budget), so
     that set's trace is worse than the best, and by monotonicity the
     candidate's is too.  The maximal sets are scored under the neutral
-    bound, and each walk level under the best trace.
+    bound, and each walk level under the best trace; a selection's level
+    that fills more than a chunk is screened, solved best first by its
+    floors (_ScoreTable._screen), so on random-solve's q = 18 models one
+    or two chunks of the 816 maximal sets of budget 3 reach the kernel.
     """
     q = table.models[j].q
 

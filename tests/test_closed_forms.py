@@ -25,7 +25,7 @@ from kfsslab.solvers import _ScoreTable
 def _stack(m, supports, metric):
     """Traces and diagonals of ``supports``, scored as one request on a
     fresh table."""
-    scored = _ScoreTable([m], metric, attack=False)([(0, s) for s in supports])
+    scored = _ScoreTable([m], metric, attack=False)([(0, tuple(sorted(s))) for s in supports])
     return [trace for trace, _ in scored], np.array([diag for _, diag in scored])
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from itertools import combinations
 
@@ -46,7 +47,7 @@ LAM = 0.9
 def _stack(m, supports, metric):
     """Traces and diagonals of ``supports``, scored as one request on a
     fresh table."""
-    scored = _ScoreTable([m], metric, attack=False)([(0, s) for s in supports])
+    scored = _ScoreTable([m], metric, attack=False)([(0, tuple(sorted(s))) for s in supports])
     return [trace for trace, _ in scored], np.array([diag for _, diag in scored])
 
 
@@ -487,19 +488,110 @@ def _random_solve_model(rng, q):
 def test_exhaustive_on_generic_instances_solves_only_the_maximal_sets(monkeypatch):
     # a lone best maximal set: each of its one-sensor-smaller subsets lies
     # under another maximal set, scored and not tied, so the walk solves
-    # nothing and the C(10, 3) = 120 maximal sets are the only members
+    # nothing and the C(10, 3) = 120 maximal sets are the only members.  The
+    # attack solves them all; the select's screen solves the 64 with the
+    # least floors, whose best trace drops the rest before any kernel run
     rng = np.random.default_rng(53)
     for _ in range(3):
         m = _random_solve_model(rng, 10)
-        for run, metric in ((exhaustive_select, "priori"), (exhaustive_attack, "posteriori")):
+        for run, metric, want in ((exhaustive_select, "priori", [64]), (exhaustive_attack, "posteriori", [64, 56])):
             members = []
             original = riccati._solve_detectable
             monkeypatch.setattr(riccati, "_solve_detectable", lambda A, W, C, V, *args:
                                 members.append(len(C)) or original(A, W, C, V, *args))
             report = run(m, np.ones(m.q), 3.0, metric)
             monkeypatch.undo()
-            assert members == [64, 56]
+            assert members == want
             assert report.chosen.count == 3
+
+
+def _floors(m, supports, metric):
+    """The screen's floors of ``supports`` on a fresh selection table of
+    ``m``, in the order given."""
+    table = _ScoreTable([m], metric, attack=False)
+    missing = [(len(s), s, 0, s) for s in supports]
+    order, floors = table._screen(missing)
+    return [float(floors[order.index(member)]) for member in missing]
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_screen_floor_bounds_the_converged_trace(metric):
+    # the floor, tr H_1 a priori or tr Wb a posteriori, is the second
+    # iterate of the Riccati recursion from zero, or W's update: never
+    # above the converged trace plus the tie band, on random members with
+    # nonsingular, singular and zero noise, zero rows, one-column and zero
+    # A, and a precise sensor off the axes (C = [g, g], V = 1e-11), whose
+    # traces are known to 16 digits at every g.  On well-conditioned members
+    # it is the direct (W^-1 + G)^-1, propagated a priori, to 1e-12
+    rng = np.random.default_rng(101)
+    near = direct = 0
+    for draw in range(80):
+        n, q = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        A = rng.standard_normal((n, n)) * rng.choice([0.0, 0.3, 0.9]) / math.sqrt(n)
+        if draw % 4 == 1:
+            A[:, 1:] = 0.0  # one nonzero column: the closed form
+        C = rng.standard_normal((q, n)) * 10.0 ** rng.uniform(-1, 2, (q, 1))
+        C[rng.random(q) < 0.15] = 0.0
+        B = rng.standard_normal((q, q)) * 10.0 ** rng.uniform(-6, 0, q)
+        V = {0: B @ B.T + 0.1 * np.eye(q), 1: B[:, :1] @ B[:, :1].T, 2: np.diag(rng.choice([0.0, 1.0], q))}[draw % 3]
+        L = rng.standard_normal((n, n))
+        m = validate_model(SystemModel(n=n, q=q, A=A, C=C, W=L @ L.T + 0.2 * np.eye(n), V=V))
+        supports = [c for r in range(q + 1) for c in combinations(range(q), r)]
+        for s, floor in zip(supports, _floors(m, supports, metric)):
+            trace = evaluate_selection(m, SelectionVector.from_support(q, s), metric).trace
+            assert floor <= trace + solvers._band(trace), (draw, s)
+            near += trace - floor <= 1e-9 * trace
+            if draw % 3 == 0 and s:
+                Vs = m.V[np.ix_(s, s)]
+                M = np.linalg.inv(m.W) + m.C[list(s)].T @ np.linalg.solve(Vs, m.C[list(s)])
+                P = np.linalg.inv(M)
+                want = np.trace(P if metric == "posteriori" else m.A @ P @ m.A.T + m.W)
+                # well-conditioned: both inverses, and an update that keeps a tenth of tr W
+                if np.linalg.cond(Vs) * np.linalg.cond(M) < 1e3 and np.trace(P) > 0.1 * np.trace(m.W):
+                    assert abs(floor - want) <= 1e-12 * want, (draw, s)
+                    direct += 1
+    assert near > 100 and direct > 60
+    # two noiseless rows at an angle delta measure the whole state of n = 2,
+    # so P = 0 and S = W at every delta, whatever a third, noisy row adds;
+    # in float their block of Q = C C' + V loses its second direction, whose
+    # weight 1 / delta^2 the inverse needs
+    c, d, e = rng.standard_normal((3, 2))
+    for delta in 10.0 ** -np.arange(2, 14, 2):
+        m = validate_model(SystemModel(n=2, q=3, A=0.5 * np.eye(2), C=np.array([c, c + delta * d, e]),
+                                       W=np.eye(2), V=np.diag([0.0, 0.0, 1.0])))
+        want = 0.0 if metric == "posteriori" else 2.0
+        for floor in _floors(m, [(0, 1), (0, 1, 2)], metric):
+            assert floor <= want + solvers._band(want), delta
+    exact = {"priori": 2.750489783961217, "posteriori": 1.68649389654206}[metric]
+    for g in 10.0 ** np.arange(13):
+        m = validate_model(SystemModel(n=2, q=1, A=np.array([[0.9, 0.1], [0.0, 0.5]]), C=np.array([[g, g]]),
+                                       W=np.eye(2), V=np.array([[1e-11]])))
+        (floor,) = _floors(m, [(0,)], metric)
+        assert 0.0 < floor <= exact
+
+
+def test_screen_floor_keeps_to_a_padded_member_and_screens_nothing_it_cannot_solve():
+    # a null sensor (zero row, identity noise) adds a row and column to Q
+    # and nothing to the bound; a singular Q, as of a noiseless zero row,
+    # or an overflowing one gives -inf, with no warning
+    rng = np.random.default_rng(103)
+    n, p = 3, 2
+    A, W = rng.standard_normal((n, n)), np.eye(n)
+    C = rng.standard_normal((p, n))
+    V = np.eye(p)
+    pad = np.zeros((p + 2, p + 2))
+    pad[:p, :p], pad[p:, p:] = V, np.eye(2)
+    Cp = np.concatenate([C, np.zeros((2, n))])
+    base = np.trace(W) + np.trace(A @ W @ A.T)
+    alone, padded = (riccati._floor(base, c[None], v[None], (c @ W)[None], (c @ W @ A.T)[None])[0]
+                     for c, v in ((C, V), (Cp, pad)))
+    assert math.isfinite(alone) and abs(padded - alone) <= 1e-14 * abs(alone)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zero = np.zeros((1, 1, n))
+        assert riccati._floor(base, zero, np.zeros((1, 1, 1)), zero, zero)[0] == -math.inf
+        huge = np.full((1, 1, n), 1e200)
+        assert riccati._floor(base, huge, np.eye(1)[None], huge, huge)[0] == -math.inf
 
 
 def _full_enumeration(m, costs, budget, metric, attack):
@@ -522,13 +614,14 @@ def _full_enumeration(m, costs, budget, metric, attack):
     return SelectionVector.from_support(m.q, combos[k]).bits, traces[k], diag, len(combos) + 1
 
 
-def _tie_model(rng):
+def _tie_model(rng, q=None):
     """Random instance with exact ties: a zero-row sensor, which changes no
     trace, and a duplicated sensor with equal noise.  The first state is
     unstable and seen by some sensors only, so some selections and survivor
-    sets are undetectable; V is singular on some draws."""
+    sets are undetectable; V is singular on some draws.  q is drawn from
+    4 to 6 unless given."""
     n = int(rng.integers(2, 4))
-    q = int(rng.integers(4, 7))
+    q = int(rng.integers(4, 7)) if q is None else q
     C = rng.standard_normal((q, n))
     C[rng.random(q) < 0.5, 0] = 0.0
     C[0, 0] = 1.0  # the empty selection is the only undetectable one for sure
@@ -561,6 +654,57 @@ def test_exhaustive_equals_full_enumeration():
                     # with unit costs every maximal set has `budget` sensors
                     ties += costs is not m.b and report.chosen.count < budget
     assert undetectable and ties  # both the infinite and the tie-walk paths ran
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_screened_exhaustive_select_equals_the_search_that_solves_every_member(metric, monkeypatch):
+    # the screen solves best first and drops members on their floors; with
+    # one chunk holding every member it screens nothing.  Unit costs give
+    # the same report bit for bit; mixed costs may pad other chunks, so the
+    # same chosen set with its trace to 1e-12.  Tie models at q = 9 to 12
+    # (exact ties, undetectable sets, singular V on some draws) and
+    # random-solve models at q = 10 and 12
+    rng = np.random.default_rng(107)
+    fewer = 0
+    for draw in range(8):
+        q = int(rng.integers(9, 13)) if draw % 2 else 10 + 2 * (draw % 4 == 2)
+        m = _tie_model(rng, q) if draw % 2 else _random_solve_model(rng, q)
+        for unit in (True, False):
+            costs = np.ones(m.q) if unit else rng.choice([0.5, 1.0, 1.5], m.q)
+            runs = []
+            for chunk in (solvers.STACK_CHUNK, 10**6):
+                members = []
+                original = riccati._solve_detectable
+                monkeypatch.setattr(solvers, "STACK_CHUNK", chunk)
+                monkeypatch.setattr(riccati, "_solve_detectable", lambda A, W, C, V, *args:
+                                    members.append(len(C)) or original(A, W, C, V, *args))
+                runs.append((exhaustive_select(m, costs, 3.0, metric), sum(members)))
+                monkeypatch.undo()
+            (report, solved), (want, every) = runs
+            if unit:
+                assert report_to_dict(report) == report_to_dict(want), draw
+            else:
+                assert report.chosen == want.chosen and report.evaluations == want.evaluations, draw
+                assert report.trace == want.trace or abs(report.trace - want.trace) <= 1e-12 * want.trace, draw
+            fewer += solved < every
+    assert fewer >= 12
+
+
+def test_screen_solves_q_18_select_in_at_most_two_kernel_runs(monkeypatch):
+    # the C(18, 3) = 816 maximal sets of a random-solve model: the 64 with
+    # the least floors hold the optimum's trace closely enough to drop all
+    # but at most one more chunk before any kernel run
+    rng = np.random.default_rng(109)
+    for _ in range(3):
+        m = _random_solve_model(rng, 18)
+        runs = []
+        original = riccati._solve_detectable
+        monkeypatch.setattr(riccati, "_solve_detectable", lambda A, W, C, V, *args:
+                            runs.append(len(C)) or original(A, W, C, V, *args))
+        report = exhaustive_select(m, np.ones(m.q), 3.0, "priori")
+        monkeypatch.undo()
+        assert 1 <= len(runs) <= 2 and runs[0] == solvers.STACK_CHUNK
+        assert report.chosen.count == 3
 
 
 def test_tie_walk_continues_past_a_size_with_no_tied_set():
@@ -675,7 +819,7 @@ def test_dropping_halves_the_doubling_solves_at_q_18(monkeypatch):
     assert 0 < sum(solved) <= lone / 2
 
 
-@pytest.mark.parametrize("attack, doublings", [(False, 887), (True, 29)], ids=["select", "attack"])
+@pytest.mark.parametrize("attack, doublings", [(False, 829), (True, 29)], ids=["select", "attack"])
 def test_posteriori_dropping_halves_the_doubling_solves_at_q_18(attack, doublings, monkeypatch):
     # the model above under the a posteriori metric.  The maximal sets are
     # the triples (survivor sets of 15 sensors for the attack).  Every
@@ -684,7 +828,9 @@ def test_posteriori_dropping_halves_the_doubling_solves_at_q_18(attack, doubling
     # before the first doubling and once per doubling, as an a priori run
     # does, and no measurement update follows: each run settles every
     # member once before doubling and every live member once per doubling.
-    # The attack drops most members before any doubling
+    # The attack drops most members before any doubling.  The select's
+    # screen hands the run its members best first, so its incumbent falls
+    # sooner: 829 doublings, where (size, kept) order took 887
     rng = np.random.default_rng(61)
     m = _random_solve_model(rng, 18)
     sets = [tuple(i for i in range(m.q) if i not in c) if attack else c for c in combinations(range(m.q), 3)]

@@ -43,7 +43,7 @@ ULPS = 4 * np.finfo(float).eps
 def _stack(m, supports, metric):
     """Traces and diagonals of ``supports``, scored as one request on a
     fresh table."""
-    scored = _ScoreTable([m], metric, attack=False)([(0, s) for s in supports])
+    scored = _ScoreTable([m], metric, attack=False)([(0, tuple(sorted(s))) for s in supports])
     return [trace for trace, _ in scored], np.array([diag for _, diag in scored])
 
 
@@ -160,7 +160,7 @@ def test_stack_mixing_singular_and_nonsingular_noise(monkeypatch):
     for name in ("is_detectable", "_filtered", "_newton_dare"):
         original = getattr(riccati, name)
         monkeypatch.setattr(riccati, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
-    table([(0, s) for s in supports])
+    table([(0, tuple(sorted(s))) for s in supports])
     assert len(supports) <= STACK_CHUNK
     assert calls == ["_filtered"]
 
@@ -854,7 +854,7 @@ def test_stacked_scores_are_monotone_and_attack_is_complement(instance, metric):
     attacks = [(), tuple(base)] + [(i,) for i in extra]
     got = _ScoreTable([m], metric, attack=True)([(0, a) for a in attacks])
     survivors = [[i for i in range(m.q) if i not in a] for a in attacks]
-    want = _ScoreTable([m], metric, attack=False)([(0, s) for s in survivors])
+    want = _ScoreTable([m], metric, attack=False)([(0, s) for s in map(tuple, survivors)])
     for (trace, diag), (trace_want, diag_want) in zip(got, want):
         assert repr(trace) == repr(trace_want) and np.array_equal(diag, diag_want, equal_nan=True)
 
