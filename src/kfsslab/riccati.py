@@ -63,12 +63,12 @@ no longer needs, from the trace intervals that its invariant certifies
 (_solve_detectable), and a caller may screen members before any run on a
 lower bound, the second iterate of the recursion from zero (_floor).
 Newton's gain shares _pinv_psd with pseudo_inverse_psd.
-solve_dare and every public solver call apply validate_model's input rule
-before any kernel runs and solve with W's and V's symmetric parts
-(model.noise_root).  Their door (_request) pays a request's fixed costs
-once: one root of W, which every kernel run takes, and one eigvals of A
-and one SVD of A - lam I per unstable mode, whose null vectors give both
-PBH tests, detectability and stabilizability.  A stack path whose mask
+solve_dare, is_stabilizable_noise and the solvers' score table share one
+door (_request): validate_model's input rule before any kernel runs, then
+one root of W, which every kernel run takes (they solve with W's and V's
+symmetric parts, model.noise_root), and one eigvals of A and one SVD of
+A - lam I per unstable mode, whose null vectors give both PBH tests,
+detectability and the one stabilizability test.  A stack path whose mask
 selects every member gathers and scatters nothing (_members, _put).
 
 Four module constants hold the tolerances: TOL (the stopping rule),
@@ -516,6 +516,16 @@ def _floor(base, C, V, CW, Y) -> np.ndarray:
     return np.where(np.isfinite(bound) & (e * _fro(inverse) <= 1e-3), bound, -np.inf)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite bound screens nothing (_floor)
+def _floor_terms(A, W, C, posteriori) -> tuple:
+    """_floor's terms (base, C W, Y) of the rows C (q x n): base = tr(W + A W A')
+    with Y = C W A', or with ``posteriori`` base = tr W with Y = C W."""
+    CW = C @ W
+    if posteriori:
+        return np.trace(W), CW, CW
+    return np.trace(W) + np.trace(A @ W @ A.T), CW, CW @ A.T
+
+
 def _posteriori(S, R0, F) -> np.ndarray:
     """The measurement updates of the symmetric stack S (k x n x n) given
     (R0, F) = _noise(C, V): S updated exactly by the noiseless rows R0
@@ -566,13 +576,15 @@ def posteriori_from_priori(Sigma, C_sel, V_sel) -> np.ndarray:
     return _posteriori(Sigma[None], *_noise(C[None], V[None]))[0]
 
 
-def _check_shapes(A, C=None, W=None, V=None) -> None:
-    """Raise ShapeError, naming the arrays, unless A is n x n and, where
-    given, W is n x n, C is p x n and V is p x p."""
+def _check_shapes(A, C, W=None, V=None) -> None:
+    """Raise ShapeError, naming the arrays, unless A is n x n, every member
+    of the sequence C is p x n, one p for all, and, where given, W is n x n
+    and every member of the sequence V is p x p."""
     n = A.shape[0] if A.ndim else None
     if A.shape != (n, n) or W is not None and W.shape != (n, n):
         raise ShapeError("A must be n x n" if W is None else "A and W must be n x n")
-    if C is not None and (C.ndim != 2 or C.shape[1] != n or V is not None and V.shape != (len(C),) * 2):
+    p = len(C[0]) if C[0].ndim else None
+    if any(c.shape != (p, n) for c in C) or V is not None and any(v.shape != (p, p) for v in V):
         raise ShapeError("C must be p x n" if V is None else "C must be p x n with V p x p")
 
 
@@ -582,7 +594,7 @@ def _mode_images(A: np.ndarray, C: np.ndarray, L=None) -> list:
     the numerical kernel of A - lam I: its right singular vectors whose
     singular value is at most PBH_TOL ||A||_2.  The conjugates M of the left
     ones span ker(A' - lam I) (real A), so given W's root L the SVDs make
-    is_stabilizable_noise's test too (Hautus, 1969), and
+    the door's stabilizability test too (Hautus, 1969), and
     StabilizabilityViolation is raised unless every L' M / ||A||_2 has full column rank."""
     lams = [lam for lam in np.linalg.eigvals(A) if abs(lam) >= 1.0 - PBH_TOL]
     scale, images, duals = np.linalg.norm(A, 2) if lams else None, [], []
@@ -596,12 +608,19 @@ def _mode_images(A: np.ndarray, C: np.ndarray, L=None) -> list:
     return images
 
 
-def _request(A, W, C) -> tuple:
-    """(W's symmetric part, its root (w, L), the mode images of the rows C): the door of solve_dare and the
-    solvers, on checked shapes.  Raises as noise_root does for W, NonFiniteInput for A, then as _mode_images."""
+def _request(A, W, C, V) -> tuple:
+    """(W's symmetric part, the stack of V's, W's root (w, L), the mode images of every row of C): the one door
+    of solve_dare, is_stabilizable_noise and the solvers' score table, for A, W and the sequences C and V of
+    k members, one subset's rows and noise, or the table's models and null sensors.  Before any kernel runs it
+    raises ShapeError (_check_shapes), NonFiniteInput for C, then as noise_root does for V's stack and for W,
+    NonFiniteInput for A, then StabilizabilityViolation unless (A, W^(1/2)) is stabilizable (_mode_images)."""
+    _check_shapes(A, C, W, V)
+    rows = np.concatenate(C)
+    check_finite(C=rows)
+    V = noise_root(np.stack(V), "V")[0]
     W, w, L = noise_root(W, "W")
     check_finite(A=A)
-    return W, (w, L), _mode_images(A, C, L)
+    return W, V, (w, L), _mode_images(A, rows, L)
 
 
 def _detectable(images: list, idx: np.ndarray) -> np.ndarray:
@@ -632,28 +651,23 @@ def is_detectable(A, C_sel) -> bool:
     ShapeError when A is not square or C not p x n, and NonFiniteInput
     when A or C is not finite.
     """
-    A = np.asarray(A, dtype=float)
-    C_sel = np.asarray(C_sel, dtype=float)
-    _check_shapes(A, C_sel)
+    A, C_sel = np.asarray(A, dtype=float), np.asarray(C_sel, dtype=float)
+    _check_shapes(A, [C_sel])
     check_finite(A=A, C=C_sel)
     return bool(_detectable(_mode_images(A, C_sel), np.arange(C_sel.shape[0])[None])[0])
 
 
 def is_stabilizable_noise(A, W) -> bool:
-    """Dual PBH test that (A, W^{1/2}) is stabilizable: (A', L') is
-    detectable for the root L of W (model.noise_root), as for any such L.
-    Raises ShapeError unless A and W are n x n, then as noise_root and is_detectable do."""
+    """Dual PBH test that (A, W^{1/2}) is stabilizable: the door's (_request,
+    _mode_images) on a request without sensors, from the left null vectors of
+    its SVDs.  Raises ShapeError unless A and W are n x n, then as noise_root
+    does for W, and NonFiniteInput for A."""
     A, W = np.asarray(A, dtype=float), np.asarray(W, dtype=float)
-    _check_shapes(A, W=W)
-    return is_detectable(A.T, noise_root(W, "W")[2].T)  # is_detectable checks A
-
-
-def check_stabilizable(A, W) -> np.ndarray:
-    """Raise StabilizabilityViolation unless (A, W^{1/2}) is stabilizable, else return W's symmetric part.
-    The solvers' door makes the same test from the SVDs it shares with detectability (_request)."""
-    if not is_stabilizable_noise(A, W):
-        raise StabilizabilityViolation("(A, W^(1/2)) is not stabilizable")
-    return _sym(np.asarray(W, dtype=float))
+    try:
+        _request(A, W, [np.empty((0,) + A.shape[1:])], [np.empty((0, 0))])  # no sensors: C is 0 x n once A is n x n
+    except StabilizabilityViolation:
+        return False
+    return True
 
 
 def _solve_detectable(A, W, C, V, root, posteriori=False, settle=None) -> tuple[np.ndarray, np.ndarray]:
@@ -774,23 +788,16 @@ def solve_dare(A, C, W, V, posteriori=False) -> SteadyStateResult:
     With one nonzero column in A and W nonsingular, the filtered equation
     is solved in closed form, and ``iterations`` is 0.
 
-    Returns the infinite result when (A, C) is undetectable.  Raises, as
-    the solvers do, ShapeError on mismatched shapes, NonFiniteInput and
-    model.NotPSD by model.noise_root's rule (it solves with W's and V's
-    symmetric parts), then StabilizabilityViolation, and NoConvergence
-    when a solve fails (see _split and _solve_detectable).
+    Returns the infinite result when (A, C) is undetectable.  Raises what
+    the solvers' door (_request) raises, before any kernel runs, and
+    NoConvergence when a solve fails (see _split and _solve_detectable).
+    It solves with W's and V's symmetric parts (model.noise_root).
     """
-    A = np.ascontiguousarray(A, dtype=float)
-    C = np.ascontiguousarray(C, dtype=float)
-    W = np.ascontiguousarray(W, dtype=float)
-    V = np.ascontiguousarray(V, dtype=float)
-    _check_shapes(A, C, W, V)
-    check_finite(C=C)
-    V = noise_root(V, "V")[0]
-    W, root, images = _request(A, W, C)
+    A, C, W, V = (np.ascontiguousarray(M, dtype=float) for M in (A, C, W, V))
+    W, V, root, images = _request(A, W, [C], [V])
     if not _detectable(images, np.arange(len(C))[None])[0]:
         return SteadyStateResult.infinite()
-    S, iters = _solve_detectable(A, W, C[None], V[None], root, posteriori)
+    S, iters = _solve_detectable(A, W, C[None], V, root, posteriori)
     return SteadyStateResult.finite(S[0], int(iters[0]))
 
 

@@ -27,8 +27,8 @@ greedy_and_optimal takes a sequence of models that share A and W, such as
 a sweep's grid points: both drivers of every model read the table, and
 the sets both are known to read are scored for all models at once, in
 one stack whose chunks mix the subset sizes.  Every public solver checks
-its input, C and V too, and stabilizability, at the riccati door, once
-per request, before it enumerates or solves.  Adding a sensor never
+its input and stabilizability at riccati's one door (_request), once per
+request, before it enumerates or solves.  Adding a sensor never
 raises the trace, so the exhaustive search solves only the maximal
 feasible sets (by inclusion; counted, not listed, at sizes whose sets
 all fit: _maximal_feasible), and then the subsets of tied sets that the
@@ -71,7 +71,7 @@ from itertools import combinations, compress
 import numpy as np
 
 from . import riccati
-from .model import SelectionVector, SteadyStateResult, SystemModel, as_integer, check_finite, noise_root, restrict
+from .model import SelectionVector, SteadyStateResult, SystemModel, as_integer, restrict
 from .model import complement  # unused here; perfbench's tracer patches solvers.complement
 from .riccati import posteriori_from_priori  # unused here; perfbench's tracer patches solvers.posteriori_from_priori
 
@@ -160,20 +160,21 @@ class _ScoreTable:
     its sorted sensor indices, or None for one that a bound dropped.  An
     attack indicator is scored through its survivor set.
 
-    The constructor, the solvers' one door, checks the metric, that the
-    models share A, W and q, and what solve_dare checks (V by one batched
-    noise_root).  It stacks C and V, then q null sensors -1 ... -q: zero rows
-    of C whose noise is an identity block, zero against every real sensor,
-    with the PBH mode images of that stack.  A call solves the members the
-    table lacks in (size, kept, j) order, kept the sensors the filter runs
-    on, or screened in (size, floor) order (_screen), as stacks of at most
-    STACK_CHUNK members; a chunk pads each kept set to its widest with null
-    sensors -1, -2, ..., whose V then reads block-diag(V_kept, I), so it is
-    one PBH test and one kernel run in the table's metric.  Stack members are solved independently, so a stored
-    score is the one a fresh stack, or evaluate_selection to round-off,
-    would give.  ``best`` picks the better of some traces (the least for a
-    selection, the greatest for an attack), and ``worst`` is the neutral
-    bound, which no trace is worse than."""
+    The constructor checks the solvers' own rules, the metric and that the
+    models share A, W and q, and passes each model's C and V, then q null
+    sensors -1 ... -q (zero rows of C whose noise is an identity block, zero
+    against every real sensor), to riccati's door (_request).  It stacks
+    their rows and the door's symmetric V's, with the PBH mode images of
+    that stack.  A call solves the members the table lacks in (size, kept,
+    j) order, kept the sensors the filter runs on, or screened in (size,
+    floor) order (_screen), as stacks of at most STACK_CHUNK members; a
+    chunk pads each kept set to its widest with null sensors -1, -2, ...,
+    whose V then reads block-diag(V_kept, I), so it is one PBH test and one
+    kernel run in the table's metric.  Stack members are solved
+    independently, so a stored score is the one a fresh stack, or
+    evaluate_selection to round-off, would give.  ``best`` picks the better
+    of some traces (the least for a selection, the greatest for an attack),
+    and ``worst`` is the neutral bound, which no trace is worse than."""
 
     def __init__(self, models, metric: str, attack: bool):
         _check_metric(metric)
@@ -181,15 +182,12 @@ class _ScoreTable:
         if any(m.q != q or not np.array_equal(m.A, model.A) or not np.array_equal(m.W, model.W)
                for m in models[1:]):
             raise ValueError("models scored together must share A, W and the sensor count")
-        riccati._check_shapes(model.A, W=model.W)
-        if any(m.C.shape != (q, len(model.A)) or m.V.shape != (q, q) for m in models):
-            raise riccati.ShapeError(f"C must be q x n and V q x q, q = {q} sensors, in every model")
-        self.C = np.concatenate([m.C for m in models] + [np.zeros((q, len(model.A)))])
-        check_finite(C=self.C)
+        C = [m.C for m in models] + [np.zeros((q,) + model.A.shape[1:])]  # null sensors: q x n once A passes
+        self.W, V, self.root, self.images = riccati._request(model.A, model.W, C, [m.V for m in models] + [np.eye(q)])
+        self.C = np.concatenate(C)
         self.V = np.zeros((len(self.C), 2 * q))
-        self.V[:-q, :q] = noise_root(np.stack([m.V for m in models]), "V")[0].reshape(-1, q)
-        self.V[-q:, q:] = np.eye(q)
-        self.W, self.root, self.images = riccati._request(model.A, model.W, self.C)
+        self.V[:-q, :q] = V[:-1].reshape(-1, q)
+        self.V[-q:, q:] = V[-1]
         self.models, self.metric, self.attack = models, metric, attack
         self.sensors = tuple(range(q))
         self.best, self.worst = (max, -math.inf) if attack else (min, math.inf)
@@ -279,16 +277,8 @@ class _ScoreTable:
         return [missing[i] for i in order.tolist()], floors[order]
 
     @functools.cached_property
-    def _products(self):
-        """(base, C W, Y) of the stacked C for _screen, formed once per
-        request that screens: base = tr(W + A W A') and Y = C W A', or under
-        the a posteriori metric base = tr W and Y = C W."""
-        A, W = self.models[0].A, self.W
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound screens nothing (riccati._floor)
-            CW = self.C @ W
-            if self.metric == "posteriori":
-                return np.trace(W), CW, CW
-            return np.trace(W) + np.trace(A @ W @ A.T), CW, CW @ A.T
+    def _products(self):  # riccati._floor_terms of the stacked C, once per request that screens
+        return riccati._floor_terms(self.models[0].A, self.W, self.C, self.metric == "posteriori")
 
     def _settle(self, bound: float):
         """The settle callable of one request (see riccati._doubling_dare),

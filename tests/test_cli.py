@@ -678,6 +678,72 @@ def test_solve_on_a_defective_blind_mode_is_solver_error(tmp_path, capsys, algor
         assert captured.out == "" and captured.err.startswith(f"error: {message}")
 
 
+def _unit_cost_instance(A, C, W, V, budget_select, budget_attack):
+    q, n = np.shape(C)
+    return {"n": n, "q": q, "A": np.asarray(A).tolist(), "C": np.asarray(C).tolist(), "W": np.asarray(W).tolist(),
+            "V": np.asarray(V).tolist(), "b": [1.0] * q, "omega": [1.0] * q,
+            "budget_select": budget_select, "budget_attack": budget_attack}
+
+
+def _rotation_instance(W):
+    """A = 1.2 x (rotation by 0.3 rad) + [0.5]: the door takes the complex
+    pair's stabilizability test from the left null vectors of one SVD per mode."""
+    A = np.zeros((3, 3))
+    A[:2, :2] = 1.2 * np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    A[2, 2] = 0.5
+    return _unit_cost_instance(A, np.eye(3), W, np.eye(3), 2, 1)
+
+
+def _many_instance():
+    """Seeded, q = 12 and n = 6: an exhaustive select with budget 3 has 220
+    maximal sets over several chunks, so its screen drops members on their
+    floors before any kernel run."""
+    rng = np.random.default_rng(40)
+    C = rng.standard_normal((12, 6))
+    C[:, 0] += np.sign(C[:, 0])
+    B = rng.standard_normal((12, 12))
+    A = np.diag([1.05, 0.5, 0.3, 0.1, -0.2, -0.4])
+    return _unit_cost_instance(A, C, np.eye(6), B @ B.T / 12 + 0.5 * np.eye(12), 3, 3)
+
+
+HAND_BUILT = {  # name: (instance, mode, algorithm, metric, exit code, stdout or None for any one trace line)
+    # a rank-one W = 1e7 u u', whose zero eigenvalue comes out -3.9e-9, within the relative PSD floor
+    "rank_one": (lambda: _unit_cost_instance(np.diag([0.9, 0.5, 0.0]), np.eye(3),
+                                             1e7 * np.outer([0.3, 0.7, 1.1], [0.3, 0.7, 1.1]), np.eye(3), 2, 1),
+                 "select", "greedy", "priori", 0, None),
+    # a precise sensor off the axes, C = [1e4, 1e4] with V = 1e-11, whose I + X G is singular in float
+    "precise": (lambda: _unit_cost_instance([[0.9, 0.1], [0.0, 0.5]], [[1e4, 1e4]], np.eye(2), [[1e-11]], 1, 0),
+                "select", "exhaustive", "posteriori", 0, None),
+    # a sensor row of 1e200 that sees the unstable mode, whose PBH norm is inf
+    "large_row": (lambda: _unit_cost_instance(np.diag([1.05, 0.5]), [[1e200, 0.0], [0.0, 1.0]], np.eye(2),
+                                              np.eye(2), 2, 1),
+                  "select", "exhaustive", "posteriori", 0, "trace=0.5311288741492748 chosen=[1, 2]\n"),
+    # W zero on the rotated block is refused, W = I solved
+    "rotation_w0": (lambda: _rotation_instance(np.diag([0.0, 0.0, 1.0])), "select", "exhaustive", "priori", 2, ""),
+    "rotation": (lambda: _rotation_instance(np.eye(3)), "select", "exhaustive", "priori", 0, None),
+    # the trace and chosen set that the search without a screen prints
+    "many": (_many_instance, "select", "exhaustive", "priori", 0, "trace=6.629832593248576 chosen=[1, 2, 8]\n"),
+}
+
+
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_solve_on_a_hand_built_instance(tmp_path, capsys, name):
+    instance, mode, algorithm, metric, code, stdout = HAND_BUILT[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(instance()))
+    assert run_cli("solve", "--instance", str(path), "--mode", mode, "--algorithm", algorithm,
+                   "--metric", metric) == code
+    out = capsys.readouterr().out
+    assert out == stdout if stdout is not None else re.fullmatch(r"trace=[0-9.e+-]+ chosen=\[[0-9, ]*\]\n", out)
+
+
+def test_sweep_at_a_small_v_scale_whose_models_only_the_door_checks(tmp_path):
+    out = tmp_path / "vscale.csv"
+    assert run_cli("sweep", "--family", "example2", "--lambda1", "0.9", "--h-grid", "1e-3,1e-2", "--v-scale", "1e-3",
+                   "--metric", "posteriori", "--output", str(out)) == 0
+    assert len(out.read_text().splitlines()) == 3
+
+
 @pytest.mark.parametrize("algorithm", ["greedy", "exhaustive"])
 def test_solve_with_an_unfactorable_newton_start_is_solver_error(tmp_path, capsys, algorithm):
     # a valid rank-one V = 1e14 [[1, 1], [1, 1]] with a singular W, so the

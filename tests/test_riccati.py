@@ -25,7 +25,14 @@ from kfsslab.riccati import (
     pseudo_inverse_psd,
     solve_dare,
 )
-from kfsslab.solvers import evaluate_selection, exhaustive_select, greedy_and_optimal, greedy_attack, greedy_select
+from kfsslab.solvers import (
+    evaluate_selection,
+    exhaustive_attack,
+    exhaustive_select,
+    greedy_and_optimal,
+    greedy_attack,
+    greedy_select,
+)
 
 EMPTY_V = np.zeros((0, 0))
 
@@ -762,27 +769,67 @@ def test_small_newton_solve_runs_the_doubling_only_for_its_start(monkeypatch, V)
 def test_stabilizability_verdict_follows_pbh_tol(monkeypatch):
     # W^(1/2) keeps 1e-8 of the unstable mode: seen at PBH_TOL = 1e-9 only
     A, W = np.diag([1.2, 0.5]), np.diag([1e-16, 1.0])
-    riccati.check_stabilizable(A, W)
+    m = SystemModel(n=2, q=2, A=A, C=np.eye(2), W=W, V=np.eye(2))
+    assert riccati.is_stabilizable_noise(A, W)
+    assert math.isfinite(exhaustive_select(m, m.b, 2.0, "priori").trace)
     monkeypatch.setattr(riccati, "PBH_TOL", 1e-7)
     assert not riccati.is_stabilizable_noise(A, W)
-    with pytest.raises(StabilizabilityViolation):
-        riccati.check_stabilizable(A, W)
+    with pytest.raises(StabilizabilityViolation, match=r"^\(A, W\^\(1/2\)\) is not stabilizable$"):
+        exhaustive_select(m, m.b, 2.0, "priori")
     monkeypatch.undo()
-    riccati.check_stabilizable(A, W)
+    assert riccati.is_stabilizable_noise(A, W)
+    assert math.isfinite(exhaustive_select(m, m.b, 2.0, "priori").trace)
+
+
+def _spoilt(M):
+    M = np.array(M)
+    M[0, 0] = math.nan
+    return M
+
+
+DOOR_CASES = [  # (array, its bad value, error, the start of the message)
+    ("A", np.ones((2, 3)), ShapeError, "A and W must be n x n$"),
+    ("W", np.eye(3), ShapeError, "A and W must be n x n$"),
+    ("C", np.ones((2, 3)), ShapeError, "C must be p x n with V p x p$"),
+    ("V", np.eye(2)[:, :, None], ShapeError, "C must be p x n with V p x p$"),
+    ("A", _spoilt(np.diag([1.5, 0.5])), NonFiniteInput, "A has an entry that is not finite$"),
+    ("C", _spoilt(np.eye(2)), NonFiniteInput, "C has an entry that is not finite$"),
+    ("W", _spoilt(np.eye(2)), NonFiniteInput, "W has an entry that is not finite$"),
+    ("V", _spoilt(np.eye(2)), NonFiniteInput, "V has an entry that is not finite$"),
+    ("W", -np.eye(2), NotPSD, "W has eigenvalue -1.000e"),
+    ("V", -np.eye(2), NotPSD, "V has eigenvalue -1.000e"),
+    ("W", np.diag([0.0, 1.0]), StabilizabilityViolation, r"\(A, W\^\(1/2\)\) is not stabilizable$"),
+]
 
 
 @pytest.mark.parametrize("metric", ["priori", "posteriori"])
 def test_a_process_noise_that_is_not_psd_is_refused_before_any_kernel(monkeypatch, metric):
     # W = -I once passed the stabilizability test on a clamped root and
-    # ended in numpy's LinAlgError or an answer; the test's root now refuses
-    # it, by the rule validate_model applies, for every caller
+    # ended in numpy's LinAlgError or an answer.  Every entry point has one
+    # door, which refuses each bad input, W = -I among them, by the rule
+    # validate_model applies: the same error and message from every
+    # caller, and no kernel run (is_stabilizable_noise answers False on an
+    # unstabilizable pair)
     used = _kernel_spy(monkeypatch)
-    m = SystemModel(n=2, q=2, A=DIAG_A, C=np.eye(2), W=-np.eye(2), V=np.eye(2))
-    for run in (lambda: solve_dare(m.A, m.C, m.W, m.V, posteriori=metric == "posteriori"),
-                lambda: exhaustive_select(m, m.b, 2.0, metric), lambda: greedy_attack(m, 1, metric),
-                lambda: is_stabilizable_noise(m.A, m.W)):
-        with pytest.raises(NotPSD, match="^W has eigenvalue -1.000e"):
-            run()
+    for name, bad, error, message in DOOR_CASES:
+        m = SystemModel(n=2, q=2, A=np.diag([1.5, 0.5]), C=np.eye(2), W=np.eye(2), V=np.eye(2))
+        setattr(m, name, bad)
+        runs = [lambda: solve_dare(m.A, m.C, m.W, m.V, posteriori=metric == "posteriori"),
+                lambda: evaluate_selection(m, SelectionVector((1, 1)), metric),
+                lambda: greedy_select(m, 1, metric), lambda: greedy_attack(m, 1, metric),
+                lambda: exhaustive_select(m, m.b, 2.0, metric), lambda: exhaustive_attack(m, m.omega, 1.0, metric),
+                lambda: greedy_and_optimal([m], 1, "select", metric),
+                lambda: greedy_and_optimal([m], 1, "attack", metric)]
+        if name in "AW" and error is not StabilizabilityViolation:
+            runs.append(lambda: is_stabilizable_noise(m.A, m.W))
+        refusals = set()
+        for run in runs:
+            with pytest.raises(error, match="^" + message) as refused:
+                run()
+            refusals.add((type(refused.value), str(refused.value)))
+        assert len(refusals) == 1, (name, refusals)
+        if error is StabilizabilityViolation:
+            assert not is_stabilizable_noise(m.A, m.W)
     assert used == []
 
 
@@ -865,12 +912,12 @@ def test_the_doors_pbh_tests_agree_with_the_public_ones():
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
-                riccati._request(A, W, C)
+                riccati._request(A, W, [C], [np.eye(len(C))])
                 stabilizable = True
             except StabilizabilityViolation:
                 stabilizable = False
             assert stabilizable == is_detectable(A.T, riccati.noise_root(W, "W")[2].T) == is_stabilizable_noise(A, W)
-            _, _, images = riccati._request(A, np.eye(len(A)), C)
+            _, _, _, images = riccati._request(A, np.eye(len(A)), [C], [np.eye(len(C))])
             for r in range(len(C) + 1):
                 idx = np.array(list(combinations(range(len(C)), r)), dtype=np.intp).reshape(math.comb(len(C), r), r)
                 seen = riccati._detectable(images, idx).tolist()

@@ -1072,6 +1072,19 @@ def test_every_entry_point_refuses_bad_input_alike_before_any_kernel(monkeypatch
     assert used == []
 
 
+def test_a_model_whose_rows_are_not_its_sensors_is_refused_before_any_stack(monkeypatch):
+    # the table hands the door each model's C and V and the q null sensors,
+    # q x n: a model of q = 2 with a third row (and a 3 x 3 V) is refused by
+    # shape before the rows are stacked, alone or beside a good model
+    monkeypatch.setattr(riccati, "_solve_detectable", lambda *a: pytest.fail("solved"))
+    good = SystemModel(n=2, q=2, A=np.diag([1.05, 0.5]), C=np.eye(2), W=np.eye(2), V=np.eye(2))
+    bad = replace(good, C=np.ones((3, 2)), V=np.eye(3))
+    for call in (lambda: exhaustive_select(bad, bad.b, 1.0, "priori"), lambda: greedy_attack(bad, 1, "priori"),
+                 lambda: greedy_and_optimal([good, bad], 1, "attack", "posteriori")):
+        with pytest.raises(riccati.ShapeError, match=r"^C must be p x n with V p x p$"):
+            call()
+
+
 def _raw_models(seed):
     """Raw models (not validated) with W and V symmetric or not, PSD, some
     of rank below their size, which validate_model may clamp."""
