@@ -59,17 +59,20 @@ below W's, and a filtered member's P, or a closed-form member's x, must
 solve its own equation.
 A doubling run may also drop members early, those a caller's ``settle``
 no longer needs, from the trace intervals that its invariant certifies
-(_doubling_dare), in the run that solves in the requested metric
-(_solve_detectable), and a caller may screen members before any run on a
-lower bound, the second iterate of the recursion from zero (_floor).
+(_doubling_dare), in the run that solves in the requested metric; every
+other member reports its trace to it once solved (_solve_detectable).  A
+caller may screen members before any run on a lower bound, the second
+iterate of the recursion from zero (_floor).
 Newton's gain shares _pinv_psd with pseudo_inverse_psd.
 solve_dare, is_stabilizable_noise and the solvers' score table share one
 door (_request): validate_model's input rule before any kernel runs, then
 one root of W, which every kernel run takes (they solve with W's and V's
 symmetric parts, model.noise_root), and one eigvals of A and one SVD of
-A - lam I per unstable mode, whose null vectors give both PBH tests,
-detectability and the one stabilizability test.  A stack path whose mask
-selects every member gathers and scatters nothing (_members, _put).
+A - lam I per unstable mode (_modes), whose left null vectors give the one
+stabilizability test and whose right ones A's unstable-mode bases, against
+which each stack of a caller's gathered rows is tested (_detectable).  A
+stack path whose mask selects every member gathers and scatters nothing
+(_members, _put).
 
 Four module constants hold the tolerances: TOL (the stopping rule),
 PINV_RTOL (the pseudo-inverse cutoff and every rank decision's: whether V
@@ -485,16 +488,16 @@ def _update(X, F, Y):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite bound screens nothing
-def _floor(base, C, V, CW, Y) -> np.ndarray:
+def _floor(A, W, C, V, posteriori=False) -> np.ndarray:
     """A lower bound on the trace of each member of the stacks C (k x p x n)
-    and V (k x p x p), from CW = C W and Y (k x p x m), without a kernel run:
-    base - tr(Y' Q^-1 Y), Q = V + C W C', by one batched p x p solve.  The
-    Riccati recursion S <- A (S - S C' Q(S)^+ C S) A' + W from S = 0 rises
-    monotonically to every PSD solution, so its second iterate bounds the a
-    priori covariance: base = tr(W + A W A') with Y = C W A', the kernel's
-    tr H_1.  The a posteriori covariance is the update of an a priori one,
-    which is at least W, so base = tr W with Y = C W bounds it, the filtered
-    run's tr Wb.
+    and V (k x p x p), without a kernel run: base - tr(Y' Q^-1 Y),
+    Q = V + C W C', by one batched p x p solve.  The Riccati recursion
+    S <- A (S - S C' Q(S)^+ C S) A' + W from S = 0 rises monotonically to
+    every PSD solution, so its second iterate bounds the a priori
+    covariance: base = tr(W + A W A') with Y = C W A', the kernel's tr H_1.
+    The a posteriori covariance is the update of an a priori one, which is
+    at least W, so with ``posteriori`` base = tr W with Y = C W bounds it,
+    the filtered run's tr Wb.
     Q is formed within e = eps (n + p) (||V|| + ||CW|| ||C||) of its exact
     value, and solved by a method as stable.  Where ||Q^-1|| e <= 1e-3, the
     computed tr(Y' Q^-1 Y) is within about 2 e ||Q^-1 Y||^2 of the exact
@@ -503,27 +506,19 @@ def _floor(base, C, V, CW, Y) -> np.ndarray:
     that its exact Q^-1 weighs heavily (two nearly parallel noiseless rows),
     gets -inf, as do a non-finite bound and every member of a stack with a
     singular Q: they are never screened."""
-    (k, p, n), m = C.shape, Y.shape[2]
+    k, p, n = C.shape
+    CW = C @ W
+    base, Y = (np.trace(W), CW) if posteriori else (np.trace(W) + np.trace(A @ W @ A.T), CW @ A.T)
     eye = np.broadcast_to(np.eye(p), (k, p, p))
     try:  # Q^-1 Y and Q^-1 by one solve
         X = np.linalg.solve(V + CW @ C.transpose(0, 2, 1), np.concatenate((Y, eye), axis=2))
     except np.linalg.LinAlgError:
         return np.full(k, -np.inf)
-    eps, X, inverse = np.finfo(float).eps, X[:, :, :m], X[:, :, m:]
+    eps, X, inverse = np.finfo(float).eps, X[:, :, :n], X[:, :, n:]
     x, e = _fro(X), eps * (n + p) * (_fro(V) + _fro(CW) * _fro(C))
     t = np.add.reduce(Y * X, axis=(1, 2))
     bound = base - t - 2 * e * x * x - eps * (n + p) * (_fro(Y) * x + base + abs(t))
     return np.where(np.isfinite(bound) & (e * _fro(inverse) <= 1e-3), bound, -np.inf)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite bound screens nothing (_floor)
-def _floor_terms(A, W, C, posteriori) -> tuple:
-    """_floor's terms (base, C W, Y) of the rows C (q x n): base = tr(W + A W A')
-    with Y = C W A', or with ``posteriori`` base = tr W with Y = C W."""
-    CW = C @ W
-    if posteriori:
-        return np.trace(W), CW, CW
-    return np.trace(W) + np.trace(A @ W @ A.T), CW, CW @ A.T
 
 
 def _posteriori(S, R0, F) -> np.ndarray:
@@ -588,65 +583,63 @@ def _check_shapes(A, C, W=None, V=None) -> None:
         raise ShapeError("C must be p x n" if V is None else "C must be p x n with V p x p")
 
 
-def _mode_images(A: np.ndarray, C: np.ndarray, L=None) -> list:
-    """C N / ||A||_2 for every eigenvalue lam of A with modulus >= 1 - PBH_TOL
-    (C is q x n).  N, computed once for any number of subsets, is a basis of
-    the numerical kernel of A - lam I: its right singular vectors whose
-    singular value is at most PBH_TOL ||A||_2.  The conjugates M of the left
-    ones span ker(A' - lam I) (real A), so given W's root L the SVDs make
-    the door's stabilizability test too (Hautus, 1969), and
-    StabilizabilityViolation is raised unless every L' M / ||A||_2 has full column rank."""
+def _modes(A: np.ndarray, L=None) -> tuple:
+    """(bases, ||A||_2) for any number of sensor stacks (_detectable): for every eigenvalue lam of A with modulus
+    >= 1 - PBH_TOL, a basis N of the numerical kernel of A - lam I, its right singular vectors whose singular value
+    is at most PBH_TOL ||A||_2.  The conjugates M of the left ones span ker(A' - lam I) (real A), so given W's root L
+    the SVDs make the door's stabilizability test too (Hautus, 1969): StabilizabilityViolation is raised unless
+    (A', L') passes _detectable on the bases M."""
     lams = [lam for lam in np.linalg.eigvals(A) if abs(lam) >= 1.0 - PBH_TOL]
-    scale, images, duals = np.linalg.norm(A, 2) if lams else None, [], []
+    scale, bases, duals = np.linalg.norm(A, 2) if lams else None, [], []
     for lam in lams:
         U, sv, Vh = np.linalg.svd(A - lam * np.eye(A.shape[0]))
         null = sv <= PBH_TOL * scale
-        images.append(C @ Vh[null].conj().T / scale)
-        duals.append(None if L is None else L.T @ U[:, null].conj() / scale)
-    if L is not None and not _detectable(duals, np.arange(len(A))[None])[0]:
+        bases.append(Vh[null].conj().T)
+        duals.append(U[:, null].conj())
+    if L is not None and not _detectable((duals, scale), L.T[None])[0]:
         raise StabilizabilityViolation("(A, W^(1/2)) is not stabilizable")
-    return images
+    return bases, scale
 
 
 def _request(A, W, C, V) -> tuple:
-    """(W's symmetric part, the stack of V's, W's root (w, L), the mode images of every row of C): the one door
-    of solve_dare, is_stabilizable_noise and the solvers' score table, for A, W and the sequences C and V of
-    k members, one subset's rows and noise, or the table's models and null sensors.  Before any kernel runs it
-    raises ShapeError (_check_shapes), NonFiniteInput for C, then as noise_root does for V's stack and for W,
-    NonFiniteInput for A, then StabilizabilityViolation unless (A, W^(1/2)) is stabilizable (_mode_images)."""
+    """(W's symmetric part, the stack of V's, W's root (w, L), A's unstable-mode bases (_modes)): the one door of
+    solve_dare, is_stabilizable_noise and the solvers' score table, for A, W and the sequences C and V of k members,
+    one subset's rows and noise, or the table's models and null sensors.  Before any kernel runs it raises
+    ShapeError (_check_shapes), NonFiniteInput for C, then as noise_root does for V's stack and for W,
+    NonFiniteInput for A, then StabilizabilityViolation unless (A, W^(1/2)) is stabilizable (_modes)."""
     _check_shapes(A, C, W, V)
-    rows = np.concatenate(C)
-    check_finite(C=rows)
+    check_finite(C=np.concatenate(C))
     V = noise_root(np.stack(V), "V")[0]
     W, w, L = noise_root(W, "W")
     check_finite(A=A)
-    return W, V, (w, L), _mode_images(A, rows, L)
+    return W, V, (w, L), _modes(A, L)
 
 
-def _detectable(images: list, idx: np.ndarray) -> np.ndarray:
-    """is_detectable for the members idx (k x p rows of C), images =
-    _mode_images(A, C).  [A - lam I; C_S] x = 0 iff x is in ker(A - lam I)
-    and in ker C_S, so S sees lam iff C_S N has full column rank: every
-    singular value above PBH_TOL.  A simple mode sums the q-vector |C v|^2,
-    a multiple one counts the rows that see it first: a zero row of C, such
-    as a pad, adds nothing to either, and no index or sign is special."""
-    ok = np.ones(len(idx), dtype=bool)
-    for image in images:
-        r = image.shape[1]
+def _detectable(modes: tuple, C: np.ndarray) -> np.ndarray:
+    """is_detectable for every member of the stack C (k x p x n), modes =
+    _modes(A).  [A - lam I; C] x = 0 iff x is in ker(A - lam I) and in
+    ker C, so C sees lam iff its image C N / ||A||_2 has full column rank:
+    every singular value above PBH_TOL.  A simple mode sums the p-vector
+    |C v|^2, a multiple one counts the rows that see it first: a zero row
+    of C, such as a pad, adds nothing to either."""
+    bases, scale = modes
+    ok = np.ones(len(C), dtype=bool)
+    for N in bases:
+        image, r = C @ N / scale, N.shape[1]
         if r == 1:
             with np.errstate(over="ignore"):  # a row of 1e155 or more has an infinite norm: it sees the mode
-                ok &= np.sqrt((np.abs(image[:, 0]) ** 2)[idx].sum(axis=1)) > PBH_TOL
+                ok &= np.sqrt((np.abs(image[:, :, 0]) ** 2).sum(axis=1)) > PBH_TOL
         elif r:  # fewer rows that see the mode than kernel directions never have full rank
-            ok &= (image[idx] != 0).any(axis=2).sum(axis=1) >= r
-            if r <= idx.shape[1]:
-                ok &= np.linalg.svd(image[idx], compute_uv=False)[:, -1] > PBH_TOL
+            ok &= (image != 0).any(axis=2).sum(axis=1) >= r
+            if r <= C.shape[1]:
+                ok &= np.linalg.svd(image, compute_uv=False)[:, -1] > PBH_TOL
     return ok
 
 
 def is_detectable(A, C_sel) -> bool:
     """PBH test: [A - lam I; C] has full column rank for every eigenvalue
     lam of A with modulus >= 1 - PBH_TOL, PBH_TOL being the relative rank
-    tolerance on the scale ||A||_2 (see _mode_images and _detectable).  A
+    tolerance on the scale ||A||_2 (see _modes and _detectable).  A
     spectral radius below 1 - PBH_TOL short-circuits to True.  Raises
     ShapeError when A is not square or C not p x n, and NonFiniteInput
     when A or C is not finite.
@@ -654,12 +647,12 @@ def is_detectable(A, C_sel) -> bool:
     A, C_sel = np.asarray(A, dtype=float), np.asarray(C_sel, dtype=float)
     _check_shapes(A, [C_sel])
     check_finite(A=A, C=C_sel)
-    return bool(_detectable(_mode_images(A, C_sel), np.arange(C_sel.shape[0])[None])[0])
+    return bool(_detectable(_modes(A), C_sel[None])[0])
 
 
 def is_stabilizable_noise(A, W) -> bool:
     """Dual PBH test that (A, W^{1/2}) is stabilizable: the door's (_request,
-    _mode_images) on a request without sensors, from the left null vectors of
+    _modes) on a request without sensors, from the left null vectors of
     its SVDs.  Raises ShapeError unless A and W are n x n, then as noise_root
     does for W, and NonFiniteInput for A."""
     A, W = np.asarray(A, dtype=float), np.asarray(W, dtype=float)
@@ -686,11 +679,12 @@ def _solve_detectable(A, W, C, V, root, posteriori=False, settle=None) -> tuple[
     solution P is the a posteriori covariance, S = A P A' + W the a priori
     one.  ``settle`` (see _doubling_dare) goes to the run that solves in the
     requested metric: the plain run of an a priori request, the filtered run
-    of an a posteriori one.  A member it drops has a NaN covariance; Newton
-    drops nothing.  When A has one nonzero column j and W is nonsingular,
-    every member is filtered and solved in closed form instead, with 0
-    iterations and nothing dropped: x = P_jj solves
-    g x^2 + (1 - g om - mu^2) x - om = 0, om = (Wb)_jj, mu = (ub)_j, whose
+    of an a posteriori one.  A member it drops has a NaN covariance; every
+    other one (Newton's, an a priori request's filtered ones, the closed
+    form's) drops nothing, and settle gets its returned trace t as [t, t].
+    When A has one nonzero column j and W is nonsingular, every member is
+    filtered and solved in closed form instead, with 0 iterations: x = P_jj
+    solves g x^2 + (1 - g om - mu^2) x - om = 0, om = (Wb)_jj, mu = (ub)_j, whose
     root is taken in a form that neither cancels nor overflows.  _filtered
     gets the columns [a0, W0 e_j] only (a0 = A0 e_j) under the a priori
     metric, and [a0, W0] under the a posteriori one, which returns Wb + c ub ub'.
@@ -770,6 +764,10 @@ def _solve_detectable(A, W, C, V, root, posteriori=False, settle=None) -> tuple[
             S[filtered] = P
     if posteriori and newton.any():
         S[newton] = _posteriori(S[newton], R0[newton], F[newton])
+    unsettled = newton | filtered & (closed or not posteriori)
+    if settle is not None and unsettled.any():  # their runs settled nothing in the requested metric
+        t = np.trace(S[unsettled], axis1=1, axis2=2)
+        settle(t, t)
     return S, iters
 
 
@@ -794,8 +792,8 @@ def solve_dare(A, C, W, V, posteriori=False) -> SteadyStateResult:
     It solves with W's and V's symmetric parts (model.noise_root).
     """
     A, C, W, V = (np.ascontiguousarray(M, dtype=float) for M in (A, C, W, V))
-    W, V, root, images = _request(A, W, [C], [V])
-    if not _detectable(images, np.arange(len(C))[None])[0]:
+    W, V, root, modes = _request(A, W, [C], [V])
+    if not _detectable(modes, C[None])[0]:
         return SteadyStateResult.infinite()
     S, iters = _solve_detectable(A, W, C[None], V, root, posteriori)
     return SteadyStateResult.finite(S[0], int(iters[0]))

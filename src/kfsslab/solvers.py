@@ -51,8 +51,8 @@ a posteriori run solves the a posteriori covariance itself, so no
 member needs an update after it.  A dropped member is stored as None:
 it counts as not tied, and a request without a bound, a greedy step or
 a report, solves it.  Greedy, greedy_and_optimal's joint first scoring
-and attacks screen nothing, and inside the kernel the Newton members, an
-a priori request's members with noiseless rows, and the closed-form
+and attacks screen nothing yet, and inside the kernel the Newton members,
+an a priori request's members with noiseless rows, and the closed-form
 members of an A with one nonzero column (every paper instance) drop
 nothing.
 A report's trace and covariance diagonal are those of the stack member
@@ -63,7 +63,6 @@ kernel run of a stack of one, not a path the searches take.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, compress
@@ -148,8 +147,10 @@ def evaluate_selection(model: SystemModel, sel: SelectionVector, metric: str) ->
     "posteriori" that run solves the a posteriori equation itself, and
     agrees with posteriori_from_priori of the a priori covariance to
     round-off; an undetectable selection is infinite under either metric.
+    A C or V without q rows raises the score table's ShapeError first.
     """
     _check_metric(metric)
+    riccati._check_shapes(model.A, [model.C, np.zeros((model.q,) + model.A.shape[1:])], model.W, [model.V])
     C_sel, V_sel = restrict(model, sel)
     return riccati.solve_dare(model.A, C_sel, model.W, V_sel, metric == "posteriori")
 
@@ -164,13 +165,13 @@ class _ScoreTable:
     models share A, W and q, and passes each model's C and V, then q null
     sensors -1 ... -q (zero rows of C whose noise is an identity block, zero
     against every real sensor), to riccati's door (_request).  It stacks
-    their rows and the door's symmetric V's, with the PBH mode images of
-    that stack.  A call solves the members the table lacks in (size, kept,
-    j) order, kept the sensors the filter runs on, or screened in (size,
+    their rows and the door's symmetric V's, and keeps A's mode bases from
+    the door.  A call solves the members the table lacks in (size, kept, j)
+    order, kept the sensors the filter runs on, or screened in (size,
     floor) order (_screen), as stacks of at most STACK_CHUNK members; a
-    chunk pads each kept set to its widest with null sensors -1, -2, ...,
-    whose V then reads block-diag(V_kept, I), so it is one PBH test and one
-    kernel run in the table's metric.  Stack members are solved
+    chunk gathers each kept set padded to its widest with null sensors -1,
+    -2, ..., whose V then reads block-diag(V_kept, I) (_rows), so it is one
+    PBH test and one kernel run in the table's metric.  Stack members are solved
     independently, so a stored score is the one a fresh stack, or
     evaluate_selection to round-off, would give.  ``best`` picks the better
     of some traces (the least for a selection, the greatest for an attack),
@@ -183,7 +184,7 @@ class _ScoreTable:
                for m in models[1:]):
             raise ValueError("models scored together must share A, W and the sensor count")
         C = [m.C for m in models] + [np.zeros((q,) + model.A.shape[1:])]  # null sensors: q x n once A passes
-        self.W, V, self.root, self.images = riccati._request(model.A, model.W, C, [m.V for m in models] + [np.eye(q)])
+        self.W, V, self.root, self.modes = riccati._request(model.A, model.W, C, [m.V for m in models] + [np.eye(q)])
         self.C = np.concatenate(C)
         self.V = np.zeros((len(self.C), 2 * q))
         self.V[:-q, :q] = V[:-1].reshape(-1, q)
@@ -222,25 +223,20 @@ class _ScoreTable:
             chunk, missing = missing[:STACK_CHUNK], missing[STACK_CHUNK:]
             if not chunk:  # the screen dropped the rest
                 break
-            width = chunk[-1][0]  # sizes ascend
-            rows, idx = self._rows(chunk, width)
-            finite = riccati._detectable(self.images, rows)
+            C, V = self._rows(chunk, chunk[-1][0])  # sizes ascend
+            finite = riccati._detectable(self.modes, C)
             if settle is not None and not finite.all():
                 unseen = np.full(len(chunk) - finite.sum(), math.inf)
                 settle(unseen, unseen)
             traces = np.full(len(chunk), math.inf)
             diags = np.full((len(chunk), A.shape[0]), math.nan)  # a copy: no score keeps S alive
             if finite.any():
-                row, col = rows[finite], idx[finite]
-                C, V = self.C[row], self.V[row[:, :, None], col[:, None, :]]
-                S, _ = riccati._solve_detectable(A, W, C, V, self.root, self.metric == "posteriori", settle)
+                f = riccati._members(finite)
+                S, _ = riccati._solve_detectable(A, W, C[f], V[f], self.root, self.metric == "posteriori", settle)
                 traces[finite] = np.trace(S, axis1=1, axis2=2)
                 diags[finite] = S.diagonal(axis1=1, axis2=2)
             for (_, _, j, s), trace, diag in zip(chunk, traces.tolist(), diags):
                 self.scores[j, s] = None if math.isnan(trace) else (trace, diag)
-            solved = traces[np.isfinite(traces)]
-            if screen and solved.size:  # closed-form and Newton runs never settle
-                settle(solved, solved)
         return [self.scores[m] for m in members]
 
     def _survivors(self, s: tuple) -> tuple:  # the sorted complement of the sorted support s
@@ -250,35 +246,24 @@ class _ScoreTable:
             lo = i + 1
         return kept + self.sensors[lo:]
 
-    def _rows(self, chunk, width: int):
-        """(rows, idx) of the (size, kept, j, s) members ``chunk``: idx
-        (k x width) each kept set padded with the null sensors -1, -2, ...,
-        rows their rows of the stacked C."""
+    def _rows(self, members, width: int):
+        """The stacks (C, V) of the (size, kept, j, s) ``members``, each kept set padded to ``width`` with the null
+        sensors -1, -2, ..., gathered from the stacked C and V."""
         pads = tuple(range(-1, -width - 1, -1))  # one null sensor per pad slot
-        idx = np.array([kept + pads[:width - size] for size, kept, _, _ in chunk], dtype=np.intp)
-        first = np.array([j for _, _, j, _ in chunk], dtype=np.intp) * self.models[0].q  # model j's first row
-        return np.where(idx < 0, idx, idx + first[:, None]), idx
+        idx = np.array([kept + pads[:width - size] for size, kept, _, _ in members], dtype=np.intp)
+        first = np.array([j for _, _, j, _ in members], dtype=np.intp) * self.models[0].q  # model j's first row
+        rows = np.where(idx < 0, idx, idx + first[:, None])
+        return self.C[rows], self.V[rows[:, :, None], idx[:, None, :]]
 
     def _screen(self, missing):
         """The (size, kept, j, s) members ``missing`` in (size, floor) order,
         best first, and their floors: riccati._floor's lower bound on each
-        member's trace in the table's metric, from the rows of C W and of
-        Y (C W, or C W A' a priori) formed once per request (_products),
-        gathered as V is, by one solve per set size."""
-        base, CW, Y = self._products
-        floors = np.empty(len(missing))
-        sizes = np.array([size for size, _, _, _ in missing])
-        for size in np.unique(sizes).tolist():
-            at = np.flatnonzero(sizes == size)
-            rows, idx = self._rows([missing[i] for i in at.tolist()], size)
-            V = self.V[rows[:, :, None], idx[:, None, :]]
-            floors[at] = riccati._floor(base, self.C[rows], V, CW[rows], Y[rows])
-        order = np.lexsort((floors, sizes))
+        member's trace in the table's metric, by one call on their stacks,
+        padded to the widest (a null sensor adds nothing to a floor)."""
+        C, V = self._rows(missing, missing[-1][0])  # sizes ascend
+        floors = riccati._floor(self.models[0].A, self.W, C, V, self.metric == "posteriori")
+        order = np.lexsort((floors, [size for size, _, _, _ in missing]))
         return [missing[i] for i in order.tolist()], floors[order]
-
-    @functools.cached_property
-    def _products(self):  # riccati._floor_terms of the stacked C, once per request that screens
-        return riccati._floor_terms(self.models[0].A, self.W, self.C, self.metric == "posteriori")
 
     def _settle(self, bound: float):
         """The settle callable of one request (see riccati._doubling_dare),
@@ -292,11 +277,11 @@ class _ScoreTable:
         The bound carries across the calls and chunks of the request; the
         intervals are in the table's metric, which the kernel run is told:
         they bound the trace of the solution of the equation the run
-        solves, the a posteriori one for an a posteriori table.  A screened
-        selection also hands it each member's floor as [floor, inf] before
-        each chunk, and each solved chunk's finite traces as [t, t], since
-        closed-form and Newton runs never settle: U is the one incumbent of
-        every chunk and route."""
+        solves, the a posteriori one for an a posteriori table.  Every
+        kernel run hands it each solved member's trace, as [t, t] where the
+        route does not settle (riccati._solve_detectable), so U is the one
+        incumbent of every chunk and route.  A screened selection also hands
+        it each member's floor as [floor, inf] before each chunk."""
 
         def settle(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             nonlocal bound

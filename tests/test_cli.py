@@ -872,3 +872,17 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv) == 0, argv
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: greedy's step-1 scores at h = 1e5 differ by less than TIE_REL")
+def test_example1_sweep_at_large_h_writes_the_predicted_ratio_or_exits_2(tmp_path):
+    # at h = 1e5 the lowest index wins a tie that is not one: ratio 1.0, exit 0
+    out = tmp_path / "sweep.csv"
+    code = run_cli("sweep", "--family", "example1", "--lambda1", "0.9", "--h-grid", "1e5", "--output", str(out))
+    if code == 2:
+        return
+    assert code == 0
+    predicted = closed_forms.example1_predictions(0.9, 1e5)
+    want = predicted.trace_greedy_priori / predicted.trace_optimal_priori
+    ratio = float(list(csv.reader(out.open()))[1][3])
+    assert abs(ratio - want) <= 1e-9 * want

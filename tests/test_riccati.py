@@ -906,7 +906,7 @@ def _pbh_cases(rng):
 def test_the_doors_pbh_tests_agree_with_the_public_ones():
     # one SVD of A - lam I per unstable mode: its left null vectors give the
     # verdict of is_detectable(A', L') (L W's root), its right ones the mode
-    # images whose verdict on every row subset S is is_detectable(A, C_S)
+    # bases, whose verdict on every row subset S is is_detectable(A, C_S)
     verdicts = set()
     for A, W, C in _pbh_cases(np.random.default_rng(3901)):
         with warnings.catch_warnings():
@@ -917,10 +917,42 @@ def test_the_doors_pbh_tests_agree_with_the_public_ones():
             except StabilizabilityViolation:
                 stabilizable = False
             assert stabilizable == is_detectable(A.T, riccati.noise_root(W, "W")[2].T) == is_stabilizable_noise(A, W)
-            _, _, _, images = riccati._request(A, np.eye(len(A)), [C], [np.eye(len(C))])
+            _, _, _, modes = riccati._request(A, np.eye(len(A)), [C], [np.eye(len(C))])
             for r in range(len(C) + 1):
                 idx = np.array(list(combinations(range(len(C)), r)), dtype=np.intp).reshape(math.comb(len(C), r), r)
-                seen = riccati._detectable(images, idx).tolist()
+                seen = riccati._detectable(modes, C[idx]).tolist()
                 assert seen == [is_detectable(A, C[list(s)]) for s in idx]
                 verdicts |= {(stabilizable, v) for v in seen}
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _solved_or_refused(solve, exact):
+    """True when ``solve()`` gives a trace within 1e-9 relative of ``exact``
+    or raises NoConvergence: no wrong answer leaves."""
+    try:
+        trace = solve().trace
+    except NoConvergence:
+        return True
+    return abs(trace - exact) <= 1e-9 * exact
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 23 and 26: a precise sensor off the axes is answered wrongly")
+@pytest.mark.parametrize("g", [1.0, 1e10])
+def test_a_precise_sensor_off_the_axes_is_solved_or_refused(g):
+    # C = [g, g] with V = 1e-11, a priori: the exact trace is known to 16
+    # digits; 2.750481229712803 comes back at g = 1 and 2.000000000000001 at
+    # g = 1e10, both with no error
+    A = np.array([[0.9, 0.1], [0.0, 0.5]])
+    assert _solved_or_refused(lambda: solve_dare(A, np.array([[g, g]]), np.eye(2), np.array([[1e-11]])),
+                              2.750489783961217)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: _split calls a unit-noise sensor noiseless")
+def test_a_unit_noise_sensor_with_one_large_entry_is_solved_or_refused():
+    # sensor 0 = [1, 1e6] has unit noise, sensor 1 = [0, 1] none: the exact
+    # trace is scalar_sensor_msee(0.9, 1) + 1, and 2.0 comes back because
+    # sensor 0's noise per squared gain, 1e-12, reads as noiseless
+    exact = scalar_sensor_msee(0.9, 1.0) + 1.0
+    assert abs(exact - 2.48389990267865) <= 1e-14 * exact
+    C, V = np.array([[1.0, 1e6], [0.0, 1.0]]), np.diag([1.0, 0.0])
+    assert _solved_or_refused(lambda: solve_dare(np.diag([0.9, 0.0]), C, np.eye(2), V), exact)

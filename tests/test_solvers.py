@@ -582,16 +582,13 @@ def test_screen_floor_keeps_to_a_padded_member_and_screens_nothing_it_cannot_sol
     pad = np.zeros((p + 2, p + 2))
     pad[:p, :p], pad[p:, p:] = V, np.eye(2)
     Cp = np.concatenate([C, np.zeros((2, n))])
-    base = np.trace(W) + np.trace(A @ W @ A.T)
-    alone, padded = (riccati._floor(base, c[None], v[None], (c @ W)[None], (c @ W @ A.T)[None])[0]
-                     for c, v in ((C, V), (Cp, pad)))
-    assert math.isfinite(alone) and abs(padded - alone) <= 1e-14 * abs(alone)
+    for posteriori in (False, True):
+        alone, padded = (riccati._floor(A, W, c[None], v[None], posteriori)[0] for c, v in ((C, V), (Cp, pad)))
+        assert math.isfinite(alone) and abs(padded - alone) <= 1e-14 * abs(alone)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        zero = np.zeros((1, 1, n))
-        assert riccati._floor(base, zero, np.zeros((1, 1, 1)), zero, zero)[0] == -math.inf
-        huge = np.full((1, 1, n), 1e200)
-        assert riccati._floor(base, huge, np.eye(1)[None], huge, huge)[0] == -math.inf
+        assert riccati._floor(A, W, np.zeros((1, 1, n)), np.zeros((1, 1, 1)))[0] == -math.inf
+        assert riccati._floor(A, W, np.full((1, 1, n), 1e200), np.eye(1)[None])[0] == -math.inf
 
 
 def _full_enumeration(m, costs, budget, metric, attack):
@@ -969,14 +966,14 @@ def test_greedy_and_optimal_scores_each_support_once(mode, monkeypatch):
                         super().__init__(*args)
                         tables.append(self)
 
-                def spy(images, rows):  # each chunk's PBH test sees all its members
-                    if tables and images is tables[0].images:  # not the stabilizability test
-                        scored.extend(tuple(int(i) for i in row if i >= 0) for row in rows)
-                    return detectable(images, rows)
+                def spy(self, members, width):  # each chunk gathers all its members; a screen gathers more
+                    if len(members) <= solvers.STACK_CHUNK:
+                        scored.extend((j, kept) for _, kept, j, _ in members)
+                    return rows(self, members, width)
 
-                detectable = riccati._detectable
+                rows = _ScoreTable._rows
                 monkeypatch.setattr(solvers, "_ScoreTable", Table)
-                monkeypatch.setattr(riccati, "_detectable", spy)
+                monkeypatch.setattr(_ScoreTable, "_rows", spy)
                 ((greedy, optimal, ratio),) = greedy_and_optimal([m], budget, mode, metric)
                 monkeypatch.undo()
                 assert scored and len(scored) == len(set(scored)), (m.q, metric, budget)
@@ -993,21 +990,19 @@ def test_greedy_and_optimal_scores_each_support_once(mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["select", "attack"])
 def test_mode_images_are_computed_once_per_table(mode, monkeypatch):
-    tie = _tie_model(np.random.default_rng(47))  # one unstable mode, so the images are not empty
+    tie = _tie_model(np.random.default_rng(47))  # one unstable mode, so the bases are not empty
     tie.b = np.ones(tie.q)
     for m in (tie, build_example1(LAM, 100.0)):
         calls = []
-        original = riccati._mode_images
-        monkeypatch.setattr(riccati, "_mode_images", lambda A, C, *L: calls.append((A, C)) or original(A, C, *L))
+        original = riccati._modes
+        monkeypatch.setattr(riccati, "_modes", lambda A, *L: calls.append((A, *L)) or original(A, *L))
         for metric in METRICS:
             greedy_and_optimal([m, m], 2, mode, metric)
         monkeypatch.undo()
-        # one per request's table, of both models' rows and the q null
-        # sensors, whose SVDs also make the table's stabilizability test
-        tables = [(A, C) for A, C in calls if C.shape == (3 * m.q, m.n)]
-        assert len(tables) == len(METRICS) and all(A is m.A for A, _ in tables)
-        assert all(np.array_equal(C, np.concatenate([m.C, m.C, np.zeros((m.q, m.n))])) for _, C in tables)
+        # one per request's table, whatever its models and chunks, with W's
+        # root, so that its SVDs also make the table's stabilizability test
         assert len(calls) == len(METRICS)
+        assert all(A is m.A and len(L) == 1 and L[0] is not None for A, *L in calls)
 
 
 def test_greedy_and_optimal_over_models_equals_each_model_alone(monkeypatch):
@@ -1083,6 +1078,20 @@ def test_a_model_whose_rows_are_not_its_sensors_is_refused_before_any_stack(monk
                  lambda: greedy_and_optimal([good, bad], 1, "attack", "posteriori")):
         with pytest.raises(riccati.ShapeError, match=r"^C must be p x n with V p x p$"):
             call()
+
+
+def test_evaluate_selection_refuses_a_model_that_every_solver_refuses(monkeypatch):
+    # q = 2 with a 3 x 3 V, or with a third row of C and a 3 x 3 V: the
+    # per-subset reference raises the score table's ShapeError, before any
+    # kernel run, instead of scoring the block that restrict cuts out
+    monkeypatch.setattr(riccati, "_solve_detectable", lambda *a: pytest.fail("solved"))
+    good = SystemModel(n=2, q=2, A=np.diag([1.05, 0.5]), C=np.eye(2), W=np.eye(2), V=np.eye(2))
+    for bad in (replace(good, V=np.eye(3)), replace(good, C=np.ones((3, 2)), V=np.eye(3))):
+        for metric in METRICS:
+            for call in (lambda: evaluate_selection(bad, SelectionVector((1, 1)), metric),
+                         lambda: exhaustive_select(bad, bad.b, 2.0, metric)):
+                with pytest.raises(riccati.ShapeError, match=r"^C must be p x n with V p x p$"):
+                    call()
 
 
 def _raw_models(seed):

@@ -901,13 +901,13 @@ def _pbh_verdicts(A, C, sizes=None):
     """Old and new PBH verdicts on every subset of C's rows with a size in
     ``sizes`` (every size by default), by size, then lexicographically."""
     q = C.shape[0]
-    images = riccati._mode_images(A, C)
+    modes = riccati._modes(A)
     old, new = [], []
     for r in range(q + 1) if sizes is None else sizes:
         combos = list(combinations(range(q), r))
         idx = np.array(combos, dtype=np.intp).reshape(len(combos), r)
         old += _old_pbh(A, C[idx]).tolist()
-        new += riccati._detectable(images, idx).tolist()
+        new += riccati._detectable(modes, C[idx]).tolist()
     return old, new
 
 
@@ -1086,11 +1086,42 @@ def _assert_certified(A, G, W):
     assert any(np.isfinite(hi).all() and (hi > lo).any() for lo, hi in seen)  # the bound does close in
 
 
+@pytest.mark.parametrize("metric", ["priori", "posteriori"])
+def test_settle_sees_each_member_that_no_run_settles_once_as_its_trace(metric):
+    # closed-form, Newton and a priori filtered members drop nothing, and
+    # after every run settle gets each one's returned trace t once, as
+    # [t, t], so that every kernel run lowers a caller's incumbent; the
+    # members of a doubling run in the requested metric reach settle only
+    # through that run's intervals, once before and once after each doubling
+    posteriori = metric == "posteriori"
+    C = np.random.default_rng(4201).standard_normal((4, 2, 2))
+    V = np.array([np.diag([0.0, 1.0])] * 2 + [np.eye(2)] * 2)  # members 0 and 1 have a noiseless row
+    A = np.array([[0.9, 0.1], [0.0, 0.5]])
+    cases = [  # (A, W, the members that no run settles)
+        (np.array([[0.9, 0.0], [0.3, 0.0]]), np.eye(2), [0, 1, 2, 3]),  # one nonzero column: the closed form
+        (A, np.diag([1.0, 0.0]), [0, 1]),  # W singular: members 0 and 1 take Newton
+        (A, np.eye(2), [] if posteriori else [0, 1]),  # members 0 and 1 filtered
+    ]
+    for A, W, relayed in cases:
+        seen = []
+
+        def settle(lo, hi):
+            seen.append((lo.copy(), hi.copy()))
+            return np.zeros(len(lo), dtype=bool)
+
+        S, iters = riccati._solve_detectable(A, W, C, V, riccati.psd_root(W, "W"), posteriori, settle)
+        t = np.trace(S, axis1=1, axis2=2)
+        doubled = [i for i in range(4) if i not in relayed]
+        assert len(seen) == (iters[doubled].max() + 1 if doubled else 0) + bool(relayed)
+        if relayed:
+            assert np.array_equal(seen[-1][0], t[relayed]) and np.array_equal(seen[-1][1], t[relayed])
+
+
 def _nonsingular_members(A, C, V, supports):
     """The stacks of C and V rows of every detectable support (all of one
     size)."""
     idx = np.array(supports, dtype=np.intp)
-    idx = idx[riccati._detectable(riccati._mode_images(A, C), idx)]
+    idx = idx[riccati._detectable(riccati._modes(A), C[idx])]
     return C[idx], V[idx[:, :, None], idx[:, None, :]]
 
 
@@ -1212,7 +1243,7 @@ def _decomposition_spy(monkeypatch):
 def test_each_request_decomposes_A_and_W_once(monkeypatch, tmp_path):
     # per request, summed over the solvers' door and every kernel run: one
     # eigvals of A, one SVD of A - lam I per unstable eigenvalue lam, whose
-    # right null vectors give the mode images of C and its left ones the
+    # right null vectors give A's mode bases and its left ones the
     # stabilizability test, and one eigendecomposition of W, whose root the
     # kernel takes from the door
     m = _random_model(np.random.default_rng(39), 10)  # one unstable mode
@@ -1255,7 +1286,7 @@ def test_a_member_keeps_its_bits_in_a_uniform_and_in_a_mixed_stack(metric):
     ]
     for m, r, v, kind in mixes:
         sets = np.array(list(combinations(range(m.q), r)), dtype=np.intp)
-        sets = sets[riccati._detectable(riccati._mode_images(m.A, m.C), sets)]
+        sets = sets[riccati._detectable(riccati._modes(m.A), m.C[sets])]
         C, V = m.C[sets], m.V[sets[:, :, None], sets[:, None, :]]
         mixed_C, mixed_V = np.concatenate((C, C[:1])), np.concatenate((V, v * np.eye(r)[None]))
         R0, F = riccati._noise(mixed_C, mixed_V)
