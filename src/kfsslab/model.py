@@ -163,8 +163,9 @@ class SystemModel:
 
 def validate_model(raw: SystemModel) -> SystemModel:
     """Check dimensions, costs and noise covariances by the rules every solve
-    applies (noise_root); return a model with W and V symmetrized and, where
-    round-off needs it, clamped to PSD, a clamp that only this stores.
+    applies (noise_root); return a model with the symmetric parts of W and V,
+    which every solve reads, unclamped: psd_root alone takes a round-off
+    eigenvalue below 0 as 0, so a raw model gets its copy's answers.
 
     Raises DimensionMismatch, NotPSD or NegativeCost listing every violation
     of the failing category, NonFiniteInput naming a non-finite array."""
@@ -200,12 +201,8 @@ def validate_model(raw: SystemModel) -> SystemModel:
     if cost_problems:
         raise NegativeCost("; ".join(cost_problems))
 
-    noise = {}
-    for name, M in (("W", raw.W), ("V", raw.V)):
-        sym, w, L = noise_root(M, name)
-        noise[name] = sym if w[0] >= 0.0 else L @ L.T  # L @ L.T: one syrk, exactly symmetric
     return SystemModel(
-        n=n, q=q, A=raw.A.copy(), C=raw.C.copy(), **noise,
+        n=n, q=q, A=raw.A.copy(), C=raw.C.copy(), W=noise_root(raw.W, "W")[0], V=noise_root(raw.V, "V")[0],
         b=raw.b.copy(), omega=raw.omega.copy(),
         budget_select=float(raw.budget_select),
         budget_attack=float(raw.budget_attack),

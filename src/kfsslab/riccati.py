@@ -147,8 +147,9 @@ UPDATE_BOUND = 1e4
 
 def _noise_gain(C: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which members of the stacks C (k x p x n) and V (k x p x p) have a
-    nonsingular V, and the whitened rows F = L^-1 C of each of those, in
-    stack order, with V = L L' (Cholesky): G = C' V^-1 C = F'F.
+    nonsingular V, and the stack F (k x p x n) of their whitened rows
+    F = L^-1 C, with V = L L' (Cholesky): G = C' V^-1 C = F'F.  A singular
+    member's rows of F are zero.
 
     A member is singular when a diagonal entry V_ii, or the squared
     Cholesky pivot of row i, is at or below PINV_RTOL * max(1, V_ii): the
@@ -156,15 +157,15 @@ def _noise_gain(C: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a rank-one s [[1, 1], [1, 1]] is singular at any scale s.  V is PSD, so
     the diagonal test decides some members without a factorization.  None
     left (V = 0) skips the factorization, no nonsingular member the solve,
-    and a uniform stack is factored and solved as it is.  A batched
-    factorization fails as a whole when one member is not positive
-    definite; the members are then factored one by one.
+    and a uniform stack is factored and solved as it is, F the solve's own
+    result.  A batched factorization fails as a whole when one member is
+    not positive definite; the members are then factored one by one.
     """
     p = V.shape[1]
     cut = PINV_RTOL * np.maximum(1.0, V.diagonal(axis1=1, axis2=2))
     ok = (V.diagonal(axis1=1, axis2=2) > cut).all(axis=1)
     if not ok.any():
-        return ok, C[ok]
+        return ok, np.zeros(C.shape)
     t = _members(ok)
     try:
         L = np.linalg.cholesky(V[t])
@@ -177,7 +178,8 @@ def _noise_gain(C: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 pass
     pivots_ok = (L.diagonal(axis1=1, axis2=2) ** 2 > cut[t]).all(axis=1)
     ok[t] = pivots_ok
-    return ok, np.linalg.solve(L[_members(pivots_ok)], C[_members(ok)]) if pivots_ok.any() else C[ok]
+    F = np.linalg.solve(L[_members(pivots_ok)], C[_members(ok)]) if pivots_ok.any() else C[ok]
+    return ok, _put(np.broadcast_to(0.0, C.shape), ok, F)
 
 
 def _members(mask):  # a stack's members that mask selects: the whole stack, a view, when it selects every one
@@ -388,16 +390,12 @@ def _noise(C, V):
     C (k x p x n) and V (k x p x p): R0 (k x p x n) its noiseless rows and
     F (k x p x n) its noisy ones whitened, so that G = F'F is their gain
     C1' V1^-1 C1.  A member whose V _noise_gain finds nonsingular has
-    R0 = 0 and its F; any other takes _split's R0 and F1."""
+    R0 = 0 and its F; _split's R0 and F1 fill the others' zero rows in place."""
     nonsingular, F = _noise_gain(C, V)
-    R0 = np.zeros(C.shape)
-    if nonsingular.all():
-        return R0, F
-    singular = ~nonsingular
-    full = np.empty(C.shape)
-    R0[singular], full[singular] = _split(C[singular], V[singular])
-    full[nonsingular] = F
-    return R0, full
+    R0, singular = np.zeros(C.shape), ~nonsingular
+    if singular.any():
+        R0[singular], F[singular] = _split(C[singular], V[singular])
+    return R0, F
 
 
 def _measured(R0, L):
@@ -603,10 +601,11 @@ def _modes(A: np.ndarray, L=None) -> tuple:
 
 def _request(A, W, C, V) -> tuple:
     """(W's symmetric part, the stack of V's, W's root (w, L), A's unstable-mode bases (_modes)): the one door of
-    solve_dare, is_stabilizable_noise and the solvers' score table, for A, W and the sequences C and V of k members,
-    one subset's rows and noise, or the table's models and null sensors.  Before any kernel runs it raises
-    ShapeError (_check_shapes), NonFiniteInput for C, then as noise_root does for V's stack and for W,
-    NonFiniteInput for A, then StabilizabilityViolation unless (A, W^(1/2)) is stabilizable (_modes)."""
+    solve_dare, is_stabilizable_noise and the solvers' score table, for A, W and the sequences C and V: one subset's
+    rows and noise, or the table's models' C and V and its null rows, whose noise block the table lays, so the door
+    decomposes only noise a caller gave.  Before any kernel runs it raises ShapeError (_check_shapes), NonFiniteInput
+    for C, then as noise_root does for V's stack and for W, NonFiniteInput for A, then StabilizabilityViolation
+    unless (A, W^(1/2)) is stabilizable (_modes)."""
     _check_shapes(A, C, W, V)
     check_finite(C=np.concatenate(C))
     V = noise_root(np.stack(V), "V")[0]

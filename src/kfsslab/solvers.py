@@ -162,20 +162,20 @@ class _ScoreTable:
     attack indicator is scored through its survivor set.
 
     The constructor checks the solvers' own rules, the metric and that the
-    models share A, W and q, and passes each model's C and V, then q null
-    sensors -1 ... -q (zero rows of C whose noise is an identity block, zero
-    against every real sensor), to riccati's door (_request).  It stacks
-    their rows and the door's symmetric V's, and keeps A's mode bases from
-    the door.  A call solves the members the table lacks in (size, kept, j)
-    order, kept the sensors the filter runs on, or screened in (size,
-    floor) order (_screen), as stacks of at most STACK_CHUNK members; a
-    chunk gathers each kept set padded to its widest with null sensors -1,
-    -2, ..., whose V then reads block-diag(V_kept, I) (_rows), so it is one
-    PBH test and one kernel run in the table's metric.  Stack members are solved
+    models share A, W and q, and passes riccati's door (_request) each model's
+    C and V, then the q zero rows of the null sensors -1 ... -q without
+    noise.  It stacks the rows and the door's symmetric V's, lays the null
+    sensors' identity block, zero against every real sensor, and keeps A's
+    mode bases from the door.  A call solves the members the table lacks in
+    (size, kept, j) order, kept the sensors the filter runs on, or screened in
+    (size, floor) order (_screen), as stacks of at most STACK_CHUNK members; a
+    chunk gathers each kept set padded to its widest with null sensors -1, -2,
+    ..., whose V then reads block-diag(V_kept, I) (_rows), so it is one PBH
+    test and one kernel run in the table's metric.  Stack members are solved
     independently, so a stored score is the one a fresh stack, or
-    evaluate_selection to round-off, would give.  ``best`` picks the better
-    of some traces (the least for a selection, the greatest for an attack),
-    and ``worst`` is the neutral bound, which no trace is worse than."""
+    evaluate_selection to round-off, would give.  ``best`` picks the better of
+    some traces (the least for a selection, the greatest for an attack), and
+    ``worst`` is the neutral bound, which no trace is worse than."""
 
     def __init__(self, models, metric: str, attack: bool):
         _check_metric(metric)
@@ -184,11 +184,11 @@ class _ScoreTable:
                for m in models[1:]):
             raise ValueError("models scored together must share A, W and the sensor count")
         C = [m.C for m in models] + [np.zeros((q,) + model.A.shape[1:])]  # null sensors: q x n once A passes
-        self.W, V, self.root, self.modes = riccati._request(model.A, model.W, C, [m.V for m in models] + [np.eye(q)])
+        self.W, V, self.root, self.modes = riccati._request(model.A, model.W, C, [m.V for m in models])
         self.C = np.concatenate(C)
         self.V = np.zeros((len(self.C), 2 * q))
-        self.V[:-q, :q] = V[:-1].reshape(-1, q)
-        self.V[-q:, q:] = V[-1]
+        self.V[:-q, :q] = V.reshape(-1, q)
+        self.V[-q:, q:] = np.eye(q)
         self.models, self.metric, self.attack = models, metric, attack
         self.sensors = tuple(range(q))
         self.best, self.worst = (max, -math.inf) if attack else (min, math.inf)

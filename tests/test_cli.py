@@ -4,8 +4,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -14,9 +17,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kfsslab import cli, closed_forms, gadgets, riccati
+from kfsslab import cli, closed_forms, gadgets, riccati, solvers
 from kfsslab.cli import main
-from kfsslab.model import validate_model
+from kfsslab.model import SystemModel, loads_model, model_to_dict, noise_root, validate_model
 from kfsslab.solvers import STACK_CHUNK, greedy_and_optimal
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -821,6 +824,25 @@ def test_outputs_are_byte_identical_between_runs(example1_file, tmp_path):
     assert s1.read_bytes() == s2.read_bytes()
 
 
+def test_output_digests_agree_across_hash_seeds():
+    # one process sees the same set and dict order on every rerun; two
+    # processes with different hash seeds do not, so any output that
+    # hangs on that order moves a digest here
+    script = README.parent / "scripts" / "output_digests.py"
+    src = str(README.parent / "src")
+    lines = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, str(script), "--seeds", "1,2029", "--rounds", "1"],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        lines.append(run.stdout.splitlines())
+    assert [line.split()[0] for line in lines[0]] == ["x3c", "random", "sweep"]
+    assert all(re.fullmatch(r"[a-z0-9]+ [0-9a-f]{64}", line) for line in lines[0])
+    assert lines[0] == lines[1]
+
+
 @pytest.mark.parametrize("kind", ["kfss", "kfsa"])
 def test_gadget_reduction_without_x3c_is_input_error(kind, tmp_path, capsys):
     assert run_cli("gadget", kind, "--output", str(tmp_path / "x.json")) == 1
@@ -886,3 +908,28 @@ def test_example1_sweep_at_large_h_writes_the_predicted_ratio_or_exits_2(tmp_pat
     want = predicted.trace_greedy_priori / predicted.trace_optimal_priori
     ratio = float(list(csv.reader(out.open()))[1][3])
     assert abs(ratio - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("metric", ["priori", "posteriori"])
+def test_solve_prints_the_librarys_trace_for_a_w_with_a_round_off_negative_eigenvalue(metric, tmp_path, capsys):
+    # W is PSD up to round-off, one eigenvalue a little below 0: the CLI
+    # validates the file and the library takes the raw model, and both read
+    # the same symmetric W, so every line keeps its bits
+    rng = np.random.default_rng(1)
+    U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    W = (U * [1.0, 0.5, 0.0]) @ U.T + 1e-17 * rng.standard_normal((3, 3))
+    raw = SystemModel(n=3, q=4, A=np.diag([1.05, 0.5, 0.3]), C=rng.standard_normal((4, 3)), W=W,
+                      V=0.2 * np.eye(4), budget_select=2, budget_attack=1)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_dict(raw)))
+    model = loads_model(path.read_text())
+    assert noise_root(model.W, "W")[1][0] < 0.0  # as the door's psd_root reads it
+    runs = (("select", "exhaustive", lambda: solvers.exhaustive_select(model, model.b, 2, metric)),
+            ("attack", "exhaustive", lambda: solvers.exhaustive_attack(model, model.omega, 1, metric)),
+            ("select", "greedy", lambda: solvers.greedy_select(model, 2, metric)))
+    for mode, algorithm, run in runs:
+        report = run()
+        assert run_cli("solve", "--instance", str(path), "--mode", mode, "--algorithm", algorithm,
+                       "--metric", metric) == 0
+        want = f"trace={report.trace!r} chosen={[i + 1 for i in report.chosen.support]}\n"
+        assert capsys.readouterr().out == want

@@ -1034,8 +1034,8 @@ def test_posteriori_g_form_matches_joseph_and_subtraction(seed):
 def test_noise_gain_factors_members_one_by_one_after_a_failed_batch(monkeypatch):
     # V = ones((2, 2)) is singular with a positive diagonal: the batched
     # Cholesky factorization fails on it, and the members are factored one
-    # by one; only that member is singular, and every other member's
-    # whitened rows keep the bits of its lone _noise_gain
+    # by one; only that member is singular, its whitened rows are zero, and
+    # every other member's keep the bits of its lone _noise_gain
     rng = np.random.default_rng(720)
     _, C, V = _posteriori_stack(rng, 8, 3, 2)
     V[5] = np.ones((2, 2))
@@ -1045,7 +1045,8 @@ def test_noise_gain_factors_members_one_by_one_after_a_failed_batch(monkeypatch)
     monkeypatch.undo()
     assert shapes == [(8, 2, 2)] + [(2, 2)] * 8
     assert np.array_equal(nonsingular, np.arange(8) != 5)
-    for f, c, v in zip(F, C[nonsingular], V[nonsingular]):
+    assert F.shape == C.shape and not F[5].any()
+    for f, c, v in zip(F[nonsingular], C[nonsingular], V[nonsingular]):
         alone_ok, alone = riccati._noise_gain(c[None], v[None])
         assert alone_ok.all() and np.array_equal(f, alone[0])
 
