@@ -38,20 +38,21 @@ a bound, the neutral one for the maximal sets and the best trace for
 each walk level, which drops inside the doubling every member whose
 certified trace interval can neither beat nor tie the optimum (Narendra
 & Fukunaga's monotone bound, 1977; see _ScoreTable._settle).  A
-selection that lacks more members than one chunk screens them first
-(_ScoreTable._screen): the Riccati recursion started at zero rises
-monotonically to the solution (Anderson & Moore, 1979), so its second
-iterate bounds each member's trace from below for one p x p solve
-(riccati._floor).  The members are solved best first by that floor, and
-before each chunk the same rule drops every member whose floor can
-neither beat nor tie the incumbent, unsolved.  The table
+request that lacks more members than one chunk screens them first
+(_ScoreTable._screen), on the monotone Riccati recursion (Anderson &
+Moore, 1979): a selection on its second iterate from zero (riccati._floor),
+an attack on the full set's solution updated by each survivor set as a
+rank-r restore of the removed rows, and on the cost of that update's gain
+(Kleinman, 1968; Hewer, 1971; riccati._bracket).  The members are solved
+best first, and before each chunk the same rule drops every member whose
+bracket can neither beat nor tie the incumbent.  The table
 passes its metric to the kernel run, which solves an equation in that
 metric and certifies intervals in it (see riccati._solve_detectable): an
 a posteriori run solves the a posteriori covariance itself, so no
 member needs an update after it.  A dropped member is stored as None:
 it counts as not tied, and a request without a bound, a greedy step or
-a report, solves it.  Greedy, greedy_and_optimal's joint first scoring
-and attacks screen nothing yet, and inside the kernel the Newton members,
+a report, solves it.  Greedy and greedy_and_optimal's joint first
+scoring screen nothing, and inside the kernel the Newton members,
 an a priori request's members with noiseless rows, and the closed-form
 members of an A with one nonzero column (every paper instance) drop
 nothing.
@@ -167,8 +168,8 @@ class _ScoreTable:
     noise.  It stacks the rows and the door's symmetric V's, lays the null
     sensors' identity block, zero against every real sensor, and keeps A's
     mode bases from the door.  A call solves the members the table lacks in
-    (size, kept, j) order, kept the sensors the filter runs on, or screened in
-    (size, floor) order (_screen), as stacks of at most STACK_CHUNK members; a
+    (size, kept, j) order, kept the sensors the filter runs on, or screened
+    best first (_screen), as stacks of at most STACK_CHUNK members; a
     chunk gathers each kept set padded to its widest with null sensors -1, -2,
     ..., whose V then reads block-diag(V_kept, I) (_rows), so it is one PBH
     test and one kernel run in the table's metric.  Stack members are solved
@@ -193,6 +194,7 @@ class _ScoreTable:
         self.sensors = tuple(range(q))
         self.best, self.worst = (max, -math.inf) if attack else (min, math.inf)
         self.scores: dict[tuple[int, tuple[int, ...]], tuple[float, np.ndarray] | None] = {}
+        self.full: dict[int, tuple] = {}  # an attack screen's full sets: (P, C, V) of model j
 
     def __call__(self, members, bound: float | None = None) -> list:
         """The score of each (j, support) member, support a sorted tuple, or
@@ -202,7 +204,7 @@ class _ScoreTable:
         member it lacks, those stored as None included.
         Undetectable members score math.inf, with a NaN diagonal, without a
         solve, and reach the drop rule as the interval [inf, inf] before
-        their chunk's kernel run.  A selection with a bound that lacks more
+        their chunk's kernel run.  A call with a bound that lacks more
         members than one chunk screens them first (_screen)."""
         lacking = {m for m in members if m not in self.scores or bound is None and self.scores[m] is None}
         if not lacking:  # greedy's later steps, the walk and report read stored scores
@@ -211,19 +213,20 @@ class _ScoreTable:
         A, W = self.models[0].A, self.W
         missing = sorted((len(kept), kept, j, s) for j, s in lacking
                          for kept in [self._survivors(s) if self.attack else s])
-        screen = settle is not None and not self.attack and len(missing) > STACK_CHUNK
+        screen = settle is not None and len(missing) > STACK_CHUNK
         if screen:
-            missing, floors = self._screen(missing)
+            missing, lo, hi = self._screen(missing, settle)
         while missing:
-            if screen:  # each floor against the incumbent, as the interval [floor, inf]
-                drop = settle(floors, np.full(len(floors), math.inf))
+            if screen:  # each bracket against the incumbent
+                drop = settle(lo, hi)
                 for _, _, j, s in compress(missing, drop.tolist()):
                     self.scores[j, s] = None
-                missing, floors = list(compress(missing, (~drop).tolist())), floors[~drop][STACK_CHUNK:]
+                missing, lo, hi = list(compress(missing, (~drop).tolist())), lo[~drop], hi[~drop]
+                lo, hi = lo[STACK_CHUNK:], hi[STACK_CHUNK:]
             chunk, missing = missing[:STACK_CHUNK], missing[STACK_CHUNK:]
             if not chunk:  # the screen dropped the rest
                 break
-            C, V = self._rows(chunk, chunk[-1][0])  # sizes ascend
+            C, V = self._rows(chunk, max(size for size, _, _, _ in chunk))
             finite = riccati._detectable(self.modes, C)
             if settle is not None and not finite.all():
                 unseen = np.full(len(chunk) - finite.sum(), math.inf)
@@ -255,15 +258,35 @@ class _ScoreTable:
         rows = np.where(idx < 0, idx, idx + first[:, None])
         return self.C[rows], self.V[rows[:, :, None], idx[:, None, :]]
 
-    def _screen(self, missing):
-        """The (size, kept, j, s) members ``missing`` in (size, floor) order,
-        best first, and their floors: riccati._floor's lower bound on each
-        member's trace in the table's metric, by one call on their stacks,
-        padded to the widest (a null sensor adds nothing to a floor)."""
-        C, V = self._rows(missing, missing[-1][0])  # sizes ascend
-        floors = riccati._floor(self.models[0].A, self.W, C, V, self.metric == "posteriori")
-        order = np.lexsort((floors, [size for size, _, _, _ in missing]))
-        return [missing[i] for i in order.tolist()], floors[order]
+    def _screen(self, missing, settle):
+        """The (size, kept, j, s) members ``missing`` of one model best first,
+        with a bracket [lo, hi] on each one's trace in the table's metric: a
+        selection's (size, floor) order and [floor, inf] (riccati._floor), an
+        attack's descending lo and riccati._bracket's, under ``settle``, from
+        the full set's a priori solve, once per request, which settles nothing
+        and is no score.  Each takes one call on the stacks padded to the widest
+        with null sensors, which add nothing, and an attack the PBH test in
+        blocks of STACK_CHUNK members."""
+        A, posteriori = self.models[0].A, self.metric == "posteriori"
+        if not self.attack:
+            C, V = self._rows(missing, missing[-1][0])  # sizes ascend
+            floors = riccati._floor(A, self.W, C, V, posteriori)
+            order = np.lexsort((floors, [size for size, _, _, _ in missing]))
+            return [missing[i] for i in order.tolist()], floors[order], np.full(len(order), math.inf)
+        (_, _, j, _), q = missing[0], len(self.sensors)  # a call with a bound scores one model
+        if j not in self.full:
+            C, V = self._rows([(q, self.sensors, j, ())], q)
+            seen = riccati._detectable(self.modes, C)[0]  # else every survivor set is undetectable
+            P = riccati._solve_detectable(A, self.W, C, V, self.root)[0] if seen else np.zeros((1,) + A.shape)
+            self.full[j] = P[0], C[0], V[0]
+        blocks = (missing[b:b + STACK_CHUNK] for b in range(0, len(missing), STACK_CHUNK))
+        finite = np.concatenate([riccati._detectable(self.modes, self._rows(c, c[-1][0])[0]) for c in blocks])
+        width = max(len(s) for _, _, _, s in missing)
+        pads = tuple(range(-1, -width - 1, -1))  # one null sensor per pad slot
+        removed = np.array([s + pads[:width - len(s)] for _, _, _, s in missing], dtype=np.intp)
+        lo, hi = riccati._bracket(A, self.W, self.root, *self.full[j], removed, finite, posteriori, settle, STACK_CHUNK)
+        order = np.argsort(-lo, kind="stable")
+        return [missing[i] for i in order.tolist()], lo[order], hi[order]
 
     def _settle(self, bound: float):
         """The settle callable of one request (see riccati._doubling_dare),
@@ -280,8 +303,8 @@ class _ScoreTable:
         solves, the a posteriori one for an a posteriori table.  Every
         kernel run hands it each solved member's trace, as [t, t] where the
         route does not settle (riccati._solve_detectable), so U is the one
-        incumbent of every chunk and route.  A screened selection also hands
-        it each member's floor as [floor, inf] before each chunk."""
+        incumbent of every chunk and route.  A screen also hands it each
+        member's bracket before each chunk, and an attack's every lo first."""
 
         def settle(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             nonlocal bound
@@ -425,10 +448,11 @@ def _exhaustive(table: _ScoreTable, j: int, n_feasible: int, maximal) -> SolveRe
     (greedy_and_optimal's greedy sets fit the same unit-cost budget), so
     that set's trace is worse than the best, and by monotonicity the
     candidate's is too.  The maximal sets are scored under the neutral
-    bound, and each walk level under the best trace; a selection's level
-    that fills more than a chunk is screened, solved best first by its
-    floors (_ScoreTable._screen), so on random-solve's q = 18 models one
-    or two chunks of the 816 maximal sets of budget 3 reach the kernel.
+    bound, and each walk level under the best trace; a level that fills
+    more than a chunk is screened, solved best first (_ScoreTable._screen),
+    so on random-solve's q = 18 models one or two chunks of the 816 maximal
+    sets of budget 3 reach the kernel for a selection, and the full set and
+    one chunk of 1-4 survivor sets for an attack.
     """
     q = table.models[j].q
 

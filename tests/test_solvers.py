@@ -488,12 +488,13 @@ def test_exhaustive_on_generic_instances_solves_only_the_maximal_sets(monkeypatc
     # a lone best maximal set: each of its one-sensor-smaller subsets lies
     # under another maximal set, scored and not tied, so the walk solves
     # nothing and the C(10, 3) = 120 maximal sets are the only members.  The
-    # attack solves them all; the select's screen solves the 64 with the
-    # least floors, whose best trace drops the rest before any kernel run
+    # select's screen solves the 64 with the least floors, whose best trace
+    # drops the rest before any kernel run; the attack's solves the full
+    # set, whose bracket leaves 4 or fewer survivor sets for one chunk
     rng = np.random.default_rng(53)
-    for _ in range(3):
+    for attacked in ([1, 2], [1, 2], [1, 4]):
         m = _random_solve_model(rng, 10)
-        for run, metric, want in ((exhaustive_select, "priori", [64]), (exhaustive_attack, "posteriori", [64, 56])):
+        for run, metric, want in ((exhaustive_select, "priori", [64]), (exhaustive_attack, "posteriori", attacked)):
             members = []
             original = riccati._solve_detectable
             monkeypatch.setattr(riccati, "_solve_detectable", lambda A, W, C, V, *args:
@@ -509,7 +510,7 @@ def _floors(m, supports, metric):
     ``m``, in the order given."""
     table = _ScoreTable([m], metric, attack=False)
     missing = [(len(s), s, 0, s) for s in supports]
-    order, floors = table._screen(missing)
+    order, floors, _ = table._screen(missing, None)
     return [float(floors[order.index(member)]) for member in missing]
 
 
@@ -703,6 +704,125 @@ def test_screen_solves_q_18_select_in_at_most_two_kernel_runs(monkeypatch):
         assert report.chosen.count == 3
 
 
+@pytest.mark.parametrize("metric", METRICS)
+def test_screened_exhaustive_attack_equals_the_search_that_solves_every_member(metric, monkeypatch):
+    # the attack's screen brackets every survivor set from the full set's
+    # solution, solves best first by lo and drops members on their hi; with
+    # one chunk holding every member it screens nothing.  Unit costs give
+    # the same report bit for bit; mixed costs pad the removed sets and
+    # other chunks, so the same chosen set and evaluations with the trace
+    # to 1e-12.  Tie models at q = 9 to 12 (exact ties, undetectable sets,
+    # singular V on some draws) and random-solve models at q = 10 and 12
+    rng = np.random.default_rng(113)
+    fewer = 0
+    for draw in range(8):
+        q = int(rng.integers(9, 13)) if draw % 2 else 10 + 2 * (draw % 4 == 2)
+        m = _tie_model(rng, q) if draw % 2 else _random_solve_model(rng, q)
+        for unit in (True, False):
+            costs = np.ones(m.q) if unit else rng.choice([0.5, 1.0, 1.5], m.q)
+            runs = []
+            for chunk in (solvers.STACK_CHUNK, 10**6):
+                members = []
+                original = riccati._solve_detectable
+                monkeypatch.setattr(solvers, "STACK_CHUNK", chunk)
+                monkeypatch.setattr(riccati, "_solve_detectable", lambda A, W, C, V, *args:
+                                    members.append(len(C)) or original(A, W, C, V, *args))
+                runs.append((exhaustive_attack(m, costs, 3.0, metric), sum(members)))
+                monkeypatch.undo()
+            (report, solved), (want, every) = runs
+            if unit:
+                assert report_to_dict(report) == report_to_dict(want), draw
+            else:
+                assert report.chosen == want.chosen and report.evaluations == want.evaluations, draw
+                assert report.trace == want.trace or abs(report.trace - want.trace) <= 1e-12 * want.trace, draw
+            fewer += solved < every
+    assert fewer >= 10
+
+
+def _brackets(m, removals, metric, settle=None):
+    """The attack screen's [lo, hi] of the ``removals`` on a fresh table of
+    ``m``, in the order given, under ``settle`` (the table's own, from the
+    neutral bound, by default)."""
+    table = _ScoreTable([m], metric, attack=True)
+    missing = sorted((m.q - len(s), table._survivors(s), 0, s) for s in removals)
+    order, lo, hi = table._screen(missing, settle or table._settle(table.worst))
+    at = {member[3]: i for i, member in enumerate(order)}
+    return [(float(lo[at[s]]), float(hi[at[s]])) for s in removals]
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_attack_bracket_holds_the_converged_trace(metric, monkeypatch):
+    # lo <= t <= hi on every survivor set that removes one to three
+    # sensors of random-solve models at q = 10 and 14, so the removed sets
+    # carry pads; under a settle that never drops, every member is sent
+    # with the hi of the doubling's first verdict, and under the table's
+    # settle started from the optimum many are dropped, some after
+    # doublings of their Stein run
+    rng = np.random.default_rng(127)
+    stein = []
+    doubling = riccati._doubling_dare
+    monkeypatch.setattr(riccati, "_doubling_dare", lambda A, G, W, settle=None:
+                        stein.append(G is None) or doubling(A, G, W, settle))
+    finite = 0
+    for q in (10, 10, 14, 14):
+        m = _random_solve_model(rng, q)
+        removals = [c for r in (1, 2, 3) for c in combinations(range(q), r)]
+        traces = [evaluate_selection(m, complement(AttackVector.from_support(q, s)), metric).trace for s in removals]
+        best = max(traces)
+        for settle in (lambda lo, hi: np.zeros(len(lo), dtype=bool),
+                       _ScoreTable([m], metric, attack=True)._settle(best)):
+            for s, t, (lo, hi) in zip(removals, traces, _brackets(m, removals, metric, settle)):
+                assert lo <= t <= hi, (q, s, lo, t, hi)
+                finite += math.isfinite(hi)
+    assert finite > 0.9 * 2 * (2 * 175 + 2 * 469) and any(stein)
+
+
+def test_attack_bracket_screens_nothing_it_cannot_certify():
+    # a noiseless full set with W singular takes Newton, whose iterates
+    # approach from above; a full set with two equal noiseless rows has a
+    # singular C P C' + V; both give [-inf, inf].  A full set whose precise
+    # sensor sets the gain leaves the survivors' closed loop unstable, so
+    # that member gets hi = inf, with no warning
+    rng = np.random.default_rng(131)
+    n, q = 3, 5
+    A = np.diag([1.05, 0.5, -0.3])
+    C = rng.standard_normal((q, n))
+    V = np.diag([0.0, 1.0, 1.0, 0.0, 1.0])
+    removals = [c for r in (1, 2) for c in combinations(range(q), r)]
+    singular_w = validate_model(SystemModel(n=n, q=q, A=A, C=C, W=np.diag([1.0, 1.0, 0.0]), V=V))
+    C2 = C.copy()
+    C2[3] = C2[0]
+    twin = validate_model(SystemModel(n=n, q=q, A=A, C=C2, W=np.eye(n), V=V))
+    for m in (singular_w, twin):
+        for metric in METRICS:
+            assert all(bracket == (-math.inf, math.inf) for bracket in _brackets(m, removals, metric))
+    unstable = validate_model(SystemModel(n=1, q=2, A=np.array([[2.0]]), C=np.ones((2, 1)), W=np.array([[1e-6]]),
+                                          V=np.diag([1e-12, 1.0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for metric in METRICS:
+            (lo, hi), = _brackets(unstable, [(0,)], metric)
+            t = evaluate_selection(unstable, SelectionVector((0, 1)), metric).trace
+            assert lo <= t and hi == math.inf
+
+
+def test_screen_solves_q_18_attack_in_at_most_two_kernel_runs(monkeypatch):
+    # the C(18, 3) = 816 maximal sets of a random-solve model, a
+    # posteriori: the full set, one a priori member, brackets them all,
+    # and at most one chunk of what the bracket could not drop follows
+    rng = np.random.default_rng(109)
+    for _ in range(3):
+        m = _random_solve_model(rng, 18)
+        runs = []
+        original = riccati._solve_detectable
+        monkeypatch.setattr(riccati, "_solve_detectable", lambda A, W, C, V, *args:
+                            runs.append(len(C)) or original(A, W, C, V, *args))
+        report = exhaustive_attack(m, np.ones(m.q), 3.0, "posteriori")
+        monkeypatch.undo()
+        assert runs[0] == 1 and len(runs) <= 2
+        assert report.chosen.count == 3
+
+
 def test_tie_walk_continues_past_a_size_with_no_tied_set():
     # one noiseless sensor of cost 3, and three sensors of cost 1 whose
     # noises sum to zero: {0} and {1, 2, 3} are the maximal sets within
@@ -815,7 +935,7 @@ def test_dropping_halves_the_doubling_solves_at_q_18(monkeypatch):
     assert 0 < sum(solved) <= lone / 2
 
 
-@pytest.mark.parametrize("attack, doublings", [(False, 829), (True, 29)], ids=["select", "attack"])
+@pytest.mark.parametrize("attack, doublings", [(False, 829), (True, 4)], ids=["select", "attack"])
 def test_posteriori_dropping_halves_the_doubling_solves_at_q_18(attack, doublings, monkeypatch):
     # the model above under the a posteriori metric.  The maximal sets are
     # the triples (survivor sets of 15 sensors for the attack).  Every
@@ -824,9 +944,11 @@ def test_posteriori_dropping_halves_the_doubling_solves_at_q_18(attack, doubling
     # before the first doubling and once per doubling, as an a priori run
     # does, and no measurement update follows: each run settles every
     # member once before doubling and every live member once per doubling.
-    # The attack drops most members before any doubling.  The select's
-    # screen hands the run its members best first, so its incumbent falls
-    # sooner: 829 doublings, where (size, kept) order took 887
+    # The select's screen hands the run its members best first, so its
+    # incumbent falls sooner: 829 doublings, where (size, kept) order took
+    # 887.  The attack's screen first solves the full set a priori, a plain
+    # run that settles nothing, and its bracket leaves one member, whose
+    # run takes 4 doublings, where solving all 816 took 29
     rng = np.random.default_rng(61)
     m = _random_solve_model(rng, 18)
     sets = [tuple(i for i in range(m.q) if i not in c) if attack else c for c in combinations(range(m.q), 3)]
@@ -835,7 +957,10 @@ def test_posteriori_dropping_halves_the_doubling_solves_at_q_18(attack, doubling
     doubling, posteriori = riccati._doubling_dare, riccati._posteriori
 
     def spy(A, G, W, settle=None):
-        assert settle is not None and A.shape == G.shape == W.shape  # the filtered equation's stacks
+        if settle is None:  # the attack's full set, one a priori member
+            assert attack and A.shape == W.shape == G.shape[1:] and len(G) == 1
+            return doubling(A, G, W)
+        assert A.shape == G.shape == W.shape  # the filtered equation's stacks
         S, counts = doubling(A, G, W, lambda lo, hi: solved.append(len(lo)) or settle(lo, hi))
         counted.append(counts.sum())
         members.append(len(G))
