@@ -251,12 +251,15 @@ class _ScoreTable:
 
     def _rows(self, members, width: int):
         """The stacks (C, V) of the (size, kept, j, s) ``members``, each kept set padded to ``width`` with the null
-        sensors -1, -2, ..., gathered from the stacked C and V."""
+        sensors -1, -2, ..., gathered from the stacked C and V (_index)."""
+        rows, idx = self._index(members, width)
+        return self.C[rows], self.V[rows[:, :, None], idx[:, None, :]]
+
+    def _index(self, members, width: int):  # the rows of the stacked C of _rows's members, and their sensors
         pads = tuple(range(-1, -width - 1, -1))  # one null sensor per pad slot
         idx = np.array([kept + pads[:width - size] for size, kept, _, _ in members], dtype=np.intp)
         first = np.array([j for _, _, j, _ in members], dtype=np.intp) * self.models[0].q  # model j's first row
-        rows = np.where(idx < 0, idx, idx + first[:, None])
-        return self.C[rows], self.V[rows[:, :, None], idx[:, None, :]]
+        return np.where(idx < 0, idx, idx + first[:, None]), idx
 
     def _screen(self, missing, settle):
         """The (size, kept, j, s) members ``missing`` of one model best first,
@@ -266,7 +269,7 @@ class _ScoreTable:
         the full set's a priori solve, once per request, which settles nothing
         and is no score.  Each takes one call on the stacks padded to the widest
         with null sensors, which add nothing, and an attack the PBH test in
-        blocks of STACK_CHUNK members."""
+        blocks of STACK_CHUNK members, on their survivors' rows alone."""
         A, posteriori = self.models[0].A, self.metric == "posteriori"
         if not self.attack:
             C, V = self._rows(missing, missing[-1][0])  # sizes ascend
@@ -280,7 +283,7 @@ class _ScoreTable:
             P = riccati._solve_detectable(A, self.W, C, V, self.root)[0] if seen else np.zeros((1,) + A.shape)
             self.full[j] = P[0], C[0], V[0]
         blocks = (missing[b:b + STACK_CHUNK] for b in range(0, len(missing), STACK_CHUNK))
-        finite = np.concatenate([riccati._detectable(self.modes, self._rows(c, c[-1][0])[0]) for c in blocks])
+        finite = np.concatenate([riccati._detectable(self.modes, self.C[self._index(c, c[-1][0])[0]]) for c in blocks])
         width = max(len(s) for _, _, _, s in missing)
         pads = tuple(range(-1, -width - 1, -1))  # one null sensor per pad slot
         removed = np.array([s + pads[:width - len(s)] for _, _, _, s in missing], dtype=np.intp)
