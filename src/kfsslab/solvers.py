@@ -284,9 +284,7 @@ class _ScoreTable:
             self.full[j] = P[0], C[0], V[0]
         blocks = (missing[b:b + STACK_CHUNK] for b in range(0, len(missing), STACK_CHUNK))
         finite = np.concatenate([riccati._detectable(self.modes, self.C[self._index(c, c[-1][0])[0]]) for c in blocks])
-        width = max(len(s) for _, _, _, s in missing)
-        pads = tuple(range(-1, -width - 1, -1))  # one null sensor per pad slot
-        removed = np.array([s + pads[:width - len(s)] for _, _, _, s in missing], dtype=np.intp)
+        removed = self._index([(len(s), s, 0, s) for _, _, _, s in missing], max(len(s) for *_, s in missing))[1]
         lo, hi = riccati._bracket(A, self.W, self.root, *self.full[j], removed, finite, posteriori, settle, STACK_CHUNK)
         order = np.argsort(-lo, kind="stable")
         return [missing[i] for i in order.tolist()], lo[order], hi[order]
@@ -455,7 +453,7 @@ def _exhaustive(table: _ScoreTable, j: int, n_feasible: int, maximal) -> SolveRe
     more than a chunk is screened, solved best first (_ScoreTable._screen),
     so on random-solve's q = 18 models one or two chunks of the 816 maximal
     sets of budget 3 reach the kernel for a selection, and the full set and
-    one chunk of 1-4 survivor sets for an attack.
+    one survivor set for an attack.
     """
     q = table.models[j].q
 
