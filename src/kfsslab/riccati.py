@@ -206,12 +206,10 @@ def _doubling_dare(A, G, W, settle=None):
     A <- A (I+GH)^-1 A, G <- G + A (I+GH)^-1 G A', H <- H + A' H (I+GH)^-1 A;
     H_k is the fixed-point iterate 2^k steps from zero, so H converges
     quadratically to the stabilizing solution.  G and H stay PSD, so I + GH
-    is nonsingular.  G = None is G = 0, which stays 0, without the solve
-    with I, whose LU is exact: the same bits.  A member stops once its step
-    ||H+ - H||_F is at most TOL * max(1, ||H+||_F) and is frozen from then
-    on.  Returns the stack of solutions and each member's doubling count;
-    raises NoConvergence when a member reaches MAX_STEPS doublings or any
-    step turns non-finite.
+    is nonsingular.  A member stops once its step ||H+ - H||_F is at most
+    TOL * max(1, ||H+||_F) and is frozen from then on.  Returns the stack of
+    solutions and each member's doubling count; raises NoConvergence when
+    a member reaches MAX_STEPS doublings or any step turns non-finite.
 
     Every doubling keeps the invariant S = A_k' S (I + G_k S)^-1 A_k + H_k,
     whose first term is PSD and has trace at most ||A_k||_F^2 tr S, so
@@ -226,9 +224,7 @@ def _doubling_dare(A, G, W, settle=None):
     The interval is in the metric of the equation solved: a filtered run's
     solution is the a posteriori covariance, so its interval is too.
     """
-    stein, n = G is None, A.shape[-1]
-    G = np.zeros(W.shape) if stein else G
-    k = G.shape[0]
+    k, n = G.shape[0], A.shape[-1]
     out = np.empty((k, n, n))
     doublings = np.zeros(k, dtype=int)
     live = np.arange(k)
@@ -238,14 +234,13 @@ def _doubling_dare(A, G, W, settle=None):
     step, done = np.full(k, np.inf), np.zeros(k, dtype=bool)
     for it in range(MAX_STEPS + 1):
         if it:  # doubling 0 only settles
-            AkT, XA = Ak.transpose(0, 2, 1), Ak
-            if not stein:
-                try:
-                    X = np.linalg.solve(eye + G @ H, np.concatenate((Ak, G), axis=2))
-                except np.linalg.LinAlgError:
-                    raise NoConvergence("doubling iterate became non-finite", float(step[0]), it) from None
-                XA = X[:, :, :n]
-                G = _sym(G + Ak @ X[:, :, n:] @ AkT)
+            AkT = Ak.transpose(0, 2, 1)
+            try:
+                X = np.linalg.solve(eye + G @ H, np.concatenate((Ak, G), axis=2))
+            except np.linalg.LinAlgError:
+                raise NoConvergence("doubling iterate became non-finite", float(step[0]), it) from None
+            XA = X[:, :, :n]
+            G = _sym(G + Ak @ X[:, :, n:] @ AkT)
             H2 = _sym(H + AkT @ H @ XA)
             Ak = Ak @ XA
             step = _fro(H2 - H)
@@ -526,81 +521,68 @@ def _floor(A, W, C, V, posteriori=False) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite end screens nothing
-def _bracket(A, W, root, P, C, V, removed, finite, posteriori, settle, block):
+def _bracket(A, W, P, C, V, removed, posteriori, block):
     """[lo, hi] on the trace of each survivor set of an attack from the a
-    priori covariance P of the full set C (q x n), V, without a kernel run.
-    Member i removes the rows removed[i] (pads -1, -2, ...: null sensors);
-    one not finite[i] (undetectable) gets [inf, inf].  Every lo goes to the
-    attack's ``settle`` first.
+    priori covariance P of the full set C (q x n), V, without a kernel run,
+    or None where M = C P C' + V or an N_RR is singular, or e ||N|| > 1e-3
+    (e as _floor's, C P for C W).  Member i removes the rows removed[i]
+    (pads -1, -2, ...: null sensors).  P must approach from below, as on
+    every route but Newton's (_newton_route).
 
-    With M = C P C' + V, N = M^-1 and K = N C P, the block inverse of M makes
-    P's update by the survivors the full update P+ = P - (CP)'K plus the
-    rank-r D = K_R' N_RR^-1 K_R (a pad adds exactly 0).  Removing sensors
-    never lowers the Riccati solution and the update is monotone (Anderson
-    & Moore, 1979): lo = tr(P+ + D), a priori tr(A (P+ + D) A') + tr W, if P
-    approaches from below, as on every route but Newton's, which gets
-    [-inf, inf], as does an M with e ||N|| > 1e-3 (e as _floor's, C P for
-    C W).  P's gain on the survivors, J = I - K'C + K_R' N_RR^-1 (NC)_R,
-    costs more than the optimum (Kleinman, 1968; Hewer, 1971): P + E a
-    priori, E = F E F' + A D A' + Ric(P) - P, F = A J, and tr(P+ + D) +
-    tr(J E J') a posteriori, a Stein equation in F = J A.  Where ||F||_F < 1
-    (else hi = inf) the G = 0 doubling solves it without the residual, in
-    blocks of ``block``, until its tail bound tr H_k / (1 - ||A_k||_F^2)
-    drops the member, or it would not drop at tr H_k and goes to the kernel
-    (hi = inf if the stopping rule ended it).  Round-off, to first order and
-    doubled while e ||N|| <= 1e-3: N and K are exact for an M within e,
-    which moves tr(P+ + D), J and D by g tr P, g sqrt(tr P tr P^-1) and
-    2 g tr P at most, g = 2 e ||N||; a product adds u = 3 eps (n + q) of its
-    terms.  So lo is lowered, hi raised, by (g + u) (w tr P + tr W),
-    w = ||A||_F^2 a priori, w = 1 and no tr W a posteriori, and hi also takes
-    ||Ric(P) - P||_F (times ||J||_F^2 a posteriori) and the forcing's and
-    F's errors, over 1 - ||F||_F^2."""
+    With N = M^-1 and K = N C P, the block inverse of M makes P's update by
+    the survivors the full update P+ = P - (CP)'K plus the rank-r
+    D = K_R' N_RR^-1 K_R (a pad adds exactly 0).  Removing sensors never
+    lowers the Riccati solution and the update is monotone (Anderson &
+    Moore, 1979): lo = tr(P+ + D), a priori tr(A (P+ + D) A') + tr W.  P's
+    gain on the survivors, J = I - K'C + K_R' N_RR^-1 (NC)_R, costs more
+    than the optimum (Kleinman, 1968; Hewer, 1971): P + E a priori,
+    E = F E F' + T + Ric(P) - P, F = A J, T = A D A', and tr(P+ + D) +
+    tr(J E J') a posteriori, the same Stein equation in F = J A, T = J A D
+    A' J'.  Its sum over k of F^k T F'^k has trace at most
+    c tr T, c = 1 / (1 - ||F||_F^2), where ||F||_F < 1 (else hi = inf), and
+    the residual's share at most c ||Ric(P) - P||_* (times ||J||_F^2 a
+    posteriori): its nuclear norm bounds the k = 0 term, the trace of the
+    residual itself, where its Frobenius norm need not.  Round-off, to
+    first order and doubled while e ||N|| <= 1e-3: N and K are exact for
+    an M within e, which moves tr(P+ + D), J and D by g tr P,
+    g sqrt(tr P tr P^-1) and 2 g tr P at most, g = 2 e ||N||; a product
+    adds u = 3 eps (n + q) of its terms.  So lo is lowered, hi raised, by
+    (g + u) (w tr P + tr W), w = ||A||_F^2 a priori, w = 1 and no tr W a
+    posteriori, and hi also takes the residual's round-off and the
+    forcing's and F's errors, times c.  The members go in blocks of
+    ``block``."""
     (q, n), (k, r) = C.shape, removed.shape
     eps, a, Y = np.finfo(float).eps, np.linalg.norm(A), C @ P
-    lo, hi, off, scale = np.where(finite, -np.inf, np.inf), *np.full((2, k), np.inf), np.ones(k)
     u, e = 3 * eps * (n + q), eps * (n + q) * (np.linalg.norm(V) + np.linalg.norm(Y) * np.linalg.norm(C))
-    newton = not root[0][0] > PINV_RTOL * max(1.0, root[0][-1]) and _noise(C[None], V[None])[0].any()
     try:
         X = np.linalg.solve(Y @ C.T + V, np.concatenate((Y, np.eye(q)), axis=1))
         K, N, g = X[:, :n], X[:, n:], 2 * e * np.linalg.norm(X[:, n:])
-        use = np.flatnonzero(finite) if g <= 2e-3 and not newton else np.arange(0)  # NaN refuses too
-        R, KC = removed[use], np.concatenate((np.concatenate((K, N @ C), axis=1), np.zeros((r, 2 * n))))
-        inv = np.linalg.inv(np.block([[N, np.zeros((q, r))], [np.zeros((r, q)), np.eye(r)]])[R[:, :, None], R[:, None]])
-    except np.linalg.LinAlgError:  # a singular M or N_RR: screen nothing
-        return lo, hi
-    U, Pp, Jf, lam, trP = KC[R, :n], _sym(P - Y.T @ K), np.eye(n) - K.T @ C, np.linalg.eigvalsh(P), np.trace(P)
+        if not g <= 2e-3:  # NaN refuses too
+            return None
+        KC = np.concatenate((np.concatenate((K, N @ C), axis=1), np.zeros((r, 2 * n))))
+        Nb = np.block([[N, np.zeros((q, r))], [np.zeros((r, q)), np.eye(r)]])  # N and the pads' identity block
+        inv = np.linalg.inv(Nb[removed[:, :, None], removed[:, None]])
+    except np.linalg.LinAlgError:
+        return None
+    U, Pp, Jf, lam, trP = KC[removed, :n], _sym(P - Y.T @ K), np.eye(n) - K.T @ C, np.linalg.eigvalsh(P), np.trace(P)
     ZK, Om, tW = inv @ U, *((np.eye(n), 0.0) if posteriori else (A.T @ A, np.trace(W)))
     allow = (g + u) * ((1.0 if posteriori else a * a) * trP + tW)
-    lo[use] = np.trace(Om @ Pp) + tW - allow + np.add.reduce((U @ Om) * ZK, axis=(1, 2))
-    settle(lo, hi)
-    res = np.linalg.norm(A @ Pp @ A.T + W - P) + (g + u) * ((1 + a * a) * trP + np.trace(W))
+    lo = np.trace(Om @ Pp) + tW - allow + np.add.reduce((U @ Om) * ZK, axis=(1, 2))
+    res = np.linalg.norm(A @ Pp @ A.T + W - P, "nuc") + (g + u) * ((1 + a * a) * trP + np.trace(W))
     dJ = g * np.sqrt(trP * np.sum(1.0 / lam) if lam[0] > 0.0 else np.inf) + u * np.linalg.norm(K) * np.linalg.norm(C)
-
-    def finish(tr, tail):  # settle's verdicts on each live member's certified hi, and on the least it can reach
-        nonlocal live
-        up = off[live] + scale[live] * tail
-        dropped = settle(lo[live], up) & (tail > tr)
-        sent = ~settle(lo[live], off[live] + scale[live] * tr) | (tail == tr)
-        hi[live[dropped]], hi[live[sent]] = up[dropped], np.where(tail > tr, up, np.inf)[sent]
-        live = live[~(dropped | sent)]
-        return dropped | sent
-
-    for b in range(0, use.size, block):
-        i, s = use[b:b + block], slice(b, b + block)
-        ZC, Ut = inv[s] @ KC[R[s], n:], U[s].transpose(0, 2, 1)
+    hi = np.empty(k)
+    for b in range(0, k, block):
+        s = slice(b, b + block)
+        ZC, Ut = inv[s] @ KC[removed[s], n:], U[s].transpose(0, 2, 1)
         J, D = Jf + Ut @ ZC, Ut @ ZK[s]
         F, T = (J @ A, J @ A @ D @ A.T @ J.transpose(0, 2, 1)) if posteriori else (A @ J, A @ D @ A.T)
-        f2, v, T = _fro(F) ** 2, _fro(J) ** 2 if posteriori else 1.0, _sym(T)
+        f2, v = _fro(F) ** 2, _fro(J) ** 2 if posteriori else 1.0
         dJi, dD = dJ + u * _fro(U[s]) * _fro(ZC), 2 * g * trP + u * _fro(U[s]) * _fro(ZK[s])
         dT = a * a * (v * dD + 2 * np.sqrt(v) * dJi * _fro(D)) if posteriori else a * a * dD
         c = 1.0 / (1.0 - f2)
-        off[i] = (lo[i] + 2 * allow if posteriori else trP + allow) + c * (res * v + dT)
-        scale[i] = 1.0 + u + 2 * c * a * dJi * np.sqrt(f2)
-        run = np.flatnonzero((f2 < 1.0) & np.isfinite(off[i]) & np.isfinite(scale[i]))
-        live, trT = i[run], np.trace(T[run], axis1=1, axis2=2)
-        rest = run[~finish(trT, trT * c[run])] if run.size else run  # the doubling's verdict before it doubles
-        if rest.size:
-            _doubling_dare(F[rest], None, T[rest], finish)
+        up = (lo[s] + 2 * allow if posteriori else trP + allow) + c * (res * v + dT)
+        up += (1.0 + u + 2 * c * a * dJi * np.sqrt(f2)) * c * np.trace(T, axis1=1, axis2=2)
+        hi[s] = np.where(f2 < 1.0, up, np.inf)  # a NaN end drops nothing
     return lo, hi
 
 
@@ -747,6 +729,14 @@ def is_stabilizable_noise(A, W) -> bool:
     return True
 
 
+def _newton_route(root, noiseless):
+    """Which members Newton's method solves, from W's root (w, L) (_request)
+    and whether each has noiseless rows (_noise): those with them when W is
+    singular, where the filtered reduction need not stabilize; no other."""
+    w = root[0]
+    return noiseless & (not w[0] > PINV_RTOL * max(1.0, w[-1]))
+
+
 def _solve_detectable(A, W, C, V, root, posteriori=False, settle=None) -> tuple[np.ndarray, np.ndarray]:
     """Covariances and iteration counts for the stacks C (k x p x n) and
     V (k x p x p), every member detectable, given W's root (w, L) from the
@@ -796,11 +786,8 @@ def _solve_detectable(A, W, C, V, root, posteriori=False, settle=None) -> tuple[
     R0, F = _noise(C, V)
     noiseless = R0.any(axis=(1, 2))
     cols = np.flatnonzero(A.any(axis=0))
-    (w, L), newton, closed = root, np.zeros(k, dtype=bool), False
-    if not w[0] > PINV_RTOL * max(1.0, w[-1]):  # W singular: the reduction need not stabilize
-        newton = noiseless
-    else:
-        closed = cols.size == 1
+    L, newton = root[1], _newton_route(root, noiseless)
+    closed = cols.size == 1 and not _newton_route(root, True)  # W nonsingular
     filtered = ~newton & (noiseless | posteriori | closed)
     plain = ~newton & ~filtered
     if plain.any():

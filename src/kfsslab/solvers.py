@@ -194,7 +194,7 @@ class _ScoreTable:
         self.sensors = tuple(range(q))
         self.best, self.worst = (max, -math.inf) if attack else (min, math.inf)
         self.scores: dict[tuple[int, tuple[int, ...]], tuple[float, np.ndarray] | None] = {}
-        self.full: dict[int, tuple] = {}  # an attack screen's full sets: (P, C, V) of model j
+        self.full: dict[int, tuple | None] = {}  # an attack screen's full sets: (P, C, V) of model j, or None
 
     def __call__(self, members, bound: float | None = None) -> list:
         """The score of each (j, support) member, support a sorted tuple, or
@@ -215,7 +215,7 @@ class _ScoreTable:
                          for kept in [self._survivors(s) if self.attack else s])
         screen = settle is not None and len(missing) > STACK_CHUNK
         if screen:
-            missing, lo, hi = self._screen(missing, settle)
+            missing, lo, hi = self._screen(missing)
         while missing:
             if screen:  # each bracket against the incumbent
                 drop = settle(lo, hi)
@@ -261,31 +261,41 @@ class _ScoreTable:
         first = np.array([j for _, _, j, _ in members], dtype=np.intp) * self.models[0].q  # model j's first row
         return np.where(idx < 0, idx, idx + first[:, None]), idx
 
-    def _screen(self, missing, settle):
+    def _screen(self, missing):
         """The (size, kept, j, s) members ``missing`` of one model best first,
         with a bracket [lo, hi] on each one's trace in the table's metric: a
         selection's (size, floor) order and [floor, inf] (riccati._floor), an
-        attack's descending lo and riccati._bracket's, under ``settle``, from
-        the full set's a priori solve, once per request, which settles nothing
-        and is no score.  Each takes one call on the stacks padded to the widest
-        with null sensors, which add nothing, and an attack the PBH test in
-        blocks of STACK_CHUNK members, on their survivors' rows alone."""
-        A, posteriori = self.models[0].A, self.metric == "posteriori"
+        attack's descending lo and riccati._bracket's from the full set's a
+        priori solve, once per model, which settles nothing and is no score.
+        Each takes one call on the stacks padded to the widest with null
+        sensors, which add nothing, and an attack the PBH test in blocks of
+        STACK_CHUNK members, on their survivors' rows alone.  An attack keeps
+        (size, kept) order and [-inf, inf] where the bracket refuses, or its
+        full set is undetectable, takes Newton's route (riccati._newton_route)
+        or fails to converge, which is then no error."""
+        A, posteriori, k = self.models[0].A, self.metric == "posteriori", len(missing)
         if not self.attack:
             C, V = self._rows(missing, missing[-1][0])  # sizes ascend
             floors = riccati._floor(A, self.W, C, V, posteriori)
             order = np.lexsort((floors, [size for size, _, _, _ in missing]))
-            return [missing[i] for i in order.tolist()], floors[order], np.full(len(order), math.inf)
+            return [missing[i] for i in order.tolist()], floors[order], np.full(k, math.inf)
         (_, _, j, _), q = missing[0], len(self.sensors)  # a call with a bound scores one model
-        if j not in self.full:
+        if j not in self.full:  # None: screen nothing
             C, V = self._rows([(q, self.sensors, j, ())], q)
-            seen = riccati._detectable(self.modes, C)[0]  # else every survivor set is undetectable
-            P = riccati._solve_detectable(A, self.W, C, V, self.root)[0] if seen else np.zeros((1,) + A.shape)
-            self.full[j] = P[0], C[0], V[0]
-        blocks = (missing[b:b + STACK_CHUNK] for b in range(0, len(missing), STACK_CHUNK))
-        finite = np.concatenate([riccati._detectable(self.modes, self.C[self._index(c, c[-1][0])[0]]) for c in blocks])
+            self.full[j], noiseless = None, riccati._noise(C, V)[0].any(axis=(1, 2))
+            if riccati._detectable(self.modes, C)[0] and not riccati._newton_route(self.root, noiseless)[0]:
+                try:
+                    self.full[j] = riccati._solve_detectable(A, self.W, C, V, self.root)[0][0], C[0], V[0]
+                except riccati.NoConvergence:
+                    pass
         removed = self._index([(len(s), s, 0, s) for _, _, _, s in missing], max(len(s) for *_, s in missing))[1]
-        lo, hi = riccati._bracket(A, self.W, self.root, *self.full[j], removed, finite, posteriori, settle, STACK_CHUNK)
+        bracket = self.full[j] and riccati._bracket(A, self.W, *self.full[j], removed, posteriori, STACK_CHUNK)
+        if bracket is None:
+            return missing, np.full(k, -math.inf), np.full(k, math.inf)
+        lo, hi = bracket
+        blocks = (missing[b:b + STACK_CHUNK] for b in range(0, k, STACK_CHUNK))
+        finite = np.concatenate([riccati._detectable(self.modes, self.C[self._index(c, c[-1][0])[0]]) for c in blocks])
+        lo[~finite] = hi[~finite] = math.inf  # undetectable: the interval [inf, inf]
         order = np.argsort(-lo, kind="stable")
         return [missing[i] for i in order.tolist()], lo[order], hi[order]
 
@@ -305,7 +315,7 @@ class _ScoreTable:
         kernel run hands it each solved member's trace, as [t, t] where the
         route does not settle (riccati._solve_detectable), so U is the one
         incumbent of every chunk and route.  A screen also hands it each
-        member's bracket before each chunk, and an attack's every lo first."""
+        member's bracket before each chunk."""
 
         def settle(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             nonlocal bound

@@ -510,7 +510,7 @@ def _floors(m, supports, metric):
     ``m``, in the order given."""
     table = _ScoreTable([m], metric, attack=False)
     missing = [(len(s), s, 0, s) for s in supports]
-    order, floors, _ = table._screen(missing, None)
+    order, floors, _ = table._screen(missing)
     return [float(floors[order.index(member)]) for member in missing]
 
 
@@ -739,50 +739,45 @@ def test_screened_exhaustive_attack_equals_the_search_that_solves_every_member(m
     assert fewer >= 10
 
 
-def _brackets(m, removals, metric, settle=None):
+def _brackets(m, removals, metric):
     """The attack screen's [lo, hi] of the ``removals`` on a fresh table of
-    ``m``, in the order given, under ``settle`` (the table's own, from the
-    neutral bound, by default)."""
+    ``m``, in the order given."""
     table = _ScoreTable([m], metric, attack=True)
     missing = sorted((m.q - len(s), table._survivors(s), 0, s) for s in removals)
-    order, lo, hi = table._screen(missing, settle or table._settle(table.worst))
+    order, lo, hi = table._screen(missing)
     at = {member[3]: i for i, member in enumerate(order)}
     return [(float(lo[at[s]]), float(hi[at[s]])) for s in removals]
 
 
 @pytest.mark.parametrize("metric", METRICS)
-def test_attack_bracket_holds_the_converged_trace(metric, monkeypatch):
+def test_attack_bracket_holds_the_converged_trace(metric):
     # lo <= t <= hi on every survivor set that removes one to three
     # sensors of random-solve models at q = 10 and 14, so the removed sets
-    # carry pads; under a settle that never drops, every member is sent
-    # with the hi of the doubling's first verdict, and under the table's
-    # settle started from the optimum many are dropped, some after
-    # doublings of their Stein run
+    # carry pads; nearly every hi is finite, and the table's settle started
+    # from the optimum drops nearly every member on its bracket alone
     rng = np.random.default_rng(127)
-    stein = []
-    doubling = riccati._doubling_dare
-    monkeypatch.setattr(riccati, "_doubling_dare", lambda A, G, W, settle=None:
-                        stein.append(G is None) or doubling(A, G, W, settle))
-    finite = 0
+    finite = dropped = 0
     for q in (10, 10, 14, 14):
         m = _random_solve_model(rng, q)
         removals = [c for r in (1, 2, 3) for c in combinations(range(q), r)]
         traces = [evaluate_selection(m, complement(AttackVector.from_support(q, s)), metric).trace for s in removals]
-        best = max(traces)
-        for settle in (lambda lo, hi: np.zeros(len(lo), dtype=bool),
-                       _ScoreTable([m], metric, attack=True)._settle(best)):
-            for s, t, (lo, hi) in zip(removals, traces, _brackets(m, removals, metric, settle)):
-                assert lo <= t <= hi, (q, s, lo, t, hi)
-                finite += math.isfinite(hi)
-    assert finite > 0.9 * 2 * (2 * 175 + 2 * 469) and any(stein)
+        brackets = _brackets(m, removals, metric)
+        for s, t, (lo, hi) in zip(removals, traces, brackets):
+            assert lo <= t <= hi, (q, s, lo, t, hi)
+            finite += math.isfinite(hi)
+        lo, hi = np.array(brackets).T
+        dropped += _ScoreTable([m], metric, attack=True)._settle(max(traces))(lo, hi).sum()
+    total = 2 * 175 + 2 * 469
+    assert finite > 0.9 * total and dropped > 0.9 * total
 
 
-def test_attack_bracket_screens_nothing_it_cannot_certify():
+def test_attack_bracket_screens_nothing_it_cannot_certify(monkeypatch):
     # a noiseless full set with W singular takes Newton, whose iterates
-    # approach from above; a full set with two equal noiseless rows has a
-    # singular C P C' + V; both give [-inf, inf].  A full set whose precise
-    # sensor sets the gain leaves the survivors' closed loop unstable, so
-    # that member gets hi = inf, with no warning
+    # approach from above, so it is not solved; a full set with two equal
+    # noiseless rows has a singular C P C' + V; a full set whose solve
+    # fails to converge is no error; all three give [-inf, inf].  A full
+    # set whose precise sensor sets the gain leaves the survivors' closed
+    # loop unstable, so that member gets hi = inf, with no warning
     rng = np.random.default_rng(131)
     n, q = 3, 5
     A = np.diag([1.05, 0.5, -0.3])
@@ -793,9 +788,22 @@ def test_attack_bracket_screens_nothing_it_cannot_certify():
     C2 = C.copy()
     C2[3] = C2[0]
     twin = validate_model(SystemModel(n=n, q=q, A=A, C=C2, W=np.eye(n), V=V))
-    for m in (singular_w, twin):
+    runs, original = [], riccati._solve_detectable
+
+    def solve(A, W, C, V, root, *args):  # the full set's solve is the one without a metric, and fails on m
+        runs.append(len(C))
+        if C.shape[1] == m.q and not args:
+            raise riccati.NoConvergence("the full set's run", 1.0, 0)
+        return original(A, W, C, V, root, *args)
+
+    monkeypatch.setattr(riccati, "_solve_detectable", solve)
+    m = _random_solve_model(rng, 6)
+    for model, solves in ((singular_w, []), (twin, [1]), (m, [1])):
         for metric in METRICS:
-            assert all(bracket == (-math.inf, math.inf) for bracket in _brackets(m, removals, metric))
+            runs.clear()
+            assert all(bracket == (-math.inf, math.inf) for bracket in _brackets(model, removals, metric))
+            assert runs == solves
+    monkeypatch.undo()
     unstable = validate_model(SystemModel(n=1, q=2, A=np.array([[2.0]]), C=np.ones((2, 1)), W=np.array([[1e-6]]),
                                           V=np.diag([1e-12, 1.0])))
     with warnings.catch_warnings():
