@@ -63,17 +63,18 @@ no longer needs, from the trace intervals that its invariant certifies
 other member reports its trace to it once solved (_solve_detectable).  A
 caller may screen members before any run on a lower bound, the second
 iterate of the recursion from zero (_floor), or an attack's survivor sets
-on a bracket from the full set's solution (_bracket).
-Newton's gain shares _pinv_psd with pseudo_inverse_psd.
+on a bracket from the full set's solution (_bracket): products formed
+once, then per member a gather, an r x r solve and rank-r products, and a
+refusal of its own.  Newton's gain shares _pinv_psd with pseudo_inverse_psd.
 solve_dare, is_stabilizable_noise and the solvers' score table share one
 door (_request): validate_model's input rule before any kernel runs, then
 one root of W, which every kernel run takes (they solve with W's and V's
 symmetric parts, model.noise_root), and one eigvals of A and one SVD of
 A - lam I per unstable mode (_modes), whose left null vectors give the one
-stabilizability test and whose right ones A's unstable-mode bases, against
-which each stack of a caller's gathered rows is tested (_detectable).  A
-stack path whose mask selects every member gathers and scatters nothing
-(_members, _put).
+stabilizability test and whose right ones A's unstable-mode bases; a
+stack's PBH test reads its rows' images of them (_images), which a
+caller may gather from every row's (_detectable).  A stack path whose
+mask selects every member gathers and scatters nothing (_members, _put).
 
 Four module constants hold the tolerances: TOL (the stopping rule),
 PINV_RTOL (the pseudo-inverse cutoff and every rank decision's: whether V
@@ -162,21 +163,12 @@ def _noise_gain(C: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     result.  A batched factorization fails as a whole when one member is
     not positive definite; the members are then factored one by one.
     """
-    p = V.shape[1]
     cut = PINV_RTOL * np.maximum(1.0, V.diagonal(axis1=1, axis2=2))
     ok = (V.diagonal(axis1=1, axis2=2) > cut).all(axis=1)
     if not ok.any():
         return ok, np.zeros(C.shape)
     t = _members(ok)
-    try:
-        L = np.linalg.cholesky(V[t])
-    except np.linalg.LinAlgError:
-        L = np.zeros((ok.sum(), p, p))  # a failed member keeps a zero pivot
-        for j, m in enumerate(np.flatnonzero(ok)):
-            try:
-                L[j] = np.linalg.cholesky(V[m])
-            except np.linalg.LinAlgError:
-                pass
+    L = _batched(np.linalg.cholesky, V[t])  # a failed member gets NaN pivots
     pivots_ok = (L.diagonal(axis1=1, axis2=2) ** 2 > cut[t]).all(axis=1)
     ok[t] = pivots_ok
     F = np.linalg.solve(L[_members(pivots_ok)], C[_members(ok)]) if pivots_ok.any() else C[ok]
@@ -193,6 +185,15 @@ def _put(X, mask, Y):  # the stack X (or a broadcast view) with Y in the members
     X = X.copy()
     X[mask] = Y
     return X
+
+
+def _batched(f, *X):  # the batched LAPACK call f on the stacks X; where it fails, member by member, NaN where one does
+    try:
+        return f(*X)
+    except np.linalg.LinAlgError:
+        if X[-1].ndim == 2:  # one member
+            return np.full(X[-1].shape, np.nan)
+        return np.stack([_batched(f, *(x[i] for x in X)) for i in range(len(X[-1]))])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises NoConvergence instead
@@ -486,104 +487,122 @@ def _update(X, F, Y):
     return Z, GZ
 
 
+def _blocks(S, m):  # flat indices of each member's S[i] x S[i] block of an m x m matrix, negative entries from its end
+    return (S % m)[:, :, None] * m + (S % m)[:, None, :]
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite bound screens nothing
-def _floor(A, W, C, V, posteriori=False) -> np.ndarray:
-    """A lower bound on the trace of each member of the stacks C (k x p x n)
-    and V (k x p x p), without a kernel run: base - tr(Y' Q^-1 Y),
-    Q = V + C W C', by one batched p x p solve.  The Riccati recursion
-    S <- A (S - S C' Q(S)^+ C S) A' + W from S = 0 rises monotonically to
-    every PSD solution, so its second iterate bounds the a priori
-    covariance: base = tr(W + A W A') with Y = C W A', the kernel's tr H_1.
-    The a posteriori covariance is the update of an a priori one, which is
-    at least W, so with ``posteriori`` base = tr W with Y = C W bounds it,
-    the filtered run's tr Wb.
-    Q is formed within e = eps (n + p) (||V|| + ||CW|| ||C||) of its exact
-    value, and solved by a method as stable.  Where ||Q^-1|| e <= 1e-3, the
-    computed tr(Y' Q^-1 Y) is within about 2 e ||Q^-1 Y||^2 of the exact
-    one, and the bound is lowered by that and by the round-off of the sums.
-    A member nearer to singular, whose float Q may have lost a direction
-    that its exact Q^-1 weighs heavily (two nearly parallel noiseless rows),
-    gets -inf, as do a non-finite bound and every member of a stack with a
-    singular Q: they are never screened."""
-    k, p, n = C.shape
-    CW = C @ W
-    base, Y = (np.trace(W), CW) if posteriori else (np.trace(W) + np.trace(A @ W @ A.T), CW @ A.T)
-    eye = np.broadcast_to(np.eye(p), (k, p, p))
-    try:  # Q^-1 Y and Q^-1 by one solve
-        X = np.linalg.solve(V + CW @ C.transpose(0, 2, 1), np.concatenate((Y, eye), axis=2))
-    except np.linalg.LinAlgError:
-        return np.full(k, -np.inf)
+def _floor(A, W, C, V, S, posteriori=False) -> np.ndarray:
+    """A lower bound on the trace of each member of the rows C (m x n) with
+    noise V (m x m), without a kernel run: member i keeps the rows S[i]
+    (k x p), negative entries counting from the end, where the caller puts
+    its null sensors.  The bound is base - tr(Y' Q^-1 Y), Q = V + C W C' on
+    the member's rows, by one p x p solve of the block it gathers from Q and
+    Y, formed once for every row.  The Riccati recursion S <- A (S - S C'
+    Q(S)^+ C S) A' + W from S = 0 rises monotonically to every PSD solution,
+    so its second iterate bounds the a priori covariance: base =
+    tr(W + A W A') with Y = C W A', the kernel's tr H_1.  The a posteriori
+    covariance is the update of an a priori one, which is at least W, so
+    with ``posteriori`` base = tr W with Y = C W bounds it, the filtered
+    run's tr Wb.  A member's Q is within e = eps (n + p) (||V|| + ||CW||
+    ||C||), norms of its rows, of its exact value, and solved by a method as
+    stable.  Where ||Q^-1|| e <= 1e-3, the computed tr(Y' Q^-1 Y) is within
+    about 2 e ||Q^-1 Y||^2 of the exact one, and the bound is lowered by that
+    and by the round-off of the sums.  A member nearer to singular (two
+    nearly parallel noiseless rows lose a direction of Q that Q^-1 weighs
+    heavily), with a singular Q or a non-finite bound, gets -inf alone."""
+    p, n, CW, at = S.shape[1], A.shape[0], C @ W, _blocks(S, len(C))
+    base, Y = (np.trace(W), CW[S]) if posteriori else (np.trace(W) + np.trace(A @ W @ A.T), (CW @ A.T)[S])
+    X = _batched(np.linalg.solve, np.take(V + CW @ C.T, at), np.concatenate((Y, np.take(np.eye(len(C)), at)), axis=2))
     eps, X, inverse = np.finfo(float).eps, X[:, :, :n], X[:, :, n:]
-    x, e = _fro(X), eps * (n + p) * (_fro(V) + _fro(CW) * _fro(C))
+    x, e = _fro(X), eps * (n + p) * (_fro(np.take(V, at)) + _fro(CW[S]) * _fro(C[S]))
     t = np.add.reduce(Y * X, axis=(1, 2))
     bound = base - t - 2 * e * x * x - eps * (n + p) * (_fro(Y) * x + base + abs(t))
     return np.where(np.isfinite(bound) & (e * _fro(inverse) <= 1e-3), bound, -np.inf)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite end screens nothing
-def _bracket(A, W, P, C, V, removed, posteriori, block):
+def _bracket(A, W, P, C, V, removed, posteriori):
     """[lo, hi] on the trace of each survivor set of an attack from the a
     priori covariance P of the full set C (q x n), V, without a kernel run,
-    or None where M = C P C' + V or an N_RR is singular, or e ||N|| > 1e-3
-    (e as _floor's, C P for C W).  Member i removes the rows removed[i]
-    (pads -1, -2, ...: null sensors).  P must approach from below, as on
-    every route but Newton's (_newton_route).
+    or None where M = C P C' + V is singular or e ||N|| > 1e-3 (e as
+    _floor's, C P for C W).  Member i removes the rows removed[i] (k x r; pads
+    -1, -2, ...: null sensors), and gets [-inf, inf] alone where its N_RR is
+    singular.  P must approach from below, as on every route but Newton's.
 
     With N = M^-1 and K = N C P, the block inverse of M makes P's update by
     the survivors the full update P+ = P - (CP)'K plus the rank-r
-    D = K_R' N_RR^-1 K_R (a pad adds exactly 0).  Removing sensors never
-    lowers the Riccati solution and the update is monotone (Anderson &
-    Moore, 1979): lo = tr(P+ + D), a priori tr(A (P+ + D) A') + tr W.  P's
-    gain on the survivors, J = I - K'C + K_R' N_RR^-1 (NC)_R, costs more
-    than the optimum (Kleinman, 1968; Hewer, 1971): P + E a priori,
-    E = F E F' + T + Ric(P) - P, F = A J, T = A D A', and tr(P+ + D) +
-    tr(J E J') a posteriori, the same Stein equation in F = J A, T = J A D
-    A' J'.  Its sum over k of F^k T F'^k has trace at most
+    D = U' Z U, U = K_R, Z = N_RR^-1 (a pad adds exactly 0).  Removing
+    sensors never lowers the Riccati solution and the update is monotone
+    (Anderson & Moore, 1979): lo = tr(P+ + D), a priori tr(A (P+ + D) A') +
+    tr W.  P's gain on the survivors, J = Jf + U' Z (NC)_R, Jf = I - K'C,
+    costs more than the optimum (Kleinman, 1968; Hewer, 1971): P + E a
+    priori, E = F E F' + T + Ric(P) - P, F = A J, T = A D A', and
+    tr(P+ + D) + tr(J E J') a posteriori, the same Stein equation in
+    F = J A, T = F D F'.  Its sum over k of F^k T F'^k has trace at most
     c tr T, c = 1 / (1 - ||F||_F^2), where ||F||_F < 1 (else hi = inf), and
     the residual's share at most c ||Ric(P) - P||_* (times ||J||_F^2 a
     posteriori): its nuclear norm bounds the k = 0 term, the trace of the
-    residual itself, where its Frobenius norm need not.  Round-off, to
-    first order and doubled while e ||N|| <= 1e-3: N and K are exact for
-    an M within e, which moves tr(P+ + D), J and D by g tr P,
-    g sqrt(tr P tr P^-1) and 2 g tr P at most, g = 2 e ||N||; a product
-    adds u = 3 eps (n + q) of its terms.  So lo is lowered, hi raised, by
+    residual itself, where its Frobenius norm need not.
+    No member forms an n x n matrix: it gathers R x R blocks and R rows of
+    the full set's products of K, NC, Jf and A, and each of its forms is a
+    full-set term plus rank-r ones.  With Om = A'A a priori and I a
+    posteriori and B = (K Om^1/2)_R, tr(Om D) = <Z, B B'>, and
+    ||F0 + B' Z E||_F^2 = ||F0||_F^2 + 2 <Z, B F0 E'> + <B B' Z E E', Z>
+    is ||F||_F^2 (F0 = A Jf, E = (NC)_R a priori; F0 = Jf A, E = (NCA)_R a
+    posteriori) and ||J||_F^2 (F0 = Jf, E = (NC)_R); a posteriori
+    tr T = <Z, UF UF'>, UF = U F' = (K F0')_R + M U, M = (K (NCA)')_RR Z'.
+    Round-off, to first order in Frobenius norms: given the products, a
+    form is within h = eps (n + r + 3)^2 times the sum of its terms'
+    absolute values, at most its size, (||F0|| + ||B|| ||Z|| ||E||)^2,
+    ||Z|| ||B||^2 for tr(Om D), ||Z|| (||(K F0')_R|| + ||M|| ||U||)^2 for
+    tr T, and is moved by that to the safe side.  While e ||N|| <= 1e-3, N
+    and K are exact for an M within e, which moves tr(P+ + D), J and D by
+    g tr P, g sqrt(tr P tr P^-1) and 2 g tr P at most, g = 2 e ||N||,
+    doubled; a product adds u = 3 eps (n + q) of its terms (||Z E|| <=
+    ||Z|| ||E||, ||D|| <= tr D).  So lo is lowered, hi raised, by
     (g + u) (w tr P + tr W), w = ||A||_F^2 a priori, w = 1 and no tr W a
-    posteriori, and hi also takes the residual's round-off and the
-    forcing's and F's errors, times c.  The members go in blocks of
-    ``block``."""
+    posteriori; hi also takes the residual's round-off and the forcing's
+    and F's errors, times c."""
     (q, n), (k, r) = C.shape, removed.shape
-    eps, a, Y = np.finfo(float).eps, np.linalg.norm(A), C @ P
+    eps, a, Y, trP = np.finfo(float).eps, np.linalg.norm(A), C @ P, np.trace(P)
     u, e = 3 * eps * (n + q), eps * (n + q) * (np.linalg.norm(V) + np.linalg.norm(Y) * np.linalg.norm(C))
-    try:
-        X = np.linalg.solve(Y @ C.T + V, np.concatenate((Y, np.eye(q)), axis=1))
-        K, N, g = X[:, :n], X[:, n:], 2 * e * np.linalg.norm(X[:, n:])
-        if not g <= 2e-3:  # NaN refuses too
-            return None
-        KC = np.concatenate((np.concatenate((K, N @ C), axis=1), np.zeros((r, 2 * n))))
-        Nb = np.block([[N, np.zeros((q, r))], [np.zeros((r, q)), np.eye(r)]])  # N and the pads' identity block
-        inv = np.linalg.inv(Nb[removed[:, :, None], removed[:, None]])
-    except np.linalg.LinAlgError:
+    X = _batched(np.linalg.solve, (Y @ C.T + V)[None], np.concatenate((Y, np.eye(q)), axis=1)[None])[0]
+    K, N, g = X[:, :n], X[:, n:], 2 * e * np.linalg.norm(X[:, n:])
+    if not g <= 2e-3:  # NaN, of a singular M, refuses too
         return None
-    U, Pp, Jf, lam, trP = KC[removed, :n], _sym(P - Y.T @ K), np.eye(n) - K.T @ C, np.linalg.eigvalsh(P), np.trace(P)
-    ZK, Om, tW = inv @ U, *((np.eye(n), 0.0) if posteriori else (A.T @ A, np.trace(W)))
-    allow = (g + u) * ((1.0 if posteriori else a * a) * trP + tW)
-    lo = np.trace(Om @ Pp) + tW - allow + np.add.reduce((U @ Om) * ZK, axis=(1, 2))
+    Pp, Jf, lam, h = _sym(P - Y.T @ K), np.eye(n) - K.T @ C, np.linalg.eigvalsh(P), eps * (n + r + 3) ** 2
+    Nb, at = np.block([[N, np.zeros((q, r))], [np.zeros((r, q)), np.eye(r)]]), _blocks(removed, q + r)  # pads: I
+    K, NC = (np.concatenate((M, np.zeros((r, n)))) for M in (K, N @ C))  # a pad's rows are zero
+    Z = _batched(np.linalg.inv, np.take(Nb, at))  # NaN where N_RR is singular
+    Om, tW, KO = (np.eye(n), 0.0, K) if posteriori else (A.T @ A, np.trace(W), K @ A.T)
+    G, KK, EE, zn = np.take(KO @ KO.T, at), np.take(K @ K.T, at), np.take(NC @ NC.T, at), _fro(Z)
+    tr, dot = lambda M: M.trace(axis1=1, axis2=2), lambda X, Y: np.add.reduce(X * Y, axis=(1, 2))  # noqa: E731
+    nB, nU, nE = tr(G), tr(KK), tr(EE)  # ||B||_F^2, ||U||_F^2 and ||(NC)_R||_F^2
+
+    def sq(F0, E, EE):  # ||F0 + B' Z E_R||_F^2 from the full set's term and rank-r ones, raised by h times its size
+        form = np.sum(F0 * F0) + dot(Z, 2 * np.take(KO @ F0 @ E.T, at) + G @ Z @ EE)
+        return form + h * (np.linalg.norm(F0) + np.sqrt(nB * tr(EE)) * zn) ** 2
+
+    tD, allow = dot(Z, G), (g + u) * ((1.0 if posteriori else a * a) * trP + tW)  # tr(Om D)
+    lo = np.trace(Om @ Pp) + tW - allow + tD - h * zn * nB
     res = np.linalg.norm(A @ Pp @ A.T + W - P, "nuc") + (g + u) * ((1 + a * a) * trP + np.trace(W))
     dJ = g * np.sqrt(trP * np.sum(1.0 / lam) if lam[0] > 0.0 else np.inf) + u * np.linalg.norm(K) * np.linalg.norm(C)
-    hi = np.empty(k)
-    for b in range(0, k, block):
-        s = slice(b, b + block)
-        ZC, Ut = inv[s] @ KC[removed[s], n:], U[s].transpose(0, 2, 1)
-        J, D = Jf + Ut @ ZC, Ut @ ZK[s]
-        F, T = (J @ A, J @ A @ D @ A.T @ J.transpose(0, 2, 1)) if posteriori else (A @ J, A @ D @ A.T)
-        f2, v = _fro(F) ** 2, _fro(J) ** 2 if posteriori else 1.0
-        dJi, dD = dJ + u * _fro(U[s]) * _fro(ZC), 2 * g * trP + u * _fro(U[s]) * _fro(ZK[s])
-        dT = a * a * (v * dD + 2 * np.sqrt(v) * dJi * _fro(D)) if posteriori else a * a * dD
-        c = 1.0 / (1.0 - f2)
-        up = (lo[s] + 2 * allow if posteriori else trP + allow) + c * (res * v + dT)
-        up += (1.0 + u + 2 * c * a * dJi * np.sqrt(f2)) * c * np.trace(T, axis1=1, axis2=2)
-        hi[s] = np.where(f2 < 1.0, up, np.inf)  # a NaN end drops nothing
-    return lo, hi
+    dJ, dD = dJ + u * zn * np.sqrt(nU * nE), 2 * g * trP + u * zn * nU
+    if posteriori:
+        NCA, KF = NC @ A, K @ (Jf @ A).T
+        f2, v = sq(Jf @ A, NCA, np.take(NCA @ NCA.T, at)), sq(Jf, NC, EE)
+        M = np.take(K @ NCA.T, at) @ Z.transpose(0, 2, 1)  # UF = (K F0')_R + M U
+        S, X0 = np.take(KF @ K.T, at) @ M.transpose(0, 2, 1), np.take(KF @ KF.T, at)
+        trT = dot(Z, X0 + S + S.transpose(0, 2, 1) + M @ KK @ M.transpose(0, 2, 1))
+        trT += h * zn * (np.sqrt(tr(X0)) + _fro(M) * np.sqrt(nU)) ** 2
+        dT = a * a * (v * dD + 2 * np.sqrt(v) * dJ * tD)  # ||D||_F <= tr D = tD
+    else:
+        f2, v, trT, dT = sq(A @ Jf, NC, EE), 1.0, tD + h * zn * nB, a * a * dD
+    c = 1.0 / (1.0 - f2)
+    up = (lo + 2 * allow if posteriori else trP + allow) + c * (res * v + dT)
+    up += (1.0 + u + 2 * c * a * dJ * np.sqrt(f2)) * c * trT
+    return np.where(np.isnan(lo), -np.inf, lo), np.where(f2 < 1.0, up, np.inf)  # a singular N_RR: [-inf, inf]
 
 
 def _posteriori(S, R0, F) -> np.ndarray:
@@ -661,7 +680,7 @@ def _modes(A: np.ndarray, L=None) -> tuple:
         null = sv <= PBH_TOL * scale
         bases.append(Vh[null].conj().T)
         duals.append(U[:, null].conj())
-    if L is not None and not _detectable((duals, scale), L.T[None])[0]:
+    if L is not None and not _detectable(_images((duals, scale), L.T[None]), 1)[0]:
         raise StabilizabilityViolation("(A, W^(1/2)) is not stabilizable")
     return bases, scale
 
@@ -681,23 +700,26 @@ def _request(A, W, C, V) -> tuple:
     return W, V, (w, L), _modes(A, L)
 
 
-def _detectable(modes: tuple, C: np.ndarray) -> np.ndarray:
-    """is_detectable for every member of the stack C (k x p x n), modes =
-    _modes(A).  [A - lam I; C] x = 0 iff x is in ker(A - lam I) and in
-    ker C, so C sees lam iff its image C N / ||A||_2 has full column rank:
-    every singular value above PBH_TOL.  A simple mode sums the p-vector
-    |C v|^2, a multiple one counts the rows that see it first: a zero row
-    of C, such as a pad, adds nothing to either."""
-    bases, scale = modes
-    ok = np.ones(len(C), dtype=bool)
-    for N in bases:
-        image, r = C @ N / scale, N.shape[1]
+def _images(modes: tuple, C: np.ndarray) -> list:  # C's images C N / ||A||_2 of the bases N (_modes), row by row
+    return [C @ N / modes[1] for N in modes[0]]
+
+
+def _detectable(images: list, k: int) -> np.ndarray:
+    """is_detectable for each of the k members of a stack C (k x p x n) from
+    its images (_images, or gathered from every row's).  [A - lam I; C] x = 0
+    iff x is in ker(A - lam I) and in ker C, so C sees lam iff its image
+    C N / ||A||_2 has full column rank: every singular value above PBH_TOL.
+    A simple mode sums the p-vector |C v|^2, a multiple one counts the rows
+    that see it first: a zero row of C, such as a pad, adds nothing."""
+    ok = np.ones(k, dtype=bool)
+    for image in images:
+        r = image.shape[2]
         if r == 1:
             with np.errstate(over="ignore"):  # a row of 1e155 or more has an infinite norm: it sees the mode
                 ok &= np.sqrt((np.abs(image[:, :, 0]) ** 2).sum(axis=1)) > PBH_TOL
         elif r:  # fewer rows that see the mode than kernel directions never have full rank
             ok &= (image != 0).any(axis=2).sum(axis=1) >= r
-            if r <= C.shape[1]:
+            if r <= image.shape[1]:
                 ok &= np.linalg.svd(image, compute_uv=False)[:, -1] > PBH_TOL
     return ok
 
@@ -713,7 +735,7 @@ def is_detectable(A, C_sel) -> bool:
     A, C_sel = np.asarray(A, dtype=float), np.asarray(C_sel, dtype=float)
     _check_shapes(A, [C_sel])
     check_finite(A=A, C=C_sel)
-    return bool(_detectable(_modes(A), C_sel[None])[0])
+    return bool(_detectable(_images(_modes(A), C_sel[None]), 1)[0])
 
 
 def is_stabilizable_noise(A, W) -> bool:
@@ -864,7 +886,7 @@ def solve_dare(A, C, W, V, posteriori=False) -> SteadyStateResult:
     """
     A, C, W, V = (np.ascontiguousarray(M, dtype=float) for M in (A, C, W, V))
     W, V, root, modes = _request(A, W, [C], [V])
-    if not _detectable(modes, C[None])[0]:
+    if not _detectable(_images(modes, C[None]), 1)[0]:
         return SteadyStateResult.infinite()
     S, iters = _solve_detectable(A, W, C[None], V, root, posteriori)
     return SteadyStateResult.finite(S[0], int(iters[0]))

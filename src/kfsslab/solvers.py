@@ -37,25 +37,26 @@ set that is not tied, which cannot tie either.  The search also passes
 a bound, the neutral one for the maximal sets and the best trace for
 each walk level, which drops inside the doubling every member whose
 certified trace interval can neither beat nor tie the optimum (Narendra
-& Fukunaga's monotone bound, 1977; see _ScoreTable._settle).  A
-request that lacks more members than one chunk screens them first
-(_ScoreTable._screen), on the monotone Riccati recursion (Anderson &
-Moore, 1979): a selection on its second iterate from zero (riccati._floor),
-an attack on the full set's solution updated by each survivor set as a
-rank-r restore of the removed rows, and on the cost of that update's gain
-(Kleinman, 1968; Hewer, 1971; riccati._bracket).  The members are solved
-best first, and before each chunk the same rule drops every member whose
-bracket can neither beat nor tie the incumbent.  The table
-passes its metric to the kernel run, which solves an equation in that
-metric and certifies intervals in it (see riccati._solve_detectable): an
-a posteriori run solves the a posteriori covariance itself, so no
-member needs an update after it.  A dropped member is stored as None:
-it counts as not tied, and a request without a bound, a greedy step or
-a report, solves it.  Greedy and greedy_and_optimal's joint first
-scoring screen nothing, and inside the kernel the Newton members,
-an a priori request's members with noiseless rows, and the closed-form
-members of an A with one nonzero column (every paper instance) drop
-nothing.
+& Fukunaga's monotone bound, 1977; see _ScoreTable._settle).  A request
+that lacks more members than one chunk screens them first, on the
+monotone Riccati recursion (Anderson & Moore, 1979): a selection on its
+second iterate from zero (riccati._floor), an attack on the full set's
+solution updated by each survivor set as a rank-r restore of the removed
+rows, and on the cost of that update's gain (Kleinman, 1968; Hewer,
+1971; riccati._bracket).  Its members are one index array, and each bound
+forms its products once, so a member costs a gather, one r x r solve and
+rank-r products (_ScoreTable._screen).  They are solved best first, and
+before each chunk the same rule drops every member whose bracket can
+neither beat nor tie the incumbent.  The table passes its metric to the
+kernel run, which solves an equation in that metric and certifies
+intervals in it (see riccati._solve_detectable): an a posteriori run
+solves the a posteriori covariance itself, so no member needs an update
+after it.  A dropped member is stored as None: it counts as not tied, and
+a request without a bound, a greedy step or a report, solves it.  Greedy
+and greedy_and_optimal's joint first scoring screen nothing, and inside
+the kernel the Newton members, an a priori request's members with
+noiseless rows, and the closed-form members of an A with one nonzero
+column (every paper instance) drop nothing.
 A report's trace and covariance diagonal are those of the stack member
 that scored the chosen indicator, and nothing is solved twice.
 evaluate_selection is the per-subset reference, riccati.solve_dare's
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, compress
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -166,17 +167,18 @@ class _ScoreTable:
     models share A, W and q, and passes riccati's door (_request) each model's
     C and V, then the q zero rows of the null sensors -1 ... -q without
     noise.  It stacks the rows and the door's symmetric V's, lays the null
-    sensors' identity block, zero against every real sensor, and keeps A's
-    mode bases from the door.  A call solves the members the table lacks in
-    (size, kept, j) order, kept the sensors the filter runs on, or screened
-    best first (_screen), as stacks of at most STACK_CHUNK members; a
-    chunk gathers each kept set padded to its widest with null sensors -1, -2,
-    ..., whose V then reads block-diag(V_kept, I) (_rows), so it is one PBH
+    sensors' identity block, zero against every real sensor, and keeps every
+    row's images of A's unstable modes.  A call holds the members it lacks
+    as one array of supports (_index) and solves them in (size, kept, j)
+    order, kept the sensors the filter runs on, or screened best first
+    (_screen), as stacks of at most STACK_CHUNK members; a chunk gathers each
+    kept set padded to its widest with null sensors -1, -2, ..., whose V then
+    reads block-diag(V_kept, I), and its images (_rows), so it is one PBH
     test and one kernel run in the table's metric.  Stack members are solved
     independently, so a stored score is the one a fresh stack, or
-    evaluate_selection to round-off, would give.  ``best`` picks the better of
-    some traces (the least for a selection, the greatest for an attack), and
-    ``worst`` is the neutral bound, which no trace is worse than."""
+    evaluate_selection to round-off, would give.  ``best`` picks the better
+    of some traces (the least for a selection, the greatest for an attack),
+    and ``worst`` is the neutral bound, which no trace is worse than."""
 
     def __init__(self, models, metric: str, attack: bool):
         _check_metric(metric)
@@ -185,13 +187,13 @@ class _ScoreTable:
                for m in models[1:]):
             raise ValueError("models scored together must share A, W and the sensor count")
         C = [m.C for m in models] + [np.zeros((q,) + model.A.shape[1:])]  # null sensors: q x n once A passes
-        self.W, V, self.root, self.modes = riccati._request(model.A, model.W, C, [m.V for m in models])
+        self.W, V, self.root, modes = riccati._request(model.A, model.W, C, [m.V for m in models])
         self.C = np.concatenate(C)
+        self.images = riccati._images(modes, self.C)  # each member's PBH test gathers its rows'
         self.V = np.zeros((len(self.C), 2 * q))
         self.V[:-q, :q] = V.reshape(-1, q)
         self.V[-q:, q:] = np.eye(q)
         self.models, self.metric, self.attack = models, metric, attack
-        self.sensors = tuple(range(q))
         self.best, self.worst = (max, -math.inf) if attack else (min, math.inf)
         self.scores: dict[tuple[int, tuple[int, ...]], tuple[float, np.ndarray] | None] = {}
         self.full: dict[int, tuple | None] = {}  # an attack screen's full sets: (P, C, V) of model j, or None
@@ -206,28 +208,27 @@ class _ScoreTable:
         solve, and reach the drop rule as the interval [inf, inf] before
         their chunk's kernel run.  A call with a bound that lacks more
         members than one chunk screens them first (_screen)."""
-        lacking = {m for m in members if m not in self.scores or bound is None and self.scores[m] is None}
+        lacking = [m for m in members if m not in self.scores or bound is None and self.scores[m] is None]
         if not lacking:  # greedy's later steps, the walk and report read stored scores
             return [self.scores[m] for m in members]
-        settle = None if bound is None else self._settle(bound)
+        lacking, settle = list(dict.fromkeys(lacking)), None if bound is None else self._settle(bound)
         A, W = self.models[0].A, self.W
-        missing = sorted((len(kept), kept, j, s) for j, s in lacking
-                         for kept in [self._survivors(s) if self.attack else s])
-        screen = settle is not None and len(missing) > STACK_CHUNK
+        idx, js = self._index(lacking)
+        size = (idx >= 0).sum(axis=1)  # (size, kept, j): an attack's kept sets ascend as its removed sets descend
+        order = np.lexsort((js, *(-idx if self.attack else idx).T[::-1], -size if self.attack else size))
+        screen = settle is not None and len(lacking) > STACK_CHUNK
         if screen:
-            missing, lo, hi = self._screen(missing)
-        while missing:
+            best, lo, hi = self._screen(idx[order], js[order])
+            order = order[best]
+        while order.size:
             if screen:  # each bracket against the incumbent
                 drop = settle(lo, hi)
-                for _, _, j, s in compress(missing, drop.tolist()):
-                    self.scores[j, s] = None
-                missing, lo, hi = list(compress(missing, (~drop).tolist())), lo[~drop], hi[~drop]
-                lo, hi = lo[STACK_CHUNK:], hi[STACK_CHUNK:]
-            chunk, missing = missing[:STACK_CHUNK], missing[STACK_CHUNK:]
-            if not chunk:  # the screen dropped the rest
+                self.scores.update((lacking[i], None) for i in order[drop].tolist())
+                order, lo, hi = order[~drop], lo[~drop][STACK_CHUNK:], hi[~drop][STACK_CHUNK:]
+            chunk, order = order[:STACK_CHUNK], order[STACK_CHUNK:]
+            if not chunk.size:  # the screen dropped the rest
                 break
-            C, V = self._rows(chunk, max(size for size, _, _, _ in chunk))
-            finite = riccati._detectable(self.modes, C)
+            rows, kept, finite = self._rows(idx[chunk], js[chunk])
             if settle is not None and not finite.all():
                 unseen = np.full(len(chunk) - finite.sum(), math.inf)
                 settle(unseen, unseen)
@@ -235,69 +236,66 @@ class _ScoreTable:
             diags = np.full((len(chunk), A.shape[0]), math.nan)  # a copy: no score keeps S alive
             if finite.any():
                 f = riccati._members(finite)
-                S, _ = riccati._solve_detectable(A, W, C[f], V[f], self.root, self.metric == "posteriori", settle)
+                C, V = self.C[rows[f]], self.V[rows[f][:, :, None], kept[f][:, None, :]]
+                S, _ = riccati._solve_detectable(A, W, C, V, self.root, self.metric == "posteriori", settle)
                 traces[finite] = np.trace(S, axis1=1, axis2=2)
                 diags[finite] = S.diagonal(axis1=1, axis2=2)
-            for (_, _, j, s), trace, diag in zip(chunk, traces.tolist(), diags):
-                self.scores[j, s] = None if math.isnan(trace) else (trace, diag)
+            for i, trace, diag in zip(chunk.tolist(), traces.tolist(), diags):
+                self.scores[lacking[i]] = None if math.isnan(trace) else (trace, diag)
         return [self.scores[m] for m in members]
 
-    def _survivors(self, s: tuple) -> tuple:  # the sorted complement of the sorted support s
-        kept, lo = (), 0
-        for i in s:
-            kept += self.sensors[lo:i]
-            lo = i + 1
-        return kept + self.sensors[lo:]
+    def _index(self, members):  # (idx, j): each support in a row, padded to the widest with -1, -2, ..., and its model
+        js, supports = zip(*members)
+        pads = tuple(range(-1, -max(map(len, supports)) - 1, -1))  # one null sensor per pad slot
+        idx = np.fromiter(chain.from_iterable(s + pads[:len(pads) - len(s)] for s in supports), np.intp)
+        return idx.reshape(len(js), len(pads)), np.array(js, dtype=np.intp)
 
-    def _rows(self, members, width: int):
-        """The stacks (C, V) of the (size, kept, j, s) ``members``, each kept set padded to ``width`` with the null
-        sensors -1, -2, ..., gathered from the stacked C and V (_index)."""
-        rows, idx = self._index(members, width)
-        return self.C[rows], self.V[rows[:, :, None], idx[:, None, :]]
+    def _rows(self, idx, j):
+        """The rows of the stacked C of the members (idx, j) (_index), the sensors they keep, a selection's support or
+        an attack's complement, ascending and padded to the widest with the null sensors -1, -2, ..., and their PBH
+        verdicts, riccati._detectable of their rows' images gathered from the table's."""
+        q = self.models[0].q
+        if self.attack:  # each kept sensor, then q for each removed one
+            idx = np.sort(np.where((idx[:, :, None] != np.arange(q)).all(axis=1), np.arange(q), q), axis=1)
+        size = ((idx >= 0) & (idx < q)).sum(axis=1)
+        col = np.arange(size.max())
+        idx = np.where(col < size[:, None], idx[:, :col.size], size[:, None] - col - 1)
+        rows = np.where(idx < 0, idx, idx + j[:, None] * q)
+        return rows, idx, riccati._detectable([image[rows] for image in self.images], len(rows))
 
-    def _index(self, members, width: int):  # the rows of the stacked C of _rows's members, and their sensors
-        pads = tuple(range(-1, -width - 1, -1))  # one null sensor per pad slot
-        idx = np.array([kept + pads[:width - size] for size, kept, _, _ in members], dtype=np.intp)
-        first = np.array([j for _, _, j, _ in members], dtype=np.intp) * self.models[0].q  # model j's first row
-        return np.where(idx < 0, idx, idx + first[:, None]), idx
-
-    def _screen(self, missing):
-        """The (size, kept, j, s) members ``missing`` of one model best first,
-        with a bracket [lo, hi] on each one's trace in the table's metric: a
-        selection's (size, floor) order and [floor, inf] (riccati._floor), an
-        attack's descending lo and riccati._bracket's from the full set's a
-        priori solve, once per model, which settles nothing and is no score.
-        Each takes one call on the stacks padded to the widest with null
-        sensors, which add nothing, and an attack the PBH test in blocks of
-        STACK_CHUNK members, on their survivors' rows alone.  An attack keeps
-        (size, kept) order and [-inf, inf] where the bracket refuses, or its
-        full set is undetectable, takes Newton's route (riccati._newton_route)
-        or fails to converge, which is then no error."""
-        A, posteriori, k = self.models[0].A, self.metric == "posteriori", len(missing)
+    def _screen(self, idx, j):
+        """Best first order of the members (idx, j) (_index) of one model,
+        given in (size, kept) order, and a bracket [lo, hi] on each one's
+        trace in the table's metric, in that order: a selection's (size,
+        floor) order and [floor, inf] (riccati._floor), an attack's
+        descending lo and riccati._bracket's from the full set's a priori
+        solve, once per model, which settles nothing and is no score.  An
+        attack's PBH verdicts are its chunks' (_rows).  A member either
+        bound refuses gets [-inf, inf], as does every member of an attack
+        whose full set is undetectable, takes Newton's route
+        (riccati._newton_route) or fails to converge, which is no error."""
+        A, posteriori, k, j, q = self.models[0].A, self.metric == "posteriori", len(idx), int(j[0]), self.models[0].q
+        C, V = (M[np.r_[j * q:(j + 1) * q, -q:0]] for M in (self.C, self.V))  # model j's sensors, then the null ones
         if not self.attack:
-            C, V = self._rows(missing, missing[-1][0])  # sizes ascend
-            floors = riccati._floor(A, self.W, C, V, posteriori)
-            order = np.lexsort((floors, [size for size, _, _, _ in missing]))
-            return [missing[i] for i in order.tolist()], floors[order], np.full(k, math.inf)
-        (_, _, j, _), q = missing[0], len(self.sensors)  # a call with a bound scores one model
-        if j not in self.full:  # None: screen nothing
-            C, V = self._rows([(q, self.sensors, j, ())], q)
+            floors = riccati._floor(A, self.W, C, V, idx, posteriori)
+            order = np.lexsort((floors, (idx >= 0).sum(axis=1)))
+            return order, floors[order], np.full(k, math.inf)
+        if j not in self.full:  # None: screen nothing; seen: the full set's PBH verdict, removing none
+            C, V, seen = C[None, :q], V[None, :q, :q], self._rows(np.empty((1, 0), np.intp), np.array([j]))[2][0]
             self.full[j], noiseless = None, riccati._noise(C, V)[0].any(axis=(1, 2))
-            if riccati._detectable(self.modes, C)[0] and not riccati._newton_route(self.root, noiseless)[0]:
+            if seen and not riccati._newton_route(self.root, noiseless)[0]:
                 try:
                     self.full[j] = riccati._solve_detectable(A, self.W, C, V, self.root)[0][0], C[0], V[0]
                 except riccati.NoConvergence:
                     pass
-        removed = self._index([(len(s), s, 0, s) for _, _, _, s in missing], max(len(s) for *_, s in missing))[1]
-        bracket = self.full[j] and riccati._bracket(A, self.W, *self.full[j], removed, posteriori, STACK_CHUNK)
+        bracket = self.full[j] and riccati._bracket(A, self.W, *self.full[j], idx, posteriori)
         if bracket is None:
-            return missing, np.full(k, -math.inf), np.full(k, math.inf)
+            return np.arange(k), np.full(k, -math.inf), np.full(k, math.inf)
         lo, hi = bracket
-        blocks = (missing[b:b + STACK_CHUNK] for b in range(0, k, STACK_CHUNK))
-        finite = np.concatenate([riccati._detectable(self.modes, self.C[self._index(c, c[-1][0])[0]]) for c in blocks])
+        finite = self._rows(idx, np.full(k, j))[2]
         lo[~finite] = hi[~finite] = math.inf  # undetectable: the interval [inf, inf]
         order = np.argsort(-lo, kind="stable")
-        return [missing[i] for i in order.tolist()], lo[order], hi[order]
+        return order, lo[order], hi[order]
 
     def _settle(self, bound: float):
         """The settle callable of one request (see riccati._doubling_dare),
@@ -376,7 +374,7 @@ def _greedy(table: _ScoreTable, j: int, budget: int) -> SolveReport:
         candidates = [i for i in range(q) if i not in picked]
         traces = [trace for trace, _ in table([(j, tuple(sorted(picked + [i]))) for i in candidates])]
         best = table.best(traces)
-        k = min(c for c, t in enumerate(traces) if _tied(t, best))  # candidates ascend
+        k = next(c for c, t in enumerate(traces) if _tied(t, best))  # candidates ascend: the first tied one
         steps.append(GreedyStep(scores=dict(zip(candidates, traces)), chosen=candidates[k]))
         picked.append(candidates[k])
     return table.report(j, picked, sum(len(step.scores) for step in steps) + 1, steps)

@@ -920,7 +920,7 @@ def test_the_doors_pbh_tests_agree_with_the_public_ones():
             _, _, _, modes = riccati._request(A, np.eye(len(A)), [C], [np.eye(len(C))])
             for r in range(len(C) + 1):
                 idx = np.array(list(combinations(range(len(C)), r)), dtype=np.intp).reshape(math.comb(len(C), r), r)
-                seen = riccati._detectable(modes, C[idx]).tolist()
+                seen = riccati._detectable(riccati._images(modes, C[idx]), len(idx)).tolist()
                 assert seen == [is_detectable(A, C[list(s)]) for s in idx]
                 verdicts |= {(stabilizable, v) for v in seen}
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}

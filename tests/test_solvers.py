@@ -509,9 +509,8 @@ def _floors(m, supports, metric):
     """The screen's floors of ``supports`` on a fresh selection table of
     ``m``, in the order given."""
     table = _ScoreTable([m], metric, attack=False)
-    missing = [(len(s), s, 0, s) for s in supports]
-    order, floors, _ = table._screen(missing)
-    return [float(floors[order.index(member)]) for member in missing]
+    order, floors, _ = table._screen(*table._index([(0, s) for s in supports]))
+    return floors[np.argsort(order)].tolist()
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -583,12 +582,13 @@ def test_screen_floor_keeps_to_a_padded_member_and_screens_nothing_it_cannot_sol
     pad[:p, :p], pad[p:, p:] = V, np.eye(2)
     Cp = np.concatenate([C, np.zeros((2, n))])
     for posteriori in (False, True):
-        alone, padded = (riccati._floor(A, W, c[None], v[None], posteriori)[0] for c, v in ((C, V), (Cp, pad)))
-        assert math.isfinite(alone) and abs(padded - alone) <= 1e-14 * abs(alone)
+        alone = riccati._floor(A, W, C, V, np.array([[0, 1]]), posteriori)[0]
+        padded = riccati._floor(A, W, Cp, pad, np.array([[0, 1, 2, 3], [0, 1, -1, -2]]), posteriori)
+        assert math.isfinite(alone) and np.all(abs(padded - alone) <= 1e-14 * abs(alone))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert riccati._floor(A, W, np.zeros((1, 1, n)), np.zeros((1, 1, 1)))[0] == -math.inf
-        assert riccati._floor(A, W, np.full((1, 1, n), 1e200), np.eye(1)[None])[0] == -math.inf
+        assert riccati._floor(A, W, np.zeros((1, n)), np.zeros((1, 1)), np.array([[0]]))[0] == -math.inf
+        assert riccati._floor(A, W, np.full((1, n), 1e200), np.eye(1), np.array([[0]]))[0] == -math.inf
 
 
 def _full_enumeration(m, costs, budget, metric, attack):
@@ -743,10 +743,9 @@ def _brackets(m, removals, metric):
     """The attack screen's [lo, hi] of the ``removals`` on a fresh table of
     ``m``, in the order given."""
     table = _ScoreTable([m], metric, attack=True)
-    missing = sorted((m.q - len(s), table._survivors(s), 0, s) for s in removals)
-    order, lo, hi = table._screen(missing)
-    at = {member[3]: i for i, member in enumerate(order)}
-    return [(float(lo[at[s]]), float(hi[at[s]])) for s in removals]
+    order, lo, hi = table._screen(*table._index([(0, s) for s in removals]))
+    at = np.argsort(order)
+    return list(zip(lo[at].tolist(), hi[at].tolist()))
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -829,6 +828,110 @@ def test_screen_solves_q_18_attack_in_at_most_two_kernel_runs(monkeypatch):
         monkeypatch.undo()
         assert runs[0] == 1 and len(runs) <= 2
         assert report.chosen.count == 3
+
+
+def test_a_singular_floor_or_inverse_is_refused_alone(monkeypatch):
+    # a noiseless zero-row sensor makes Q singular for every set that holds
+    # it: those floors are -inf, each alone, and the other ten three-sets'
+    # stay finite; the screened search still reports what solving every
+    # member reports.  A batched solve or inverse with one singular member
+    # gives NaN for it and every other member's lone result
+    rng = np.random.default_rng(139)
+    m = _random_solve_model(rng, 6)
+    C, V = m.C.copy(), m.V.copy()
+    C[2], V[2], V[:, 2] = 0.0, 0.0, 0.0
+    m = validate_model(replace(m, C=C, V=V))
+    triples = list(combinations(range(6), 3))
+    for metric in METRICS:
+        floors = _floors(m, triples, metric)
+        assert all((f == -math.inf) == (2 in s) for s, f in zip(triples, floors)), metric
+        reports = []
+        for chunk in (4, 10**6):
+            monkeypatch.setattr(solvers, "STACK_CHUNK", chunk)
+            reports.append(report_to_dict(exhaustive_select(m, np.ones(6), 3.0, metric)))
+        monkeypatch.undo()
+        assert reports[0] == reports[1], metric
+    M = rng.standard_normal((5, 3, 3))
+    M[3] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]
+    B = rng.standard_normal((5, 3, 2))
+    for f, args in ((np.linalg.solve, (M, B)), (np.linalg.inv, (M,))):
+        got = riccati._batched(f, *args)
+        assert np.isnan(got[3]).all() and not np.isnan(np.delete(got, 3, axis=0)).any()
+        for i in (0, 1, 2, 4):
+            assert np.array_equal(got[i], f(*(x[i] for x in args)))
+
+
+def test_screen_bounds_hold_at_the_workload_size():
+    # two random-solve draws at q = 18, both metrics, unit costs (the 816
+    # triples) and mixed ones (maximal sets of two and three sensors, so the
+    # supports and removed sets carry pads): every floor is at most the
+    # member's trace plus the tie band, and every attack bracket holds it.
+    # The traces are an unbounded table's, which solves every member in
+    # stacks of STACK_CHUNK and equals evaluate_selection to round-off, as
+    # checked on the members nearest to their bound
+    rng = np.random.default_rng(149)
+    for _ in range(2):
+        m = _random_solve_model(rng, 18)
+        for costs in (np.ones(18), rng.choice([1.0, 1.5], 18)):
+            for metric in METRICS:
+                for attack in (False, True):
+                    sets = _maximal_feasible(m, costs, 3.0, attack)[1]
+                    table = _ScoreTable([m], metric, attack)
+                    traces = np.array([t for t, _ in table([(0, s) for s in sets])])
+                    order, lo, hi = table._screen(*table._index([(0, s) for s in sets]))
+                    at = np.argsort(order)
+                    lo, hi = lo[at], hi[at]
+                    band = np.array([solvers._band(t) for t in traces])
+                    assert np.isfinite(lo).all() and np.all(lo <= traces + (0.0 if attack else band))
+                    assert np.all(traces <= hi) and (np.isfinite(hi).mean() > 0.9 if attack else True)
+                    assert len({len(s) for s in sets}) == (1 if costs.min() == 1.5 or (costs == 1.0).all() else 2)
+                    for i in np.argsort((traces - lo) / traces)[:3]:
+                        kept = tuple(k for k in range(18) if k not in sets[i]) if attack else sets[i]
+                        alone = evaluate_selection(m, SelectionVector.from_support(18, kept), metric).trace
+                        assert abs(alone - traces[i]) <= 1e-12 * traces[i]
+
+
+def test_screen_and_chunk_read_one_pbh_verdict():
+    # tie models whose unstable state only some sensors see: the screen
+    # brackets an undetectable survivor set as [inf, inf] exactly where its
+    # chunk scores it infinite, from the same gathered mode images
+    rng = np.random.default_rng(151)
+    models = blind = 0
+    while models < 4:
+        m = _tie_model(rng, 7)
+        removals = [c for r in range(1, 7) for c in combinations(range(7), r)]
+        for metric in METRICS:
+            brackets = _brackets(m, removals, metric)
+            if all(b == (-math.inf, math.inf) for b in brackets):  # the bracket refused this model
+                continue
+            models += 1
+            scores = _ScoreTable([m], metric, attack=True)([(0, s) for s in removals])
+            assert [b == (math.inf, math.inf) for b in brackets] == [math.isinf(t) for t, _ in scores]
+            blind += sum(math.isinf(t) for t, _ in scores)
+    assert blind >= 20
+
+
+def test_members_are_solved_in_size_kept_model_order(monkeypatch):
+    # a call's members, shuffled, reach the chunks in (size, kept, j) order:
+    # an attack's kept sets of one size ascend as its removed sets descend
+    # lexicographically, for every support of q <= 10 sensors and two models
+    for q in range(1, 11):
+        m = validate_model(SystemModel(n=1, q=q, A=np.array([[0.5]]), C=np.ones((q, 1)), W=np.eye(1), V=np.eye(q)))
+        members = [(j, c) for r in range(q + 1) for c in combinations(range(q), r) for j in (0, 1)]
+        np.random.default_rng(q).shuffle(members)
+        for attack in (False, True):
+            seen, rows = [], _ScoreTable._rows
+
+            def spy(self, idx, js):
+                out = rows(self, idx, js)
+                seen.extend((tuple(k for k in kept if k >= 0), j) for j, kept in zip(js.tolist(), out[1].tolist()))
+                return out
+
+            monkeypatch.setattr(_ScoreTable, "_rows", spy)
+            _ScoreTable([m, m], "priori", attack)([tuple(x) for x in members])
+            monkeypatch.undo()
+            kept = [(tuple(k for k in range(q) if k not in c) if attack else c, j) for j, c in members]
+            assert seen == sorted(kept, key=lambda x: (len(x[0]), x[0], x[1])), (q, attack)
 
 
 def test_tie_walk_continues_past_a_size_with_no_tied_set():
@@ -1098,10 +1201,11 @@ def test_greedy_and_optimal_scores_each_support_once(mode, monkeypatch):
                         super().__init__(*args)
                         tables.append(self)
 
-                def spy(self, members, width):  # each chunk gathers all its members; a screen gathers more
-                    if len(members) <= solvers.STACK_CHUNK:
-                        scored.extend((j, kept) for _, kept, j, _ in members)
-                    return rows(self, members, width)
+                def spy(self, idx, js):  # each chunk gathers all its members; a screen gathers more
+                    out = rows(self, idx, js)
+                    if len(idx) <= solvers.STACK_CHUNK:
+                        scored.extend((j, tuple(i for i in kept if i >= 0)) for j, kept in zip(js.tolist(), out[1].tolist()))
+                    return out
 
                 rows = _ScoreTable._rows
                 monkeypatch.setattr(solvers, "_ScoreTable", Table)

@@ -907,7 +907,7 @@ def _pbh_verdicts(A, C, sizes=None):
         combos = list(combinations(range(q), r))
         idx = np.array(combos, dtype=np.intp).reshape(len(combos), r)
         old += _old_pbh(A, C[idx]).tolist()
-        new += riccati._detectable(modes, C[idx]).tolist()
+        new += riccati._detectable(riccati._images(modes, C[idx]), len(idx)).tolist()
     return old, new
 
 
@@ -1122,7 +1122,7 @@ def _nonsingular_members(A, C, V, supports):
     """The stacks of C and V rows of every detectable support (all of one
     size)."""
     idx = np.array(supports, dtype=np.intp)
-    idx = idx[riccati._detectable(riccati._modes(A), C[idx])]
+    idx = idx[riccati._detectable(riccati._images(riccati._modes(A), C[idx]), len(idx))]
     return C[idx], V[idx[:, :, None], idx[:, None, :]]
 
 
@@ -1287,7 +1287,7 @@ def test_a_member_keeps_its_bits_in_a_uniform_and_in_a_mixed_stack(metric):
     ]
     for m, r, v, kind in mixes:
         sets = np.array(list(combinations(range(m.q), r)), dtype=np.intp)
-        sets = sets[riccati._detectable(riccati._modes(m.A), m.C[sets])]
+        sets = sets[riccati._detectable(riccati._images(riccati._modes(m.A), m.C[sets]), len(sets))]
         C, V = m.C[sets], m.V[sets[:, :, None], sets[:, None, :]]
         mixed_C, mixed_V = np.concatenate((C, C[:1])), np.concatenate((V, v * np.eye(r)[None]))
         R0, F = riccati._noise(mixed_C, mixed_V)
