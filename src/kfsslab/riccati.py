@@ -524,15 +524,17 @@ def _floor(A, W, C, V, S, posteriori=False) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite end screens nothing
 def _bracket(A, W, P, C, V, removed, posteriori):
     """[lo, hi] on the trace of each survivor set of an attack from the a
-    priori covariance P of the full set C (q x n), V, without a kernel run,
-    or None where M = C P C' + V is singular or e ||N|| > 1e-3 (e as
-    _floor's, C P for C W).  Member i removes the rows removed[i] (k x r; pads
-    -1, -2, ...: null sensors), and gets [-inf, inf] alone where its N_RR is
-    singular.  P must approach from below, as on every route but Newton's.
+    priori covariance P of the full set, without a kernel run, or None where
+    M = C P C' + V is singular or e ||N|| > 1e-3 (e as _floor's, C P for
+    C W).  C (m x n) and V are _floor's rows, the full set's and the null
+    sensors; member i removes removed[i] (k x r; pads -1, -2, ...) and gets
+    [-inf, inf] alone where its N_RR is singular.  P must approach from
+    below, as on every route but Newton's.
 
     With N = M^-1 and K = N C P, the block inverse of M makes P's update by
     the survivors the full update P+ = P - (CP)'K plus the rank-r
-    D = U' Z U, U = K_R, Z = N_RR^-1 (a pad adds exactly 0).  Removing
+    D = U' Z U, U = K_R, Z = N_RR^-1, to which a pad adds 0: as M is
+    block-diag(M_full, I), it reads zero rows of K and NC, N's I.  Removing
     sensors never lowers the Riccati solution and the update is monotone
     (Anderson & Moore, 1979): lo = tr(P+ + D), a priori tr(A (P+ + D) A') +
     tr W.  P's gain on the survivors, J = Jf + U' Z (NC)_R, Jf = I - K'C,
@@ -559,22 +561,21 @@ def _bracket(A, W, P, C, V, removed, posteriori):
     tr T, and is moved by that to the safe side.  While e ||N|| <= 1e-3, N
     and K are exact for an M within e, which moves tr(P+ + D), J and D by
     g tr P, g sqrt(tr P tr P^-1) and 2 g tr P at most, g = 2 e ||N||,
-    doubled; a product adds u = 3 eps (n + q) of its terms (||Z E|| <=
-    ||Z|| ||E||, ||D|| <= tr D).  So lo is lowered, hi raised, by
+    doubled; a product adds u = 3 eps (n + m) of its terms (||Z E|| <=
+    ||Z|| ||E||, ||D|| <= tr D); m, ||V|| and ||N|| count the null sensors,
+    which only widens e, g and u.  So lo is lowered, hi raised, by
     (g + u) (w tr P + tr W), w = ||A||_F^2 a priori, w = 1 and no tr W a
     posteriori; hi also takes the residual's round-off and the forcing's
     and F's errors, times c."""
-    (q, n), (k, r) = C.shape, removed.shape
+    (m, n), (k, r) = C.shape, removed.shape
     eps, a, Y, trP = np.finfo(float).eps, np.linalg.norm(A), C @ P, np.trace(P)
-    u, e = 3 * eps * (n + q), eps * (n + q) * (np.linalg.norm(V) + np.linalg.norm(Y) * np.linalg.norm(C))
-    X = _batched(np.linalg.solve, (Y @ C.T + V)[None], np.concatenate((Y, np.eye(q)), axis=1)[None])[0]
-    K, N, g = X[:, :n], X[:, n:], 2 * e * np.linalg.norm(X[:, n:])
+    u, e = 3 * eps * (n + m), eps * (n + m) * (np.linalg.norm(V) + np.linalg.norm(Y) * np.linalg.norm(C))
+    X = _batched(np.linalg.solve, (Y @ C.T + V)[None], np.concatenate((Y, np.eye(m)), axis=1)[None])[0]
+    K, N, g, at = X[:, :n], X[:, n:], 2 * e * np.linalg.norm(X[:, n:]), _blocks(removed, m)
     if not g <= 2e-3:  # NaN, of a singular M, refuses too
         return None
     Pp, Jf, lam, h = _sym(P - Y.T @ K), np.eye(n) - K.T @ C, np.linalg.eigvalsh(P), eps * (n + r + 3) ** 2
-    Nb, at = np.block([[N, np.zeros((q, r))], [np.zeros((r, q)), np.eye(r)]]), _blocks(removed, q + r)  # pads: I
-    K, NC = (np.concatenate((M, np.zeros((r, n)))) for M in (K, N @ C))  # a pad's rows are zero
-    Z = _batched(np.linalg.inv, np.take(Nb, at))  # NaN where N_RR is singular
+    Z, NC = _batched(np.linalg.inv, np.take(N, at)), N @ C  # Z: NaN where N_RR is singular
     Om, tW, KO = (np.eye(n), 0.0, K) if posteriori else (A.T @ A, np.trace(W), K @ A.T)
     G, KK, EE, zn = np.take(KO @ KO.T, at), np.take(K @ K.T, at), np.take(NC @ NC.T, at), _fro(Z)
     tr, dot = lambda M: M.trace(axis1=1, axis2=2), lambda X, Y: np.add.reduce(X * Y, axis=(1, 2))  # noqa: E731

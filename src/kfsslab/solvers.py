@@ -65,6 +65,7 @@ kernel run of a stack of one, not a path the searches take.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations
@@ -168,17 +169,17 @@ class _ScoreTable:
     C and V, then the q zero rows of the null sensors -1 ... -q without
     noise.  It stacks the rows and the door's symmetric V's, lays the null
     sensors' identity block, zero against every real sensor, and keeps every
-    row's images of A's unstable modes.  A call holds the members it lacks
-    as one array of supports (_index) and solves them in (size, kept, j)
-    order, kept the sensors the filter runs on, or screened best first
-    (_screen), as stacks of at most STACK_CHUNK members; a chunk gathers each
-    kept set padded to its widest with null sensors -1, -2, ..., whose V then
-    reads block-diag(V_kept, I), and its images (_rows), so it is one PBH
-    test and one kernel run in the table's metric.  Stack members are solved
-    independently, so a stored score is the one a fresh stack, or
-    evaluate_selection to round-off, would give.  ``best`` picks the better
-    of some traces (the least for a selection, the greatest for an attack),
-    and ``worst`` is the neutral bound, which no trace is worse than."""
+    row's images of A's unstable modes: one layout, which the chunks and
+    both screens read.  A call holds the members it lacks as one array of
+    supports (_index) and solves them in (size, kept, j) order, kept the
+    sensors the filter runs on, or screened best first (_screen), as stacks
+    of at most STACK_CHUNK members; a chunk gathers the rows of each kept
+    set padded to its widest with null sensors, and their images (_rows),
+    so it is one PBH test and one kernel run in the table's metric.  Stack
+    members are solved independently, so a stored score is the one a fresh
+    stack, or evaluate_selection to round-off, would give.  ``best`` picks
+    the better of some traces (the least for a selection, the greatest for
+    an attack), and ``worst`` is the neutral bound, no trace worse than it."""
 
     def __init__(self, models, metric: str, attack: bool):
         _check_metric(metric)
@@ -196,7 +197,6 @@ class _ScoreTable:
         self.models, self.metric, self.attack = models, metric, attack
         self.best, self.worst = (max, -math.inf) if attack else (min, math.inf)
         self.scores: dict[tuple[int, tuple[int, ...]], tuple[float, np.ndarray] | None] = {}
-        self.full: dict[int, tuple | None] = {}  # an attack screen's full sets: (P, C, V) of model j, or None
 
     def __call__(self, members, bound: float | None = None) -> list:
         """The score of each (j, support) member, support a sorted tuple, or
@@ -255,8 +255,10 @@ class _ScoreTable:
         an attack's complement, ascending and padded to the widest with the null sensors -1, -2, ..., and their PBH
         verdicts, riccati._detectable of their rows' images gathered from the table's."""
         q = self.models[0].q
-        if self.attack:  # each kept sensor, then q for each removed one
-            idx = np.sort(np.where((idx[:, :, None] != np.arange(q)).all(axis=1), np.arange(q), q), axis=1)
+        if self.attack:  # each kept sensor, then q for each removed one; a pad lands in a spare column
+            removed = np.zeros((len(idx), q + idx.shape[1]), dtype=bool)
+            removed[np.arange(len(idx))[:, None], idx] = True
+            idx = np.sort(np.where(removed[:, :q], q, np.arange(q)), axis=1)
         size = ((idx >= 0) & (idx < q)).sum(axis=1)
         col = np.arange(size.max())
         idx = np.where(col < size[:, None], idx[:, :col.size], size[:, None] - col - 1)
@@ -266,13 +268,14 @@ class _ScoreTable:
     def _screen(self, idx, j):
         """Best first order of the members (idx, j) (_index) of one model,
         given in (size, kept) order, and a bracket [lo, hi] on each one's
-        trace in the table's metric, in that order: a selection's (size,
-        floor) order and [floor, inf] (riccati._floor), an attack's
-        descending lo and riccati._bracket's from the full set's a priori
-        solve, once per model, which settles nothing and is no score.  An
-        attack's PBH verdicts are its chunks' (_rows).  A member either
-        bound refuses gets [-inf, inf], as does every member of an attack
-        whose full set is undetectable, takes Newton's route
+        trace in the table's metric, in that order, both read from the
+        model's rows, then the null sensors: a selection's (size, floor)
+        order and [floor, inf] (riccati._floor), an attack's descending lo
+        and riccati._bracket's from the full set's a priori solve, which
+        settles nothing, is no score and is made only if a survivor set, and
+        so the full set, is detectable (its chunk's PBH verdict, _rows).  A
+        member either bound refuses gets [-inf, inf], as does every member
+        of an attack whose full set is not solved, takes Newton's route
         (riccati._newton_route) or fails to converge, which is no error."""
         A, posteriori, k, j, q = self.models[0].A, self.metric == "posteriori", len(idx), int(j[0]), self.models[0].q
         C, V = (M[np.r_[j * q:(j + 1) * q, -q:0]] for M in (self.C, self.V))  # model j's sensors, then the null ones
@@ -280,19 +283,14 @@ class _ScoreTable:
             floors = riccati._floor(A, self.W, C, V, idx, posteriori)
             order = np.lexsort((floors, (idx >= 0).sum(axis=1)))
             return order, floors[order], np.full(k, math.inf)
-        if j not in self.full:  # None: screen nothing; seen: the full set's PBH verdict, removing none
-            C, V, seen = C[None, :q], V[None, :q, :q], self._rows(np.empty((1, 0), np.intp), np.array([j]))[2][0]
-            self.full[j], noiseless = None, riccati._noise(C, V)[0].any(axis=(1, 2))
-            if seen and not riccati._newton_route(self.root, noiseless)[0]:
-                try:
-                    self.full[j] = riccati._solve_detectable(A, self.W, C, V, self.root)[0][0], C[0], V[0]
-                except riccati.NoConvergence:
-                    pass
-        bracket = self.full[j] and riccati._bracket(A, self.W, *self.full[j], idx, posteriori)
+        finite, full, bracket = self._rows(idx, np.full(k, j))[2], (C[None, :q], V[None, :q, :q]), None
+        if finite.any() and not riccati._newton_route(self.root, riccati._noise(*full)[0].any(axis=(1, 2)))[0]:
+            with contextlib.suppress(riccati.NoConvergence):  # the full set is detectable, as a survivor set is
+                P = riccati._solve_detectable(A, self.W, *full, self.root)[0][0]
+                bracket = riccati._bracket(A, self.W, P, C, V, idx, posteriori)
         if bracket is None:
             return np.arange(k), np.full(k, -math.inf), np.full(k, math.inf)
         lo, hi = bracket
-        finite = self._rows(idx, np.full(k, j))[2]
         lo[~finite] = hi[~finite] = math.inf  # undetectable: the interval [inf, inf]
         order = np.argsort(-lo, kind="stable")
         return order, lo[order], hi[order]

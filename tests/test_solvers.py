@@ -770,6 +770,25 @@ def test_attack_bracket_holds_the_converged_trace(metric):
     assert finite > 0.9 * total and dropped > 0.9 * total
 
 
+@pytest.mark.parametrize("metric", METRICS)
+def test_attack_bracket_keeps_to_a_padded_member(metric):
+    # a pad removes a null sensor, whose rows of K and N C are zero and
+    # whose block of N is the identity, so it adds nothing: each pair's
+    # [lo, hi] screened alone equals, to round-off, its [lo, hi] screened
+    # beside the triples, where it carries one pad, and its hi is finite
+    # in both or in neither, on random-solve models at q = 10 and 14
+    rng = np.random.default_rng(157)
+    for q in (10, 14):
+        m = _random_solve_model(rng, q)
+        pairs, triples = (list(combinations(range(q), r)) for r in (2, 3))
+        alone = np.array(_brackets(m, pairs, metric))
+        padded = np.array(_brackets(m, pairs + triples, metric)[:len(pairs)])
+        finite = np.isfinite(alone)
+        assert finite[:, 0].all() and finite[:, 1].mean() > 0.9, q
+        assert np.array_equal(finite, np.isfinite(padded)), q
+        assert np.all(abs(padded[finite] - alone[finite]) <= 1e-12 * abs(alone[finite])), q
+
+
 def test_attack_bracket_screens_nothing_it_cannot_certify(monkeypatch):
     # a noiseless full set with W singular takes Newton, whose iterates
     # approach from above, so it is not solved; a full set with two equal
